@@ -238,20 +238,31 @@ class ConjunctiveQuery:
         The result has no equality atoms; equated variables are replaced by a
         single representative, and variables equated to a constant are
         replaced by that constant.  Raises :class:`QueryError` when the query
-        is unsatisfiable.
+        is unsatisfiable.  A query without equality atoms is its own normal
+        form; otherwise the result is computed once per (immutable) instance.
         """
-        uf = self._union_find()
-        if uf is None:
-            raise QueryError(f"query {self.name!r} is unsatisfiable (constants equated)")
-        mapping = uf.representative_map(self.variables)
-        atoms = tuple(atom.substitute(mapping) for atom in self.atoms)
-        head = tuple(mapping.get(term, term) for term in self.head)
-        return ConjunctiveQuery(head=head, atoms=atoms, equalities=(), name=self.name)
+        if not self.equalities:
+            return self
+        normalized = self.__dict__.get("_normalized")
+        if normalized is None:
+            uf = self._union_find()
+            if uf is None:
+                raise QueryError(f"query {self.name!r} is unsatisfiable (constants equated)")
+            mapping = uf.representative_map(self.variables)
+            atoms = tuple(atom.substitute(mapping) for atom in self.atoms)
+            head = tuple(mapping.get(term, term) for term in self.head)
+            normalized = ConjunctiveQuery(head=head, atoms=atoms, equalities=(), name=self.name)
+            self.__dict__["_normalized"] = normalized
+        return normalized
 
     def tableau(self) -> Tableau:
-        """Return the tableau representation ``(T_Q, ū)`` of the query."""
-        normalized = self.normalize()
-        return Tableau(atoms=frozenset(normalized.atoms), summary=normalized.head)
+        """Return the tableau representation ``(T_Q, ū)`` of the query (computed once)."""
+        tableau = self.__dict__.get("_tableau")
+        if tableau is None:
+            normalized = self.normalize()
+            tableau = Tableau(atoms=frozenset(normalized.atoms), summary=normalized.head)
+            self.__dict__["_tableau"] = tableau
+        return tableau
 
     # ------------------------------------------------------------------ #
     # Term-level rewriting helpers

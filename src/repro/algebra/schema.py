@@ -54,7 +54,12 @@ class RelationSchema:
 
     def positions(self, attributes: Iterable[str]) -> tuple[int, ...]:
         """Return the indices of a sequence of attributes, preserving order."""
-        return tuple(self.position(attr) for attr in attributes)
+        key = tuple(attributes)
+        cache = self.__dict__.setdefault("_positions", {})
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = tuple(self.position(attr) for attr in key)
+        return found
 
     def has_attributes(self, attributes: Iterable[str]) -> bool:
         """Return ``True`` when all ``attributes`` belong to this relation."""

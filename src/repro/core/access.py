@@ -133,6 +133,10 @@ class AccessSchema:
 
     def __init__(self, constraints: Iterable[AccessConstraint] = ()) -> None:
         self._constraints: tuple[AccessConstraint, ...] = tuple(constraints)
+        by_relation: dict[str, list[AccessConstraint]] = {}
+        for constraint in self._constraints:
+            by_relation.setdefault(constraint.relation, []).append(constraint)
+        self._by_relation = {name: tuple(group) for name, group in by_relation.items()}
 
     @property
     def constraints(self) -> tuple[AccessConstraint, ...]:
@@ -156,7 +160,7 @@ class AccessSchema:
         return hash(frozenset(self._constraints))
 
     def for_relation(self, relation: str) -> tuple[AccessConstraint, ...]:
-        return tuple(c for c in self._constraints if c.relation == relation)
+        return self._by_relation.get(relation, ())
 
     @property
     def relations(self) -> frozenset[str]:

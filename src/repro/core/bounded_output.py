@@ -13,6 +13,12 @@ paper's characterisation:
 * Lemma 3.7: a CQ/UCQ/∃FO+ query has bounded output iff *every* element query
   of every disjunct has all its head variables covered.
 
+Lemma 3.7 is decided on the *minimal* element queries only (the leaves of the
+chase in :func:`~repro.core.element_queries.iter_minimal_element_queries`,
+whose module docstring has the argument): coverage survives merging, so a head
+variable uncovered in some element query is uncovered in a leaf — usually the
+un-merged query.  An :class:`ElementQueryBudget` therefore counts chase nodes.
+
 The module also computes a concrete numeric bound on the output size (the
 product of the constraint bounds along the cov derivation), used by the
 examples to reproduce statements such as "Q0 can be answered by fetching at
@@ -30,7 +36,7 @@ from ..algebra.terms import Constant, Variable
 from ..algebra.ucq import QueryLike, as_union
 from ..errors import UnsupportedQueryError
 from .access import AccessSchema
-from .element_queries import ElementQueryBudget, iter_element_queries
+from .element_queries import ElementQueryBudget, iter_minimal_element_queries
 
 
 def covered_variables(
@@ -110,7 +116,7 @@ class BoundedOutputWitness:
     """Outcome of a bounded-output check.
 
     ``bounded`` is the decision; when the answer is negative,
-    ``counterexample`` is an element query with an uncovered head variable
+    ``counterexample`` is a minimal element query with an uncovered head variable
     (the NP witness of the complement problem in Theorem 3.4);
     ``output_bound`` is a numeric upper bound on the output size when the
     answer is positive (``None`` when only the decision was requested).
@@ -134,8 +140,8 @@ def cq_bounded_output(
     A fast *sufficient* check runs first: if every head variable of the query
     itself (after applying the FD-shaped constraints) is covered, the query
     has bounded output — the ⇐ direction of Lemma 3.6 does not need the
-    tableau to satisfy ``A``.  Only when that check fails does the exact (and
-    exponential) element-query sweep of Lemma 3.7 run.
+    tableau to satisfy ``A``.  Only when that check fails does the exact
+    procedure of Lemma 3.7 run, over the minimal element queries.
     """
     if not query.is_satisfiable():
         return BoundedOutputWitness(bounded=True, output_bound=0)
@@ -146,7 +152,7 @@ def cq_bounded_output(
 
     overall_bound = 0
     found_element_query = False
-    for element_query in iter_element_queries(query, access_schema, schema, budget):
+    for element_query in iter_minimal_element_queries(query, access_schema, schema, budget):
         found_element_query = True
         covered = covered_variables(element_query, access_schema, schema)
         head_variables = {
@@ -224,13 +230,9 @@ def has_bounded_output(
     :func:`repro.algebra.fo.to_ucq`; full FO is undecidable — use the
     size-bounded effective syntax (:mod:`repro.core.size_bounded`) instead.
     """
-    union = as_union(query)
-    return all(
-        cq_bounded_output(
-            disjunct, access_schema, schema, budget, compute_bound=False
-        ).bounded
-        for disjunct in union.disjuncts
-    )
+    return bounded_output_witness(
+        query, access_schema, schema, budget, compute_bound=False
+    ).bounded
 
 
 def bounded_output_witness(
@@ -238,16 +240,19 @@ def bounded_output_witness(
     access_schema: AccessSchema,
     schema: DatabaseSchema,
     budget: ElementQueryBudget | None = None,
+    compute_bound: bool = True,
 ) -> BoundedOutputWitness:
     """Like :func:`has_bounded_output` but returns the full witness object."""
     union = as_union(query)
     total_bound = 0
     for disjunct in union.disjuncts:
-        witness = cq_bounded_output(disjunct, access_schema, schema, budget)
+        witness = cq_bounded_output(disjunct, access_schema, schema, budget, compute_bound)
         if not witness.bounded:
             return witness
         total_bound += witness.output_bound or 0
-    return BoundedOutputWitness(bounded=True, output_bound=total_bound)
+    return BoundedOutputWitness(
+        bounded=True, output_bound=total_bound if compute_bound else None
+    )
 
 
 def output_bound_estimate(

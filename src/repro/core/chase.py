@@ -14,33 +14,9 @@ from __future__ import annotations
 
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.schema import DatabaseSchema
-from ..algebra.terms import Constant, Term, Variable
 from ..errors import UnsupportedQueryError
 from .access import AccessSchema
-
-
-class ChaseFailure(Exception):
-    """Internal signal: the chase tried to equate two distinct constants.
-
-    In that case no instance satisfying ``A`` embeds the query's tableau, i.e.
-    the query is A-unsatisfiable (``Q ≡_A ∅``).
-    """
-
-
-def _unify(left: Term, right: Term) -> dict[Term, Term]:
-    """Substitution unifying two terms (constants win over variables)."""
-    if left == right:
-        return {}
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        raise ChaseFailure()
-    if isinstance(left, Constant):
-        return {right: left}
-    if isinstance(right, Constant):
-        return {left: right}
-    # Both variables: pick a deterministic representative.
-    if left.name <= right.name:  # type: ignore[union-attr]
-        return {right: left}
-    return {left: right}
+from .element_queries import iter_minimal_element_queries
 
 
 def chase_with_fds(
@@ -79,51 +55,9 @@ def chase_applying_fds(
     applied are forced by ``A``), but its tableau is only guaranteed to
     satisfy ``A`` when the schema is FD-only.
     """
-    current = query.normalize()
-    changed = True
-    try:
-        while changed:
-            changed = False
-            for constraint in access_schema:
-                if constraint.bound != 1:
-                    continue
-                relation = schema.relation(constraint.relation)
-                x_positions = relation.positions(constraint.x)
-                y_positions = relation.positions(constraint.y)
-                atoms = [a for a in current.atoms if a.relation == constraint.relation]
-                substitution: dict[Term, Term] = {}
-                for i, first in enumerate(atoms):
-                    for second in atoms[i + 1 :]:
-                        first_key = tuple(first.terms[p] for p in x_positions)
-                        second_key = tuple(second.terms[p] for p in x_positions)
-                        if first_key != second_key:
-                            continue
-                        for position in y_positions:
-                            substitution.update(
-                                _unify(first.terms[position], second.terms[position])
-                            )
-                        if substitution:
-                            break
-                    if substitution:
-                        break
-                if substitution:
-                    current = current.substitute(substitution).normalize()
-                    changed = True
-                    break
-    except ChaseFailure:
-        return None
-    # The chase operates on the tableau, which is a *set* of atoms: unifying
-    # terms can make two atoms identical, so duplicates are dropped here
-    # (keeping the first occurrence order).
-    deduplicated: list = []
-    seen: set = set()
-    for atom in current.atoms:
-        if atom not in seen:
-            seen.add(atom)
-            deduplicated.append(atom)
-    return ConjunctiveQuery(
-        head=current.head,
-        atoms=tuple(deduplicated),
-        equalities=(),
-        name=f"{query.name}_chased",
-    )
+    fds = AccessSchema(c for c in access_schema if c.bound == 1)
+    # FDs never branch: the disjunctive chase has at most one leaf, and none
+    # exactly when two distinct constants would have to be equated.
+    for leaf in iter_minimal_element_queries(query, fds, schema):
+        return ConjunctiveQuery(head=leaf.head, atoms=leaf.atoms, name=f"{query.name}_chased")
+    return None

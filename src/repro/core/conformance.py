@@ -25,10 +25,21 @@ from ..algebra.schema import DatabaseSchema
 from ..algebra.views import ViewSet
 from ..errors import BudgetExceededError, PlanError, UnsupportedQueryError
 from .access import AccessSchema
-from .bounded_output import has_bounded_output, output_bound_estimate
+from .bounded_output import bounded_output_witness
 from .element_queries import ElementQueryBudget
 from .plans import FetchNode, PlanNode
 from .rewriting import plan_to_ucq
+
+
+#: Verdicts on fetch inputs, ``(child plan, relation, X, compute_bound) ->
+#: (ok, reason, bound)``, shared by the ``conforms_to`` calls of *one*
+#: planning run: the builders check every candidate fragment and then the
+#: assembled plan, which re-asks the same coNP question about the same input.
+#: The access schema, schema, views and budget are fixed for the run, so the
+#: memo must not outlive it.
+ConformanceMemo = dict[
+    tuple[PlanNode, str, tuple[str, ...], bool], tuple[bool, str, int | None]
+]
 
 
 @dataclass
@@ -53,15 +64,18 @@ def conforms_to(
     views: ViewSet | None = None,
     budget: ElementQueryBudget | None = None,
     compute_bound: bool = False,
+    memo: ConformanceMemo | None = None,
 ) -> ConformanceReport:
     """Check whether ``plan`` conforms to ``access_schema``.
 
     ``views`` is needed to unfold view scans occurring below fetch nodes; when
     the plan scans views that are not provided, those fetches are reported as
-    unverifiable.
+    unverifiable.  ``memo`` lets one planning run unfold and decide each
+    distinct fetch input once (see :data:`ConformanceMemo`).
     """
     reasons: list[str] = []
     total_bound: int | None = 0 if compute_bound else None
+    memo = {} if memo is None else memo
 
     for fetch in plan.fetch_nodes():
         constraint = fetch.covering_constraint(access_schema)
@@ -76,9 +90,12 @@ def conforms_to(
             if total_bound is not None:
                 total_bound += constraint.bound
             continue
-        bound_ok, reason, input_bound = _input_has_bounded_output(
-            fetch, access_schema, schema, views, budget, compute_bound
-        )
+        key = (fetch.child, fetch.relation, fetch.x_attrs, compute_bound)
+        if key not in memo:
+            memo[key] = _input_has_bounded_output(
+                fetch, access_schema, schema, views, budget, compute_bound
+            )
+        bound_ok, reason, input_bound = memo[key]
         if not bound_ok:
             reasons.append(reason)
         elif total_bound is not None:
@@ -109,22 +126,9 @@ def _input_has_bounded_output(
             None,
         )
     try:
-        if compute_bound:
-            bound = output_bound_estimate(input_query, access_schema, schema, budget)
-            if bound is None:
-                return (
-                    False,
-                    f"input of fetch on {fetch.relation!r} does not have bounded output under A",
-                    None,
-                )
-            return True, "", bound
-        if not has_bounded_output(input_query, access_schema, schema, budget):
-            return (
-                False,
-                f"input of fetch on {fetch.relation!r} does not have bounded output under A",
-                None,
-            )
-        return True, "", None
+        witness = bounded_output_witness(
+            input_query, access_schema, schema, budget, compute_bound
+        )
     except BudgetExceededError as exc:
         return (
             False,
@@ -132,3 +136,12 @@ def _input_has_bounded_output(
             f"exceeded its budget: {exc}",
             None,
         )
+    if not witness.bounded:
+        uncovered = ", ".join(sorted(v.name for v in witness.uncovered))
+        return (
+            False,
+            f"input {fetch.x_attrs} of fetch on {fetch.relation!r} does not have "
+            f"bounded output under A: {uncovered} uncovered in {witness.counterexample}",
+            None,
+        )
+    return True, "", witness.output_bound

@@ -12,21 +12,48 @@ which the remaining variables are pairwise-distinct constants — satisfies
 * a CQ has at most exponentially many element queries, which is the source of
   the coNP/Σp3 lower bounds of Theorems 3.4 and 3.1.
 
-Enumeration is therefore exponential in the number of terms of ``Q``; a
-:class:`ElementQueryBudget` keeps it predictable and raises
+:func:`iter_element_queries` is that *definition*, a sweep over every
+equality pattern (Bell-number many).  The decision procedures (bounded
+output, A-containment, A-satisfiability) instead call
+:func:`iter_minimal_element_queries`, a disjunctive chase: start from the
+normalised query; while the tableau violates some ``R(X -> Y, N)`` — ``N+1``
+atoms agreeing on ``X`` with pairwise distinct ``Y``-tuples — branch on each
+of the ``C(N+1, 2)`` pairs and unify the two ``Y``-tuples; a node without a
+violation is a *leaf*, an element query.  Deciding on the leaves is exact:
+
+* *Completeness.*  An element query ``Qe = Q ∧ ψ`` satisfies ``A``, so for
+  every violated group met on the way ``ψ`` already equates two of its
+  ``N+1`` ``Y``-tuples; following that branch keeps the current node a
+  refinement of ``ψ``.  Hence every element query is a coarsening (the image
+  of a leaf under further merging), and leaves exist iff element queries do.
+* *Monotonicity.*  If ``h`` merges a leaf ``L`` into ``Qe`` then
+  ``h(cov(L, A)) ⊆ cov(Qe, A) ∪ constants`` (induction on the cov fixpoint:
+  the image of an atom has covered-or-constant ``X``-terms).  "All head
+  variables covered in every element query" (Lemma 3.7) therefore holds iff
+  it holds in every leaf, and a counterexample, when there is one, is found
+  among the leaves — usually at the root.
+* *Bound.*  ``Qe ⊆ L`` classically, so ``Q ≡_A ⋃ leaves``: containment in a
+  third query is decided on the leaves, and summing output bounds over the
+  leaves gives an upper bound no larger than the sum over all element queries.
+
+Both enumerations are exponential in the worst case; an
+:class:`ElementQueryBudget` keeps them predictable and raises
 :class:`repro.errors.BudgetExceededError` when exceeded.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
+from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.schema import DatabaseSchema
 from ..algebra.terms import Constant, Term, Variable
 from ..errors import BudgetExceededError
-from .access import AccessSchema
+from .access import AccessConstraint, AccessSchema
 
 
 @dataclass
@@ -34,8 +61,9 @@ class ElementQueryBudget:
     """Budget for element-query enumeration.
 
     ``max_partitions`` bounds the number of candidate equality patterns
-    examined; ``max_element_queries`` bounds the number of element queries
-    produced (both per top-level call).
+    examined — chase nodes for :func:`iter_minimal_element_queries`, whole
+    partitions for :func:`iter_element_queries`; ``max_element_queries``
+    bounds the number of element queries produced (both per top-level call).
     """
 
     max_partitions: int = 500_000
@@ -169,6 +197,105 @@ def element_queries(
     return list(iter_element_queries(query, access_schema, schema, budget))
 
 
+def _violated_group(
+    atoms: Sequence[RelationAtom],
+    constraints: Sequence[AccessConstraint],
+    schema: DatabaseSchema,
+) -> list[tuple[Term, ...]] | None:
+    """``N + 1`` pairwise distinct ``Y``-tuples sharing an ``X``-tuple, if any
+    (variables read as pairwise distinct constants)."""
+    for constraint in constraints:
+        x_positions, y_positions = constraint.positions(schema)
+        groups: dict[tuple[Term, ...], dict[tuple[Term, ...], None]] = {}
+        for atom in atoms:
+            if atom.relation != constraint.relation:
+                continue
+            y_tuples = groups.setdefault(tuple(atom.terms[p] for p in x_positions), {})
+            y_tuples[tuple(atom.terms[p] for p in y_positions)] = None
+            if len(y_tuples) > constraint.bound:
+                return list(y_tuples)
+    return None
+
+
+def _unifier(left: Sequence[Term], right: Sequence[Term]) -> dict[Term, Term] | None:
+    """Substitution equating two term tuples termwise, ``None`` on a constant clash.
+
+    Representatives follow :func:`_partition_substitution` (the constant, else
+    the smallest variable name), so a leaf is literally one of
+    :func:`iter_element_queries`' results.
+    """
+    parent: dict[Term, Term] = {}
+
+    def find(term: Term) -> Term:
+        while term in parent:
+            term = parent[term]
+        return term
+
+    for a, b in zip(left, right):
+        keep, drop = find(a), find(b)
+        if keep == drop:
+            continue
+        if isinstance(drop, Constant):
+            if isinstance(keep, Constant):
+                return None
+            keep, drop = drop, keep
+        elif isinstance(keep, Variable) and drop.name < keep.name:
+            keep, drop = drop, keep
+        parent[drop] = keep
+    return {term: find(term) for term in parent}
+
+
+def iter_minimal_element_queries(
+    query: ConjunctiveQuery,
+    access_schema: AccessSchema,
+    schema: DatabaseSchema,
+    budget: ElementQueryBudget | None = None,
+) -> Iterator[ConjunctiveQuery]:
+    """Yield the leaves of the disjunctive chase of ``query`` with ``A``.
+
+    Every leaf is an element query (normalised, atoms deduplicated) and every
+    element query is a coarsening of some leaf; the module docstring says why
+    deciding on the leaves is exact.  ``budget.max_partitions`` bounds the
+    chase nodes examined.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if not query.is_satisfiable():
+        return
+    root = query.normalize()
+    atoms_per_relation = Counter(atom.relation for atom in root.atoms)
+    # Merging never adds atoms, so a constraint with fewer than N+1 atoms on
+    # its relation can never be violated; FDs first, they do not branch.
+    constraints = sorted(
+        (c for c in access_schema if atoms_per_relation[c.relation] > c.bound),
+        key=lambda c: c.bound,
+    )
+
+    root_atoms = tuple(dict.fromkeys(root.atoms))
+    pending = [(root_atoms, root.head)]
+    seen = {(frozenset(root_atoms), root.head)}
+    examined = produced = 0
+    while pending:
+        atoms, head = pending.pop()
+        examined += 1
+        budget.partitions_guard(examined)
+        group = _violated_group(atoms, constraints, schema)
+        if group is None:
+            produced += 1
+            budget.results_guard(produced)
+            yield ConjunctiveQuery(head=head, atoms=atoms, name=f"{query.name}_m{produced}")
+            continue
+        for left, right in combinations(group, 2):
+            mapping = _unifier(left, right)
+            if mapping is None:
+                continue
+            merged = tuple(dict.fromkeys(atom.substitute(mapping) for atom in atoms))
+            merged_head = tuple(mapping.get(term, term) for term in head)
+            key = (frozenset(merged), merged_head)
+            if key not in seen:
+                seen.add(key)
+                pending.append((merged, merged_head))
+
+
 def has_element_query(
     query: ConjunctiveQuery,
     access_schema: AccessSchema,
@@ -180,6 +307,6 @@ def has_element_query(
     (``Q ≡_A ∅`` — the empty query — exactly when no equality pattern makes
     its tableau satisfy ``A``.)
     """
-    for _ in iter_element_queries(query, access_schema, schema, budget):
+    for _ in iter_minimal_element_queries(query, access_schema, schema, budget):
         return True
     return False

@@ -8,12 +8,16 @@ procedure implemented here is the one underlying the upper bound:
     ``Q1 ⊑_A Q2``  iff  every (satisfiable) element query of every disjunct of
     ``Q1`` is *classically* contained in ``Q2``.
 
+Only the *minimal* element queries need testing (the leaves of the chase in
+:func:`repro.core.element_queries.iter_minimal_element_queries`): every
+element query ``Qe`` is a coarsening of some leaf ``L``, so ``Qe ⊆ L ⊆ Q2``.
+
 Two sound shortcuts keep the common cases cheap:
 
 * classical containment implies A-containment (checked first);
 * when ``A`` consists of FDs only, chasing ``Q1`` with the FDs gives a single
   query ``Q1_A`` with ``Q1 ⊑_A Q2  iff  Q1_A ⊆ Q2`` (Corollary 4.4), avoiding
-  the exponential element-query sweep.
+  the branching chase altogether.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from ..algebra.schema import DatabaseSchema
 from ..algebra.ucq import QueryLike, UnionQuery, as_union
 from .access import AccessSchema
 from .chase import chase_with_fds
-from .element_queries import ElementQueryBudget, iter_element_queries
+from .element_queries import ElementQueryBudget, has_element_query, iter_minimal_element_queries
 
 
 def a_contained_in(
@@ -56,9 +60,9 @@ def a_contained_in(
                 return False
         return True
 
-    # General case: sweep the element queries of every disjunct.
+    # General case: the minimal element queries of every disjunct.
     for disjunct in left.disjuncts:
-        for element_query in iter_element_queries(
+        for element_query in iter_minimal_element_queries(
             disjunct, access_schema, schema, budget
         ):
             if not cq_contained_in_ucq(element_query, right):
@@ -101,7 +105,7 @@ def is_a_satisfiable(
             if chase_with_fds(disjunct, access_schema, schema) is not None:
                 return True
             continue
-        for _ in iter_element_queries(disjunct, access_schema, schema, budget):
+        if has_element_query(disjunct, access_schema, schema, budget):
             return True
     return False
 

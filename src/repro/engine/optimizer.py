@@ -46,7 +46,7 @@ from ..algebra.terms import Constant, FreshVariableFactory, Term, Variable
 from ..algebra.ucq import QueryLike, UnionQuery, as_union
 from ..algebra.views import View, ViewSet
 from ..core.access import AccessConstraint, AccessSchema
-from ..core.conformance import conforms_to
+from ..core.conformance import ConformanceMemo, conforms_to
 from ..core.element_queries import ElementQueryBudget
 from ..core.plans import (
     AttributeEqualsAttribute,
@@ -132,12 +132,17 @@ class PlanEstimate:
 
 @dataclass
 class PlanSearchOutcome:
-    """Result of the heuristic plan construction."""
+    """Result of the heuristic plan construction.
+
+    ``rejected`` says why candidate access paths were turned down (constraint
+    tried + conformance reasons); it is appended to ``reason`` when no plan is found.
+    """
 
     plan: PlanNode | None
     reason: str = ""
     fragments_used: int = 0
     order_report: JoinOrderReport | None = None
+    rejected: tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -494,6 +499,32 @@ def _join_fragments(
     return current, bound
 
 
+@dataclass
+class _PlanningRun:
+    """State of one ``build_bounded_plan*`` call: fetch inputs already decided
+    (candidate fragments and the assembled plan share them) and why candidate
+    access paths were turned down (insertion-ordered, deduplicated)."""
+
+    memo: ConformanceMemo = field(default_factory=dict)
+    rejected: dict[str, None] = field(default_factory=dict)
+
+
+def _fragment_conforms(
+    fragment: _Fragment,
+    constraint: AccessConstraint,
+    access_schema: AccessSchema,
+    schema: DatabaseSchema,
+    views: ViewSet,
+    budget: ElementQueryBudget | None,
+    run: _PlanningRun,
+) -> bool:
+    """Conformance of one candidate fetch fragment, keeping the reasons of a refusal."""
+    report = conforms_to(fragment.plan, access_schema, schema, views, budget, memo=run.memo)
+    for reason in report.reasons:
+        run.rejected[f"{constraint} rejected: {reason}"] = None
+    return report.conforms
+
+
 def _greedy_fetch_loop(
     normalized: ConjunctiveQuery,
     uncovered: set[int],
@@ -505,6 +536,7 @@ def _greedy_fetch_loop(
     budget: ElementQueryBudget | None,
     verify_conformance: bool,
     statistics: "Mapping[str, RelationStatistics] | None",
+    run: _PlanningRun,
 ) -> tuple[PlanNode | None, frozenset[Variable], set[int]]:
     """Step 2 of the greedy builder: fetch uncovered atoms cheapest-path first.
 
@@ -531,9 +563,9 @@ def _greedy_fetch_loop(
                 )
                 if fragment is None:
                     continue
-                if verify_conformance and not conforms_to(
-                    fragment.plan, access_schema, schema, views, budget
-                ).conforms:
+                if verify_conformance and not _fragment_conforms(
+                    fragment, constraint, access_schema, schema, views, budget, run
+                ):
                     continue
                 current = (
                     fragment.plan
@@ -561,13 +593,19 @@ def _finish_plan(
     schema: DatabaseSchema,
     views: ViewSet,
     budget: ElementQueryBudget | None,
+    run: _PlanningRun,
 ) -> PlanSearchOutcome:
     """Head projection, size cap and final conformance check (shared tail)."""
     if uncovered:
+        rejected = tuple(run.rejected)
         return PlanSearchOutcome(
             plan=None,
-            reason=f"{len(uncovered)} atoms cannot be fetched under the access schema",
+            reason="; ".join(
+                (f"{len(uncovered)} atoms cannot be fetched under the access schema",)
+                + rejected
+            ),
             fragments_used=fragments_used,
+            rejected=rejected,
         )
     if current is None:
         return PlanSearchOutcome(plan=None, reason="query has no atoms to plan for")
@@ -595,7 +633,7 @@ def _finish_plan(
             plan=None, reason=f"constructed plan has {plan.size()} nodes > M={max_size}"
         )
     if verify_conformance:
-        report = conforms_to(plan, access_schema, schema, views, budget)
+        report = conforms_to(plan, access_schema, schema, views, budget, memo=run.memo)
         if not report.conforms:
             return PlanSearchOutcome(
                 plan=None,
@@ -634,13 +672,14 @@ def build_bounded_plan(
     fragments, covered_by_views = _view_cover(normalized, views)
     current, bound = _join_fragments(fragments)
     uncovered = set(range(len(normalized.atoms))) - covered_by_views
+    run = _PlanningRun()
     current, bound, uncovered = _greedy_fetch_loop(
         normalized, uncovered, current, bound, views, access_schema, schema,
-        budget, verify_conformance, statistics,
+        budget, verify_conformance, statistics, run,
     )
     return _finish_plan(
         normalized, head_variables, current, len(fragments), uncovered,
-        max_size, verify_conformance, access_schema, schema, views, budget,
+        max_size, verify_conformance, access_schema, schema, views, budget, run,
     )
 
 
@@ -682,6 +721,7 @@ def build_bounded_plan_ucq(
             return PlanSearchOutcome(
                 plan=None,
                 reason=f"disjunct {disjunct.name!r}: {outcome.reason}",
+                rejected=outcome.rejected,
             )
         sub_plans.append(outcome.plan)  # type: ignore[arg-type]
     plan = _union_aligned(sub_plans)
@@ -1041,15 +1081,16 @@ def build_bounded_plan_cost(
     fragments, covered_by_views = _view_cover(normalized, views)
     current, bound = _join_fragments(fragments)
     uncovered = set(range(len(normalized.atoms))) - covered_by_views
+    run = _PlanningRun()
 
     def greedy_fallback(why: str) -> PlanSearchOutcome:
         g_current, g_bound, g_left = _greedy_fetch_loop(
             normalized, uncovered, current, bound, views, access_schema,
-            schema, budget, verify_conformance, statistics,
+            schema, budget, verify_conformance, statistics, run,
         )
         outcome = _finish_plan(
             normalized, head_variables, g_current, len(fragments), g_left,
-            max_size, verify_conformance, access_schema, schema, views, budget,
+            max_size, verify_conformance, access_schema, schema, views, budget, run,
         )
         outcome.order_report = JoinOrderReport(strategy=f"greedy-fallback: {why}")
         return outcome
@@ -1083,9 +1124,9 @@ def build_bounded_plan_cost(
         )
         if fragment is None or (
             verify_conformance
-            and not conforms_to(
-                fragment.plan, access_schema, schema, views, budget
-            ).conforms
+            and not _fragment_conforms(
+                fragment, constraint, access_schema, schema, views, budget, run
+            )
         ):
             materialized = False
             break
@@ -1100,7 +1141,7 @@ def build_bounded_plan_cost(
 
     outcome = _finish_plan(
         normalized, head_variables, m_current, len(fragments), set(),
-        max_size, verify_conformance, access_schema, schema, views, budget,
+        max_size, verify_conformance, access_schema, schema, views, budget, run,
     )
     if not outcome.found:
         return greedy_fallback(f"DP plan rejected: {outcome.reason}")
@@ -1170,6 +1211,7 @@ def build_bounded_plan_cost_ucq(
             return PlanSearchOutcome(
                 plan=None,
                 reason=f"disjunct {disjunct.name!r}: {outcome.reason}",
+                rejected=outcome.rejected,
             )
         sub_plans.append(outcome.plan)  # type: ignore[arg-type]
         if outcome.order_report is not None:

@@ -315,3 +315,55 @@ def test_plan_store_data_imports_are_allowed(tmp_path):
         "from ...exec.iometer import IOMeter\n",
     )
     assert lint_kernel.lint_tree(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "relative",
+    [
+        "src/repro/core/bounded_output.py",
+        "src/repro/core/conformance.py",
+        "src/repro/core/equivalence.py",
+        "src/repro/engine/optimizer.py",
+        "src/repro/engine/service/planners.py",
+    ],
+)
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.core.element_queries import iter_element_queries\n",
+        "from .element_queries import ElementQueryBudget, element_queries\n",
+        "from . import element_queries as eq\nleaves = eq.iter_element_queries(q, a, s)\n",
+        "def decide(q, a, s):\n    return list(element_queries(q, a, s))\n",
+    ],
+)
+def test_exhaustive_element_sweep_is_flagged(tmp_path, relative, source):
+    _write(tmp_path, relative, source)
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert violations
+    assert {v.code for v in violations} == {"kernel.exhaustive-element-sweep"}
+    assert "iter_minimal_element_queries" in violations[0].message
+
+
+def test_minimal_element_queries_and_the_definition_itself_are_allowed(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/core/bounded_output.py",
+        """
+        from .element_queries import ElementQueryBudget, iter_minimal_element_queries
+
+        def decide(q, a, s):
+            return list(iter_minimal_element_queries(q, a, s))
+        """,
+    )
+    # The definition, its public re-export and non-decision modules are out of scope.
+    _write(
+        tmp_path,
+        "src/repro/core/element_queries.py",
+        "def iter_element_queries(q, a, s):\n    yield q\n",
+    )
+    _write(
+        tmp_path,
+        "src/repro/core/__init__.py",
+        "from .element_queries import element_queries, iter_element_queries\n",
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []

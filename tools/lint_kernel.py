@@ -5,7 +5,7 @@ The repository's accounting and layering guarantees are easy to break
 silently — an operator that fetches tuples without charging the
 :class:`~repro.exec.iometer.IOMeter` skews every ``Dξ`` measurement, and a
 module reaching into storage internals bypasses the observer protocol the
-maintenance kernel depends on.  This linter enforces three rules by AST
+maintenance kernel depends on.  This linter enforces these rules by AST
 inspection (no imports of the checked code, so it runs on any tree):
 
 ``kernel.unmetered-fetch``
@@ -55,6 +55,15 @@ inspection (no imports of the checked code, so it runs on any tree):
     by the service after load — pickling execution-layer objects would tie
     the on-disk format to runtime internals.
 
+``kernel.exhaustive-element-sweep``
+    ``src/repro/core/bounded_output.py``, ``core/conformance.py``,
+    ``core/equivalence.py`` and everything under ``src/repro/engine`` may not
+    import or call ``iter_element_queries`` / ``element_queries``: that sweep
+    over every equality pattern (Bell-number many) is the paper's
+    *definition*, kept for examples and as the test oracle.  Decision
+    procedures and planners run on the minimal element queries
+    (``iter_minimal_element_queries``), which decide the same questions.
+
 ``kernel.deprecated-import``
     No module outside a small allowlist may import the deprecated
     ``BoundedEngine``/``MaintainedEngine`` shims (or their modules); new
@@ -97,6 +106,17 @@ SHARD_SERVING_FILES: dict[Path, frozenset[str]] = {
 #: modules it may never import (closures/meters are rebuilt after load).
 PLAN_STORE_FILE = Path("src/repro/engine/service/plan_store.py")
 PLAN_STORE_FORBIDDEN = ("repro.exec", "repro.engine.service.cache")
+
+#: The exhaustive element-query sweep and the modules that must not run it.
+EXHAUSTIVE_SWEEP_NAMES = frozenset({"iter_element_queries", "element_queries"})
+DECISION_PROCEDURE_FILES = frozenset(
+    {
+        Path("src/repro/core/bounded_output.py"),
+        Path("src/repro/core/conformance.py"),
+        Path("src/repro/core/equivalence.py"),
+    }
+)
+ENGINE_DIR = Path("src/repro/engine")
 
 DEPRECATED_NAMES = frozenset({"BoundedEngine", "MaintainedEngine"})
 DEPRECATED_MODULES = frozenset(
@@ -327,6 +347,33 @@ def check_plan_store_imports(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_exhaustive_sweep(path: Path, tree: ast.Module) -> list[Violation]:
+    """Decision procedures and planners stay off the Bell-number sweep."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in EXHAUSTIVE_SWEEP_NAMES.intersection(names):
+            violations.append(
+                Violation(
+                    path,
+                    node.lineno,
+                    "kernel.exhaustive-element-sweep",
+                    f"use of {name!r}: the sweep over every equality pattern "
+                    "is the definition and the test oracle only — decide on "
+                    "the minimal element queries "
+                    "('iter_minimal_element_queries') instead",
+                )
+            )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -388,6 +435,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         )
     if relative == PLAN_STORE_FILE:
         violations += check_plan_store_imports(relative, tree)
+    if relative in DECISION_PROCEDURE_FILES or ENGINE_DIR in relative.parents:
+        violations += check_exhaustive_sweep(relative, tree)
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
         violations += check_histogram_imports(relative, tree)
