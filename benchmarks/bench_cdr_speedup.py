@@ -3,7 +3,7 @@ of magnitude".
 
 The proprietary call-detail-record data is replaced by the synthetic CDR
 workload (see DESIGN.md, substitutions table).  The benchmark answers the
-18-query workload twice — through the bounded-rewriting engine and through
+18-query workload twice — through the bounded-rewriting service and through
 the full-scan baseline — and records the fraction of queries that were served
 by a bounded plan together with the distribution of access ratios, which is
 the quantity behind the paper's reported speed-ups.
@@ -15,13 +15,13 @@ import statistics
 
 import pytest
 
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.workloads import cdr
 
 
 @pytest.fixture(scope="module")
-def engine(cdr_instance):
-    return BoundedEngine(cdr_instance.database, cdr.access_schema(), cdr.views())
+def service(cdr_instance):
+    return QueryService(cdr_instance.database, cdr.access_schema(), cdr.views())
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +29,16 @@ def workload(cdr_instance):
     return cdr.workload(cdr_instance, count=18, seed=31)
 
 
-def test_workload_through_bounded_engine(benchmark, engine, workload, cdr_instance):
+def test_workload_through_bounded_service(benchmark, service, workload, cdr_instance):
     def run():
-        return [engine.answer(query) for query in workload]
+        return [service.query(query) for query in workload]
 
     answers = benchmark.pedantic(run, rounds=1, iterations=1)
     improved = [a for a in answers if a.used_bounded_plan]
     ratios = []
     for query, answer in zip(workload, answers):
         if answer.used_bounded_plan:
-            scanned = engine.baseline(query).tuples_scanned
+            scanned = service.baseline(query).tuples_scanned
             ratios.append(scanned / max(answer.tuples_fetched, 1))
     benchmark.extra_info["database_tuples"] = cdr_instance.database.size
     benchmark.extra_info["queries"] = len(workload)
@@ -52,19 +52,19 @@ def test_workload_through_bounded_engine(benchmark, engine, workload, cdr_instan
     assert len(improved) / len(workload) >= 0.8
 
 
-def test_workload_through_full_scans(benchmark, engine, workload):
+def test_workload_through_full_scans(benchmark, service, workload):
     def run():
-        return [engine.baseline(query) for query in workload]
+        return [service.baseline(query) for query in workload]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["total_tuples_scanned"] = sum(r.tuples_scanned for r in results)
 
 
-def test_single_bounded_lookup_latency(benchmark, engine, workload):
+def test_single_bounded_lookup_latency(benchmark, service, workload):
     """Per-query latency of a representative bounded query (plan + execute)."""
-    bounded_queries = [q for q in workload if engine.answer(q).used_bounded_plan]
+    bounded_queries = [q for q in workload if service.query(q).used_bounded_plan]
     query = bounded_queries[0]
-    answer = benchmark(lambda: engine.answer(query))
+    answer = benchmark(lambda: service.query(query))
     benchmark.extra_info["query"] = query.name
     benchmark.extra_info["tuples_fetched"] = answer.tuples_fetched
     assert answer.used_bounded_plan

@@ -11,14 +11,14 @@ configurations:
 * **sharded, full fan-out** — the same service answering union queries whose
   disjunct keys hash to every partition, so execution must fan out and merge
   per-shard ``IOMeter`` readings;
-* **unsharded baseline** — ``shards=None``: the pre-snapshot single-database
-  service.  It serves from live indices, so writes must be serialised with
-  the reads, and the default dependency eviction replans every distinct
-  query after every batch.
+* **single-partition baseline** — ``shards=1`` (no routing, no pruning) used
+  the way a single-database service is: writes serialised with the reads,
+  and the default dependency eviction replanning every distinct query after
+  every batch.
 
 The speedup of the shard-pruned configuration over the baseline is the
 acceptance criterion for the concurrent-serving work (≥ 2x); rows and ``Dξ``
-must be bit-identical between the sharded and unsharded services on the
+must be bit-identical between the sharded and single-partition services on the
 settled states.  ``BENCH_SMOKE=1`` records the speedup without gating on it
 (CI runners are noisy); the identity assertions always run.
 """
@@ -120,7 +120,7 @@ def _assert_bit_identical(sharded_answers, expected_answers, label: str) -> None
 
 
 def test_sharded_answers_are_bit_identical_to_unsharded(instance):
-    unsharded = _service(instance, shards=None)
+    unsharded = _service(instance, shards=1)
     sharded = _service(instance, shards=SHARDS)
     mix = _pruned_mix(instance.database) + _fanout_mix(instance.database)[:1]
     batch, inverse = _write_batch()
@@ -234,15 +234,15 @@ def test_concurrent_mix_sharded_fanout(benchmark, instance):
 
 
 def test_concurrent_mix_unsharded_baseline(benchmark, instance):
-    service = _service(instance, shards=None)
+    service = _service(instance, shards=1)
     mix = _pruned_mix(instance.database)
     batch, inverse = _write_batch()
     [service.query(q) for q in mix]
 
     def run():
-        # The single-database service reads live indices, so writes must be
-        # serialised with the query bursts; each batch also evicts every
-        # cached plan that depends on the touched relations.
+        # The single-database usage: writes serialised with the query
+        # bursts; each batch also evicts every cached plan that depends on
+        # the touched relations.
         service.apply(batch)
         service.query_many(mix, max_workers=WORKERS)
         service.apply(inverse)

@@ -14,28 +14,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.workloads import graph_search as gs
 
 
-def _engine(instance):
-    return BoundedEngine(instance.database, gs.access_schema(), gs.views())
+def _service(instance):
+    return QueryService(instance.database, gs.access_schema(), gs.views())
 
 
 @pytest.fixture(scope="module")
-def engines(gs_small, gs_large):
-    return {"small": (_engine(gs_small), gs_small), "large": (_engine(gs_large), gs_large)}
+def services(gs_small, gs_large):
+    return {"small": (_service(gs_small), gs_small), "large": (_service(gs_large), gs_large)}
 
 
 @pytest.mark.parametrize("scale", ["small", "large"])
-def test_bounded_plan_execution(benchmark, engines, scale):
-    engine, instance = engines[scale]
+def test_bounded_plan_execution(benchmark, services, scale):
+    service, instance = services[scale]
     plan = gs.figure1_plan()
 
     def run():
-        return engine.execute_plan(plan)
+        return service.execute_plan(plan)
 
-    rows, stats = benchmark(run)
+    result = benchmark(run)
+    rows, stats = result.rows, result.stats
     benchmark.extra_info["database_tuples"] = instance.database.size
     benchmark.extra_info["tuples_fetched"] = stats.tuples_fetched
     benchmark.extra_info["fetch_bound_2N0"] = 2 * instance.n0
@@ -44,12 +45,12 @@ def test_bounded_plan_execution(benchmark, engines, scale):
 
 
 @pytest.mark.parametrize("scale", ["small", "large"])
-def test_full_scan_baseline(benchmark, engines, scale):
-    engine, instance = engines[scale]
+def test_full_scan_baseline(benchmark, services, scale):
+    service, instance = services[scale]
     q0 = gs.query_q0()
 
     def run():
-        return engine.baseline(q0)
+        return service.baseline(q0)
 
     result = benchmark(run)
     benchmark.extra_info["database_tuples"] = instance.database.size
@@ -58,15 +59,15 @@ def test_full_scan_baseline(benchmark, engines, scale):
 
 
 @pytest.mark.parametrize("scale", ["small", "large"])
-def test_engine_answer_q0_end_to_end(benchmark, engines, scale):
+def test_engine_answer_q0_end_to_end(benchmark, services, scale):
     """Plan construction + execution, the full user-facing path."""
-    engine, instance = engines[scale]
+    service, instance = services[scale]
     q0 = gs.query_q0()
 
-    answer = benchmark(lambda: engine.answer(q0))
+    answer = benchmark(lambda: service.query(q0))
     benchmark.extra_info["used_bounded_plan"] = answer.used_bounded_plan
     benchmark.extra_info["tuples_fetched"] = answer.tuples_fetched
     benchmark.extra_info["access_ratio_vs_scan"] = round(
-        engine.baseline(q0).tuples_scanned / max(answer.tuples_fetched, 1), 1
+        service.baseline(q0).tuples_scanned / max(answer.tuples_fetched, 1), 1
     )
     assert answer.used_bounded_plan

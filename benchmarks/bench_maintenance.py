@@ -2,7 +2,7 @@
 
 The paper asks for view maintenance that touches a bounded amount of data per
 update.  The benchmark streams an update batch through
-:class:`repro.engine.maintenance.MaintainedEngine` and contrasts it with the
+:meth:`repro.engine.service.QueryService.apply` and contrasts it with the
 baseline that keeps the cache fresh by recomputing the views after every
 single update.  ``extra_info`` records the bounded-maintenance quantities:
 delta queries per update and view rows changed; index maintenance itself is
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.maintenance import IncrementalViewCache, MaintainedEngine
+from repro.engine.service import QueryService
 from repro.storage.updates import random_update_batch
 from repro.workloads import graph_search as gs
 
@@ -21,19 +21,19 @@ from repro.workloads import graph_search as gs
 @pytest.fixture(scope="module")
 def maintained_setup(gs_small):
     database = gs_small.database.copy()
-    engine = MaintainedEngine(database, gs.access_schema(), gs.views())
+    service = QueryService(database, gs.access_schema(), gs.views())
     batch = random_update_batch(
         database, size=60, seed=71, access_schema=gs.access_schema()
     )
-    return engine, batch
+    return service, batch
 
 
 def test_incremental_maintenance_per_batch(benchmark, maintained_setup):
-    engine, batch = maintained_setup
+    service, batch = maintained_setup
 
     def run():
-        report = engine.apply(batch)
-        engine.apply(batch.inverted())  # restore, so every round sees the same state
+        report = service.apply(batch)
+        service.apply(batch.inverted())  # restore, so every round sees the same state
         return report
 
     report = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -43,37 +43,35 @@ def test_incremental_maintenance_per_batch(benchmark, maintained_setup):
     )
     benchmark.extra_info["rows_added"] = report.stats.rows_added
     benchmark.extra_info["rows_removed"] = report.stats.rows_removed
-    assert engine.verify_caches()
+    assert service.maintainer.verify()
 
 
 def test_recompute_after_every_update_baseline(benchmark, maintained_setup):
-    engine, batch = maintained_setup
-    cache = IncrementalViewCache(gs.views(), engine.database)
-
+    service, batch = maintained_setup
     def run():
         # Freshness after every update means one recomputation per update.
         for _update in batch:
-            cache.recompute()
+            service.maintainer.recompute()
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["updates"] = len(batch)
-    benchmark.extra_info["database_tuples"] = engine.database.size
+    benchmark.extra_info["database_tuples"] = service.database.size
 
 
 def test_answers_stay_exact_under_maintenance(benchmark, gs_small):
     database = gs_small.database.copy()
-    engine = MaintainedEngine(database, gs.access_schema(), gs.views())
+    service = QueryService(database, gs.access_schema(), gs.views())
     batch = random_update_batch(
         database, size=30, seed=73, access_schema=gs.access_schema()
     )
     query = gs.query_q0()
 
     def run():
-        engine.apply(batch)
-        answer = engine.answer(query)
-        engine.apply(batch.inverted())
+        service.apply(batch)
+        answer = service.query(query)
+        service.apply(batch.inverted())
         return answer
 
     answer = benchmark.pedantic(run, rounds=2, iterations=1)
     assert answer.used_bounded_plan
-    assert answer.rows == engine.baseline(query).rows
+    assert answer.rows == service.baseline(query).rows

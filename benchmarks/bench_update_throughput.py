@@ -7,8 +7,8 @@ multisets where sound, DRed fallback otherwise, all riding one netted
 with the two alternatives it replaced:
 
 * the **per-tuple DRed** path (re-derive an anchored delta query through the
-  generic CQ evaluator for every single update — the pre-refactor
-  ``IncrementalViewCache`` algorithm, re-implemented below as the baseline);
+  generic CQ evaluator for every single update — the algorithm the compiled
+  kernel replaced, re-implemented below as the baseline);
 * **full recomputation** of every view after the batch (what a cache without
   maintenance has to do before serving the next query).
 
@@ -76,9 +76,8 @@ class PerTupleDRedCache:
 
     Every update re-derives a specialised delta CQ through the generic
     evaluator (per view, per matching body atom); deletions additionally
-    head-match the cached rows and re-derive survivors.  This is what
-    ``repro.engine.maintenance.IncrementalViewCache`` did before the
-    compiled-delta kernel replaced it.
+    head-match the cached rows and re-derive survivors.  This is what view
+    maintenance did before the compiled-delta kernel replaced it.
     """
 
     def __init__(self, views, database):

@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import BoundedEngine, accuracy_sweep, top_k_diversified
+from repro import QueryService, accuracy_sweep, top_k_diversified
 from repro.algebra.evaluation import evaluate_cq
 from repro.workloads import cdr, graph_search as gs
 
@@ -45,8 +45,8 @@ def main() -> None:
           cdr_instance.database, cdr.access_schema())
 
     # Diversified top-k over the (bounded) answers of Q0.
-    engine = BoundedEngine(gs_instance.database, gs.access_schema(), gs.views())
-    answer = engine.answer(gs.query_q0())
+    service = QueryService(gs_instance.database, gs.access_schema(), gs.views())
+    answer = service.query(gs.query_q0())
     top = top_k_diversified(answer.rows, k=3)
     print(f"\nQ0 answered through a bounded plan ({answer.tuples_fetched} tuples fetched); "
           f"diversified top-{len(top)} of {top.candidates} answers: {top.rows}")

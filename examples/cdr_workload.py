@@ -13,7 +13,7 @@ Run with:  python examples/cdr_workload.py
 
 from __future__ import annotations
 
-from repro import BoundedEngine
+from repro import QueryService
 from repro.storage.statistics import discover_access_constraints
 from repro.workloads import cdr
 
@@ -30,14 +30,14 @@ def main() -> None:
     print(f"declared access constraints : {len(declared)}")
     print(f"mined access constraints    : {len(mined)} (X of size <= 1, N <= 50)\n")
 
-    engine = BoundedEngine(database, declared, cdr.views())
+    service = QueryService(database, declared, cdr.views())
     queries = cdr.workload(instance, count=18, seed=31)
 
     improved = []
     unbounded = []
     for query in queries:
-        answer = engine.answer(query)
-        baseline = engine.baseline(query)
+        answer = service.query(query)
+        baseline = service.baseline(query)
         assert answer.rows == baseline.rows
         if answer.used_bounded_plan:
             ratio = baseline.tuples_scanned / max(answer.tuples_fetched, 1)

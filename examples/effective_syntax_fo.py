@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from repro import BoundedEngine
+from repro import QueryService
 from repro.algebra import ConjunctiveQuery, RelationAtom, Variable, View, schema_from_spec
 from repro.algebra.fo import atom, conj, eq, exists, neg
 from repro.core.access import AccessConstraint, AccessSchema
@@ -92,8 +92,8 @@ def main() -> None:
 
     database = build_database(schema)
     assert database.satisfies(access)
-    engine = BoundedEngine(database, access, views)
-    answer = engine.answer_fo(q3, head=(Z,))
+    service = QueryService(database, access, views)
+    answer = service.query(q3, head=(Z,))
     print(f"\nexecuted on |D| = {database.size:,} tuples:")
     print(f"  bounded plan used : {answer.used_bounded_plan}")
     print(f"  answers           : {len(answer.rows)}")

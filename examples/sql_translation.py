@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sqlite3
 
-from repro import BoundedEngine, plan_to_sql
+from repro import QueryService, plan_to_sql
 from repro.algebra.evaluation import evaluate_cq
 from repro.engine.sql import (
     cq_to_sql,
@@ -34,7 +34,7 @@ from repro.workloads import graph_search as gs
 
 def main() -> None:
     instance = gs.generate(num_persons=2_000, num_movies=800, seed=29)
-    engine = BoundedEngine(instance.database, gs.access_schema(), gs.views())
+    service = QueryService(instance.database, gs.access_schema(), gs.views())
 
     # --- load SQLite ------------------------------------------------------ #
     connection = sqlite3.connect(":memory:")
@@ -44,13 +44,13 @@ def main() -> None:
         connection.execute(statement)
     for statement, rows in insert_statements(instance.database):
         connection.executemany(statement, rows)
-    for create, insert, rows in materialize_view_statements(gs.views(), engine.view_cache):
+    for create, insert, rows in materialize_view_statements(gs.views(), service.view_cache):
         connection.execute(create)
         if rows:
             connection.executemany(insert, rows)
     connection.commit()
     print(f"loaded {instance.database.size} tuples and "
-          f"{engine.view_cache_size} materialised view rows into SQLite")
+          f"{service.view_cache_size} materialised view rows into SQLite")
 
     # --- translate and run the Figure 1 plan ------------------------------ #
     plan = gs.figure1_plan()
@@ -60,11 +60,11 @@ def main() -> None:
     print("\nfetches served by:", "; ".join(translation.fetch_comments))
 
     sql_rows = {tuple(row) for row in connection.execute(translation.text)}
-    executed_rows, stats = engine.execute_plan(plan)
+    executed = service.execute_plan(plan)
     baseline_rows = evaluate_cq(gs.query_q0(), instance.database.facts)
-    assert sql_rows == set(executed_rows) == baseline_rows
+    assert sql_rows == set(executed.rows) == baseline_rows
     print(f"\nSQL, plan executor and full scan agree on {len(sql_rows)} answers "
-          f"(plan fetched {stats.tuples_fetched} tuples)")
+          f"(plan fetched {executed.stats.tuples_fetched} tuples)")
 
     # --- the full-scan SQL baseline, for contrast -------------------------- #
     baseline_sql = cq_to_sql(gs.query_q0(), gs.schema())

@@ -50,9 +50,6 @@ Quickstart (Example 1.1)::
         "movie(mid, ym, :studio, '2014'), rating(mid, 5)"
     )
     rows = prepared.execute(studio="Universal").rows
-
-``BoundedEngine`` (the per-language facade of earlier releases) remains
-available as a deprecated shim over ``QueryService``.
 """
 
 from .algebra import (
@@ -119,12 +116,10 @@ from .core import (
 )
 from .engine import (
     Answer,
-    BoundedEngine,
     CostBasedPlanner,
     ExactVBRPPlanner,
     HeuristicPlanner,
     PlanStore,
-    MaintainedEngine,
     NaiveEngine,
     PreparedQuery,
     QueryService,
@@ -167,7 +162,6 @@ __all__ = [
     "AccessConstraintError",
     "AccessSchema",
     "Answer",
-    "BoundedEngine",
     "BudgetExceededError",
     "ConjunctiveQuery",
     "Constant",
@@ -187,7 +181,6 @@ __all__ = [
     "HeuristicPlanner",
     "IndexSet",
     "Insertion",
-    "MaintainedEngine",
     "MaintenanceReport",
     "NaiveEngine",
     "Param",

@@ -52,9 +52,8 @@ class Explanation:
     codegen_warmup: int = 0
     compile_seconds: float | None = None
     codegen_reason: str = ""
-    # Static shard placement under sharded snapshot serving (``None`` when
-    # the service is unsharded): which partitions the plan's certificates
-    # prove it touches, hence how many shards the router prunes.
+    # Static shard placement (``None`` without a plan): which partitions the
+    # plan's certificates prove it touches, hence how many the router prunes.
     shard_set: PlanShardSet | None = None
     # Cost-model estimates of the cached plan (optimizer v2), as plain
     # tuples so this module stays free of engine-layer imports.

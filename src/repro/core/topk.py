@@ -15,7 +15,7 @@ Exact maximisation is NP-hard, so :func:`top_k_diversified` uses the usual
 greedy 2-approximation (pick the best-scoring row, then repeatedly add the
 row with the largest marginal gain).  The companion
 :func:`diversified_answer` wires the selection to a
-:class:`repro.engine.session.BoundedEngine`, so the data access stays bounded
+:class:`repro.engine.service.QueryService`, so the data access stays bounded
 and only the (small) answer set is post-processed.
 """
 
@@ -142,7 +142,7 @@ class DiversifiedAnswer:
 
 
 def diversified_answer(
-    engine,
+    service,
     query: QueryLike,
     k: int,
     score: Score = constant_score,
@@ -150,14 +150,14 @@ def diversified_answer(
     diversity_weight: float = 0.5,
     max_size: int | None = None,
 ) -> DiversifiedAnswer:
-    """Answer ``query`` through ``engine`` and return diversified top-k rows.
+    """Answer ``query`` through ``service`` and return diversified top-k rows.
 
-    ``engine`` is anything with the :class:`repro.engine.session.BoundedEngine`
-    ``answer`` interface; the underlying data access is whatever the engine
-    does (a bounded plan whenever one exists), and the diversification runs
-    over the returned answer set only.
+    ``service`` is a :class:`repro.engine.service.QueryService`; the
+    underlying data access is whatever the service does (a bounded plan
+    whenever one exists), and the diversification runs over the returned
+    answer set only.
     """
-    answer = engine.answer(query, max_size)
+    answer = service.query(query, max_size=max_size)
     result = top_k_diversified(answer.rows, k, score, distance, diversity_weight)
     return DiversifiedAnswer(
         result=result,

@@ -211,15 +211,9 @@ class SQLiteBackend:
             self._connection = connection
             return connection
 
-    def invalidate(
-        self, view_cache: Mapping[str, Collection[tuple]] | None = None
-    ) -> None:
+    def invalidate(self) -> None:
         """Drop the loaded database (it reloads lazily on the next call)."""
         with self._lock:
-            if view_cache is not None:
-                self._view_cache = {
-                    name: frozenset(rows) for name, rows in view_cache.items()
-                }
             if self._connection is not None:
                 self._connection.close()
                 self._connection = None

@@ -32,8 +32,7 @@ Strategies per view (see :func:`repro.exec.delta_compiler.counting_eligible`):
   not bounded in general.
 
 :class:`MaintenanceStats`, :class:`ViewDelta` and :class:`MaintenanceReport`
-are the accounting surface shared with the deprecated
-:mod:`repro.engine.maintenance` shims.
+are the accounting surface :meth:`QueryService.apply` reports through.
 """
 
 from __future__ import annotations
@@ -257,7 +256,6 @@ class ViewMaintainer:
         database: Database,
         *,
         subscribe: bool = False,
-        allow_counting: bool = True,
         codegen: bool = True,
         codegen_warmup: int = 2,
     ) -> None:
@@ -267,12 +265,10 @@ class ViewMaintainer:
         ``False`` and drives :meth:`apply_stream` from its own subscription,
         so one notification updates views, plan cache and backends in order.
 
-        ``allow_counting=False`` forces DRed (set-semantics) maintenance for
-        every view.  Counting is exact only when every delivered stream
+        Counting maintenance is exact only when every delivered stream
         reflects *effective* changes — guaranteed for streams built by
-        :meth:`Database.apply`, but not for hand-built ones; callers that
-        synthesise streams (the deprecated ``IncrementalViewCache`` shim)
-        disable counting, since DRed is idempotent under no-op updates.
+        :meth:`Database.apply`; do not hand-build streams claiming changes
+        that did not happen.
 
         ``codegen`` enables the compiled maintenance tier: after a view's
         delta rules have run interpreted ``codegen_warmup`` times, the delta
@@ -286,7 +282,6 @@ class ViewMaintainer:
         """
         self.views = views if isinstance(views, ViewSet) else ViewSet(views)
         self.database = database
-        self._allow_counting = allow_counting
         self.codegen = codegen
         self.codegen_warmup = max(0, codegen_warmup)
         self._source = FactsSource(database)
@@ -323,7 +318,7 @@ class ViewMaintainer:
         name = view.name
         if view.language in ("CQ", "UCQ"):
             disjuncts = tuple(d.normalize() for d in view.as_ucq().disjuncts)
-            if self._allow_counting and counting_eligible(disjuncts):
+            if counting_eligible(disjuncts):
                 self._modes[name] = "counting"
                 counts = self._count_derivations(disjuncts[0])
                 self._counts[name] = counts

@@ -1,12 +1,11 @@
 """Pluggable planners: strategy objects producing bounded plans.
 
-The seed engine hard-coded its dispatch — ``BoundedEngine.answer`` always ran
-the heuristic builder, ``answer_fo`` always ran the topped-query analysis,
-and the exact VBRP procedure was reachable only through the ``core`` API.
-This module turns each path into a :class:`Planner` strategy and lets the
-service run a configurable *fallback chain*: the first planner that accepts
-the query's language and finds a plan wins; when none does, the service falls
-back to the full-scan baseline carrying every planner's refusal reason.
+Each way of finding a bounded plan — the heuristic builder, the
+topped-query analysis for FO, the exact VBRP procedure — is a
+:class:`Planner` strategy, and the service runs a configurable *fallback
+chain*: the first planner that accepts the query's language and finds a plan
+wins; when none does, the service falls back to the full-scan baseline
+carrying every planner's refusal reason.
 
 Four planners ship by default:
 
@@ -65,9 +64,8 @@ class PlanningContext:
     ``statistics`` carries the storage layer's per-relation cardinality /
     distinct counts (:meth:`repro.storage.instance.Database.statistics`);
     cost-based planners use them to order otherwise equivalent access paths.
-    Plans chosen from statistics are data-dependent, which is why
-    :meth:`~repro.engine.service.QueryService.refresh_data` drops the plan
-    cache.
+    Plans chosen from statistics are data-dependent, which is why a write
+    evicts the cached plans that read a changed relation.
 
     ``corrections`` is set only during adaptive re-planning: per-relation
     multipliers (observed Dξ over estimated Dξ from the mis-estimated

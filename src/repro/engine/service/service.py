@@ -27,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, replace as dataclass_replace
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ...algebra.cq import ConjunctiveQuery
 from ...algebra.fo import FOQuery
@@ -52,7 +52,6 @@ from ...core.conformance import conforms_to
 from ...core.element_queries import ElementQueryBudget
 from ...core.plan_eval import (
     ExecutionResult,
-    FetchProvider,
     bind_plan,
     plan_parameters,
 )
@@ -124,7 +123,7 @@ class Answer:
     #: only changes how fast the answer arrived.
     execution_tier: str = "interpreted"
     #: Sharded snapshot serving: the ids of the partitions the execution's
-    #: index lookups actually probed (empty for unsharded services,
+    #: index lookups actually probed (empty for single-partition services,
     #: fallback answers and reference-tier-only plans) and the service's
     #: shard count — ``shards_total - len(shards_touched)`` partitions were
     #: pruned for this answer.
@@ -268,17 +267,15 @@ class QueryService:
         compiled.  ``0`` compiles on first execution; the default leaves
         one-shot queries on the (compile-free) interpreted tier.
     shards:
-        Snapshot-isolated serving with hash sharding.  Any integer ``>= 1``
-        pins every read to an immutable MVCC snapshot of the database
+        Number of hash partitions, an integer ``>= 1``.  Every read is
+        pinned to an immutable MVCC snapshot of the database
         (:mod:`repro.storage.snapshots`): writers build the next version
         copy-on-write and publish it atomically, so concurrent readers never
         observe a half-applied transaction.  With ``shards > 1`` the
         access-constraint indexes are additionally hash-partitioned on their
         key columns; the router prunes partitions statically from the plan's
         boundedness certificates, and ``explain()``/:attr:`Answer
-        .shards_touched` report the pruning.  ``None`` disables snapshot
-        serving entirely — reads go straight to the live indices (the
-        pre-snapshot behaviour).
+        .shards_touched` report the pruning.
     retain_plans_on_write:
         Keep plan-cache entries (including compiled closures, which late-bind
         the data) across writes instead of the default dependency-tracked
@@ -318,7 +315,7 @@ class QueryService:
         verify_plans: bool = False,
         codegen: bool = True,
         codegen_warmup: int = 2,
-        shards: int | None = 1,
+        shards: int = 1,
         retain_plans_on_write: bool = False,
         plan_store: PlanStore | str | None = None,
         replan_factor: float = 10.0,
@@ -344,19 +341,22 @@ class QueryService:
             raise EvaluationError(
                 "database does not satisfy the access schema: " + "; ".join(violations[:5])
             )
-        self._indexes: FetchProvider = IndexSet(database, access_schema)
+        if not isinstance(shards, int) or shards < 1:
+            raise QueryError(
+                f"shards must be an integer >= 1, got {shards!r}; shards=1 is "
+                "the single-partition default"
+            )
+        # Reads are served from immutable snapshot versions advanced by
+        # Database.apply; the live indices are the write path's
+        # admissibility surface.
+        self._indexes = IndexSet(database, access_schema)
         self._known_relations = frozenset(r.name for r in database.schema)
-        # Snapshot-isolated serving (the default): reads are served from
-        # immutable snapshot versions advanced by Database.apply, not from
-        # the live indices.  self._indexes stays alive regardless — it is
-        # the write path's admissibility surface.
         self.retain_plans_on_write = retain_plans_on_write
-        self._snapshots: SnapshotManager | None = None
-        self._router: ShardRouter | None = None
-        if shards is not None:
-            layout = ShardingLayout.derive(database.schema, access_schema, shards)
-            self._snapshots = database.enable_snapshots(layout, access_schema)
-            self._router = ShardRouter(access_schema, layout)
+        layout = ShardingLayout.derive(database.schema, access_schema, shards)
+        self._snapshots: SnapshotManager = database.enable_snapshots(
+            layout, access_schema
+        )
+        self._router = ShardRouter(access_schema, layout)
         # The persistent query_many worker pool: created lazily on the first
         # parallel batch, reused for the service's lifetime, released by
         # close().
@@ -443,28 +443,16 @@ class QueryService:
 
         Execution backends hold their own reference to these rows, so
         in-place mutation could silently serve stale results — the returned
-        proxy therefore rejects item assignment.  To swap in new rows, assign
-        a whole mapping (routed through :meth:`refresh_data`) or call
-        :meth:`refresh_data` directly.
+        proxy therefore rejects item assignment.  The rows change only
+        through writes (:meth:`apply` or any ``Database.apply``).
         """
         return MappingProxyType(self._view_cache)
 
-    @view_cache.setter
-    def view_cache(self, cache: Mapping[str, Collection[tuple]]) -> None:
-        self.refresh_data(view_cache=cache)
-
     @property
-    def indexes(self) -> FetchProvider:
-        """The fetch provider serving index lookups for access constraints.
-
-        Assignment routes through :meth:`refresh_data` so the execution
-        backends pick the new provider up.
-        """
+    def indexes(self) -> IndexSet:
+        """The live access-constraint indices (observer-maintained); reads
+        are served from snapshots, writes check admissibility here."""
         return self._indexes
-
-    @indexes.setter
-    def indexes(self, provider: FetchProvider) -> None:
-        self.refresh_data(provider=provider)
 
     @property
     def view_cache_size(self) -> int:
@@ -473,16 +461,8 @@ class QueryService:
 
     @property
     def shard_count(self) -> int:
-        """Partitions under sharded snapshot serving (``0`` when disabled)."""
-        return self._router.shard_count if self._router is not None else 0
-
-    def _serving_provider(self) -> FetchProvider:
-        """The fetch provider reads execute against: the current snapshot
-        under snapshot serving, the live indices otherwise."""
-        snapshots = self._snapshots
-        if snapshots is not None:
-            return snapshots.reader()
-        return self._indexes
+        """Number of hash partitions the snapshots are split into."""
+        return self._router.shard_count
 
     def _sync_serving(self) -> None:
         """Catch out-of-band mutations before serving from a snapshot.
@@ -493,19 +473,13 @@ class QueryService:
         counters and rebuilds the drifted relations here.  The check is two
         integer loads per relation on the (overwhelmingly common) clean path.
         """
-        snapshots = self._snapshots
-        if snapshots is not None and snapshots.stale():
-            snapshots.refresh()
-            self._refresh_memory_backends()
-
-    def _refresh_memory_backends(self) -> None:
-        """Point every in-memory backend at the current serving state."""
-        with self._backend_lock:
-            backends = list(self._backends.values())
-        provider = self._serving_provider()
-        for backend in backends:
-            if isinstance(backend, InMemoryBackend):
-                backend.refresh(provider=provider, view_cache=self._view_cache)
+        if self._snapshots.stale():
+            provider = self._snapshots.refresh()
+            with self._backend_lock:
+                backends = list(self._backends.values())
+            for backend in backends:
+                if isinstance(backend, InMemoryBackend):
+                    backend.refresh(provider=provider, view_cache=self._view_cache)
 
     def _backend(self, name: str | None) -> ExecutionBackend:
         name = name or self.default_backend
@@ -522,62 +496,11 @@ class QueryService:
                     self.database,
                     self.access_schema,
                     self.views,
-                    self._serving_provider(),
+                    self._snapshots.reader(),
                     self._view_cache,
                 )
                 self._backends[name] = backend
         return backend
-
-    def refresh_data(
-        self,
-        provider: FetchProvider | None = None,
-        view_cache: Mapping[str, Collection[tuple]] | None = None,
-    ) -> None:
-        """Tell the service the underlying data (or its caches) changed.
-
-        ``provider`` swaps in a different fetch provider, ``view_cache``
-        swaps in externally computed view rows.  Swapping only the execution
-        ``provider`` (same database, same views) keeps the plan cache and the
-        prepared queries' bound plans: plans are data-independent, and the
-        cache key never mentions the provider.  Swapping view rows wholesale
-        clears the plan cache conservatively — the scope of such an external
-        change is unknown.  Writes that go through :meth:`apply` (or any
-        :meth:`repro.storage.instance.Database.apply` transaction) never take
-        this path: they use dependency-tracked invalidation, evicting exactly
-        the cached plans that read a changed relation or view.
-
-        Handing in an explicit ``provider`` turns snapshot serving off: the
-        caller is taking over where reads come from, and pinning snapshots of
-        a provider the service does not understand is impossible.
-        """
-        if provider is not None:
-            self._snapshots = None
-            self._router = None
-        if view_cache is not None:
-            self.plan_cache.clear()
-        # Ordering invariant vs. lazy backend creation: the new state is
-        # published to self._indexes/_view_cache BEFORE the backend list is
-        # snapshotted under _backend_lock, and _backend() reads that state
-        # and inserts under the same lock — so a concurrently created
-        # backend is either in the snapshot (and refreshed below) or was
-        # built from the already-published new state.  Keep this order.
-        if provider is not None:
-            self._indexes = provider
-        if view_cache is not None:
-            # Maintenance snapshots arrive executor-ready (frozensets of
-            # tuples); avoid re-copying them on every update batch.
-            self._view_cache = {
-                name: rows if isinstance(rows, frozenset) else frozenset(map(tuple, rows))
-                for name, rows in view_cache.items()
-            }
-        with self._backend_lock:
-            backends = list(self._backends.values())
-        serving = self._serving_provider()
-        for backend in backends:
-            if isinstance(backend, InMemoryBackend):
-                backend.refresh(provider=serving, view_cache=self._view_cache)
-            elif isinstance(backend, SQLiteBackend):
-                backend.invalidate(view_cache=self._view_cache)
 
     # ------------------------------------------------------------------ #
     # The write path: first-class updates through the delta stream
@@ -608,7 +531,7 @@ class QueryService:
         updates.validate(self.database)
         self._last_maintenance = None
         stream = self.database.apply(
-            updates, admit=self._admissible if enforce_admissible else None
+            updates, admit=self._indexes.admissible if enforce_admissible else None
         )
         maintenance = self._last_maintenance
         self._last_maintenance = None
@@ -645,49 +568,17 @@ class QueryService:
         # entries keep answering correctly against the refreshed state.
         if deltas:
             self._view_cache = self.maintainer.snapshot()
-        snapshots = self._snapshots
         with self._backend_lock:
             backends = list(self._backends.values())
+        # Database.apply advanced the snapshot manager before notifying
+        # observers, so reader() is already the post-transaction version.
+        provider = self._snapshots.reader()
         for backend in backends:
             if isinstance(backend, InMemoryBackend):
-                if snapshots is not None:
-                    # Database.apply advanced the snapshot manager before
-                    # notifying observers, so reader() is already the
-                    # post-transaction version: hand it to the backend.
-                    backend.refresh(
-                        provider=snapshots.reader(), view_cache=self._view_cache
-                    )
-                elif deltas:
-                    # Live-provider serving reads storage directly; only
-                    # changed view rows require a new executor snapshot.
-                    backend.refresh(provider=self._indexes, view_cache=self._view_cache)
+                backend.refresh(provider=provider, view_cache=self._view_cache)
             elif isinstance(backend, SQLiteBackend):
                 backend.apply_delta(stream, deltas)
         self._last_maintenance = (stats, deltas)
-
-    def _admissible(self, update: Update) -> bool:
-        """Would applying ``update`` keep ``D |= A``?  Bounded bucket-local work."""
-        check = getattr(self._indexes, "admissible", None)
-        if callable(check):
-            return check(update)
-        # Custom fetch providers without an admissibility surface: check
-        # against the relation's secondary index — still one bucket per
-        # constraint, never a relation scan.
-        if not update.is_insertion:
-            return True
-        relation = self.database.relation(update.relation)
-        schema = relation.schema
-        row = tuple(update.row)
-        for constraint in self.access_schema.for_relation(update.relation):
-            x_positions = schema.positions(constraint.x)
-            y_positions = schema.positions(constraint.y)
-            key = tuple(row[p] for p in x_positions)
-            bucket = relation.index_on(x_positions).get(key, ())
-            values = {tuple(r[p] for p in y_positions) for r in bucket}
-            values.add(tuple(row[p] for p in y_positions))
-            if len(values) > constraint.bound:
-                return False
-        return True
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -723,12 +614,16 @@ class QueryService:
             canonical = memo[1]
         else:
             unknown = sorted(resolved.relation_names - self._known_relations)
+            if isinstance(resolved, FOQuery):
+                # Topped queries are written over R ∪ V (Section 5).
+                unknown = [name for name in unknown if name not in self.views]
             if unknown:
                 hint = ""
                 if any(name in self.views for name in unknown):
                     hint = (
                         "; views are scanned by plans automatically and cannot be "
-                        "queried as atoms — write the query over the base relations"
+                        "queried as atoms in a CQ/UCQ — write the query over the "
+                        "base relations"
                     )
                 raise QueryError(
                     f"query references unknown relations {unknown}{hint}"
@@ -765,6 +660,12 @@ class QueryService:
                     self.stats.record_plan_store_hit()
                 return cached, True
         entry = self._run_chain(resolved, head, max_size, chain, corrections=None)
+        if entry.plan is None and not resolved.relation_names <= self._known_relations:
+            raise QueryError(
+                f"no bounded plan for {self._query_name(resolved)!r}, which reads "
+                "views, and the full-scan baseline cannot read views: "
+                + entry.reason
+            )
         entry.cache_key = key if use_cache else None
         if self.verify_plans and entry.plan is not None:
             self._verify_entry(resolved, entry.plan, head)
@@ -871,16 +772,20 @@ class QueryService:
             )
 
     def _compile_entry(
-        self, resolved: Query, head: Sequence[Variable] | None, entry: CachedPlan
+        self, entry: CachedPlan, expected_arity: int, subject: str
     ) -> None:
-        """Try to compile a warmed-up cache entry to a specialized closure.
+        """Try to compile a cache entry's plan to a specialized closure.
 
-        The gate is :func:`repro.analysis.codegen_eligibility` — the full
-        plan-verifier discipline, because the closure compiler bypasses the
-        interpreted operator constructors and their invariant checks.  A
-        refusal (or a compile failure) marks the entry ``"ineligible"`` so
-        the hot path never retries it; the plan simply keeps interpreting.
-        Called with :attr:`_codegen_lock` held.
+        The one compile gate, used for warmed-up entries (called with
+        :attr:`_codegen_lock` held) and for formerly-compiled entries
+        restored from the plan store (closures are never persisted; the gate
+        runs again because the store could have been written under different
+        analysis settings).  The gate is
+        :func:`repro.analysis.codegen_eligibility` — the full plan-verifier
+        discipline, because the closure compiler bypasses the interpreted
+        operator constructors and their invariant checks.  A refusal (or a
+        compile failure) marks the entry ``"ineligible"`` so the hot path
+        never retries it; the plan simply keeps interpreting.
         """
         plan = entry.plan
         assert plan is not None
@@ -890,8 +795,8 @@ class QueryService:
             views=self.views,
             access_schema=self.access_schema,
             budget=self._budget,
-            expected_arity=self._head_arity(resolved, head),
-            subject=self._query_name(resolved),
+            expected_arity=expected_arity,
+            subject=subject,
         )
         if not report.ok:
             entry.codegen_state = "ineligible"
@@ -1058,41 +963,13 @@ class QueryService:
                 cache_key=tuple(record.cache_key),
                 restored=True,
             )
-            if record.codegen_state == "compiled" and self.codegen:
-                self._recompile_restored(entry)
+            if (
+                record.codegen_state == "compiled"
+                and self.codegen
+                and record.plan is not None
+            ):
+                self._compile_entry(entry, len(record.plan.attributes), subject="")
             self.plan_cache.put(tuple(record.cache_key), entry)
-
-    def _recompile_restored(self, entry: CachedPlan) -> None:
-        """Rebuild the compiled closure of a restored formerly-hot entry.
-
-        Closures are never persisted (they close over runtime objects); the
-        stored ``codegen_state`` says this plan already passed eligibility
-        once, but the gate runs again — the store could have been written
-        under different analysis settings.
-        """
-        plan = entry.plan
-        if plan is None:
-            return
-        report = codegen_eligibility(
-            plan,
-            self.database.schema,
-            views=self.views,
-            access_schema=self.access_schema,
-            budget=self._budget,
-            expected_arity=len(plan.attributes),
-        )
-        if not report.ok:
-            entry.codegen_state = "ineligible"
-            entry.codegen_reason = "; ".join(str(d) for d in report.errors)
-            return
-        try:
-            entry.compiled = compile_plan_closure(plan, self.access_schema)
-        except (PlanError, UnsupportedQueryError) as exc:
-            entry.codegen_state = "ineligible"
-            entry.codegen_reason = f"closure compilation failed: {exc}"
-            return
-        entry.codegen_state = "compiled"
-        entry.codegen_reason = ""
 
     def _save_plan_store(self) -> None:
         """Write the found planning outcomes back to the store (on close)."""
@@ -1151,7 +1028,8 @@ class QueryService:
         The relations the query mentions (planning consulted their
         statistics, and the fallback path scans them), plus — for a found
         plan — the relations it fetches and the views it scans together with
-        each view's base relations (the view rows change when those do).
+        each view's base relations (the view rows change when those do); the
+        same goes for views an FO query names as atoms.
         """
         dependencies = set(resolved.relation_names)
         if plan is not None:
@@ -1160,9 +1038,9 @@ class QueryService:
                     dependencies.add(node.relation)
                 elif isinstance(node, ViewScan):
                     dependencies.add(node.view_name)
-                    if node.view_name in self.views:
-                        view = self.views.view(node.view_name)
-                        dependencies |= view.definition.relation_names
+        for name in tuple(dependencies):
+            if name in self.views:
+                dependencies |= self.views.view(name).definition.relation_names
         return frozenset(dependencies)
 
     def explain(
@@ -1243,9 +1121,7 @@ class QueryService:
                 entry.compiled.compile_seconds if entry.compiled is not None else None
             ),
             codegen_reason=entry.codegen_reason,
-            shard_set=(
-                self._router.route(entry.plan) if self._router is not None else None
-            ),
+            shard_set=self._router.route(entry.plan),
             estimated_fetches=entry.estimated_fetches,
             actual_fetches=entry.actual_fetches,
             operator_estimates=operator_estimates,
@@ -1408,7 +1284,7 @@ class QueryService:
             return [run(item) for item in items]
         pool = self._worker_pool(workers)
         router = self._router
-        if router is None or router.shard_count <= 1:
+        if router.shard_count <= 1:
             return pool.map_with_affinity(
                 [lambda item=item: run(item) for item in items],
                 [None] * len(items),
@@ -1474,9 +1350,10 @@ class QueryService:
 
         Shuts the persistent ``query_many`` pool down (it is recreated
         lazily if another batch arrives), closes backends that hold
-        resources (the SQLite connection) and unsubscribes from the
-        database's delta stream — after ``close()`` the service no longer
-        maintains its views on foreign writes, so treat it as retired.
+        resources (the SQLite connection), unsubscribes from the database's
+        delta stream and deregisters its snapshot manager — after
+        ``close()`` the service no longer maintains its views on foreign
+        writes (nor charges them a snapshot advance), so treat it as retired.
         Usable as a context manager: ``with QueryService(...) as service:``.
         When a persistent plan store is configured, the plan cache is
         written back to it first (atomically), so the next service over the
@@ -1494,6 +1371,7 @@ class QueryService:
             if callable(closer):
                 closer()
         self.database.unsubscribe(self)
+        self.database.disable_snapshots(self._snapshots)
 
     def __enter__(self) -> "QueryService":
         return self
@@ -1563,8 +1441,7 @@ class QueryService:
         in disjunct order.
         """
         if (
-            self._router is None
-            or self._router.shard_count <= 1
+            self._router.shard_count <= 1
             or not isinstance(plan, UnionNode)
             or not isinstance(backend, InMemoryBackend)
         ):
@@ -1628,7 +1505,11 @@ class QueryService:
                             and entry.codegen_state == "pending"
                             and entry.executions > self.codegen_warmup
                         ):
-                            self._compile_entry(resolved, head, entry)
+                            self._compile_entry(
+                                entry,
+                                self._head_arity(resolved, head),
+                                self._query_name(resolved),
+                            )
                         compiled = entry.compiled
             if compiled is not None:
                 result = runner(compiled, params)

@@ -456,8 +456,8 @@ def materialize_view_statements(
 ) -> list[tuple[str, str, list[tuple]]]:
     """DDL + DML for materialised views: (create statement, insert statement, rows).
 
-    ``view_cache`` maps view names to their computed rows (e.g. the
-    ``view_cache`` of :class:`repro.engine.session.BoundedEngine`).
+    ``view_cache`` maps view names to their computed rows (e.g.
+    :attr:`repro.engine.service.QueryService.view_cache`).
     """
     statements: list[tuple[str, str, list[tuple]]] = []
     for view in views:

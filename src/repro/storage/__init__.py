@@ -1,6 +1,6 @@
 """Storage substrate: instances, indices, statistics, updates, delta streams."""
 
-from .deltas import DeltaObserver, DeltaStream, stream_from_changes
+from .deltas import DeltaObserver, DeltaStream
 from .indexes import AccessIndex, IndexSet
 from .instance import Database, Relation
 from .statistics import (
@@ -23,6 +23,5 @@ __all__ = [
     "constraint_bound",
     "discover_access_constraints",
     "random_update_batch",
-    "stream_from_changes",
     "verify_expected_schema",
 ]

@@ -25,7 +25,7 @@ maintenance and cache invalidation want.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 #: A data row (kept structural: storage does not import the exec kernel).
 Row = tuple[object, ...]
@@ -170,16 +170,3 @@ class DeltaObserver(Protocol):
         """Called once per non-empty transaction, after the database reached
         the new state (per-row maintained indexes and statistics included)."""
         ...
-
-
-def stream_from_changes(
-    inserted: Iterable[tuple[str, Sequence[object]]] = (),
-    deleted: Iterable[tuple[str, Sequence[object]]] = (),
-) -> DeltaStream:
-    """Build a stream from explicit (relation, row) changes (tests, shims)."""
-    stream = DeltaStream()
-    for relation, row in inserted:
-        stream.record_insert(relation, tuple(row))
-    for relation, row in deleted:
-        stream.record_delete(relation, tuple(row))
-    return stream

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import random
 import string
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 
@@ -27,6 +30,19 @@ def random_name(generator: random.Random, length: int = 8) -> str:
     return "".join(generator.choice(letters) for _ in range(length))
 
 
+@lru_cache(maxsize=16)
+def _zipf_table(n: int, skew: float) -> tuple[float, tuple[float, ...]]:
+    """``(total, running sums)`` of the truncated zeta weights ``1/(i+1)^skew``.
+
+    The running sums are accumulated left to right and the total is taken
+    with ``sum`` — the exact floating-point values a sample-time loop over
+    the weights would see — so sampling against the table is bit-identical
+    to recomputing the weights per sample.
+    """
+    weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
+    return sum(weights), tuple(accumulate(weights))
+
+
 def zipf_index(generator: random.Random, n: int, skew: float = 1.1) -> int:
     """Sample an index in ``[0, n)`` with an (approximate) Zipf distribution.
 
@@ -36,16 +52,10 @@ def zipf_index(generator: random.Random, n: int, skew: float = 1.1) -> int:
     """
     if n <= 1:
         return 0
-    # Inverse-CDF sampling over a truncated zeta distribution.
-    weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
-    total = sum(weights)
-    target = generator.random() * total
-    cumulative = 0.0
-    for index, weight in enumerate(weights):
-        cumulative += weight
-        if cumulative >= target:
-            return index
-    return n - 1
+    # Inverse-CDF sampling over a truncated zeta distribution: the first
+    # index whose running sum reaches the target.
+    total, cumulative = _zipf_table(n, skew)
+    return min(bisect_left(cumulative, generator.random() * total), n - 1)
 
 
 def bounded_choices(

@@ -503,6 +503,20 @@ class Database:
             self._snapshot_managers.append(weakref.ref(manager))
         return manager
 
+    def disable_snapshots(self, manager: object) -> None:
+        """Stop advancing ``manager`` (the counterpart of :meth:`unsubscribe`).
+
+        The manager keeps serving its last published version and still heals
+        through ``stale``/``refresh`` when asked; it just no longer charges
+        every :meth:`apply` a copy-on-write advance.
+        """
+        with self._write_lock:
+            self._snapshot_managers = [
+                reference
+                for reference in self._snapshot_managers
+                if reference() is not None and reference() is not manager
+            ]
+
     def _notify_delta(self, stream: DeltaStream) -> None:
         if not self._delta_observers:
             return

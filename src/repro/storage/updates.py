@@ -15,7 +15,7 @@ features build on:
   is supplied, keeps the instance inside ``D |= A``).
 
 The incremental maintenance machinery itself lives in
-:mod:`repro.engine.maintenance`.
+:mod:`repro.engine.service.maintenance`.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from ..core.plans import (
     SelectNode,
     ViewScan,
 )
+from ..errors import AccessConstraintError
 from ..storage.generators import identifier, rng, zipf_index
 from ..storage.instance import Database
 
@@ -182,7 +183,16 @@ def generate(
     towards popular movies, as in real social data.  ``planted_answers``
     guarantees that Q0 has at least that many answers (Universal/2014 movies
     rated 5 and liked by a NASA person), so the workload is never vacuous.
+    More movies than the ``len(STUDIOS) * len(YEARS) * n0`` that
+    ``movie((studio, release) -> mid, n0)`` admits are refused.
     """
+    capacity = len(STUDIOS) * len(YEARS) * n0
+    if num_movies + planted_answers > capacity:
+        raise AccessConstraintError(
+            f"{num_movies} movies + {planted_answers} planted answers exceed the "
+            f"{capacity} that movie((studio, release) -> mid, {n0}) admits over "
+            f"{len(STUDIOS)} studios x {len(YEARS)} years; raise n0 or lower num_movies"
+        )
     generator = rng(seed)
     database = Database(schema())
 
@@ -205,6 +215,13 @@ def generate(
             release = generator.choice(YEARS)
             if group_counts.get((studio, release), 0) < n0:
                 break
+        else:  # nearly full: take the first group with room (capacity checked above)
+            studio, release = next(
+                (s, y)
+                for s in STUDIOS
+                for y in YEARS
+                if group_counts.get((s, y), 0) < n0
+            )
         group_counts[(studio, release)] = group_counts.get((studio, release), 0) + 1
         movies.append(mid)
         database.add("movie", (mid, f"title_{index}", studio, release))

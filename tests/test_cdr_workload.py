@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra.acyclicity import is_acyclic
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.storage.statistics import verify_expected_schema
 from repro.workloads import cdr
 
@@ -14,8 +14,8 @@ def instance():
 
 
 @pytest.fixture(scope="module")
-def engine(instance):
-    return BoundedEngine(instance.database, cdr.access_schema(), cdr.views())
+def service(instance):
+    return QueryService(instance.database, cdr.access_schema(), cdr.views())
 
 
 def test_generated_data_satisfies_declared_constraints(instance):
@@ -51,12 +51,12 @@ def test_workload_is_deterministic(instance):
     assert [str(q) for q in first] == [str(q) for q in second]
 
 
-def test_engine_answers_match_baseline_on_workload(instance, engine):
+def test_engine_answers_match_baseline_on_workload(instance, service):
     queries = cdr.workload(instance, count=10, seed=4)
     bounded = 0
     for query in queries:
-        answer = engine.answer(query)
-        baseline = engine.baseline(query)
+        answer = service.query(query)
+        baseline = service.baseline(query)
         assert answer.rows == baseline.rows, query.name
         if answer.used_bounded_plan:
             bounded += 1
@@ -68,14 +68,14 @@ def test_engine_answers_match_baseline_on_workload(instance, engine):
 def test_bounded_queries_fetch_less_as_data_grows():
     small = cdr.generate(num_customers=80, num_days=3, seed=7)
     big = cdr.generate(num_customers=240, num_days=3, seed=7)
-    small_engine = BoundedEngine(small.database, cdr.access_schema(), cdr.views())
-    big_engine = BoundedEngine(big.database, cdr.access_schema(), cdr.views())
+    small_service = QueryService(small.database, cdr.access_schema(), cdr.views())
+    big_service = QueryService(big.database, cdr.access_schema(), cdr.views())
     # Use the same query template anchored to a phone present in both.
     query = cdr.workload(small, count=1, seed=1)[0]
-    small_answer = small_engine.answer(query)
+    small_answer = small_service.query(query)
     if not small_answer.used_bounded_plan:
         pytest.skip("first workload query happens to be an unbounded analytics query")
-    big_answer = big_engine.answer(query)
+    big_answer = big_service.query(query)
     assert big_answer.used_bounded_plan
     assert big_answer.tuples_fetched <= cdr.MAX_CALLS_PER_DAY * 3 + 10
-    assert big_engine.baseline(query).tuples_scanned > small_engine.baseline(query).tuples_scanned
+    assert big_service.baseline(query).tuples_scanned > small_service.baseline(query).tuples_scanned

@@ -255,7 +255,7 @@ def test_verifier_gates_codegen(gs_service, gs_q0):
     broken = FetchNode(None, "person", (), ("pid", "name", "affiliation"))
     entry.plan = broken
     entry.executions = 10  # past warmup: next execution attempts to compile
-    gs_service._compile_entry(gs_q0, None, entry)
+    gs_service._compile_entry(entry, gs_q0.head_arity, gs_q0.name)
     assert entry.compiled is None
     assert entry.codegen_state == "ineligible"
     assert entry.codegen_reason

@@ -1,4 +1,4 @@
-"""Tests for the BoundedEngine and the naive baseline."""
+"""Tests for QueryService's answer/baseline contract and the naive baseline."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.algebra.terms import Constant, Variable
 from repro.algebra.views import ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.engine.baseline import NaiveEngine
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.errors import EvaluationError
 from repro.storage.instance import Database
 
@@ -50,20 +50,20 @@ def open_scan():
 
 
 def test_engine_answers_with_bounded_plan_and_matches_baseline():
-    engine = BoundedEngine(make_db(), ACCESS, ViewSet(()))
-    answer = engine.answer(anchored_chain())
+    service = QueryService(make_db(), ACCESS, ViewSet(()))
+    answer = service.query(anchored_chain())
     assert answer.used_bounded_plan
     assert answer.rows == {("p",), ("q",)}
     assert answer.tuples_fetched > 0
     assert answer.tuples_scanned == 0
-    baseline = engine.baseline(anchored_chain())
+    baseline = service.baseline(anchored_chain())
     assert baseline.rows == answer.rows
     assert baseline.tuples_scanned == make_db().size
 
 
 def test_engine_falls_back_to_full_scan():
-    engine = BoundedEngine(make_db(), ACCESS, ViewSet(()))
-    answer = engine.answer(open_scan())
+    service = QueryService(make_db(), ACCESS, ViewSet(()))
+    answer = service.query(open_scan())
     assert not answer.used_bounded_plan
     assert answer.tuples_scanned > 0
     assert answer.rows == {(10, "p"), (11, "q"), (20, "r")}
@@ -71,14 +71,14 @@ def test_engine_falls_back_to_full_scan():
 
 
 def test_bounded_io_is_scale_independent_while_scan_grows():
-    small_engine = BoundedEngine(make_db(0), ACCESS, ViewSet(()))
-    big_engine = BoundedEngine(make_db(500), ACCESS, ViewSet(()))
+    small_service = QueryService(make_db(0), ACCESS, ViewSet(()))
+    big_service = QueryService(make_db(500), ACCESS, ViewSet(()))
     query = anchored_chain()
-    small = small_engine.answer(query)
-    big = big_engine.answer(query)
+    small = small_service.query(query)
+    big = big_service.query(query)
     assert small.used_bounded_plan and big.used_bounded_plan
     assert small.tuples_fetched == big.tuples_fetched
-    assert big_engine.baseline(query).tuples_scanned > small_engine.baseline(query).tuples_scanned
+    assert big_service.baseline(query).tuples_scanned > small_service.baseline(query).tuples_scanned
 
 
 def test_engine_rejects_database_violating_access_schema():
@@ -86,36 +86,36 @@ def test_engine_rejects_database_violating_access_schema():
     db.add("R", (1, 12))
     db.add("R", (1, 13))  # key 1 now has 4 b-values > bound 2
     with pytest.raises(EvaluationError):
-        BoundedEngine(db, ACCESS, ViewSet(()))
+        QueryService(db, ACCESS, ViewSet(()))
     # Unless the check is explicitly disabled.
-    BoundedEngine(db, ACCESS, ViewSet(()), check_constraints=False)
+    QueryService(db, ACCESS, ViewSet(()), check_constraints=False)
 
 
 def test_engine_materialises_views(gs_instance, gs_access, gs_views):
-    engine = BoundedEngine(gs_instance.database, gs_access, gs_views)
-    assert set(engine.view_cache) == {"V1", "V2"}
-    assert engine.view_cache_size == sum(len(v) for v in engine.view_cache.values())
+    service = QueryService(gs_instance.database, gs_access, gs_views)
+    assert set(service.view_cache) == {"V1", "V2"}
+    assert service.view_cache_size == sum(len(v) for v in service.view_cache.values())
 
 
 def test_engine_explain_returns_plan_or_none():
-    engine = BoundedEngine(make_db(), ACCESS, ViewSet(()))
-    assert engine.explain(anchored_chain()) is not None
-    assert engine.explain(open_scan()) is None
+    service = QueryService(make_db(), ACCESS, ViewSet(()))
+    assert service.explain(anchored_chain()).plan is not None
+    assert service.explain(open_scan()).plan is None
 
 
 def test_engine_answer_fo_via_topped_plan():
-    engine = BoundedEngine(make_db(), ACCESS, ViewSet(()))
+    service = QueryService(make_db(), ACCESS, ViewSet(()))
     query = conj(atom("R", Constant(1), Y), neg(exists([Z], conj(atom("S", Y, Z), eq(Z, "p")))))
-    answer = engine.answer_fo(query, head=(Y,), max_size=None)
+    answer = service.query(query, head=(Y,), max_size=None)
     # y values reachable from key 1 whose S-value is not "p": only 11.
     assert answer.rows == {(11,)}
     assert answer.used_bounded_plan
 
 
 def test_engine_answer_fo_falls_back_when_not_topped():
-    engine = BoundedEngine(make_db(), ACCESS, ViewSet(()))
+    service = QueryService(make_db(), ACCESS, ViewSet(()))
     query = atom("R", X, Y)  # unanchored: not topped without views
-    answer = engine.answer_fo(query, head=(X, Y))
+    answer = service.query(query, head=(X, Y))
     assert not answer.used_bounded_plan
     assert answer.rows == {(1, 10), (1, 11), (2, 20)}
 
@@ -136,8 +136,3 @@ def test_naive_engine_fo_answers():
     result = naive.answer_fo(atom("R", Constant(1), Y), head=(Y,))
     assert result.rows == {(10,), (11,)}
     assert result.tuples_scanned == len(db.relation("R"))
-
-
-def test_bounded_engine_constructor_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="BoundedEngine is deprecated"):
-        BoundedEngine(make_db(), ACCESS, ViewSet(()))

@@ -11,7 +11,8 @@ from repro.core.conformance import conforms_to
 from repro.core.equivalence import a_equivalent
 from repro.core.plan_eval import PlanExecutor
 from repro.core.rewriting import plan_to_ucq, unfold_view_atoms
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
+from repro.errors import AccessConstraintError
 from repro.storage.indexes import IndexSet
 from repro.workloads import graph_search as gs
 
@@ -19,6 +20,14 @@ from repro.workloads import graph_search as gs
 def test_generated_data_satisfies_a0(gs_instance, gs_access):
     assert gs_instance.database.satisfies(gs_access)
     assert gs_instance.database.satisfies(gs.access_schema(with_like_key=True))
+
+
+def test_generate_refuses_more_movies_than_a0_admits():
+    # 7 studios x 11 years x n0 movies fit under movie((studio, release) -> mid, n0).
+    full = gs.generate(num_persons=5, num_movies=77 * 2 - 3, n0=2)
+    assert full.database.satisfies(gs.access_schema(n0=2))
+    with pytest.raises(AccessConstraintError, match="exceed the 154"):
+        gs.generate(num_persons=5, num_movies=77 * 2 - 2, n0=2)
 
 
 def test_q0_is_not_boundedly_evaluable_without_views(gs_q0, gs_access, gs_schema):
@@ -67,9 +76,10 @@ def test_figure1_plan_expresses_example_23_rewriting(gs_q0, gs_access, gs_schema
 
 
 def test_figure1_plan_answers_match_direct_evaluation(gs_instance, gs_q0, gs_access, gs_schema, gs_views):
-    engine = BoundedEngine(gs_instance.database, gs_access, gs_views)
-    plan_rows, stats = engine.execute_plan(gs.figure1_plan())
-    baseline = engine.baseline(gs_q0)
+    service = QueryService(gs_instance.database, gs_access, gs_views)
+    result = service.execute_plan(gs.figure1_plan())
+    plan_rows, stats = result.rows, result.stats
+    baseline = service.baseline(gs_q0)
     assert plan_rows == baseline.rows
     assert len(plan_rows) >= 3  # planted answers
     assert stats.tuples_fetched <= 2 * gs_instance.n0
@@ -77,10 +87,10 @@ def test_figure1_plan_answers_match_direct_evaluation(gs_instance, gs_q0, gs_acc
 
 
 def test_engine_finds_bounded_plan_for_q0(gs_instance, gs_q0, gs_access, gs_views):
-    engine = BoundedEngine(gs_instance.database, gs_access, gs_views)
-    answer = engine.answer(gs_q0)
+    service = QueryService(gs_instance.database, gs_access, gs_views)
+    answer = service.query(gs_q0)
     assert answer.used_bounded_plan
-    assert answer.rows == engine.baseline(gs_q0).rows
+    assert answer.rows == service.baseline(gs_q0).rows
     assert answer.tuples_scanned == 0
 
 
@@ -90,13 +100,13 @@ def test_io_gap_grows_with_data():
     large = gs.generate(num_persons=600, num_movies=400, seed=3)
     q0 = gs.query_q0()
     access, views = gs.access_schema(), gs.views()
-    small_engine = BoundedEngine(small.database, access, views)
-    large_engine = BoundedEngine(large.database, access, views)
-    small_answer = small_engine.answer(q0)
-    large_answer = large_engine.answer(q0)
+    small_service = QueryService(small.database, access, views)
+    large_service = QueryService(large.database, access, views)
+    small_answer = small_service.query(q0)
+    large_answer = large_service.query(q0)
     assert small_answer.used_bounded_plan and large_answer.used_bounded_plan
     assert large_answer.tuples_fetched <= 2 * large.n0
-    assert large_engine.baseline(q0).tuples_scanned > small_engine.baseline(q0).tuples_scanned
+    assert large_service.baseline(q0).tuples_scanned > small_service.baseline(q0).tuples_scanned
 
 
 def test_example_33_v2_bounded_output_depends_on_constraints(gs_schema, gs_views):
@@ -115,7 +125,7 @@ def test_example_33_v2_bounded_output_depends_on_constraints(gs_schema, gs_views
 
 def test_example_33_rewriting_with_v2_under_extended_schema(gs_instance, gs_q0, gs_schema):
     """Example 3.3(a): with A1 plus a cap on NASA employees, Q0 can be
-    answered through V2 as well; the engine's plan stays correct."""
+    answered through V2 as well; the service's plan stays correct."""
     from repro.core.access import AccessConstraint
 
     access = gs.access_schema(with_like_key=True).extended_with(
@@ -124,6 +134,6 @@ def test_example_33_rewriting_with_v2_under_extended_schema(gs_instance, gs_q0, 
     if not gs_instance.database.satisfies(access):
         pytest.skip("generated instance has more than 50 NASA employees")
     views = ViewSet((gs.view_v2(),))
-    engine = BoundedEngine(gs_instance.database, access, views)
-    answer = engine.answer(gs_q0)
-    assert answer.rows == engine.baseline(gs_q0).rows
+    service = QueryService(gs_instance.database, access, views)
+    answer = service.query(gs_q0)
+    assert answer.rows == service.baseline(gs_q0).rows

@@ -164,44 +164,15 @@ def test_storage_imports_elsewhere_are_not_codegen_violations(tmp_path):
     assert lint_kernel.lint_tree(tmp_path) == []
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "from repro.engine.session import BoundedEngine\n",
-        "from repro.engine.maintenance import MaintainedEngine\n",
-        "import repro.engine.maintenance\n",
-        "from ..engine.session import BoundedEngine\n",
-    ],
-)
-def test_deprecated_imports_are_flagged(tmp_path, source):
-    _write(tmp_path, "src/repro/workloads/new_module.py", source)
-    violations = lint_kernel.lint_tree(tmp_path)
-    assert [v.code for v in violations] == ["kernel.deprecated-import"]
-
-
-def test_shims_themselves_are_allowlisted(tmp_path):
-    _write(
-        tmp_path,
-        "src/repro/engine/__init__.py",
-        "from .session import BoundedEngine\n",
-    )
-    _write(
-        tmp_path,
-        "src/repro/engine/maintenance.py",
-        "from .session import EngineAnswer\n",
-    )
-    assert lint_kernel.lint_tree(tmp_path) == []
-
-
 def test_cli_exits_one_and_reports_violations(tmp_path, capsys):
     _write(
         tmp_path,
-        "src/repro/core/hack.py",
-        "from repro.engine.session import BoundedEngine\n",
+        "src/repro/engine/hack.py",
+        "from repro.core.element_queries import iter_element_queries\n",
     )
     assert lint_kernel.main(["--root", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "kernel.deprecated-import" in out
+    assert "kernel.exhaustive-element-sweep" in out
     assert "1 kernel-discipline violation(s)" in out
 
 

@@ -9,20 +9,15 @@ from repro.algebra.parser import parse_cq
 from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.algebra.schema import schema_from_spec
-from repro.engine.maintenance import (
-    IncrementalViewCache,
-    MaintainedEngine,
-    MaintainedIndexSet,
-    MaintenanceStats,
-)
-from repro.errors import UnsupportedQueryError
+from repro.engine.service import MaintenanceStats, QueryService, ViewMaintainer
+from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
 from repro.storage.updates import Deletion, Insertion, UpdateBatch, random_update_batch
 from repro.workloads import graph_search as gs
 
 
 # --------------------------------------------------------------------------- #
-# MaintainedIndexSet
+# IndexSet under Database.apply
 # --------------------------------------------------------------------------- #
 
 SCHEMA = schema_from_spec({"R": ("a", "b"), "S": ("c", "d")})
@@ -42,7 +37,7 @@ def make_db():
 
 
 def test_index_fetch_matches_initial_contents():
-    index_set = MaintainedIndexSet(make_db(), ACCESS)
+    index_set = IndexSet(make_db(), ACCESS)
     constraint = ACCESS.constraints[0]
     assert index_set.fetch(constraint, (1,)) == {(1, 10), (1, 11)}
     assert index_set.fetch(constraint, (99,)) == frozenset()
@@ -50,27 +45,25 @@ def test_index_fetch_matches_initial_contents():
 
 def test_index_insert_and_delete_maintained():
     database = make_db()
-    index_set = MaintainedIndexSet(database, ACCESS)
+    index_set = IndexSet(database, ACCESS)
     constraint = ACCESS.constraints[0]
 
-    database.add("R", (2, 21))
-    index_set.apply(Insertion("R", (2, 21)))
+    database.apply([Insertion("R", (2, 21))])
     assert index_set.fetch(constraint, (2,)) == {(2, 20), (2, 21)}
 
-    database.relation("R")._tuples.discard((2, 20))
-    index_set.apply(Deletion("R", (2, 20)))
+    database.apply([Deletion("R", (2, 20))])
     assert index_set.fetch(constraint, (2,)) == {(2, 21)}
 
-    database.relation("R")._tuples.discard((2, 21))
-    index_set.apply(Deletion("R", (2, 21)))
+    database.apply([Deletion("R", (2, 21))])
     assert index_set.fetch(constraint, (2,)) == frozenset()
 
 
 def test_index_admissibility_check_is_bucket_local():
-    index_set = MaintainedIndexSet(make_db(), ACCESS)
+    database = make_db()
+    index_set = IndexSet(database, ACCESS)
     # (1, *) already has 2 distinct b-values; bound is 3.
     assert index_set.admissible(Insertion("R", (1, 12)))
-    index_set.apply(Insertion("R", (1, 12)))
+    database.apply([Insertion("R", (1, 12))])
     assert not index_set.admissible(Insertion("R", (1, 13)))
     # Re-inserting an existing value never violates the bound.
     assert index_set.admissible(Insertion("R", (1, 10)))
@@ -78,7 +71,7 @@ def test_index_admissibility_check_is_bucket_local():
 
 
 # --------------------------------------------------------------------------- #
-# IncrementalViewCache
+# ViewMaintainer driven by Database.apply streams
 # --------------------------------------------------------------------------- #
 
 
@@ -94,15 +87,14 @@ def pairs_db():
 
 
 def test_view_cache_initial_materialisation():
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), pairs_db())
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), pairs_db())
     assert cache.rows("Vpairs") == {(1, 50), (2, 60)}
 
 
 def test_view_cache_insertion_adds_new_rows():
     database = pairs_db()
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), database)
-    database.add("R", (3, 7))
-    deltas = cache.apply(Insertion("R", (3, 7)))
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), database)
+    deltas = cache.apply_stream(database.apply([Insertion("R", (3, 7))]))
     assert cache.rows("Vpairs") == {(1, 50), (2, 60), (3, 70)}
     assert any(delta.added == {(3, 70)} for delta in deltas)
     assert cache.verify()
@@ -110,9 +102,8 @@ def test_view_cache_insertion_adds_new_rows():
 
 def test_view_cache_deletion_removes_unsupported_rows():
     database = pairs_db()
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), database)
-    database.relation("S")._tuples.discard((5, 50))
-    deltas = cache.apply(Deletion("S", (5, 50)))
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), database)
+    deltas = cache.apply_stream(database.apply([Deletion("S", (5, 50))]))
     assert cache.rows("Vpairs") == {(2, 60)}
     assert any(delta.removed == {(1, 50)} for delta in deltas)
     assert cache.verify()
@@ -121,82 +112,83 @@ def test_view_cache_deletion_removes_unsupported_rows():
 def test_view_cache_deletion_keeps_rows_with_other_support():
     database = pairs_db()
     database.add("R", (1, 6))  # second derivation for a=1 via S(6, 60)
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), database)
-    database.relation("R")._tuples.discard((1, 5))
-    cache.apply(Deletion("R", (1, 5)))
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), database)
+    cache.apply_stream(database.apply([Deletion("R", (1, 5))]))
     # (1, 60) still derivable through R(1,6); (1, 50) is gone.
     assert cache.rows("Vpairs") == {(1, 60), (2, 60)}
     assert cache.verify()
 
 
-def test_view_cache_rejects_fo_views():
-    from repro.algebra.fo import atom, neg, conj
-    from repro.algebra.terms import Variable
-
-    x = Variable("x")
-    fo_view = View("Vneg", conj(atom("R", x, x), neg(atom("S", x, x))), head=(x,))
-    with pytest.raises(UnsupportedQueryError):
-        IncrementalViewCache(ViewSet((fo_view,)), pairs_db())
-
-
 def test_view_cache_stats_accounting():
     database = pairs_db()
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), database)
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), database)
     stats = MaintenanceStats()
-    database.add("R", (3, 7))
-    cache.apply(Insertion("R", (3, 7)), stats)
+    cache.apply_stream(database.apply([Insertion("R", (3, 7))]), stats)
     assert stats.updates == 1
     assert stats.delta_queries >= 1
     assert stats.rows_added == 1
 
 
 # --------------------------------------------------------------------------- #
-# MaintainedEngine end-to-end
+# QueryService.apply end-to-end
 # --------------------------------------------------------------------------- #
+
+
+def caches_match_recomputation(service: QueryService) -> bool:
+    """Maintained views and access indices equal a from-scratch rebuild."""
+    rebuilt = IndexSet(service.database, service.access_schema)
+    for constraint in service.access_schema:
+        left = service.indexes.index_for(constraint)
+        right = rebuilt.index_for(constraint)
+        if left.keys != right.keys:
+            return False
+        if any(left.lookup(key) != right.lookup(key) for key in left.keys):
+            return False
+    return service.maintainer.verify()
 
 
 @pytest.fixture(scope="module")
 def gs_setup():
     instance = gs.generate(num_persons=200, num_movies=120, seed=17)
-    engine = MaintainedEngine(instance.database, gs.access_schema(), gs.views())
-    return instance, engine
+    service = QueryService(instance.database, gs.access_schema(), gs.views())
+    return instance, service
 
 
-def test_maintained_engine_answers_match_baseline_after_updates(gs_setup):
-    instance, engine = gs_setup
+def test_service_apply_answers_match_baseline_after_updates(gs_setup):
+    instance, service = gs_setup
     query = gs.query_q0()
     batch = random_update_batch(
         instance.database, size=40, seed=23, access_schema=gs.access_schema()
     )
-    report = engine.apply(batch)
+    report = service.apply(batch)
     assert report.applied + report.skipped_inadmissible <= len(batch)
 
-    answer = engine.answer(query)
-    baseline = engine.baseline(query)
+    answer = service.query(query)
+    baseline = service.baseline(query)
     assert answer.rows == baseline.rows
     assert answer.used_bounded_plan
-    assert engine.verify_caches()
+    assert caches_match_recomputation(service)
 
 
-def test_maintained_engine_skips_inadmissible_insertions(gs_setup):
-    _instance, engine = gs_setup
+def test_service_apply_skips_inadmissible_insertions(gs_setup):
+    _instance, service = gs_setup
     # rating(mid -> rank, 1): a second rating for an existing movie violates A.
-    existing = next(iter(engine.database.relation("rating")))
+    existing = next(iter(service.database.relation("rating")))
     bad = Insertion("rating", (existing[0], existing[1] + 100))
-    report = engine.apply(UpdateBatch([bad]))
+    report = service.apply(UpdateBatch([bad]))
     assert report.skipped_inadmissible == 1
     assert report.applied == 0
-    assert engine.database.satisfies(engine.access_schema)
+    assert service.database.satisfies(service.access_schema)
 
 
-def test_maintained_engine_insert_new_answer_appears():
+def test_service_apply_insert_new_answer_appears():
     instance = gs.generate(num_persons=80, num_movies=50, seed=3)
-    engine = MaintainedEngine(instance.database, gs.access_schema(), gs.views())
-    before = engine.answer(gs.query_q0()).rows
+    service = QueryService(instance.database, gs.access_schema(), gs.views())
+    before = service.query(gs.query_q0()).rows
 
     new_movie = "m_planted_new"
     nasa_person = next(
-        row for row in engine.database.relation("person") if row[2] == "NASA"
+        row for row in service.database.relation("person") if row[2] == "NASA"
     )
     batch = UpdateBatch(
         [
@@ -205,23 +197,23 @@ def test_maintained_engine_insert_new_answer_appears():
             Insertion("like", (nasa_person[0], new_movie, "movie")),
         ]
     )
-    report = engine.apply(batch)
+    report = service.apply(batch)
     assert report.applied == 3
-    after = engine.answer(gs.query_q0())
+    after = service.query(gs.query_q0())
     assert (new_movie,) in after.rows
     assert after.rows == before | {(new_movie,)}
-    assert engine.verify_caches()
+    assert caches_match_recomputation(service)
 
 
-def test_maintained_engine_delete_removes_answer():
+def test_service_apply_delete_removes_answer():
     instance = gs.generate(num_persons=80, num_movies=50, seed=3)
-    engine = MaintainedEngine(instance.database, gs.access_schema(), gs.views())
-    answers = sorted(engine.answer(gs.query_q0()).rows)
+    service = QueryService(instance.database, gs.access_schema(), gs.views())
+    answers = sorted(service.query(gs.query_q0()).rows)
     assert answers, "generator plants at least one answer"
     victim_mid = answers[0][0]
-    engine.apply(UpdateBatch([Deletion("rating", (victim_mid, 5))]))
-    assert (victim_mid,) not in engine.answer(gs.query_q0()).rows
-    assert engine.verify_caches()
+    service.apply(UpdateBatch([Deletion("rating", (victim_mid, 5))]))
+    assert (victim_mid,) not in service.query(gs.query_q0()).rows
+    assert caches_match_recomputation(service)
 
 
 @settings(max_examples=10, deadline=None)
@@ -229,22 +221,8 @@ def test_maintained_engine_delete_removes_answer():
 def test_maintained_caches_always_match_recomputation(seed):
     """Property: after any admissible batch, incremental == recomputed."""
     database = pairs_db()
-    cache = IncrementalViewCache(ViewSet((view_pairs(),)), database)
+    cache = ViewMaintainer(ViewSet((view_pairs(),)), database)
     batch = random_update_batch(database, size=12, seed=seed)
     for update in batch:
-        relation = database.relation(update.relation)
-        if isinstance(update, Insertion):
-            if update.row in relation:
-                continue
-            database.add(update.relation, update.row)
-        else:
-            if update.row not in relation:
-                continue
-            relation._tuples.discard(update.row)
-        cache.apply(update)
+        cache.apply_stream(database.apply([update]))
     assert cache.verify()
-
-
-def test_maintained_engine_constructor_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="MaintainedEngine is deprecated"):
-        MaintainedEngine(pairs_db(), AccessSchema(()), ViewSet(()))

@@ -10,7 +10,7 @@ and conjunctive queries, and check the paper's structural invariants:
 * ``cov`` is monotone in the access schema, and bounded-output answers are
   consistent with brute-force evaluation growth;
 * bounded-plan answers agree with the naive baseline on every generated
-  instance (the end-to-end soundness property of the engine).
+  instance (the end-to-end soundness property of the service).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.algebra.views import ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.bounded_output import covered_variables, has_bounded_output
 from repro.core.element_queries import element_queries
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.storage.instance import Database
 
 SCHEMA = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
@@ -168,7 +168,7 @@ def test_queries_with_constant_keys_only_have_bounded_output_when_cov_says_so(qu
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end engine soundness
+# End-to-end service soundness
 # --------------------------------------------------------------------------- #
 
 
@@ -187,7 +187,7 @@ def test_engine_bounded_answers_agree_with_baseline(database, anchor, day):
         atoms=(RelationAtom("R", (Constant(anchor), y)), RelationAtom("S", (y, z))),
         name="anchored",
     )
-    engine = BoundedEngine(database, access, ViewSet(()), check_constraints=False)
-    answer = engine.answer(query)
-    assert answer.rows == engine.baseline(query).rows
+    service = QueryService(database, access, ViewSet(()), check_constraints=False)
+    answer = service.query(query)
+    assert answer.rows == service.baseline(query).rows
     del day

@@ -1,6 +1,6 @@
 """Tests for the random CQ workload generator."""
 
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.workloads import cdr
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
@@ -26,14 +26,14 @@ def test_random_queries_are_valid_and_mixed():
     assert anchored
 
 
-def test_random_queries_answerable_by_engine():
+def test_random_queries_answerable_by_service():
     instance = cdr.generate(num_customers=60, num_days=3, seed=1)
-    engine = BoundedEngine(instance.database, cdr.access_schema(), cdr.views())
+    service = QueryService(instance.database, cdr.access_schema(), cdr.views())
     config = RandomCQConfig(min_atoms=1, max_atoms=2, head_size=1, seed=5)
     queries = random_workload(cdr.schema(), instance.database, 10, config)
     for query in queries:
         if len(set(t for t in query.head)) != len(query.head):
             continue  # the heuristic builder requires distinct head variables
-        answer = engine.answer(query)
-        baseline = engine.baseline(query)
+        answer = service.query(query)
+        baseline = service.baseline(query)
         assert answer.rows == baseline.rows, query.name

@@ -417,11 +417,11 @@ def test_stats_reset(service):
 
 
 # --------------------------------------------------------------------------- #
-# Legacy shims
+# One serving path: the removed surface stays removed
 # --------------------------------------------------------------------------- #
 
 
-def test_view_cache_assignment_propagates_and_mutation_is_rejected(rs_database):
+def test_view_cache_mutation_and_assignment_are_rejected(rs_database):
     from repro.algebra.parser import parse_cq as _parse
     from repro.algebra.views import View
 
@@ -431,36 +431,52 @@ def test_view_cache_assignment_propagates_and_mutation_is_rejected(rs_database):
     # In-place mutation would silently miss the build-once backends: rejected.
     with pytest.raises(TypeError):
         service.view_cache["V1"] = frozenset()
-
-    # Whole-mapping assignment routes through refresh_data and reaches the
-    # executor: the view-covered query serves the swapped rows (this is the
-    # mechanism incremental maintenance relies on).
-    bound_query = "Q(b) :- R(1, b)"
-    assert service.query(bound_query).rows == {(10,), (11,)}
-    service.view_cache = {"V1": frozenset({(999,)})}
-    assert service.view_cache["V1"] == frozenset({(999,)})
-    assert service.query(bound_query).rows == {(999,)}
+    # View rows change through writes only; the properties are read-only.
+    with pytest.raises(AttributeError):
+        service.view_cache = {"V1": frozenset({(999,)})}
+    with pytest.raises(AttributeError):
+        service.indexes = None
 
 
-def test_bounded_engine_reason_populated_on_bounded_path(rs_database):
-    from repro.engine.session import BoundedEngine
-
-    engine = BoundedEngine(rs_database, ACCESS)
-    answer = engine.answer(anchored_chain())
+def test_reason_populated_on_bounded_path(rs_database):
+    answer = QueryService(rs_database, ACCESS).query(anchored_chain())
     assert answer.used_bounded_plan
-    assert answer.reason  # satellite fix: no longer silently empty
+    assert answer.reason  # never silently empty
     assert "heuristic" in answer.reason
 
 
-def test_bounded_engine_executor_is_reused(rs_database):
-    from repro.engine.session import BoundedEngine
-
-    engine = BoundedEngine(rs_database, ACCESS)
-    backend = engine.service._backend("memory")
+def test_memory_executor_is_reused(rs_database):
+    service = QueryService(rs_database, ACCESS)
+    backend = service._backend("memory")
     executor_before = backend._executor
-    engine.answer(anchored_chain())
-    engine.answer(anchored_chain(2))
+    service.query(anchored_chain())
+    service.query(anchored_chain(2))
     assert backend._executor is executor_before  # built once, reused
+
+
+def test_shards_none_is_rejected(rs_database):
+    with pytest.raises(QueryError, match="shards must be an integer >= 1"):
+        QueryService(rs_database, ACCESS, shards=None)
+
+
+def test_deprecated_shims_are_gone():
+    import importlib
+
+    import repro
+
+    for module in ("repro.engine.session", "repro.engine.maintenance"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    removed = {
+        "BoundedEngine",
+        "EngineAnswer",
+        "MaintainedEngine",
+        "IncrementalViewCache",
+        "MaintainedIndexSet",
+    }
+    assert not removed & set(repro.__all__)
+    assert not removed & set(repro.engine.__all__)
+    assert not hasattr(QueryService, "refresh_data")
 
 
 # --------------------------------------------------------------------------- #
@@ -539,11 +555,12 @@ def test_adaptive_replan_fires_once_and_never_changes_answers():
 )
 @pytest.mark.parametrize("codegen", [False, True])
 def test_shard_variants_are_meter_identical(rs_database, planners, codegen):
-    """shards=None/1/4 answer with bit-identical rows and Dxi accounting,
-    whichever planner chose the join order and whichever tier executed."""
+    """shards=1/2/4 answer with bit-identical rows and Dxi accounting,
+    whichever planner chose the join order and whichever tier executed;
+    shards=1 (one partition, no routing or pruning) is the reference."""
     query = anchored_chain()
     baseline = None
-    for shards in (None, 1, 4):
+    for shards in (1, 2, 4):
         service = QueryService(
             rs_database,
             ACCESS,

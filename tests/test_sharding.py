@@ -3,9 +3,9 @@
 The core guarantee is *bit-identical answers*: partitioning the
 access-constraint indices by key hash must change nothing observable except
 ``shards_touched`` — every probe key owns exactly one partition, so rows and
-``Dξ`` match the unsharded service by construction.  The differential test
-drives ~100 random CQs/UCQs through unsharded and N=1,2,4 sharded services
-and compares everything; the router tests check the static shard-set
+``Dξ`` match the single-partition service (``shards=1``: no routing, no
+pruning) by construction.  The differential test drives ~100 random CQs/UCQs
+through that reference and N=2,4 sharded services and compares everything; the router tests check the static shard-set
 prediction against the partitions execution actually touched.
 """
 
@@ -73,17 +73,18 @@ def _workload(instance) -> list:
 
 
 # --------------------------------------------------------------------------- #
-# Differential: sharded == unsharded, bit for bit
+# Differential: sharded == single partition, bit for bit
 # --------------------------------------------------------------------------- #
 
 
 def test_sharded_services_answer_bit_identically(instance):
     queries = _workload(instance)
-    unsharded = _service(instance, shards=None)
-    sharded = {n: _service(instance, shards=n) for n in (1, 2, 4)}
+    reference = _service(instance, shards=1)
+    sharded = {n: _service(instance, shards=n) for n in (2, 4)}
     fanouts = 0
     for query in queries:
-        expected = unsharded.query(query)
+        expected = reference.query(query)
+        assert expected.shards_touched == ()
         for n, service in sharded.items():
             answer = service.query(query)
             label = f"{getattr(query, 'name', query)} (shards={n})"
@@ -181,8 +182,8 @@ def test_query_many_pool_grows_but_never_shrinks(instance):
     service.close()
 
 
-def test_query_many_on_legacy_service_uses_persistent_pool(instance):
-    service = _service(instance, shards=None)
+def test_query_many_on_single_partition_service_uses_persistent_pool(instance):
+    service = _service(instance, shards=1)
     queries = _workload(instance)[:8]
     expected = [service.query(q).rows for q in queries]
     assert [a.rows for a in service.query_many(queries, max_workers=4)] == expected

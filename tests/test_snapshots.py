@@ -150,14 +150,26 @@ def test_out_of_band_mutation_is_detected_and_healed(instance):
         instance.database.relation("movie").discard(row)
 
 
-def test_explicit_provider_disables_snapshot_serving(instance):
-    service = _service(instance, shards=4)
-    assert service.shard_count == 4
-    service.refresh_data(provider=IndexSet(instance.database, service.access_schema))
-    assert service.shard_count == 0
-    assert service._snapshots is None
-    answer = service.query(gs.query_q0())
-    assert answer.shards_touched == ()
+def test_close_deregisters_the_snapshot_manager(instance):
+    database = instance.database
+    service = _service(instance)
+    q0 = gs.query_q0()
+    manager = service._snapshots
+    assert any(ref() is manager for ref in database._snapshot_managers)
+    service.close()
+    retired = manager.reader()
+    row = ("m_after_close", "late", "Universal", "2014")
+    database.apply([Insertion("movie", row)])
+    try:
+        # The foreign write neither advanced the retired snapshot nor left
+        # the manager registered...
+        assert manager.reader() is retired
+        assert not any(ref() is manager for ref in database._snapshot_managers)
+        # ...and a query after close() still heals through _sync_serving.
+        assert service.query(q0).rows == _service(instance).query(q0).rows
+        assert manager.reader() is not retired
+    finally:
+        database.apply([Deletion("movie", row)])
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ from repro.core.plans import (
     UnionNode,
     ViewScan,
 )
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.engine.sql import (
     cq_to_sql,
     create_index_statements,
@@ -77,8 +77,8 @@ def gs_instance():
 
 
 @pytest.fixture(scope="module")
-def gs_engine(gs_instance):
-    return BoundedEngine(gs_instance.database, gs.access_schema(), gs.views())
+def gs_service(gs_instance):
+    return QueryService(gs_instance.database, gs.access_schema(), gs.views())
 
 
 # --------------------------------------------------------------------------- #
@@ -146,20 +146,20 @@ def test_ucq_to_sql_matches_evaluator(gs_instance):
 # --------------------------------------------------------------------------- #
 
 
-def test_figure1_plan_to_sql_matches_executor(gs_instance, gs_engine):
+def test_figure1_plan_to_sql_matches_executor(gs_instance, gs_service):
     plan = gs.figure1_plan()
     translation = plan_to_sql(plan, gs.schema(), gs.views(), gs.access_schema())
     assert translation.columns == ("mid",)
     assert any("movie" in comment for comment in translation.fetch_comments)
 
     connection = load_sqlite(
-        gs_instance.database, gs.access_schema(), gs.views(), gs_engine.view_cache
+        gs_instance.database, gs.access_schema(), gs.views(), gs_service.view_cache
     )
     sql_rows = run_sql(connection, translation.text)
 
     indexes = IndexSet(gs_instance.database, gs.access_schema())
     executed = execute_plan(
-        plan, gs.schema(), gs.access_schema(), indexes, gs_engine.view_cache
+        plan, gs.schema(), gs.access_schema(), indexes, gs_service.view_cache
     )
     assert sql_rows == set(executed.rows)
     # And both agree with the original query.
@@ -185,7 +185,7 @@ def test_constant_and_select_plan_sql(gs_instance):
     assert sql_rows == set(executed.rows)
 
 
-def test_union_and_difference_plan_sql(gs_instance, gs_engine):
+def test_union_and_difference_plan_sql(gs_instance, gs_service):
     ratings = FetchNode(ConstantScan("m_000001", attribute="mid"), "rating", ("mid",), ("rank",))
     high = ProjectNode(SelectNode(ratings, (AttributeEqualsConstant("rank", 5),)), ("mid",))
     ratings2 = FetchNode(ConstantScan("m_000002", attribute="mid"), "rating", ("mid",), ("rank",))
@@ -199,16 +199,16 @@ def test_union_and_difference_plan_sql(gs_instance, gs_engine):
         assert sql_rows == set(executed.rows)
 
 
-def test_boolean_plan_sql_marker_column(gs_instance, gs_engine):
+def test_boolean_plan_sql_marker_column(gs_instance, gs_service):
     plan = ProjectNode(ViewScan("V1", ("mid",)), ())
     translation = plan_to_sql(plan, gs.schema(), gs.views(), gs.access_schema())
     assert translation.columns == ()
     assert translation.marker_column is not None
     connection = load_sqlite(
-        gs_instance.database, None, gs.views(), gs_engine.view_cache
+        gs_instance.database, None, gs.views(), gs_service.view_cache
     )
     rows = run_sql(connection, translation.text)
-    assert bool(rows) == bool(gs_engine.view_cache["V1"])
+    assert bool(rows) == bool(gs_service.view_cache["V1"])
 
 
 def test_example63_fo_plan_sql(gs_instance):
@@ -228,17 +228,16 @@ def test_example63_fo_plan_sql(gs_instance):
     }
     instance = Database.from_facts(example63.schema(), sanitized)
     views = example63.views()
-    engine = BoundedEngine(instance, example63.access_schema(), views)
+    service = QueryService(instance, example63.access_schema(), views)
     plan = example63.fo_plan()
     translation = plan_to_sql(plan, example63.schema(), views, example63.access_schema())
-    connection = load_sqlite(instance, None, views, engine.view_cache)
+    connection = load_sqlite(instance, None, views, service.view_cache)
     sql_rows = run_sql(connection, translation.text)
-    rows, _stats = engine.execute_plan(plan)
-    assert bool(sql_rows) == bool(rows)
+    assert bool(sql_rows) == bool(service.execute_plan(plan).rows)
 
 
-def test_view_table_name_and_materialisation(gs_engine):
-    statements = materialize_view_statements(gs.views(), gs_engine.view_cache)
+def test_view_table_name_and_materialisation(gs_service):
+    statements = materialize_view_statements(gs.views(), gs_service.view_cache)
     names = {create.split('"')[1] for create, _insert, _rows in statements}
     assert view_table_name("V1") in names
     assert view_table_name("V2") in names

@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.schema import schema_from_spec
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.errors import AccessConstraintError, SchemaError
+from repro.storage.generators import rng, zipf_index
 from repro.storage.indexes import AccessIndex, IndexSet
 from repro.storage.instance import Database, Relation
 from repro.storage.statistics import (
@@ -122,3 +123,26 @@ def test_verify_expected_schema(database):
     access = AccessSchema([AccessConstraint("R", ("a",), ("b",), 5)])
     measured = verify_expected_schema(database, access)
     assert list(measured.values()) == [2]
+
+
+def _zipf_index_reference(generator, n, skew):
+    """The per-sample weight loop ``zipf_index`` replaced, kept as the oracle."""
+    if n <= 1:
+        return 0
+    weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
+    target = generator.random() * sum(weights)
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if cumulative >= target:
+            return index
+    return n - 1
+
+
+@pytest.mark.parametrize("skew", [1.0, 1.1, 1.2])
+@pytest.mark.parametrize("n", [1, 2, 7, 120, 1500])
+def test_zipf_index_is_bit_identical_to_the_weight_loop(n, skew):
+    fast, slow = rng(n), rng(n)
+    assert [zipf_index(fast, n, skew) for _ in range(300)] == [
+        _zipf_index_reference(slow, n, skew) for _ in range(300)
+    ]

@@ -12,7 +12,7 @@ from repro.core.topk import (
     top_k_diversified,
 )
 from repro.core.approximation import normalized_hamming
-from repro.engine.session import BoundedEngine
+from repro.engine.service import QueryService
 from repro.errors import EvaluationError
 from repro.workloads import graph_search as gs
 
@@ -88,14 +88,14 @@ def test_deterministic_tie_breaking():
     assert first.rows == second.rows
 
 
-def test_diversified_answer_through_engine():
+def test_diversified_answer_through_service():
     instance = gs.generate(num_persons=200, num_movies=120, seed=13, planted_answers=4)
-    engine = BoundedEngine(instance.database, gs.access_schema(), gs.views())
-    answer = diversified_answer(engine, gs.query_q0(), k=2)
+    service = QueryService(instance.database, gs.access_schema(), gs.views())
+    answer = diversified_answer(service, gs.query_q0(), k=2)
     assert answer.used_bounded_plan
     assert answer.tuples_scanned == 0
     assert len(answer) <= 2
-    full = engine.answer(gs.query_q0()).rows
+    full = service.query(gs.query_q0()).rows
     assert set(answer.rows) <= set(full)
 
 

@@ -11,8 +11,11 @@ from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.plan_eval import PlanExecutor
 from repro.core.topped import analyze_topped, is_topped, topped_plan
+from repro.engine.service import QueryService
+from repro.errors import QueryError
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
+from repro.storage.updates import Insertion
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -195,3 +198,23 @@ def test_example_53_query_q3_is_topped():
     expected = evaluate_fo(q3, facts, head=(Z,))
     assert rows == expected
     assert (3,) in expected  # z = 3 has an incoming R-edge from 7 but no outgoing one
+
+    # The same query through the serving path: topped queries are written
+    # over R ∪ V, so an FO query may name the view as an atom.
+    service = QueryService(db, access, views)
+    answer = service.query(q3, head=(Z,))
+    assert answer.used_bounded_plan and answer.rows == rows
+    assert service.query(q3, head=(Z,)).cache_hit
+    # The entry depends on the view's base relations: writes to R or T evict it.
+    for update in (Insertion("R", (5, 4)), Insertion("T", (2, 5))):
+        service.apply([update])
+        fresh = service.query(q3, head=(Z,))
+        assert not fresh.cache_hit
+        facts = dict(db.facts)
+        facts.update(service.view_cache)
+        assert fresh.rows == evaluate_fo(q3, facts, head=(Z,))
+    assert (4,) in fresh.rows
+    # Without a bounded plan there is nothing to answer from: the full-scan
+    # baseline cannot read views.
+    with pytest.raises(QueryError, match="cannot read views"):
+        service.query(conj(atom("V3", X, Y), atom("R", Z, W)), head=(X, Y, Z, W))

@@ -112,22 +112,19 @@ def test_sqlite_delta_replay_handles_none_values():
     assert service.baseline("Q(a, b) :- R(a, b)", backend="sqlite").rows == {(2, 3)}
 
 
-def test_incremental_view_cache_shim_tolerates_no_op_updates():
-    """The caller-driven shim cannot know an update was a no-op; its DRed
-    (set-semantics) maintenance must stay exact regardless."""
-    from repro.engine.maintenance import IncrementalViewCache
-
+def test_view_maintenance_tolerates_no_op_updates():
+    """Database.apply nets no-op updates out of the stream, so counting
+    maintenance never counts a derivation that did not appear."""
     schema = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
     database = Database(schema, {"R": {(1, 2)}, "S": {(2, 3)}})
     views = ViewSet((View("V", parse_cq("V(x, z) :- R(x, y), S(y, z)")),))
-    cache = IncrementalViewCache(views, database)
+    cache = ViewMaintainer(views, database)
     assert cache.rows("V") == {(1, 3)}
-    # No-op: the row is already present; a careless caller reports it anyway.
-    cache.apply(Insertion("R", (1, 2)))
+    # No-op: the row is already present.
+    cache.apply_stream(database.apply([Insertion("R", (1, 2))]))
     assert cache.verify()
     # The later real deletion must actually remove the view row.
-    database.relation("R").discard((1, 2))
-    cache.apply(Deletion("R", (1, 2)))
+    cache.apply_stream(database.apply([Deletion("R", (1, 2))]))
     assert cache.rows("V") == frozenset()
     assert cache.verify()
 
@@ -287,26 +284,6 @@ def test_view_scanning_plans_are_evicted_when_view_base_relations_change(gs_serv
     service.apply(UpdateBatch([Insertion("person", person)]))
     assert not service.query(gs.query_q0()).cache_hit
     service.apply(UpdateBatch([Deletion("person", person)]))
-
-
-def test_provider_only_refresh_keeps_plan_cache_and_prepared_plans(gs_service):
-    _instance, service = gs_service
-    prepared = service.prepare("Q(mid) :- movie(mid, t, :studio, '2014'), rating(mid, 5)")
-    movie_query = "Q(mid) :- movie(mid, t, 'Universal', '2014'), rating(mid, 5)"
-    service.query(movie_query)
-    before = len(service.plan_cache)
-    assert before > 0
-
-    # Swapping only the execution provider (same database, same views) keeps
-    # every cached outcome and the prepared query's bound plan.
-    service.refresh_data(provider=service.indexes)
-    assert len(service.plan_cache) == before
-    assert service.query(movie_query).cache_hit
-    assert prepared.execute(studio="Universal").used_bounded_plan
-
-    # Wholesale view-row swaps have unknown scope: conservative full clear.
-    service.refresh_data(view_cache=service.view_cache)
-    assert len(service.plan_cache) == 0
 
 
 # --------------------------------------------------------------------------- #

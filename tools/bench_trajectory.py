@@ -242,7 +242,7 @@ def measure_concurrency() -> dict:
 
     # Deterministic phase: the sharded service must agree with the baseline
     # bit for bit, and Q0 must route to exactly one of the four partitions.
-    baseline = _service(instance, shards=None, codegen=True, codegen_warmup=0)
+    baseline = _service(instance, shards=1, codegen=True, codegen_warmup=0)
     sharded = QueryService(
         instance.database.copy(),
         gs.access_schema(n0=instance.n0),

@@ -64,11 +64,6 @@ inspection (no imports of the checked code, so it runs on any tree):
     procedures and planners run on the minimal element queries
     (``iter_minimal_element_queries``), which decide the same questions.
 
-``kernel.deprecated-import``
-    No module outside a small allowlist may import the deprecated
-    ``BoundedEngine``/``MaintainedEngine`` shims (or their modules); new
-    code goes through ``QueryService``.
-
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -117,21 +112,6 @@ DECISION_PROCEDURE_FILES = frozenset(
     }
 )
 ENGINE_DIR = Path("src/repro/engine")
-
-DEPRECATED_NAMES = frozenset({"BoundedEngine", "MaintainedEngine"})
-DEPRECATED_MODULES = frozenset(
-    {"repro.engine.session", "repro.engine.maintenance"}
-)
-# The shims themselves, the packages re-exporting them for compatibility,
-# and nothing else.
-DEPRECATED_IMPORT_ALLOWLIST = frozenset(
-    {
-        Path("src/repro/__init__.py"),
-        Path("src/repro/engine/__init__.py"),
-        Path("src/repro/engine/session.py"),
-        Path("src/repro/engine/maintenance.py"),
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -383,43 +363,6 @@ def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> st
     return ".".join([*base, module] if module else base)
 
 
-def check_deprecated_imports(path: Path, tree: ast.Module) -> list[Violation]:
-    """No new imports of the deprecated engine shims."""
-    violations: list[Violation] = []
-    # Package the file belongs to, as dotted parts relative to src/.
-    parts = path.parts
-    package_parts: tuple[str, ...] = ()
-    if "src" in parts:
-        start = parts.index("src") + 1
-        package_parts = tuple(parts[start:-1])
-
-    def report(line: int, what: str) -> None:
-        violations.append(
-            Violation(
-                path,
-                line,
-                "kernel.deprecated-import",
-                f"import of deprecated {what}; new code should use "
-                "repro.QueryService directly",
-            )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = _imported_module(node, package_parts)
-            if module in DEPRECATED_MODULES:
-                report(node.lineno, f"module {module!r}")
-                continue
-            for alias in node.names:
-                if alias.name in DEPRECATED_NAMES:
-                    report(node.lineno, f"shim {alias.name!r}")
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in DEPRECATED_MODULES:
-                    report(node.lineno, f"module {alias.name!r}")
-    return violations
-
-
 def lint_file(path: Path, root: Path) -> list[Violation]:
     """All violations in one file (paths are reported relative to ``root``)."""
     relative = path.relative_to(root)
@@ -440,8 +383,6 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
         violations += check_histogram_imports(relative, tree)
-    if relative not in DEPRECATED_IMPORT_ALLOWLIST:
-        violations += check_deprecated_imports(relative, tree)
     return violations
 
 
