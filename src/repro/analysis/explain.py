@@ -37,6 +37,9 @@ class Explanation:
     planner: str = ""
     reason: str = ""
     cache_hit: bool = False
+    # Whether the service's resolve stage served this input from its memo
+    # (parsed, validated and canonicalised on an earlier call).
+    resolve_memo_hit: bool = False
     fetch_bound: int | None = None
     certificates: tuple[FetchCertificate, ...] = ()
     counterexample: BoundednessCounterexample | None = None
@@ -78,6 +81,7 @@ class Explanation:
 
     def render(self) -> str:
         lines = [f"explain {self.query_name}:"]
+        lines.append(f"  resolve: memo {'hit' if self.resolve_memo_hit else 'miss'}")
         if self.plan is None:
             lines.append("  no bounded plan under the access schema")
             if self.reason:

@@ -4,6 +4,9 @@
 :mod:`.service` for the full story.  The submodules are independently
 reusable:
 
+* :mod:`.resolve` — the memoised resolve stage in front of everything else:
+  parse, schema validation, canonical key and parameter names, once per
+  distinct input;
 * :mod:`.planners` — planner strategies and the registry behind the
   configurable fallback chain;
 * :mod:`.cache` — canonical query keys and the LRU plan cache;

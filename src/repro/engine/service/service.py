@@ -1,9 +1,11 @@
 """The unified serving surface: :class:`QueryService`.
 
 One object, one entry point.  ``QueryService.query`` accepts a CQ, a UCQ, an
-FO query or a Datalog-style source string, plans it through a configurable
-planner chain (see :mod:`.planners`), caches the planning outcome in an LRU
-plan cache keyed by the query's canonical form (see :mod:`.cache`), executes
+FO query or a Datalog-style source string, resolves it once per distinct
+input (parse, validation against the schema, canonical form — memoised, see
+:mod:`.resolve`), plans it through a configurable planner chain (see
+:mod:`.planners`), caches the planning outcome in an LRU plan cache keyed by
+the query's canonical form (see :mod:`.cache`), executes
 the plan on a selectable backend (see :mod:`.backends`) and falls back to the
 full-scan baseline when no bounded plan exists — always reporting which path
 was taken and how much data it touched.
@@ -31,8 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ...algebra.cq import ConjunctiveQuery
 from ...algebra.fo import FOQuery
-from ...algebra.parser import parse_query
-from ...algebra.terms import Constant, Param, Variable, is_parameter
+from ...algebra.terms import Constant, Param, Variable
 from ...algebra.fo import is_positive_existential, to_ucq
 from ...algebra.ucq import UnionQuery
 from ...algebra.views import View, ViewSet
@@ -73,7 +74,7 @@ from ...storage.statistics import statistics_fingerprint
 from ...storage.updates import Update, UpdateBatch
 from ..optimizer import estimate_plan_fetches
 from .backends import ExecutionBackend, InMemoryBackend, SQLiteBackend, make_backend
-from .cache import CachedPlan, LRUPlanCache, canonical_query_key
+from .cache import CachedPlan, LRUPlanCache
 from .plan_store import PlanStore, StoredEntry
 from .maintenance import (
     MaintenanceExplanation,
@@ -89,10 +90,9 @@ from .planners import (
     planner_signature,
     resolve_planners,
 )
+from .resolve import QueryInput, ResolvedQuery, ResolveStage
 from .sharding import ShardExecutor, ShardRouter
 from .stats import ServiceStats
-
-QueryInput = str | ConjunctiveQuery | UnionQuery | FOQuery
 
 
 @dataclass
@@ -137,11 +137,6 @@ class Answer:
     def data_accessed(self) -> int:
         """Tuples read from the underlying database (fetched or scanned)."""
         return self.tuples_fetched + self.tuples_scanned
-
-
-def _query_parameter_names(query: Query) -> frozenset[str]:
-    """Names of the :class:`Param` placeholders appearing in a query."""
-    return frozenset(c.value.name for c in query.constants if is_parameter(c))
 
 
 def _validate_bindings(
@@ -242,6 +237,16 @@ class QueryService:
     every committed transaction incrementally maintains the views (compiled
     delta plans), evicts exactly the dependent plan-cache entries and feeds
     the same delta to the backends.
+
+    Every entry point (:meth:`query`, :meth:`prepare`, :meth:`explain`,
+    :meth:`lint`, :meth:`baseline`, :meth:`plan`, :meth:`query_many`) takes
+    its input through one memoised resolve stage first
+    (:class:`~repro.engine.service.resolve.ResolveStage`): a repeated source
+    string or held query object is parsed, validated and canonicalised once,
+    and an input that does not fit the schema raises a typed error
+    (:class:`~repro.errors.SchemaError` for a wrong arity,
+    :class:`~repro.errors.QueryError` for an unknown relation or an unsafe
+    head) instead of silently answering empty.
 
     Parameters
     ----------
@@ -350,7 +355,6 @@ class QueryService:
         # Database.apply; the live indices are the write path's
         # admissibility surface.
         self._indexes = IndexSet(database, access_schema)
-        self._known_relations = frozenset(r.name for r in database.schema)
         self.retain_plans_on_write = retain_plans_on_write
         layout = ShardingLayout.derive(database.schema, access_schema, shards)
         self._snapshots: SnapshotManager = database.enable_snapshots(
@@ -369,10 +373,10 @@ class QueryService:
         )
         self._view_cache = self.maintainer.snapshot()
         self.planners = resolve_planners(planners)
-        # Warm-hit fast paths (see plan()/_execute): id-keyed query
-        # fingerprints and the default planner chain's signature, computed
-        # once instead of per call.
-        self._fingerprints: dict[int, tuple[Query, tuple, frozenset[str]]] = {}
+        # Warm-hit fast paths: the resolve stage memoises everything that
+        # depends only on the input (see .resolve), and the default planner
+        # chain's signature is computed once instead of per call.
+        self._resolver = ResolveStage(database.schema, self.views)
         self._chain_signature: tuple[object, tuple] | None = None
         self.plan_cache = LRUPlanCache(plan_cache_size)
         self.stats = ServiceStats()
@@ -584,16 +588,26 @@ class QueryService:
     # Planning
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _resolve(query: QueryInput) -> Query:
-        if isinstance(query, str):
-            return parse_query(query)
-        if not isinstance(query, (ConjunctiveQuery, UnionQuery, FOQuery)):
-            raise QueryError(
-                f"cannot answer a query of type {type(query).__name__}; expected "
-                "a CQ, UCQ, FO query or a source string"
+    def _resolve(self, query: QueryInput) -> tuple[ResolvedQuery, bool]:
+        """The resolve stage: the input's record, and whether the memo served
+        it (counted in :attr:`stats` either way)."""
+        record, memo_hit = self._resolver.resolve(query)
+        self.stats.record_resolve(memo_hit)
+        return record, memo_hit
+
+    def _resolve_bound(
+        self, query: QueryInput, params: Mapping[str, object] | None
+    ) -> ResolvedQuery:
+        """Resolve an input about to execute: ``params`` must bind exactly
+        its declared parameters."""
+        record, _ = self._resolve(query)
+        if record.parameters or params:
+            _validate_bindings(
+                record.parameters,
+                params or {},
+                "query (pass params= or use prepare() for repeated execution)",
             )
-        return query
+        return record
 
     def plan(
         self,
@@ -605,37 +619,19 @@ class QueryService:
         use_cache: bool = True,
     ) -> tuple[CachedPlan, bool]:
         """Plan a query through the chain; returns (outcome, was_cache_hit)."""
-        resolved = self._resolve(query)
-        memo = self._fingerprints.get(id(resolved))
-        if memo is not None and memo[0] is resolved:
-            # Same query object as a previous call: its canonical form is
-            # known and it already passed the unknown-relation check —
-            # repeated execution of a held query skips both.
-            canonical = memo[1]
-        else:
-            unknown = sorted(resolved.relation_names - self._known_relations)
-            if isinstance(resolved, FOQuery):
-                # Topped queries are written over R ∪ V (Section 5).
-                unknown = [name for name in unknown if name not in self.views]
-            if unknown:
-                hint = ""
-                if any(name in self.views for name in unknown):
-                    hint = (
-                        "; views are scanned by plans automatically and cannot be "
-                        "queried as atoms in a CQ/UCQ — write the query over the "
-                        "base relations"
-                    )
-                raise QueryError(
-                    f"query references unknown relations {unknown}{hint}"
-                )
-            canonical = canonical_query_key(resolved)
-            if len(self._fingerprints) >= 1024:
-                self._fingerprints.clear()
-            self._fingerprints[id(resolved)] = (
-                resolved,
-                canonical,
-                _query_parameter_names(resolved),
-            )
+        record, _ = self._resolve(query)
+        return self._plan(record, head, max_size, planners, use_cache)
+
+    def _plan(
+        self,
+        record: ResolvedQuery,
+        head: Sequence[Variable] | None,
+        max_size: int | None,
+        planners: Sequence[str | Planner] | None,
+        use_cache: bool = True,
+    ) -> tuple[CachedPlan, bool]:
+        """The cache → plan/verify stages for one resolved input."""
+        resolved = record.query
         if planners is None:
             chain = self.planners
             chain_signature = self._default_chain_signature()
@@ -643,7 +639,7 @@ class QueryService:
             chain = resolve_planners(planners)
             chain_signature = tuple(planner_signature(p) for p in chain)
         key = (
-            canonical,
+            record.canonical,
             chain_signature,
             tuple(v.name for v in head) if head is not None else None,
             max_size,
@@ -660,7 +656,9 @@ class QueryService:
                     self.stats.record_plan_store_hit()
                 return cached, True
         entry = self._run_chain(resolved, head, max_size, chain, corrections=None)
-        if entry.plan is None and not resolved.relation_names <= self._known_relations:
+        if entry.plan is None and any(
+            name in self.views for name in resolved.relation_names
+        ):
             raise QueryError(
                 f"no bounded plan for {self._query_name(resolved)!r}, which reads "
                 "views, and the full-scan baseline cannot read views: "
@@ -1060,10 +1058,9 @@ class QueryService:
         derivable — an uncovered-variable counterexample when not.  Query
         lints ride along either way.  Nothing here touches the data.
         """
-        resolved = self._resolve(query)
-        entry, cache_hit = self.plan(
-            resolved, head=head, max_size=max_size, planners=planners
-        )
+        record, memo_hit = self._resolve(query)
+        resolved = record.query
+        entry, cache_hit = self._plan(record, head, max_size, planners)
         lints = tuple(lint_query(resolved))
         name = self._query_name(resolved)
         if entry.plan is None:
@@ -1072,6 +1069,7 @@ class QueryService:
                 plan=None,
                 reason=entry.reason,
                 cache_hit=cache_hit,
+                resolve_memo_hit=memo_hit,
                 counterexample=self._counterexample(resolved),
                 lints=lints,
             )
@@ -1110,6 +1108,7 @@ class QueryService:
             planner=entry.planner or "",
             reason=entry.reason,
             cache_hit=cache_hit,
+            resolve_memo_hit=memo_hit,
             fetch_bound=conformance.fetch_bound,
             certificates=tuple(certificates),
             lints=lints,
@@ -1161,7 +1160,8 @@ class QueryService:
 
     def lint(self, query: QueryInput) -> list[Diagnostic]:
         """Advisory lints for a query (see :func:`repro.analysis.lint_query`)."""
-        return lint_query(self._resolve(query))
+        record, _ = self._resolve(query)
+        return lint_query(record.query)
 
     def explain_maintenance(self, view_name: str) -> MaintenanceExplanation:
         """How one maintained view is kept fresh: strategy, execution tier
@@ -1195,23 +1195,10 @@ class QueryService:
         instead.
         """
         started = time.perf_counter()
-        resolved = self._resolve(query)
-        memo = self._fingerprints.get(id(resolved))
-        if memo is not None and memo[0] is resolved:
-            declared = memo[2]
-        else:
-            declared = _query_parameter_names(resolved)
-        if declared or params:
-            _validate_bindings(
-                declared,
-                params or {},
-                "query (pass params= or use prepare() for repeated execution)",
-            )
-        entry, hit = self.plan(
-            resolved, head=head, max_size=max_size, planners=planners, use_cache=use_cache
-        )
+        record = self._resolve_bound(query, params)
+        entry, hit = self._plan(record, head, max_size, planners, use_cache)
         return self._execute(
-            resolved,
+            record.query,
             tuple(head) if head is not None else None,
             entry,
             cache_hit=hit,
@@ -1230,17 +1217,15 @@ class QueryService:
         planners: Sequence[str | Planner] | None = None,
     ) -> PreparedQuery:
         """Plan a (possibly parameterised) query once for repeated execution."""
-        resolved = self._resolve(query)
-        entry, hit = self.plan(
-            resolved, head=head, max_size=max_size, planners=planners
-        )
+        record, _ = self._resolve(query)
+        entry, hit = self._plan(record, head, max_size, planners)
         return PreparedQuery(
             service=self,
-            query=resolved,
+            query=record.query,
             head=tuple(head) if head is not None else None,
             entry=entry,
             backend=backend,
-            parameters=_query_parameter_names(resolved),
+            parameters=record.parameters,
             planned_from_cache=hit,
         )
 
@@ -1297,21 +1282,14 @@ class QueryService:
         affinities: list[int | None] = []
         for item in items:
             started = time.perf_counter()
-            resolved = self._resolve(item)
-            declared = _query_parameter_names(resolved)
-            if declared:
-                _validate_bindings(
-                    declared,
-                    {},
-                    "query (pass params= or use prepare() for repeated execution)",
-                )
-            entry, hit = self.plan(resolved, planners=planners, use_cache=use_cache)
+            record = self._resolve_bound(item, None)
+            entry, hit = self._plan(record, None, None, planners, use_cache)
             affinities.append(
                 router.affinity(entry.plan) if entry.plan is not None else None
             )
 
             def task(
-                resolved: Query = resolved,
+                resolved: Query = record.query,
                 entry: CachedPlan = entry,
                 hit: bool = hit,
                 started: float = started,
@@ -1411,12 +1389,13 @@ class QueryService:
         Returns the backend's :class:`~repro.engine.baseline.BaselineResult`
         — the comparison point for the paper's scale-independence claims.
         """
-        resolved = self._resolve(query)
+        record, _ = self._resolve(query)
+        resolved = record.query
         if isinstance(resolved, FOQuery):
             raise QueryError(
                 "baseline() answers CQ/UCQ; for FO queries use query(..., planners=())"
             )
-        unbound = sorted(_query_parameter_names(resolved))
+        unbound = sorted(record.parameters)
         if unbound:
             raise QueryError(
                 f"baseline query has unbound parameters {unbound}; bind them "

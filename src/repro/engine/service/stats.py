@@ -37,6 +37,8 @@ class StatsSnapshot:
     shards_pruned: int
     replans: int
     plan_store_hits: int
+    resolve_hits: int
+    resolve_misses: int
     cache_hit_rate: float
     bounded_rate: float
     latency_p50: float
@@ -46,6 +48,7 @@ class StatsSnapshot:
     def __str__(self) -> str:
         return (
             f"queries={self.queries} cache_hit_rate={self.cache_hit_rate:.2f} "
+            f"resolve_hits={self.resolve_hits} resolve_misses={self.resolve_misses} "
             f"bounded_rate={self.bounded_rate:.2f} fetched={self.tuples_fetched} "
             f"scanned={self.tuples_scanned} p50={self.latency_p50 * 1e3:.2f}ms "
             f"p95={self.latency_p95 * 1e3:.2f}ms"
@@ -87,6 +90,10 @@ class ServiceStats:
         # persistent plan store (counted on their first post-restore hit).
         self.replans = 0
         self.plan_store_hits = 0
+        # The resolve stage: inputs served from its memo (no parse, no
+        # validation, no canonicalisation) versus resolved from scratch.
+        self.resolve_hits = 0
+        self.resolve_misses = 0
         self._recent: deque[float] = deque(maxlen=max_latencies)
 
     # ------------------------------------------------------------------ #
@@ -145,6 +152,14 @@ class ServiceStats:
         with self._lock:
             self.replans += 1
 
+    def record_resolve(self, memo_hit: bool) -> None:
+        """Count one pass through the resolve stage."""
+        with self._lock:
+            if memo_hit:
+                self.resolve_hits += 1
+            else:
+                self.resolve_misses += 1
+
     def record_plan_store_hit(self) -> None:
         """Count one plan served from the persistent store after a restart."""
         with self._lock:
@@ -190,6 +205,8 @@ class ServiceStats:
                 shards_pruned=self.shards_pruned,
                 replans=self.replans,
                 plan_store_hits=self.plan_store_hits,
+                resolve_hits=self.resolve_hits,
+                resolve_misses=self.resolve_misses,
                 cache_hit_rate=self.cache_hits / total_cache if total_cache else 0.0,
                 bounded_rate=self.bounded_answers / queries if queries else 0.0,
                 latency_p50=self._percentile(latencies, 0.50),
@@ -227,4 +244,6 @@ class ServiceStats:
             self.shards_pruned = 0
             self.replans = 0
             self.plan_store_hits = 0
+            self.resolve_hits = 0
+            self.resolve_misses = 0
             self._recent = deque(maxlen=self._max_latencies)

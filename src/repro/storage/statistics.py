@@ -20,7 +20,6 @@ Two kinds of statistics live here:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -135,6 +134,10 @@ def statistics_fingerprint(statistics: Mapping[str, RelationStatistics]) -> str:
     statistics participate — histogram bucketing is an implementation detail
     that may legitimately differ between two loads of the same data.
     """
+    # Imported here, not at module level: hashlib maps OpenSSL (~3.5 MB of
+    # resident memory), and only services with a plan store ever get here.
+    import hashlib
+
     digest = hashlib.sha1()
     for name in sorted(statistics):
         stats = statistics[name]

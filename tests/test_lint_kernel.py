@@ -338,3 +338,63 @@ def test_minimal_element_queries_and_the_definition_itself_are_allowed(tmp_path)
         "from .element_queries import element_queries, iter_element_queries\n",
     )
     assert lint_kernel.lint_tree(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "relative, source",
+    [
+        (
+            "src/repro/engine/service/service.py",
+            "from ...algebra.parser import parse_query\n"
+            "def lint(self, text):\n    return parse_query(text)\n",
+        ),
+        (
+            "src/repro/engine/service/service.py",
+            "from .cache import canonical_query_key\n"
+            "def plan(self, q):\n    return canonical_query_key(q)\n",
+        ),
+        (
+            "src/repro/engine/service/backends.py",
+            "from . import cache\n"
+            "def key(q):\n    return cache.canonical_query_key(q)\n",
+        ),
+    ],
+)
+def test_parsing_behind_the_resolve_memo_is_flagged(tmp_path, relative, source):
+    _write(tmp_path, relative, source)
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [v.code for v in violations] == ["kernel.service-resolve"]
+    assert "ResolveStage.resolve" in violations[0].message
+
+
+def test_resolve_stage_definition_and_reexport_are_allowed(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/engine/service/resolve.py",
+        """
+        from ...algebra.parser import parse_query
+        from .cache import canonical_query_key
+
+        def resolve(text):
+            query = parse_query(text)
+            return query, canonical_query_key(query)
+        """,
+    )
+    _write(
+        tmp_path,
+        "src/repro/engine/service/cache.py",
+        "def canonical_query_key(query):\n    return ('CQ', str(query))\n",
+    )
+    _write(
+        tmp_path,
+        "src/repro/engine/service/__init__.py",
+        "from .cache import canonical_query_key\n",
+    )
+    # Outside the service package the two functions stay public and callable.
+    _write(
+        tmp_path,
+        "src/repro/engine/optimizer.py",
+        "from ..algebra.parser import parse_query\n"
+        "def demo():\n    return parse_query('Q(x) :- R(x)')\n",
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []

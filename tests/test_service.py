@@ -101,11 +101,14 @@ def test_query_rejects_unknown_relations_loudly(rs_database):
 
     view = View("V1", _parse("V1(b) :- R(1, b)"))
     service = QueryService(rs_database, ACCESS, (view,))
-    with pytest.raises(QueryError, match="unknown relations"):
-        service.query("Q(x) :- T(x, y)")
-    # A view used as a query atom is a silent-empty trap: reject with a hint.
-    with pytest.raises(QueryError, match="cannot be queried as atoms"):
-        service.query("Q(b) :- V1(b), S(b, c)")
+    # Every entry point resolves its input the same way (baseline() and
+    # lint() used to skip the check and answer empty).
+    for call in (service.query, service.explain, service.baseline, service.lint):
+        with pytest.raises(QueryError, match="unknown relations"):
+            call("Q(x) :- T(x, y)")
+        # A view used as a query atom is a silent-empty trap: reject with a hint.
+        with pytest.raises(QueryError, match="cannot be queried as atoms"):
+            call("Q(b) :- V1(b), S(b, c)")
 
 
 def test_fallback_to_baseline_keeps_reason(service):

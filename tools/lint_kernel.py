@@ -64,6 +64,15 @@ inspection (no imports of the checked code, so it runs on any tree):
     procedures and planners run on the minimal element queries
     (``iter_minimal_element_queries``), which decide the same questions.
 
+``kernel.service-resolve``
+    Inside ``src/repro/engine/service/``, ``parse_query`` and
+    ``canonical_query_key`` may be *called* only by the resolve stage
+    (``resolve.py``), which memoises their results per distinct input;
+    ``cache.py`` defines ``canonical_query_key`` and the package re-exports
+    it.  An entry point that parses or canonicalises on its own re-does, on
+    every warm call, the work the memo exists to skip — and can disagree with
+    the checks the resolve stage applies once.
+
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -112,6 +121,11 @@ DECISION_PROCEDURE_FILES = frozenset(
     }
 )
 ENGINE_DIR = Path("src/repro/engine")
+
+#: Per-input work owned by the service's resolve stage, and that stage's file.
+SERVICE_DIR = Path("src/repro/engine/service")
+RESOLVE_STAGE_FILE = SERVICE_DIR / "resolve.py"
+RESOLVE_STAGE_CALLS = frozenset({"parse_query", "canonical_query_key"})
 
 
 @dataclass(frozen=True)
@@ -354,6 +368,28 @@ def check_exhaustive_sweep(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_service_resolve(path: Path, tree: ast.Module) -> list[Violation]:
+    """Only the resolve stage parses and canonicalises inside the service."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        # A bare name (ast.Name.id) or a qualified one (ast.Attribute.attr).
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in RESOLVE_STAGE_CALLS:
+            violations.append(
+                Violation(
+                    path,
+                    node.lineno,
+                    "kernel.service-resolve",
+                    f"call of {name!r} outside the resolve stage; take the "
+                    "memoised ResolvedQuery from 'ResolveStage.resolve' "
+                    "instead of re-parsing or re-canonicalising the input",
+                )
+            )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -380,6 +416,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_plan_store_imports(relative, tree)
     if relative in DECISION_PROCEDURE_FILES or ENGINE_DIR in relative.parents:
         violations += check_exhaustive_sweep(relative, tree)
+    if SERVICE_DIR in relative.parents and relative != RESOLVE_STAGE_FILE:
+        violations += check_service_resolve(relative, tree)
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
         violations += check_histogram_imports(relative, tree)
