@@ -4,28 +4,25 @@ A mixed read/write workload drives ``query_many`` rounds (24 queries across a
 4-worker pool) interleaved with insert/delete batches, in three serving
 configurations:
 
-* **sharded, shard-pruned** — ``shards=4`` with
-  ``retain_plans_on_write=True``: every query is single-shard routable, reads
-  run against pinned MVCC snapshots, the writer thread applies batches
-  *concurrently* with the readers, and cached plans survive the writes;
+* **sharded, shard-pruned** — ``shards=4``: every query is single-shard
+  routable, reads run against pinned MVCC snapshots and the writer thread
+  applies batches *concurrently* with the readers;
 * **sharded, full fan-out** — the same service answering union queries whose
   disjunct keys hash to every partition, so execution must fan out and merge
   per-shard ``IOMeter`` readings;
 * **single-partition baseline** — ``shards=1`` (no routing, no pruning) used
-  the way a single-database service is: writes serialised with the reads,
-  and the default dependency eviction replanning every distinct query after
-  every batch.
+  the way a single-database service is: writes serialised with the reads.
 
-The speedup of the shard-pruned configuration over the baseline is the
-acceptance criterion for the concurrent-serving work (≥ 2x); rows and ``Dξ``
-must be bit-identical between the sharded and single-partition services on the
-settled states.  ``BENCH_SMOKE=1`` records the speedup without gating on it
-(CI runners are noisy); the identity assertions always run.
+Cached plans survive the writes in all three (a write never touches the plan
+cache), so the ratio of the shard-pruned configuration to the baseline is
+recorded, not gated: the ≥ 2x it used to assert was the baseline re-planning
+every query after every batch, which no service does any more.  Rows and
+``Dξ`` must be bit-identical between the sharded and single-partition
+services on the settled states.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
@@ -61,12 +58,7 @@ def _service(instance, **kwargs) -> QueryService:
 
 
 def _pruned_mix(database) -> list:
-    """Twelve distinct single-shard-routable queries (q0 + keyed lookups).
-
-    Distinct queries make the eviction cost visible: after every write the
-    baseline service replans all twelve, while the retaining sharded service
-    replans none.
-    """
+    """Twelve distinct single-shard-routable queries (q0 + keyed lookups)."""
     pairs = sorted({(row[2], row[3]) for row in database.relation("movie")})
     queries: list = [gs.query_q0()]
     for index, (studio, release) in enumerate(pairs[:11]):
@@ -153,7 +145,7 @@ def test_sharded_answers_are_bit_identical_to_unsharded(instance):
 
 
 def test_concurrent_mix_sharded_pruned(benchmark, instance):
-    service = _service(instance, shards=SHARDS, retain_plans_on_write=True)
+    service = _service(instance, shards=SHARDS)
     mix = _pruned_mix(instance.database)
     batch, inverse = _write_batch()
     expected = [service.query(q) for q in mix]  # also warms the plan cache
@@ -198,7 +190,7 @@ def test_concurrent_mix_sharded_pruned(benchmark, instance):
 
 
 def test_concurrent_mix_sharded_fanout(benchmark, instance):
-    service = _service(instance, shards=SHARDS, retain_plans_on_write=True)
+    service = _service(instance, shards=SHARDS)
     mix = _fanout_mix(instance.database)
     batch, inverse = _write_batch()
     [service.query(q) for q in mix]
@@ -240,9 +232,7 @@ def test_concurrent_mix_unsharded_baseline(benchmark, instance):
     [service.query(q) for q in mix]
 
     def run():
-        # The single-database usage: writes serialised with the query
-        # bursts; each batch also evicts every cached plan that depends on
-        # the touched relations.
+        # The single-database usage: writes serialised with the query bursts.
         service.apply(batch)
         service.query_many(mix, max_workers=WORKERS)
         service.apply(inverse)
@@ -255,14 +245,5 @@ def test_concurrent_mix_unsharded_baseline(benchmark, instance):
     benchmark.extra_info["queries_per_sec"] = round(QUERIES_PER_ROUND / mean)
     sharded = _TIMINGS.get("sharded_pruned")
     if sharded:
-        speedup = mean / sharded
-        benchmark.extra_info["sharded_speedup"] = round(speedup, 1)
-        # The acceptance bar for the concurrent-serving work (locally ~2-4x:
-        # retained plans and snapshot pinning eliminate the replan storm).
-        # CI smoke runs (BENCH_SMOKE=1) record the speedup without gating.
-        if os.environ.get("BENCH_SMOKE") != "1":
-            assert speedup >= 2.0, (
-                f"sharded concurrent serving only {speedup:.1f}x faster than "
-                "the single-database baseline (acceptance bar 2.0x)"
-            )
+        benchmark.extra_info["sharded_speedup"] = round(mean / sharded, 1)
     service.close()

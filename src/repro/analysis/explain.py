@@ -64,8 +64,8 @@ class Explanation:
     # Dξ or None)`` per fetch operator; ``join_orders`` rows are
     # ``(description, model cost, chosen)`` — the chosen order first, then
     # the best rejected completions.  ``replans`` counts how often adaptive
-    # re-planning replaced this entry; ``replan_reason`` is the latest
-    # trigger.
+    # re-planning replaced this entry since the last write it saw;
+    # ``replan_reason`` is the latest trigger.
     estimated_fetches: float | None = None
     actual_fetches: int | None = None
     operator_estimates: tuple[tuple[str, float, int | None], ...] = ()

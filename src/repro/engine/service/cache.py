@@ -73,19 +73,20 @@ class CachedPlan:
 
     ``parameters`` is the plan's set of named placeholders, computed once at
     planning time so the serving hot path does not re-walk the plan tree on
-    every (cache-hit) execution.  ``dependencies`` names the relations and
-    views the outcome depends on — the relations the query mentions, the
-    relations the plan fetches, and the views it scans together with their
-    base relations.  A write transaction evicts exactly the entries whose
-    dependencies it touches (:meth:`LRUPlanCache.invalidate`); an entry with
-    an empty dependency set predates dependency tracking and is treated as
-    depending on everything.
+    every (cache-hit) execution.
+
+    An outcome is a function of the query, the access schema and the views,
+    never of the data, and its compiled closure late-binds snapshot and view
+    cache per execution — so a write leaves the entry alone.  It goes by LRU
+    eviction, by :meth:`LRUPlanCache.clear` (planning budget changed) or by
+    adaptive re-planning (:meth:`LRUPlanCache.replace`), nothing else.
     """
 
     plan: PlanNode | None
     planner: str | None
     reason: str = ""
     parameters: frozenset[str] = frozenset()
+    # Unused by src/; bench/staged.py still passes it — goes with ROADMAP item 1.
     dependencies: frozenset[str] = frozenset()
     # Codegen tier state (second artifact per entry).  ``executions`` counts
     # how often this entry's plan ran — the warmup counter deciding when the
@@ -104,6 +105,11 @@ class CachedPlan:
     # actuals; a warm execution whose actual Dxi misses the estimate by more
     # than the service's replan factor triggers adaptive re-planning, which
     # swaps in a replacement entry carrying ``replans``/``replan_reason``.
+    # ``replans`` counts the re-plans since the last write the entry saw —
+    # the oscillation guard's spent budget — and ``replan_version`` is the
+    # snapshot version of the latest one: a miss at a later version is new
+    # evidence and starts the count again, a miss at the same version is
+    # oscillation.
     # ``order_report`` is the cost-based planner's chosen-vs-rejected join
     # orders; ``cache_key`` lets the service atomically replace this entry
     # in place; ``restored`` marks entries loaded from the persistent plan
@@ -113,6 +119,7 @@ class CachedPlan:
     actual_fetches: int | None = None
     actual_per_relation: dict | None = None
     replans: int = 0
+    replan_version: int = 0
     replan_reason: str = ""
     order_report: object | None = None
     cache_key: tuple | None = None
@@ -125,10 +132,10 @@ class CachedPlan:
     def invalidate_compiled(self) -> None:
         """Drop the compiled artifact and restart the warmup.
 
-        Called when the entry leaves the cache (dependency invalidation, LRU
-        eviction, clear): a :class:`PreparedQuery` may still hold the entry
-        object, and a closure compiled for it must not survive the eviction
-        that declared its planning outcome stale.
+        Called when the entry leaves the cache (LRU eviction, ``clear``,
+        replaced by a re-plan): a :class:`PreparedQuery` may still hold the
+        entry object, and keeps serving its plan from the interpreted tier
+        through a fresh warmup.  Writes never call this.
         """
         self.compiled = None
         self.executions = 0
@@ -226,16 +233,10 @@ class LRUPlanCache:
         with self._lock:
             return list(self._entries.items())
 
+    # Unused by src/; bench/staged.py still calls it — goes with ROADMAP item 1.
     def invalidate(self, touched: Iterable[str]) -> int:
-        """Evict the entries that depend on any of the ``touched`` names.
-
-        ``touched`` mixes relation and view names — exactly what a write
-        transaction changed.  Entries whose recorded dependencies are
-        disjoint from it survive, so a repeated query over untouched
-        relations keeps hitting the cache across writes.  Entries without
-        recorded dependencies are evicted conservatively.  Returns the
-        number of evicted entries.
-        """
+        """Evict the entries whose ``dependencies`` meet ``touched`` (or are
+        empty); returns how many."""
         touched = set(touched)
         with self._lock:
             if not touched:
@@ -246,9 +247,6 @@ class LRUPlanCache:
                 if not entry.dependencies or entry.dependencies & touched
             ]
             for key in stale:
-                # Dropping the compiled artifact too: a PreparedQuery may
-                # still hold the entry object, and its closure must not
-                # outlive the eviction of the planning outcome it came from.
                 self._entries.pop(key).invalidate_compiled()
             self.stats.invalidations += len(stale)
             return len(stale)

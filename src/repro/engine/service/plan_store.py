@@ -85,6 +85,8 @@ class StoredEntry:
     planner: str | None
     reason: str = ""
     parameters: frozenset = frozenset()
+    # Unused by src/ and not persisted; bench/staged.py still passes it —
+    # goes with ROADMAP item 1.
     dependencies: frozenset = frozenset()
     executions: int = 0
     codegen_state: str = "pending"
@@ -102,7 +104,6 @@ class StoredEntry:
             "planner": self.planner,
             "reason": self.reason,
             "parameters": self.parameters,
-            "dependencies": self.dependencies,
             "executions": self.executions,
             "codegen_state": self.codegen_state,
             "codegen_reason": self.codegen_reason,
@@ -121,7 +122,6 @@ class StoredEntry:
             planner=raw.get("planner"),
             reason=raw.get("reason", ""),
             parameters=frozenset(raw.get("parameters", ())),
-            dependencies=frozenset(raw.get("dependencies", ())),
             executions=int(raw.get("executions", 0)),
             codegen_state=str(raw.get("codegen_state", "pending")),
             codegen_reason=str(raw.get("codegen_reason", "")),

@@ -64,8 +64,9 @@ class PlanningContext:
     ``statistics`` carries the storage layer's per-relation cardinality /
     distinct counts (:meth:`repro.storage.instance.Database.statistics`);
     cost-based planners use them to order otherwise equivalent access paths.
-    Plans chosen from statistics are data-dependent, which is why a write
-    evicts the cached plans that read a changed relation.
+    Statistics pick among plans that are all correct on any data, so a
+    cached plan survives writes; when drift makes its order bad, the
+    service's estimated-vs-actual check re-plans it.
 
     ``corrections`` is set only during adaptive re-planning: per-relation
     multipliers (observed Dξ over estimated Dξ from the mis-estimated

@@ -56,7 +56,7 @@ from ...core.plan_eval import (
     bind_plan,
     plan_parameters,
 )
-from ...core.plans import FetchNode, PlanNode, UnionNode, ViewScan
+from ...core.plans import PlanNode, UnionNode
 from ...errors import (
     EvaluationError,
     PlanError,
@@ -235,8 +235,13 @@ class QueryService:
     any mix of CQ/UCQ/FO/string queries, and :meth:`apply` is the matching
     write path: the service subscribes to the database's delta stream, so
     every committed transaction incrementally maintains the views (compiled
-    delta plans), evicts exactly the dependent plan-cache entries and feeds
-    the same delta to the backends.
+    delta plans) and feeds the same delta to the backends.  The plan cache
+    is not part of the write path: whether a query has a bounded plan, and
+    which one, is a function of the query, the access schema and the views —
+    never of the data — and compiled closures late-bind snapshot and view
+    cache per execution, so the read after a write is a compiled cache hit.
+    A planning outcome leaves by LRU, by ``plan_cache.clear()`` (assigning
+    :attr:`budget`) or by adaptive re-planning, nothing else.
 
     Every entry point (:meth:`query`, :meth:`prepare`, :meth:`explain`,
     :meth:`lint`, :meth:`baseline`, :meth:`plan`, :meth:`query_many`) takes
@@ -281,12 +286,6 @@ class QueryService:
         key columns; the router prunes partitions statically from the plan's
         boundedness certificates, and ``explain()``/:attr:`Answer
         .shards_touched` report the pruning.
-    retain_plans_on_write:
-        Keep plan-cache entries (including compiled closures, which late-bind
-        the data) across writes instead of the default dependency-tracked
-        eviction.  Plans are data-independent, so retained entries stay
-        correct; the flag exists for write-heavy serving where re-planning
-        after every transaction dominates latency.
     plan_store:
         A :class:`~repro.engine.service.plan_store.PlanStore` (or a path
         string) persisting planning outcomes across restarts: loaded here —
@@ -302,7 +301,9 @@ class QueryService:
         misses the cost model's estimate by more than this factor (either
         direction) triggers re-planning with per-relation corrections and
         an atomic cache-entry swap.  ``max_replans`` bounds how often one
-        entry may be replaced (runaway oscillation guard).
+        entry may be replaced without a write in between (runaway
+        oscillation guard; a miss after a write is new evidence and gets the
+        full budget again).
     """
 
     def __init__(
@@ -321,7 +322,6 @@ class QueryService:
         codegen: bool = True,
         codegen_warmup: int = 2,
         shards: int = 1,
-        retain_plans_on_write: bool = False,
         plan_store: PlanStore | str | None = None,
         replan_factor: float = 10.0,
         max_replans: int = 3,
@@ -355,7 +355,6 @@ class QueryService:
         # Database.apply; the live indices are the write path's
         # admissibility surface.
         self._indexes = IndexSet(database, access_schema)
-        self.retain_plans_on_write = retain_plans_on_write
         layout = ShardingLayout.derive(database.schema, access_schema, shards)
         self._snapshots: SnapshotManager = database.enable_snapshots(
             layout, access_schema
@@ -403,8 +402,8 @@ class QueryService:
         self._load_plan_store()
         # The service is a transaction-level delta observer: ANY writer that
         # goes through Database.apply (QueryService.apply, UpdateBatch.apply_to,
-        # another service on the same database) keeps this service's views,
-        # plan cache and backends fresh.
+        # another service on the same database) keeps this service's views
+        # and backends fresh.
         database.subscribe(self)
 
     # ------------------------------------------------------------------ #
@@ -526,10 +525,10 @@ class QueryService:
         relations' caches, secondary indexes and statistics plus every
         access-constraint index (per-row observers); then, via the committed
         :class:`~repro.storage.deltas.DeltaStream`, the materialised views
-        (compiled delta plans — counting where sound, DRed otherwise), the
-        plan cache (dependency-tracked eviction: only plans reading a
-        changed relation or view are dropped) and the execution backends
-        (the SQLite backend replays the same delta instead of reloading).
+        (compiled delta plans — counting where sound, DRed otherwise) and
+        the execution backends (the SQLite backend replays the same delta
+        instead of reloading).  Cached plans and their compiled closures are
+        data-independent and stay where they are.
         """
         updates = batch if isinstance(batch, UpdateBatch) else UpdateBatch(batch)
         updates.validate(self.database)
@@ -563,13 +562,6 @@ class QueryService:
         stats = MaintenanceStats()
         deltas = self.maintainer.apply_stream(stream, stats)
         self.stats.record_maintenance(stats)
-        if not self.retain_plans_on_write:
-            touched = set(stream.touched)
-            touched.update(delta.view for delta in deltas)
-            self.plan_cache.invalidate(touched)
-        # else: plans (and compiled closures) are data-independent — they
-        # late-bind the provider and view cache per execution, so retained
-        # entries keep answering correctly against the refreshed state.
         if deltas:
             self._view_cache = self.maintainer.snapshot()
         with self._backend_lock:
@@ -712,7 +704,6 @@ class QueryService:
                     planner=result.planner,
                     reason=f"bounded plan produced by planner {result.planner!r}",
                     parameters=plan_parameters(result.plan),
-                    dependencies=self._dependencies_of(resolved, result.plan),
                     order_report=result.order_report,
                 )
                 break
@@ -724,12 +715,7 @@ class QueryService:
                     f"({', '.join(p.name for p in chain) or 'empty'}) accepts "
                     f"{type(resolved).__name__} queries"
                 )
-            entry = CachedPlan(
-                plan=None,
-                planner=None,
-                reason="; ".join(reasons),
-                dependencies=self._dependencies_of(resolved, None),
-            )
+            entry = CachedPlan(plan=None, planner=None, reason="; ".join(reasons))
         if entry.plan is not None and context.statistics is not None:
             # Record the cost model's prediction next to the plan: the warm
             # path compares it against the IOMeter's actual Dξ and triggers
@@ -841,9 +827,7 @@ class QueryService:
         per_relation = dict(getattr(stats, "per_relation", {}) or {})
         entry.actual_fetches = actual
         entry.actual_per_relation = per_relation
-        if not cache_hit or entry.estimated_fetches is None:
-            return
-        if entry.cache_key is None or entry.replans >= self.max_replans:
+        if not cache_hit or entry.estimated_fetches is None or entry.cache_key is None:
             return
         estimated = max(float(entry.estimated_fetches), 1.0)
         observed = float(actual)
@@ -877,6 +861,14 @@ class QueryService:
             # Planned under an explicit per-call chain whose planner objects
             # are gone; re-planning would change which strategies answer.
             return
+        # The oscillation guard's budget is per write epoch: a mis-estimate
+        # seen at a later snapshot version than the entry's last re-plan is
+        # new evidence and starts from zero; one at the same version means
+        # the corrected model is chasing its own tail.
+        version = self._snapshots.current.version
+        spent = entry.replans if entry.replan_version == version else 0
+        if spent >= self.max_replans:
+            return
         # Corrections are pure model-error multipliers: actual Dξ over what
         # the model predicts for the *executed* plan under the *current*
         # statistics.  Re-pricing the old plan here (rather than reusing the
@@ -900,8 +892,6 @@ class QueryService:
             for relation, count in per_relation.items()
         }
         with self._replan_lock:
-            if entry.replans >= self.max_replans:
-                return
             max_size = key[3] if len(key) > 3 else None
             fresh = self._run_chain(
                 resolved, head, max_size, self.planners, corrections
@@ -911,7 +901,8 @@ class QueryService:
             if self.verify_plans:
                 self._verify_entry(resolved, fresh.plan, head)
             fresh.cache_key = key
-            fresh.replans = entry.replans + 1
+            fresh.replans = spent + 1
+            fresh.replan_version = version
             fresh.replan_reason = reason
             if self.plan_cache.replace(key, entry, fresh):
                 self.stats.record_replan()
@@ -945,7 +936,6 @@ class QueryService:
                 planner=record.planner,
                 reason=record.reason,
                 parameters=frozenset(record.parameters),
-                dependencies=frozenset(record.dependencies),
                 executions=record.executions,
                 codegen_state=(
                     record.codegen_state
@@ -988,7 +978,6 @@ class QueryService:
                     planner=entry.planner,
                     reason=entry.reason,
                     parameters=entry.parameters,
-                    dependencies=entry.dependencies,
                     executions=entry.executions,
                     codegen_state=entry.codegen_state,
                     codegen_reason=entry.codegen_reason,
@@ -1017,29 +1006,6 @@ class QueryService:
         if isinstance(resolved, (ConjunctiveQuery, UnionQuery)):
             return resolved.head_arity
         return len(resolved.free_variables)
-
-    def _dependencies_of(
-        self, resolved: Query, plan: PlanNode | None
-    ) -> frozenset[str]:
-        """Relations and views a planning outcome depends on.
-
-        The relations the query mentions (planning consulted their
-        statistics, and the fallback path scans them), plus — for a found
-        plan — the relations it fetches and the views it scans together with
-        each view's base relations (the view rows change when those do); the
-        same goes for views an FO query names as atoms.
-        """
-        dependencies = set(resolved.relation_names)
-        if plan is not None:
-            for node in plan.iter_nodes():
-                if isinstance(node, FetchNode):
-                    dependencies.add(node.relation)
-                elif isinstance(node, ViewScan):
-                    dependencies.add(node.view_name)
-        for name in tuple(dependencies):
-            if name in self.views:
-                dependencies |= self.views.view(name).definition.relation_names
-        return frozenset(dependencies)
 
     def explain(
         self,

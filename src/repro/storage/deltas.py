@@ -20,7 +20,7 @@ Two granularities, one protocol: per-row observers (access-constraint
 indexes, secondary indexes, statistics) ride on the relation-level hooks of
 :class:`~repro.storage.instance.Relation` and stay O(1) per tuple; the
 transaction-level observers here see the netted batch, which is what view
-maintenance and cache invalidation want.
+maintenance and the execution backends want.
 """
 
 from __future__ import annotations

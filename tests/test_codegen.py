@@ -292,11 +292,19 @@ def test_codegen_eligibility_rejects_corrupt_plans(gs_instance, gs_access):
 
 
 # --------------------------------------------------------------------------- #
-# Regression: writes must invalidate compiled artifacts (stale closures)
+# Plan lifetime: writes leave entries and closures alone; LRU and clear() do not
 # --------------------------------------------------------------------------- #
 
 
-def test_write_drops_compiled_closure_and_rewarms(gs_instance, gs_access, gs_q0):
+def _fresh_interpreted(gs_instance, gs_access, query):
+    """The reference after a write: a new service, interpreted tier only."""
+    with QueryService(
+        gs_instance.database, gs_access, graph_search.views(), codegen=False
+    ) as fresh:
+        return fresh.query(query)
+
+
+def test_write_keeps_compiled_closure_serving(gs_instance, gs_access, gs_q0):
     service = QueryService(
         gs_instance.database, gs_access, graph_search.views(), codegen_warmup=1
     )
@@ -304,46 +312,40 @@ def test_write_drops_compiled_closure_and_rewarms(gs_instance, gs_access, gs_q0)
         service.query(gs_q0)
     entry, _ = service.plan(gs_q0)
     assert entry.compiled is not None and entry.codegen_state == "compiled"
+    closure, executions = entry.compiled, entry.executions
     batch = random_update_batch(gs_instance.database, size=20, seed=83)
     service.apply(batch)
-    # The entry object may still be referenced by a PreparedQuery, so the
-    # invalidation must reset the *entry*, not just the cache dict.
-    assert entry.compiled is None
-    assert entry.codegen_state == "pending"
-    assert entry.executions == 0
+    # The write touched neither the entry nor its closure ...
+    assert service.plan(gs_q0)[0] is entry
+    assert entry.compiled is closure and entry.executions == executions
+    # ... and the closure late-binds the post-write snapshot and view cache.
     first_after = service.query(gs_q0)
-    assert first_after.execution_tier == "interpreted"
-    second_after = service.query(gs_q0)
-    assert second_after.execution_tier == "compiled"
-    assert second_after.rows == first_after.rows
-    assert second_after.tuples_fetched == first_after.tuples_fetched
+    assert first_after.cache_hit and first_after.execution_tier == "compiled"
+    fresh = _fresh_interpreted(gs_instance, gs_access, gs_q0)
+    assert first_after.rows == fresh.rows
+    assert first_after.tuples_fetched == fresh.tuples_fetched
     service.apply(batch.inverted())
 
 
-def test_prepared_query_never_serves_stale_closure(gs_instance, gs_access):
-    """The stale-closure reproduction: prepare, compile, write, re-execute.
-
-    A closure holds no data (provider and views are late-bound), but the
-    cached *entry* it hangs off is declared stale by the write — a prepared
-    query holding that entry must fall back to warmup instead of trusting
-    the evicted planning outcome.
-    """
+def test_prepared_query_stays_compiled_across_writes(gs_instance, gs_access):
+    """Prepare, compile, write, re-execute: a held entry keeps its closure,
+    and the closure answers from the post-write state (it holds no data)."""
     service = QueryService(
         gs_instance.database, gs_access, graph_search.views(), codegen_warmup=1
     )
     prepared = service.prepare(graph_search.query_q0())
     for _ in range(2):
         prepared.execute()
-    assert prepared.entry.compiled is not None
+    closure = prepared.entry.compiled
+    assert closure is not None
     batch = random_update_batch(gs_instance.database, size=20, seed=7)
     service.apply(batch)
-    assert prepared.entry.compiled is None, "stale closure survived the write"
+    assert prepared.entry.compiled is closure
     answer = prepared.execute()
-    interpreted = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    ).query(graph_search.query_q0())
-    assert answer.rows == interpreted.rows
-    assert answer.tuples_fetched == interpreted.tuples_fetched
+    assert answer.cache_hit and answer.execution_tier == "compiled"
+    fresh = _fresh_interpreted(gs_instance, gs_access, graph_search.query_q0())
+    assert answer.rows == fresh.rows
+    assert answer.tuples_fetched == fresh.tuples_fetched
     service.apply(batch.inverted())
 
 
@@ -573,8 +575,8 @@ def test_differential_random_workload_with_writes():
     compiled_checks = _check_differential(service, queries, check_sqlite=True)
     assert compiled_checks >= 50  # the workload genuinely exercises the tier
 
-    # After write batches the evicted closures recompile against the new
-    # state, and the two tiers must still agree — on every meter field.
+    # After write batches the retained closures late-bind the new state,
+    # and the two tiers must still agree — on every meter field.
     for seed in (101, 202):
         batch = random_update_batch(data.database, size=60, seed=seed)
         service.apply(batch)

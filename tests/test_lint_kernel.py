@@ -398,3 +398,62 @@ def test_resolve_stage_definition_and_reexport_are_allowed(tmp_path):
         "def demo():\n    return parse_query('Q(x) :- R(x)')\n",
     )
     assert lint_kernel.lint_tree(tmp_path) == []
+
+
+def test_write_path_touching_the_plan_cache_is_flagged(tmp_path):
+    """The fixture is the last ``on_delta`` that swept the cache per write."""
+    _write(
+        tmp_path,
+        "src/repro/engine/service/service.py",
+        """
+        class QueryService:
+            def on_delta(self, stream):
+                stats = MaintenanceStats()
+                deltas = self.maintainer.apply_stream(stream, stats)
+                self.stats.record_maintenance(stats)
+                touched = set(stream.touched)
+                touched.update(delta.view for delta in deltas)
+                self.plan_cache.invalidate(touched)
+                if deltas:
+                    self._view_cache = self.maintainer.snapshot()
+
+            def query(self, text):
+                return self.plan_cache.get(text)  # reads may, writes may not
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [v.code for v in violations] == ["kernel.write-path-plan-cache"] * 2
+    assert "plan_cache.invalidate" in violations[0].message
+    assert "QueryService.on_delta" in violations[1].message
+
+
+def test_plan_cache_invalidate_is_flagged_anywhere_but_other_invalidates_are_not(
+    tmp_path,
+):
+    _write(
+        tmp_path,
+        "src/repro/engine/service/maintenance.py",
+        "def after_write(cache, touched):\n    return cache.invalidate(touched)\n",
+    )
+    _write(
+        tmp_path,
+        "src/repro/engine/service/backends.py",
+        """
+        class SQLiteBackend:
+            def apply_delta(self, stream):
+                self.invalidate()  # drops the connection, not a plan
+        """,
+    )
+    _write(
+        tmp_path,
+        "src/repro/engine/service/cache.py",
+        """
+        class LRUPlanCache:
+            def invalidate(self, touched):  # the definition stays importable
+                return 0
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [(v.code, v.path.name) for v in violations] == [
+        ("kernel.write-path-plan-cache", "maintenance.py")
+    ]

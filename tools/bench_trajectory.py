@@ -19,9 +19,8 @@ moves it visibly in the diff:
     batches, with a full view-consistency audit afterwards.
 
 ``BENCH_concurrency.json``
-    Snapshot-isolated sharded serving (``shards=4``,
-    ``retain_plans_on_write=True``) vs. the single-database baseline on a
-    mixed read/write workload: the invariants pin rows, ``Dξ``, Q0's
+    Snapshot-isolated sharded serving (``shards=4``) vs. the
+    single-partition baseline on a mixed read/write workload: the invariants pin rows, ``Dξ``, Q0's
     routed shard set and the shard-pruning statistics; the timings record
     ``query_many`` throughput under interleaved writes for both services
     and their speedup.
@@ -248,7 +247,6 @@ def measure_concurrency() -> dict:
         gs.access_schema(n0=instance.n0),
         gs.views(),
         shards=4,
-        retain_plans_on_write=True,
         codegen=True,
         codegen_warmup=0,
     )
@@ -312,8 +310,8 @@ def _measure_replan_scenario() -> int:
     """The deterministic adaptive re-planning scenario: grow past 10x.
 
     A two-atom join is planned under tiny statistics; the data then grows
-    200x under ``retain_plans_on_write`` (so the mis-estimated plan stays
-    cached), and the next warm execution's actual Dξ overshoots the
+    200x (the mis-estimated plan stays cached: writes evict nothing), and
+    the next warm execution's actual Dξ overshoots the
     estimate past the re-plan threshold.  Returns the replan tally (1: the
     corrected model converges in a single swap).
     """
@@ -335,7 +333,6 @@ def _measure_replan_scenario() -> int:
         database,
         access,
         planners=("cost", "topped"),
-        retain_plans_on_write=True,
         codegen=False,
     )
     query = "Q(b, c) :- r('k', b), s(b, c)"

@@ -73,6 +73,16 @@ inspection (no imports of the checked code, so it runs on any tree):
     every warm call, the work the memo exists to skip — and can disagree with
     the checks the resolve stage applies once.
 
+``kernel.write-path-plan-cache``
+    The write path does not touch the plan cache: ``QueryService.on_delta``
+    and ``QueryService.apply`` (``src/repro/engine/service/service.py``) may
+    not mention ``plan_cache``, and nothing under ``src/`` may call
+    ``.invalidate(...)`` on a plan cache (a receiver named ``…cache``).
+    Whether a query has a bounded plan, and which, depends on the query, the
+    access schema and the views — never on the data — and closures late-bind
+    snapshot and view cache, so evicting on a write only buys re-planning,
+    re-verification and an interpreted warm-up for the same plan.
+
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -126,6 +136,10 @@ ENGINE_DIR = Path("src/repro/engine")
 SERVICE_DIR = Path("src/repro/engine/service")
 RESOLVE_STAGE_FILE = SERVICE_DIR / "resolve.py"
 RESOLVE_STAGE_CALLS = frozenset({"parse_query", "canonical_query_key"})
+
+#: The write path: the service methods a committed transaction runs through.
+SERVICE_FILE = SERVICE_DIR / "service.py"
+WRITE_PATH_METHODS = frozenset({"on_delta", "apply"})
 
 
 @dataclass(frozen=True)
@@ -390,6 +404,49 @@ def check_service_resolve(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_write_path_plan_cache(path: Path, tree: ast.Module) -> list[Violation]:
+    """Writes leave the plan cache alone: no sweep, no reference at all."""
+    violations: list[Violation] = []
+
+    def report(line: int, message: str) -> None:
+        violations.append(
+            Violation(path, line, "kernel.write-path-plan-cache", message)
+        )
+
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "invalidate"
+        ):
+            receiver = node.func.value
+            name = getattr(receiver, "id", None) or getattr(receiver, "attr", "")
+            if name.endswith("cache"):
+                report(
+                    node.lineno,
+                    f"call of '{name}.invalidate': plans are data-independent "
+                    "and leave the cache by LRU, clear() or re-plan only",
+                )
+    if path != SERVICE_FILE:
+        return violations
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "QueryService"):
+            continue
+        for method in cls.body:
+            if (
+                isinstance(method, ast.FunctionDef)
+                and method.name in WRITE_PATH_METHODS
+            ):
+                for name, line in _attribute_names(method):
+                    if name == "plan_cache":
+                        report(
+                            line,
+                            f"QueryService.{method.name} mentions 'plan_cache': "
+                            "the write path does not touch the plan cache",
+                        )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -418,6 +475,7 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_exhaustive_sweep(relative, tree)
     if SERVICE_DIR in relative.parents and relative != RESOLVE_STAGE_FILE:
         violations += check_service_resolve(relative, tree)
+    violations += check_write_path_plan_cache(relative, tree)
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
         violations += check_histogram_imports(relative, tree)
