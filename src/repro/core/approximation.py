@@ -309,9 +309,8 @@ def accuracy_sweep(
 ) -> list[AccuracyPoint]:
     """Evaluate the recall/accuracy of approximate answering across ratios.
 
-    This is the harness behind ``benchmarks/bench_approximation.py``: as
-    ``α`` grows the coverage should rise monotonically towards 1 (reaching 1
-    at ``α = 1``) while the accessed fraction stays at or below ``α``.
+    As ``α`` grows the coverage should rise monotonically towards 1 (reaching
+    1 at ``α = 1``) while the accessed fraction stays at or below ``α``.
     """
     exact = evaluate_ucq(as_union(query), database.facts)
     points = []

@@ -63,7 +63,7 @@ from ..core.plans import (
     ViewScan,
     join_on_shared_attributes,
 )
-from ..errors import UnsupportedQueryError
+from ..errors import SchemaError, UnsupportedQueryError
 
 if TYPE_CHECKING:
     from ..storage.statistics import RelationStatistics
@@ -1320,7 +1320,7 @@ def estimate_plan_fetches(
                 else:
                     try:
                         position = relation.position(attr)
-                    except Exception:
+                    except SchemaError:
                         position = -1
                     column = (
                         float(stats.distinct[position])

@@ -89,3 +89,22 @@ def gs_views():
 @pytest.fixture(scope="session")
 def gs_q0():
     return graph_search.query_q0()
+
+
+@pytest.fixture
+def gs_1000():
+    """1000 persons / 500 movies, seed 11 — the instance the pinned figures
+    (Q0: 3 rows for Dξ 27) are defined on; built per test (12 ms), so a test
+    may write to it."""
+    return graph_search.generate(num_persons=1000, num_movies=500, seed=11)
+
+
+@pytest.fixture(scope="session")
+def gs_mix(gs_q0):
+    """Q0 and two keyed lookups, four times over: 24 rows for Dξ 288 on
+    ``gs_1000``, each query routable to one partition."""
+    return [
+        gs_q0,
+        "Q(mid) :- movie(mid, t, 'Universal', '2014'), rating(mid, 5)",
+        "Q(mid) :- movie(mid, t, 'Universal', '2013'), rating(mid, 4)",
+    ] * 4

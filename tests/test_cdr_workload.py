@@ -52,17 +52,18 @@ def test_workload_is_deterministic(instance):
 
 
 def test_engine_answers_match_baseline_on_workload(instance, service):
-    queries = cdr.workload(instance, count=10, seed=4)
-    bounded = 0
+    queries = cdr.workload(instance, count=18, seed=31)
+    improved = 0
     for query in queries:
         answer = service.query(query)
         baseline = service.baseline(query)
         assert answer.rows == baseline.rows, query.name
         if answer.used_bounded_plan:
-            bounded += 1
             assert answer.tuples_fetched <= baseline.tuples_scanned
-    # The workload mixes bounded and unbounded queries; most are bounded.
-    assert bounded >= len(queries) // 2
+            improved += answer.tuples_fetched < baseline.tuples_scanned
+    # The paper's case study improves > 90% of its workload; the 18 templates
+    # mix 16 boundable lookups with 2 scan-bound analytics queries.
+    assert improved >= 0.8 * len(queries)
 
 
 def test_bounded_queries_fetch_less_as_data_grows():

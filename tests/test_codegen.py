@@ -168,6 +168,30 @@ def test_warmup_zero_compiles_first_execution(gs_instance, gs_access, gs_q0):
     assert service.query(gs_q0).execution_tier == "compiled"
 
 
+def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
+    gs_1000, gs_mix, gs_q0
+):
+    """Q0 is 3 rows for Dξ = 27 on either tier; 20 warm rounds of a 12-query
+    mix are 240 bounded cache hits, every one served by the closure."""
+    access, views = graph_search.access_schema(n0=gs_1000.n0), graph_search.views()
+    for codegen, tier in ((False, "interpreted"), (True, "compiled")):
+        service = QueryService(
+            gs_1000.database, access, views, codegen=codegen, codegen_warmup=0
+        )
+        answer = service.query(gs_q0)
+        assert (answer.execution_tier, len(answer.rows), answer.tuples_fetched) == (
+            tier, 3, 27,
+        )
+    service.query_many(gs_mix, max_workers=1)  # the compiled service from here on
+    service.stats.reset()
+    for _ in range(20):
+        answers = service.query_many(gs_mix, max_workers=1)
+    assert sum(len(a.rows) for a in answers) == 24
+    snapshot = service.stats.snapshot()
+    assert (snapshot.cache_hit_rate, snapshot.bounded_rate) == (1.0, 1.0)
+    assert snapshot.tier_uses == {"compiled": 240}
+
+
 def test_sqlite_backend_keeps_interpreting(gs_service, gs_q0):
     for _ in range(3):
         memory = gs_service.query(gs_q0)

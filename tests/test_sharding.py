@@ -11,12 +11,15 @@ prediction against the partitions execution actually touched.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.algebra.parser import parse_query
 from repro.algebra.ucq import UnionQuery
 from repro.engine.service import QueryService, ShardExecutor
 from repro.storage.snapshots import shard_of
+from repro.storage.updates import Deletion, Insertion, UpdateBatch
 from repro.workloads import graph_search as gs
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
@@ -60,16 +63,35 @@ def _workload(instance) -> list:
             )
         )
     queries.extend(keyed)
-    # A guaranteed fan-out: a UCQ whose disjunct keys hash to different
-    # partitions, so sharded execution must union partial results.
-    by_shard = {shard_of((p[0], p[1]), 4): p for p in pairs}
-    if len(by_shard) >= 2:
-        (a, b) = list(by_shard.values())[:2]
-        left = parse_query(f"Qf(mid) :- movie(mid, t, '{a[0]}', '{a[1]}'), rating(mid, 5)")
-        right = parse_query(f"Qf(mid) :- movie(mid, t, '{b[0]}', '{b[1]}'), rating(mid, 4)")
-        queries.append(UnionQuery((left, right), name="Qfan"))
+    queries.append(_fanout_query(instance.database))
     queries.append(gs.query_q0())
     return queries
+
+
+def _fanout_query(database) -> UnionQuery:
+    """A guaranteed fan-out: a union with one keyed disjunct per partition
+    (the key ``_WRITE`` inserts under among them), so sharded execution must
+    merge partial results."""
+    pairs = sorted({(row[2], row[3]) for row in database.relation("movie")})
+    by_shard = {shard_of(pair, 4): pair for pair in pairs + [("Universal", "2014")]}
+    assert len(by_shard) == 4
+    return UnionQuery(
+        tuple(
+            parse_query(f"Qfan(mid) :- movie(mid, t, '{s}', '{r}'), rating(mid, 5)")
+            for s, r in by_shard.values()
+        ),
+        name="Qfan",
+    )
+
+
+def _observed(service, queries) -> list:
+    return [(a.rows, a.tuples_fetched) for a in map(service.query, queries)]
+
+
+_WRITE = UpdateBatch(
+    [Insertion("movie", (f"m_cc_{i}", "cc", "Universal", "2014")) for i in range(6)]
+    + [Insertion("rating", (f"m_cc_{i}", 5)) for i in range(6)]
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -99,6 +121,7 @@ def test_sharded_services_answer_bit_identically(instance):
                 fanouts += 1
     # The workload must actually exercise multi-shard execution.
     assert fanouts > 0
+    assert sharded[4].stats.snapshot().fanout_queries == fanouts
 
 
 def test_router_prediction_matches_touched_shards(instance):
@@ -138,6 +161,77 @@ def test_q0_is_single_shard_routable(instance):
     snapshot = service.stats.snapshot()
     assert snapshot.single_shard_queries >= 1
     assert snapshot.shards_pruned >= 3
+
+
+def test_keyed_mix_is_pruned_to_one_of_four_shards_with_identical_rows_and_dxi(
+    gs_1000, gs_mix
+):
+    """Every query of the keyed mix routes to one partition; with the full
+    fan-out union added, rows and Dξ equal ``shards=1`` on the pristine, the
+    written and the restored state."""
+    q0 = gs.query_q0()
+    reference, sharded = _service(gs_1000, shards=1), _service(gs_1000, shards=4)
+    keyed = _observed(sharded, gs_mix)
+    assert (sum(len(r) for r, _ in keyed), sum(f for _, f in keyed)) == (24, 288)
+    assert sharded.explain(q0).shard_set.single_shard
+    assert sharded.query(q0).shards_touched == (3,)
+    stats = sharded.stats.snapshot()
+    assert (stats.single_shard_queries, stats.fanout_queries) == (13, 0)
+    assert stats.shards_pruned == 13 * 3
+
+    mix = gs_mix + [_fanout_query(gs_1000.database)]
+    assert sharded.query(mix[-1]).shards_touched == (0, 1, 2, 3)
+    pristine = _observed(sharded, mix)
+    assert pristine == _observed(reference, mix) and pristine[:-1] == keyed
+    sharded.apply(_WRITE)
+    written = _observed(sharded, mix)
+    assert written == _observed(reference, mix) and written[-1] != pristine[-1]
+    sharded.apply(_WRITE.inverted())
+    assert _observed(sharded, mix) == _observed(reference, mix) == pristine
+    assert sharded.stats.snapshot().fanout_queries == 4
+    reference.close()
+    sharded.close()
+
+
+def test_query_many_reads_one_version_across_partitions_under_a_concurrent_writer(
+    gs_1000, gs_mix
+):
+    """Four pool workers answer fan-out and pruned queries while a writer
+    thread keeps applying a batch and its inverse: no error, every answer is
+    the pristine or the written version whole (never a movie partition of one
+    and a rating partition of the other), and the settled state is bit-identical."""
+    service = _service(gs_1000, shards=4)
+    mix = [_fanout_query(gs_1000.database)] * 12 + gs_mix
+    pristine = _observed(service, mix)
+    service.apply(_WRITE)
+    written = _observed(service, mix)
+    service.apply(_WRITE.inverted())
+    done, errors = threading.Event(), []
+
+    def write() -> None:
+        try:
+            while True:  # whole pairs only: the run ends on the pristine state
+                service.apply(_WRITE)
+                service.apply(_WRITE.inverted())
+                if done.is_set():
+                    return
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        bursts = [service.query_many(mix, max_workers=4) for _ in range(6)]
+    finally:
+        done.set()
+        writer.join()
+    assert not errors, errors
+    for answers in bursts:
+        for answer, old, new in zip(answers, pristine, written):
+            assert (answer.rows, answer.tuples_fetched) in (old, new)
+    assert service.stats.snapshot().fanout_queries > 0
+    assert _observed(service, mix) == pristine
+    service.close()
 
 
 def test_unsharded_and_single_shard_answers_report_no_fanout(instance):
@@ -221,8 +315,6 @@ def test_context_manager_closes_the_service(instance):
 
 
 def test_plans_stay_cached_and_compiled_across_a_foreign_write(instance):
-    from repro.storage.updates import Deletion, Insertion, UpdateBatch
-
     q0 = gs.query_q0()
     writer = _service(instance, shards=4)
     observer = _service(instance, shards=4, codegen_warmup=1)

@@ -53,9 +53,12 @@ def test_enumerate_candidate_plans_is_deduplicated_and_size_bounded():
     for plan in plans:
         keys.add(plan.pretty())
     assert len(keys) == len(plans)
-    # Larger M strictly enlarges the candidate space.
-    more = enumerate_candidate_plans(SCHEMA, NO_VIEWS, ACCESS, 4, space, language=CQ)
-    assert len(more) > len(plans)
+    # Larger M strictly enlarges the candidate space (Table I's cost shape).
+    fewer, more = (
+        enumerate_candidate_plans(SCHEMA, NO_VIEWS, ACCESS, m, space, language=CQ)
+        for m in (2, 4)
+    )
+    assert len(fewer) < len(plans) < len(more)
 
 
 def test_decide_vbrp_finds_anchored_rewriting():
@@ -82,17 +85,17 @@ def test_decide_vbrp_uses_view_when_needed():
 
 
 def test_decide_vbrp_respects_max_size():
-    """The anchored two-step query needs at least 4 nodes (const, fetch, π, fetch)."""
+    """The anchored two-step query has an M-bounded rewriting iff M ≥ 5
+    (const, fetch, π, fetch, π)."""
     query = ConjunctiveQuery(
         head=(Z,),
         atoms=(RelationAtom("R", (Constant(1), Y)), RelationAtom("S", (Y, Z))),
         name="two_step",
     )
-    small = decide_vbrp(query, NO_VIEWS, ACCESS, SCHEMA, max_size=3, language=CQ)
-    assert not small.has_rewriting
-    big = decide_vbrp(query, NO_VIEWS, ACCESS, SCHEMA, max_size=5, language=CQ)
-    assert big.has_rewriting
-    assert big.plan.size() <= 5
+    for max_size in (3, 4, 5):
+        result = decide_vbrp(query, NO_VIEWS, ACCESS, SCHEMA, max_size=max_size, language=CQ)
+        assert result.has_rewriting == (max_size >= 5), max_size
+    assert result.plan.size() == 5
 
 
 def test_decide_vbrp_with_explicit_candidates():

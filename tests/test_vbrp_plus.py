@@ -47,13 +47,15 @@ def test_l1_must_be_contained_in_l2():
 
 
 def test_cq_to_ucq_rewriting_found_when_cq_one_exists():
-    result = decide_vbrp_plus(
-        anchored_query(), NO_VIEWS, ACCESS, SCHEMA, 3,
-        source_language=CQ, target_language=UCQ,
-    )
-    assert result.has_rewriting
-    assert result.exact
-    assert result.plan is not None
+    """Theorem 6.1's shape: a richer target language keeps the CQ rewriting."""
+    for target in (CQ, UCQ, EFO_PLUS):
+        result = decide_vbrp_plus(
+            anchored_query(), NO_VIEWS, ACCESS, SCHEMA, 3,
+            source_language=CQ, target_language=target,
+        )
+        assert result.has_rewriting, target
+        assert result.exact
+        assert result.plan is not None
 
 
 def test_cq_to_fo_search_is_marked_inexact_on_failure():

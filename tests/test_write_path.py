@@ -158,6 +158,25 @@ def test_apply_keeps_answers_identical_to_baseline(gs_service):
     assert service.maintainer.verify()
 
 
+def test_bulk_batches_net_apply_and_maintain_on_the_compiled_tier(gs_1000):
+    """Five seeded 1000-update batches, each on the state the last one left:
+    what nets out and what the access schema admits is a function of data and
+    seed (4 729 = 1 658 + 3 071 in all), and with ``codegen_warmup=0`` both
+    touched views run generated kernels every time."""
+    database, q0 = gs_1000.database, gs.query_q0()
+    service = QueryService(
+        database, gs.access_schema(n0=gs_1000.n0), gs.views(), codegen_warmup=0
+    )
+    service.query(q0)  # a live cached plan to maintain through the writes
+    counts = [(922, 300, 622), (946, 306, 640), (921, 330, 591), (940, 319, 621), (1000, 403, 597)]
+    for seed, expected in zip(range(100, 105), counts):
+        report = service.apply(random_update_batch(database, size=1000, seed=seed))
+        assert (report.applied, report.inserted, report.deleted) == expected, seed
+        assert dict(report.stats.tier_runs) == {"compiled": 2}, seed
+    assert service.maintainer.verify()
+    assert service.query(q0).rows == service.baseline(q0).rows
+
+
 def test_apply_enforces_bounded_admissibility(gs_service):
     _instance, service = gs_service
     # rating(mid -> rank, 1): a second rating for an existing movie violates A.
