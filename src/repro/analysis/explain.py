@@ -11,7 +11,8 @@ told *statically*, before touching data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from ..core.plans import PlanNode
 from .diagnostics import (
@@ -40,6 +41,11 @@ class Explanation:
     # Whether the service's resolve stage served this input from its memo
     # (parsed, validated and canonicalised on an earlier call).
     resolve_memo_hit: bool = False
+    # Non-empty when the cached outcome is the query *shape*'s, shared by
+    # every input that differs only in these constants (slot → this input's
+    # value; ``plan`` shows them put back).  ``cache_hit`` then means "this
+    # shape was planned", possibly by another text.
+    bindings: Mapping[str, object] = field(default_factory=dict)
     fetch_bound: int | None = None
     certificates: tuple[FetchCertificate, ...] = ()
     counterexample: BoundednessCounterexample | None = None
@@ -93,6 +99,9 @@ class Explanation:
         else:
             source = " (cached)" if self.cache_hit else ""
             lines.append(f"  planner: {self.planner}{source}")
+            if self.bindings:
+                bound = ", ".join(f"{k}={v!r}" for k, v in self.bindings.items())
+                lines.append(f"  plan shared across constants, bound here: {bound}")
             if self.reason:
                 lines.append(f"  reason: {self.reason}")
             if self.codegen_state != "disabled":

@@ -15,6 +15,11 @@ subtree:
   (or on unbound :class:`~repro.algebra.terms.Param` placeholders) is
   *dynamic*: its shard set is only known at execution time.
 
+A cached plan may be shared across constants (the service plans each query
+*shape* once), so every entry point takes an optional ``bindings`` mapping
+through which a ``Param`` resolves: routing reads the *bound* key, and only a
+placeholder the mapping does not name stays dynamic.
+
 A plan whose partitioned fetches are all static and land on one shard is
 single-shard routable — the router executes it against that shard alone and
 ``explain()`` reports the pruning.  Anything dynamic keeps the bit-identical
@@ -30,7 +35,7 @@ standard implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
@@ -134,22 +139,33 @@ class PlanShardSet:
         return self.describe()
 
 
-def static_rows(node: PlanNode) -> list[tuple[object, ...]] | None:
+_UNBOUND = object()
+
+
+def _resolve(value: object, bindings: Mapping[str, object] | None) -> object:
+    """A plan constant's value; :data:`_UNBOUND` for an unbound parameter."""
+    if isinstance(value, Param):
+        return (bindings or {}).get(value.name, _UNBOUND)
+    return value
+
+
+def static_rows(
+    node: PlanNode, bindings: Mapping[str, object] | None = None
+) -> list[tuple[object, ...]] | None:
     """Evaluate a constant-only plan subtree to its rows, or ``None``.
 
     Handles exactly the shapes planners put under a fetch: ``ConstantScan``
     leaves combined by products, renames, projections, selections over
     constant predicates and unions.  Anything touching data (fetches, view
-    scans) or an unbound parameter makes the subtree dynamic.  The
-    evaluation is bounded by :data:`_MAX_STATIC_KEYS` rows.
+    scans) or a parameter ``bindings`` does not name makes the subtree
+    dynamic.  The evaluation is bounded by :data:`_MAX_STATIC_KEYS` rows.
     """
     if isinstance(node, ConstantScan):
-        if isinstance(node.value, Param):
-            return None
-        return [(node.value,)]
+        value = _resolve(node.value, bindings)
+        return None if value is _UNBOUND else [(value,)]
     if isinstance(node, ProductNode):
-        left = static_rows(node.left)
-        right = static_rows(node.right)
+        left = static_rows(node.left, bindings)
+        right = static_rows(node.right, bindings)
         if left is None or right is None:
             return None
         if len(left) * len(right) > _MAX_STATIC_KEYS:
@@ -157,9 +173,9 @@ def static_rows(node: PlanNode) -> list[tuple[object, ...]] | None:
         return [l + r for l in left for r in right]
     if isinstance(node, RenameNode):
         # Renaming changes attribute names, not positions or values.
-        return static_rows(node.child)
+        return static_rows(node.child, bindings)
     if isinstance(node, ProjectNode):
-        rows = static_rows(node.child)
+        rows = static_rows(node.child, bindings)
         if rows is None:
             return None
         child_attributes = node.child.attributes
@@ -168,19 +184,20 @@ def static_rows(node: PlanNode) -> list[tuple[object, ...]] | None:
             dict.fromkeys(tuple(row[p] for p in positions) for row in rows)
         )
     if isinstance(node, SelectNode):
-        rows = static_rows(node.child)
+        rows = static_rows(node.child, bindings)
         if rows is None:
             return None
         attributes = node.child.attributes
         for predicate in node.predicates:
             if isinstance(predicate, AttributeEqualsConstant):
-                if isinstance(predicate.value, Param):
+                value = _resolve(predicate.value, bindings)
+                if value is _UNBOUND:
                     return None
                 position = attributes.index(predicate.attribute)
                 rows = [
                     row
                     for row in rows
-                    if (row[position] == predicate.value) != predicate.negated
+                    if (row[position] == value) != predicate.negated
                 ]
             elif isinstance(predicate, AttributeEqualsAttribute):
                 left = attributes.index(predicate.left)
@@ -194,8 +211,8 @@ def static_rows(node: PlanNode) -> list[tuple[object, ...]] | None:
                 return None
         return rows
     if isinstance(node, UnionNode):
-        left = static_rows(node.left)
-        right = static_rows(node.right)
+        left = static_rows(node.left, bindings)
+        right = static_rows(node.right, bindings)
         if left is None or right is None:
             return None
         if len(left) + len(right) > _MAX_STATIC_KEYS:
@@ -205,7 +222,10 @@ def static_rows(node: PlanNode) -> list[tuple[object, ...]] | None:
 
 
 def fetch_shard_set(
-    node: FetchNode, access_schema: AccessSchema, layout: ShardLayoutLike
+    node: FetchNode,
+    access_schema: AccessSchema,
+    layout: ShardLayoutLike,
+    bindings: Mapping[str, object] | None = None,
 ) -> FetchShards:
     """Shard placement of one fetch node under ``layout``."""
     constraint = node.covering_constraint(access_schema)
@@ -223,7 +243,7 @@ def fetch_shard_set(
             dynamic=False,
             shards=frozenset({layout.shard_of_key(())}),
         )
-    rows = static_rows(node.child)
+    rows = static_rows(node.child, bindings)
     if rows is None:
         return FetchShards(
             relation=node.relation, partitioned=True, dynamic=True, shards=frozenset()
@@ -241,11 +261,15 @@ def fetch_shard_set(
 
 
 def plan_shard_set(
-    plan: PlanNode, access_schema: AccessSchema, layout: ShardLayoutLike
+    plan: PlanNode,
+    access_schema: AccessSchema,
+    layout: ShardLayoutLike,
+    bindings: Mapping[str, object] | None = None,
 ) -> PlanShardSet:
-    """Derive the static shard placement of every fetch in ``plan``."""
+    """Derive the static shard placement of every fetch in ``plan``, its
+    parameters resolved through ``bindings`` where given."""
     fetches = tuple(
-        fetch_shard_set(node, access_schema, layout)
+        fetch_shard_set(node, access_schema, layout, bindings)
         for node in plan.iter_nodes()
         if isinstance(node, FetchNode)
     )

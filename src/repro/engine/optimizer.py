@@ -42,7 +42,7 @@ from ..algebra.containment import equivalent
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.homomorphism import iter_homomorphisms
 from ..algebra.schema import DatabaseSchema
-from ..algebra.terms import Constant, FreshVariableFactory, Term, Variable
+from ..algebra.terms import Constant, FreshVariableFactory, Param, Term, Variable
 from ..algebra.ucq import QueryLike, UnionQuery, as_union
 from ..algebra.views import View, ViewSet
 from ..core.access import AccessConstraint, AccessSchema
@@ -1246,6 +1246,7 @@ def estimate_plan_fetches(
     schema: DatabaseSchema,
     view_sizes: Mapping[str, int] | None = None,
     corrections: Mapping[str, float] | None = None,
+    bindings: Mapping[str, object] | None = None,
 ) -> PlanEstimate:
     """Predict the Dξ of a constructed plan, fetch by fetch.
 
@@ -1256,13 +1257,20 @@ def estimate_plan_fetches(
     bucket for variable ones.  The service records this estimate on the
     cached plan and compares it against the IOMeter's actual Dξ on warm
     executions — a >10x miss triggers adaptive re-planning with
-    ``corrections`` set to the observed per-relation ratios.
+    ``corrections`` set to the observed per-relation ratios.  A key that is
+    a :class:`Param` is priced with its value in ``bindings`` when named
+    there, and as an unknown value (the average bucket) otherwise.
     """
     fetches: list[FetchEstimate] = []
+    known = bindings or {}
 
     def constants_below(node: PlanNode) -> dict[str, object]:
         return {
-            scan.attribute: scan.value
+            scan.attribute: (
+                known.get(scan.value.name, scan.value)
+                if isinstance(scan.value, Param)
+                else scan.value
+            )
             for scan in node.iter_nodes()
             if isinstance(scan, ConstantScan)
         }

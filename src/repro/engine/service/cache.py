@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ...algebra.cq import ConjunctiveQuery
 from ...algebra.fo import FOQuery
@@ -32,13 +32,15 @@ from ...core.plans import PlanNode
 from ...exec.codegen import CompiledPlan
 
 
-def _canonical_cq(query: ConjunctiveQuery) -> tuple:
+def _canonical_cq(
+    query: ConjunctiveQuery, lift: Callable[[object], object] | None
+) -> tuple:
     normalized = query.normalize()
     names: dict[Variable, str] = {}
 
     def term_key(term) -> tuple:
         if isinstance(term, Constant):
-            return ("c", repr(term.value))
+            return ("c", repr(term.value if lift is None else lift(term.value)))
         if term not in names:
             names[term] = f"v{len(names)}"
         return ("v", names[term])
@@ -51,17 +53,26 @@ def _canonical_cq(query: ConjunctiveQuery) -> tuple:
     return (head, atoms)
 
 
-def canonical_query_key(query: ConjunctiveQuery | UnionQuery | FOQuery) -> tuple:
+def canonical_query_key(
+    query: ConjunctiveQuery | UnionQuery | FOQuery,
+    lift: Callable[[object], object] | None = None,
+) -> tuple:
     """A hashable canonical form of a CQ/UCQ/FO query.
 
     Two queries with the same key are alpha-equivalent (CQ/UCQ) or textually
     identical (FO); queries with different keys may still be semantically
     equivalent — the cache then simply plans both.
+
+    Every constant counts unless ``lift`` is given: each constant *value* of
+    a CQ/UCQ is then keyed as ``lift(value)``, visited in canonical order
+    (disjuncts as written; head, then atoms, of the normalised form).  The
+    resolve stage passes the function that turns liftable constants into
+    parameter slots, which makes this — the same walk — the key of the shape.
     """
     if isinstance(query, ConjunctiveQuery):
-        return ("CQ", _canonical_cq(query))
+        return ("CQ", _canonical_cq(query, lift))
     if isinstance(query, UnionQuery):
-        return ("UCQ", tuple(sorted(_canonical_cq(d) for d in query.disjuncts)))
+        return ("UCQ", tuple(sorted(_canonical_cq(d, lift) for d in query.disjuncts)))
     if isinstance(query, FOQuery):
         return ("FO", str(query))
     raise TypeError(f"cannot canonicalise a query of type {type(query).__name__}")
@@ -124,6 +135,9 @@ class CachedPlan:
     order_report: object | None = None
     cache_key: tuple | None = None
     restored: bool = False
+    # The latest ``(plan, values, plan bound to them)`` of a plan shared
+    # across constants, see ``ResolvedQuery.literal_plan``.
+    literal: tuple | None = None
 
     @property
     def found(self) -> bool:

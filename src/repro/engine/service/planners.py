@@ -112,6 +112,14 @@ class Planner(Protocol):
     every behavior-affecting setting) — it keys the plan cache.  Without one,
     the cache falls back to ``(name, type)`` via :func:`planner_signature`,
     which treats two same-typed instances as interchangeable.
+
+    A planner whose choice never reads the *value* of a query constant — only
+    which positions hold constants and which of them equal each other or a
+    constant of a view definition — may declare ``constant_blind = True``.
+    When every planner of a chain does, the service plans each query *shape*
+    once (see :mod:`.resolve`) and shares the outcome across values; one
+    planner without the declaration — the default for a custom planner —
+    makes the chain plan the query as written, once per value.
     """
 
     name: str
@@ -145,9 +153,12 @@ def planner_signature(planner: "Planner") -> tuple:
 
 
 class HeuristicPlanner:
-    """The constructive CQ/UCQ plan builder (views as filters + greedy fetches)."""
+    """The constructive CQ/UCQ plan builder (views as filters + greedy fetches).
+    Constant-blind: access paths are priced by ``estimated_matches(positions)``
+    — cardinality over distinct counts — whatever value sits there."""
 
     name = "heuristic"
+    constant_blind = True
 
     @property
     def signature(self) -> tuple:
@@ -184,6 +195,8 @@ class CostBasedPlanner:
     subset DP costed with the per-column equi-depth histograms riding on
     ``context.statistics``.  Above ``max_dp_atoms`` atoms per disjunct the
     builder falls back to the greedy order (recorded in the order report).
+    Not constant-blind: a constant key is priced through ``estimate_eq``, so
+    a hot key and a cold one get different orders — one plan per value.
     """
 
     name = "cost"
@@ -234,6 +247,7 @@ class ExactVBRPPlanner:
     """
 
     name = "exact"
+    constant_blind = True
 
     def __init__(self, default_max_size: int = 4, language: str = "UCQ") -> None:
         self.default_max_size = default_max_size
@@ -275,6 +289,7 @@ class ToppedFOPlanner:
     """The effective-syntax path: bounded plans for topped FO queries."""
 
     name = "topped"
+    constant_blind = True
 
     @property
     def signature(self) -> tuple:

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ...algebra.cq import ConjunctiveQuery
 from ...algebra.fo import FOQuery
-from ...algebra.terms import Constant, Param, Variable
+from ...algebra.terms import Variable
 from ...algebra.fo import is_positive_existential, to_ucq
 from ...algebra.ucq import UnionQuery
 from ...algebra.views import View, ViewSet
@@ -90,9 +90,29 @@ from .planners import (
     planner_signature,
     resolve_planners,
 )
-from .resolve import QueryInput, ResolvedQuery, ResolveStage
+from .resolve import EntryView, QueryInput, ResolvedQuery, ResolveStage
 from .sharding import ShardExecutor, ShardRouter
 from .stats import ServiceStats
+
+
+class _LazyPlan:
+    """``Answer.plan``: a plan, ``None``, or — until first read — the shared
+    cache entry as the input sees it (:class:`EntryView`).  Putting an
+    input's values back into a plan shared across constants costs more than
+    a compiled execution, so it happens only when somebody looks.  (Raising
+    on class access is how a descriptor tells ``dataclass`` that the field
+    has no default.)"""
+
+    def __get__(self, answer: "Answer | None", owner: type | None = None) -> PlanNode | None:
+        if answer is None:
+            raise AttributeError("plan")
+        plan = answer.__dict__["plan"]
+        if isinstance(plan, EntryView):
+            plan = answer.__dict__["plan"] = plan.plan
+        return plan
+
+    def __set__(self, answer: "Answer", plan: object) -> None:
+        answer.__dict__["plan"] = plan
 
 
 @dataclass
@@ -101,14 +121,16 @@ class Answer:
 
     ``planner`` names the strategy that produced the plan (``None`` on the
     fallback path); ``backend`` names where the query ran; ``cache_hit`` is
-    true when planning was skipped — served from the plan cache or from an
-    already-planned :class:`PreparedQuery`; ``reason`` explains the outcome
-    in either case — it is never silently empty.
+    true when planning was skipped — this query's *shape* was planned before
+    (by this text or by one that differs only in liftable constants), or an
+    already-planned :class:`PreparedQuery` ran; ``reason`` explains the
+    outcome in either case — it is never silently empty.
     """
 
     rows: frozenset[tuple]
     used_bounded_plan: bool
-    plan: PlanNode | None
+    #: The literal, self-contained plan that answered (bound on first read).
+    plan: _LazyPlan = _LazyPlan()
     planner: str | None
     backend: str
     cache_hit: bool
@@ -139,6 +161,11 @@ class Answer:
         return self.tuples_fetched + self.tuples_scanned
 
 
+def _constant_blind(chain: Sequence[Planner]) -> bool:
+    """May outcomes of this chain be shared across query constants?"""
+    return all(getattr(planner, "constant_blind", False) for planner in chain)
+
+
 def _validate_bindings(
     declared: frozenset[str], given: Mapping[str, object], what: str
 ) -> None:
@@ -154,37 +181,36 @@ def _validate_bindings(
         )
 
 
-def _bind_query(query: Query, params: Mapping[str, object]) -> Query:
-    """Substitute concrete values for the parameters of a query."""
-    mapping = {Constant(Param(name)): Constant(value) for name, value in params.items()}
-    if isinstance(query, UnionQuery):
-        return UnionQuery(
-            tuple(d.substitute(mapping) for d in query.disjuncts), name=query.name
-        )
-    return query.substitute(mapping)
-
-
 @dataclass
 class PreparedQuery:
     """A query planned once, executable many times with different constants.
 
     Obtained from :meth:`QueryService.prepare`.  ``parameters`` lists the
     named placeholders that must be bound on every :meth:`execute` call; a
-    query without parameters simply re-executes its cached plan.
+    query without parameters simply re-executes its cached plan.  Literal
+    constants are bound by the service itself (the cached plan is the
+    shape's, see :mod:`.resolve`) and never show up here.
     """
 
     service: "QueryService"
-    query: Query
+    record: ResolvedQuery
     head: tuple[Variable, ...] | None
     entry: CachedPlan
     backend: str | None
-    parameters: frozenset[str]
     planned_from_cache: bool = False
     _executed: bool = False
 
     @property
+    def query(self) -> Query:
+        return self.record.query
+
+    @property
+    def parameters(self) -> frozenset[str]:
+        return self.record.parameters
+
+    @property
     def plan(self) -> PlanNode | None:
-        return self.entry.plan
+        return self.record.literal_plan(self.entry) if self.entry.found else None
 
     @property
     def is_bounded(self) -> bool:
@@ -216,7 +242,7 @@ class PreparedQuery:
         cache_hit = self.planned_from_cache or self._executed
         self._executed = True
         return self.service._execute(
-            self.query,
+            self.record,
             self.head,
             self.entry,
             cache_hit=cache_hit,
@@ -376,7 +402,7 @@ class QueryService:
         # depends only on the input (see .resolve), and the default planner
         # chain's signature is computed once instead of per call.
         self._resolver = ResolveStage(database.schema, self.views)
-        self._chain_signature: tuple[object, tuple] | None = None
+        self._chain_signature: tuple[object, tuple[tuple, bool]] | None = None
         self.plan_cache = LRUPlanCache(plan_cache_size)
         self.stats = ServiceStats()
         self.default_backend = backend
@@ -610,9 +636,12 @@ class QueryService:
         planners: Sequence[str | Planner] | None = None,
         use_cache: bool = True,
     ) -> tuple[CachedPlan, bool]:
-        """Plan a query through the chain; returns (outcome, was_cache_hit)."""
+        """Plan a query through the chain; returns (outcome, was_cache_hit).
+        The outcome is the live cache entry, ``plan`` bound to this input's
+        own constants when the entry is shared across them."""
         record, _ = self._resolve(query)
-        return self._plan(record, head, max_size, planners, use_cache)
+        entry, hit = self._plan(record, head, max_size, planners, use_cache)
+        return record.view_of(entry), hit
 
     def _plan(
         self,
@@ -622,16 +651,23 @@ class QueryService:
         planners: Sequence[str | Planner] | None,
         use_cache: bool = True,
     ) -> tuple[CachedPlan, bool]:
-        """The cache → plan/verify stages for one resolved input."""
-        resolved = record.query
+        """The cache → plan/verify stages for one resolved input.
+
+        A plan may be shared across constants iff nothing that chose it read
+        them: a chain of constant-blind planners plans the input's *shape*
+        under the shape key, any other chain the query as written under the
+        literal key.  Either outcome executes with the record's bindings.
+        """
         if planners is None:
             chain = self.planners
-            chain_signature = self._default_chain_signature()
+            chain_signature, shared = self._default_chain()
         else:
             chain = resolve_planners(planners)
             chain_signature = tuple(planner_signature(p) for p in chain)
+            shared = _constant_blind(chain)
+        planned = record.shape if shared else record.query
         key = (
-            record.canonical,
+            record.shape_key if shared else record.canonical,
             chain_signature,
             tuple(v.name for v in head) if head is not None else None,
             max_size,
@@ -647,28 +683,30 @@ class QueryService:
                     cached.restored = False
                     self.stats.record_plan_store_hit()
                 return cached, True
-        entry = self._run_chain(resolved, head, max_size, chain, corrections=None)
+        entry = self._run_chain(planned, head, max_size, chain, None, record.bindings)
         if entry.plan is None and any(
-            name in self.views for name in resolved.relation_names
+            name in self.views for name in planned.relation_names
         ):
             raise QueryError(
-                f"no bounded plan for {self._query_name(resolved)!r}, which reads "
+                f"no bounded plan for {self._query_name(planned)!r}, which reads "
                 "views, and the full-scan baseline cannot read views: "
                 + entry.reason
             )
         entry.cache_key = key if use_cache else None
         if self.verify_plans and entry.plan is not None:
-            self._verify_entry(resolved, entry.plan, head)
+            self._verify_entry(record.query, record.literal_plan(entry), head)
         if use_cache:
             self.plan_cache.put(key, entry)
         return entry, False
 
-    def _default_chain_signature(self) -> tuple:
-        """The default planner chain's cache-key signature, computed once."""
+    def _default_chain(self) -> tuple[tuple, bool]:
+        """The default chain's cache-key signature and whether its plans are
+        shared across constants, computed once per chain."""
         chain = self.planners
         cached = self._chain_signature
         if cached is None or cached[0] is not chain:
-            cached = (chain, tuple(planner_signature(p) for p in chain))
+            signature = tuple(planner_signature(p) for p in chain)
+            cached = (chain, (signature, _constant_blind(chain)))
             self._chain_signature = cached
         return cached[1]
 
@@ -679,6 +717,7 @@ class QueryService:
         max_size: int | None,
         chain: Sequence[Planner],
         corrections: Mapping[str, float] | None,
+        bindings: Mapping[str, object],
     ) -> CachedPlan:
         """Run the planner chain once and build the cache entry.
 
@@ -686,6 +725,8 @@ class QueryService:
         read — is built once for the whole chain, so every planner (and the
         post-planning cardinality estimate below) prices the same data.
         ``corrections`` is non-None only on the adaptive re-planning path.
+        ``bindings`` are the asking input's lifted values: the plan may be
+        shared across constants, its *estimate* is priced for them.
         """
         context = self.context
         if corrections:
@@ -728,6 +769,7 @@ class QueryService:
                     name: len(rows) for name, rows in self._view_cache.items()
                 },
                 corrections=corrections,
+                bindings=bindings,
             )
             entry.estimated_fetches = estimate.total_fetched
             entry.fetch_estimates = estimate.fetches
@@ -801,7 +843,7 @@ class QueryService:
 
     def _observe_execution(
         self,
-        resolved: Query,
+        record: ResolvedQuery,
         head: tuple[Variable, ...] | None,
         entry: CachedPlan,
         cache_hit: bool,
@@ -844,11 +886,11 @@ class QueryService:
             f"actual Dξ {actual} vs estimated {entry.estimated_fetches:.1f} "
             f"({direction}shot the {self.replan_factor:g}x re-plan threshold)"
         )
-        self._replan(resolved, head, entry, reason, per_relation)
+        self._replan(record, head, entry, reason, per_relation)
 
     def _replan(
         self,
-        resolved: Query,
+        record: ResolvedQuery,
         head: tuple[Variable, ...] | None,
         entry: CachedPlan,
         reason: str,
@@ -857,7 +899,7 @@ class QueryService:
         """Re-run the default chain with observed corrections, swap the entry."""
         key = entry.cache_key
         assert key is not None and entry.plan is not None
-        if len(key) < 4 or key[1] != self._default_chain_signature():
+        if len(key) < 4 or key[1] != self._default_chain()[0]:
             # Planned under an explicit per-call chain whose planner objects
             # are gone; re-planning would change which strategies answer.
             return
@@ -880,6 +922,7 @@ class QueryService:
             self.database.statistics(),
             self.database.schema,
             view_sizes={name: len(rows) for name, rows in self._view_cache.items()},
+            bindings=record.bindings,
         )
         estimated_by_relation: dict[str, float] = {}
         for fetch in current.fetches:
@@ -891,20 +934,30 @@ class QueryService:
             / max(estimated_by_relation.get(relation, 0.0), 1.0)
             for relation, count in per_relation.items()
         }
+        # What the entry was planned from: the shape under a shape key.
+        planned = record.shape if key[0] == record.shape_key else record.query
         with self._replan_lock:
             max_size = key[3] if len(key) > 3 else None
             fresh = self._run_chain(
-                resolved, head, max_size, self.planners, corrections
+                planned, head, max_size, self.planners, corrections, record.bindings
             )
             if fresh.plan is None:
                 return  # the corrected model found nothing better to swap in
-            if self.verify_plans:
-                self._verify_entry(resolved, fresh.plan, head)
+            if fresh.plan == entry.plan:
+                # The plan it was meant to replace (the greedy builder
+                # ignores corrections): the attempt is charged to the budget
+                # and the re-priced estimate adopted; entry, warm-up and
+                # closure stay.
+                entry.estimated_fetches = fresh.estimated_fetches
+                entry.fetch_estimates = fresh.fetch_estimates
+                fresh = entry
+            elif self.verify_plans:
+                self._verify_entry(record.query, record.literal_plan(fresh), head)
             fresh.cache_key = key
             fresh.replans = spent + 1
             fresh.replan_version = version
             fresh.replan_reason = reason
-            if self.plan_cache.replace(key, entry, fresh):
+            if fresh is entry or self.plan_cache.replace(key, entry, fresh):
                 self.stats.record_replan()
 
     # ------------------------------------------------------------------ #
@@ -926,7 +979,7 @@ class QueryService:
             return
         fingerprint = statistics_fingerprint(self.database.statistics())
         try:
-            stored = store.load(fingerprint, self._default_chain_signature())
+            stored = store.load(fingerprint, self._default_chain()[0])
         except PlanStoreError as error:
             self.plan_store_error = str(error)
             return
@@ -964,7 +1017,7 @@ class QueryService:
         store = self.plan_store
         if store is None:
             return
-        chain_signature = self._default_chain_signature()
+        chain_signature = self._default_chain()[0]
         records: list[StoredEntry] = []
         for key, entry in self.plan_cache.entries():
             if entry.plan is None:
@@ -1023,6 +1076,11 @@ class QueryService:
         bound when one was found, or the planner chain's reasons plus — when
         derivable — an uncovered-variable counterexample when not.  Query
         lints ride along either way.  Nothing here touches the data.
+
+        The plan shown is the cached one with this input's constants put
+        back; ``bindings`` lists them when the outcome is the shape's, shared
+        by every input that differs only in those values (which is how a
+        text never seen before can be a ``cache_hit``).
         """
         record, memo_hit = self._resolve(query)
         resolved = record.query
@@ -1033,14 +1091,15 @@ class QueryService:
             return Explanation(
                 query_name=name,
                 plan=None,
-                reason=entry.reason,
+                reason=record.spell(entry.reason),
                 cache_hit=cache_hit,
                 resolve_memo_hit=memo_hit,
                 counterexample=self._counterexample(resolved),
                 lints=lints,
             )
+        plan = record.literal_plan(entry)
         conformance = conforms_to(
-            entry.plan,
+            plan,
             self.access_schema,
             self.database.schema,
             self.views,
@@ -1048,7 +1107,7 @@ class QueryService:
             compute_bound=True,
         )
         certificates = fetch_certificates(
-            entry.plan,
+            plan,
             self.database.schema,
             views=self.views,
             access_schema=self.access_schema,
@@ -1070,7 +1129,12 @@ class QueryService:
         )
         return Explanation(
             query_name=name,
-            plan=entry.plan,
+            plan=plan,
+            bindings={
+                slot: value
+                for slot, value in record.bindings.items()
+                if slot in entry.parameters
+            },
             planner=entry.planner or "",
             reason=entry.reason,
             cache_hit=cache_hit,
@@ -1086,7 +1150,7 @@ class QueryService:
                 entry.compiled.compile_seconds if entry.compiled is not None else None
             ),
             codegen_reason=entry.codegen_reason,
-            shard_set=self._router.route(entry.plan),
+            shard_set=self._router.route(entry.plan, record.bindings),
             estimated_fetches=entry.estimated_fetches,
             actual_fetches=entry.actual_fetches,
             operator_estimates=operator_estimates,
@@ -1164,13 +1228,13 @@ class QueryService:
         record = self._resolve_bound(query, params)
         entry, hit = self._plan(record, head, max_size, planners, use_cache)
         return self._execute(
-            record.query,
+            record,
             tuple(head) if head is not None else None,
             entry,
             cache_hit=hit,
             backend_name=backend,
             started=started,
-            params=dict(params) if params else None,
+            params=params or None,
         )
 
     def prepare(
@@ -1187,11 +1251,10 @@ class QueryService:
         entry, hit = self._plan(record, head, max_size, planners)
         return PreparedQuery(
             service=self,
-            query=record.query,
+            record=record,
             head=tuple(head) if head is not None else None,
             entry=entry,
             backend=backend,
-            parameters=record.parameters,
             planned_from_cache=hit,
         )
 
@@ -1251,17 +1314,19 @@ class QueryService:
             record = self._resolve_bound(item, None)
             entry, hit = self._plan(record, None, None, planners, use_cache)
             affinities.append(
-                router.affinity(entry.plan) if entry.plan is not None else None
+                router.affinity(entry.plan, record.bindings)
+                if entry.plan is not None
+                else None
             )
 
             def task(
-                resolved: Query = record.query,
+                record: ResolvedQuery = record,
                 entry: CachedPlan = entry,
                 hit: bool = hit,
                 started: float = started,
             ) -> Answer:
                 return self._execute(
-                    resolved,
+                    record,
                     None,
                     entry,
                     cache_hit=hit,
@@ -1410,24 +1475,27 @@ class QueryService:
 
     def _execute(
         self,
-        resolved: Query,
+        record: ResolvedQuery,
         head: tuple[Variable, ...] | None,
         entry: CachedPlan,
         *,
         cache_hit: bool,
         backend_name: str | None,
         started: float,
-        params: dict[str, object] | None,
+        params: Mapping[str, object] | None,
     ) -> Answer:
+        """Run ``entry`` for one input; ``params`` are the caller's
+        (validated) values for its declared parameters."""
         self._sync_serving()
         backend = self._backend(backend_name)
         if entry.found:
             plan = entry.plan
             assert plan is not None
-            if not params and entry.parameters:
-                raise QueryError(
-                    f"plan has unbound parameters {sorted(entry.parameters)}"
-                )
+            # The plan may be the shape's: it runs with the values lifted
+            # out of this input next to the caller's.
+            bindings = record.bindings
+            if params:
+                bindings = {**bindings, **params} if bindings else params
             # Codegen tier: only backends exposing execute_compiled can run
             # closures (SQLite executes SQL text, not Python), and the plan
             # must have warmed up and verified first.  The compiled path
@@ -1452,22 +1520,25 @@ class QueryService:
                         ):
                             self._compile_entry(
                                 entry,
-                                self._head_arity(resolved, head),
-                                self._query_name(resolved),
+                                self._head_arity(record.query, head),
+                                self._query_name(record.query),
                             )
                         compiled = entry.compiled
+            literal: object
             if compiled is not None:
-                result = runner(compiled, params)
+                result = runner(compiled, bindings)
                 tier = "compiled"
+                # Answer.plan binds on first read (memoised on the record).
+                literal = record.view_of(entry) if record.bindings else plan
             else:
-                bound = bind_plan(plan, params) if params else plan
-                result = self._execute_union_fanout(backend, bound)
-                plan = bound  # the bound plan that actually executed
+                # The bound plan that actually executes.
+                literal = bind_plan(plan, bindings) if params else record.literal_plan(entry)
+                result = self._execute_union_fanout(backend, literal)
                 tier = "interpreted"
             answer = Answer(
                 rows=result.rows,
                 used_bounded_plan=True,
-                plan=plan,
+                plan=literal,
                 planner=entry.planner,
                 backend=backend.name,
                 cache_hit=cache_hit,
@@ -1480,9 +1551,9 @@ class QueryService:
                 shards_touched=tuple(sorted(result.stats.shards_touched)),
                 shards_total=self.shard_count,
             )
-            self._observe_execution(resolved, head, entry, cache_hit, result.stats)
+            self._observe_execution(record, head, entry, cache_hit, result.stats)
         else:
-            bound = _bind_query(resolved, params) if params else resolved
+            bound = record.bound_query(params)
             if isinstance(bound, FOQuery):
                 fo_head = (
                     head
@@ -1503,7 +1574,7 @@ class QueryService:
                 tuples_scanned=base.tuples_scanned,
                 view_tuples_scanned=0,
                 elapsed_seconds=time.perf_counter() - started,
-                reason=entry.reason or "no bounded plan found",
+                reason=record.spell(entry.reason) or "no bounded plan found",
             )
         self.stats.record(answer)
         return answer

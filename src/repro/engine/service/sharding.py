@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ...analysis.sharding import PlanShardSet, ShardLayoutLike, plan_shard_set
 from ...core.access import AccessSchema
@@ -45,18 +45,23 @@ class ShardRouter:
     def shard_count(self) -> int:
         return self.layout.shard_count
 
-    def route(self, plan: PlanNode) -> PlanShardSet:
-        """Derive which shards ``plan`` can touch, from its certificates."""
-        return plan_shard_set(plan, self.access_schema, self.layout)
+    def route(
+        self, plan: PlanNode, bindings: Mapping[str, object] | None = None
+    ) -> PlanShardSet:
+        """Derive which shards ``plan`` can touch, from its certificates;
+        parameters named by ``bindings`` route by their bound value."""
+        return plan_shard_set(plan, self.access_schema, self.layout, bindings)
 
-    def affinity(self, plan: PlanNode) -> int | None:
+    def affinity(
+        self, plan: PlanNode, bindings: Mapping[str, object] | None = None
+    ) -> int | None:
         """The single shard ``plan`` is routable to, or ``None``.
 
         ``None`` means the plan fans out (multiple static shards), has
         data-dependent keys, or touches only shard-neutral reference data —
         in each case there is no one shard to pin the work item to.
         """
-        shard_set = self.route(plan)
+        shard_set = self.route(plan, bindings)
         if not shard_set.single_shard:
             return None
         shards = shard_set.shards

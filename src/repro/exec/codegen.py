@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as _iter_product
 from typing import Any, Callable, Collection, Iterator, Mapping, Protocol, Sequence, cast
 
@@ -89,6 +90,9 @@ class Runtime:
     A fresh ``Runtime`` per execution is what keeps compiled artifacts
     data-independent: the closure tree never sees storage or bindings at
     compile time, so cache-held closures survive writes and rebinds.
+    ``params`` holds the execution's parameter values by slot — resolved
+    from the caller's bindings once, in :meth:`CompiledPlan.execute`; steps
+    and predicates index into it.
     """
 
     __slots__ = ("provider", "views", "meter", "params")
@@ -98,7 +102,7 @@ class Runtime:
         provider: FetchProviderLike,
         views: Mapping[str, Collection[Row]],
         meter: IOMeter,
-        params: Mapping[str, object],
+        params: tuple[object, ...],
     ) -> None:
         self.provider = provider
         self.views = views
@@ -133,6 +137,8 @@ def compile_closure_source(
 
 _RowPredicate = Callable[[Row], bool]
 _PredicateFactory = Callable[[Runtime], _RowPredicate]
+#: Parameter name → slot in ``Runtime.params``, filled while compiling.
+_Slots = dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,16 @@ class CompiledPlan:
 
     ``parameters`` are the :class:`~repro.algebra.terms.Param` names the
     closure resolves at execution time — callers pass bindings instead of
-    rewriting the plan.  ``compile_seconds`` is the wall-clock cost of
-    building the closure tree (surfaced by ``QueryService.explain``).
+    rewriting the plan; ``slots`` lists them in ``Runtime.params`` order.
+    ``compile_seconds`` is the wall-clock cost of building the closure tree
+    (surfaced by ``QueryService.explain``).
     """
 
     attributes: tuple[str, ...]
     parameters: frozenset[str]
     compile_seconds: float
     step: Step
+    slots: tuple[str, ...] = ()
 
     def execute(
         self,
@@ -158,13 +166,15 @@ class CompiledPlan:
         params: Mapping[str, object] | None = None,
     ) -> frozenset[Row]:
         """Run the closure tree against the *current* storage state."""
-        bindings: Mapping[str, object] = params if params is not None else {}
-        missing = [name for name in sorted(self.parameters) if name not in bindings]
-        if missing:
+        bindings: Mapping[str, object] = params or {}
+        try:
+            values = tuple(map(bindings.__getitem__, self.slots))
+        except KeyError:
+            missing = sorted(self.parameters - bindings.keys())
             raise PlanError(
                 "compiled plan is missing parameter bindings: " + ", ".join(missing)
-            )
-        return frozenset(self.step(Runtime(provider, views, meter, bindings)))
+            ) from None
+        return frozenset(self.step(Runtime(provider, views, meter, values)))
 
 
 def compile_plan_closure(plan: PlanNode, access_schema: AccessSchema) -> CompiledPlan:
@@ -177,13 +187,14 @@ def compile_plan_closure(plan: PlanNode, access_schema: AccessSchema) -> Compile
     errors: they become the compiled plan's ``parameters`` contract.
     """
     started = time.perf_counter()
-    parameters: set[str] = set()
+    parameters: _Slots = {}
     step = _compile_step(plan, access_schema, parameters)
     return CompiledPlan(
         attributes=plan.attributes,
         parameters=frozenset(parameters),
         compile_seconds=time.perf_counter() - started,
         step=step,
+        slots=tuple(parameters),
     )
 
 
@@ -217,23 +228,23 @@ def _conjunction(predicates: Sequence[_RowPredicate]) -> _RowPredicate:
     return check
 
 
-def _predicate_factory(
-    checks: Sequence[Check], parameters: set[str]
-) -> _PredicateFactory:
+def _predicate_factory(checks: Sequence[Check], parameters: _Slots) -> _PredicateFactory:
     """Lowered checks → a per-execution predicate builder.
 
-    Checks against plain constants are closed at compile time; checks whose
-    constant is a :class:`Param` re-resolve from ``Runtime.params`` once per
-    execution (not once per row), which is how prepared queries skip
-    ``bind_plan`` entirely on the compiled tier.
+    Checks against plain constants are closed at compile time.  A check
+    whose constant is a :class:`Param` knows its slot at compile time and
+    reads ``Runtime.params[slot]`` — no closure is built per execution, the
+    compiled check is only paired with the execution's values — which is how
+    prepared queries and plans shared across constants skip ``bind_plan``
+    entirely on the compiled tier.
     """
     static: list[_RowPredicate] = []
-    dynamic: list[tuple[int, str, bool]] = []
+    dynamic: list[tuple[int, int, bool]] = []
     for check in checks:
         if isinstance(check, ConstantCheck):
             if isinstance(check.value, Param):
-                parameters.add(check.value.name)
-                dynamic.append((check.position, check.value.name, check.negated))
+                slot = parameters.setdefault(check.value.name, len(parameters))
+                dynamic.append((check.position, slot, check.negated))
             else:
                 static.append(
                     _constant_predicate(check.position, check.value, check.negated)
@@ -245,17 +256,24 @@ def _predicate_factory(
         predicate = _conjunction(static)
         return lambda runtime: predicate
 
-    base = tuple(static)
-    bindings = tuple(dynamic)
+    if not static and len(dynamic) == 1:
+        ((position, slot, negated),) = dynamic
 
-    def factory(runtime: Runtime) -> _RowPredicate:
-        params = runtime.params
-        resolved = list(base)
-        for position, name, negated in bindings:
-            resolved.append(_constant_predicate(position, params[name], negated))
-        return _conjunction(resolved)
+        def check_one(values: tuple[object, ...], row: Row) -> bool:
+            return (row[position] == values[slot]) != negated
 
-    return factory
+        return lambda runtime: partial(check_one, runtime.params)
+
+    fixed = _conjunction(static) if static else None
+    bound = tuple(dynamic)
+
+    def check_all(values: tuple[object, ...], row: Row) -> bool:
+        for position, slot, negated in bound:
+            if (row[position] == values[slot]) == negated:
+                return False
+        return fixed is None or fixed(row)
+
+    return lambda runtime: partial(check_all, runtime.params)
 
 
 # --------------------------------------------------------------------------- #
@@ -264,7 +282,7 @@ def _predicate_factory(
 
 
 def _compile_step(
-    node: PlanNode, access_schema: AccessSchema, parameters: set[str]
+    node: PlanNode, access_schema: AccessSchema, parameters: _Slots
 ) -> Step:
     def recurse(child: PlanNode) -> Step:
         return _compile_step(child, access_schema, parameters)
@@ -272,11 +290,10 @@ def _compile_step(
     if isinstance(node, ConstantScan):
         value = node.value
         if isinstance(value, Param):
-            name = value.name
-            parameters.add(name)
+            slot = parameters.setdefault(value.name, len(parameters))
 
             def step_param(runtime: Runtime) -> Collection[Row]:
-                return ((runtime.params[name],),)
+                return ((runtime.params[slot],),)
 
             return step_param
         rows: tuple[Row, ...] = ((value,),)
@@ -395,7 +412,7 @@ def _compile_step(
 def _fuse_fetch(
     node: PlanNode,
     access_schema: AccessSchema,
-    parameters: set[str],
+    parameters: _Slots,
     project_positions: tuple[int, ...] | None,
 ) -> Step | None:
     """Try to fuse a ``[π](σ)(fetch)`` chain into one fetch loop.
@@ -434,7 +451,7 @@ def _remap_check(check: Check, positions: tuple[int, ...]) -> Check:
 def _compile_fetch(
     node: FetchNode,
     access_schema: AccessSchema,
-    parameters: set[str],
+    parameters: _Slots,
     checks: tuple[Check, ...] = (),
     project_positions: tuple[int, ...] | None = None,
 ) -> Step:
@@ -557,7 +574,7 @@ def _factored_matches(
     product: ProductNode,
     lowered: LoweredJoin,
     access_schema: AccessSchema,
-    parameters: set[str],
+    parameters: _Slots,
 ) -> _MatchIter | None:
     """Probe-first iteration when the probe side is itself a cross product.
 
@@ -696,7 +713,7 @@ def _compile_join(
     product: ProductNode,
     lowered: LoweredJoin,
     access_schema: AccessSchema,
-    parameters: set[str],
+    parameters: _Slots,
     project: tuple[int, ...] | None = None,
 ) -> Step:
     """Hash join with residual filter and projection fused into the probe loop.

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
 from .histograms import ColumnStatistics
 
@@ -91,8 +92,10 @@ class RelationStatistics:
         Positions probed with a *known constant* are estimated from that
         column's equi-depth histogram (``estimate_eq`` sees heavy hitters
         that the whole-column average hides); positions probed with a bound
-        variable fall back to the average bucket.  Without attached column
-        summaries this degrades to the classical estimate exactly.
+        variable — or with a :class:`~repro.algebra.terms.Param`, a constant
+        whose value is not known yet — fall back to the average bucket, the
+        generic-plan estimate.  Without attached column summaries this
+        degrades to the classical estimate exactly.
         """
         if self.columns is None:
             return self.estimated_matches(positions)
@@ -104,7 +107,11 @@ class RelationStatistics:
             column = self.columns[position] if position < len(self.columns) else None
             if column is None:
                 estimate /= max(1, self.distinct[position])
-            elif constants is not None and position in constants:
+            elif (
+                constants is not None
+                and position in constants
+                and not isinstance(constants[position], Param)
+            ):
                 estimate *= column.estimate_eq(constants[position]) / cardinality
             else:
                 estimate *= column.average_bucket() / cardinality

@@ -118,6 +118,53 @@ def test_compiled_plan_rejects_missing_bindings(gs_instance, gs_access):
         compiled.execute(service.indexes, service.view_cache, FetchStats())
 
 
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("with_static", [False, True])
+def test_parameter_checks_read_their_slot_like_bound_constants(
+    gs_instance, gs_schema, gs_access, with_static, negated
+):
+    """A ``Param`` in a scan or a selection resolves to one slot of the
+    execution's value tuple: whatever mix of plain, parameterised and negated
+    checks a node carries, the closure run with bindings equals — rows and
+    every meter field — both tiers run on the bound plan."""
+    from repro.algebra.terms import Param
+    from repro.core.plan_eval import bind_plan
+    from repro.core.plans import (
+        AttributeEqualsConstant,
+        ConstantScan,
+        FetchNode,
+        ProductNode,
+        SelectNode,
+    )
+
+    keys = ProductNode(
+        ConstantScan(Param("studio"), attribute="studio"),
+        ConstantScan(Param("year"), attribute="release"),
+    )
+    movies = FetchNode(keys, "movie", ("studio", "release"), ("mid",))
+    predicates = [AttributeEqualsConstant("release", Param("year"), negated)]
+    predicates.append(AttributeEqualsConstant("studio", Param("studio")))
+    if with_static:
+        predicates.append(AttributeEqualsConstant("mid", "no such movie", True))
+    plan = SelectNode(movies, tuple(predicates))
+    service = QueryService(
+        gs_instance.database, gs_access, graph_search.views(), codegen=False
+    )
+    compiled = compile_plan_closure(plan, gs_access)
+    assert compiled.parameters == frozenset(compiled.slots) == {"studio", "year"}
+    for studio, year in (("Universal", "2014"), ("Paramount", "2010"), ("nobody", "1900")):
+        bindings = {"year": year, "studio": studio, "unused": 1}
+        expected, meter = _assert_tiers_identical(
+            bind_plan(plan, bindings), gs_schema, gs_access, service.indexes, service.view_cache
+        )
+        stats = FetchStats()
+        assert compiled.execute(service.indexes, service.view_cache, stats, bindings) == expected
+        assert _meters_equal(stats, meter)
+        assert bool(expected) == (not negated and studio != "nobody")
+    with pytest.raises(PlanError, match="missing parameter bindings: studio, year"):
+        compiled.execute(service.indexes, service.view_cache, FetchStats(), {"unused": 1})
+
+
 def test_compiled_fetch_without_constraint_rejected(gs_access):
     from repro.core.plans import FetchNode
 

@@ -358,6 +358,18 @@ def test_minimal_element_queries_and_the_definition_itself_are_allowed(tmp_path)
             "from . import cache\n"
             "def key(q):\n    return cache.canonical_query_key(q)\n",
         ),
+        # Minting an auto-parameter slot, hence building a shape or a
+        # binding vector, behind the memo.
+        (
+            "src/repro/engine/service/service.py",
+            "from ...algebra.terms import Param\n"
+            "def slot(k):\n    return Param(f'${k}')\n",
+        ),
+        (
+            "src/repro/engine/service/sharding.py",
+            "from . import resolve\n"
+            "def lifted(name):\n    return name.startswith(resolve.SLOT_PREFIX)\n",
+        ),
     ],
 )
 def test_parsing_behind_the_resolve_memo_is_flagged(tmp_path, relative, source):
@@ -373,11 +385,14 @@ def test_resolve_stage_definition_and_reexport_are_allowed(tmp_path):
         "src/repro/engine/service/resolve.py",
         """
         from ...algebra.parser import parse_query
+        from ...algebra.terms import Param
         from .cache import canonical_query_key
+
+        SLOT_PREFIX = "$"
 
         def resolve(text):
             query = parse_query(text)
-            return query, canonical_query_key(query)
+            return query, canonical_query_key(query), Param(SLOT_PREFIX + "0")
         """,
     )
     _write(

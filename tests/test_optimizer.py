@@ -137,6 +137,46 @@ def test_estimate_survives_a_fetch_output_the_relation_does_not_name(rs_database
     assert named.total_fetched > 0
 
 
+def test_a_parameter_key_is_priced_as_an_unknown_value():
+    """A ``Param`` key is a value nobody knows yet: the estimate is the
+    classical cardinality / distinct one — never the share of whichever
+    histogram bucket ``("Param", …)`` happens to sort into (on the mixed
+    column below: between ``None`` and the integers, inside the first)."""
+    from repro.algebra.terms import Param
+    from repro.storage.instance import Database
+
+    schema = schema_from_spec({"T": ("skewed", "mixed", "v")})
+    database = Database(schema)
+    database.add_many(
+        "T",
+        [
+            (
+                "hot" if n < 300 else f"k{n % 50}",
+                None if n % 100 == 0 else (n % 45 if n % 2 else f"s{n % 77}"),
+                n,
+            )
+            for n in range(400)
+        ],
+    )
+    statistics = database.statistics()
+    table = statistics["T"]
+    assert table.columns is not None  # histograms attached: the skew-aware path
+    for position, attribute in enumerate(("skewed", "mixed")):
+        fetch = FetchNode(
+            ConstantScan(Param("key"), attribute=attribute), "T", (attribute,), ("v",)
+        )
+        generic = estimate_plan_fetches(fetch, statistics, schema).total_fetched
+        assert generic == pytest.approx(table.cardinality / table.distinct[position])
+        assert generic == pytest.approx(table.estimated_matches([position]))
+        known = estimate_plan_fetches(
+            fetch, statistics, schema, bindings={"key": "hot" if position == 0 else 7}
+        ).total_fetched
+        assert known != pytest.approx(generic)  # a bound key is priced by its value
+    hot = FetchNode(ConstantScan(Param("key"), attribute="skewed"), "T", ("skewed",), ("v",))
+    bound = estimate_plan_fetches(hot, statistics, schema, bindings={"key": "hot"})
+    assert bound.total_fetched == 300
+
+
 def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_path):
     """E12: both orders conform and answer identically, the gap is pure Dξ; a
     restart over the plan store serves the DP plan compiled, without planning.

@@ -19,7 +19,7 @@ from repro.algebra.fo import atom, conj, exists
 from repro.algebra.parser import parse_query
 from repro.algebra.terms import Constant, Variable
 from repro.core.access import AccessConstraint, AccessSchema
-from repro.engine.service import QueryService
+from repro.engine.service import QueryService, canonical_query_key
 from repro.engine.service.resolve import RESOLVE_MEMO_LIMIT, ResolvedQuery
 from repro.errors import QueryError, SchemaError
 from repro.storage.updates import random_update_batch
@@ -160,6 +160,29 @@ def test_one_record_per_text_across_planning_options(service):
     assert prepared.query is record.query
 
 
+def test_record_keys_the_shape_and_keeps_the_values_beside_it(service):
+    """One walk yields the shape key and the binding vector; the shape itself
+    is what a constant-blind chain plans, the literal key what any other
+    chain is keyed by, and ``canonical_query_key`` stays literal-sensitive."""
+    resolve = service._resolver.resolve
+    one, _ = resolve("Q(z, 7) :- R(1, y), S(y, z), S(y, 7)")
+    two, _ = resolve("Q(c, 'k') :- R(2, b), S(b, c), S(b, 'k')")
+    assert one.bindings == {"$0": 7, "$1": 1} and two.bindings == {"$0": "k", "$1": 2}
+    assert one.shape_key == two.shape_key == canonical_query_key(one.shape)
+    assert one.canonical != two.canonical == (two.shape_key, ("k", 2))
+    assert canonical_query_key(one.query) != canonical_query_key(two.query)
+    assert str(one.shape) == "Q(?z, :$0) :- R(:$1, ?y) ∧ S(?y, ?z) ∧ S(?y, :$0)"
+    assert one.query is not one.shape and one.parameters == two.parameters == frozenset()
+    # Equal values share a slot; an equality is folded before slots are numbered.
+    same, _ = resolve("Q(z, 5) :- R(5, y), S(y, z), S(y, w), w = 5")
+    assert same.bindings == {"$0": 5} and same.shape_key != one.shape_key
+    # Declared parameters stay, and nothing is lifted out of an FO query.
+    mixed, _ = resolve("Q(z) :- R(:a, y), S(y, z), S(y, 3)")
+    assert (mixed.parameters, mixed.bindings) == ({"a"}, {"$0": 3})
+    fo, _ = resolve(exists([Variable("y")], atom("R", Constant(1), Variable("y"))))
+    assert fo.bindings == {} and fo.shape is fo.query
+
+
 def test_held_object_is_memoised_by_identity_across_heads(service):
     y, z = Variable("y"), Variable("z")
     fo = exists([y], conj(atom("R", Constant(1), y), atom("S", y, z)))
@@ -268,10 +291,12 @@ def test_memo_is_cleared_at_its_limit_and_hot_text_survives(service):
 def test_query_many_matches_serial_and_counts_every_resolve(shards):
     instance = gs.generate(num_persons=80, num_movies=120, seed=17)
     pairs = sorted({(row[2], row[3]) for row in instance.database.relation("movie")})
-    texts = [
-        f"Qk(mid, r) :- movie(mid, t, '{studio}', '{release}'), rating(mid, r)"
-        for studio, release in pairs[:6]
-    ]
+    templates = (  # three shapes: a different constant alone shares a plan
+        "Qk(mid, r) :- movie(mid, t, '{}', '{}'), rating(mid, r)",
+        "Qr(mid) :- movie(mid, t, '{}', '{}'), rating(mid, 4)",
+        "Qt(t) :- movie(mid, t, '{}', '{}')",
+    )
+    texts = [templates[i % 3].format(*pair) for i, pair in enumerate(pairs[:6])]
     batch = texts * 50
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -45,6 +45,19 @@ def anchored_chain(constant=1, name="chain"):
     )
 
 
+def chain_shapes():
+    """Three anchored queries of three different *shapes*: a plan is cached
+    per shape, so a different constant alone is not a different entry."""
+    anchor = RelationAtom("R", (Constant(1), Y))
+    return (
+        anchored_chain(1),
+        ConjunctiveQuery(head=(Y,), atoms=(anchor,), name="hop"),
+        ConjunctiveQuery(
+            head=(Y, Z), atoms=(anchor, RelationAtom("S", (Y, Z))), name="pairs"
+        ),
+    )
+
+
 def open_scan():
     return ConjunctiveQuery(
         head=(Y, Z), atoms=(RelationAtom("S", (Y, Z)),), name="scan_all"
@@ -224,7 +237,7 @@ def test_cache_canonical_key_distinguishes_constants():
 
 def test_cache_eviction_at_capacity(rs_database):
     service = QueryService(rs_database, ACCESS, plan_cache_size=2)
-    q1, q2, q3 = anchored_chain(1), anchored_chain(2), anchored_chain(3)
+    q1, q2, q3 = chain_shapes()
     service.query(q1)
     service.query(q2)
     service.query(q3)  # evicts q1 (LRU)
@@ -392,7 +405,11 @@ def test_bind_plan_validates_and_substitutes(service):
 
 
 def test_query_many_preserves_order_and_aggregates_stats(service):
-    queries = [anchored_chain(1), anchored_chain(2), anchored_chain(1), open_scan()]
+    # A different constant alone would share anchored_chain(1)'s entry: the
+    # second query also lists its atoms the other way round (another shape).
+    reordered = anchored_chain(2)
+    reordered = ConjunctiveQuery(reordered.head, reordered.atoms[::-1], name="reordered")
+    queries = [anchored_chain(1), reordered, anchored_chain(1), open_scan()]
     answers = service.query_many(queries, max_workers=4)
     assert len(answers) == 4
     assert answers[0].rows == answers[2].rows == {("x",), ("y",)}
@@ -599,6 +616,34 @@ def test_replan_budget_refills_per_write_epoch_not_per_entry_lifetime():
     assert restless.stats.snapshot().replans == restless.max_replans
     assert restless.explain(query).replans == restless.max_replans
     restless.close()
+
+
+def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
+    """The greedy builder ignores corrections, so under the default chain a
+    re-plan finds the plan it was meant to replace: the attempt is charged to
+    the budget and reported, the entry, its counters and its compiled closure
+    stay (it used to be swapped, re-warmed and recompiled for nothing)."""
+    from repro.workloads import skewed
+
+    instance = skewed.generate(hot_fans=100, users=300, seed=5)
+    service = QueryService(
+        instance.database, skewed.access_schema(), skewed.views(),
+        replan_factor=0.5, codegen_warmup=0,
+    )
+    query = skewed.query_feed()
+    first = service.query(query)
+    assert first.execution_tier == "compiled"
+    entry, _ = service.plan(query)
+    closure, plan = entry.compiled, first.plan
+    answers = [service.query(query) for _ in range(5)]  # every one "misses" at 0.5x
+    assert service.stats.snapshot().replans == service.max_replans == 3
+    kept, _ = service.plan(query)
+    assert kept is entry and kept.compiled is closure
+    assert kept.executions == 6 and kept.replans == 3
+    assert "re-plan threshold" in service.explain(query).replan_reason
+    assert {a.execution_tier for a in answers} == {"compiled"}
+    assert all(a.plan is plan and a.rows == first.rows for a in answers)
+    service.close()
 
 
 @pytest.mark.parametrize(

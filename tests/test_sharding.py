@@ -163,6 +163,34 @@ def test_q0_is_single_shard_routable(instance):
     assert snapshot.shards_pruned >= 3
 
 
+def test_a_shared_plan_routes_by_the_bound_key(instance):
+    """The cached plan of a keyed lookup is its shape's — ``movie($0, $1)`` —
+    and routes by the values of whoever asks: two inputs of one plan land on
+    their own partitions, a placeholder nobody bound stays dynamic."""
+    service = _service(instance, shards=4)
+    text = "Qk(mid) :- movie(mid, t, '{}', '{}'), rating(mid, 5)"
+    pairs = sorted({(row[2], row[3]) for row in instance.database.relation("movie")})
+    first, other = next(
+        (a, b) for a in pairs for b in pairs if shard_of(a, 4) != shard_of(b, 4)
+    )
+    for pair in (first, other):
+        explanation = service.explain(text.format(*pair))
+        assert explanation.shard_set.single_shard
+        assert explanation.shard_set.shards == {shard_of(pair, 4)}
+        assert service.query(text.format(*pair)).shards_touched == (shard_of(pair, 4),)
+    assert len(service.plan_cache) == 1
+    entry = next(iter(dict(service.plan_cache.entries()).values()))
+    router = service._router
+    assert router.route(entry.plan).dynamic_relations == ("movie",)
+    assert router.affinity(entry.plan) is None
+    bindings = dict(zip(("$0", "$1"), other))
+    assert router.affinity(entry.plan, bindings) == shard_of(other, 4)
+    assert router.route(entry.plan, {"$0": other[0]}).dynamic_relations == ("movie",)
+    prepared = service.prepare("Qk(mid) :- movie(mid, t, :studio, '2014'), rating(mid, 5)")
+    assert service.explain(prepared.query).shard_set.dynamic_relations == ("movie",)
+    service.close()
+
+
 def test_keyed_mix_is_pruned_to_one_of_four_shards_with_identical_rows_and_dxi(
     gs_1000, gs_mix
 ):

@@ -71,7 +71,11 @@ inspection (no imports of the checked code, so it runs on any tree):
     ``cache.py`` defines ``canonical_query_key`` and the package re-exports
     it.  An entry point that parses or canonicalises on its own re-does, on
     every warm call, the work the memo exists to skip — and can disagree with
-    the checks the resolve stage applies once.
+    the checks the resolve stage applies once.  The same goes for the query
+    *shape*: only the resolve stage constructs a ``Param`` or mentions
+    ``SLOT_PREFIX``, so auto-parameter slots are minted, and shapes and
+    binding vectors built, in one place — a second one could number slots
+    differently and execute a shared plan with another input's values.
 
 ``kernel.write-path-plan-cache``
     The write path does not touch the plan cache: ``QueryService.on_delta``
@@ -135,7 +139,8 @@ ENGINE_DIR = Path("src/repro/engine")
 #: Per-input work owned by the service's resolve stage, and that stage's file.
 SERVICE_DIR = Path("src/repro/engine/service")
 RESOLVE_STAGE_FILE = SERVICE_DIR / "resolve.py"
-RESOLVE_STAGE_CALLS = frozenset({"parse_query", "canonical_query_key"})
+RESOLVE_STAGE_CALLS = frozenset({"parse_query", "canonical_query_key", "Param"})
+RESOLVE_STAGE_NAMES = frozenset({"SLOT_PREFIX"})
 
 #: The write path: the service methods a committed transaction runs through.
 SERVICE_FILE = SERVICE_DIR / "service.py"
@@ -383,22 +388,27 @@ def check_exhaustive_sweep(path: Path, tree: ast.Module) -> list[Violation]:
 
 
 def check_service_resolve(path: Path, tree: ast.Module) -> list[Violation]:
-    """Only the resolve stage parses and canonicalises inside the service."""
+    """Only the resolve stage parses, canonicalises and mints parameter slots
+    inside the service."""
     violations: list[Violation] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
         # A bare name (ast.Name.id) or a qualified one (ast.Attribute.attr).
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name in RESOLVE_STAGE_CALLS:
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            found = name in RESOLVE_STAGE_CALLS
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            found = name in RESOLVE_STAGE_NAMES
+        if found:
             violations.append(
                 Violation(
                     path,
                     node.lineno,
                     "kernel.service-resolve",
-                    f"call of {name!r} outside the resolve stage; take the "
+                    f"use of {name!r} outside the resolve stage; take the "
                     "memoised ResolvedQuery from 'ResolveStage.resolve' "
-                    "instead of re-parsing or re-canonicalising the input",
+                    "instead of re-parsing, re-canonicalising or re-shaping "
+                    "the input (its shape key and bindings included)",
                 )
             )
     return violations
