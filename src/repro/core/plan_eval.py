@@ -16,8 +16,9 @@ keyed on distinct ``X``-values and charged per returned tuple, view scans
 are counted once per plan occurrence.
 
 The executor is deliberately decoupled from the storage layer: any *fetch
-provider* exposing ``fetch(constraint, key) -> frozenset[tuple]`` works
-(:class:`repro.storage.indexes.IndexSet` is the standard one).
+provider* (:class:`FetchProvider`: ``fetch`` per key, ``fetch_many`` per
+key batch) works — :class:`repro.storage.indexes.IndexSet` and the MVCC
+snapshots are the standard ones.
 """
 
 from __future__ import annotations
@@ -48,10 +49,23 @@ from .plans import (
 
 
 class FetchProvider(Protocol):
-    """Anything able to serve index lookups for access constraints."""
+    """Anything able to serve index lookups for access constraints.
+
+    The interpreted tier probes one key at a time (``fetch``); a compiled
+    closure hands over a fetch step's whole deduplicated key batch
+    (``fetch_many``), which must equal ``[fetch(constraint, k) for k in
+    keys]`` — same rows, and the same side effects per key (shard touches) —
+    while resolving the constraint's index once per call.
+    """
 
     def fetch(self, constraint: AccessConstraint, key: Sequence[object]) -> frozenset[tuple]:
         """Return ``D_{R:XY}(X = key)`` for the constraint's relation."""
+        ...
+
+    def fetch_many(
+        self, constraint: AccessConstraint, keys: Collection[tuple]
+    ) -> list[frozenset[tuple]]:
+        """``fetch`` for each key of ``keys``, in iteration order."""
         ...
 
 

@@ -5,10 +5,11 @@ implementation: every row pays ``open``/``next``/``close`` dispatch,
 generator resumption, and per-operator reshaping.  This module compiles the
 *same* physical plans — through the *same* lowering pass
 (:mod:`repro.exec.lowering`) — into a tree of fused closures in the spirit
-of data-centric codegen: selections and residual join filters run inside the
-producing loop, projections are precomputed ``itemgetter``s, hash tables are
-built once per execution, and the ``IndexLookup`` key-dedup is inlined next
-to the fetch it guards.
+of data-centric codegen, working set-at-a-time: selections and residual
+join filters run inside the producing loop, projections are precomputed
+``itemgetter``s, a fetch step deduplicates its whole key batch and hands it
+to the provider in one ``fetch_many`` call, semi-joins build a key set, and
+a join over a product chain never materialises the product it only filters.
 
 Two invariants make the tier safe to swap in for the interpreter:
 
@@ -18,7 +19,8 @@ operator tree, ``IndexLookup`` charges once per *distinct* key (``S_j`` has
 set semantics, so charging is order-independent over the key set), and a
 cached-view scan charges once per plan occurrence per execution.  The
 compiled closures preserve exactly those charging points — same constraint,
-same distinct-key set, same per-occurrence view-scan — so
+same distinct-key set (one ``record_fetch`` per key of the batch), same
+per-occurrence view-scan, every subtree evaluated exactly once — so
 :class:`~repro.exec.iometer.IOMeter` counters match the interpreted tree
 field for field, not just approximately.
 
@@ -40,11 +42,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import product as _iter_product
-from typing import Any, Callable, Collection, Iterator, Mapping, Protocol, Sequence, cast
+from itertools import accumulate, product
+from operator import itemgetter
+from typing import Any, Callable, Collection, Mapping, Sequence, cast
 
 from ..algebra.terms import Param
-from ..core.access import AccessConstraint, AccessSchema
+from ..core.access import AccessSchema
+from ..core.plan_eval import FetchProvider
 from ..core.plans import (
     ConstantScan,
     DifferenceNode,
@@ -74,22 +78,14 @@ from .lowering import (
 )
 
 
-class FetchProviderLike(Protocol):
-    """The only storage surface a compiled closure may touch: metered fetch."""
-
-    def fetch(
-        self, constraint: AccessConstraint, key: Sequence[object]
-    ) -> frozenset[Row]:
-        """Return ``D_{R:XY}(X = key)`` for the constraint's relation."""
-        ...
-
-
 class Runtime:
     """Late-bound state of one compiled-plan execution.
 
     A fresh ``Runtime`` per execution is what keeps compiled artifacts
     data-independent: the closure tree never sees storage or bindings at
     compile time, so cache-held closures survive writes and rebinds.
+    ``provider`` is the only storage surface a closure may touch (the
+    metered fetch protocol, :class:`~repro.core.plan_eval.FetchProvider`).
     ``params`` holds the execution's parameter values by slot — resolved
     from the caller's bindings once, in :meth:`CompiledPlan.execute`; steps
     and predicates index into it.
@@ -99,7 +95,7 @@ class Runtime:
 
     def __init__(
         self,
-        provider: FetchProviderLike,
+        provider: FetchProvider,
         views: Mapping[str, Collection[Row]],
         meter: IOMeter,
         params: tuple[object, ...],
@@ -160,7 +156,7 @@ class CompiledPlan:
 
     def execute(
         self,
-        provider: FetchProviderLike,
+        provider: FetchProvider,
         views: Mapping[str, Collection[Row]],
         meter: IOMeter,
         params: Mapping[str, object] | None = None,
@@ -349,12 +345,20 @@ def _compile_step(
                 parameters,
                 project=tuple(positions),
             )
-        fused = _fuse_fetch(child_node, access_schema, parameters, tuple(positions))
+        fused = (
+            _compile_factor_projection(
+                child_node, tuple(positions), access_schema, parameters
+            )
+            if isinstance(child_node, ProductNode)
+            else _fuse_fetch(child_node, access_schema, parameters, tuple(positions))
+        )
         if fused is not None:
             return fused
 
-        project = tuple_extractor(tuple(positions))
         child = recurse(child_node)
+        if positions == list(range(len(child_node.attributes))):
+            return child  # an identity π: every step's rows are distinct
+        project = tuple_extractor(tuple(positions))
 
         def step_project(runtime: Runtime) -> Collection[Row]:
             return set(map(project, child(runtime)))
@@ -383,7 +387,17 @@ def _compile_step(
         return recurse(node.child)
 
     if isinstance(node, ProductNode):
-        return _compile_join(node, LoweredJoin((), (), ()), access_schema, parameters)
+        # A bare product: every factor of the chain once, crossed in order.
+        first, *rest = [recurse(factor) for factor in _product_factors(node)]
+
+        def step_product(runtime: Runtime) -> Collection[Row]:
+            rows = first(runtime)
+            for step in rest:
+                right = step(runtime)
+                rows = [left + row for left in rows for row in right]
+            return rows
+
+        return step_product
 
     if isinstance(node, UnionNode):
         left = recurse(node.left)
@@ -455,104 +469,81 @@ def _compile_fetch(
     checks: tuple[Check, ...] = (),
     project_positions: tuple[int, ...] | None = None,
 ) -> Step:
-    """``fetch`` with the interpreter's key-dedup and charging points inlined.
+    """Batched ``fetch``: one deduplicated key batch, one provider call.
 
-    One seen-set guards the fetch (distinct keys only — the paper's ``S_j``
-    has set semantics), and every returned tuple is charged to the meter in
-    the same loop that pulls it, which is exactly the contract the kernel
-    linter enforces on this module.  Fused selection ``checks`` and the fused
-    ``project_positions`` (both expressed over the fetch node's output
-    layout) are remapped onto the provider's row layout.
+    The child's keys are deduplicated by one ``set`` (distinct keys only —
+    the paper's ``S_j`` has set semantics; ``fetch(∅, R, Y)`` is the batch
+    of the one empty key) and handed to ``provider.fetch_many``, which
+    resolves the constraint's index once per call.  Each key's result is
+    still charged as one logical fetch, in the same loop that collects it —
+    the contract the kernel linter enforces on this module.  Fused selection
+    ``checks`` and ``project_positions`` (both over the fetch node's output
+    layout) are remapped onto the provider's row layout; an unfiltered fetch
+    whose result layout is the provider's own merges the provider's sets as
+    they are.
     """
     lowered = lower_fetch(node, access_schema)
     constraint, relation = lowered.constraint, node.relation
     output = lowered.output_positions
     if project_positions is not None:
-        output = tuple(lowered.output_positions[p] for p in project_positions)
+        output = tuple(output[p] for p in project_positions)
+    whole_row = output == tuple(range(len(constraint.output_attributes)))
     project = tuple_extractor(output)
-    factory = (
-        _predicate_factory(
-            tuple(_remap_check(c, lowered.output_positions) for c in checks),
-            parameters,
-        )
-        if checks
-        else None
+    child = (
+        _compile_step(node.child, access_schema, parameters)
+        if node.child is not None
+        else _unit_step
     )
-
-    if node.child is None:
-        if factory is None:
-
-            def step_fetch_empty(runtime: Runtime) -> Collection[Row]:
-                fetched = runtime.provider.fetch(constraint, ())
-                runtime.meter.record_fetch(relation, len(fetched))
-                return set(map(project, fetched))
-
-            return step_fetch_empty
-
-        empty_factory = factory
-
-        def step_fetch_empty_filtered(runtime: Runtime) -> Collection[Row]:
-            fetched = runtime.provider.fetch(constraint, ())
-            runtime.meter.record_fetch(relation, len(fetched))
-            keep = empty_factory(runtime)
-            return {project(row) for row in fetched if keep(row)}
-
-        return step_fetch_empty_filtered
-
-    child = _compile_step(node.child, access_schema, parameters)
     extract_key = tuple_extractor(lowered.key_positions)
 
-    if factory is None:
+    if not checks:
 
         def step_fetch(runtime: Runtime) -> Collection[Row]:
-            fetch = runtime.provider.fetch
+            keys = set(map(extract_key, child(runtime)))
+            if not keys:
+                return keys  # an empty batch is no fetch at all
             record_fetch = runtime.meter.record_fetch
-            seen: set[Row] = set()
-            mark = seen.add
             out: set[Row] = set()
-            collect = out.update
-            for row in child(runtime):
-                key = extract_key(row)
-                if key in seen:
-                    continue
-                mark(key)
-                fetched = fetch(constraint, key)
+            for fetched in runtime.provider.fetch_many(constraint, keys):
                 record_fetch(relation, len(fetched))
-                collect(map(project, fetched))
+                out.update(fetched if whole_row else map(project, fetched))
             return out
 
         return step_fetch
 
-    fetch_factory = factory
+    factory = _predicate_factory(
+        tuple(_remap_check(c, lowered.output_positions) for c in checks), parameters
+    )
 
     def step_fetch_filtered(runtime: Runtime) -> Collection[Row]:
-        fetch = runtime.provider.fetch
+        keys = set(map(extract_key, child(runtime)))
+        if not keys:
+            return keys  # an empty batch is no fetch at all
         record_fetch = runtime.meter.record_fetch
-        keep = fetch_factory(runtime)
-        seen: set[Row] = set()
-        mark = seen.add
+        keep = factory(runtime)
         out: set[Row] = set()
         add = out.add
-        for row in child(runtime):
-            key = extract_key(row)
-            if key in seen:
-                continue
-            mark(key)
-            fetched = fetch(constraint, key)
+        for fetched in runtime.provider.fetch_many(constraint, keys):
             record_fetch(relation, len(fetched))
-            for fetched_row in fetched:
-                if keep(fetched_row):
-                    add(project(fetched_row))
+            for row in fetched:
+                if keep(row):
+                    add(project(row))
         return out
 
     return step_fetch_filtered
 
 
-#: Yields ``(left_row, bucket)`` for the left rows whose key has a match.
-_MatchIter = Callable[
-    [Runtime, Callable[[object], "list[Row] | None"]],
-    "Iterator[tuple[Row, list[Row]]]",
-]
+_UNIT: tuple[Row, ...] = ((),)
+
+
+def _unit_step(runtime: Runtime) -> Collection[Row]:
+    """The one empty row: the input of ``fetch(∅, R, Y)``."""
+    return _UNIT
+
+
+#: ``(runtime, table) ->`` the probe-side rows whose join key is in
+#: ``table`` (the build side's key set or bucket dict).
+_Probe = Callable[[Runtime, Collection[object]], Collection[Row]]
 
 
 def _product_factors(node: PlanNode) -> list[PlanNode]:
@@ -560,7 +551,7 @@ def _product_factors(node: PlanNode) -> list[PlanNode]:
 
     ``×(×(×(A,B),C),D)`` flattens to ``[A, B, C, D]``; a product appearing as
     a *right* child stays one (materialised) factor — planners build their
-    chains left-deep, and anything else falls back to the generic join.
+    chains left-deep.
     """
     factors: list[PlanNode] = []
     while isinstance(node, ProductNode):
@@ -570,351 +561,198 @@ def _product_factors(node: PlanNode) -> list[PlanNode]:
     return factors
 
 
-def _factored_matches(
-    product: ProductNode,
-    lowered: LoweredJoin,
+def _factor_starts(factors: Sequence[PlanNode]) -> list[int]:
+    """Column offsets of the factors: factor ``i`` spans ``[s[i], s[i+1])``."""
+    return [0, *accumulate(len(factor.attributes) for factor in factors)]
+
+
+def _concat(parts: tuple[Row, ...]) -> Row:
+    return sum(parts, ())
+
+
+def _compile_factor_projection(
+    node: ProductNode,
+    positions: tuple[int, ...],
     access_schema: AccessSchema,
     parameters: _Slots,
-) -> _MatchIter | None:
-    """Probe-first iteration when the probe side is itself a cross product.
+) -> Step | None:
+    """``π`` over a product whose kept columns all come from one factor.
 
-    Planners routinely emit ``σ[k = k'](×(A × B, C))`` — and, for wider
-    queries, arbitrary left-deep chains ``σ(×(×(×(A,B),C),D))`` — with the
-    whole join key coming from one factor of the bare inner chain.
-    Materialising the chain just to probe it wastes the full cross-product's
-    concatenations; instead the keyed factor probes first and the other
-    factors are expanded only on a match.  Every factor is still evaluated
-    exactly once per execution — even when another factor is empty — so every
-    fetch/view-scan charging point fires exactly as the interpreted
-    ``HashJoin`` over the materialised product would.
+    ``π(A × B)`` onto columns of ``A`` is ``π(A)`` when ``B`` is non-empty and
+    empty otherwise, so the product is never built.  Every factor is still
+    evaluated once per execution, for charging parity with the interpreter.
     """
-    inner = product.left
-    if not isinstance(inner, ProductNode) or not lowered.left_key:
-        return None
-    factors = _product_factors(inner)
-    offsets: list[int] = []
-    offset = 0
-    for factor in factors:
-        offsets.append(offset)
-        offset += len(factor.attributes)
-    keyed_index = next(
+    factors = _product_factors(node)
+    starts = _factor_starts(factors)
+    kept = next(
         (
             index
-            for index, factor in enumerate(factors)
-            if all(
-                offsets[index] <= p < offsets[index] + len(factor.attributes)
-                for p in lowered.left_key
-            )
+            for index in range(len(factors))
+            if all(starts[index] <= p < starts[index + 1] for p in positions)
         ),
         None,
     )
-    if keyed_index is None:
-        # The key spans factor boundaries.  Fall back to the coarse two-way
-        # split at the top of the chain — the keyed "factor" is then itself a
-        # (materialised) product, which is still better than materialising
-        # the whole chain when the key lives in a prefix or suffix of it.
-        split = len(inner.left.attributes)
-        keyed_first = all(p < split for p in lowered.left_key)
-        if not keyed_first and not all(p >= split for p in lowered.left_key):
-            return None
-        first = _compile_step(inner.left, access_schema, parameters)
-        second = _compile_step(inner.right, access_schema, parameters)
-        if keyed_first:
-            key = key_extractor(lowered.left_key)
-
-            def matches_first(
-                runtime: Runtime, probe: Callable[[object], list[Row] | None]
-            ) -> Iterator[tuple[Row, list[Row]]]:
-                expand = second(runtime)
-                for keyed_row in first(runtime):
-                    bucket = probe(key(keyed_row))
-                    if bucket:
-                        for other_row in expand:
-                            yield keyed_row + other_row, bucket
-
-            return matches_first
-
-        key = key_extractor(tuple(p - split for p in lowered.left_key))
-
-        def matches_second(
-            runtime: Runtime, probe: Callable[[object], list[Row] | None]
-        ) -> Iterator[tuple[Row, list[Row]]]:
-            expand = first(runtime)
-            for keyed_row in second(runtime):
-                bucket = probe(key(keyed_row))
-                if bucket:
-                    for other_row in expand:
-                        yield other_row + keyed_row, bucket
-
-        return matches_second
-
+    if kept is None:
+        return None
     steps = [_compile_step(factor, access_schema, parameters) for factor in factors]
-    key = key_extractor(tuple(p - offsets[keyed_index] for p in lowered.left_key))
-    keyed_step = steps[keyed_index]
+    project = tuple_extractor(tuple(p - starts[kept] for p in positions))
 
-    if len(factors) == 2:
-        # Two factors: keep the allocation-free loops of the original
-        # one-level factoring (no per-match itertools machinery).
-        other_step = steps[1 - keyed_index]
-        if keyed_index == 0:
+    def step_project_factor(runtime: Runtime) -> Collection[Row]:
+        results = [step(runtime) for step in steps]
+        return set(map(project, results[kept])) if all(results) else ()
 
-            def matches_two_first(
-                runtime: Runtime, probe: Callable[[object], list[Row] | None]
-            ) -> Iterator[tuple[Row, list[Row]]]:
-                expand = other_step(runtime)
-                for keyed_row in keyed_step(runtime):
-                    bucket = probe(key(keyed_row))
-                    if bucket:
-                        for other_row in expand:
-                            yield keyed_row + other_row, bucket
+    return step_project_factor
 
-            return matches_two_first
 
-        def matches_two_second(
-            runtime: Runtime, probe: Callable[[object], list[Row] | None]
-        ) -> Iterator[tuple[Row, list[Row]]]:
-            expand = other_step(runtime)
-            for keyed_row in keyed_step(runtime):
-                bucket = probe(key(keyed_row))
-                if bucket:
-                    for other_row in expand:
-                        yield other_row + keyed_row, bucket
+def _compile_probe(
+    node: PlanNode,
+    left_key: tuple[int, ...],
+    access_schema: AccessSchema,
+    parameters: _Slots,
+) -> _Probe:
+    """The probe side of a hash join: only the rows whose key matches.
 
-        return matches_two_second
+    A plain input is evaluated and filtered by key membership.  A left-deep
+    product chain ``×(×(A, B), C)`` — planners emit ``σ[k = k'](chain ×
+    build)`` for multi-atom joins — is never materialised to be filtered.
+    When one factor holds the whole key, that factor is filtered and the
+    survivors are crossed with the other factors.  When the key spans
+    several factors, each keyed factor is grouped by its part of the key,
+    the build side's keys are filtered factor by factor (smallest group
+    first, so the most selective factor prunes first), and only the
+    combinations behind a surviving key are concatenated, crossed with the
+    factors that hold no key column.  Every factor is still evaluated
+    exactly once per execution — even when another is empty — so every
+    fetch and view-scan charging point fires exactly as the interpreted
+    ``HashJoin`` over the materialised product.
+    """
+    if not left_key or not isinstance(node, ProductNode):
+        step = _compile_step(node, access_schema, parameters)
+        key = key_extractor(left_key)
 
-    before_steps = steps[:keyed_index]
-    after_steps = steps[keyed_index + 1 :]
-    prefix_count = len(before_steps)
+        def probe_rows(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
+            return [row for row in step(runtime) if key(row) in table]
 
-    def matches_chain(
-        runtime: Runtime, probe: Callable[[object], list[Row] | None]
-    ) -> Iterator[tuple[Row, list[Row]]]:
-        # Every factor evaluates exactly once per execution, up front —
-        # charging parity with the materialised chain — then only keyed rows
-        # whose bucket matches pay for the cross-product expansion.
-        others = [tuple(step(runtime)) for step in before_steps]
-        others.extend(tuple(step(runtime)) for step in after_steps)
-        for keyed_row in keyed_step(runtime):
-            bucket = probe(key(keyed_row))
-            if bucket:
-                for combo in _iter_product(*others):
-                    row: Row = ()
-                    for part in combo[:prefix_count]:
-                        row += part
-                    row += keyed_row
-                    for part in combo[prefix_count:]:
-                        row += part
-                    yield row, bucket
+        return probe_rows
 
-    return matches_chain
+    factors = _product_factors(node)
+    starts = _factor_starts(factors)
+    steps = [_compile_step(factor, access_schema, parameters) for factor in factors]
+    # Per keyed factor: its index, the key part of its rows, and the same
+    # part of a build-side key.
+    keyed: list[tuple[int, Callable[[Row], object], Callable[[object], object]]] = []
+    for index in range(len(factors)):
+        slots = [
+            j
+            for j, p in enumerate(left_key)
+            if starts[index] <= p < starts[index + 1]
+        ]
+        if slots:
+            row_part = key_extractor([left_key[j] - starts[index] for j in slots])
+            key_part = cast("Callable[[object], object]", itemgetter(*slots))
+            keyed.append((index, row_part, key_part))
+
+    if len(keyed) == 1:
+        # One factor holds the whole key: filter it, cross the rest once.
+        ((keyed_index, keyed_part, _),) = keyed
+
+        def probe_factor(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
+            lists = [step(runtime) for step in steps]
+            lists[keyed_index] = [
+                row for row in lists[keyed_index] if keyed_part(row) in table
+            ]
+            return list(map(_concat, product(*lists)))
+
+        return probe_factor
+
+    def probe_chain(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
+        rows = [step(runtime) for step in steps]
+        groups: list[tuple[dict[object, list[Row]], Callable[[object], object], int]] = []
+        for index, row_part, key_part in keyed:
+            grouped: dict[object, list[Row]] = {}
+            for row in rows[index]:
+                grouped.setdefault(row_part(row), []).append(row)
+            groups.append((grouped, key_part, index))
+        groups.sort(key=lambda group: len(group[0]))
+        keys: Collection[object] = table
+        for grouped, key_part, _ in groups:
+            keys = [key for key in keys if key_part(key) in grouped]
+        lists: list[Collection[Row]] = list(rows)
+        out: list[Row] = []
+        for key in keys:
+            for grouped, key_part, index in groups:
+                lists[index] = grouped[key_part(key)]
+            out.extend(map(_concat, product(*lists)))
+        return out
+
+    return probe_chain
 
 
 def _compile_join(
-    product: ProductNode,
+    node: ProductNode,
     lowered: LoweredJoin,
     access_schema: AccessSchema,
     parameters: _Slots,
     project: tuple[int, ...] | None = None,
 ) -> Step:
-    """Hash join with residual filter and projection fused into the probe loop.
+    """Hash join with residual filter and projection fused into its loop.
 
-    The build side (right input) is hashed once per execution; empty keys
-    degrade to a cross product through a single bucket, mirroring the
-    interpreter's ``HashJoin``.  With ``project`` set the join emits the
-    projected rows directly into the output set; when every projected column
-    comes from the probe side and there is no residual, the inner loop
-    collapses to a bucket-existence test (a semi-join — every right match
-    projects to the same row, which the set would dedup anyway).
+    The build side (right input) is evaluated once per execution; the probe
+    side (:func:`_compile_probe`) returns only the left rows whose key it
+    holds.  Empty keys degrade to a cross product through a single bucket,
+    mirroring the interpreter's ``HashJoin``.  When every projected column
+    comes from the probe side and there is no residual, the join is a
+    semi-join and the build side is a key set, not buckets: every right
+    match projects to the same row, which the set would dedup anyway.
     """
-    right = _compile_step(product.right, access_schema, parameters)
+    right = _compile_step(node.right, access_schema, parameters)
     right_key = key_extractor(lowered.right_key)
+    probe = _compile_probe(node.left, lowered.left_key, access_schema, parameters)
+    left_width = len(node.left.attributes)
+
+    if (
+        project is not None
+        and not lowered.residual
+        and all(p < left_width for p in project)
+    ):
+        extract = tuple_extractor(project)
+        # A multi-column key spanning the whole build row is the row itself.
+        whole_row = len(lowered.right_key) > 1 and lowered.right_key == tuple(
+            range(len(node.right.attributes))
+        )
+
+        def step_join_semi(runtime: Runtime) -> Collection[Row]:
+            rows = right(runtime)
+            keys = set(rows) if whole_row else set(map(right_key, rows))
+            return set(map(extract, probe(runtime, keys)))
+
+        return step_join_semi
+
+    left_key = key_extractor(lowered.left_key)
     factory = (
         _predicate_factory(lowered.residual, parameters) if lowered.residual else None
     )
-    matches = _factored_matches(product, lowered, access_schema, parameters)
-    if matches is not None:
-        return _compile_factored_join(
-            matches, right, right_key, factory,
-            len(product.left.attributes), project,
-        )
-    left = _compile_step(product.left, access_schema, parameters)
-    left_key = key_extractor(lowered.left_key)
+    projector = tuple_extractor(project) if project is not None else None
 
-    if project is not None:
-        left_width = len(product.left.attributes)
-        if factory is None and all(p < left_width for p in project):
-            extract = tuple_extractor(project)
-
-            def step_join_semi(runtime: Runtime) -> Collection[Row]:
-                table: dict[object, list[Row]] = {}
-                bucket_for = table.setdefault
-                for row in right(runtime):
-                    bucket_for(right_key(row), []).append(row)
-                probe = table.get
-                out: set[Row] = set()
-                add = out.add
-                for left_row in left(runtime):
-                    if probe(left_key(left_row)):
-                        add(extract(left_row))
-                return out
-
-            return step_join_semi
-
-        projector = tuple_extractor(project)
-        project_factory = factory
-
-        def step_join_project(runtime: Runtime) -> Collection[Row]:
-            table: dict[object, list[Row]] = {}
-            bucket_for = table.setdefault
-            for row in right(runtime):
-                bucket_for(right_key(row), []).append(row)
-            probe = table.get
-            keep = project_factory(runtime) if project_factory is not None else None
-            out: set[Row] = set()
-            add = out.add
-            for left_row in left(runtime):
-                bucket = probe(left_key(left_row))
-                if bucket:
-                    for right_row in bucket:
-                        joined = left_row + right_row
-                        if keep is None or keep(joined):
-                            add(projector(joined))
-            return out
-
-        return step_join_project
-
-    if factory is None:
-
-        def step_join(runtime: Runtime) -> Collection[Row]:
-            table: dict[object, list[Row]] = {}
-            bucket_for = table.setdefault
-            for row in right(runtime):
-                bucket_for(right_key(row), []).append(row)
-            probe = table.get
-            out: list[Row] = []
-            emit = out.append
-            for left_row in left(runtime):
-                bucket = probe(left_key(left_row))
-                if bucket:
-                    for right_row in bucket:
-                        emit(left_row + right_row)
-            return out
-
-        return step_join
-
-    residual_factory = factory
-
-    def step_join_filtered(runtime: Runtime) -> Collection[Row]:
+    def step_join(runtime: Runtime) -> Collection[Row]:
         table: dict[object, list[Row]] = {}
         bucket_for = table.setdefault
         for row in right(runtime):
             bucket_for(right_key(row), []).append(row)
-        probe = table.get
-        keep = residual_factory(runtime)
-        out: list[Row] = []
-        emit = out.append
-        for left_row in left(runtime):
-            bucket = probe(left_key(left_row))
-            if bucket:
-                for right_row in bucket:
-                    joined = left_row + right_row
-                    if keep(joined):
-                        emit(joined)
-        return out
+        joined = [
+            left_row + right_row
+            for left_row in probe(runtime, table)
+            for right_row in table[left_key(left_row)]
+        ]
+        if factory is not None:
+            joined = list(filter(factory(runtime), joined))
+        return joined if projector is None else set(map(projector, joined))
 
-    return step_join_filtered
-
-
-def _compile_factored_join(
-    matches: _MatchIter,
-    right: Step,
-    right_key: Callable[[Row], object],
-    factory: Callable[[Runtime], Callable[[Row], bool]] | None,
-    left_width: int,
-    project: tuple[int, ...] | None,
-) -> Step:
-    """Join variants fed by a :func:`_factored_matches` probe-first iterator.
-
-    Same four shapes as the inline loops in :func:`_compile_join`, but the
-    probe side arrives pre-filtered to key matches, so the per-row loops only
-    run on rows that will actually join.
-    """
-    if project is not None:
-        if factory is None and all(p < left_width for p in project):
-            extract = tuple_extractor(project)
-
-            def step_factored_semi(runtime: Runtime) -> Collection[Row]:
-                table: dict[object, list[Row]] = {}
-                bucket_for = table.setdefault
-                for row in right(runtime):
-                    bucket_for(right_key(row), []).append(row)
-                out: set[Row] = set()
-                add = out.add
-                for left_row, _bucket in matches(runtime, table.get):
-                    add(extract(left_row))
-                return out
-
-            return step_factored_semi
-
-        projector = tuple_extractor(project)
-        project_factory = factory
-
-        def step_factored_project(runtime: Runtime) -> Collection[Row]:
-            table: dict[object, list[Row]] = {}
-            bucket_for = table.setdefault
-            for row in right(runtime):
-                bucket_for(right_key(row), []).append(row)
-            keep = project_factory(runtime) if project_factory is not None else None
-            out: set[Row] = set()
-            add = out.add
-            for left_row, bucket in matches(runtime, table.get):
-                for right_row in bucket:
-                    joined = left_row + right_row
-                    if keep is None or keep(joined):
-                        add(projector(joined))
-            return out
-
-        return step_factored_project
-
-    if factory is None:
-
-        def step_factored_join(runtime: Runtime) -> Collection[Row]:
-            table: dict[object, list[Row]] = {}
-            bucket_for = table.setdefault
-            for row in right(runtime):
-                bucket_for(right_key(row), []).append(row)
-            out: list[Row] = []
-            emit = out.append
-            for left_row, bucket in matches(runtime, table.get):
-                for right_row in bucket:
-                    emit(left_row + right_row)
-            return out
-
-        return step_factored_join
-
-    residual_factory = factory
-
-    def step_factored_filtered(runtime: Runtime) -> Collection[Row]:
-        table: dict[object, list[Row]] = {}
-        bucket_for = table.setdefault
-        for row in right(runtime):
-            bucket_for(right_key(row), []).append(row)
-        keep = residual_factory(runtime)
-        out: list[Row] = []
-        emit = out.append
-        for left_row, bucket in matches(runtime, table.get):
-            for right_row in bucket:
-                joined = left_row + right_row
-                if keep(joined):
-                    emit(joined)
-        return out
-
-    return step_factored_filtered
+    return step_join
 
 
 __all__ = [
     "CompiledPlan",
-    "FetchProviderLike",
     "Runtime",
     "Step",
     "compile_closure_source",

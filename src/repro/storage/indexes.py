@@ -18,7 +18,7 @@ does.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..errors import AccessConstraintError
@@ -93,6 +93,10 @@ class AccessIndex:
             self._frozen[key] = frozen
         return frozen
 
+    def lookup_many(self, keys: Iterable[tuple]) -> list[frozenset[tuple]]:
+        """``[lookup(key) for key in keys]``: one call for a fetch step's batch."""
+        return list(map(self.lookup, keys))
+
     def admits(self, row: tuple) -> bool:
         """Would inserting ``row`` keep this constraint satisfied?
 
@@ -151,6 +155,12 @@ class IndexSet:
     def fetch(self, constraint: AccessConstraint, key: Sequence[object]) -> frozenset[tuple]:
         """Fetch ``D_{R:XY}(X = key)`` through the constraint's index."""
         return self.index_for(constraint).lookup(key)
+
+    def fetch_many(
+        self, constraint: AccessConstraint, keys: Collection[tuple]
+    ) -> list[frozenset[tuple]]:
+        """``[fetch(constraint, key) for key in keys]`` with one index resolution."""
+        return self.index_for(constraint).lookup_many(keys)
 
     def admissible(self, update: object) -> bool:
         """Would applying ``update`` keep every constraint satisfied?

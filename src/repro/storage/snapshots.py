@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.schema import DatabaseSchema
 from ..core.access import AccessConstraint, AccessSchema
@@ -284,6 +284,10 @@ class ConstraintIndexVersion:
             self._frozen[key] = frozen
         return frozen
 
+    def lookup_many(self, keys: Iterable[tuple]) -> list[frozenset[tuple]]:
+        """``[lookup(key) for key in keys]``: one call for a fetch step's batch."""
+        return list(map(self.lookup, keys))
+
     def apply(
         self, inserted: frozenset[tuple], deleted: frozenset[tuple]
     ) -> "ConstraintIndexVersion":
@@ -371,6 +375,12 @@ class DatabaseSnapshot:
         """``D_{R:XY}(X = key)`` as of this snapshot version."""
         return self.index_for(constraint).lookup(tuple(key))
 
+    def fetch_many(
+        self, constraint: AccessConstraint, keys: Collection[tuple]
+    ) -> list[frozenset[tuple]]:
+        """``[fetch(constraint, key) for key in keys]`` with one index resolution."""
+        return self.index_for(constraint).lookup_many(keys)
+
     def bound_to(self, meter: object) -> "BoundSnapshotReader":
         """A per-execution reader charging shard touches to ``meter``."""
         return BoundSnapshotReader(self, meter)
@@ -405,6 +415,18 @@ class BoundSnapshotReader:
         if shard is not None:
             self._meter.record_shard(shard)
         return index.lookup(key)
+
+    def fetch_many(
+        self, constraint: AccessConstraint, keys: Collection[tuple]
+    ) -> list[frozenset[tuple]]:
+        """``[fetch(constraint, key) for key in keys]``: the index is resolved
+        once, and every key still reports its shard."""
+        index = self.snapshot.index_for(constraint)
+        if index.partitioned:
+            record_shard = self._meter.record_shard
+            for key in keys:
+                record_shard(index.shard_for_key(key))
+        return index.lookup_many(keys)
 
 
 class SnapshotManager:

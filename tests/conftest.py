@@ -10,8 +10,9 @@ from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Constant, Variable
 from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
+from repro.engine.service import QueryService
 from repro.storage.instance import Database
-from repro.workloads import graph_search
+from repro.workloads import graph_search, skewed
 
 
 @pytest.fixture
@@ -97,6 +98,28 @@ def gs_1000():
     (Q0: 3 rows for Dξ 27) are defined on; built per test (12 ms), so a test
     may write to it."""
     return graph_search.generate(num_persons=1000, num_movies=500, seed=11)
+
+
+@pytest.fixture(params=["index_set", "shards4_snapshot"])
+def gs_provider(request, gs_instance, gs_access):
+    """``(provider, view_cache)`` over ``gs_instance`` for each fetch provider
+    a compiled closure meets: the live ``IndexSet``, and the published
+    snapshot of a ``shards=4`` service, which an execution binds to a
+    shard-recording reader (``bound_to``)."""
+    shards = 4 if request.param == "shards4_snapshot" else 1
+    with QueryService(
+        gs_instance.database, gs_access, graph_search.views(),
+        codegen=False, shards=shards,
+    ) as service:
+        provider = service._snapshots.reader() if shards > 1 else service.indexes
+        yield provider, service.view_cache
+
+
+@pytest.fixture(scope="session")
+def skewed_small():
+    """The social-feed instance at smoke size (100 hot fans, 1000 users):
+    its feed query plans a join whose key spans two product factors."""
+    return skewed.generate(hot_fans=100, users=1000, seed=11)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,9 @@ for the interpreted operator tree:
 * service-level tests of the tier machinery — warmup, explain, per-tier
   stats, prepared/parameterised execution without ``bind_plan``, the
   verifier gate, and the stale-closure eviction regression;
+* the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
+  spanning product factors, ``π`` onto one factor — on the live
+  ``IndexSet`` and on a four-shard snapshot, shards touched included;
 * a differential property test over ~200 random CQs/UCQs on both backends,
   re-run after ``apply()`` write batches.
 """
@@ -21,12 +24,23 @@ from repro.algebra.terms import Variable
 from repro.algebra.ucq import UnionQuery
 from repro.analysis import codegen_eligibility
 from repro.core.plan_eval import FetchStats, PlanExecutor
+from repro.core.plans import (
+    AttributeEqualsAttribute,
+    AttributeEqualsConstant,
+    ConstantScan,
+    FetchNode,
+    ProductNode,
+    ProjectNode,
+    RenameNode,
+    SelectNode,
+    ViewScan,
+)
 from repro.engine.service import QueryService
 from repro.errors import PlanError
 from repro.exec.codegen import compile_plan_closure
 from repro.storage.indexes import IndexSet
 from repro.storage.updates import random_update_batch
-from repro.workloads import cdr, graph_search
+from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
 
@@ -36,16 +50,23 @@ def _meters_equal(a, b) -> bool:
         and a.fetch_calls == b.fetch_calls
         and a.per_relation == b.per_relation
         and a.view_tuples_scanned == b.view_tuples_scanned
+        and a.shards_touched == b.shards_touched
     )
 
 
 def _assert_tiers_identical(plan, schema, access, provider, view_cache):
-    """Execute ``plan`` on both tiers and compare rows plus full meters."""
+    """Execute ``plan`` on both tiers and compare rows plus full meters.
+
+    A snapshot provider is bound to each tier's own meter, as the service
+    binds it per execution, so the shards each tier touched are compared
+    too."""
     executor = PlanExecutor(schema, access, provider, view_cache)
     interpreted = executor.execute(plan)
     compiled = compile_plan_closure(plan, access)
     meter = FetchStats()
-    rows = compiled.execute(provider, executor.view_cache, meter)
+    bind = getattr(provider, "bound_to", None)
+    reader = bind(meter) if bind is not None else provider
+    rows = compiled.execute(reader, executor.view_cache, meter)
     assert rows == interpreted.rows
     assert compiled.attributes == plan.attributes
     assert _meters_equal(meter, interpreted.stats), (
@@ -444,12 +465,12 @@ def test_cache_clear_and_lru_eviction_invalidate_closures(gs_instance, gs_access
 # --------------------------------------------------------------------------- #
 
 
-def _movies_fetch(rename: str | None = None):
-    """fetch(Universal/2014 ∈ φ1, movie, mid) — attrs (studio, release, mid)."""
+def _movies_fetch(rename: str | None = None, studio: str = "Universal"):
+    """fetch(studio/2014 ∈ φ1, movie, mid) — attrs (studio, release, mid)."""
     from repro.core.plans import ConstantScan, FetchNode, ProductNode, RenameNode
 
     keys = ProductNode(
-        ConstantScan("Universal", attribute="studio"),
+        ConstantScan(studio, attribute="studio"),
         ConstantScan("2014", attribute="release"),
     )
     movies = FetchNode(keys, "movie", ("studio", "release"), ("mid",))
@@ -541,8 +562,10 @@ def test_four_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access):
 
 
 def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_access):
-    """A key spanning two chain factors cannot probe-first per factor; the
-    fallback (coarse split or generic join) must still be bit-identical."""
+    """The key ``(mid_a, pid_b)`` spans factors F0 and F2 of the chain, with
+    F1 holding no key column: the probe groups F0 and F2 by their parts of
+    the key and enumerates only the build keys whose parts both match,
+    crossed with F1 — never the chain's product — bit-identically."""
     from repro.core.plans import (
         AttributeEqualsAttribute,
         ConstantScan,
@@ -574,6 +597,235 @@ def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_a
         plan, gs_schema, gs_access, service.indexes, service.view_cache
     )
     assert rows
+
+
+# --------------------------------------------------------------------------- #
+# Set-at-a-time kernels: batched fetch, key-set semi-joins, spanning keys —
+# each on the live IndexSet and on a shards=4 snapshot (``gs_provider``)
+# --------------------------------------------------------------------------- #
+
+NOBODY = "no such studio"
+
+
+def _movie_ids(studio: str = "Universal", attribute: str = "mid"):
+    """π[mid](fetch(studio/2014 ∈ φ1, movie)), the column named ``attribute``."""
+    ids = ProjectNode(_movies_fetch(studio=studio), ("mid",))
+    return ids if attribute == "mid" else RenameNode(ids, {"mid": attribute})
+
+
+def _ratings(studio: str = "Universal"):
+    """fetch(π[mid] movies ∈ φ2, rating) as ``(mid_d, rank_d)``: one batch
+    of every movie key, empty when the studio has no movies."""
+    ratings = FetchNode(_movie_ids(studio), "rating", ("mid",), ("rank",))
+    return RenameNode(ratings, {"mid": "mid_d", "rank": "rank_d"})
+
+
+def _nasa(attribute: str):
+    return RenameNode(ViewScan("V2", ("pid",)), {"pid": attribute})
+
+
+def _check_provider(gs_schema, gs_access, gs_provider, plan):
+    provider, view_cache = gs_provider
+    return _assert_tiers_identical(plan, gs_schema, gs_access, provider, view_cache)
+
+
+def test_canonical_plans_identical_tiers_on_every_provider(
+    gs_schema, gs_access, gs_provider, gs_instance, gs_q0
+):
+    service = QueryService(
+        gs_instance.database, gs_access, graph_search.views(), codegen=False
+    )
+    entry, _ = service.plan(gs_q0)
+    for plan in (graph_search.figure1_plan(), entry.plan):
+        rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+        assert rows
+        # φ1 (movie) is partitioned at four shards: its probes are recorded.
+        assert bool(meter.shards_touched) == hasattr(gs_provider[0], "bound_to")
+
+
+@pytest.mark.parametrize("shape", ["join", "semi", "project", "residual"])
+@pytest.mark.parametrize("span", [2, 3])
+def test_key_spanning_factors_with_a_free_factor_identical_tiers(
+    gs_schema, gs_access, gs_provider, span, shape
+):
+    """``σ[k = k'](chain × build)`` over the chain ``mid_a × pid_b × rank_c ×
+    tag`` whose key spans two (``mid_a``, ``rank_c``) or three factors
+    (plus ``pid_b``) while ``tag`` holds no key column — as a plain join, a
+    semi-join, a projection keeping a build column, and with residuals."""
+    chain = ProductNode(
+        ProductNode(
+            ProductNode(_movie_ids(attribute="mid_a"), _nasa("pid_b")),
+            ConstantScan(5, attribute="rank_c"),
+        ),
+        ConstantScan("free", attribute="tag"),
+    )
+    build = _ratings()
+    predicates = [
+        AttributeEqualsAttribute("mid_a", "mid_d"),
+        AttributeEqualsAttribute("rank_c", "rank_d"),
+    ]
+    if span == 3:
+        build = ProductNode(build, _nasa("pid_d"))
+        predicates.append(AttributeEqualsAttribute("pid_b", "pid_d"))
+    if shape == "residual":
+        predicates.append(AttributeEqualsConstant("tag", "free"))
+        predicates.append(AttributeEqualsConstant("mid_a", "none", negated=True))
+    plan = SelectNode(ProductNode(chain, build), tuple(predicates))
+    if shape == "semi":
+        plan = ProjectNode(plan, ("tag", "mid_a", "pid_b"))
+    elif shape == "project":
+        plan = ProjectNode(plan, ("pid_b", "rank_d"))
+    rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    assert rows  # the planted rank-5 movies keep every variant non-empty
+    assert meter.per_relation["rating"] > 0
+
+
+@pytest.mark.parametrize("semi", [False, True])
+@pytest.mark.parametrize("empty", ["keyed_factor", "free_factor", "build_side"])
+def test_empty_inputs_still_charge_every_subtree(
+    gs_schema, gs_access, gs_provider, empty, semi
+):
+    """An empty keyed factor, free factor or build side empties the join,
+    yet every other subtree still runs once — its view scans and fetches
+    charged as by the interpreter — and an empty key batch charges nothing."""
+    mid_a = _movie_ids(NOBODY if empty == "keyed_factor" else "Universal", "mid_a")
+    free = (
+        _movie_ids(NOBODY, "tag") if empty == "free_factor" else _nasa("tag")
+    )
+    chain = ProductNode(ProductNode(mid_a, free), ConstantScan(5, attribute="rank_c"))
+    build = _ratings(NOBODY if empty == "build_side" else "Universal")
+    plan = SelectNode(
+        ProductNode(chain, build),
+        (
+            AttributeEqualsAttribute("mid_a", "mid_d"),
+            AttributeEqualsAttribute("rank_c", "rank_d"),
+        ),
+    )
+    if semi:
+        plan = ProjectNode(plan, ("mid_a",))
+    rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    assert rows == frozenset()
+    assert meter.fetch_calls > 0
+    assert meter.view_tuples_scanned > 0 or empty == "free_factor"
+    # The rating fetch of an empty movie batch is no fetch at all.
+    assert ("rating" in meter.per_relation) == (empty != "build_side")
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_semi_join_with_duplicate_build_keys_identical_tiers(
+    gs_schema, gs_access, gs_provider, chained
+):
+    """Every rating is crossed with every NASA person, so each build key
+    repeats once per person: the key set holds it once and each matching
+    probe row is kept once — from a plain probe side and from a chain."""
+    left = _movie_ids(attribute="mid_a")
+    if chained:
+        left = ProductNode(left, ConstantScan("free", attribute="tag"))
+    build = ProductNode(_ratings(), _nasa("pid_d"))
+    plan = ProjectNode(
+        SelectNode(ProductNode(left, build), (AttributeEqualsAttribute("mid_a", "mid_d"),)),
+        ("mid_a",),
+    )
+    rows, _ = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    assert rows
+
+
+@pytest.mark.parametrize("other_empty", [False, True])
+def test_projection_onto_one_factor_of_a_product_identical_tiers(
+    gs_schema, gs_access, gs_provider, other_empty
+):
+    """``π`` keeping only ``pid_b`` of ``pid_b × mid_a × rank_c`` is the V2
+    scan when the other factors are non-empty and empty otherwise; the
+    movie fetch is charged either way."""
+    product = ProductNode(
+        ProductNode(
+            _nasa("pid_b"), _movie_ids(NOBODY if other_empty else "Universal", "mid_a")
+        ),
+        ConstantScan(5, attribute="rank_c"),
+    )
+    rows, meter = _check_provider(
+        gs_schema, gs_access, gs_provider, ProjectNode(product, ("pid_b",))
+    )
+    assert bool(rows) == (not other_empty)
+    assert meter.fetch_calls == 1 and meter.view_tuples_scanned > 0
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_parameter_checks_on_a_batched_filtered_fetch(
+    gs_schema, gs_access, gs_provider, negated
+):
+    """``σ[rank = :rank]`` fused into a rating fetch whose key batch holds
+    every Universal/2014 movie: the closure run with bindings equals both
+    tiers run on the bound plan, rows and every meter field."""
+    from repro.algebra.terms import Param
+    from repro.core.plan_eval import bind_plan
+
+    ratings = FetchNode(_movie_ids(), "rating", ("mid",), ("rank",))
+    plan = ProjectNode(
+        SelectNode(ratings, (AttributeEqualsConstant("rank", Param("rank"), negated),)),
+        ("mid",),
+    )
+    provider, view_cache = gs_provider
+    compiled = compile_plan_closure(plan, gs_access)
+    for rank in (5, 1, 99):
+        expected, meter = _check_provider(
+            gs_schema, gs_access, gs_provider, bind_plan(plan, {"rank": rank})
+        )
+        stats = FetchStats()
+        bind = getattr(provider, "bound_to", None)
+        reader = bind(stats) if bind is not None else provider
+        assert compiled.execute(reader, view_cache, stats, {"rank": rank}) == expected
+        assert _meters_equal(stats, meter)
+        assert meter.per_relation["rating"] > 1  # a batch of several keys
+
+
+def test_fetch_many_equals_fetch_per_key_on_every_provider(gs_instance, gs_access):
+    """``fetch_many`` is ``[fetch(k) for k in keys]`` on the live IndexSet,
+    a four-shard snapshot and its bound reader — rows in key order, and the
+    reader records exactly the shards the per-key probes record."""
+    movie, rating = sorted(gs_access, key=lambda c: c.relation)
+    movies = gs_instance.database.relation("movie").tuples
+    batches = {
+        movie: [(studio, year) for _, _, studio, year in movies][:20]
+        + [(NOBODY, "2014")],
+        rating: [(mid,) for mid, _, _, _ in movies][:20] + [("no such movie",)],
+    }
+    with QueryService(
+        gs_instance.database, gs_access, graph_search.views(), shards=4
+    ) as service:
+        snapshot = service._snapshots.reader()
+        for constraint, keys in batches.items():
+            keys = list(dict.fromkeys(keys))
+            for provider in (service.indexes, snapshot):
+                assert provider.fetch_many(constraint, keys) == [
+                    provider.fetch(constraint, key) for key in keys
+                ]
+                assert provider.fetch_many(constraint, ()) == []
+            batched, single = FetchStats(), FetchStats()
+            assert snapshot.bound_to(batched).fetch_many(constraint, keys) == [
+                snapshot.bound_to(single).fetch(constraint, key) for key in keys
+            ]
+            assert batched.shards_touched == single.shards_touched
+            assert bool(batched.shards_touched) == (constraint is movie)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, shards):
+    """The planned feed query joins ``contacted`` on ``(fan, agent)``, a key
+    spanning ``π[fan] × π[agent]``, and fetches ``contacted`` for
+    ``π[fan]`` of that product: neither product is built, and both tiers
+    agree on rows, ``Dξ`` and shards."""
+    access = skewed.access_schema()
+    with QueryService(
+        skewed_small.database, access, skewed.views(), codegen=False, shards=shards
+    ) as service:
+        entry, _ = service.plan(skewed.query_feed())
+        provider = service._snapshots.reader() if shards > 1 else service.indexes
+        rows, meter = _assert_tiers_identical(
+            entry.plan, skewed.schema(), access, provider, service.view_cache
+        )
+    assert rows and meter.per_relation["contacted"] > 0
+    assert bool(meter.shards_touched) == (shards > 1)
 
 
 # --------------------------------------------------------------------------- #

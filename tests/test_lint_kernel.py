@@ -106,6 +106,35 @@ def test_unmetered_fetch_in_codegen_closure_is_flagged(tmp_path):
     assert any("step" in v.message for v in violations)
 
 
+def test_unmetered_batched_fetch_is_flagged(tmp_path):
+    # The batched probe crosses the same boundary as `.fetch`: a closure
+    # calling `.fetch_many` without `record_fetch` is the same defect.
+    _write(
+        tmp_path,
+        "src/repro/exec/codegen.py",
+        """
+        def compile_fetch(constraint):
+            def step_batch(runtime, keys):
+                return runtime.provider.fetch_many(constraint, keys)
+
+            return step_batch
+
+        def compile_fetch_metered(constraint, relation):
+            def step(runtime, keys):
+                batches = runtime.provider.fetch_many(constraint, keys)
+                for fetched in batches:
+                    runtime.meter.record_fetch(relation, len(fetched))
+                return batches
+
+            return step
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert {v.code for v in violations} == {"kernel.unmetered-fetch"}
+    assert {v.line for v in violations} == {4}
+    assert any("'step_batch' probes '.fetch_many'" in v.message for v in violations)
+
+
 @pytest.mark.parametrize(
     "source",
     [

@@ -11,16 +11,18 @@ inspection (no imports of the checked code, so it runs on any tree):
 ``kernel.unmetered-fetch``
     In ``src/repro/exec/operators.py``, ``src/repro/exec/codegen.py`` and
     ``src/repro/exec/delta_compiler.py``, every function that touches a
-    ``.fetch`` attribute (the storage-boundary probe) must also reference
-    ``record_fetch`` — tuples crossing the boundary are charged to the meter
-    in the same function that pulls them.  For the codegen tiers this covers
+    storage-boundary probe — ``.fetch`` or any ``.fetch_*`` variant such as
+    the batched ``.fetch_many``, or a call of a local alias of one — must
+    also reference ``record_fetch``:
+    tuples crossing the boundary are charged to the meter in the same
+    function that pulls them.  For the codegen tiers this covers
     the *generated* closures too: they are nested functions of the compiling
     function, and ``ast.walk`` descends into them.
 
 ``kernel.codegen-storage-import``
     ``src/repro/exec/codegen.py`` and ``src/repro/exec/delta_compiler.py``
     may not import ``repro.storage``: compiled closures only reach base data
-    through the metered fetch protocol (``FetchProviderLike``) and late-bound
+    through the metered fetch protocol (``FetchProvider``) and late-bound
     lookup resolvers, never through storage classes whose internals would let
     a closure bypass the accounting boundary.
 
@@ -166,20 +168,37 @@ def _attribute_names(node: ast.AST) -> Iterator[tuple[str, int]]:
             yield sub.id, sub.lineno
 
 
+def _fetch_probes(node: ast.AST) -> Iterator[tuple[str, int]]:
+    """Storage-boundary probes under ``node``: a ``.fetch`` / ``.fetch_*``
+    attribute, or a call of a local alias of one (``fetch_many(...)``)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+            name = sub.func.id
+        elif isinstance(sub, ast.Name) and sub.id == "fetch":
+            name = sub.id
+        else:
+            continue
+        if name == "fetch" or name.startswith("fetch_"):
+            yield name, sub.lineno
+
+
 def check_metered_fetches(path: Path, tree: ast.Module) -> list[Violation]:
-    """Every function touching ``.fetch`` must also reference the meter."""
+    """Every function touching a ``.fetch*`` probe must also reference the meter."""
     violations: list[Violation] = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        names = dict(_attribute_names(node))
-        if "fetch" in names and "record_fetch" not in names:
+        probe = next(_fetch_probes(node), None)
+        if probe is not None and "record_fetch" not in dict(_attribute_names(node)):
+            name, line = probe
             violations.append(
                 Violation(
                     path,
-                    names["fetch"],
+                    line,
                     "kernel.unmetered-fetch",
-                    f"function {node.name!r} probes '.fetch' without charging "
+                    f"function {node.name!r} probes '.{name}' without charging "
                     "the IOMeter ('record_fetch'); every tuple crossing the "
                     "storage boundary must be metered in the same function",
                 )
@@ -222,7 +241,7 @@ def check_codegen_storage_imports(path: Path, tree: ast.Module) -> list[Violatio
                 "kernel.codegen-storage-import",
                 f"codegen module imports {module!r}; generated closures may "
                 "only touch base data through the metered fetch protocol "
-                "(FetchProviderLike), never through storage classes",
+                "(FetchProvider), never through storage classes",
             )
         )
 
