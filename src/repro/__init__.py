@@ -19,7 +19,8 @@ The package is organised as follows:
 * :mod:`repro.analysis` — static analysis: plan verification with
   boundedness certificates, compiled-delta-program checking, query lints and
   view-dependency stratification, fronted by :meth:`QueryService.explain`,
-  :meth:`QueryService.lint` and ``QueryService(verify_plans=True)``;
+  :meth:`QueryService.lint` and the check every plan passes before the
+  plan cache admits it;
 * :mod:`repro.engine` — the serving layer built around
   :class:`~repro.engine.service.QueryService`: one entry point for
   CQ/UCQ/FO/string queries, a pluggable planner chain (heuristic builder,

@@ -14,8 +14,8 @@ The subsystem has four checkers, all purely static (no data access):
   over a view set, yielding the safe maintenance order.
 
 ``QueryService.explain`` / ``QueryService.lint`` are the front ends;
-``QueryService(verify_plans=True)`` runs :func:`verify_plan` on every plan
-before it is cached, raising
+``QueryService`` runs :func:`verify_plan` (as :func:`codegen_eligibility`)
+on every plan before it is cached, raising
 :class:`~repro.errors.PlanVerificationError` on findings.
 :mod:`repro.analysis.mutations` manufactures corrupted plans for
 property-testing the verifier.

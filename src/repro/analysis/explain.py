@@ -50,17 +50,12 @@ class Explanation:
     certificates: tuple[FetchCertificate, ...] = ()
     counterexample: BoundednessCounterexample | None = None
     lints: tuple[Diagnostic, ...] = ()
-    # Codegen-tier state of the cached entry: which tier the next execution
-    # will take (``"interpreted"``/``"compiled"``), the raw per-entry state
-    # (``"pending"``/``"compiled"``/``"ineligible"``/``"disabled"``), how
-    # many executions the entry has seen against how many the warmup wants,
-    # how long compilation took, and why codegen was refused (if it was).
+    # The tier the next execution on the default backend takes
+    # (``"compiled"``, or ``"interpreted"`` on SQLite), how often the cached
+    # entry has run, and how long compiling its plan took at admission.
     execution_tier: str = "interpreted"
-    codegen_state: str = "disabled"
     executions: int = 0
-    codegen_warmup: int = 0
     compile_seconds: float | None = None
-    codegen_reason: str = ""
     # Static shard placement (``None`` without a plan): which partitions the
     # plan's certificates prove it touches, hence how many the router prunes.
     shard_set: PlanShardSet | None = None
@@ -104,19 +99,10 @@ class Explanation:
                 lines.append(f"  plan shared across constants, bound here: {bound}")
             if self.reason:
                 lines.append(f"  reason: {self.reason}")
-            if self.codegen_state != "disabled":
-                detail = f"  execution tier: {self.execution_tier}"
-                if self.codegen_state == "pending":
-                    detail += (
-                        f" (warming up: {self.executions}/{self.codegen_warmup}"
-                        " executions)"
-                    )
-                elif self.codegen_state == "compiled":
-                    if self.compile_seconds is not None:
-                        detail += f" (compiled in {self.compile_seconds * 1e3:.2f}ms)"
-                elif self.codegen_state == "ineligible":
-                    detail += f" (codegen ineligible: {self.codegen_reason})"
-                lines.append(detail)
+            detail = f"  execution tier: {self.execution_tier}"
+            if self.compile_seconds is not None:
+                detail += f" (compiled in {self.compile_seconds * 1e3:.2f}ms)"
+            lines.append(detail)
             if self.fetch_bound is not None:
                 lines.append(f"  worst-case tuples fetched: {self.fetch_bound}")
             if self.replans:

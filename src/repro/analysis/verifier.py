@@ -113,10 +113,10 @@ def codegen_eligibility(
     The codegen tier bypasses the interpreted operator constructors, so the
     gate is the full :func:`verify_plan` discipline: a plan is only
     codegen-eligible once it verifies (schema bookkeeping, access-constraint
-    conformance, boundedness).  Unlike the serving path — which *raises* on a
-    bad plan — eligibility must never take the service down: any exception
-    out of the verifier is folded into a failing report, and the service then
-    simply keeps interpreting that plan.
+    conformance, boundedness).  The typed errors the verifier can raise
+    (budget exhausted, malformed plan) are folded into a failing report, so
+    the service admitting a plan has one verdict to turn into its
+    :class:`~repro.errors.PlanVerificationError`.
     """
     subject = subject or f"codegen({plan.label()})"
     try:
@@ -148,13 +148,12 @@ def delta_codegen_eligibility(
 ) -> VerificationReport:
     """Decide whether a view's delta program may be compiled to kernels.
 
-    The maintenance codegen tier (:func:`repro.exec.delta_compiler.
-    compile_maintenance`) generates fused loop nests that bypass the
-    interpreted rule pipelines, so the gate is the full
-    :func:`verify_delta_program` discipline.  Like
-    :func:`codegen_eligibility`, this must never take a write down: any
-    exception out of the verifier is folded into a failing report, and the
-    maintainer then keeps interpreting that view's rules forever.
+    The maintenance kernels (:func:`repro.exec.delta_compiler.
+    compile_maintenance`) are fused loop nests generated from the rules'
+    static structure, so the gate is the full :func:`verify_delta_program`
+    discipline.  Like :func:`codegen_eligibility`, typed verifier errors are
+    folded into a failing report; the maintainer turns a failing report
+    into a :class:`~repro.errors.DeltaCompilationError` naming the view.
     """
     subject = f"delta-codegen({compiled.name})"
     try:

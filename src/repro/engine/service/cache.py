@@ -88,9 +88,11 @@ class CachedPlan:
 
     An outcome is a function of the query, the access schema and the views,
     never of the data, and its compiled closure late-binds snapshot and view
-    cache per execution — so a write leaves the entry alone.  It goes by LRU
-    eviction, by :meth:`LRUPlanCache.clear` (planning budget changed) or by
-    adaptive re-planning (:meth:`LRUPlanCache.replace`), nothing else.
+    cache per execution — so a write leaves the entry alone, and an entry
+    that left the cache keeps serving whoever still holds it.  It goes by
+    LRU eviction, by :meth:`LRUPlanCache.clear` (planning budget changed)
+    or by adaptive re-planning (:meth:`LRUPlanCache.replace`, which names
+    the replacement in ``successor``), nothing else.
     """
 
     plan: PlanNode | None
@@ -99,16 +101,13 @@ class CachedPlan:
     parameters: frozenset[str] = frozenset()
     # Unused by src/; bench/staged.py still passes it — goes with ROADMAP item 1.
     dependencies: frozenset[str] = frozenset()
-    # Codegen tier state (second artifact per entry).  ``executions`` counts
-    # how often this entry's plan ran — the warmup counter deciding when the
-    # service compiles it; ``codegen_state`` is ``"pending"`` (still warming
-    # up or codegen disabled), ``"compiled"`` or ``"ineligible"`` (the
-    # verifier or the closure compiler rejected it; ``codegen_reason`` says
-    # why).  Mutated only by the owning service/cache.
+    # The closure the service compiled the plan into when it admitted the
+    # entry (``None`` exactly when no plan was found), and how often the
+    # entry has been executed.
     compiled: CompiledPlan | None = None
     executions: int = 0
+    # Unused by src/; bench/staged.py still reads it — goes with ROADMAP item 1.
     codegen_state: str = "pending"
-    codegen_reason: str = ""
     # Optimizer-v2 bookkeeping.  ``estimated_fetches``/``fetch_estimates``
     # are the cardinality model's prediction recorded at planning time
     # (``fetch_estimates`` is a tuple of FetchEstimate objects);
@@ -123,8 +122,9 @@ class CachedPlan:
     # oscillation.
     # ``order_report`` is the cost-based planner's chosen-vs-rejected join
     # orders; ``cache_key`` lets the service atomically replace this entry
-    # in place; ``restored`` marks entries loaded from the persistent plan
-    # store (counted as a store hit on their first cache hit, then cleared).
+    # in place, and ``successor`` is the entry that replaced it; ``restored``
+    # marks entries loaded from the persistent plan store (counted as a
+    # store hit on their first cache hit, then cleared).
     estimated_fetches: float | None = None
     fetch_estimates: tuple = ()
     actual_fetches: int | None = None
@@ -134,6 +134,7 @@ class CachedPlan:
     replan_reason: str = ""
     order_report: object | None = None
     cache_key: tuple | None = None
+    successor: "CachedPlan | None" = None
     restored: bool = False
     # The latest ``(plan, values, plan bound to them)`` of a plan shared
     # across constants, see ``ResolvedQuery.literal_plan``.
@@ -142,19 +143,6 @@ class CachedPlan:
     @property
     def found(self) -> bool:
         return self.plan is not None
-
-    def invalidate_compiled(self) -> None:
-        """Drop the compiled artifact and restart the warmup.
-
-        Called when the entry leaves the cache (LRU eviction, ``clear``,
-        replaced by a re-plan): a :class:`PreparedQuery` may still hold the
-        entry object, and keeps serving its plan from the interpreted tier
-        through a fresh warmup.  Writes never call this.
-        """
-        self.compiled = None
-        self.executions = 0
-        self.codegen_state = "pending"
-        self.codegen_reason = ""
 
 
 @dataclass
@@ -216,18 +204,14 @@ class LRUPlanCache:
                 self._entries.move_to_end(key)
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
-                _, evicted = self._entries.popitem(last=False)
-                evicted.invalidate_compiled()
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
     def replace(self, key: tuple, old: CachedPlan, new: CachedPlan) -> bool:
         """Atomically swap a re-planned outcome in for ``old`` under ``key``.
 
         Succeeds only while ``old`` is still the cached entry (two racing
-        re-planners cannot both win); the retired entry's compiled closure
-        is invalidated through the same path evictions use, so a
-        :class:`PreparedQuery` still holding it falls back to the fresh
-        entry's lifecycle.
+        re-planners cannot both win).
         """
         with self._lock:
             current = self._entries.get(key)
@@ -235,7 +219,6 @@ class LRUPlanCache:
                 return False
             self._entries[key] = new
             self._entries.move_to_end(key)
-            old.invalidate_compiled()
             return True
 
     def entries(self) -> list[tuple[tuple, CachedPlan]]:
@@ -261,12 +244,10 @@ class LRUPlanCache:
                 if not entry.dependencies or entry.dependencies & touched
             ]
             for key in stale:
-                self._entries.pop(key).invalidate_compiled()
+                del self._entries[key]
             self.stats.invalidations += len(stale)
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
-            for entry in self._entries.values():
-                entry.invalidate_compiled()
             self._entries.clear()

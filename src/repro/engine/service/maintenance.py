@@ -3,9 +3,11 @@
 :class:`ViewMaintainer` owns the materialised rows of a
 :class:`~repro.algebra.views.ViewSet` and updates them from the netted
 :class:`~repro.storage.deltas.DeltaStream` of each committed transaction.
-Every CQ/UCQ view is compiled **once** (:mod:`repro.exec.delta_compiler`)
-into per-relation delta rules; at maintenance time only the lookups are
-resolved, against one of three relation states:
+Every CQ/UCQ view is compiled **once**, when it is materialised
+(:mod:`repro.exec.delta_compiler`): into per-relation delta rules, which
+are statically verified and then generated into nested-loop kernels; at
+maintenance time only the lookups are resolved, against one of three
+relation states:
 
 * *live* — the post-transaction database (its maintained secondary indexes);
 * *pre-transaction* — live minus the net insertions plus the net deletions
@@ -26,7 +28,7 @@ Strategies per view (see :func:`repro.exec.delta_compiler.counting_eligible`):
 * ``dred`` — self-joins and UCQ views: insertions add the rows derivable
   through the inserted tuples, deletions over-delete candidates
   (semi-joined against the cached rows) and re-derive survivors through the
-  compiled support check.
+  generated support probe.
 * ``recompute`` — FO views (negation, universal quantification) are
   re-evaluated when a relation they mention changes; deltas of FO views are
   not bounded in general.
@@ -37,7 +39,6 @@ are the accounting surface :meth:`QueryService.apply` reports through.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -54,7 +55,6 @@ from ...exec.delta_compiler import (
     MaintenanceKernels,
     compile_maintenance,
     compile_view_delta,
-    counting_eligible,
     metered_resolver,
 )
 from ...exec.iometer import IOMeter
@@ -80,11 +80,11 @@ class ViewDelta:
 class MaintenanceStats:
     """Work accounting of one maintenance run (or a merged sequence of runs).
 
-    ``delta_queries`` counts compiled delta-rule executions,
-    ``support_checks`` the per-row re-derivation probes of the DRed fallback;
-    both stay small when the views are selective — the quantity bounded view
-    maintenance is about.  Counting-mode deletions never re-derive, so a
-    counting view contributes zero support checks.
+    ``delta_queries`` counts delta-kernel executions, ``support_checks`` the
+    per-row re-derivation probes of the DRed fallback; both stay small when
+    the views are selective — the quantity bounded view maintenance is
+    about.  Counting-mode deletions never re-derive, so a counting view
+    contributes zero support checks.
     """
 
     updates: int = 0
@@ -92,9 +92,9 @@ class MaintenanceStats:
     support_checks: int = 0
     rows_added: int = 0
     rows_removed: int = 0
-    #: Maintenance-tier tally per *touched* view per run:
-    #: ``"compiled"`` (generated kernels), ``"interpreted"`` (staged rule
-    #: loops) or ``"recompute"`` (FO views).  Untouched views count nowhere.
+    #: Maintenance-tier tally per *touched* view per run: ``"compiled"``
+    #: (generated kernels) or ``"recompute"`` (FO views).  Untouched views
+    #: count nowhere.
     tier_runs: dict[str, int] = field(default_factory=dict)
 
     def merged_with(self, other: "MaintenanceStats") -> "MaintenanceStats":
@@ -125,24 +125,16 @@ class MaintenanceReport:
 
 @dataclass
 class MaintenanceExplanation:
-    """How one view is maintained right now (the write-side ``explain``).
+    """How one view is maintained (the write-side ``explain``).
 
-    ``tier`` is the tier the *next* touching stream will run on:
-    ``"compiled"`` once generated kernels exist, ``"recompute"`` for FO
-    views, ``"interpreted"`` otherwise.  ``codegen_state`` follows the
-    read-side lifecycle vocabulary: ``"pending"`` (still warming up or
-    codegen disabled), ``"compiled"``, or ``"ineligible"`` (the delta
-    program failed verification or kernel generation — with the first
-    diagnostic in ``codegen_reason`` — and stays interpreted forever).
+    ``mode`` is ``"counting"``, ``"dred"`` or ``"recompute"``; ``tier`` is
+    ``"compiled"`` (generated kernels) for CQ/UCQ views and ``"recompute"``
+    for FO views.
     """
 
     view: str
     mode: str
     tier: str
-    codegen_state: str
-    codegen_reason: str
-    runs: int
-    warmup: int
 
 
 # --------------------------------------------------------------------------- #
@@ -163,10 +155,10 @@ class _StateResolvers:
     """Lookup resolvers for one delta stream over one facts source.
 
     With a ``meter``, every resolver is wrapped by
-    :func:`~repro.exec.delta_compiler.metered_resolver` — the single charging
-    boundary both maintenance tiers share, so their ``Dξ`` accounting is
-    bit-identical.  Without one (the default on the write hot path), the
-    resolvers are returned unwrapped and metering costs nothing.
+    :func:`~repro.exec.delta_compiler.metered_resolver`, the single charging
+    boundary of the delta kernels.  Without one (the default on the write
+    hot path), the resolvers are returned unwrapped and metering costs
+    nothing.
     """
 
     def __init__(
@@ -244,10 +236,9 @@ class _StateResolvers:
 class ViewMaintainer:
     """Materialised view rows maintained from committed delta streams.
 
-    Construction materialises every view (counting views with derivation
-    counts); :meth:`apply_stream` folds in the net changes of one
-    transaction.  Compilation of the delta programs is lazy — read-only
-    services never pay for it.
+    Construction compiles and materialises every view (counting views with
+    derivation counts); :meth:`apply_stream` folds in the net changes of one
+    transaction.
     """
 
     def __init__(
@@ -256,8 +247,8 @@ class ViewMaintainer:
         database: Database,
         *,
         subscribe: bool = False,
-        codegen: bool = True,
-        codegen_warmup: int = 2,
+        # Unused by src/; bench/staged.py still passes it — goes with ROADMAP item 1.
+        codegen_warmup: int = 0,
     ) -> None:
         """With ``subscribe=True`` the maintainer registers itself on the
         database's delta stream and follows every committed transaction on
@@ -270,37 +261,23 @@ class ViewMaintainer:
         :meth:`Database.apply`; do not hand-build streams claiming changes
         that did not happen.
 
-        ``codegen`` enables the compiled maintenance tier: after a view's
-        delta rules have run interpreted ``codegen_warmup`` times, the delta
-        program is statically verified
-        (:func:`repro.analysis.delta_codegen_eligibility`) and — if eligible —
-        compiled into generated nested-loop kernels
-        (:func:`repro.exec.delta_compiler.compile_maintenance`) that all
-        later touching streams run on.  An ineligible or failing view keeps
-        its interpreted rules forever; compilation never surfaces an error
-        to a write.
+        Each CQ/UCQ view's delta program is compiled here, statically
+        verified (:func:`repro.analysis.delta_codegen_eligibility`) and
+        generated into nested-loop kernels
+        (:func:`repro.exec.delta_compiler.compile_maintenance`) that every
+        touching stream runs on.  A view failing any of these steps raises
+        :class:`~repro.errors.DeltaCompilationError` naming it.
         """
         self.views = views if isinstance(views, ViewSet) else ViewSet(views)
         self.database = database
-        self.codegen = codegen
-        self.codegen_warmup = max(0, codegen_warmup)
         self._source = FactsSource(database)
         self._modes: dict[str, str] = {}
         self._rows: dict[str, set[tuple]] = {}
         self._counts: dict[str, dict[tuple, int]] = {}
         self._frozen: dict[str, frozenset[tuple] | None] = {}
         self._compiled: dict[str, CompiledViewDelta] = {}
-        self._fo_relations: dict[str, frozenset[str]] = {}
-        # Compiled-maintenance lifecycle, per view (same vocabulary as the
-        # read-side plan cache): interpreted warmup runs are counted in
-        # ``_runs`` while the state is "pending"; the state then moves to
-        # "compiled" (kernels in ``_kernels``) or "ineligible" (first
-        # diagnostic in ``_codegen_reason``) and never back.
-        self._codegen_lock = threading.Lock()
-        self._runs: dict[str, int] = {}
-        self._codegen_state: dict[str, str] = {}
-        self._codegen_reason: dict[str, str] = {}
         self._kernels: dict[str, MaintenanceKernels] = {}
+        self._fo_relations: dict[str, frozenset[str]] = {}
         for view in self.views:
             self._materialise(view)
         if subscribe:
@@ -318,19 +295,34 @@ class ViewMaintainer:
         name = view.name
         if view.language in ("CQ", "UCQ"):
             disjuncts = tuple(d.normalize() for d in view.as_ucq().disjuncts)
-            if counting_eligible(disjuncts):
-                self._modes[name] = "counting"
+            compiled = self._compile(name, disjuncts)
+            self._modes[name] = compiled.mode
+            if compiled.counting:
                 counts = self._count_derivations(disjuncts[0])
                 self._counts[name] = counts
                 self._rows[name] = set(counts)
             else:
-                self._modes[name] = "dred"
                 self._rows[name] = set(evaluate_ucq(view.as_ucq(), self.database))
         else:
             self._modes[name] = "recompute"
             self._fo_relations[name] = view.definition.relation_names
             self._rows[name] = set(self._evaluate_fo(view))
         self._frozen[name] = None
+
+    def _compile(self, name: str, disjuncts: tuple) -> CompiledViewDelta:
+        """Compile, verify and generate one view's delta program."""
+        compiled = compile_view_delta(name, disjuncts)
+        report = delta_codegen_eligibility(compiled, self.database.schema)
+        if not report.ok:
+            first = report.errors[0]
+            raise DeltaCompilationError(
+                f"view {name!r}: delta program failed verification: "
+                f"{first.code}: {first.message}",
+                view_name=name,
+            )
+        self._compiled[name] = compiled
+        self._kernels[name] = compile_maintenance(compiled)
+        return compiled
 
     def _count_derivations(self, disjunct) -> dict[tuple, int]:
         """``head row → number of body valuations`` for one normalised CQ."""
@@ -353,95 +345,12 @@ class ViewMaintainer:
         head = [t for t in view.head if isinstance(t, Variable)]
         return frozenset(evaluate_fo(view.as_fo(), self.database.facts, head))
 
-    def _compiled_for(self, view: View) -> CompiledViewDelta:
-        compiled = self._compiled.get(view.name)
-        if compiled is None:
-            disjuncts = tuple(d.normalize() for d in view.as_ucq().disjuncts)
-            compiled = compile_view_delta(view.name, disjuncts)
-            self._compiled[view.name] = compiled
-        return compiled
-
-    def _maintenance_kernels(
-        self, name: str, compiled: CompiledViewDelta
-    ) -> MaintenanceKernels | None:
-        """Warmup→verify→compile lifecycle; ``None`` means run interpreted.
-
-        Warmup runs are counted only for streams that actually touch the
-        view, and only while the state is still pending.  Once the warmup is
-        spent, the delta program is verified and compiled under the lock
-        (double-checked, so concurrent maintainers compile once); failure of
-        either step parks the view as ineligible forever.
-        """
-        if not self.codegen:
-            return None
-        kernels = self._kernels.get(name)
-        if kernels is not None:
-            return kernels
-        state = self._codegen_state.get(name, "pending")
-        if state != "pending":
-            return None
-        with self._codegen_lock:
-            kernels = self._kernels.get(name)
-            if kernels is not None:
-                return kernels
-            if self._codegen_state.get(name, "pending") != "pending":
-                return None
-            runs = self._runs.get(name, 0)
-            if runs < self.codegen_warmup:
-                self._runs[name] = runs + 1
-                return None
-            report = delta_codegen_eligibility(compiled, self.database.schema)
-            if not report.ok:
-                self._codegen_state[name] = "ineligible"
-                first = report.errors[0]
-                self._codegen_reason[name] = f"{first.code}: {first.message}"
-                return None
-            try:
-                kernels = compile_maintenance(compiled)
-            except DeltaCompilationError as exc:
-                self._codegen_state[name] = "ineligible"
-                self._codegen_reason[name] = f"delta.compile-error: {exc}"
-                return None
-            self._kernels[name] = kernels
-            self._codegen_state[name] = "compiled"
-            return kernels
-
-    def invalidate_compiled(self, view_name: str | None = None) -> None:
-        """Drop compiled delta programs and kernels (one view, or all).
-
-        The next touching stream restarts the warmup→verify→compile
-        lifecycle from scratch — the hook view eviction/redefinition and the
-        differential tests use to force tier transitions.
-        """
-        with self._codegen_lock:
-            names = [self._known(view_name)] if view_name is not None else list(self._rows)
-            for name in names:
-                self._compiled.pop(name, None)
-                self._kernels.pop(name, None)
-                self._runs.pop(name, None)
-                self._codegen_state.pop(name, None)
-                self._codegen_reason.pop(name, None)
-
     def explain(self, view_name: str) -> MaintenanceExplanation:
         """The maintenance strategy and execution tier of one view."""
         name = self._known(view_name)
         mode = self._modes[name]
-        state = self._codegen_state.get(name, "pending")
-        if mode == "recompute":
-            tier = "recompute"
-        elif state == "compiled":
-            tier = "compiled"
-        else:
-            tier = "interpreted"
-        return MaintenanceExplanation(
-            view=name,
-            mode=mode,
-            tier=tier,
-            codegen_state=state,
-            codegen_reason=self._codegen_reason.get(name, ""),
-            runs=self._runs.get(name, 0),
-            warmup=self.codegen_warmup,
-        )
+        tier = "recompute" if mode == "recompute" else "compiled"
+        return MaintenanceExplanation(view=name, mode=mode, tier=tier)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -480,7 +389,7 @@ class ViewMaintainer:
         return dict(self._counts[view_name])
 
     def compiled_delta(self, view_name: str) -> CompiledViewDelta:
-        """The compiled delta program of one CQ/UCQ view (compiled on demand).
+        """The compiled delta program of one CQ/UCQ view.
 
         The static checker :func:`repro.analysis.verify_delta_program`
         consumes this.  FO views are maintained by recomputation and have no
@@ -491,7 +400,7 @@ class ViewMaintainer:
                 f"view {view_name!r} is an FO view maintained by recomputation; "
                 "it has no compiled delta program"
             )
-        return self._compiled_for(self.views.view(view_name))
+        return self._compiled[view_name]
 
     def snapshot(self) -> dict[str, frozenset[tuple]]:
         """The cache in the shape expected by the plan executor/backends.
@@ -524,9 +433,9 @@ class ViewMaintainer:
         requires it).  Returns the per-view row changes, skipping views the
         transaction does not affect.
 
-        With a ``meter``, every delta-rule and support-check probe charges
-        its returned rows as ``Dξ`` fetches — identically on both execution
-        tiers (see :func:`repro.exec.delta_compiler.metered_resolver`).
+        With a ``meter``, every delta-kernel and support probe charges its
+        returned rows as ``Dξ`` fetches (see
+        :func:`repro.exec.delta_compiler.metered_resolver`).
         """
         stats = stats if stats is not None else MaintenanceStats()
         stats.updates += stream.applied
@@ -544,22 +453,15 @@ class ViewMaintainer:
                     tier_runs["recompute"] = tier_runs.get("recompute", 0) + 1
                 else:
                     delta = ViewDelta(view=view.name)
+            elif not (touched & self._compiled[view.name].relations):
+                delta = ViewDelta(view=view.name)
             else:
-                compiled = self._compiled_for(view)
-                if not (touched & compiled.relations):
-                    delta = ViewDelta(view=view.name)
+                kernels = self._kernels[view.name]
+                tier_runs["compiled"] = tier_runs.get("compiled", 0) + 1
+                if mode == "counting":
+                    delta = self._apply_counting(view.name, kernels, stream, resolvers, stats)
                 else:
-                    kernels = self._maintenance_kernels(view.name, compiled)
-                    tier = "compiled" if kernels is not None else "interpreted"
-                    tier_runs[tier] = tier_runs.get(tier, 0) + 1
-                    if mode == "counting":
-                        delta = self._apply_counting(
-                            view.name, compiled, kernels, stream, resolvers, stats
-                        )
-                    else:
-                        delta = self._apply_dred(
-                            view.name, compiled, kernels, stream, resolvers, stats
-                        )
+                    delta = self._apply_dred(view.name, kernels, stream, resolvers, stats)
             if not delta.is_empty:
                 self._frozen[view.name] = None
                 deltas.append(delta)
@@ -570,14 +472,12 @@ class ViewMaintainer:
     def _apply_counting(
         self,
         name: str,
-        compiled: CompiledViewDelta,
-        kernels: MaintenanceKernels | None,
+        kernels: MaintenanceKernels,
         stream: DeltaStream,
         resolvers: _StateResolvers,
         stats: MaintenanceStats,
     ) -> ViewDelta:
-        (disjunct,) = compiled.disjuncts
-        kernel_disjunct = kernels.disjuncts[0] if kernels is not None else None
+        (disjunct,) = kernels.disjuncts
         relations = stream.relations
         delta_counts: dict[tuple, int] = {}
         for index, relation in enumerate(relations):
@@ -589,24 +489,13 @@ class ViewMaintainer:
             resolve = resolvers.pre_transaction(frozenset(relations[index + 1 :]))
             inserted = stream.inserted(relation)
             deleted = stream.deleted(relation)
-            if kernel_disjunct is not None:
-                for rule_kernels in kernel_disjunct.rules[relation]:
-                    if inserted:
-                        stats.delta_queries += 1
-                        rule_kernels.count(inserted, resolve, delta_counts, 1)
-                    if deleted:
-                        stats.delta_queries += 1
-                        rule_kernels.count(deleted, resolve, delta_counts, -1)
-                continue
             for rule in rules:
                 if inserted:
                     stats.delta_queries += 1
-                    for row in rule.head_rows(inserted, resolve):
-                        delta_counts[row] = delta_counts.get(row, 0) + 1
+                    rule.count(inserted, resolve, delta_counts, 1)
                 if deleted:
                     stats.delta_queries += 1
-                    for row in rule.head_rows(deleted, resolve):
-                        delta_counts[row] = delta_counts.get(row, 0) - 1
+                    rule.count(deleted, resolve, delta_counts, -1)
         if not delta_counts:
             return ViewDelta(view=name)
         counts = self._counts[name]
@@ -634,8 +523,7 @@ class ViewMaintainer:
     def _apply_dred(
         self,
         name: str,
-        compiled: CompiledViewDelta,
-        kernels: MaintenanceKernels | None,
+        kernels: MaintenanceKernels,
         stream: DeltaStream,
         resolvers: _StateResolvers,
         stats: MaintenanceStats,
@@ -643,7 +531,6 @@ class ViewMaintainer:
         current = self._rows[name]
         live = resolvers.live()
         augmented = resolvers.augmented()
-        kernel_disjuncts = kernels.disjuncts if kernels is not None else None
 
         # Insertion rules run against the post-state: every valuation they
         # produce is a real derivation, and set insertion is idempotent.
@@ -654,32 +541,16 @@ class ViewMaintainer:
         for relation in stream.relations:
             inserted = stream.inserted(relation)
             deleted = stream.deleted(relation)
-            if kernel_disjuncts is not None:
-                for kernel_disjunct in kernel_disjuncts:
-                    for rule_kernels in kernel_disjunct.rules.get(relation, ()):
-                        if inserted:
-                            stats.delta_queries += 1
-                            rule_kernels.insert(inserted, live, current, added)
-                        if deleted:
-                            stats.delta_queries += 1
-                            # The interpreted rule short-circuits an empty
-                            # view before probing anything; mirror that so
-                            # the meters stay bit-identical.
-                            if current:
-                                rule_kernels.affected(
-                                    deleted, augmented, current, affected
-                                )
-                continue
-            for disjunct in compiled.disjuncts:
+            for disjunct in kernels.disjuncts:
                 for rule in disjunct.rules.get(relation, ()):
                     if inserted:
                         stats.delta_queries += 1
-                        for row in rule.head_rows(inserted, live):
-                            if row not in current:
-                                added.add(row)
+                        rule.insert(inserted, live, current, added)
                     if deleted:
                         stats.delta_queries += 1
-                        affected.update(rule.affected_rows(deleted, augmented, current))
+                        # An empty view has no candidates: probe nothing.
+                        if current:
+                            rule.affected(deleted, augmented, current, affected)
         current.update(added)
 
         removed: set[tuple] = set()
@@ -687,17 +558,7 @@ class ViewMaintainer:
             if row in added:
                 continue  # freshly derived from the post-state: supported
             stats.support_checks += 1
-            if kernel_disjuncts is not None:
-                supported = any(
-                    kernel_disjunct.supported(row, live)
-                    for kernel_disjunct in kernel_disjuncts
-                )
-            else:
-                supported = any(
-                    disjunct.support.supported(row, live)
-                    for disjunct in compiled.disjuncts
-                )
-            if not supported:
+            if not any(disjunct.supported(row, live) for disjunct in kernels.disjuncts):
                 removed.add(row)
         current.difference_update(removed)
         return ViewDelta(view=name, added=frozenset(added), removed=frozenset(removed))
@@ -711,11 +572,12 @@ class ViewMaintainer:
         return ViewDelta(view=view.name, added=added, removed=removed)
 
     # ------------------------------------------------------------------ #
-    # Verification (tests, benchmarks)
+    # Verification: the reference the delta kernels are checked against
     # ------------------------------------------------------------------ #
 
     def recompute(self) -> dict[str, frozenset[tuple]]:
-        """Recompute every view from scratch (the benchmark baseline)."""
+        """Recompute every view from scratch (the reference and the
+        benchmark baseline)."""
         fresh: dict[str, frozenset[tuple]] = {}
         for view in self.views:
             if view.language in ("CQ", "UCQ"):

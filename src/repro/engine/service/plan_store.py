@@ -3,9 +3,8 @@
 Planning is the expensive part of serving a bounded query; the plans
 themselves are immutable, picklable trees.  A :class:`PlanStore` lets a
 :class:`~repro.engine.service.QueryService` write its plan cache to disk on
-``close()`` and reload it at startup, so a restarted service reaches the
-compiled-tier latency on the *first* execution of a previously hot query
-instead of re-planning and re-warming from scratch.
+``close()`` and reload it at startup, so a restarted service answers a
+previously planned query without re-planning it.
 
 Staleness is decided by two signatures recorded next to the payload:
 
@@ -75,9 +74,8 @@ class StoredEntry:
 
     ``plan`` and ``order_report`` are pickled object trees (plan nodes are
     plain module-level dataclasses); everything else is builtin scalars and
-    containers.  Codegen *state* is persisted — ``codegen_state`` of
-    ``"compiled"`` tells the loading service to eagerly recompile the plan —
-    but compiled closures themselves never are.
+    containers.  Compiled closures are never persisted: the loading service
+    verifies and recompiles every plan it restores.
     """
 
     cache_key: tuple
@@ -85,12 +83,11 @@ class StoredEntry:
     planner: str | None
     reason: str = ""
     parameters: frozenset = frozenset()
-    # Unused by src/ and not persisted; bench/staged.py still passes it —
+    # Unused by src/ and not persisted; bench/staged.py still passes them —
     # goes with ROADMAP item 1.
     dependencies: frozenset = frozenset()
-    executions: int = 0
     codegen_state: str = "pending"
-    codegen_reason: str = ""
+    executions: int = 0
     estimated_fetches: float | None = None
     fetch_estimates: tuple = ()
     replans: int = 0
@@ -105,8 +102,6 @@ class StoredEntry:
             "reason": self.reason,
             "parameters": self.parameters,
             "executions": self.executions,
-            "codegen_state": self.codegen_state,
-            "codegen_reason": self.codegen_reason,
             "estimated_fetches": self.estimated_fetches,
             "fetch_estimates": self.fetch_estimates,
             "replans": self.replans,
@@ -123,8 +118,6 @@ class StoredEntry:
             reason=raw.get("reason", ""),
             parameters=frozenset(raw.get("parameters", ())),
             executions=int(raw.get("executions", 0)),
-            codegen_state=str(raw.get("codegen_state", "pending")),
-            codegen_reason=str(raw.get("codegen_reason", "")),
             estimated_fetches=raw.get("estimated_fetches"),
             fetch_estimates=tuple(raw.get("fetch_estimates", ())),
             replans=int(raw.get("replans", 0)),

@@ -44,9 +44,7 @@ from ...analysis import (
     codegen_eligibility,
     fetch_certificates,
     lint_query,
-    verify_plan,
 )
-from ...analysis.sharding import PlanShardSet
 from ...core.access import AccessSchema
 from ...core.bounded_evaluability import bounded_evaluability_report
 from ...core.conformance import conforms_to
@@ -139,10 +137,10 @@ class Answer:
     view_tuples_scanned: int
     elapsed_seconds: float
     reason: str = ""
-    #: Which execution tier produced the rows: ``"interpreted"`` (the
-    #: operator-tree kernel) or ``"compiled"`` (a codegen closure).  Both
-    #: tiers are bit-identical in rows *and* in ``Dξ`` accounting; the tier
-    #: only changes how fast the answer arrived.
+    #: Which execution tier produced the rows: ``"compiled"`` (the plan's
+    #: codegen closure, every bounded answer of the memory backend) or
+    #: ``"interpreted"`` (SQLite, and the full-scan fallback).  Both tiers
+    #: are bit-identical in rows *and* in ``Dξ`` accounting.
     execution_tier: str = "interpreted"
     #: Sharded snapshot serving: the ids of the partitions the execution's
     #: index lookups actually probed (empty for single-partition services,
@@ -189,7 +187,9 @@ class PreparedQuery:
     named placeholders that must be bound on every :meth:`execute` call; a
     query without parameters simply re-executes its cached plan.  Literal
     constants are bound by the service itself (the cached plan is the
-    shape's, see :mod:`.resolve`) and never show up here.
+    shape's, see :mod:`.resolve`) and never show up here.  When adaptive
+    re-planning retires the held entry, the prepared query moves on to the
+    entry that replaced it.
     """
 
     service: "QueryService"
@@ -208,13 +208,22 @@ class PreparedQuery:
     def parameters(self) -> frozenset[str]:
         return self.record.parameters
 
+    def _live(self) -> CachedPlan:
+        """The held entry, or the one a re-plan swapped in for it."""
+        entry = self.entry
+        while entry.successor is not None:
+            entry = entry.successor
+        self.entry = entry
+        return entry
+
     @property
     def plan(self) -> PlanNode | None:
-        return self.record.literal_plan(self.entry) if self.entry.found else None
+        entry = self._live()
+        return self.record.literal_plan(entry) if entry.found else None
 
     @property
     def is_bounded(self) -> bool:
-        return self.entry.found
+        return self._live().found
 
     def execute(
         self,
@@ -244,7 +253,7 @@ class PreparedQuery:
         return self.service._execute(
             self.record,
             self.head,
-            self.entry,
+            self._live(),
             cache_hit=cache_hit,
             backend_name=backend or self.backend,
             started=time.perf_counter(),
@@ -279,6 +288,15 @@ class QueryService:
     :class:`~repro.errors.QueryError` for an unknown relation or an unsafe
     head) instead of silently answering empty.
 
+    Every found plan is admitted once, when its cache entry is made —
+    fresh, re-planned or restored from the plan store: it is verified
+    (schema bookkeeping, access-constraint conformance, boundedness; see
+    :func:`repro.analysis.codegen_eligibility`) and compiled into a
+    closure, which serves it from the first execution on every backend
+    that runs closures.  A plan the verifier refuses raises
+    :class:`~repro.errors.PlanVerificationError`, one the compiler refuses
+    :class:`~repro.errors.PlanError`.
+
     Parameters
     ----------
     planners:
@@ -292,16 +310,6 @@ class QueryService:
         per call.
     plan_cache_size:
         Capacity of the LRU plan cache; ``0`` disables plan caching.
-    codegen:
-        Enable the codegen execution tier: cached plans that keep getting
-        executed are compiled into specialized closures (bit-identical rows
-        and ``Dξ`` accounting, several times faster).  Only backends
-        exposing ``execute_compiled`` take the fast path; others keep
-        interpreting.
-    codegen_warmup:
-        How many interpreted executions a cached plan must see before it is
-        compiled.  ``0`` compiles on first execution; the default leaves
-        one-shot queries on the (compile-free) interpreted tier.
     shards:
         Number of hash partitions, an integer ``>= 1``.  Every read is
         pinned to an immutable MVCC snapshot of the database
@@ -316,12 +324,12 @@ class QueryService:
         A :class:`~repro.engine.service.plan_store.PlanStore` (or a path
         string) persisting planning outcomes across restarts: loaded here —
         entries whose statistics fingerprint and planner-chain signature
-        still match are replayed into the plan cache (plans previously on
-        the compiled tier are eagerly recompiled, so the first
-        post-restart execution already runs compiled) — and written back by
-        :meth:`close`.  A corrupt store file is ignored (the typed
-        :class:`~repro.errors.PlanStoreError` is recorded on
-        ``plan_store_error``) and the service plans from scratch.
+        still match are admitted like fresh plans and replayed into the
+        plan cache — and written back by :meth:`close`.  A corrupt store
+        file is ignored (the typed :class:`~repro.errors.PlanStoreError` is
+        recorded on ``plan_store_error``) and the service plans from
+        scratch; a stored plan that fails admission is dropped, named on
+        ``plan_store_error``, and planned afresh on first use.
     replan_factor:
         Adaptive re-planning threshold: a warm execution whose actual Dξ
         misses the cost model's estimate by more than this factor (either
@@ -331,6 +339,9 @@ class QueryService:
         oscillation guard; a miss after a write is new evidence and gets the
         full budget again).
     """
+
+    # Unused by src/; bench/staged.py still reads it — goes with ROADMAP item 1.
+    codegen_warmup = 0
 
     def __init__(
         self,
@@ -344,9 +355,6 @@ class QueryService:
         check_constraints: bool = True,
         budget: ElementQueryBudget | None = None,
         inner_size_cutoff: int = 2,
-        verify_plans: bool = False,
-        codegen: bool = True,
-        codegen_warmup: int = 2,
         shards: int = 1,
         plan_store: PlanStore | str | None = None,
         replan_factor: float = 10.0,
@@ -357,15 +365,6 @@ class QueryService:
         self.views = views if isinstance(views, ViewSet) else ViewSet(views)
         self._budget = budget
         self.inner_size_cutoff = inner_size_cutoff
-        # Debug mode: statically verify every freshly planned physical plan
-        # (schema bookkeeping, access-constraint conformance, boundedness)
-        # before it enters the plan cache; see repro.analysis.verify_plan.
-        self.verify_plans = verify_plans
-        self.codegen = codegen
-        self.codegen_warmup = codegen_warmup
-        # Serialises warmup counting and compilation: two threads hitting the
-        # same cached entry must not compile it twice (or race the counter).
-        self._codegen_lock = threading.Lock()
         access_schema.validate(database.schema)
         if check_constraints and not database.satisfies(access_schema):
             violations = database.violations(access_schema)
@@ -391,11 +390,9 @@ class QueryService:
         # close().
         self._pool_lock = threading.Lock()
         self._shard_executor: ShardExecutor | None = None
-        # The write path rides the same tier switch: compiled maintenance
-        # kernels after the same warmup, gated by the delta-program verifier.
-        self.maintainer = ViewMaintainer(
-            self.views, database, codegen=codegen, codegen_warmup=codegen_warmup
-        )
+        # The write path's delta programs are verified and compiled here,
+        # when the views are materialised.
+        self.maintainer = ViewMaintainer(self.views, database)
         self._view_cache = self.maintainer.snapshot()
         self.planners = resolve_planners(planners)
         # Warm-hit fast paths: the resolve stage memoises everything that
@@ -693,8 +690,8 @@ class QueryService:
                 + entry.reason
             )
         entry.cache_key = key if use_cache else None
-        if self.verify_plans and entry.plan is not None:
-            self._verify_entry(record.query, record.literal_plan(entry), head)
+        if entry.plan is not None:
+            self._admit(entry, record.query, head)
         if use_cache:
             self.plan_cache.put(key, entry)
         return entry, False
@@ -775,67 +772,45 @@ class QueryService:
             entry.fetch_estimates = estimate.fetches
         return entry
 
-    def _verify_entry(
-        self, resolved: Query, plan: PlanNode, head: Sequence[Variable] | None
+    def _admit(
+        self,
+        entry: CachedPlan,
+        resolved: Query | None,
+        head: Sequence[Variable] | None,
     ) -> None:
-        """``verify_plans=True`` hook: statically check a fresh plan before
-        it is cached, raising :class:`PlanVerificationError` on findings."""
-        report = verify_plan(
-            plan,
-            self.database.schema,
-            views=self.views,
-            access_schema=self.access_schema,
-            budget=self._budget,
-            expected_arity=self._head_arity(resolved, head),
-            subject=self._query_name(resolved),
-        )
-        if not report.ok:
-            raise PlanVerificationError(
-                f"plan verification failed for {self._query_name(resolved)!r}: "
-                + "; ".join(str(d) for d in report.errors),
-                diagnostics=tuple(report.errors),
-                query_name=self._query_name(resolved),
-            )
+        """Verify an entry's plan, then compile it — once, when the entry is
+        made (fresh, re-planned or restored; ``resolved`` is ``None`` for a
+        restored plan, whose query is not kept).
 
-    def _compile_entry(
-        self, entry: CachedPlan, expected_arity: int, subject: str
-    ) -> None:
-        """Try to compile a cache entry's plan to a specialized closure.
-
-        The one compile gate, used for warmed-up entries (called with
-        :attr:`_codegen_lock` held) and for formerly-compiled entries
-        restored from the plan store (closures are never persisted; the gate
-        runs again because the store could have been written under different
-        analysis settings).  The gate is
-        :func:`repro.analysis.codegen_eligibility` — the full plan-verifier
-        discipline, because the closure compiler bypasses the interpreted
-        operator constructors and their invariant checks.  A refusal (or a
-        compile failure) marks the entry ``"ineligible"`` so the hot path
-        never retries it; the plan simply keeps interpreting.
+        The verifier is :func:`repro.analysis.codegen_eligibility`, the full
+        :func:`~repro.analysis.verify_plan` discipline the closure compiler
+        relies on, as it bypasses the interpreted operator constructors.  A
+        refusal raises :class:`PlanVerificationError`; a plan the compiler
+        rejects raises :class:`PlanError`.
         """
         plan = entry.plan
         assert plan is not None
+        if resolved is None:
+            subject, arity = f"stored plan {plan.label()}", len(plan.attributes)
+        else:
+            subject, arity = self._query_name(resolved), self._head_arity(resolved, head)
         report = codegen_eligibility(
             plan,
             self.database.schema,
             views=self.views,
             access_schema=self.access_schema,
             budget=self._budget,
-            expected_arity=expected_arity,
+            expected_arity=arity,
             subject=subject,
         )
         if not report.ok:
-            entry.codegen_state = "ineligible"
-            entry.codegen_reason = "; ".join(str(d) for d in report.errors)
-            return
-        try:
-            entry.compiled = compile_plan_closure(plan, self.access_schema)
-        except (PlanError, UnsupportedQueryError) as exc:
-            entry.codegen_state = "ineligible"
-            entry.codegen_reason = f"closure compilation failed: {exc}"
-            return
-        entry.codegen_state = "compiled"
-        entry.codegen_reason = ""
+            raise PlanVerificationError(
+                f"plan verification failed for {subject!r}: "
+                + "; ".join(str(d) for d in report.errors),
+                diagnostics=tuple(report.errors),
+                query_name=subject,
+            )
+        entry.compiled = compile_plan_closure(plan, self.access_schema)
 
     # ------------------------------------------------------------------ #
     # Adaptive re-planning (optimizer v2)
@@ -946,19 +921,22 @@ class QueryService:
             if fresh.plan == entry.plan:
                 # The plan it was meant to replace (the greedy builder
                 # ignores corrections): the attempt is charged to the budget
-                # and the re-priced estimate adopted; entry, warm-up and
-                # closure stay.
+                # and the re-priced estimate adopted; entry and closure stay.
                 entry.estimated_fetches = fresh.estimated_fetches
                 entry.fetch_estimates = fresh.fetch_estimates
                 fresh = entry
-            elif self.verify_plans:
-                self._verify_entry(record.query, record.literal_plan(fresh), head)
+            else:
+                self._admit(fresh, record.query, head)
             fresh.cache_key = key
             fresh.replans = spent + 1
             fresh.replan_version = version
             fresh.replan_reason = reason
-            if fresh is entry or self.plan_cache.replace(key, entry, fresh):
-                self.stats.record_replan()
+            if fresh is not entry:
+                if not self.plan_cache.replace(key, entry, fresh):
+                    return
+                # A PreparedQuery still holding the retired entry follows.
+                entry.successor = fresh
+            self.stats.record_replan()
 
     # ------------------------------------------------------------------ #
     # Persistent plan store
@@ -970,9 +948,11 @@ class QueryService:
         The store itself rejects stale payloads (statistics fingerprint or
         chain-signature mismatch → no entries); a damaged file is recorded
         on :attr:`plan_store_error` and otherwise ignored — a cache must
-        never stop the service from starting.  Entries that were on the
-        compiled tier when saved are recompiled eagerly, so the first
-        post-restart execution already runs the compiled closure.
+        never stop the service from starting.  Every restored plan is
+        admitted like a fresh one (closures are never persisted), so the
+        first post-restart execution already runs compiled; a plan that
+        fails admission is dropped and named on :attr:`plan_store_error`,
+        and its query is planned afresh on first use.
         """
         store = self.plan_store
         if store is None:
@@ -983,6 +963,7 @@ class QueryService:
         except PlanStoreError as error:
             self.plan_store_error = str(error)
             return
+        dropped: list[str] = []
         for record in stored:
             entry = CachedPlan(
                 plan=record.plan,
@@ -990,12 +971,6 @@ class QueryService:
                 reason=record.reason,
                 parameters=frozenset(record.parameters),
                 executions=record.executions,
-                codegen_state=(
-                    record.codegen_state
-                    if record.codegen_state != "compiled"
-                    else "pending"
-                ),
-                codegen_reason=record.codegen_reason,
                 estimated_fetches=record.estimated_fetches,
                 fetch_estimates=tuple(record.fetch_estimates),
                 replans=record.replans,
@@ -1004,13 +979,18 @@ class QueryService:
                 cache_key=tuple(record.cache_key),
                 restored=True,
             )
-            if (
-                record.codegen_state == "compiled"
-                and self.codegen
-                and record.plan is not None
-            ):
-                self._compile_entry(entry, len(record.plan.attributes), subject="")
-            self.plan_cache.put(tuple(record.cache_key), entry)
+            try:
+                if not isinstance(record.plan, PlanNode):
+                    raise PlanError(f"stored entry holds no plan: {record.plan!r}")
+                self._admit(entry, None, None)
+            except PlanError as error:
+                dropped.append(str(error))
+                continue
+            self.plan_cache.put(entry.cache_key, entry)
+        if dropped:
+            self.plan_store_error = (
+                f"dropped {len(dropped)} stored plan(s): " + "; ".join(dropped)
+            )
 
     def _save_plan_store(self) -> None:
         """Write the found planning outcomes back to the store (on close)."""
@@ -1032,8 +1012,6 @@ class QueryService:
                     reason=entry.reason,
                     parameters=entry.parameters,
                     executions=entry.executions,
-                    codegen_state=entry.codegen_state,
-                    codegen_reason=entry.codegen_reason,
                     estimated_fetches=entry.estimated_fetches,
                     fetch_estimates=tuple(entry.fetch_estimates),
                     replans=entry.replans,
@@ -1121,6 +1099,8 @@ class QueryService:
             (fe.access, float(fe.fetched), per_relation.get(fe.relation))
             for fe in entry.fetch_estimates
         )
+        # The default backend runs the admitted closure unless it is SQLite.
+        compiled = hasattr(self._backend(None), "execute_compiled")
         report = entry.order_report
         order_strategy = str(getattr(report, "strategy", "")) if report is not None else ""
         join_orders = tuple(
@@ -1142,14 +1122,9 @@ class QueryService:
             fetch_bound=conformance.fetch_bound,
             certificates=tuple(certificates),
             lints=lints,
-            execution_tier="compiled" if entry.compiled is not None else "interpreted",
-            codegen_state=entry.codegen_state if self.codegen else "disabled",
+            execution_tier="compiled" if compiled else "interpreted",
             executions=entry.executions,
-            codegen_warmup=self.codegen_warmup,
-            compile_seconds=(
-                entry.compiled.compile_seconds if entry.compiled is not None else None
-            ),
-            codegen_reason=entry.codegen_reason,
+            compile_seconds=entry.compiled.compile_seconds if compiled else None,
             shard_set=self._router.route(entry.plan, record.bindings),
             estimated_fetches=entry.estimated_fetches,
             actual_fetches=entry.actual_fetches,
@@ -1194,9 +1169,8 @@ class QueryService:
         return lint_query(record.query)
 
     def explain_maintenance(self, view_name: str) -> MaintenanceExplanation:
-        """How one maintained view is kept fresh: strategy, execution tier
-        and the codegen lifecycle state (see
-        :class:`~repro.engine.service.maintenance.MaintenanceExplanation`)."""
+        """How one maintained view is kept fresh: strategy and execution tier
+        (see :class:`~repro.engine.service.maintenance.MaintenanceExplanation`)."""
         return self.maintainer.explain(view_name)
 
     # ------------------------------------------------------------------ #
@@ -1496,44 +1470,23 @@ class QueryService:
             bindings = record.bindings
             if params:
                 bindings = {**bindings, **params} if bindings else params
-            # Codegen tier: only backends exposing execute_compiled can run
-            # closures (SQLite executes SQL text, not Python), and the plan
-            # must have warmed up and verified first.  The compiled path
+            # The admitted closure runs on every backend exposing
+            # execute_compiled (SQLite executes SQL text, not Python).  It
             # never calls bind_plan — the closure resolves parameter values
-            # from the bindings once per execution.
+            # from the bindings once per execution.  The counter is only a
+            # statistic, so a racy += is fine.
+            entry.executions += 1
             runner = getattr(backend, "execute_compiled", None)
-            compiled = None
-            if self.codegen and runner is not None:
-                compiled = entry.compiled
-                if compiled is not None or entry.codegen_state != "pending":
-                    # Warm path, lock-free: the entry already left the warmup
-                    # phase (compiled or parked ineligible), so the counter no
-                    # longer gates anything — a racy += is only a statistic.
-                    entry.executions += 1
-                else:
-                    with self._codegen_lock:
-                        entry.executions += 1
-                        if (
-                            entry.compiled is None
-                            and entry.codegen_state == "pending"
-                            and entry.executions > self.codegen_warmup
-                        ):
-                            self._compile_entry(
-                                entry,
-                                self._head_arity(record.query, head),
-                                self._query_name(record.query),
-                            )
-                        compiled = entry.compiled
             literal: object
-            if compiled is not None:
-                result = runner(compiled, bindings)
+            if runner is not None:
+                result = runner(entry.compiled, bindings)
                 tier = "compiled"
                 # Answer.plan binds on first read (memoised on the record).
                 literal = record.view_of(entry) if record.bindings else plan
             else:
                 # The bound plan that actually executes.
                 literal = bind_plan(plan, bindings) if params else record.literal_plan(entry)
-                result = self._execute_union_fanout(backend, literal)
+                result = backend.execute_plan(literal)
                 tier = "interpreted"
             answer = Answer(
                 rows=result.rows,

@@ -135,9 +135,8 @@ class ServiceStats:
         """Fold one maintenance run's per-view tier tallies into ``tier_uses``.
 
         Write-side tiers are namespaced (``"maintenance-compiled"``,
-        ``"maintenance-interpreted"``, ``"maintenance-recompute"``) so they
-        sit next to the read-side ``"compiled"``/``"interpreted"`` counters
-        in one report.
+        ``"maintenance-recompute"``) so they sit next to the read-side
+        ``"compiled"``/``"interpreted"`` counters in one report.
         """
         tier_runs = getattr(stats, "tier_runs", None)
         if not tier_runs:

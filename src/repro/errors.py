@@ -28,8 +28,9 @@ class PlanError(ReproError):
 class PlanVerificationError(PlanError):
     """A plan failed static verification (:mod:`repro.analysis`).
 
-    Raised by ``QueryService(verify_plans=True)`` when a planner emits a plan
-    the :func:`repro.analysis.verify_plan` checker rejects.  ``diagnostics``
+    Raised by :class:`~repro.engine.service.QueryService` when a planner
+    emits a plan the :func:`repro.analysis.verify_plan` checker rejects —
+    every plan is checked before it enters the plan cache.  ``diagnostics``
     carries the individual findings; ``query_name`` names the offending query
     when known.
     """
@@ -69,10 +70,12 @@ class BudgetExceededError(ReproError):
 
 
 class DeltaCompilationError(UnsupportedQueryError):
-    """A view definition could not be compiled into delta rules.
+    """A view definition could not be compiled into delta rules or kernels.
 
-    Subclasses :class:`UnsupportedQueryError` so existing handlers of the
-    maintenance compile path keep working; ``view_name`` (and, when relevant,
+    Raised when the maintainer materialises the view: for a body without
+    relation atoms, an unsafe head, a delta program that fails verification
+    or generated kernel source that does not compile.  Subclasses
+    :class:`UnsupportedQueryError`; ``view_name`` (and, when relevant,
     ``relation``) identify the offending artifact.
     """
 

@@ -1,27 +1,27 @@
-"""Compile view definitions into per-relation delta plans — once.
+"""Compile view definitions into per-relation delta kernels — once.
 
 The incremental-maintenance layer used to re-derive a fresh anchored delta
 query per single tuple and push it through the generic CQ evaluator
 (normalisation, greedy ordering and pipeline construction per update).  This
 module moves all of that work to *compile time*, DBToaster-style: each CQ
-disjunct of a view is compiled once into
+disjunct of a view is compiled once into the static structure of
 
 * one :class:`DeltaRule` per body atom — given the net delta rows of that
-  atom's relation, it streams the head rows derivable *through* those rows,
-  with multiplicities (one output per valuation, no ``Distinct``), as a
-  pipeline of kernel operators (:class:`~repro.exec.operators.Scan` →
-  :class:`~repro.exec.operators.Select` →
-  :class:`~repro.exec.operators.Project` →
-  :class:`~repro.exec.operators.LookupJoin` chain);
+  atom's relation, the head rows derivable *through* those rows, with
+  multiplicities (one output per valuation, no ``Distinct``): a seed filter
+  and projection, then one precompiled lookup-join stage per remaining atom;
 * one :class:`SupportCheck` — an existence test "is this head row still
-  derivable?", used by the DRed fallback after over-deletion.
+  derivable?", used by the DRed fallback after over-deletion;
+
+which :func:`repro.analysis.verify_delta_program` checks and
+:func:`compile_maintenance` turns into generated nested-loop kernels.
 
 Only the *lookups* are late-bound: every stage resolves its key→rows probe
-through a ``LookupResolver`` at execution time, so the same compiled rule
-runs against the live secondary indexes of the database, against the
+through a ``LookupResolver`` at execution time, so the same kernel runs
+against the live secondary indexes of the database, against the
 reconstructed *pre-transaction* state (telescoped counting over multi-relation
 batches) or against the live-plus-deleted superset (DRed candidate
-generation).  Resolving per execution also keeps the rules correct when a
+generation).  Resolving per execution also keeps the kernels correct when a
 relation evicts and lazily rebuilds a cached secondary index.
 
 Which maintenance strategy a view gets:
@@ -34,14 +34,14 @@ Which maintenance strategy a view gets:
   across UCQ disjuncts, so
 * **DRed** — everything else CQ/UCQ-shaped over-deletes the rows whose
   derivations may use a deleted tuple (candidates intersected with the
-  current view through a :class:`~repro.exec.operators.SemiJoin`) and
-  re-derives survivors through the compiled :class:`SupportCheck`.
+  current view, inlined as a membership test) and re-derives survivors
+  through the generated :class:`SupportCheck` probe.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, cast
+from typing import Any, Callable, Collection, Mapping, Sequence, cast
 
 from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
@@ -49,15 +49,7 @@ from ..algebra.terms import Constant, Variable
 from ..errors import DeltaCompilationError
 from .codegen import compile_closure_source
 from .iometer import IOMeter
-from .operators import (
-    LookupJoin,
-    Operator,
-    Project,
-    Row,
-    Scan,
-    Select,
-    tuple_extractor,
-)
+from .operators import Row
 
 #: ``resolver(relation, key_positions, arity) -> (key -> matching rows)``.
 #: Implementations decide *which state* of the relation the probe sees.
@@ -77,11 +69,10 @@ SupportKernel = Callable[[Row, "LookupResolver"], bool]
 def metered_resolver(resolve: LookupResolver, meter: IOMeter) -> LookupResolver:
     """Charge every probe's returned rows to ``meter`` as a ``Dξ`` fetch.
 
-    The wrapper sits at the *resolver boundary*, which is the one place both
-    maintenance tiers share: the interpreted staged loops and the generated
-    nested-loop kernels each probe exactly once per partial binding, so
-    wrapping here — and charging nothing for ``resolve`` itself — makes the
-    IOMeter fields of the two tiers bit-identical by construction.
+    The wrapper sits at the *resolver boundary*: a generated kernel probes
+    exactly once per partial binding, and resolving itself is charged
+    nothing, so the meter counts every tuple a kernel pulls and nothing
+    else.
     """
 
     def resolved(
@@ -106,25 +97,22 @@ def metered_resolver(resolve: LookupResolver, meter: IOMeter) -> LookupResolver:
 
 
 class _JoinStage:
-    """One precompiled ``LookupJoin`` extension of a variable-row pipeline.
+    """One precompiled lookup-join extension of a variable-row pipeline.
 
-    The stage carries both execution forms: :meth:`attach` builds the
-    reference operator pipeline (what the delta-program verifier inspects),
-    :meth:`extend` is the compiled fast path — one eager loop with the
-    duplicate-variable filter and the fresh-column projection inlined,
-    producing exactly the rows the operator pipeline would stream.
+    Static structure only: which relation is probed on which positions
+    (``bound_positions``, keyed by ``_key_spec``), which duplicate-variable
+    pairs the right row must satisfy, and which of its columns extend the
+    pipeline (``kept``, ``fresh_variables``).  The delta-program verifier
+    inspects it, the kernel generator emits one probe loop from it.
     """
 
     __slots__ = (
         "relation",
         "arity",
         "bound_positions",
-        "_key",
         "_key_spec",
-        "_dup_predicate",
         "_pairs",
         "_fresh_positions",
-        "_append",
         "kept",
         "fresh_variables",
     )
@@ -155,58 +143,11 @@ class _JoinStage:
             else:
                 fresh_first[term] = position
         self.bound_positions = tuple(bound_positions)
-
         self._key_spec = tuple(key_spec)
-        self._fresh_positions = tuple(fresh_first.values())
-        self._key = _spec_extractor(self._key_spec)
-        if duplicate_pairs:
-            pairs = tuple(duplicate_pairs)
-
-            def predicate(
-                row: Row,
-                pairs: tuple[tuple[int, int], ...] = pairs,
-                width: int = width,
-            ) -> bool:
-                return all(row[width + a] == row[width + b] for a, b in pairs)
-
-            self._dup_predicate: Callable[[Row], bool] | None = predicate
-        else:
-            self._dup_predicate = None
         self._pairs = tuple(duplicate_pairs)
-        self._append = tuple_extractor(tuple(fresh_first.values()))
+        self._fresh_positions = tuple(fresh_first.values())
         self.kept = tuple(range(width)) + tuple(width + p for p in fresh_first.values())
         self.fresh_variables = tuple(fresh_first)
-
-    def attach(self, operator: Operator, resolve: LookupResolver) -> Operator:
-        lookup = resolve(self.relation, self.bound_positions, self.arity)
-        joined: Operator = LookupJoin(operator, lookup, self._key)
-        if self._dup_predicate is not None:
-            joined = Select(joined, self._dup_predicate)
-        return Project(joined, self.kept)
-
-    def extend(self, rows: Sequence[Row], resolve: LookupResolver) -> list[Row]:
-        """Compiled fast path: the rows :meth:`attach`'s pipeline would emit.
-
-        Eagerly extends every input row with the matching right rows'
-        fresh columns — bag semantics preserved, duplicate-variable pairs
-        checked on the right row before it contributes.
-        """
-        lookup = resolve(self.relation, self.bound_positions, self.arity)
-        key = self._key
-        append = self._append
-        out: list[Row] = []
-        emit = out.append
-        if self._pairs:
-            pairs = self._pairs
-            for left_row in rows:
-                for right_row in lookup(key(left_row)):
-                    if all(right_row[a] == right_row[b] for a, b in pairs):
-                        emit(left_row + append(right_row))
-        else:
-            for left_row in rows:
-                for right_row in lookup(key(left_row)):
-                    emit(left_row + append(right_row))
-        return out
 
 
 def _order_remaining(
@@ -261,22 +202,6 @@ def _head_spec(
     return tuple(spec)
 
 
-def _spec_extractor(spec: tuple[ColumnSpec, ...]) -> Callable[[Row], Row]:
-    """Spec → row mapper; all-positional specs become plain ``itemgetter``s."""
-    if all(position is not None for position, _ in spec):
-        return tuple_extractor(tuple(position for position, _ in spec if position is not None))
-
-    def mapper(row: Row, spec: tuple[ColumnSpec, ...] = spec) -> Row:
-        return tuple(row[i] if i is not None else v for i, v in spec)
-
-    return mapper
-
-
-def _spec_mapper(spec: tuple[ColumnSpec, ...]) -> Callable[[Row], Row]:
-    """Multiplicity-preserving head mapper (no ``Distinct``)."""
-    return _spec_extractor(spec)
-
-
 # --------------------------------------------------------------------------- #
 # Delta rules
 # --------------------------------------------------------------------------- #
@@ -285,12 +210,13 @@ def _spec_mapper(spec: tuple[ColumnSpec, ...]) -> Callable[[Row], Row]:
 class DeltaRule:
     """The delta plan of one (disjunct, body-atom) pair, compiled once.
 
-    Given the net delta rows of the atom's relation, :meth:`head_rows`
-    streams every head row of a valuation that maps this atom to a delta row
-    — with multiplicity: a row appears once per valuation, which is exactly
-    the quantity counting-based maintenance accumulates.  The states the
-    remaining atoms are evaluated against are chosen by the caller through
-    the ``resolve`` argument (live / pre-transaction / augmented).
+    Given the net delta rows of the atom's relation, the rule's kernels
+    (:class:`RuleKernels`) produce every head row of a valuation that maps
+    this atom to a delta row — with multiplicity: a row appears once per
+    valuation, which is exactly the quantity counting-based maintenance
+    accumulates.  The states the remaining atoms are evaluated against are
+    chosen by the caller through the ``resolve`` argument (live /
+    pre-transaction / augmented).
     """
 
     def __init__(self, disjunct: ConjunctiveQuery, atom_index: int) -> None:
@@ -319,30 +245,9 @@ class DeltaRule:
                 duplicate_pairs.append((first_occurrence[term], position))
             else:
                 first_occurrence[term] = position
-        if constant_positions or duplicate_pairs:
-            constants = tuple(constant_positions)
-            pairs = tuple(duplicate_pairs)
-
-            def seed_predicate(
-                row: Row,
-                constants: tuple[tuple[int, object], ...] = constants,
-                pairs: tuple[tuple[int, int], ...] = pairs,
-            ) -> bool:
-                for position, value in constants:
-                    if row[position] != value:
-                        return False
-                for first, later in pairs:
-                    if row[first] != row[later]:
-                        return False
-                return True
-
-            self._seed_predicate: Callable[[Row], bool] | None = seed_predicate
-        else:
-            self._seed_predicate = None
         self._seed_constants = tuple(constant_positions)
         self._seed_pairs = tuple(duplicate_pairs)
         self._seed_positions = tuple(first_occurrence.values())
-        self._seed_extract = tuple_extractor(self._seed_positions)
 
         schema = tuple(first_occurrence)
         remaining = [a for i, a in enumerate(atoms) if i != atom_index]
@@ -352,7 +257,6 @@ class DeltaRule:
             self._stages.append(stage)
             schema = schema + stage.fresh_variables
         self._head_spec = _head_spec(schema, disjunct.head, disjunct.name)
-        self._head_mapper = _spec_mapper(self._head_spec)
 
     # Static structure, exposed for the delta-program verifier
     # (:func:`repro.analysis.verify_delta_program`).
@@ -377,61 +281,6 @@ class DeltaRule:
         """Head projection as ``(pipeline position | None, constant)`` pairs."""
         return self._head_spec
 
-    def pipeline(
-        self, delta_rows: Collection[Row], resolve: LookupResolver
-    ) -> Operator:
-        """The operator tree computing head rows (with multiplicity)."""
-        operator: Operator = Scan(delta_rows)
-        if self._seed_predicate is not None:
-            operator = Select(operator, self._seed_predicate)
-        operator = Project(operator, self._seed_positions)
-        for stage in self._stages:
-            operator = stage.attach(operator, resolve)
-        return Project(operator, mapper=self._head_mapper)
-
-    def run(self, delta_rows: Collection[Row], resolve: LookupResolver) -> list[Row]:
-        """Compiled fast path: the rows :meth:`pipeline` would stream.
-
-        Eager staged loops over the precompiled :class:`_JoinStage` specs —
-        same seed filter, same join order, same bag semantics as the operator
-        pipeline, without per-row iterator dispatch.
-        """
-        extract = self._seed_extract
-        predicate = self._seed_predicate
-        if predicate is None:
-            rows = [extract(row) for row in delta_rows]
-        else:
-            rows = [extract(row) for row in delta_rows if predicate(row)]
-        for stage in self._stages:
-            if not rows:
-                return []
-            rows = stage.extend(rows, resolve)
-        head = self._head_mapper
-        return [head(row) for row in rows]
-
-    def head_rows(
-        self, delta_rows: Collection[Row], resolve: LookupResolver
-    ) -> Iterator[Row]:
-        """Head rows derivable through ``delta_rows`` (bag semantics)."""
-        if not delta_rows:
-            return iter(())
-        return iter(self.run(delta_rows, resolve))
-
-    def affected_rows(
-        self,
-        delta_rows: Collection[Row],
-        resolve: LookupResolver,
-        current: Collection[Row],
-    ) -> Iterator[Row]:
-        """Distinct head rows derivable through ``delta_rows`` that are
-        currently in the view — the DRed over-deletion candidates."""
-        if not delta_rows or not current:
-            return iter(())
-        membership = (
-            current if isinstance(current, (set, frozenset)) else set(current)
-        )
-        return iter({row for row in self.run(delta_rows, resolve) if row in membership})
-
 
 class SupportCheck:
     """Compiled existence test: is a head row still derivable in a disjunct?
@@ -439,7 +288,7 @@ class SupportCheck:
     The head binding becomes the seed row of the pipeline (constants are
     checked, repeated head variables enforced), the whole body is joined in a
     precompiled order, and the first surviving row proves support — the
-    pipeline is abandoned immediately (Volcano operators are lazy).
+    generated probe (:func:`_support_kernel`) returns at once.
     """
 
     def __init__(self, disjunct: ConjunctiveQuery) -> None:
@@ -468,45 +317,6 @@ class SupportCheck:
     def stages(self) -> tuple[_JoinStage, ...]:
         """The precompiled join stages, in execution order."""
         return tuple(self._stages)
-
-    def supported(self, row: Row, resolve: LookupResolver) -> bool:
-        """Depth-first probe with the lazy pipeline's early exit.
-
-        The first full valuation proves support and unwinds immediately —
-        exactly when the abandoned Volcano pipeline would have stopped — so
-        the fast path explores the same prefix of the search space.
-        """
-        for position, value in self._constants:
-            if row[position] != value:
-                return False
-        for first, later in self._duplicates:
-            if row[first] != row[later]:
-                return False
-        seed = tuple(row[p] for p in self._seed_positions)
-        stages = self._stages
-        if not stages:
-            return True
-        lookups = [
-            resolve(stage.relation, stage.bound_positions, stage.arity)
-            for stage in stages
-        ]
-        last = len(stages) - 1
-
-        def probe(depth: int, bound: Row) -> bool:
-            stage = stages[depth]
-            lookup = lookups[depth]
-            pairs = stage._pairs
-            append = stage._append
-            for right_row in lookup(stage._key(bound)):
-                if pairs and not all(
-                    right_row[a] == right_row[b] for a, b in pairs
-                ):
-                    continue
-                if depth == last or probe(depth + 1, bound + append(right_row)):
-                    return True
-            return False
-
-        return probe(0, seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -583,7 +393,7 @@ def compile_view_delta(
 
 
 # --------------------------------------------------------------------------- #
-# Generated maintenance kernels (the compiled delta tier)
+# Generated maintenance kernels
 # --------------------------------------------------------------------------- #
 #
 # The classes above already avoid per-update planning; the kernels below also
@@ -602,14 +412,10 @@ def compile_view_delta(
 #   ``_SC*``/``_K*``/``_H*``), never interpolated into code.  The kernels are
 #   therefore reusable across database states and survive index
 #   eviction/rebuild: every execution late-binds storage through ``resolve``.
-# * **Dξ parity** — a kernel probes each stage lookup exactly once per
-#   partial binding, which is exactly once per intermediate row of the
-#   interpreted staged loops; with :func:`metered_resolver` wrapped around
-#   the same resolver on both tiers, every IOMeter field matches
-#   bit-identically.  Resolving the stage lookups themselves is uncharged on
-#   both tiers, so the kernels may resolve all stages up front (the
-#   interpreted path resolves lazily and skips stages after an empty
-#   intermediate result — a cost difference, never an accounting one).
+# * **Dξ accounting** — a kernel probes each stage lookup exactly once per
+#   partial binding; with :func:`metered_resolver` wrapped around the
+#   resolver, every probe's rows are charged.  Resolving the stage lookups
+#   themselves is uncharged, so the kernels resolve all stages up front.
 
 
 class _KernelSource:
@@ -645,19 +451,37 @@ def _tuple_literal(exprs: Sequence[str]) -> str:
     return "(" + ", ".join(exprs) + ")"
 
 
+#: Probe loops one generated function nests.  CPython refuses more than 20
+#: statically nested blocks per function, so a longer join chain continues
+#: in a nested helper ``_n<j>`` per further run of stages.
+_STAGES_PER_FUNCTION = 16
+
+#: ``sink(col_exprs, indent)`` emits the innermost statements of a nest.
+_Sink = Callable[[list[str], int], None]
+
+
 def _emit_stage_loops(
     ks: _KernelSource,
     stages: Sequence[_JoinStage],
+    start: int,
     col_exprs: list[str],
     indent: int,
-) -> int:
-    """Emit one nested probe loop per join stage; returns the body indent.
+    sink: _Sink,
+    probe: bool,
+) -> None:
+    """Emit one nested probe loop per join stage from ``start``, then
+    ``sink`` innermost — or, past :data:`_STAGES_PER_FUNCTION` stages, a
+    call of the helper that nests the rest (see :func:`_emit_stage_helpers`).
 
     ``col_exprs`` maps each pipeline-schema position to the expression that
     reads it inside the innermost loop (seed columns first, then each stage's
-    fresh columns); the list is extended in place as stages nest.
+    fresh columns); the list is extended in place as stages nest.  With
+    ``probe`` (the support check) a helper's truth value is a found
+    derivation, which unwinds the caller too.
     """
-    for j, stage in enumerate(stages):
+    end = min(start + _STAGES_PER_FUNCTION, len(stages))
+    for j in range(start, end):
+        stage = stages[j]
         key_exprs = [
             col_exprs[position] if position is not None else ks.const(value, "K")
             for position, value in stage._key_spec
@@ -668,7 +492,37 @@ def _emit_stage_loops(
             ks.emit(indent, f"if t{j}[{a}] != t{j}[{b}]:")
             ks.emit(indent + 1, "continue")
         col_exprs.extend(f"t{j}[{q}]" for q in stage._fresh_positions)
-    return indent
+    if end == len(stages):
+        sink(col_exprs, indent)
+    elif probe:
+        ks.emit(indent, f"if _n{end}({', '.join(col_exprs)}):")
+        ks.emit(indent + 1, "return True")
+    else:
+        ks.emit(indent, f"_n{end}({', '.join(col_exprs)})")
+
+
+def _emit_stage_helpers(
+    ks: _KernelSource,
+    stages: Sequence[_JoinStage],
+    width: int,
+    indent: int,
+    sink: _Sink,
+    probe: bool,
+) -> None:
+    """Define the helper ``_n<j>(c0, …)`` nesting the stages from ``j`` on,
+    for every ``j`` past the first :data:`_STAGES_PER_FUNCTION` stages.
+
+    The helpers are closures of the kernel (lookups and sink state are its
+    locals) and take the columns bound so far; ``width`` is the seed's.
+    Emitted before the kernel's own loops, none exist for a short chain.
+    """
+    for start in range(_STAGES_PER_FUNCTION, len(stages), _STAGES_PER_FUNCTION):
+        bound = width + sum(len(s._fresh_positions) for s in stages[:start])
+        params = [f"c{i}" for i in range(bound)]
+        ks.emit(indent, f"def _n{start}({', '.join(params)}):")
+        _emit_stage_loops(ks, stages, start, params, indent + 1, sink, probe)
+        if probe:
+            ks.emit(indent + 1, "return False")
 
 
 def _emit_stage_resolves(
@@ -704,30 +558,33 @@ def _rule_kernel(rule: DeltaRule, kind: str) -> tuple[Callable[..., Any], str]:
         ks.emit(1, "_get = counts.get")
     else:
         ks.emit(1, "_add = added.add" if kind == "insert" else "_add = affected.add")
+
+    def sink(col_exprs: list[str], indent: int) -> None:
+        head_exprs = [
+            col_exprs[position] if position is not None else ks.const(value, "H")
+            for position, value in rule._head_spec
+        ]
+        ks.emit(indent, f"h = {_tuple_literal(head_exprs)}")
+        if kind == "count":
+            ks.emit(indent, "counts[h] = _get(h, 0) + sign")
+        elif kind == "insert":
+            ks.emit(indent, "if h not in current:")
+            ks.emit(indent + 1, "_add(h)")
+        else:
+            ks.emit(indent, "if h in current:")
+            ks.emit(indent + 1, "_add(h)")
+
+    _emit_stage_helpers(ks, stages, len(rule._seed_positions), 1, sink, probe=False)
     ks.emit(1, "for d in delta_rows:")
-    indent = 2
     for position, value in rule._seed_constants:
         name = ks.const(value, "SC")
-        ks.emit(indent, f"if d[{position}] != {name}:")
-        ks.emit(indent + 1, "continue")
+        ks.emit(2, f"if d[{position}] != {name}:")
+        ks.emit(3, "continue")
     for first, later in rule._seed_pairs:
-        ks.emit(indent, f"if d[{first}] != d[{later}]:")
-        ks.emit(indent + 1, "continue")
+        ks.emit(2, f"if d[{first}] != d[{later}]:")
+        ks.emit(3, "continue")
     col_exprs = [f"d[{p}]" for p in rule._seed_positions]
-    indent = _emit_stage_loops(ks, stages, col_exprs, indent)
-    head_exprs = [
-        col_exprs[position] if position is not None else ks.const(value, "H")
-        for position, value in rule._head_spec
-    ]
-    ks.emit(indent, f"h = {_tuple_literal(head_exprs)}")
-    if kind == "count":
-        ks.emit(indent, "counts[h] = _get(h, 0) + sign")
-    elif kind == "insert":
-        ks.emit(indent, "if h not in current:")
-        ks.emit(indent + 1, "_add(h)")
-    else:
-        ks.emit(indent, "if h in current:")
-        ks.emit(indent + 1, "_add(h)")
+    _emit_stage_loops(ks, stages, 0, col_exprs, 2, sink, probe=False)
     kernel = compile_closure_source(
         ks.source, ks.namespace, "_kernel", filename=f"<repro-delta-{kind}>"
     )
@@ -737,10 +594,9 @@ def _rule_kernel(rule: DeltaRule, kind: str) -> tuple[Callable[..., Any], str]:
 def _support_kernel(check: SupportCheck) -> tuple[SupportKernel, str]:
     """Generate the DFS support probe as one nested loop with early return.
 
-    Guards run before any stage lookup is resolved — same order as the
-    interpreted :meth:`SupportCheck.supported` — and ``return True`` in the
-    innermost loop unwinds at the first full valuation, exploring exactly
-    the prefix of the search space the interpreted DFS explores.
+    Guards run before any stage lookup is resolved, and ``return True`` in
+    the innermost loop unwinds at the first full valuation, so only the
+    prefix of the search space up to the first derivation is explored.
     """
     ks = _KernelSource()
     stages = check._stages
@@ -755,10 +611,15 @@ def _support_kernel(check: SupportCheck) -> tuple[SupportKernel, str]:
     if not stages:
         ks.emit(1, "return True")
     else:
+
+        def sink(col_exprs: list[str], indent: int) -> None:
+            ks.emit(indent, "return True")
+
         _emit_stage_resolves(ks, stages, 1)
+        width = len(check._seed_positions)
+        _emit_stage_helpers(ks, stages, width, 1, sink, probe=True)
         col_exprs = [f"row[{p}]" for p in check._seed_positions]
-        indent = _emit_stage_loops(ks, stages, col_exprs, 1)
-        ks.emit(indent, "return True")
+        _emit_stage_loops(ks, stages, 0, col_exprs, 1, sink, probe=True)
         ks.emit(1, "return False")
     kernel = compile_closure_source(
         ks.source, ks.namespace, "_kernel", filename="<repro-delta-support>"
@@ -821,17 +682,15 @@ class MaintenanceKernels:
 def compile_maintenance(compiled: CompiledViewDelta) -> MaintenanceKernels:
     """Compile a view's delta program into generated maintenance kernels.
 
-    Raises :class:`~repro.errors.DeltaCompilationError` if source generation
-    or compilation fails for any rule; callers (the maintainer's
-    warmup→verify→compile lifecycle) treat that as *ineligible forever* and
-    keep the interpreted rules, never surfacing the error to a write.
+    Raises :class:`~repro.errors.DeltaCompilationError` naming the view when
+    the generated source of a rule does not compile (what ``compile()``
+    raises for bad source: :class:`SyntaxError` or :class:`ValueError`);
+    any other exception is a bug and propagates as itself.
     """
     started = time.perf_counter()
     try:
         disjuncts = tuple(DisjunctKernels(d) for d in compiled.disjuncts)
-    except DeltaCompilationError:
-        raise
-    except Exception as exc:
+    except (SyntaxError, ValueError) as exc:
         raise DeltaCompilationError(
             f"view {compiled.name!r}: generating maintenance kernels failed: {exc}",
             view_name=compiled.name,

@@ -100,6 +100,14 @@ def gs_1000():
     return graph_search.generate(num_persons=1000, num_movies=500, seed=11)
 
 
+def interpreted(service, query, params=None):
+    """The interpreted reference for ``query`` on ``service``: its cached
+    plan run through the operator tree (``execute_plan``) instead of the
+    compiled closure that serves it."""
+    entry, _ = service.plan(query)
+    return service.execute_plan(entry.plan, params=params)
+
+
 @pytest.fixture(params=["index_set", "shards4_snapshot"])
 def gs_provider(request, gs_instance, gs_access):
     """``(provider, view_cache)`` over ``gs_instance`` for each fetch provider
@@ -108,8 +116,7 @@ def gs_provider(request, gs_instance, gs_access):
     shard-recording reader (``bound_to``)."""
     shards = 4 if request.param == "shards4_snapshot" else 1
     with QueryService(
-        gs_instance.database, gs_access, graph_search.views(),
-        codegen=False, shards=shards,
+        gs_instance.database, gs_access, graph_search.views(), shards=shards
     ) as service:
         provider = service._snapshots.reader() if shards > 1 else service.indexes
         yield provider, service.view_cache

@@ -21,7 +21,7 @@ from repro.analysis import (
     verify_delta_program,
     verify_plan,
 )
-from repro.engine.service.planners import resolve_planners
+from repro.engine.service.planners import PlanningResult, resolve_planners
 from repro.errors import PlanVerificationError, SchemaError
 from repro.workloads import cdr, graph_search as gs
 from repro.workloads.random_cq import RandomCQConfig, random_workload
@@ -36,9 +36,7 @@ def gs_data():
 
 @pytest.fixture(scope="module")
 def service(gs_data):
-    return QueryService(
-        gs_data.database, gs.access_schema(), gs.views(), verify_plans=True
-    )
+    return QueryService(gs_data.database, gs.access_schema(), gs.views())
 
 
 # The property tests run over the CDR workload: its access schema covers far
@@ -49,9 +47,7 @@ def service(gs_data):
 @pytest.fixture(scope="module")
 def cdr_service():
     data = cdr.generate(num_customers=60, num_days=3, seed=1)
-    return QueryService(
-        data.database, cdr.access_schema(), cdr.views(), verify_plans=True
-    )
+    return QueryService(data.database, cdr.access_schema(), cdr.views())
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +66,7 @@ def workload(cdr_service):
 def verified_plans(cdr_service, workload):
     """(query, plan) for every plan any planner of the chain finds.
 
-    The service runs with ``verify_plans=True``, so merely planning the whole
+    The service verifies every plan it admits, so merely planning the whole
     workload asserts the verifier has zero false positives on real plans.
     """
     plans = []
@@ -133,7 +129,7 @@ def test_mutated_plans_are_rejected_with_predicted_diagnostics(
 
 
 def test_verify_plans_service_survives_full_workload(cdr_service, workload):
-    """The debug mode plans (and caches) everything without a single raise."""
+    """The service admits (verifies) and caches everything without a raise."""
     for query in workload:
         entry, _ = cdr_service.plan(query)
         if entry.plan is not None:
@@ -144,24 +140,29 @@ def test_verify_plans_service_survives_full_workload(cdr_service, workload):
 def test_verify_plans_rejects_corrupted_plan_via_service(
     cdr_service, verified_plans
 ):
+    """A planner emitting a corrupted plan: admission raises, and nothing is
+    cached for the query."""
     query, plan = next((q, p) for q, p in verified_plans if p.fetch_nodes())
     mutations = plan_mutations(plan, seed=3)
     assert mutations
-    report = verify_plan(
-        mutations[0].plan,
-        cdr_service.database.schema,
-        views=cdr_service.views,
-        access_schema=cdr_service.access_schema,
-        expected_attributes=plan.attributes,
-    )
+
+    class Corrupting:
+        name = "corrupting"
+
+        def can_plan(self, query):
+            return True
+
+        def plan(self, query, head, max_size, context):
+            return PlanningResult(plan=mutations[0].plan, planner=self.name)
+
     with pytest.raises(PlanVerificationError) as excinfo:
-        raise PlanVerificationError(
-            "plan verification failed",
-            diagnostics=tuple(report.errors),
-            query_name=query.name,
-        )
+        cdr_service.plan(query, planners=[Corrupting()])
     assert excinfo.value.diagnostics
     assert excinfo.value.query_name == query.name
+    cached = {key for key, _ in cdr_service.plan_cache.entries()}
+    with pytest.raises(PlanVerificationError):
+        cdr_service.plan(query, planners=[Corrupting()])
+    assert {key for key, _ in cdr_service.plan_cache.entries()} == cached
 
 
 # --------------------------------------------------------------------------- #

@@ -5,9 +5,10 @@ for the interpreted operator tree:
 
 * unit tests on the canonical workload plans (Figure 1, Q0, CDR): rows and
   every :class:`~repro.exec.iometer.IOMeter` field identical between tiers;
-* service-level tests of the tier machinery — warmup, explain, per-tier
-  stats, prepared/parameterised execution without ``bind_plan``, the
-  verifier gate, and the stale-closure eviction regression;
+* service-level tests of the one tier lifecycle — every plan compiled when
+  admitted and served compiled from its first execution (SQLite
+  interpreted), explain, per-tier stats, prepared/parameterised execution
+  without ``bind_plan``, and closures that outlive writes and eviction;
 * the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
   spanning product factors, ``π`` onto one factor — on the live
   ``IndexSet`` and on a four-shard snapshot, shards touched included;
@@ -42,6 +43,8 @@ from repro.storage.indexes import IndexSet
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
+
+from conftest import interpreted
 
 
 def _meters_equal(a, b) -> bool:
@@ -81,9 +84,7 @@ def _assert_tiers_identical(plan, schema, access, provider, view_cache):
 
 
 def test_figure1_plan_identical_tiers(gs_instance, gs_schema, gs_access):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     rows, meter = _assert_tiers_identical(
         graph_search.figure1_plan(),
         gs_schema,
@@ -96,9 +97,7 @@ def test_figure1_plan_identical_tiers(gs_instance, gs_schema, gs_access):
 
 
 def test_planner_q0_identical_tiers(gs_instance, gs_access, gs_q0, gs_schema):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     entry, _ = service.plan(gs_q0)
     assert entry.plan is not None
     _assert_tiers_identical(
@@ -108,7 +107,7 @@ def test_planner_q0_identical_tiers(gs_instance, gs_access, gs_q0, gs_schema):
 
 def test_cdr_plans_identical_tiers():
     data = cdr.generate(num_customers=60, num_days=3, seed=1)
-    service = QueryService(data.database, cdr.access_schema(), cdr.views(), codegen=False)
+    service = QueryService(data.database, cdr.access_schema(), cdr.views())
     config = RandomCQConfig(min_atoms=1, max_atoms=3, head_size=2, seed=23)
     checked = 0
     for query in random_workload(cdr.schema(), data.database, 40, config):
@@ -127,9 +126,7 @@ def test_cdr_plans_identical_tiers():
 
 
 def test_compiled_plan_rejects_missing_bindings(gs_instance, gs_access):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     query = parse_query('Q(m, k) :- movie(m, mn, :studio, "2014"), rating(m, k)')
     entry, _ = service.plan(query)
     assert entry.plan is not None
@@ -168,9 +165,7 @@ def test_parameter_checks_read_their_slot_like_bound_constants(
     if with_static:
         predicates.append(AttributeEqualsConstant("mid", "no such movie", True))
     plan = SelectNode(movies, tuple(predicates))
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     compiled = compile_plan_closure(plan, gs_access)
     assert compiled.parameters == frozenset(compiled.slots) == {"studio", "year"}
     for studio, year in (("Universal", "2014"), ("Paramount", "2010"), ("nobody", "1900")):
@@ -195,45 +190,29 @@ def test_compiled_fetch_without_constraint_rejected(gs_access):
 
 
 # --------------------------------------------------------------------------- #
-# Service tier machinery: warmup, explain, stats
+# Service tier lifecycle: compiled when admitted; explain, stats, SQLite
 # --------------------------------------------------------------------------- #
 
 
 @pytest.fixture
 def gs_service(gs_instance, gs_access):
-    return QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen_warmup=2
-    )
+    return QueryService(gs_instance.database, gs_access, graph_search.views())
 
 
-def test_warmup_then_compiled_tier(gs_service, gs_q0):
-    answers = [gs_service.query(gs_q0) for _ in range(4)]
-    assert [a.execution_tier for a in answers] == [
-        "interpreted",
-        "interpreted",
-        "compiled",
-        "compiled",
-    ]
-    assert len({a.rows for a in answers}) == 1
-    assert len({a.tuples_fetched for a in answers}) == 1
-    assert len({a.view_tuples_scanned for a in answers}) == 1
-
-
-def test_codegen_disabled_stays_interpreted(gs_instance, gs_access, gs_q0):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
-    for _ in range(4):
-        assert service.query(gs_q0).execution_tier == "interpreted"
-    entry, _ = service.plan(gs_q0)
-    assert entry.compiled is None and entry.executions == 0
-
-
-def test_warmup_zero_compiles_first_execution(gs_instance, gs_access, gs_q0):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen_warmup=0
-    )
-    assert service.query(gs_q0).execution_tier == "compiled"
+def test_compiled_from_the_first_execution(gs_service, gs_q0):
+    """The plan is verified and compiled when its entry is admitted, before
+    any execution; every answer is the closure's, equal to the interpreted
+    reference of the same cached plan in rows and every meter field."""
+    entry, _ = gs_service.plan(gs_q0)
+    assert entry.compiled is not None and entry.executions == 0
+    answers = [gs_service.query(gs_q0) for _ in range(3)]
+    assert {a.execution_tier for a in answers} == {"compiled"}
+    reference = interpreted(gs_service, gs_q0)
+    for answer in answers:
+        assert answer.rows == reference.rows
+        assert answer.tuples_fetched == reference.stats.tuples_fetched
+        assert answer.view_tuples_scanned == reference.stats.view_tuples_scanned
+    assert entry.executions == 3
 
 
 def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
@@ -242,15 +221,14 @@ def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
     """Q0 is 3 rows for Dξ = 27 on either tier; 20 warm rounds of a 12-query
     mix are 240 bounded cache hits, every one served by the closure."""
     access, views = graph_search.access_schema(n0=gs_1000.n0), graph_search.views()
-    for codegen, tier in ((False, "interpreted"), (True, "compiled")):
-        service = QueryService(
-            gs_1000.database, access, views, codegen=codegen, codegen_warmup=0
-        )
-        answer = service.query(gs_q0)
-        assert (answer.execution_tier, len(answer.rows), answer.tuples_fetched) == (
-            tier, 3, 27,
-        )
-    service.query_many(gs_mix, max_workers=1)  # the compiled service from here on
+    service = QueryService(gs_1000.database, access, views)
+    answer = service.query(gs_q0)
+    reference = interpreted(service, gs_q0)
+    assert (answer.execution_tier, len(answer.rows), answer.tuples_fetched) == (
+        "compiled", 3, 27,
+    )
+    assert (reference.rows, reference.stats.tuples_fetched) == (answer.rows, 27)
+    service.query_many(gs_mix, max_workers=1)
     service.stats.reset()
     for _ in range(20):
         answers = service.query_many(gs_mix, max_workers=1)
@@ -261,42 +239,33 @@ def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
 
 
 def test_sqlite_backend_keeps_interpreting(gs_service, gs_q0):
-    for _ in range(3):
-        memory = gs_service.query(gs_q0)
+    memory = gs_service.query(gs_q0)
     sqlite = gs_service.query(gs_q0, backend="sqlite")
     assert memory.execution_tier == "compiled"
     assert sqlite.execution_tier == "interpreted"
     assert sqlite.rows == memory.rows
 
 
-def test_explain_reports_warmup_then_compiled(gs_service, gs_q0):
-    before = gs_service.explain(gs_q0)
-    assert before.execution_tier == "interpreted"
-    assert before.codegen_state == "pending"
-    assert "warming up" in before.render()
-    for _ in range(3):
-        gs_service.query(gs_q0)
-    after = gs_service.explain(gs_q0)
-    assert after.execution_tier == "compiled"
-    assert after.codegen_state == "compiled"
-    assert after.compile_seconds is not None and after.compile_seconds > 0
-    assert "execution tier: compiled" in after.render()
-
-
-def test_explain_reports_disabled(gs_instance, gs_access, gs_q0):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
+def test_explain_reports_the_compiled_tier_before_any_execution(
+    gs_service, gs_instance, gs_access, gs_q0
+):
+    explanation = gs_service.explain(gs_q0)
+    assert explanation.execution_tier == "compiled"
+    assert explanation.compile_seconds is not None and explanation.compile_seconds > 0
+    assert "execution tier: compiled (compiled in" in explanation.render()
+    sqlite = QueryService(
+        gs_instance.database, gs_access, graph_search.views(), backend="sqlite"
     )
-    explanation = service.explain(gs_q0)
-    assert explanation.codegen_state == "disabled"
-    assert "execution tier" not in explanation.render()
+    assert "execution tier: interpreted" in sqlite.explain(gs_q0).render()
+    sqlite.close()
 
 
 def test_stats_count_executions_per_tier(gs_service, gs_q0):
-    for _ in range(5):
+    for _ in range(4):
         gs_service.query(gs_q0)
+    gs_service.query(gs_q0, backend="sqlite")
     snapshot = gs_service.stats.snapshot()
-    assert snapshot.tier_uses == {"interpreted": 2, "compiled": 3}
+    assert snapshot.tier_uses == {"compiled": 4, "interpreted": 1}
     gs_service.stats.reset()
     assert gs_service.stats.snapshot().tier_uses == {}
 
@@ -314,56 +283,26 @@ def test_fallback_answers_count_as_interpreted(gs_service):
 # --------------------------------------------------------------------------- #
 
 
-def test_prepared_query_compiles_and_matches_interpreted(gs_instance, gs_access):
+def test_prepared_query_compiles_and_matches_interpreted(gs_service, gs_instance):
     query = parse_query('Q(m, k) :- movie(m, mn, :studio, "2014"), rating(m, k)')
-    compiled_service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen_warmup=1
-    )
-    interpreted_service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
-    prepared = compiled_service.prepare(query)
-    reference = interpreted_service.prepare(query)
+    prepared = gs_service.prepare(query)
     studios = sorted(
         {row[2] for row in gs_instance.database.relation("movie").tuples}
     )
-    tiers = []
     for studio in studios:
         fast = prepared.execute(studio=studio)
-        slow = reference.execute(studio=studio)
-        tiers.append(fast.execution_tier)
+        slow = interpreted(gs_service, query, params={"studio": studio})
+        assert fast.execution_tier == "compiled"
         assert fast.rows == slow.rows
-        assert fast.tuples_fetched == slow.tuples_fetched
-    assert tiers[0] == "interpreted" and set(tiers[1:]) == {"compiled"}
+        assert fast.tuples_fetched == slow.stats.tuples_fetched
 
 
-def test_verifier_gates_codegen(gs_service, gs_q0):
-    """An entry the verifier rejects is marked ineligible and keeps interpreting."""
-    from repro.core.plans import FetchNode
-
+def test_codegen_eligibility_accepts_real_plans(gs_service, gs_instance, gs_access, gs_q0):
     entry, _ = gs_service.plan(gs_q0)
-    # Sabotage the cached outcome with a plan that cannot verify (fetch with
-    # no covering constraint) — simulating a buggy planner.
-    broken = FetchNode(None, "person", (), ("pid", "name", "affiliation"))
-    entry.plan = broken
-    entry.executions = 10  # past warmup: next execution attempts to compile
-    gs_service._compile_entry(entry, gs_q0.head_arity, gs_q0.name)
-    assert entry.compiled is None
-    assert entry.codegen_state == "ineligible"
-    assert entry.codegen_reason
-    explanation_entry, _ = gs_service.plan(gs_q0)
-    assert explanation_entry is entry  # still the cached entry
-
-
-def test_codegen_eligibility_accepts_real_plans(gs_instance, gs_access, gs_q0):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
-    entry, _ = service.plan(gs_q0)
     report = codegen_eligibility(
         entry.plan,
         gs_instance.database.schema,
-        views=service.views,
+        views=gs_service.views,
         access_schema=gs_access,
         expected_arity=1,
         subject="Q0",
@@ -384,26 +323,20 @@ def test_codegen_eligibility_rejects_corrupt_plans(gs_instance, gs_access):
 
 
 # --------------------------------------------------------------------------- #
-# Plan lifetime: writes leave entries and closures alone; LRU and clear() do not
+# Plan lifetime: writes, LRU eviction and clear() leave closures serving
 # --------------------------------------------------------------------------- #
 
 
 def _fresh_interpreted(gs_instance, gs_access, query):
-    """The reference after a write: a new service, interpreted tier only."""
-    with QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    ) as fresh:
-        return fresh.query(query)
+    """The reference after a write: a new service's interpreted plan run."""
+    with QueryService(gs_instance.database, gs_access, graph_search.views()) as fresh:
+        return interpreted(fresh, query)
 
 
-def test_write_keeps_compiled_closure_serving(gs_instance, gs_access, gs_q0):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen_warmup=1
-    )
-    for _ in range(2):
-        service.query(gs_q0)
+def test_write_keeps_compiled_closure_serving(gs_service, gs_instance, gs_access, gs_q0):
+    service = gs_service
+    service.query(gs_q0)
     entry, _ = service.plan(gs_q0)
-    assert entry.compiled is not None and entry.codegen_state == "compiled"
     closure, executions = entry.compiled, entry.executions
     batch = random_update_batch(gs_instance.database, size=20, seed=83)
     service.apply(batch)
@@ -415,49 +348,49 @@ def test_write_keeps_compiled_closure_serving(gs_instance, gs_access, gs_q0):
     assert first_after.cache_hit and first_after.execution_tier == "compiled"
     fresh = _fresh_interpreted(gs_instance, gs_access, gs_q0)
     assert first_after.rows == fresh.rows
-    assert first_after.tuples_fetched == fresh.tuples_fetched
+    assert first_after.tuples_fetched == fresh.stats.tuples_fetched
     service.apply(batch.inverted())
 
 
-def test_prepared_query_stays_compiled_across_writes(gs_instance, gs_access):
-    """Prepare, compile, write, re-execute: a held entry keeps its closure,
-    and the closure answers from the post-write state (it holds no data)."""
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen_warmup=1
-    )
-    prepared = service.prepare(graph_search.query_q0())
-    for _ in range(2):
-        prepared.execute()
+def test_prepared_query_stays_compiled_across_writes(gs_service, gs_instance, gs_access):
+    """Prepare, write, re-execute: a held entry keeps its closure, and the
+    closure answers from the post-write state (it holds no data)."""
+    prepared = gs_service.prepare(graph_search.query_q0())
+    prepared.execute()
     closure = prepared.entry.compiled
-    assert closure is not None
     batch = random_update_batch(gs_instance.database, size=20, seed=7)
-    service.apply(batch)
+    gs_service.apply(batch)
     assert prepared.entry.compiled is closure
     answer = prepared.execute()
     assert answer.cache_hit and answer.execution_tier == "compiled"
     fresh = _fresh_interpreted(gs_instance, gs_access, graph_search.query_q0())
     assert answer.rows == fresh.rows
-    assert answer.tuples_fetched == fresh.tuples_fetched
-    service.apply(batch.inverted())
+    assert answer.tuples_fetched == fresh.stats.tuples_fetched
+    gs_service.apply(batch.inverted())
 
 
-def test_cache_clear_and_lru_eviction_invalidate_closures(gs_instance, gs_access, gs_q0):
+def test_evicted_and_cleared_entries_keep_serving_compiled(gs_instance, gs_access, gs_q0):
+    """Closures are data-independent, so an entry that left the cache — by
+    LRU capacity or ``clear()`` — keeps its closure for the prepared query
+    still holding it, and the next plan of the query is a fresh entry."""
     service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(),
-        codegen_warmup=0, plan_cache_size=1,
+        gs_instance.database, gs_access, graph_search.views(), plan_cache_size=1
     )
-    service.query(gs_q0)
-    entry, _ = service.plan(gs_q0)
-    assert entry.compiled is not None
+    prepared = service.prepare(gs_q0)
+    entry = prepared.entry
+    closure = entry.compiled
+    expected = interpreted(service, gs_q0)
     # LRU eviction by capacity: planning a second query pushes Q0 out.
     service.query(parse_query('Q(k) :- movie(m, mn, "Universal", "2014"), rating(m, k)'))
-    assert entry.compiled is None and entry.executions == 0
-    # clear() does the same for everything still cached.
-    service.query(gs_q0)
-    entry2, _ = service.plan(gs_q0)
-    assert entry2.compiled is not None
+    assert all(cached is not entry for _, cached in service.plan_cache.entries())
+    for _ in range(2):
+        answer = prepared.execute()
+        assert answer.execution_tier == "compiled" and answer.rows == expected.rows
+    assert prepared.entry is entry and entry.compiled is closure
     service.plan_cache.clear()
-    assert entry2.compiled is None
+    assert prepared.execute().execution_tier == "compiled"
+    fresh, hit = service.plan(gs_q0)
+    assert not hit and fresh.compiled is not None and fresh.compiled is not closure
 
 
 # --------------------------------------------------------------------------- #
@@ -520,9 +453,7 @@ def _chain_select_plan(keyed: str):
 
 @pytest.mark.parametrize("keyed", ["first", "middle", "last"])
 def test_three_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access, keyed):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     rows, meter = _assert_tiers_identical(
         _chain_select_plan(keyed),
         gs_schema,
@@ -552,9 +483,7 @@ def test_four_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access):
         ProductNode(chain, _movies_fetch("mid_d")),
         (AttributeEqualsAttribute("mid_a", "mid_d"),),
     )
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     rows, _ = _assert_tiers_identical(
         plan, gs_schema, gs_access, service.indexes, service.view_cache
     )
@@ -590,9 +519,7 @@ def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_a
             AttributeEqualsAttribute("pid_b", "pid_d"),
         ),
     )
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     rows, _ = _assert_tiers_identical(
         plan, gs_schema, gs_access, service.indexes, service.view_cache
     )
@@ -632,9 +559,7 @@ def _check_provider(gs_schema, gs_access, gs_provider, plan):
 def test_canonical_plans_identical_tiers_on_every_provider(
     gs_schema, gs_access, gs_provider, gs_instance, gs_q0
 ):
-    service = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), codegen=False
-    )
+    service = QueryService(gs_instance.database, gs_access, graph_search.views())
     entry, _ = service.plan(gs_q0)
     for plan in (graph_search.figure1_plan(), entry.plan):
         rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
@@ -817,7 +742,7 @@ def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, shards):
     agree on rows, ``Dξ`` and shards."""
     access = skewed.access_schema()
     with QueryService(
-        skewed_small.database, access, skewed.views(), codegen=False, shards=shards
+        skewed_small.database, access, skewed.views(), shards=shards
     ) as service:
         entry, _ = service.plan(skewed.query_feed())
         provider = service._snapshots.reader() if shards > 1 else service.indexes
@@ -862,36 +787,35 @@ def _random_mixed_workload(schema, database, count: int, seed: int):
 
 
 def _check_differential(service, queries, *, check_sqlite: bool) -> int:
-    """Interpreted vs compiled on one service; returns #compiled-tier checks.
+    """Compiled answers vs the interpreted reference; returns #checks.
 
-    Flipping ``service.codegen`` between the two executions guarantees both
-    tiers run the *same* cached plan object — the comparison isolates the
-    execution tier, not planner nondeterminism.
+    The reference runs the *same* cached plan object through the operator
+    tree, so the comparison isolates the execution tier, not planner
+    nondeterminism.
     """
     compiled_checks = 0
     for query in queries:
-        service.codegen = False
-        interpreted = service.query(query)
-        service.codegen = True
         compiled = service.query(query)
-        assert compiled.rows == interpreted.rows, query.name
-        assert compiled.tuples_fetched == interpreted.tuples_fetched, query.name
-        assert compiled.view_tuples_scanned == interpreted.view_tuples_scanned, (
+        if not compiled.used_bounded_plan:
+            continue
+        reference = interpreted(service, query)
+        assert compiled.execution_tier == "compiled", query.name
+        assert compiled.rows == reference.rows, query.name
+        assert compiled.tuples_fetched == reference.stats.tuples_fetched, query.name
+        assert compiled.view_tuples_scanned == reference.stats.view_tuples_scanned, (
             query.name
         )
-        if compiled.used_bounded_plan:
-            assert compiled.execution_tier == "compiled", query.name
-            compiled_checks += 1
-            if check_sqlite:
-                sqlite = service.query(query, backend="sqlite")
-                assert sqlite.rows == compiled.rows, query.name
+        compiled_checks += 1
+        if check_sqlite:
+            sqlite = service.query(query, backend="sqlite")
+            assert sqlite.rows == compiled.rows, query.name
     return compiled_checks
 
 
 def test_differential_random_workload_with_writes():
     data = cdr.generate(num_customers=60, num_days=3, seed=1)
     service = QueryService(
-        data.database, cdr.access_schema(), cdr.views(), codegen_warmup=0
+        data.database, cdr.access_schema(), cdr.views()
     )
     queries = _random_mixed_workload(cdr.schema(), data.database, 160, seed=31)
     assert len(queries) >= 180  # ~200 including the paired UCQs

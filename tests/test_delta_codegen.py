@@ -1,17 +1,15 @@
-"""The compiled maintenance tier: bit-identical view state *and* ``Dξ``.
+"""Compiled view maintenance: the generated delta kernels keep every view
+equal to recomputation.
 
-Mirror of ``test_codegen.py`` for the write path.  Three layers of evidence
-that the generated delta kernels are a drop-in replacement for the
-interpreted delta rules:
+Mirror of ``test_codegen.py`` for the write path.  Three layers of evidence:
 
 * a differential property test over ~200 random CQ/UCQ views (self-join
-  DRed fallback included): after every random insert/delete batch, the
-  compiled and interpreted maintainers agree on every view's rows, on the
-  counting-mode derivation counts, on the work counters
-  (``delta_queries``/``support_checks``) and on every IOMeter field;
-* lifecycle tests of the warmup→verify→compile machinery — warmup counting,
-  the ineligible-forever gate, ``invalidate_compiled``, ``explain`` — and of
-  the service surface (``explain_maintenance``, ``maintenance-*`` tier
+  DRed fallback included): after every random insert/delete batch, every
+  view's rows and counting-mode derivation counts equal a from-scratch
+  recomputation (:meth:`ViewMaintainer.verify`);
+* lifecycle tests — every view compiled when it is materialised, typed
+  refusals for a failing kernel compile or delta-program verification —
+  and the service surface (``explain_maintenance``, ``maintenance-*`` tier
   stats, both backends);
 * introspection of the generated kernel sources (data independence).
 """
@@ -22,26 +20,21 @@ import pytest
 
 from repro.algebra.atoms import RelationAtom
 from repro.algebra.cq import ConjunctiveQuery
+from repro.algebra.parser import parse_cq
+from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Variable
 from repro.algebra.ucq import UnionQuery
 from repro.algebra.views import View, ViewSet
+from repro.analysis import VerificationReport
 from repro.engine.service import QueryService, ViewMaintainer
 from repro.engine.service.maintenance import MaintenanceStats
 from repro.errors import DeltaCompilationError
 from repro.exec.delta_compiler import compile_maintenance, compile_view_delta
 from repro.exec.iometer import IOMeter
-from repro.storage.updates import random_update_batch
+from repro.storage.instance import Database
+from repro.storage.updates import Deletion, Insertion, random_update_batch
 from repro.workloads import cdr
 from repro.workloads.random_cq import RandomCQConfig, random_workload
-
-
-def _meters_equal(a: IOMeter, b: IOMeter) -> bool:
-    return (
-        a.tuples_fetched == b.tuples_fetched
-        and a.fetch_calls == b.fetch_calls
-        and a.per_relation == b.per_relation
-        and a.view_tuples_scanned == b.view_tuples_scanned
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -124,31 +117,17 @@ def _random_views(schema, database, count: int, seed: int) -> list[View]:
     return views
 
 
-def _paired_maintainers(views, database):
-    """(interpreted, compiled) maintainers over the same database."""
-    interpreted = ViewMaintainer(views, database, codegen=False)
-    compiled = ViewMaintainer(views, database, codegen=True, codegen_warmup=0)
-    return interpreted, compiled
-
-
-def _assert_identical_step(interpreted, compiled, stream) -> None:
-    """One stream through both maintainers: state and accounting must agree."""
-    stats_i, stats_c = MaintenanceStats(), MaintenanceStats()
-    meter_i, meter_c = IOMeter(), IOMeter()
-    interpreted.apply_stream(stream, stats_i, meter=meter_i)
-    compiled.apply_stream(stream, stats_c, meter=meter_c)
-    for view in interpreted.views:
-        name = view.name
-        assert compiled.rows(name) == interpreted.rows(name), name
-        if interpreted.mode(name) == "counting":
-            assert compiled.counts(name) == interpreted.counts(name), name
-    assert stats_c.delta_queries == stats_i.delta_queries
-    assert stats_c.support_checks == stats_i.support_checks
-    assert stats_c.rows_added == stats_i.rows_added
-    assert stats_c.rows_removed == stats_i.rows_removed
-    assert _meters_equal(meter_c, meter_i), (
-        f"Dξ accounting diverged: compiled={meter_c} interpreted={meter_i}"
-    )
+def _assert_matches_recomputation(maintainer, stream) -> IOMeter:
+    """One metered stream through the kernels: the rows and the
+    counting-mode derivation counts must equal a from-scratch recomputation,
+    and every touched CQ/UCQ view must have run compiled.  Returns the
+    meter."""
+    stats, meter = MaintenanceStats(), IOMeter()
+    maintainer.apply_stream(stream, stats, meter=meter)
+    assert maintainer.verify()
+    assert set(stats.tier_runs) <= {"compiled", "recompute"}
+    assert stats.delta_queries > 0
+    return meter
 
 
 # --------------------------------------------------------------------------- #
@@ -160,67 +139,40 @@ def test_differential_random_views_with_updates():
     data = cdr.generate(num_customers=40, num_days=2, seed=7)
     views = _random_views(cdr.schema(), data.database, 170, seed=29)
     assert len(views) >= 190  # ~200 including the paired UCQs and self-joins
-    interpreted, compiled = _paired_maintainers(ViewSet(views), data.database)
-    assert interpreted.modes == compiled.modes
-    assert any(mode == "dred" for mode in compiled.modes.values())
-    assert compiled.mode("SJ_plan") == "dred"  # the self-join fallback
+    maintainer = ViewMaintainer(ViewSet(views), data.database)
+    assert any(mode == "dred" for mode in maintainer.modes.values())
+    assert maintainer.mode("SJ_plan") == "dred"  # the self-join fallback
+    # Every view was verified and compiled when it was materialised.
+    assert {maintainer.explain(v.name).tier for v in views} == {"compiled"}
 
     for seed in (11, 22, 33):
         batch = random_update_batch(data.database, size=50, seed=seed)
-        stream = data.database.apply(batch)
-        _assert_identical_step(interpreted, compiled, stream)
-
-    # Most touched views actually reached the compiled tier (warmup=0).
-    states = [compiled.explain(v.name).codegen_state for v in compiled.views]
-    assert states.count("compiled") >= 0.6 * len(states)
-    assert compiled.explain("SJ_plan").tier == "compiled"
-    # Both maintainers still match a from-scratch recomputation.
-    fresh = compiled.recompute()
-    for view in compiled.views:
-        assert compiled.rows(view.name) == fresh[view.name], view.name
+        meter = _assert_matches_recomputation(maintainer, data.database.apply(batch))
+        assert meter.tuples_fetched > 0  # multi-atom rules probe through A
 
 
 def test_differential_both_backends_after_updates():
-    """Two identically-seeded services (compiled vs interpreted maintenance)
-    fed identical batches agree on every view's rows — served through the
-    memory *and* the sqlite backend."""
-    instances = [cdr.generate(num_customers=30, num_days=2, seed=5) for _ in range(2)]
-    compiled_service = QueryService(
-        instances[0].database, cdr.access_schema(), cdr.views(),
-        codegen=True, codegen_warmup=0,
-    )
-    interpreted_service = QueryService(
-        instances[1].database, cdr.access_schema(), cdr.views(), codegen=False
-    )
+    """After write batches the compiled views equal recomputation, and both
+    backends answer queries over the maintained state alike."""
+    data = cdr.generate(num_customers=30, num_days=2, seed=5)
+    service = QueryService(data.database, cdr.access_schema(), cdr.views())
     for seed in (41, 42):
-        # Identical databases yield identical (deterministic) batches.
-        batches = [
-            random_update_batch(inst.database, size=40, seed=seed)
-            for inst in instances
-        ]
-        assert batches[0].updates == batches[1].updates
-        compiled_service.apply(batches[0])
-        interpreted_service.apply(batches[1])
-    assert compiled_service.maintainer.snapshot() == interpreted_service.maintainer.snapshot()
-    assert compiled_service.maintainer.verify()
-    # Both backends of both services agree on queries the views answer.
+        service.apply(random_update_batch(data.database, size=40, seed=seed))
+    assert service.maintainer.snapshot() == service.maintainer.recompute()
+    assert service.maintainer.verify()
     for query in (
         'Q(p) :- customer(p, n, "premium", r)',
         "Q(c, d) :- call(c, e, d, u, l)",
     ):
-        rows = [
-            service.baseline(query, backend=backend).rows
-            for service in (compiled_service, interpreted_service)
-            for backend in ("memory", "sqlite")
-        ]
-        assert len(set(rows)) == 1, query
-    tiers = compiled_service.stats.snapshot().tier_uses
+        rows = {service.baseline(query, backend=b).rows for b in ("memory", "sqlite")}
+        assert len(rows) == 1, query
+    tiers = service.stats.snapshot().tier_uses
     assert tiers.get("maintenance-compiled", 0) > 0
     assert "maintenance-interpreted" not in tiers
 
 
 # --------------------------------------------------------------------------- #
-# Lifecycle: warmup, ineligible-forever, invalidation, explain
+# Lifecycle: compiled when materialised; typed refusals; explain
 # --------------------------------------------------------------------------- #
 
 
@@ -229,99 +181,57 @@ def _touching_stream(database, seed: int):
     return database.apply(batch)
 
 
-def test_warmup_counts_touching_streams_then_compiles():
+def test_views_are_compiled_when_materialised():
     data = cdr.generate(num_customers=20, num_days=2, seed=3)
-    maintainer = ViewMaintainer(
-        cdr.views(), data.database, codegen=True, codegen_warmup=2
-    )
-    tiers = []
-    for seed in (1, 2, 3, 4):
-        stats = MaintenanceStats()
-        maintainer.apply_stream(_touching_stream(data.database, seed), stats)
-        explanation = maintainer.explain("V_premium")
-        tiers.append(explanation.tier)
-    # Two interpreted warmup runs, then the compiled tier from run 3 on.
-    assert tiers == ["interpreted", "interpreted", "compiled", "compiled"]
-    explanation = maintainer.explain("V_premium")
-    assert explanation.codegen_state == "compiled"
-    assert explanation.mode == "counting"
-    assert explanation.warmup == 2
-    # V_daily is touched only by call-relation streams: still warming up.
-    assert maintainer.explain("V_daily").codegen_state == "pending"
-    assert maintainer.explain("V_daily").runs == 0
-    assert maintainer.verify()
+    maintainer = ViewMaintainer(cdr.views(), data.database)
+    for name in ("V_premium", "V_daily"):  # touched or not, before any stream
+        assert maintainer.explain(name).tier == "compiled"
+    assert maintainer.explain("V_premium").mode == "counting"
+    for seed in (1, 2):
+        _assert_matches_recomputation(
+            maintainer, _touching_stream(data.database, seed)
+        )
 
 
-def test_codegen_disabled_stays_interpreted():
+def test_failed_kernel_compilation_raises_a_typed_error_naming_the_view(monkeypatch):
+    """Bad generated source (what ``compile()`` raises for it) is a typed
+    refusal naming the view; any other exception is a bug and propagates."""
     data = cdr.generate(num_customers=20, num_days=2, seed=3)
-    maintainer = ViewMaintainer(cdr.views(), data.database, codegen=False)
-    stats = MaintenanceStats()
-    maintainer.apply_stream(_touching_stream(data.database, 1), stats)
-    assert maintainer.explain("V_premium").tier == "interpreted"
-    assert stats.tier_runs.get("compiled", 0) == 0
-    assert stats.tier_runs["interpreted"] >= 1
+
+    def inject(error: type[Exception]) -> None:
+        def broken(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr("repro.exec.delta_compiler.compile_closure_source", broken)
+
+    inject(SyntaxError)
+    with pytest.raises(DeltaCompilationError, match="injected failure") as excinfo:
+        ViewMaintainer(cdr.views(), data.database)
+    assert excinfo.value.view_name == "V_premium"
+    inject(AttributeError)
+    with pytest.raises(AttributeError, match="injected failure"):
+        ViewMaintainer(cdr.views(), data.database)
 
 
-def test_failed_compilation_parks_view_as_ineligible(monkeypatch):
-    """A view whose kernel generation fails keeps its interpreted rules
-    forever — and the failure never surfaces to the write."""
+def test_delta_program_failing_verification_is_refused(monkeypatch):
     data = cdr.generate(num_customers=20, num_days=2, seed=3)
-    maintainer = ViewMaintainer(
-        cdr.views(), data.database, codegen=True, codegen_warmup=0
-    )
-
-    def broken(compiled):
-        raise DeltaCompilationError("injected failure", view_name=compiled.name)
-
+    report = VerificationReport(subject="injected")
+    report.add("delta.rule.arity", "injected finding")
     monkeypatch.setattr(
-        "repro.engine.service.maintenance.compile_maintenance", broken
+        "repro.engine.service.maintenance.delta_codegen_eligibility",
+        lambda compiled, schema: report,
     )
-    stats = MaintenanceStats()
-    maintainer.apply_stream(_touching_stream(data.database, 1), stats)
-    explanation = maintainer.explain("V_premium")
-    assert explanation.codegen_state == "ineligible"
-    assert explanation.tier == "interpreted"
-    assert "injected failure" in explanation.codegen_reason
-    # The gate is checked once; later streams run interpreted without retry.
-    monkeypatch.undo()
-    maintainer.apply_stream(_touching_stream(data.database, 2), stats)
-    assert maintainer.explain("V_premium").codegen_state == "ineligible"
-    assert stats.tier_runs.get("compiled", 0) == 0
-    assert maintainer.verify()
-
-
-def test_invalidate_compiled_restarts_lifecycle():
-    data = cdr.generate(num_customers=20, num_days=2, seed=3)
-    maintainer = ViewMaintainer(
-        cdr.views(), data.database, codegen=True, codegen_warmup=0
-    )
-    maintainer.apply_stream(_touching_stream(data.database, 1))
-    assert maintainer.explain("V_premium").codegen_state == "compiled"
-    maintainer.invalidate_compiled("V_premium")
-    after = maintainer.explain("V_premium")
-    assert after.codegen_state == "pending"
-    assert after.runs == 0
-    # The next touching stream re-verifies and recompiles (warmup=0).
-    maintainer.apply_stream(_touching_stream(data.database, 2))
-    assert maintainer.explain("V_premium").codegen_state == "compiled"
-    # Invalidate-all covers every view.
-    maintainer.invalidate_compiled()
-    assert maintainer.explain("V_premium").codegen_state == "pending"
-    assert maintainer.verify()
+    with pytest.raises(DeltaCompilationError, match="injected finding") as excinfo:
+        ViewMaintainer(cdr.views(), data.database)
+    assert excinfo.value.view_name == "V_premium"
 
 
 def test_explain_maintenance_service_surface():
     data = cdr.generate(num_customers=20, num_days=2, seed=3)
-    service = QueryService(
-        data.database, cdr.access_schema(), cdr.views(),
-        codegen=True, codegen_warmup=0,
-    )
+    service = QueryService(data.database, cdr.access_schema(), cdr.views())
     before = service.explain_maintenance("V_premium")
-    assert before.codegen_state == "pending"
+    assert (before.mode, before.tier) == ("counting", "compiled")
     service.apply(random_update_batch(data.database, size=15, seed=9))
-    after = service.explain_maintenance("V_premium")
-    assert after.tier == "compiled"
-    assert after.codegen_state == "compiled"
     tiers = service.stats.snapshot().tier_uses
     assert tiers.get("maintenance-compiled", 0) >= 1
 
@@ -350,3 +260,30 @@ def test_generated_kernel_sources_are_data_independent():
                 assert "premium" not in source
     assert "def _kernel" in disjunct_kernels.support_source
     assert "premium" not in disjunct_kernels.support_source
+
+
+def test_join_chains_longer_than_one_function_may_nest():
+    """CPython refuses more than 20 nested loops per function; the 24-atom
+    chains here continue in nested helpers — counting over distinct
+    relations, DRed over a self-joined path — and stay equal to
+    recomputation through inserts and deletes."""
+    length = 24
+    names = [f"R{i}" for i in range(length)] + ["E"]
+    schema = schema_from_spec({name: ("a", "b") for name in names})
+    edges = {(0, 0), (1, 1), (2, 2), (0, 1)}
+    database = Database(schema, {name: set(edges) for name in names})
+    body = ", ".join(f"{{}}(x{i}, x{i + 1})" for i in range(length))
+    chain = parse_cq(f"V(x0, x{length}) :- " + body.format(*names[:length]))
+    path = parse_cq(f"P(x0, x{length}) :- " + body.format(*["E"] * length))
+    views = ViewSet((View("Vchain", chain), View("Vpath", path)))
+    maintainer = ViewMaintainer(views, database)
+    assert maintainer.modes == {"Vchain": "counting", "Vpath": "dred"}
+    kernels = compile_maintenance(maintainer.compiled_delta("Vpath"))
+    assert "def _n16(" in kernels.disjuncts[0].support_source
+    for updates in (
+        [Insertion("R5", (1, 2)), Insertion("E", (1, 2))],
+        [Deletion("R3", (0, 1)), Deletion("E", (0, 1))],
+        [Deletion("R7", (1, 1)), Deletion("E", (1, 1))],
+    ):
+        _assert_matches_recomputation(maintainer, database.apply(updates))
+    assert maintainer.rows("Vchain") and maintainer.rows("Vpath")

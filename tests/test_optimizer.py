@@ -193,7 +193,7 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
     def cost_service():
         return QueryService(
             feed.database, access, views, planners=("cost", "topped"),
-            plan_store=str(tmp_path / "plans.bin"), codegen_warmup=0,
+            plan_store=str(tmp_path / "plans.bin"),
         )
 
     with cost_service() as service:
@@ -264,14 +264,12 @@ def test_differential_greedy_vs_dp_random_workload():
         cdr.access_schema(),
         cdr.views(),
         planners=("heuristic", "topped"),
-        codegen=False,
     )
     cost = QueryService(
         data.database,
         cdr.access_schema(),
         cdr.views(),
         planners=("cost", "topped"),
-        codegen=False,
     )
     try:
         bounded = 0

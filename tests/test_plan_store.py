@@ -9,6 +9,7 @@ from repro.algebra.atoms import RelationAtom
 from repro.algebra.cq import ConjunctiveQuery
 from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Constant, Variable
+from repro.core.plans import FetchNode
 from repro.engine.service import QueryService
 from repro.engine.service.plan_store import (
     FORMAT_VERSION,
@@ -32,7 +33,6 @@ def _entry(key=("q", CHAIN, None, None, None), plan="PLAN", **overrides):
         reason="",
         parameters=frozenset(),
         executions=3,
-        codegen_state="compiled",
         estimated_fetches=12.5,
         replans=1,
         replan_reason="why",
@@ -98,7 +98,7 @@ def test_v1_payload_is_migrated_with_defaults(tmp_path):
         "plan": "PLAN",
         "planner": "heuristic",
         "executions": 7,
-        "codegen_state": "compiled",
+        "codegen_state": "compiled",  # persisted by old writers, never read
         # no estimated_fetches / fetch_estimates / replans / order_report:
         # those fields arrived with optimizer v2 (format_version 2).
     }
@@ -113,7 +113,6 @@ def test_v1_payload_is_migrated_with_defaults(tmp_path):
     )
     (loaded,) = PlanStore(str(path)).load(FP, CHAIN)
     assert loaded.executions == 7
-    assert loaded.codegen_state == "compiled"
     assert loaded.estimated_fetches is None
     assert loaded.fetch_estimates == ()
     assert loaded.replans == 0
@@ -270,3 +269,31 @@ def test_service_survives_corrupt_store_and_rewrites_it(tmp_path):
     assert answer.rows == expected
     assert answer.cache_hit
     fresh.close()
+
+
+def test_restored_plan_failing_verification_is_dropped_and_replanned(tmp_path):
+    """A restored plan is admitted like a fresh one: a sabotaged plan (a
+    fetch no access constraint covers) is dropped and named on
+    ``plan_store_error``, the service still starts, and the query is planned
+    afresh — and served compiled — on first use."""
+    path = tmp_path / "plans.bin"
+    database = _database()
+    query = _chain_query()
+    first = QueryService(database, ACCESS, plan_store=str(path))
+    expected = first.query(query).rows
+    first.close()
+    payload = pickle.loads(path.read_bytes()[len(_MAGIC):])
+    (stored,) = payload["entries"]
+    stored["plan"] = FetchNode(None, "S", (), ("b", "c"))
+    _write_payload(path, payload)
+
+    service = QueryService(database, ACCESS, plan_store=str(path))
+    assert "dropped 1 stored plan" in service.plan_store_error
+    assert "stored plan fetch" in service.plan_store_error
+    assert service.plan_cache.entries() == []
+    answer = service.query(query)
+    assert (answer.rows, answer.cache_hit, answer.execution_tier) == (
+        expected, False, "compiled",
+    )
+    assert service.stats.snapshot().plan_store_hits == 0
+    service.close()

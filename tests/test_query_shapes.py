@@ -181,7 +181,7 @@ def test_cdr_workload_and_random_cqs_agree_per_shape_and_per_value(shards):
         if len(set(q.head)) == len(q.head)  # the builder wants distinct head variables
     ]
     pair = service_pair(
-        instance.database, cdr.access_schema(), cdr.views(), shards=shards, codegen_warmup=1
+        instance.database, cdr.access_schema(), cdr.views(), shards=shards
     )
     run_differential(pair, sends(queries, instance.database, seed=shards), seed=shards)
 
@@ -191,7 +191,7 @@ def test_graph_search_mix_agrees_per_shape_and_per_value(gs_1000, gs_mix, shards
     queries = [q if not isinstance(q, str) else parse_query(q) for q in gs_mix[:3]]
     workload = sends(queries, gs_1000.database, seed=shards, variants=3)
     pair = service_pair(
-        gs_1000.database, gs.access_schema(), gs.views(), shards=shards, codegen_warmup=1
+        gs_1000.database, gs.access_schema(), gs.views(), shards=shards
     )
     per_shape = pair[0]
     run_differential(pair, workload, seed=shards)
@@ -275,7 +275,7 @@ COLLISIONS = {
 @pytest.fixture(scope="module")
 def cdr_pair():
     instance = cdr.generate(num_customers=60, num_days=3, seed=1)
-    pair = service_pair(instance.database, cdr.access_schema(), cdr.views(), codegen_warmup=0)
+    pair = service_pair(instance.database, cdr.access_schema(), cdr.views())
     yield pair
     for service in pair:
         service.close()
@@ -337,7 +337,7 @@ def test_new_value_of_a_stored_shape_is_a_compiled_hit_after_restart(tmp_path):
     def service():
         return QueryService(
             instance.database, cdr.access_schema(), cdr.views(),
-            plan_store=str(tmp_path / "plans.bin"), codegen_warmup=0,
+            plan_store=str(tmp_path / "plans.bin"),
         )
 
     with service() as first:

@@ -1,8 +1,10 @@
-"""The repository around the package: what ``setup.py`` installs, and that
-``bench/`` (declared by ``BENCHMARK.json``) is the only benchmark."""
+"""The repository around the package: what ``setup.py`` installs, that
+``bench/`` (declared by ``BENCHMARK.json``) is the only benchmark, and the
+keyword surface of the two serving entry points."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.engine.service import QueryService, ViewMaintainer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,35 @@ def test_bench_is_the_only_benchmark():
     assert "pytest-benchmark" not in (ROOT / "requirements-dev.txt").read_text()
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "benchmarks/" not in ci and "bench_trajectory" not in ci
+
+
+def _keyword_only(cls) -> list[str]:
+    return [
+        parameter.name
+        for parameter in inspect.signature(cls).parameters.values()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    ]
+
+
+def test_serving_keywords_are_pinned():
+    """A new knob is a decision, not a drift: extending either list means
+    editing this test.  Plan verification and compilation are not knobs —
+    every plan and view delta program is verified and compiled once, when it
+    is admitted."""
+    assert _keyword_only(QueryService) == [
+        "planners",
+        "backend",
+        "plan_cache_size",
+        "check_constraints",
+        "budget",
+        "inner_size_cutoff",
+        "shards",
+        "plan_store",
+        "replan_factor",
+        "max_replans",
+    ]
+    for retired in ("verify_plans", "codegen", "codegen_warmup"):
+        with pytest.raises(TypeError, match=retired):
+            QueryService(None, None, **{retired: 0})
+    # codegen_warmup is ignored, kept for bench/staged.py (ROADMAP item 1).
+    assert _keyword_only(ViewMaintainer) == ["subscribe", "codegen_warmup"]

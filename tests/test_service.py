@@ -21,6 +21,8 @@ from repro.engine.service import (
 )
 from repro.errors import PlanError, QueryError
 
+from conftest import interpreted
+
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 SCHEMA = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
@@ -535,7 +537,6 @@ def _growing_service():
         database,
         access,
         planners=("cost", "topped"),
-        codegen=False,
     )
 
 
@@ -566,6 +567,103 @@ def test_adaptive_replan_fires_once_and_never_changes_answers():
     assert explanation.replans == 1
     assert "re-plan threshold" in explanation.replan_reason
     assert "replanned:" in explanation.render()
+    service.close()
+
+
+def test_prepared_query_follows_the_entry_a_replan_swapped_in(monkeypatch):
+    """A re-plan retires the entry a prepared hot-key query holds: the
+    prepared query moves on to the replacement -- its plan, compiled, with no
+    further planner run -- instead of re-planning on every mis-estimated
+    execution of the retired entry, a swap that could never win."""
+    from repro.engine.service.planners import CostBasedPlanner
+    from repro.storage.updates import Deletion, Insertion, UpdateBatch
+    from repro.workloads import skewed
+
+    calls = []
+    plan = CostBasedPlanner.plan
+    monkeypatch.setattr(
+        CostBasedPlanner, "plan", lambda self, *args: calls.append(1) or plan(self, *args)
+    )
+    database = skewed.generate(hot_fans=400, users=1000, seed=5).database
+    service = QueryService(
+        database, skewed.access_schema(), skewed.views(),
+        planners=("cost", "topped"), replan_factor=2.0,
+    )
+    query = skewed.query_feed()
+    prepared = service.prepare(query)
+    prepared.execute()
+    held = prepared.entry
+    # The hot celebrity's fans leave: the held plan's estimate is now >2x off.
+    fans = sorted(row for row in database.relation("follows") if row[0] == skewed.HOT_CELEB)
+    service.apply(
+        UpdateBatch(
+            [Deletion("follows", row) for row in fans[5:]]
+            + [Insertion("follows", ("c_away", row[1])) for row in fans[5:]]
+        )
+    )
+    prepared.execute()  # observes the miss; the re-plan swaps in a new entry
+    ((_, successor),) = service.plan_cache.entries()
+    assert successor is not held and successor.plan != held.plan
+    planned = len(calls)
+    answers = [prepared.execute() for _ in range(3)]
+    assert len(calls) == planned
+    assert prepared.entry is successor and successor.executions == 3
+    reference = interpreted(service, query)
+    for answer in answers:
+        assert answer.execution_tier == "compiled"
+        assert (answer.rows, answer.tuples_fetched) == (
+            reference.rows, reference.stats.tuples_fetched,
+        )
+    assert service.stats.snapshot().replans == 1
+    service.close()
+
+
+def test_replanned_plan_failing_verification_is_refused_and_never_swapped_in(
+    monkeypatch,
+):
+    """A re-planned entry is admitted like a fresh one: when the corrected
+    chain emits a plan the verifier rejects, the execution that triggered the
+    re-plan raises the typed refusal, and the held entry stays cached, keeps
+    its closure and gains no successor."""
+    from repro.analysis import plan_mutations
+    from repro.engine.service.planners import CostBasedPlanner
+    from repro.errors import PlanVerificationError
+    from repro.storage.updates import Deletion, Insertion, UpdateBatch
+    from repro.workloads import skewed
+
+    corrupt = []
+    plan = CostBasedPlanner.plan
+
+    def planning(self, *args):
+        result = plan(self, *args)
+        if corrupt and result.found:
+            result.plan = plan_mutations(result.plan, seed=3)[0].plan
+        return result
+
+    monkeypatch.setattr(CostBasedPlanner, "plan", planning)
+    database = skewed.generate(hot_fans=400, users=1000, seed=5).database
+    service = QueryService(
+        database, skewed.access_schema(), skewed.views(),
+        planners=("cost", "topped"), replan_factor=2.0,
+    )
+    prepared = service.prepare(skewed.query_feed())
+    prepared.execute()
+    held = prepared.entry
+    closure = held.compiled
+    fans = sorted(row for row in database.relation("follows") if row[0] == skewed.HOT_CELEB)
+    service.apply(
+        UpdateBatch(
+            [Deletion("follows", row) for row in fans[5:]]
+            + [Insertion("follows", ("c_away", row[1])) for row in fans[5:]]
+        )
+    )
+    corrupt.append(True)
+    with pytest.raises(PlanVerificationError):
+        prepared.execute()  # the miss re-plans; admission refuses the result
+    ((_, cached),) = service.plan_cache.entries()
+    assert cached is held and held.compiled is closure
+    assert held.successor is None and prepared.entry is held
+    assert service.stats.snapshot().replans == 0
     service.close()
 
 
@@ -622,13 +720,13 @@ def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
     """The greedy builder ignores corrections, so under the default chain a
     re-plan finds the plan it was meant to replace: the attempt is charged to
     the budget and reported, the entry, its counters and its compiled closure
-    stay (it used to be swapped, re-warmed and recompiled for nothing)."""
+    stay."""
     from repro.workloads import skewed
 
     instance = skewed.generate(hot_fans=100, users=300, seed=5)
     service = QueryService(
         instance.database, skewed.access_schema(), skewed.views(),
-        replan_factor=0.5, codegen_warmup=0,
+        replan_factor=0.5,
     )
     query = skewed.query_feed()
     first = service.query(query)
@@ -649,34 +747,27 @@ def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
 @pytest.mark.parametrize(
     "planners", [("heuristic", "topped"), ("cost", "topped")]
 )
-@pytest.mark.parametrize("codegen", [False, True])
-def test_shard_variants_are_meter_identical(rs_database, planners, codegen):
+@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+def test_shard_variants_are_meter_identical(rs_database, planners, tier):
     """shards=1/2/4 answer with bit-identical rows and Dxi accounting,
     whichever planner chose the join order and whichever tier executed;
     shards=1 (one partition, no routing or pruning) is the reference."""
     query = anchored_chain()
     baseline = None
     for shards in (1, 2, 4):
-        service = QueryService(
-            rs_database,
-            ACCESS,
-            planners=planners,
-            shards=shards,
-            codegen=codegen,
-            codegen_warmup=0,
-        )
-        answer = service.query(query)
-        assert answer.used_bounded_plan
-        observed = (
-            answer.rows,
-            answer.tuples_fetched,
-            answer.tuples_scanned,
-            answer.view_tuples_scanned,
-        )
+        service = QueryService(rs_database, ACCESS, planners=planners, shards=shards)
+        if tier == "compiled":
+            answer = service.query(query)
+            assert answer.used_bounded_plan and answer.execution_tier == tier
+            observed = (answer.rows, answer.tuples_fetched, answer.view_tuples_scanned)
+        else:
+            result = interpreted(service, query)
+            stats = result.stats
+            observed = (result.rows, stats.tuples_fetched, stats.view_tuples_scanned)
         if baseline is None:
             baseline = observed
         else:
-            assert observed == baseline, (planners, codegen, shards)
+            assert observed == baseline, (planners, tier, shards)
         service.close()
 
 
@@ -688,7 +779,6 @@ def test_plan_store_restart_first_execution_is_compiled(rs_database, tmp_path):
         ACCESS,
         planners=("cost", "topped"),
         plan_store=path,
-        codegen_warmup=0,
     )
     expected = first.query(query)
     assert expected.execution_tier == "compiled"
@@ -699,11 +789,10 @@ def test_plan_store_restart_first_execution_is_compiled(rs_database, tmp_path):
         ACCESS,
         planners=("cost", "topped"),
         plan_store=path,
-        codegen_warmup=0,
     )
     answer = second.query(query)
     assert answer.rows == expected.rows
     assert answer.cache_hit  # no re-planning after the restart
-    assert answer.execution_tier == "compiled"  # no re-warmup either
+    assert answer.execution_tier == "compiled"  # recompiled when restored
     assert second.stats.snapshot().plan_store_hits == 1
     second.close()

@@ -218,7 +218,7 @@ def test_concurrent_readers_never_observe_torn_state(shards):
 
     # Serial oracle: the exact (rows, Dξ, view scans) of every version.
     serial = gs.generate(**generate)
-    oracle = _service(serial, shards=shards, codegen_warmup=0)
+    oracle = _service(serial, shards=shards)
     batches = _paired_batches(serial.database, 8)
     answer = oracle.query(q0)
     valid = {(answer.rows, answer.tuples_fetched, answer.view_tuples_scanned)}
@@ -231,7 +231,7 @@ def test_concurrent_readers_never_observe_torn_state(shards):
     # same batches while readers hammer Q0.  Every observation must be one
     # of the serial versions — snapshot publication is all-or-nothing.
     concurrent = gs.generate(**generate)
-    service = _service(concurrent, shards=shards, codegen_warmup=0)
+    service = _service(concurrent, shards=shards)
     live_batches = _paired_batches(concurrent.database, 8)
     done = threading.Event()
     torn: list[tuple] = []

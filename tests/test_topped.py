@@ -233,10 +233,11 @@ def test_example_53_query_q3_is_topped():
         facts = dict(db.facts)
         facts.update(service.view_cache)
         assert kept.rows == evaluate_fo(q3, facts, head=(Z,))
-        with QueryService(db, access, views, codegen=False) as fresh:
-            replanned = fresh.query(q3, head=(Z,))
+        with QueryService(db, access, views) as fresh:
+            entry, _ = fresh.plan(q3, head=(Z,))
+            replanned = fresh.execute_plan(entry.plan)
         assert (kept.rows, kept.tuples_fetched) == (
-            replanned.rows, replanned.tuples_fetched
+            replanned.rows, replanned.stats.tuples_fetched
         )
     assert (4,) in kept.rows
     # Without a bounded plan there is nothing to answer from: the full-scan

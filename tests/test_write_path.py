@@ -19,6 +19,8 @@ from repro.workloads import graph_search as gs
 from repro.workloads import skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
+from conftest import interpreted
+
 
 # --------------------------------------------------------------------------- #
 # DeltaStream semantics
@@ -161,12 +163,10 @@ def test_apply_keeps_answers_identical_to_baseline(gs_service):
 def test_bulk_batches_net_apply_and_maintain_on_the_compiled_tier(gs_1000):
     """Five seeded 1000-update batches, each on the state the last one left:
     what nets out and what the access schema admits is a function of data and
-    seed (4 729 = 1 658 + 3 071 in all), and with ``codegen_warmup=0`` both
-    touched views run generated kernels every time."""
+    seed (4 729 = 1 658 + 3 071 in all), and both touched views run
+    generated kernels every time."""
     database, q0 = gs_1000.database, gs.query_q0()
-    service = QueryService(
-        database, gs.access_schema(n0=gs_1000.n0), gs.views(), codegen_warmup=0
-    )
+    service = QueryService(database, gs.access_schema(n0=gs_1000.n0), gs.views())
     service.query(q0)  # a live cached plan to maintain through the writes
     counts = [(922, 300, 622), (946, 306, 640), (921, 330, 591), (940, 319, 621), (1000, 403, 597)]
     for seed, expected in zip(range(100, 105), counts):
@@ -256,22 +256,29 @@ def _observed(answer):
 
 
 def _assert_retained_hit(service, query):
-    """The read after a write: a compiled cache hit whose rows and Dξ equal
-    those of an interpreted-only service built after the write."""
+    """The read after a write: a compiled cache hit whose rows, Dξ and planner
+    equal those of the interpreted run of the plan a service built after the
+    write makes."""
     answer = service.query(query)
     assert answer.cache_hit and answer.execution_tier == "compiled"
-    with QueryService(
-        service.database, service.access_schema, service.views, codegen=False
-    ) as fresh:
-        assert _observed(answer) == _observed(fresh.query(query))
+    with QueryService(service.database, service.access_schema, service.views) as fresh:
+        reference = interpreted(fresh, query)
+        planner = fresh.plan(query)[0].planner
+    assert (
+        answer.rows, answer.tuples_fetched, answer.view_tuples_scanned, answer.planner
+    ) == (
+        reference.rows,
+        reference.stats.tuples_fetched,
+        reference.stats.view_tuples_scanned,
+        planner,
+    )
     return answer
 
 
 def test_written_relations_keep_their_cached_plans(gs_service):
     _instance, service = gs_service
     movie_query = "Q(mid) :- movie(mid, t, 'Sony', '2013'), rating(mid, 4)"
-    for _ in range(3):  # past the default warmup: compiled
-        service.query(movie_query)
+    service.query(movie_query)
     # One write touches only person, the other the relations the plan fetches.
     person = ("p_cache_test", "fresh", "ESA")
     service.apply(UpdateBatch([Insertion("person", person)]))
@@ -289,8 +296,7 @@ def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
     _instance, service = gs_service
     # Q0's bounded plan scans V1 (person ⋈ movie ⋈ like): the retained closure
     # must read the maintained view rows, not the ones it was compiled beside.
-    for _ in range(3):
-        before = service.query(gs.query_q0())
+    before = service.query(gs.query_q0())
     nasa_pid = next(
         row[0] for row in service.database.relation("person") if row[2] == "NASA"
     )
@@ -310,14 +316,14 @@ def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
 
 
 def test_retention_is_not_a_knob(gs_service):
-    """Thirteen keyword knobs; the one that selected eviction is a TypeError."""
+    """Ten keyword knobs; the one that selected eviction is a TypeError."""
     instance, _service = gs_service
     knobs = [
         parameter.name
         for parameter in inspect.signature(QueryService).parameters.values()
         if parameter.kind is parameter.KEYWORD_ONLY
     ]
-    assert len(knobs) == 13
+    assert len(knobs) == 10
     removed = "retain_plans" + "_on_write"  # in halves: greps for it stay empty
     assert removed not in knobs
     with pytest.raises(TypeError, match=removed):
@@ -373,12 +379,11 @@ def test_retained_plans_agree_with_a_service_built_after_every_write(
     """
     database, access, views, queries, (text, bindings) = _differential_cases(workload)
     options = {"shards": shards, "backend": backend}
-    service = QueryService(database, access, views, codegen_warmup=1, **options)
+    service = QueryService(database, access, views, **options)
     prepared = service.prepare(text)
-    for _ in range(2):
-        outcomes = [service.query(query).used_bounded_plan for query in queries]
-        for binding in bindings:
-            prepared.execute(params=binding)
+    outcomes = [service.query(query).used_bounded_plan for query in queries]
+    for binding in bindings:
+        prepared.execute(params=binding)
     assert any(outcomes) and (workload != "skewed" or not all(outcomes))
     stats = service.plan_cache.stats
 

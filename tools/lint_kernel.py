@@ -87,7 +87,7 @@ inspection (no imports of the checked code, so it runs on any tree):
     Whether a query has a bounded plan, and which, depends on the query, the
     access schema and the views — never on the data — and closures late-bind
     snapshot and view cache, so evicting on a write only buys re-planning,
-    re-verification and an interpreted warm-up for the same plan.
+    re-verification and recompilation of the same plan.
 
 Usage::
 
