@@ -17,8 +17,8 @@ are counted once per plan occurrence.
 
 The executor is deliberately decoupled from the storage layer: any *fetch
 provider* (:class:`FetchProvider`: ``fetch`` per key, ``fetch_many`` per
-key batch) works — :class:`repro.storage.indexes.IndexSet` and the MVCC
-snapshots are the standard ones.
+key batch) works — the MVCC snapshots
+(:class:`repro.storage.snapshots.DatabaseSnapshot`) are the standard one.
 """
 
 from __future__ import annotations

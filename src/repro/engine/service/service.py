@@ -377,13 +377,13 @@ class QueryService:
                 "the single-partition default"
             )
         # Reads are served from immutable snapshot versions advanced by
-        # Database.apply; the live indices are the write path's
-        # admissibility surface.
-        self._indexes = IndexSet(database, access_schema)
+        # Database.apply; the same versions are the write path's
+        # admissibility surface (the only access-constraint index).
         layout = ShardingLayout.derive(database.schema, access_schema, shards)
         self._snapshots: SnapshotManager = database.enable_snapshots(
             layout, access_schema
         )
+        self._indexes = IndexSet(database, access_schema, self._snapshots)
         self._router = ShardRouter(access_schema, layout)
         # The persistent query_many worker pool: created lazily on the first
         # parallel batch, reused for the service's lifetime, released by
@@ -476,8 +476,8 @@ class QueryService:
 
     @property
     def indexes(self) -> IndexSet:
-        """The live access-constraint indices (observer-maintained); reads
-        are served from snapshots, writes check admissibility here."""
+        """The access-constraint indices as a fetch provider over this
+        service's snapshots (always the current version)."""
         return self._indexes
 
     @property
@@ -494,7 +494,7 @@ class QueryService:
         """Catch out-of-band mutations before serving from a snapshot.
 
         Writes through :meth:`Database.apply` advance the snapshot inside the
-        transaction; direct ``Relation.insert``/``delete`` calls bypass the
+        transaction; direct ``Relation.add``/``discard`` calls bypass the
         delta stream, so the snapshot manager compares per-relation mutation
         counters and rebuilds the drifted relations here.  The check is two
         integer loads per relation on the (overwhelmingly common) clean path.
@@ -542,22 +542,26 @@ class QueryService:
 
         The first-class write API.  With ``enforce_admissible`` (the
         default), insertions that would violate an access constraint are
-        skipped and counted in the report — the check inspects only the
-        index buckets the update touches, keeping ``D |= A`` with bounded
-        work.  Applying the admitted updates maintains, in order: the
-        relations' caches, secondary indexes and statistics plus every
-        access-constraint index (per-row observers); then, via the committed
+        skipped and counted in the report — the check reads only the
+        snapshot index buckets the update touches plus the transaction's own
+        staged changes, keeping ``D |= A`` with bounded work.  A malformed
+        update (unknown relation, wrong arity) raises before anything is
+        written.  The netted transaction then maintains, in order: each
+        touched relation's rows, statistics and secondary indexes (one
+        set-at-a-time delta per relation); the snapshot, advanced from the
+        staged overlay; and, via the committed
         :class:`~repro.storage.deltas.DeltaStream`, the materialised views
         (compiled delta plans — counting where sound, DRed otherwise) and
         the execution backends (the SQLite backend replays the same delta
         instead of reloading).  Cached plans and their compiled closures are
         data-independent and stay where they are.
         """
-        updates = batch if isinstance(batch, UpdateBatch) else UpdateBatch(batch)
-        updates.validate(self.database)
+        # Admission reads the published version: heal an out-of-band write
+        # into it first.
+        self._sync_serving()
         self._last_maintenance = None
         stream = self.database.apply(
-            updates, admit=self._indexes.admissible if enforce_admissible else None
+            batch, admit=self._snapshots.admits if enforce_admissible else None
         )
         maintenance = self._last_maintenance
         self._last_maintenance = None

@@ -1,7 +1,7 @@
 """Storage substrate: instances, indices, statistics, updates, delta streams."""
 
 from .deltas import DeltaObserver, DeltaStream
-from .indexes import AccessIndex, IndexSet
+from .indexes import IndexSet
 from .instance import Database, Relation
 from .statistics import (
     constraint_bound,
@@ -11,7 +11,6 @@ from .statistics import (
 from .updates import Deletion, Insertion, UpdateBatch, random_update_batch
 
 __all__ = [
-    "AccessIndex",
     "Database",
     "Deletion",
     "DeltaObserver",

@@ -1,7 +1,7 @@
 """The delta-stream protocol: net per-transaction changes, observable.
 
 Bounded view maintenance (the paper's Section 8 follow-up) needs one shared
-change channel: indexes, statistics, materialised views, plan caches and
+change channel: indexes, statistics, snapshots, materialised views and
 execution backends all have to learn *what changed* without re-reading the
 database.  This module defines that channel:
 
@@ -14,18 +14,21 @@ database.  This module defines that channel:
 * :class:`DeltaObserver` — the subscriber protocol.  Observers register with
   :meth:`repro.storage.instance.Database.subscribe` and receive one
   ``on_delta(stream)`` call per committed transaction, *after* the database
-  (and its per-row-maintained indexes and statistics) reached the new state.
+  reached the new state.
 
-Two granularities, one protocol: per-row observers (access-constraint
-indexes, secondary indexes, statistics) ride on the relation-level hooks of
-:class:`~repro.storage.instance.Relation` and stay O(1) per tuple; the
-transaction-level observers here see the netted batch, which is what view
-maintenance and the execution backends want.
+The stream is also the write path's working set.  Phase 1 of
+:meth:`~repro.storage.instance.Database.apply` decides each update's set
+membership against the live rows plus the stream's net sets
+(:meth:`DeltaStream.holds`), so netting happens before storage is touched;
+phase 2 then hands each relation its netted ``(inserted, deleted)`` once.
+Storage, statistics and secondary indexes are maintained set-at-a-time from
+the same netted batch that view maintenance and the execution backends
+consume.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Container, Protocol, runtime_checkable
 
 #: A data row (kept structural: storage does not import the exec kernel).
 Row = tuple[object, ...]
@@ -87,8 +90,11 @@ class DeltaStream:
         else:
             self._inserted.setdefault(relation, set()).add(row)
 
-    def record_delete(self, relation: str, row: Row) -> None:
-        """Record one applied deletion (the row was present before)."""
+    def record_delete(self, relation: str, row: Row) -> bool:
+        """Record one applied deletion (the row was present before).
+
+        Returns whether it cancels an insertion of the same transaction.
+        """
         self._order.setdefault(relation, None)
         self.applied_deletions += 1
         self._inserted_rows.pop(relation, None)
@@ -96,8 +102,18 @@ class DeltaStream:
         inserted = self._inserted.get(relation)
         if inserted is not None and row in inserted:
             inserted.discard(row)  # added by this transaction: net zero
-        else:
-            self._deleted.setdefault(relation, set()).add(row)
+            return True
+        self._deleted.setdefault(relation, set()).add(row)
+        return False
+
+    def holds(self, relation: str, row: Row, live: Container[Row]) -> bool:
+        """Is ``row`` in ``relation`` once the net changes recorded so far
+        are laid over ``live``, the relation's pre-transaction rows?"""
+        inserted = self._inserted.get(relation)
+        if inserted is not None and row in inserted:
+            return True
+        deleted = self._deleted.get(relation)
+        return row in live and (deleted is None or row not in deleted)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -168,5 +184,5 @@ class DeltaObserver(Protocol):
 
     def on_delta(self, stream: DeltaStream) -> None:
         """Called once per non-empty transaction, after the database reached
-        the new state (per-row maintained indexes and statistics included)."""
+        the new state (statistics, secondary indexes and snapshots included)."""
         ...

@@ -1,4 +1,4 @@
-"""Per-column distribution summaries: equi-depth histograms and HLL sketches.
+"""Per-column distribution summaries: equi-depth histograms.
 
 Storage-private module (enforced by ``tools/lint_kernel.py``): the rest of
 the system reaches these summaries only through the statistics API
@@ -7,63 +7,27 @@ same way secondary indexes are reachable only through ``Relation.index_on``.
 
 The greedy orderer of PR 2 costs an access path by the *average* bucket size
 (cardinality over distinct count), which a single hot key can be off from by
-orders of magnitude.  Two structures close that gap per column:
+orders of magnitude.  :class:`EquiDepthHistogram` closes that gap per column:
+buckets of (approximately) equal row count over the column's sorted values.
+A heavy hitter occupies whole buckets by itself, so
+:meth:`~EquiDepthHistogram.estimate_eq` sees the skew that the average hides
+— this is what lets the DP join orderer tell a 2000-row probe key from a
+5-row one.  Exact distinct counts come from the relation's value counts.
 
-:class:`EquiDepthHistogram`
-    Buckets of (approximately) equal row count over the column's sorted
-    values.  A heavy hitter occupies whole buckets by itself, so
-    :meth:`~EquiDepthHistogram.estimate_eq` sees the skew that the average
-    hides — this is what lets the DP join orderer tell a 2000-row probe key
-    from a 5-row one.
-
-:class:`DistinctSketch`
-    A HyperLogLog-style distinct counter (stable CRC32 hashing, so estimates
-    are reproducible across processes — ``hash()`` is salted for strings).
-    The relation keeps exact distinct counts too (``_value_counts``); the
-    sketch is the mergeable, bounded-memory form the statistics fingerprint
-    and future cross-shard aggregation rely on.
-
-Both are maintained *incrementally* through the same per-row observer path
-that keeps indexes and statistics fresh inside a ``Database.apply``
-transaction (the PR 3 delta stream drives those hooks): an insert or delete
-adjusts one bucket / one register in O(log buckets).  Writes never trigger a
-rebuild — drifted histograms and delete-heavy sketches are rebuilt *lazily*
-on the next read, from the relation's exact value counts.
+Histograms are maintained *incrementally* by the relation's set-at-a-time
+write path (``Relation.apply_delta``): a committed delta folds in one net
+change per distinct value it touched — one bucket lookup per value, not per
+row.  Writes never trigger a rebuild; drifted histograms are rebuilt
+*lazily* on the next read, from the relation's exact value counts.
 """
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_left
-from typing import Iterable, Mapping
+from typing import Mapping
 
 #: Default number of equi-depth buckets per column.
 DEFAULT_BUCKETS = 32
-
-#: HyperLogLog register-index bits (m = 2**_HLL_P registers).
-_HLL_P = 8
-_HLL_M = 1 << _HLL_P
-#: Bias-correction constant alpha_m for m = 256.
-_HLL_ALPHA = 0.7213 / (1.0 + 1.079 / _HLL_M)
-
-
-def _stable_hash(value: object) -> int:
-    """A process-stable 32-bit hash of a column value.
-
-    ``hash()`` is randomised per process for strings, which would make
-    sketch estimates (and everything fingerprinted from them) flap across
-    restarts; CRC32 of the repr is stable and fast enough for the write
-    path.  CRC alone is too linear for HLL register indexing (similar keys
-    cluster in the low bits), so the result goes through a murmur3-style
-    finalizer to avalanche the bits.
-    """
-    digest = zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
-    digest ^= digest >> 16
-    digest = (digest * 0x85EBCA6B) & 0xFFFFFFFF
-    digest ^= digest >> 13
-    digest = (digest * 0xC2B2AE35) & 0xFFFFFFFF
-    digest ^= digest >> 16
-    return digest
 
 
 def _sort_key(value: object) -> tuple[str, object]:
@@ -84,9 +48,9 @@ class EquiDepthHistogram:
     name, then value), falling back to repr-keys when a column mixes
     unorderable values.
 
-    Mutations (:meth:`insert` / :meth:`delete`) adjust the covering bucket in
-    place and widen the edge buckets for out-of-range values; boundaries are
-    never re-derived on write.  :attr:`drifted` reports when enough mass
+    Mutations (:meth:`shift`, one per changed value) adjust the covering
+    bucket in place and widen the edge buckets for out-of-range values;
+    boundaries are never re-derived on write.  :attr:`drifted` reports when enough mass
     moved that the depths are no longer meaningful — the owner rebuilds from
     the exact value counts on the next read.
     """
@@ -234,8 +198,15 @@ class EquiDepthHistogram:
             self._lows[index] = key  # widen downwards (covers pre-first too)
         return index
 
-    def insert(self, value: object, new_value: bool) -> None:
-        """Fold one inserted row in; ``new_value`` marks a fresh distinct."""
+    def shift(self, value: object, rows: int, distincts: int) -> None:
+        """Fold in one value's net change from a committed delta.
+
+        ``rows`` more rows now hold ``value`` (fewer when negative);
+        ``distincts`` is ``+1`` when the value appeared, ``-1`` when its last
+        row left, else ``0``.  Locating the value widens an edge bucket
+        exactly as one row-at-a-time insert would, so a value whose rows
+        netted away (``rows == 0``) still moves the same edges.
+        """
         index = self._locate(value)
         if index is None:
             key = _repr_key(value) if self._repr_keys else _sort_key(value)
@@ -244,22 +215,11 @@ class EquiDepthHistogram:
             self._counts = [0]
             self._distincts = [0]
             index = 0
-        self._counts[index] += 1
-        self._total += 1
-        if new_value:
-            self._distincts[index] += 1
-            self._distinct_total += 1
-
-    def delete(self, value: object, last_of_value: bool) -> None:
-        """Fold one deleted row out; ``last_of_value`` drops a distinct."""
-        index = self._locate(value)
-        if index is None:
-            return
-        self._counts[index] = max(0, self._counts[index] - 1)
-        self._total = max(0, self._total - 1)
-        if last_of_value:
-            self._distincts[index] = max(0, self._distincts[index] - 1)
-            self._distinct_total = max(0, self._distinct_total - 1)
+        self._counts[index] += rows
+        self._total += rows
+        if distincts:
+            self._distincts[index] += distincts
+            self._distinct_total += distincts
 
     @property
     def drifted(self) -> bool:
@@ -280,69 +240,14 @@ class EquiDepthHistogram:
         return False
 
 
-class DistinctSketch:
-    """HyperLogLog-style distinct counter with stable hashing.
-
-    Insert-only by nature: deletions are tallied, and once they exceed a
-    quarter of the inserts the sketch reports itself :attr:`stale` — the
-    owning column summary then rebuilds it from the exact value counts on
-    the next read (never on the write path).
-    """
-
-    __slots__ = ("_registers", "_inserts", "_deletes")
-
-    def __init__(self) -> None:
-        self._registers = bytearray(_HLL_M)
-        self._inserts = 0
-        self._deletes = 0
-
-    @classmethod
-    def of(cls, values: Iterable[object]) -> "DistinctSketch":
-        sketch = cls()
-        for value in values:
-            sketch.insert(value)
-        return sketch
-
-    def insert(self, value: object) -> None:
-        digest = _stable_hash(value)
-        index = digest & (_HLL_M - 1)
-        window = digest >> _HLL_P  # remaining 24 bits
-        rank = (32 - _HLL_P) - window.bit_length() + 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
-        self._inserts += 1
-
-    def record_delete(self) -> None:
-        self._deletes += 1
-
-    @property
-    def stale(self) -> bool:
-        return self._deletes > max(16, self._inserts // 4)
-
-    def estimate(self) -> float:
-        """The HLL cardinality estimate (with small-range correction)."""
-        harmonic = 0.0
-        zeros = 0
-        for register in self._registers:
-            harmonic += 2.0 ** (-register)
-            if register == 0:
-                zeros += 1
-        raw = _HLL_ALPHA * _HLL_M * _HLL_M / harmonic
-        if raw <= 2.5 * _HLL_M and zeros:
-            import math
-
-            return _HLL_M * math.log(_HLL_M / zeros)
-        return raw
-
-
 class ColumnStatistics:
     """Live distribution summary of one column of one relation.
 
-    Bundles the exact distinct count (mirrored from the relation's value
-    counts), the :class:`DistinctSketch` estimate and the
-    :class:`EquiDepthHistogram`, and owns the lazy-rebuild policy: reads go
-    through :meth:`fresh`, which rebuilds whichever structure drifted from
-    the exact counts; writes only ever touch one bucket / one register.
+    Bundles the exact distinct count (read off the relation's value counts)
+    and the :class:`EquiDepthHistogram`, and owns the lazy-rebuild policy:
+    reads go through :meth:`fresh`, which rebuilds a drifted histogram from
+    the exact counts; writes (``Relation.apply_delta``) only ever shift one
+    bucket per changed value.
 
     Deliberately excluded from dataclass comparisons of its owner
     (:class:`repro.storage.statistics.RelationStatistics`): two statistics
@@ -350,37 +255,20 @@ class ColumnStatistics:
     histograms were bucketed.
     """
 
-    __slots__ = ("histogram", "sketch", "distinct", "_counts")
+    __slots__ = ("histogram", "_counts")
 
     def __init__(self, value_counts: Mapping[object, int]) -> None:
         self._counts = value_counts
         self.histogram = EquiDepthHistogram.build(value_counts)
-        self.sketch = DistinctSketch.of(value_counts)
-        self.distinct = len(value_counts)
 
-    # -- write path (one bucket / one register, never a rebuild) -------- #
-
-    def on_insert(self, value: object, new_value: bool) -> None:
-        self.histogram.insert(value, new_value)
-        if new_value:
-            self.sketch.insert(value)
-            self.distinct += 1
-
-    def on_delete(self, value: object, last_of_value: bool) -> None:
-        self.histogram.delete(value, last_of_value)
-        if last_of_value:
-            self.sketch.record_delete()
-            self.distinct = max(0, self.distinct - 1)
-
-    # -- read path ------------------------------------------------------ #
+    @property
+    def distinct(self) -> int:
+        return len(self._counts)
 
     def fresh(self) -> "ColumnStatistics":
-        """Self, after lazily rebuilding whatever drifted (reads only)."""
+        """Self, after lazily rebuilding a drifted histogram (reads only)."""
         if self.histogram.drifted:
             self.histogram = EquiDepthHistogram.build(self._counts)
-        if self.sketch.stale:
-            self.sketch = DistinctSketch.of(self._counts)
-        self.distinct = len(self._counts)
         return self
 
     def estimate_eq(self, value: object) -> float:
@@ -389,9 +277,6 @@ class ColumnStatistics:
 
     def average_bucket(self) -> float:
         return self.fresh().histogram.average_bucket()
-
-    def sketch_distinct(self) -> float:
-        return self.fresh().sketch.estimate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

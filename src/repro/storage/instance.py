@@ -7,25 +7,34 @@ and implements ``D |= A`` satisfaction of access schemas.
 
 Relations are more than plain tuple sets: each one lazily builds secondary
 hash indexes (:meth:`Relation.index_on` — the probe side of the execution
-kernel's joins) and per-relation cardinality/distinct statistics
-(:meth:`Relation.statistics` — consumed by the greedy join orderers and the
-service planners), both kept consistent under single-tuple mutations.
-Access-constraint indexes (:class:`repro.storage.indexes.AccessIndex`)
-register themselves as observers and are maintained incrementally too, so
-applying an update batch never forces a full index rebuild.
+kernel's joins) and per-relation cardinality/distinct statistics with
+per-column histograms (:meth:`Relation.statistics` — consumed by the join
+orderers and the service planners).
 
-Change propagation has two granularities, one protocol: per-row observers
-(indexes, statistics) ride the relation-level hooks, while transaction-level
-observers (materialised views, plan caches, execution backends) subscribe to
-the database (:meth:`Database.subscribe`) and receive one netted
-:class:`~repro.storage.deltas.DeltaStream` per committed :meth:`Database.apply`.
+There is one write path, and it is set-at-a-time.  :meth:`Database.apply`
+runs a transaction in two phases: phase 1 walks the updates once — schema
+checks, set membership against the live rows plus the transaction's net
+changes so far, and the admission predicate — and nets them into a
+:class:`~repro.storage.deltas.DeltaStream`; phase 2 hands each touched
+relation its netted ``(added, removed)`` once (:meth:`Relation.apply_delta`),
+which maintains the row set, the value counts, the histograms (one bucket
+lookup per changed value) and the secondary indexes per batch.  An
+out-of-band ``Relation.add`` / ``discard`` is a one-row batch through the
+same method.  Access-constraint indexes are not kept here at all: the MVCC
+snapshot version (:mod:`repro.storage.snapshots`) is the only one, advanced
+from the overlay its manager staged during phase 1.  Transaction-level
+observers (materialised views, execution backends) subscribe to the
+database (:meth:`Database.subscribe`) and receive the netted stream once per
+committed :meth:`Database.apply`.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..algebra.schema import DatabaseSchema, RelationSchema
 from ..core.access import AccessSchema
@@ -41,13 +50,13 @@ _MAX_CACHED_INDEXES = 8
 
 
 class _TrackedSet(set):
-    """The tuple set of a :class:`Relation`; mutations notify the owner.
+    """The tuple set of a :class:`Relation`; its mutators write through it.
 
     Storage-internal code (and a few long-standing tests) mutate
-    ``relation._tuples`` directly; routing the set's own mutators through
-    the relation keeps the cached frozen view, the secondary indexes, the
-    statistics and every registered access-constraint index consistent no
-    matter how a tuple enters or leaves the relation.
+    ``relation._tuples`` directly; each in-place mutator becomes one batch
+    through :meth:`Relation.apply_delta`, so the cached frozen view, the
+    secondary indexes and the statistics stay consistent no matter how a
+    tuple enters or leaves the relation.
     """
 
     __slots__ = ("_relation",)
@@ -56,54 +65,45 @@ class _TrackedSet(set):
         super().__init__()
         self._relation = relation
 
+    def _write(self, added: Collection[tuple], removed: Collection[tuple]) -> None:
+        if added or removed:
+            self._relation.apply_delta(added, removed)
+
     def add(self, row: tuple) -> None:
-        if row in self:
-            return
-        super().add(row)
-        self._relation._after_insert(row)
+        if row not in self:
+            self._write((row,), ())
 
     def discard(self, row: tuple) -> None:
-        if row not in self:
-            return
-        super().discard(row)
-        self._relation._after_delete(row)
+        if row in self:
+            self._write((), (row,))
 
     def remove(self, row: tuple) -> None:
         if row not in self:
             raise KeyError(row)
-        self.discard(row)
+        self._write((), (row,))
 
     def pop(self) -> tuple:
-        row = super().pop()
-        self._relation._after_delete(row)
+        if not self:
+            raise KeyError("pop from an empty set")
+        row = next(iter(self))
+        self._write((), (row,))
         return row
 
     def clear(self) -> None:
-        for row in list(self):
-            self.discard(row)
+        self._write((), set(self))
 
     def update(self, *iterables: Iterable[tuple]) -> None:
-        for iterable in iterables:
-            for row in iterable:
-                self.add(row)
+        self._write(set().union(*iterables).difference(self), ())
 
     def difference_update(self, *iterables: Iterable[tuple]) -> None:
-        for iterable in iterables:
-            for row in iterable:
-                self.discard(row)
+        self._write((), set().union(*iterables).intersection(self))
 
     def intersection_update(self, *iterables: Iterable[tuple]) -> None:
-        keep = set.intersection(*(set(i) for i in iterables)) if iterables else set(self)
-        for row in list(self):
-            if row not in keep:
-                self.discard(row)
+        self._write((), self.difference(self.intersection(*iterables)))
 
     def symmetric_difference_update(self, iterable: Iterable[tuple]) -> None:
-        for row in set(iterable):
-            if row in self:
-                self.discard(row)
-            else:
-                self.add(row)
+        other = set(iterable)
+        self._write(other.difference(self), other.intersection(self))
 
     def __ior__(self, other):  # noqa: ANN001 - mirrors set's signature
         self.update(other)
@@ -135,17 +135,14 @@ class Relation:
         # lazily, then maintained in place so statistics stay O(arity) to
         # refresh after a delta instead of O(|relation|).
         self._value_counts: list[dict[object, int]] | None = None
-        # Per-position distribution summaries (equi-depth histogram +
-        # distinct sketch).  Built lazily alongside the value counts on the
-        # first statistics() read, then maintained per row through the same
-        # _after_insert/_after_delete hooks that keep indexes fresh inside a
-        # Database.apply transaction — writes touch one bucket, never
-        # rebuild; drifted summaries rebuild lazily on the next read.  The
-        # hooks run before snapshots publish and observers fire, so planner
-        # reads are consistent with the MVCC version they pin.
+        # Per-position equi-depth histograms, built lazily alongside the
+        # value counts on the first statistics() read, then maintained by
+        # apply_delta — one bucket per changed value, never a rebuild;
+        # drifted histograms rebuild lazily on the next read.  apply_delta
+        # runs before snapshots publish and observers fire, so planner reads
+        # are consistent with the MVCC version they pin.
         self._column_summaries: list[ColumnStatistics] | None = None
-        self._observers: list[weakref.ref] = []
-        # Monotone mutation counter: snapshot managers compare it against the
+        # Monotone delta counter: snapshot managers compare it against the
         # value recorded at their last build to detect out-of-band mutations
         # (direct add/discard outside a Database.apply transaction).
         self._mutations = 0
@@ -153,33 +150,101 @@ class Relation:
         # queries (query_many's thread pool) may race to build the same
         # cache.  Mutations remain single-writer, as before.
         self._build_lock = threading.Lock()
-        for row in tuples:
-            self.add(row)
+        self.add_many(tuples)
 
     # ------------------------------------------------------------------ #
-    # Mutation
+    # Mutation: one set-at-a-time write path
     # ------------------------------------------------------------------ #
 
-    def add(self, row: Iterable[object]) -> None:
+    def _checked(self, row: Iterable[object]) -> tuple:
+        """``row`` as a tuple, or :class:`SchemaError` on a wrong arity."""
         row = tuple(row)
         if len(row) != self.schema.arity:
             raise SchemaError(
                 f"tuple {row!r} has arity {len(row)}, relation {self.schema.name!r} "
                 f"expects {self.schema.arity}"
             )
-        self._tuples.add(row)
+        return row
+
+    def add(self, row: Iterable[object]) -> None:
+        row = self._checked(row)
+        if row not in self._tuples:
+            self.apply_delta((row,), ())
 
     def add_many(self, rows: Iterable[Iterable[object]]) -> None:
-        for row in rows:
-            self.add(row)
+        """Insert every row (all arities checked first) as one batch."""
+        fresh = {self._checked(row) for row in rows}
+        fresh.difference_update(self._tuples)
+        if fresh:
+            self.apply_delta(fresh, ())
 
     def discard(self, row: Iterable[object]) -> bool:
         """Remove one tuple; returns whether it was present."""
         row = tuple(row)
-        if row in self._tuples:
-            self._tuples.discard(row)
-            return True
-        return False
+        if row not in self._tuples:
+            return False
+        self.apply_delta((), (row,))
+        return True
+
+    def apply_delta(
+        self,
+        added: Collection[tuple],
+        removed: Collection[tuple],
+        transient: Iterable[tuple] = (),
+    ) -> None:
+        """Apply one netted delta: the relation's only write path.
+
+        ``added`` rows must be absent, ``removed`` rows present, and the two
+        disjoint — :meth:`Database.apply` hands over each relation's netted
+        transaction, :meth:`add` / :meth:`discard` a one-row batch.  The row
+        set changes by two set operations; value counts and histograms by
+        one net count per distinct value (one histogram bucket lookup per
+        value, not per row); secondary indexes per batch.  ``transient``
+        rows were inserted and deleted again inside the transaction: they
+        leave every count alone but are located in the histograms all the
+        same, so the buckets end exactly where a row-at-a-time replay of the
+        transaction would leave them.
+        """
+        if added or removed:
+            tuples = self._tuples
+            set.difference_update(tuples, removed)
+            set.update(tuples, added)
+            self._mutations += 1
+            self._frozen = None
+            self._statistics = None
+        counts = self._value_counts
+        if counts is not None:
+            summaries = self._column_summaries
+            for position, per_value in enumerate(counts):
+                value_of = itemgetter(position)
+                net = Counter(map(value_of, added))
+                net.subtract(Counter(map(value_of, removed)))
+                histogram = summaries[position].histogram if summaries else None
+                if histogram is not None:
+                    for value in map(value_of, transient):
+                        net.setdefault(value, 0)
+                for value, change in net.items():
+                    before = per_value.get(value, 0)
+                    after = before + change
+                    if after > 0:
+                        per_value[value] = after
+                    elif before:
+                        del per_value[value]
+                    if histogram is not None:
+                        histogram.shift(value, change, (after > 0) - (before > 0))
+        for positions, index in list(self._indexes.items()):
+            if removed:
+                gone: dict[tuple, set[tuple]] = {}
+                for row in removed:
+                    gone.setdefault(tuple(row[p] for p in positions), set()).add(row)
+                for key, rows in gone.items():
+                    kept = [row for row in index.get(key, ()) if row not in rows]
+                    if kept:
+                        index[key] = kept
+                    else:
+                        index.pop(key, None)
+            for row in added:
+                index.setdefault(tuple(row[p] for p in positions), []).append(row)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -253,80 +318,11 @@ class Relation:
             self._statistics = statistics
         return statistics
 
-    # ------------------------------------------------------------------ #
-    # Change propagation
-    # ------------------------------------------------------------------ #
-
-    def register_observer(self, observer: object) -> None:
-        """Register an object with ``on_insert(row)``/``on_delete(row)`` hooks.
-
-        Observers are held weakly: an access-constraint index that goes out
-        of scope stops being maintained without explicit deregistration.
-        """
-        self._observers.append(weakref.ref(observer))
-
     @property
     def mutation_count(self) -> int:
-        """How many single-tuple mutations this relation has seen."""
+        """How many non-empty deltas this relation has applied (a one-row
+        write is one)."""
         return self._mutations
-
-    def _after_insert(self, row: tuple) -> None:
-        self._mutations += 1
-        self._frozen = None
-        self._statistics = None
-        counts = self._value_counts
-        if counts is not None:
-            summaries = self._column_summaries
-            for position, per_value in enumerate(counts):
-                value = row[position]
-                updated = per_value.get(value, 0) + 1
-                per_value[value] = updated
-                if summaries is not None:
-                    summaries[position].on_insert(value, updated == 1)
-        for positions, index in list(self._indexes.items()):
-            index.setdefault(tuple(row[p] for p in positions), []).append(row)
-        self._notify("on_insert", row)
-
-    def _after_delete(self, row: tuple) -> None:
-        self._mutations += 1
-        self._frozen = None
-        self._statistics = None
-        counts = self._value_counts
-        if counts is not None:
-            summaries = self._column_summaries
-            for position, per_value in enumerate(counts):
-                value = row[position]
-                remaining = per_value.get(value, 0) - 1
-                if remaining <= 0:
-                    per_value.pop(value, None)
-                else:
-                    per_value[value] = remaining
-                if summaries is not None:
-                    summaries[position].on_delete(value, remaining <= 0)
-        for positions, index in list(self._indexes.items()):
-            key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                try:
-                    bucket.remove(row)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not bucket:
-                    del index[key]
-        self._notify("on_delete", row)
-
-    def _notify(self, hook: str, row: tuple) -> None:
-        if not self._observers:
-            return
-        alive: list[weakref.ref] = []
-        for reference in self._observers:
-            observer = reference()
-            if observer is None:
-                continue
-            getattr(observer, hook)(row)
-            alive.append(reference)
-        if len(alive) != len(self._observers):
-            self._observers = alive
 
     # ------------------------------------------------------------------ #
 
@@ -363,14 +359,15 @@ class Database:
         self._relations: dict[str, Relation] = {
             relation.name: Relation(relation) for relation in schema
         }
-        # Transaction-level delta observers (weakly held, like the per-row
-        # relation observers): each committed apply() notifies them once.
+        # Transaction-level delta observers (weakly held): each committed
+        # apply() notifies them once.
         self._delta_observers: list[weakref.ref] = []
         # MVCC support: apply() is single-writer (the lock), the _applying
-        # flag marks the mid-batch window (snapshot staleness checks are
-        # suppressed while it is set), and registered snapshot managers are
-        # advanced — new version built and published — before delta
-        # observers run, so observers can pin the post-batch snapshot.
+        # flag marks the window between storage apply and snapshot publish
+        # (snapshot staleness checks are suppressed while it is set), and
+        # registered snapshot managers are advanced — new version built and
+        # published — before delta observers run, so observers can pin the
+        # post-batch snapshot.
         self._write_lock = threading.RLock()
         self._applying = False
         self._snapshot_managers: list[weakref.ref] = []
@@ -403,11 +400,11 @@ class Database:
     def subscribe(self, observer: object) -> None:
         """Subscribe an ``on_delta(stream)`` observer to committed transactions.
 
-        Observers are held weakly, mirroring the per-row relation observers: a
-        query service that goes out of scope stops being notified without
-        explicit deregistration.  Notification happens once per non-empty
-        :meth:`apply`, after the database (and every per-row-maintained
-        structure) reached the post-transaction state.
+        Observers are held weakly: a query service that goes out of scope
+        stops being notified without explicit deregistration.  Notification
+        happens once per non-empty :meth:`apply`, after the database (rows,
+        statistics, secondary indexes and published snapshots) reached the
+        post-transaction state.
         """
         self._delta_observers.append(weakref.ref(observer))
 
@@ -432,60 +429,89 @@ class Database:
         semantics — inserting a present tuple or deleting an absent one is a
         no-op.  ``admit`` is an optional per-update predicate evaluated
         against the *running* state right before each update (the service's
-        bounded admissibility check); rejected updates are skipped and counted
-        on the returned stream.
+        bounded admissibility check,
+        :meth:`~repro.storage.snapshots.SnapshotManager.admits`); rejected
+        updates are skipped and counted on the returned stream.
 
-        Every applied update maintains the relation's caches, secondary
-        indexes, statistics and access-constraint indexes in place (the
-        per-row observer path); after the whole batch, subscribed
-        transaction-level observers receive the netted :class:`DeltaStream`
-        exactly once.
+        Two phases.  Phase 1 (:meth:`_net`) walks the updates once and nets
+        them into the stream, staging each effective update into every
+        snapshot manager's overlay; it raises :class:`SchemaError` on an
+        unknown relation or a wrong arity before anything is written, so a
+        malformed batch leaves storage, snapshots and subscribers all-pre.
+        Phase 2 hands each touched relation its netted delta once
+        (:meth:`Relation.apply_delta`), advances the snapshot managers from
+        their overlays, and notifies the subscribed transaction-level
+        observers with the netted :class:`DeltaStream` exactly once.
         """
-        stream = DeltaStream()
         with self._write_lock:
-            self._applying = True
+            managers = self._managers()
             try:
-                for update in updates:
-                    relation = self._relation(update.relation)
-                    row = tuple(update.row)
-                    if admit is not None and not admit(update):
-                        stream.skipped_inadmissible += 1
-                        continue
-                    if update.is_insertion:
-                        if row not in relation:
-                            relation.add(row)
-                            stream.record_insert(update.relation, row)
-                    else:
-                        if relation.discard(row):
-                            stream.record_delete(update.relation, row)
-            finally:
-                # An exception mid-batch (bad arity, unknown relation) leaves
-                # the earlier updates applied — observers must still see that
-                # partial stream, or views and caches silently go stale.
-                # Snapshots advance first (while _applying still suppresses
-                # staleness rebuilds), then the flag drops, then observers run
-                # — they can pin the already-published post-batch snapshot.
+                stream, transient = self._net(updates, admit, managers)
+                # Snapshots advance while _applying suppresses staleness
+                # rebuilds; then the flag drops and observers run — they can
+                # pin the already-published post-batch snapshot.
+                self._applying = True
                 try:
+                    for name in stream.relations:
+                        self._relations[name].apply_delta(
+                            stream.inserted(name),
+                            stream.deleted(name),
+                            transient.pop(name, ()),
+                        )
+                    for name, rows in transient.items():  # netted away entirely
+                        self._relations[name].apply_delta((), (), rows)
                     if not stream.is_empty:
-                        self._advance_snapshots(stream)
+                        for manager in managers:
+                            manager.advance(stream)
                 finally:
                     self._applying = False
-                if not stream.is_empty:
-                    self._notify_delta(stream)
+            finally:
+                for manager in managers:
+                    manager.abandon()
+            if not stream.is_empty:
+                self._notify_delta(stream)
         return stream
 
-    def _advance_snapshots(self, stream: DeltaStream) -> None:
-        if not self._snapshot_managers:
-            return
-        alive: list[weakref.ref] = []
-        for reference in self._snapshot_managers:
-            manager = reference()
-            if manager is None:
+    def _net(
+        self,
+        updates: Iterable[object],
+        admit: Callable[[object], bool] | None,
+        managers: Sequence[object],
+    ) -> tuple[DeltaStream, dict[str, list[tuple]]]:
+        """Phase 1 of :meth:`apply`: the netted stream, and per relation the
+        rows inserted and deleted again inside the transaction.  Reads
+        storage, writes nothing but the stream and the managers' overlays."""
+        stream = DeltaStream()
+        transient: dict[str, list[tuple]] = {}
+        for update in updates:
+            name = update.relation
+            relation = self._relation(name)
+            row = relation._checked(update.row)
+            if admit is not None and not admit(update):
+                stream.skipped_inadmissible += 1
                 continue
-            manager.advance(stream)
-            alive.append(reference)
-        if len(alive) != len(self._snapshot_managers):
-            self._snapshot_managers = alive
+            if update.is_insertion:
+                if stream.holds(name, row, relation._tuples):
+                    continue
+                stream.record_insert(name, row)
+                sign = 1
+            else:
+                if not stream.holds(name, row, relation._tuples):
+                    continue
+                if stream.record_delete(name, row):
+                    transient.setdefault(name, []).append(row)
+                sign = -1
+            for manager in managers:
+                manager.stage(name, row, sign)
+        return stream, transient
+
+    def _managers(self) -> list:
+        """The live snapshot managers (dead weak references pruned)."""
+        managers = [reference() for reference in self._snapshot_managers]
+        alive = [manager for manager in managers if manager is not None]
+        if len(alive) != len(managers):
+            self._snapshot_managers = [weakref.ref(manager) for manager in alive]
+        return alive
 
     def enable_snapshots(self, layout, access_schema: AccessSchema):
         """Register (and return) an MVCC snapshot manager for this database.
@@ -493,7 +519,7 @@ class Database:
         ``layout`` is a :class:`~repro.storage.snapshots.ShardingLayout`;
         the manager immediately builds and publishes version 0 from the
         current data and is advanced by every committed :meth:`apply`.
-        Managers are held weakly, mirroring the observer protocols: a
+        Managers are held weakly, mirroring the observer protocol: a
         service that goes away stops paying the per-transaction advance.
         """
         from .snapshots import SnapshotManager

@@ -1,16 +1,21 @@
 """MVCC snapshots: immutable, hash-sharded versions of a database instance.
 
-The PR 2 frozen-tuple views (``Relation.tuples``) gave single reads a stable
-set to iterate; this module promotes them into real multi-version concurrency
-control.  A :class:`DatabaseSnapshot` is a fully immutable picture of the
-instance — per-relation row versions plus per-access-constraint index
-versions — and :class:`SnapshotManager` publishes a new one per committed
+A :class:`DatabaseSnapshot` is a fully immutable picture of the instance —
+per-relation row versions plus per-access-constraint index versions — and
+:class:`SnapshotManager` publishes a new one per committed
 :meth:`repro.storage.instance.Database.apply` transaction with a single
 reference swap.  Readers pin the current snapshot for their whole execution,
 so they never block on, nor observe, an in-flight write; writers never wait
-for readers.  Building the next version is copy-on-write from the netted
-:class:`~repro.storage.deltas.DeltaStream`: only the shards and index keys a
-batch touched are copied.
+for readers.
+
+The snapshot version is the *only* access-constraint index.  Every fetch is
+served from a :class:`ConstraintIndexVersion`, and so is the write path's
+bounded admissibility check: while a transaction runs, its manager stages
+each effective update into an overlay keyed by ``(constraint, key)``, and
+:meth:`SnapshotManager.admits` reads the current version's bucket plus that
+overlay — a bounded number of index entries.  :meth:`SnapshotManager.advance`
+then applies the same overlay copy-on-write: only the shards and index keys
+the transaction touched are copied.
 
 Sharding rides the same structures.  A :class:`ShardingLayout` partitions
 each relation's tuples and each access-constraint index's buckets by a
@@ -27,8 +32,8 @@ touches can be derived statically from its fetch certificates
 
 A snapshot (or its metered, per-execution :meth:`DatabaseSnapshot.bound_to`
 binding) satisfies the executor's fetch-provider protocol, so both the
-interpreted kernel and the codegen tier's late-bound runtime resolve against
-a pinned snapshot unchanged.
+interpreted kernel and the compiled closures resolve against a pinned
+snapshot unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.schema import DatabaseSchema
@@ -47,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (instance imports us)
     from .instance import Database
 
 _EMPTY: frozenset[tuple] = frozenset()
+_NO_BUCKET: Mapping[tuple, int] = MappingProxyType({})
 
 
 def shard_of(key: Sequence[object], shard_count: int) -> int:
@@ -206,19 +213,17 @@ class RelationVersion:
 class ConstraintIndexVersion:
     """One immutable version of an access-constraint index, sharded by key.
 
-    The buckets mirror :class:`~repro.storage.indexes.AccessIndex`: per key,
-    a mapping of XY-projection -> supporting-tuple count (so deleting one of
-    several base rows behind the same projection keeps it alive).  Partitioned
-    indexes spread their buckets by ``hash(key) % shard_count``; global ones
-    keep a single shard.  ``lookup`` therefore probes exactly one shard and
-    returns the same frozenset an unsharded index would.
+    Per key, a bucket maps each XY-projection to its supporting-tuple count
+    (so deleting one of several base rows behind the same projection keeps
+    it alive).  Partitioned indexes spread their buckets by
+    ``hash(key) % shard_count``; global ones keep a single shard.  ``lookup``
+    therefore probes exactly one shard and returns the same frozenset an
+    unsharded index would.
     """
 
     __slots__ = (
         "constraint",
         "partitioned",
-        "_x_positions",
-        "_out_positions",
         "shards",
         "_frozen",
     )
@@ -227,15 +232,11 @@ class ConstraintIndexVersion:
         self,
         constraint: AccessConstraint,
         partitioned: bool,
-        x_positions: tuple[int, ...],
-        out_positions: tuple[int, ...],
         shards: tuple[dict[tuple, dict[tuple, int]], ...],
         frozen: dict[tuple, frozenset[tuple]] | None = None,
     ) -> None:
         self.constraint = constraint
         self.partitioned = partitioned
-        self._x_positions = x_positions
-        self._out_positions = out_positions
         self.shards = shards
         # Per-key frozen lookup results.  This memo is the only mutable state
         # of a version; concurrent readers may race to fill the same key with
@@ -263,7 +264,7 @@ class ConstraintIndexVersion:
             value = tuple(row[p] for p in out_positions)
             counts = shards[shard_of(key, count)].setdefault(key, {})
             counts[value] = counts.get(value, 0) + 1
-        return cls(constraint, partitioned, x_positions, out_positions, shards)
+        return cls(constraint, partitioned, shards)
 
     def shard_for_key(self, key: tuple) -> int | None:
         """The shard a lookup of ``key`` probes, or ``None`` for global data."""
@@ -277,8 +278,9 @@ class ConstraintIndexVersion:
             shard = self.shards[shard_of(key, len(self.shards))]
             bucket = shard.get(key)
             if bucket is None:
-                # Misses are not memoised (unbounded key space), matching
-                # AccessIndex.lookup.
+                # Misses are not memoised: probe keys come from arbitrary
+                # plan rows, and caching every absent key would grow without
+                # bound.
                 return _EMPTY
             frozen = frozenset(bucket)
             self._frozen[key] = frozen
@@ -288,62 +290,57 @@ class ConstraintIndexVersion:
         """``[lookup(key) for key in keys]``: one call for a fetch step's batch."""
         return list(map(self.lookup, keys))
 
-    def apply(
-        self, inserted: frozenset[tuple], deleted: frozenset[tuple]
-    ) -> "ConstraintIndexVersion":
-        """The next version after a netted delta on the base relation.
+    def bucket(self, key: tuple) -> Mapping[tuple, int]:
+        """``key``'s projection -> support-count bucket (empty on a miss)."""
+        return self.shards[shard_of(key, len(self.shards))].get(key, _NO_BUCKET)
 
-        Copy-on-write: only shards owning a changed key copy their outer
-        bucket dict, and only changed keys copy their inner count dicts.  The
-        frozen-lookup memo carries over minus the changed keys.
+    def apply(
+        self, changes: Mapping[tuple, Mapping[tuple, int]]
+    ) -> "ConstraintIndexVersion":
+        """The next version after a staged per-key delta.
+
+        ``changes`` maps each touched key to ``{projection: net support
+        change}`` — the overlay :class:`SnapshotManager` staged while the
+        transaction ran.  Copy-on-write: only shards owning a changed key
+        copy their outer bucket dict, and only changed keys copy their inner
+        count dicts.  The frozen-lookup memo carries over minus the changed
+        keys.
         """
-        x_positions = self._x_positions
-        out_positions = self._out_positions
         count = len(self.shards)
-        changes: dict[int, dict[tuple, list[tuple[tuple, int]]]] = {}
-        for rows, delta in ((inserted, 1), (deleted, -1)):
-            for row in rows:
-                key = tuple(row[p] for p in x_positions)
-                value = tuple(row[p] for p in out_positions)
-                changes.setdefault(shard_of(key, count), {}).setdefault(
-                    key, []
-                ).append((value, delta))
         shards = list(self.shards)
+        copied: set[int] = set()
         frozen = dict(self._frozen)
-        for shard_index, per_key in changes.items():
-            shard = dict(shards[shard_index])
-            for key, updates in per_key.items():
-                counts = dict(shard.get(key, ()))
-                for value, delta in updates:
-                    remaining = counts.get(value, 0) + delta
-                    if remaining <= 0:
-                        counts.pop(value, None)
-                    else:
-                        counts[value] = remaining
-                if counts:
-                    shard[key] = counts
+        for key, deltas in changes.items():
+            if not deltas:
+                continue
+            index = shard_of(key, count)
+            if index not in copied:
+                shards[index] = dict(shards[index])
+                copied.add(index)
+            shard = shards[index]
+            counts = dict(shard.get(key, _NO_BUCKET))
+            for value, delta in deltas.items():
+                remaining = counts.get(value, 0) + delta
+                if remaining > 0:
+                    counts[value] = remaining
                 else:
-                    shard.pop(key, None)
-                frozen.pop(key, None)
-            shards[shard_index] = shard
+                    counts.pop(value, None)
+            if counts:
+                shard[key] = counts
+            else:
+                shard.pop(key, None)
+            frozen.pop(key, None)
         return ConstraintIndexVersion(
-            self.constraint,
-            self.partitioned,
-            x_positions,
-            out_positions,
-            tuple(shards),
-            frozen,
+            self.constraint, self.partitioned, tuple(shards), frozen
         )
 
 
 class DatabaseSnapshot:
     """A fully immutable version of a database instance.
 
-    Serves the executor's fetch-provider protocol directly (``fetch``), so a
-    pinned snapshot slots in wherever an
-    :class:`~repro.storage.indexes.IndexSet` does; :meth:`bound_to` wraps it
-    with per-execution shard accounting for a given
-    :class:`~repro.exec.iometer.IOMeter`.
+    Serves the executor's fetch-provider protocol directly (``fetch`` /
+    ``fetch_many``); :meth:`bound_to` wraps it with per-execution shard
+    accounting for a given :class:`~repro.exec.iometer.IOMeter`.
     """
 
     __slots__ = ("version", "layout", "relations", "indexes")
@@ -432,11 +429,13 @@ class BoundSnapshotReader:
 class SnapshotManager:
     """Builds, advances and publishes the snapshot chain of one database.
 
-    ``advance`` is called by :meth:`Database.apply` after the storage layer
-    reached the post-transaction state (still inside the write transaction):
-    it derives the next version copy-on-write from the netted delta and
-    publishes it with a single reference assignment — the only
-    synchronisation point readers ever see.  ``stale``/``refresh`` cover
+    Inside a :meth:`Database.apply` transaction (under its write lock) the
+    manager is the write path's constraint index: phase 1 folds every
+    effective update into an overlay (:meth:`stage`) and asks
+    :meth:`admits`, and phase 2 calls :meth:`advance` once storage
+    reached the post-transaction state — it applies the overlay
+    copy-on-write and publishes the next version with a single reference
+    assignment, the only synchronisation point readers ever see.  ``stale``/``refresh`` cover
     out-of-band mutations (direct ``Relation.add`` outside a transaction):
     per-relation mutation counters are compared against the counters recorded
     at the last build, and drifted relations are rebuilt wholesale from live
@@ -452,6 +451,25 @@ class SnapshotManager:
         self.database = database
         self.layout = layout
         self._constraints = tuple(constraints)
+        # Per relation: (constraint, X positions, XY positions, positions of
+        # Y inside XY) — what staging and admission compute a row's key,
+        # projection and Y-value from.
+        self._staging: dict[str, list[tuple]] = {}
+        for constraint in self._constraints:
+            relation = database.schema.relation(constraint.relation)
+            output = constraint.output_attributes
+            self._staging.setdefault(constraint.relation, []).append(
+                (
+                    constraint,
+                    relation.positions(constraint.x),
+                    relation.positions(output),
+                    tuple(output.index(a) for a in constraint.y),
+                )
+            )
+        # The running transaction's overlay, constraint -> key ->
+        # {projection: net support change}; None while nothing is staged.
+        self._overlay: dict[AccessConstraint, dict[tuple, dict[tuple, int]]] | None
+        self._overlay = None
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
         self._current = self._build_full(version=0)
@@ -496,23 +514,101 @@ class SnapshotManager:
         return DatabaseSnapshot(version, layout, relations, indexes)
 
     # ------------------------------------------------------------------ #
+    # The write path: staging, admission, advance
+    # ------------------------------------------------------------------ #
+
+    def abandon(self) -> None:
+        """Drop the overlay (a no-op once :meth:`advance` consumed it)."""
+        self._overlay = None
+
+    def stage(self, relation: str, row: tuple, sign: int) -> None:
+        """Fold one effective insertion (``sign=1``) or deletion (``-1``)
+        of ``row`` into the overlay of every constraint on ``relation``."""
+        overlay = self._overlay
+        if overlay is None:
+            overlay = self._overlay = {}
+        for constraint, x_positions, out_positions, _ in self._staging.get(
+            relation, ()
+        ):
+            per_key = overlay.get(constraint)
+            if per_key is None:
+                per_key = overlay[constraint] = {}
+            key = tuple(row[p] for p in x_positions)
+            changes = per_key.get(key)
+            if changes is None:
+                changes = per_key[key] = {}
+            value = tuple(row[p] for p in out_positions)
+            net = changes.get(value, 0) + sign
+            if net:
+                changes[value] = net
+            else:
+                del changes[value]
+
+    def admits(self, update: object) -> bool:
+        """Would applying ``update`` keep every constraint satisfied?
+
+        The bounded-admissibility check of the write path: per constraint on
+        the update's relation, it reads the one bucket the row's ``X``-value
+        hashes to in the current version, plus the transaction's overlay for
+        that key — at most ``N`` distinct projections plus what this
+        transaction staged, never the relation.  Re-inserting an existing
+        ``Y``-value never violates the bound; deletions are always
+        admissible.
+        """
+        if not update.is_insertion:  # type: ignore[attr-defined]
+            return True
+        row = tuple(update.row)  # type: ignore[attr-defined]
+        overlay = self._overlay or {}
+        indexes = self._current.indexes
+        for constraint, x_positions, out_positions, y_in_out in self._staging.get(
+            update.relation, ()  # type: ignore[attr-defined]
+        ):
+            key = tuple(row[p] for p in x_positions)
+            bucket = indexes[constraint].bucket(key)
+            projections = set(bucket)
+            for value, delta in overlay.get(constraint, {}).get(key, {}).items():
+                if bucket.get(value, 0) + delta > 0:
+                    projections.add(value)
+                else:
+                    projections.discard(value)
+            values = {tuple(value[i] for i in y_in_out) for value in projections}
+            values.add(tuple(row[out_positions[i]] for i in y_in_out))
+            if len(values) > constraint.bound:
+                return False
+        return True
 
     def advance(self, stream: DeltaStream) -> DatabaseSnapshot:
-        """Build and publish the next version from one committed delta."""
+        """Build and publish the next version from one committed delta.
+
+        Index versions take the overlay staged during the transaction; a
+        manager that did not see the transaction run (not registered with
+        the database) stages it from ``stream`` first.
+        """
         with self._lock:
+            if self._overlay is None:
+                for name in stream.relations:
+                    for row in stream.inserted(name):
+                        self.stage(name, row, 1)
+                    for row in stream.deleted(name):
+                        self.stage(name, row, -1)
+            overlay = self._overlay or {}
+            self._overlay = None
             current = self._current
             relations = dict(current.relations)
             indexes = dict(current.indexes)
             for name in stream.relations:
-                inserted = stream.inserted(name)
-                deleted = stream.deleted(name)
-                if not inserted and not deleted:
-                    continue
-                relations[name] = relations[name].apply(inserted, deleted)
-                for constraint, index in current.indexes.items():
-                    if constraint.relation == name:
-                        indexes[constraint] = index.apply(inserted, deleted)
-                self._counters[name] = self.database.relation(name).mutation_count
+                relations[name] = relations[name].apply(
+                    stream.inserted(name), stream.deleted(name)
+                )
+                # A transaction applies one delta per relation, so a relation
+                # in sync before it is in sync after; one with an out-of-band
+                # write still pending stays stale and is rebuilt on refresh().
+                count = self.database.relation(name).mutation_count
+                if self._counters.get(name) == count - 1:
+                    self._counters[name] = count
+            for constraint, changes in overlay.items():
+                if any(changes.values()):
+                    indexes[constraint] = indexes[constraint].apply(changes)
             snapshot = DatabaseSnapshot(
                 current.version + 1, current.layout, relations, indexes
             )

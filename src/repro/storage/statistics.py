@@ -53,7 +53,7 @@ class RelationStatistics:
     """Cardinality and per-attribute-position distinct counts of a relation.
 
     ``columns`` optionally carries the live per-column distribution
-    summaries (equi-depth histogram + distinct sketch, see
+    summaries (equi-depth histograms, see
     :mod:`repro.storage.histograms`).  It is excluded from equality on
     purpose: two statistics snapshots over the same data are equal whether
     or not histograms happen to be attached, and regardless of how their

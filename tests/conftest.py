@@ -111,8 +111,9 @@ def interpreted(service, query, params=None):
 @pytest.fixture(params=["index_set", "shards4_snapshot"])
 def gs_provider(request, gs_instance, gs_access):
     """``(provider, view_cache)`` over ``gs_instance`` for each fetch provider
-    a compiled closure meets: the live ``IndexSet``, and the published
-    snapshot of a ``shards=4`` service, which an execution binds to a
+    a compiled closure meets: a single-shard service's ``indexes`` (the
+    ``IndexSet`` facade over its snapshots), and the published snapshot of
+    a ``shards=4`` service, which an execution binds to a
     shard-recording reader (``bound_to``)."""
     shards = 4 if request.param == "shards4_snapshot" else 1
     with QueryService(

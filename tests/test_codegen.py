@@ -10,8 +10,8 @@ for the interpreted operator tree:
   interpreted), explain, per-tier stats, prepared/parameterised execution
   without ``bind_plan``, and closures that outlive writes and eviction;
 * the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
-  spanning product factors, ``π`` onto one factor — on the live
-  ``IndexSet`` and on a four-shard snapshot, shards touched included;
+  spanning product factors, ``π`` onto one factor — on the ``IndexSet``
+  facade and on a four-shard snapshot, shards touched included;
 * a differential property test over ~200 random CQs/UCQs on both backends,
   re-run after ``apply()`` write batches.
 """
@@ -528,7 +528,7 @@ def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_a
 
 # --------------------------------------------------------------------------- #
 # Set-at-a-time kernels: batched fetch, key-set semi-joins, spanning keys —
-# each on the live IndexSet and on a shards=4 snapshot (``gs_provider``)
+# each on the IndexSet facade and on a shards=4 snapshot (``gs_provider``)
 # --------------------------------------------------------------------------- #
 
 NOBODY = "no such studio"
@@ -705,7 +705,7 @@ def test_parameter_checks_on_a_batched_filtered_fetch(
 
 
 def test_fetch_many_equals_fetch_per_key_on_every_provider(gs_instance, gs_access):
-    """``fetch_many`` is ``[fetch(k) for k in keys]`` on the live IndexSet,
+    """``fetch_many`` is ``[fetch(k) for k in keys]`` on the IndexSet facade,
     a four-shard snapshot and its bound reader — rows in key order, and the
     reader records exactly the shards the per-key probes record."""
     movie, rating = sorted(gs_access, key=lambda c: c.relation)

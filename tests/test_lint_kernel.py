@@ -444,6 +444,58 @@ def test_resolve_stage_definition_and_reexport_are_allowed(tmp_path):
     assert lint_kernel.lint_tree(tmp_path) == []
 
 
+def test_row_observer_hooks_are_flagged(tmp_path):
+    """The fixture is the per-row observer protocol the write path replaced."""
+    _write(
+        tmp_path,
+        "src/repro/storage/indexes.py",
+        """
+        class AccessIndex:
+            def __init__(self, relation):
+                relation.register_observer(self)
+
+            def on_insert(self, row):
+                pass
+        """,
+    )
+    _write(
+        tmp_path,
+        "src/repro/storage/instance.py",
+        """
+        def _notify(observers, row):
+            for observer in observers:
+                getattr(observer, "on_delete")(row)
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert sorted((v.code, v.path.name, v.line) for v in violations) == [
+        ("kernel.row-observer", "indexes.py", 4),
+        ("kernel.row-observer", "indexes.py", 6),
+        ("kernel.row-observer", "instance.py", 4),
+    ]
+    assert "Relation.apply_delta" in violations[0].message
+
+
+def test_batch_writes_and_delta_observers_are_allowed(tmp_path):
+    # One netted delta per relation, and the transaction-level on_delta
+    # observer, are the write path itself.
+    _write(
+        tmp_path,
+        "src/repro/storage/instance.py",
+        """
+        class Relation:
+            def apply_delta(self, added, removed, transient=()):
+                self._tuples.difference_update(removed)
+                self._tuples.update(added)
+
+        def notify(observers, stream):
+            for observer in observers:
+                observer.on_delta(stream)
+        """,
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []
+
+
 def test_write_path_touching_the_plan_cache_is_flagged(tmp_path):
     """The fixture is the last ``on_delta`` that swept the cache per write."""
     _write(

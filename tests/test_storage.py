@@ -6,8 +6,9 @@ from repro.algebra.schema import schema_from_spec
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.errors import AccessConstraintError, SchemaError
 from repro.storage.generators import rng, zipf_index
-from repro.storage.indexes import AccessIndex, IndexSet
+from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database, Relation
+from repro.storage.snapshots import single_shard_layout
 from repro.storage.statistics import (
     constraint_bound,
     discover_access_constraints,
@@ -73,19 +74,27 @@ def test_duplicate_tuples_are_set_semantics(schema):
     assert db.size == 1
 
 
-def test_access_index_lookup(database):
+def _index_version(database, constraint):
+    """The constraint's index: its version in a freshly built snapshot."""
+    manager = database.enable_snapshots(single_shard_layout(), AccessSchema([constraint]))
+    return manager.current.index_for(constraint)
+
+
+def test_constraint_index_version_lookup(database):
     constraint = AccessConstraint("R", ("a",), ("b",), 2)
-    index = AccessIndex(constraint, database)
+    index = _index_version(database, constraint)
     assert index.lookup((1,)) == {(1, 10), (1, 11)}
     assert index.lookup((99,)) == frozenset()
-    assert index.max_group_size() == 2
-    assert index.output_attributes == ("a", "b")
+    assert max(len(bucket) for shard in index.shards for bucket in shard.values()) == 2
+    assert constraint.output_attributes == ("a", "b")
+    # Admission reads the raw bucket: projection -> supporting-row count.
+    assert index.bucket((2,)) == {(2, 20): 2}
+    assert index.bucket((99,)) == {}
 
 
-def test_access_index_with_empty_key(database):
+def test_constraint_index_version_with_empty_key(database):
     constraint = AccessConstraint("S", (), ("x",), 5)
-    index = AccessIndex(constraint, database)
-    assert index.lookup(()) == {("only",)}
+    assert _index_version(database, constraint).lookup(()) == {("only",)}
 
 
 def test_index_set_fetch_and_unknown_constraint(database):

@@ -82,13 +82,24 @@ def test_database_apply_admit_predicate_skips_and_counts():
     assert (2, 20) in database.relation("R")
 
 
-def test_database_apply_notifies_partial_stream_on_mid_batch_error():
-    """An exception mid-batch must still deliver the partial delta: the
-    earlier updates ARE applied, and observers going stale would be silent."""
+@pytest.mark.parametrize(
+    "bad", [Insertion("R", (9,)), Deletion("T", (1, 2))], ids=["arity", "relation"]
+)
+def test_database_apply_leaves_everything_all_pre_on_a_malformed_update(bad):
+    """Phase 1 checks every update before phase 2 writes anything: a wrong
+    arity or an unknown relation anywhere in the batch raises with storage,
+    statistics, the snapshot, the views and the subscribers all-pre."""
+    from repro.core.access import AccessConstraint
     from repro.errors import SchemaError
+    from repro.storage.snapshots import single_shard_layout
 
-    schema = schema_from_spec({"R": ("a", "b")})
-    database = Database(schema)
+    schema = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
+    database = Database(schema, {"R": {(1, 2)}, "S": {(2, 3)}})
+    access = AccessSchema((AccessConstraint("R", ("a",), ("b",), 2),))
+    manager = database.enable_snapshots(single_shard_layout(), access)
+    views = ViewSet((View("V", parse_cq("V(x, z) :- R(x, y), S(y, z)")),))
+    maintainer = ViewMaintainer(views, database, subscribe=True)
+    statistics = database.relation("R").statistics()
     streams = []
 
     class Observer:
@@ -97,12 +108,20 @@ def test_database_apply_notifies_partial_stream_on_mid_batch_error():
 
     observer = Observer()
     database.subscribe(observer)
+    facts, version = database.facts, manager.current.version
+    good = [Insertion("R", (5, 2)), Deletion("R", (1, 2))]
     with pytest.raises(SchemaError):
-        database.apply(
-            [Insertion("R", (1, 2)), Insertion("R", (9,))]  # second: bad arity
-        )
-    assert (1, 2) in database.relation("R")
-    assert len(streams) == 1 and streams[0].inserted("R") == ((1, 2),)
+        database.apply([*good, bad, Insertion("S", (2, 4))])
+    assert database.facts == facts
+    assert database.relation("R").statistics() == statistics
+    assert manager.current.version == version and not manager.stale()
+    assert maintainer.rows("V") == {(1, 3)}
+    assert streams == []
+    # Nothing of the refused batch lingers: the next one applies from scratch.
+    database.apply(good)
+    assert manager.current.facts == database.facts == {"R": {(5, 2)}, "S": {(2, 3)}}
+    assert maintainer.rows("V") == {(5, 3)} and maintainer.verify()
+    assert len(streams) == 1
 
 
 def test_sqlite_delta_replay_handles_none_values():
@@ -193,6 +212,48 @@ def test_apply_enforces_bounded_admissibility(gs_service):
     )
     assert report.applied == 1
     service.apply(UpdateBatch([Deletion("rating", (existing[0], existing[1] + 100))]))
+
+
+def test_admission_sees_out_of_band_writes_and_the_transaction_so_far():
+    """Admission reads the published snapshot bucket plus the transaction's
+    own staged rows: a direct ``Relation.add`` is healed into the version
+    first, a row inserted earlier in the transaction counts toward the bound,
+    and a row deleted earlier in it frees one."""
+    from repro.core.access import AccessConstraint
+
+    schema = schema_from_spec({"R": ("a", "b")})
+    database = Database(schema, {"R": {(1, 10), (3, 30)}})
+    constraint = AccessConstraint("R", ("a",), ("b",), 2)
+    service = QueryService(database, AccessSchema((constraint,)))
+
+    def outcome(*updates):
+        report = service.apply(UpdateBatch(updates))
+        return report.applied, report.skipped_inadmissible
+
+    # Out of band, a second b-value fills key 1's bound.
+    database.relation("R").add((1, 11))
+    assert outcome(Insertion("R", (1, 12))) == (0, 1)
+    assert service.indexes.fetch(constraint, (1,)) == {(1, 10), (1, 11)}
+    # Re-inserting a present b-value never violates the bound.
+    assert outcome(Insertion("R", (1, 11))) == (0, 0)
+    # Inserted earlier in the same transaction: counts toward the bound.
+    assert outcome(
+        Insertion("R", (2, 20)), Insertion("R", (2, 21)), Insertion("R", (2, 22))
+    ) == (2, 1)
+    # Deleted earlier in the same transaction: frees a slot, also when the
+    # deleted row was itself inserted by this transaction.
+    assert outcome(Deletion("R", (1, 10)), Insertion("R", (1, 12))) == (2, 0)
+    assert outcome(
+        Insertion("R", (3, 31)),
+        Deletion("R", (3, 31)),
+        Insertion("R", (3, 32)),
+        Insertion("R", (3, 33)),
+    ) == (3, 1)
+    assert database.relation("R").tuples == {
+        (1, 11), (1, 12), (2, 20), (2, 21), (3, 30), (3, 32)
+    }
+    assert database.satisfies(service.access_schema)
+    assert service._snapshots.current.facts == database.facts
 
 
 def test_apply_reports_view_deltas(gs_service):

@@ -4,7 +4,7 @@
 The repository's accounting and layering guarantees are easy to break
 silently — an operator that fetches tuples without charging the
 :class:`~repro.exec.iometer.IOMeter` skews every ``Dξ`` measurement, and a
-module reaching into storage internals bypasses the observer protocol the
+module reaching into storage internals bypasses the netted write path the
 maintenance kernel depends on.  This linter enforces these rules by AST
 inspection (no imports of the checked code, so it runs on any tree):
 
@@ -28,8 +28,9 @@ inspection (no imports of the checked code, so it runs on any tree):
 
 ``kernel.storage-internals``
     No module outside ``src/repro/storage`` may access ``._tuples`` (the
-    raw backing set of :class:`~repro.storage.instance.Relation`); mutating
-    it directly would bypass the relation's observer/statistics protocol.
+    raw backing set of :class:`~repro.storage.instance.Relation`): it belongs
+    to the relation's one write path (``Relation.apply_delta``), which keeps
+    statistics, secondary indexes and the mutation counter in step with it.
 
 ``kernel.shard-storage-import``
     The sharded-serving modules read base data through pinned snapshots
@@ -38,17 +39,16 @@ inspection (no imports of the checked code, so it runs on any tree):
     versions), and ``src/repro/analysis/sharding.py`` (the static shard-set
     derivation) may not import ``repro.storage`` at all.  A shard worker
     holding ``Relation``/``Database``/live-index handles could read torn
-    state mid-transaction or mutate shared storage without the observer
-    protocol noticing.
+    state mid-transaction or mutate shared storage behind the write path's
+    back.
 
 ``kernel.histogram-import``
     No module outside ``src/repro/storage`` may import
-    ``repro.storage.histograms``: histograms and HLL sketches are reached
-    only through the statistics API
-    (``Database.statistics()`` / ``TableStatistics``), which owns their
-    delta maintenance and staleness-triggered rebuilds.  A consumer holding
+    ``repro.storage.histograms``: histograms are reached only through the
+    statistics API (``Database.statistics()`` / ``TableStatistics``), which
+    owns their delta maintenance and staleness-triggered rebuilds.  A consumer holding
     histogram objects directly could read half-rebuilt buckets or cost
-    plans against summaries the observer protocol no longer maintains.
+    plans against summaries the write path no longer maintains.
 
 ``kernel.plan-store-exec-import``
     ``src/repro/engine/service/plan_store.py`` may not import ``repro.exec``
@@ -88,6 +88,14 @@ inspection (no imports of the checked code, so it runs on any tree):
     access schema and the views — never on the data — and closures late-bind
     snapshot and view cache, so evicting on a write only buys re-planning,
     re-verification and recompilation of the same plan.
+
+``kernel.row-observer``
+    No per-row observer hook anywhere under ``src/repro``: no definition,
+    call or getattr string of ``register_observer``, ``on_insert`` or
+    ``on_delete``.  A write reaches storage as one netted batch per relation
+    (``Relation.apply_delta``), and the snapshot version is the only
+    access-constraint index; a hook fired per row would grow a second,
+    row-at-a-time index back beside it, paying per row on every transaction.
 
 Usage::
 
@@ -147,6 +155,10 @@ RESOLVE_STAGE_NAMES = frozenset({"SLOT_PREFIX"})
 #: The write path: the service methods a committed transaction runs through.
 SERVICE_FILE = SERVICE_DIR / "service.py"
 WRITE_PATH_METHODS = frozenset({"on_delta", "apply"})
+
+
+#: Per-row change hooks: the write path is set-at-a-time, with no observers.
+ROW_OBSERVER_NAMES = frozenset({"register_observer", "on_insert", "on_delete"})
 
 
 @dataclass(frozen=True)
@@ -217,8 +229,8 @@ def check_storage_internals(path: Path, tree: ast.Module) -> list[Violation]:
                     node.lineno,
                     "kernel.storage-internals",
                     "access to 'Relation._tuples' outside repro.storage "
-                    "bypasses the relation's observer and statistics "
-                    "protocol; use the public Relation API",
+                    "bypasses the relation's write path "
+                    "(Relation.apply_delta); use the public Relation API",
                 )
             )
     return violations
@@ -314,7 +326,7 @@ def check_histogram_imports(path: Path, tree: ast.Module) -> list[Violation]:
                 path,
                 line,
                 "kernel.histogram-import",
-                f"module imports {module!r}; histograms and sketches are "
+                f"module imports {module!r}; histograms are "
                 "storage-internal — read them through the statistics API "
                 "(Database.statistics() / TableStatistics), which owns "
                 "their delta maintenance and rebuild scheduling",
@@ -476,6 +488,35 @@ def check_write_path_plan_cache(path: Path, tree: ast.Module) -> list[Violation]
     return violations
 
 
+def check_row_observers(path: Path, tree: ast.Module) -> list[Violation]:
+    """No per-row observer hook: writes reach storage as netted batches."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # getattr(observer, "on_insert")
+        else:
+            continue
+        if name in ROW_OBSERVER_NAMES:
+            violations.append(
+                Violation(
+                    path,
+                    node.lineno,
+                    "kernel.row-observer",
+                    f"per-row observer hook {name!r}: storage applies one "
+                    "netted delta per relation (Relation.apply_delta) and the "
+                    "snapshot version is the only access-constraint index — "
+                    "consume the transaction's DeltaStream instead",
+                )
+            )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -505,6 +546,7 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
     if SERVICE_DIR in relative.parents and relative != RESOLVE_STAGE_FILE:
         violations += check_service_resolve(relative, tree)
     violations += check_write_path_plan_cache(relative, tree)
+    violations += check_row_observers(relative, tree)
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
         violations += check_histogram_imports(relative, tree)
