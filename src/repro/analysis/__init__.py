@@ -33,14 +33,6 @@ from .diagnostics import (
 from .explain import Explanation
 from .lints import lint_query
 from .mutations import MUTATION_KINDS, PlanMutation, mutate_plan, plan_mutations
-from .sharding import (
-    FetchShards,
-    PlanShardSet,
-    ShardLayoutLike,
-    fetch_shard_set,
-    plan_shard_set,
-    static_rows,
-)
 from .verifier import (
     codegen_eligibility,
     coverage_trace,
@@ -56,12 +48,9 @@ __all__ = [
     "Diagnostic",
     "Explanation",
     "FetchCertificate",
-    "FetchShards",
     "MUTATION_KINDS",
     "PlanMutation",
-    "PlanShardSet",
     "Severity",
-    "ShardLayoutLike",
     "VerificationReport",
     "ViewDependencyReport",
     "analyze_view_dependencies",
@@ -69,12 +58,9 @@ __all__ = [
     "coverage_trace",
     "delta_codegen_eligibility",
     "fetch_certificates",
-    "fetch_shard_set",
     "lint_query",
     "mutate_plan",
     "plan_mutations",
-    "plan_shard_set",
-    "static_rows",
     "verify_delta_program",
     "verify_plan",
 ]

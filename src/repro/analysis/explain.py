@@ -20,7 +20,6 @@ from .diagnostics import (
     Diagnostic,
     FetchCertificate,
 )
-from .sharding import PlanShardSet
 
 
 @dataclass
@@ -56,9 +55,6 @@ class Explanation:
     execution_tier: str = "interpreted"
     executions: int = 0
     compile_seconds: float | None = None
-    # Static shard placement (``None`` without a plan): which partitions the
-    # plan's certificates prove it touches, hence how many the router prunes.
-    shard_set: PlanShardSet | None = None
     # Cost-model estimates of the cached plan (optimizer v2), as plain
     # tuples so this module stays free of engine-layer imports.
     # ``operator_estimates`` rows are ``(access, estimated Dξ, last actual
@@ -122,8 +118,6 @@ class Explanation:
                 for description, cost, chosen in self.join_orders:
                     marker = "chosen" if chosen else "rejected"
                     lines.append(f"    [{marker}] {description}  cost {cost:.1f}")
-            if self.shard_set is not None and self.shard_set.shard_count > 1:
-                lines.append(f"  shard set: {self.shard_set.describe()}")
             for line in self.plan.pretty().splitlines():
                 lines.append(f"  {line}")
             for certificate in self.certificates:

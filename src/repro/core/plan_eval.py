@@ -54,8 +54,8 @@ class FetchProvider(Protocol):
     The interpreted tier probes one key at a time (``fetch``); a compiled
     closure hands over a fetch step's whole deduplicated key batch
     (``fetch_many``), which must equal ``[fetch(constraint, k) for k in
-    keys]`` — same rows, and the same side effects per key (shard touches) —
-    while resolving the constraint's index once per call.
+    keys]`` — same rows — while resolving the constraint's index once per
+    call.
     """
 
     def fetch(self, constraint: AccessConstraint, key: Sequence[object]) -> frozenset[tuple]:
@@ -109,19 +109,12 @@ class PlanExecutor:
         """Compile ``plan`` into a physical operator tree charging ``meter``.
 
         Exposed for tooling and tests; :meth:`execute` is compile-and-drain.
-        Providers exposing ``bound_to(meter)`` (snapshot readers) are bound
-        to the execution's meter first, so per-execution accounting beyond
-        the fetch protocol — shard touches — lands on the same meter.
         """
         meter = meter if meter is not None else FetchStats()
-        provider = self.provider
-        bind = getattr(provider, "bound_to", None)
-        if bind is not None:
-            provider = bind(meter)
         return compile_plan(
             plan,
             self.access_schema,
-            provider,
+            self.provider,
             self.view_cache,
             meter,
         )

@@ -11,8 +11,6 @@ reusable:
   configurable fallback chain;
 * :mod:`.cache` — canonical query keys and the LRU plan cache;
 * :mod:`.backends` — in-memory and SQLite execution backends;
-* :mod:`.sharding` — the shard router (certificate-driven shard-set
-  prediction) and the persistent worker pool behind ``query_many``;
 * :mod:`.stats` — thread-safe serving statistics with latency percentiles.
 """
 
@@ -40,7 +38,6 @@ from .planners import (
     resolve_planners,
 )
 from .service import Answer, PreparedQuery, QueryService
-from .sharding import ShardExecutor, ShardRouter
 from .stats import ServiceStats, StatsSnapshot
 
 __all__ = [
@@ -65,8 +62,6 @@ __all__ = [
     "QueryService",
     "SQLiteBackend",
     "ServiceStats",
-    "ShardExecutor",
-    "ShardRouter",
     "StatsSnapshot",
     "ToppedFOPlanner",
     "ViewDelta",

@@ -141,11 +141,7 @@ class InMemoryBackend:
         # writes).
         executor = self._executor
         stats = FetchStats()
-        provider = executor.provider
-        bind = getattr(provider, "bound_to", None)
-        if bind is not None:
-            provider = bind(stats)
-        rows = compiled.execute(provider, executor.view_cache, stats, params)
+        rows = compiled.execute(executor.provider, executor.view_cache, stats, params)
         return ExecutionResult(attributes=compiled.attributes, rows=rows, stats=stats)
 
     def execute_baseline(self, query: QueryLike) -> BaselineResult:

@@ -49,12 +49,8 @@ from ...core.access import AccessSchema
 from ...core.bounded_evaluability import bounded_evaluability_report
 from ...core.conformance import conforms_to
 from ...core.element_queries import ElementQueryBudget
-from ...core.plan_eval import (
-    ExecutionResult,
-    bind_plan,
-    plan_parameters,
-)
-from ...core.plans import PlanNode, UnionNode
+from ...core.plan_eval import bind_plan, plan_parameters
+from ...core.plans import PlanNode
 from ...errors import (
     EvaluationError,
     PlanError,
@@ -67,7 +63,7 @@ from ...exec.codegen import compile_plan_closure
 from ...storage.deltas import DeltaStream
 from ...storage.indexes import IndexSet
 from ...storage.instance import Database
-from ...storage.snapshots import ShardingLayout, SnapshotManager
+from ...storage.snapshots import SnapshotManager
 from ...storage.statistics import statistics_fingerprint
 from ...storage.updates import Update, UpdateBatch
 from ..optimizer import estimate_plan_fetches
@@ -89,7 +85,6 @@ from .planners import (
     resolve_planners,
 )
 from .resolve import EntryView, QueryInput, ResolvedQuery, ResolveStage
-from .sharding import ShardExecutor, ShardRouter
 from .stats import ServiceStats
 
 
@@ -142,11 +137,8 @@ class Answer:
     #: ``"interpreted"`` (SQLite, and the full-scan fallback).  Both tiers
     #: are bit-identical in rows *and* in ``Dξ`` accounting.
     execution_tier: str = "interpreted"
-    #: Sharded snapshot serving: the ids of the partitions the execution's
-    #: index lookups actually probed (empty for single-partition services,
-    #: fallback answers and reference-tier-only plans) and the service's
-    #: shard count — ``shards_total - len(shards_touched)`` partitions were
-    #: pruned for this answer.
+    #: Always empty / zero: ``bench/staged.py`` still sets them — goes with
+    #: ROADMAP item 1.
     shards_touched: tuple[int, ...] = ()
     shards_total: int = 0
 
@@ -310,16 +302,6 @@ class QueryService:
         per call.
     plan_cache_size:
         Capacity of the LRU plan cache; ``0`` disables plan caching.
-    shards:
-        Number of hash partitions, an integer ``>= 1``.  Every read is
-        pinned to an immutable MVCC snapshot of the database
-        (:mod:`repro.storage.snapshots`): writers build the next version
-        copy-on-write and publish it atomically, so concurrent readers never
-        observe a half-applied transaction.  With ``shards > 1`` the
-        access-constraint indexes are additionally hash-partitioned on their
-        key columns; the router prunes partitions statically from the plan's
-        boundedness certificates, and ``explain()``/:attr:`Answer
-        .shards_touched` report the pruning.
     plan_store:
         A :class:`~repro.engine.service.plan_store.PlanStore` (or a path
         string) persisting planning outcomes across restarts: loaded here —
@@ -355,7 +337,6 @@ class QueryService:
         check_constraints: bool = True,
         budget: ElementQueryBudget | None = None,
         inner_size_cutoff: int = 2,
-        shards: int = 1,
         plan_store: PlanStore | str | None = None,
         replan_factor: float = 10.0,
         max_replans: int = 3,
@@ -371,25 +352,13 @@ class QueryService:
             raise EvaluationError(
                 "database does not satisfy the access schema: " + "; ".join(violations[:5])
             )
-        if not isinstance(shards, int) or shards < 1:
-            raise QueryError(
-                f"shards must be an integer >= 1, got {shards!r}; shards=1 is "
-                "the single-partition default"
-            )
-        # Reads are served from immutable snapshot versions advanced by
-        # Database.apply; the same versions are the write path's
-        # admissibility surface (the only access-constraint index).
-        layout = ShardingLayout.derive(database.schema, access_schema, shards)
-        self._snapshots: SnapshotManager = database.enable_snapshots(
-            layout, access_schema
-        )
+        # Every read is pinned to an immutable MVCC snapshot version
+        # (repro.storage.snapshots), advanced by Database.apply and published
+        # atomically, so a concurrent reader never observes a half-applied
+        # transaction; the same versions are the write path's admissibility
+        # surface (the only access-constraint index).
+        self._snapshots: SnapshotManager = database.enable_snapshots(access_schema)
         self._indexes = IndexSet(database, access_schema, self._snapshots)
-        self._router = ShardRouter(access_schema, layout)
-        # The persistent query_many worker pool: created lazily on the first
-        # parallel batch, reused for the service's lifetime, released by
-        # close().
-        self._pool_lock = threading.Lock()
-        self._shard_executor: ShardExecutor | None = None
         # The write path's delta programs are verified and compiled here,
         # when the views are materialised.
         self.maintainer = ViewMaintainer(self.views, database)
@@ -484,11 +453,6 @@ class QueryService:
     def view_cache_size(self) -> int:
         """Total number of cached view tuples (|V(D)|)."""
         return sum(len(rows) for rows in self._view_cache.values())
-
-    @property
-    def shard_count(self) -> int:
-        """Number of hash partitions the snapshots are split into."""
-        return self._router.shard_count
 
     def _sync_serving(self) -> None:
         """Catch out-of-band mutations before serving from a snapshot.
@@ -1129,7 +1093,6 @@ class QueryService:
             execution_tier="compiled" if compiled else "interpreted",
             executions=entry.executions,
             compile_seconds=entry.compiled.compile_seconds if compiled else None,
-            shard_set=self._router.route(entry.plan, record.bindings),
             estimated_fetches=entry.estimated_fetches,
             actual_fetches=entry.actual_fetches,
             operator_estimates=operator_estimates,
@@ -1240,117 +1203,36 @@ class QueryService:
         self,
         queries: Iterable[QueryInput],
         *,
-        max_workers: int = 4,
         backend: str | None = None,
         planners: Sequence[str | Planner] | None = None,
         use_cache: bool = True,
     ) -> list[Answer]:
-        """Answer a batch of queries over a thread pool, preserving order.
+        """Answer a batch of queries in order: :meth:`query` for each.
 
         All answers are folded into :attr:`stats`; per-query provenance is in
-        the returned list.  The plan cache and the statistics are
-        thread-safe; the SQLite backend serialises statement execution behind
-        a lock.
-
-        The thread pool is persistent: created lazily on the first parallel
-        batch and reused for the service's lifetime (grown, never shrunk,
-        when a later call asks for more workers), so bursts of small batches
-        do not pay thread spawn/teardown per call.  :meth:`close` releases
-        it.  On a sharded service each query is additionally planned and
-        routed up front: single-shard-routable queries with the same shard
-        affinity run serially inside one worker task (their probes hit the
-        same partition's hot buckets back-to-back), everything else gets an
-        individual task.
+        the returned list.  The service is thread-safe, so callers wanting
+        concurrency run :meth:`query` from their own threads; every read pins
+        one snapshot version.
         """
-        items = list(queries)
-        if not items:
-            return []
-        workers = max(1, min(max_workers, len(items)))
-
-        def run(item: QueryInput) -> Answer:
-            return self.query(
-                item, backend=backend, planners=planners, use_cache=use_cache
-            )
-
-        if workers == 1:
-            return [run(item) for item in items]
-        pool = self._worker_pool(workers)
-        router = self._router
-        if router.shard_count <= 1:
-            return pool.map_with_affinity(
-                [lambda item=item: run(item) for item in items],
-                [None] * len(items),
-            )
-        # Sharded dispatch.  Planning happens here on the caller thread —
-        # once per item, against the shared plan cache, with the exact
-        # validation query() performs — so routing can group work before
-        # anything is submitted and cache statistics match the serial path.
-        tasks: list = []
-        affinities: list[int | None] = []
-        for item in items:
-            started = time.perf_counter()
-            record = self._resolve_bound(item, None)
-            entry, hit = self._plan(record, None, None, planners, use_cache)
-            affinities.append(
-                router.affinity(entry.plan, record.bindings)
-                if entry.plan is not None
-                else None
-            )
-
-            def task(
-                record: ResolvedQuery = record,
-                entry: CachedPlan = entry,
-                hit: bool = hit,
-                started: float = started,
-            ) -> Answer:
-                return self._execute(
-                    record,
-                    None,
-                    entry,
-                    cache_hit=hit,
-                    backend_name=backend,
-                    started=started,
-                    params=None,
-                )
-
-            tasks.append(task)
-        return pool.map_with_affinity(tasks, affinities)
-
-    def _worker_pool(self, workers: int) -> ShardExecutor:
-        """The persistent batch-serving pool, grown on demand."""
-        with self._pool_lock:
-            pool = self._shard_executor
-            if pool is None:
-                pool = ShardExecutor(workers)
-                self._shard_executor = pool
-            elif pool.max_workers < workers:
-                old = pool
-                pool = ShardExecutor(workers)
-                self._shard_executor = pool
-                # Retire the smaller pool once its in-flight tasks drain;
-                # growth is rare (a caller raising max_workers mid-life).
-                old.shutdown()
-            return pool
+        return [
+            self.query(item, backend=backend, planners=planners, use_cache=use_cache)
+            for item in queries
+        ]
 
     def close(self) -> None:
         """Release serving resources; the service stays usable afterwards.
 
-        Shuts the persistent ``query_many`` pool down (it is recreated
-        lazily if another batch arrives), closes backends that hold
-        resources (the SQLite connection), unsubscribes from the database's
-        delta stream and deregisters its snapshot manager — after
-        ``close()`` the service no longer maintains its views on foreign
-        writes (nor charges them a snapshot advance), so treat it as retired.
+        Closes backends that hold resources (the SQLite connection),
+        unsubscribes from the database's delta stream and deregisters its
+        snapshot manager — after ``close()`` the service no longer maintains
+        its views on foreign writes (nor charges them a snapshot advance), so
+        treat it as retired.
         Usable as a context manager: ``with QueryService(...) as service:``.
         When a persistent plan store is configured, the plan cache is
         written back to it first (atomically), so the next service over the
         same (unchanged) data restarts warm.
         """
         self._save_plan_store()
-        with self._pool_lock:
-            pool, self._shard_executor = self._shard_executor, None
-        if pool is not None:
-            pool.shutdown()
         with self._backend_lock:
             backends = list(self._backends.values())
         for backend in backends:
@@ -1390,7 +1272,7 @@ class QueryService:
         if unbound:
             raise QueryError(f"plan has unbound parameters {sorted(unbound)}")
         self._sync_serving()
-        return self._execute_union_fanout(self._backend(backend), plan)
+        return self._backend(backend).execute_plan(plan)
 
     def baseline(self, query: QueryInput, *, backend: str | None = None):
         """Answer a CQ/UCQ by full scan, bypassing planning entirely.
@@ -1413,43 +1295,6 @@ class QueryService:
         return self._backend(backend).execute_baseline(resolved)
 
     # ------------------------------------------------------------------ #
-
-    def _execute_union_fanout(
-        self, backend: ExecutionBackend, plan: PlanNode
-    ) -> ExecutionResult:
-        """Execute a plan, fanning a top-level union out per disjunct.
-
-        On a sharded in-memory service a UCQ plan's disjuncts typically land
-        on different partitions; executing them as separate units and
-        unioning the partial results is the fan-out the router reports.  The
-        merge is bit-identical to whole-plan execution: union disjuncts
-        share no operator instances (per-fetch dedup state is per instance
-        either way), union requires identical attribute tuples on both
-        sides, and the per-disjunct meters are folded with ``merged_with``
-        in disjunct order.
-        """
-        if (
-            self._router.shard_count <= 1
-            or not isinstance(plan, UnionNode)
-            or not isinstance(backend, InMemoryBackend)
-        ):
-            return backend.execute_plan(plan)
-        disjuncts: list[PlanNode] = []
-        pending: list[PlanNode] = [plan]
-        while pending:
-            node = pending.pop()
-            if isinstance(node, UnionNode):
-                pending.extend((node.right, node.left))
-            else:
-                disjuncts.append(node)
-        rows: frozenset[tuple] = frozenset()
-        stats = None
-        for disjunct in disjuncts:
-            partial = backend.execute_plan(disjunct)
-            rows |= partial.rows
-            stats = partial.stats if stats is None else stats.merged_with(partial.stats)
-        assert stats is not None
-        return ExecutionResult(attributes=plan.attributes, rows=rows, stats=stats)
 
     def _execute(
         self,
@@ -1505,8 +1350,6 @@ class QueryService:
                 elapsed_seconds=time.perf_counter() - started,
                 reason=entry.reason or f"bounded plan produced by planner {entry.planner!r}",
                 execution_tier=tier,
-                shards_touched=tuple(sorted(result.stats.shards_touched)),
-                shards_total=self.shard_count,
             )
             self._observe_execution(record, head, entry, cache_hit, result.stats)
         else:

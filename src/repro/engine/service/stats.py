@@ -1,12 +1,11 @@
 """Aggregated serving statistics for :class:`~repro.engine.service.QueryService`.
 
 One :class:`ServiceStats` instance accompanies each service and is updated on
-every call (thread-safely, so :meth:`QueryService.query_many` can fan out over
-a thread pool).  It tracks the quantities the paper's experiments revolve
-around — tuples fetched through access constraints versus tuples scanned by
-the fallback — plus the serving-layer metrics the scale-out roadmap needs:
-plan-cache hit rates, per-planner and per-backend usage, and latency
-percentiles.
+every call (thread-safely, so concurrent callers of one service share it).
+It tracks the quantities the paper's experiments revolve around — tuples
+fetched through access constraints versus tuples scanned by the fallback —
+plus the serving-layer metrics: plan-cache hit rates, per-planner and
+per-backend usage, and latency percentiles.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ class StatsSnapshot:
     planner_uses: dict[str, int]
     backend_uses: dict[str, int]
     tier_uses: dict[str, int]
-    single_shard_queries: int
-    fanout_queries: int
-    shards_touched: int
-    shards_pruned: int
     replans: int
     plan_store_hits: int
     resolve_hits: int
@@ -77,14 +72,6 @@ class ServiceStats:
         self.planner_uses: dict[str, int] = {}
         self.backend_uses: dict[str, int] = {}
         self.tier_uses: dict[str, int] = {}
-        # Sharded serving: how many answers touched exactly one partition
-        # versus several, and the partition totals behind those answers.
-        # Only answers that touched at least one partitioned index count —
-        # reference-tier-only queries are shard-neutral.
-        self.single_shard_queries = 0
-        self.fanout_queries = 0
-        self.shards_touched = 0
-        self.shards_pruned = 0
         # Optimizer v2: adaptive re-plans triggered by >replan-factor misses
         # of estimated vs. actual Dξ, and plan-cache entries served from the
         # persistent plan store (counted on their first post-restore hit).
@@ -117,15 +104,6 @@ class ServiceStats:
             self.backend_uses[answer.backend] = self.backend_uses.get(answer.backend, 0) + 1
             tier = answer.execution_tier
             self.tier_uses[tier] = self.tier_uses.get(tier, 0) + 1
-            touched = len(getattr(answer, "shards_touched", ()) or ())
-            total = getattr(answer, "shards_total", 0)
-            if touched:
-                if touched == 1:
-                    self.single_shard_queries += 1
-                else:
-                    self.fanout_queries += 1
-                self.shards_touched += touched
-                self.shards_pruned += max(0, total - touched)
             self.tuples_fetched += answer.tuples_fetched
             self.tuples_scanned += answer.tuples_scanned
             self.view_tuples_scanned += answer.view_tuples_scanned
@@ -198,10 +176,6 @@ class ServiceStats:
                 planner_uses=dict(self.planner_uses),
                 backend_uses=dict(self.backend_uses),
                 tier_uses=dict(self.tier_uses),
-                single_shard_queries=self.single_shard_queries,
-                fanout_queries=self.fanout_queries,
-                shards_touched=self.shards_touched,
-                shards_pruned=self.shards_pruned,
                 replans=self.replans,
                 plan_store_hits=self.plan_store_hits,
                 resolve_hits=self.resolve_hits,
@@ -237,10 +211,6 @@ class ServiceStats:
             self.planner_uses = {}
             self.backend_uses = {}
             self.tier_uses = {}
-            self.single_shard_queries = 0
-            self.fanout_queries = 0
-            self.shards_touched = 0
-            self.shards_pruned = 0
             self.replans = 0
             self.plan_store_hits = 0
             self.resolve_hits = 0

@@ -24,17 +24,13 @@ class IOMeter:
     semantics, as in the paper's definition of ``Dξ``); ``fetch_calls`` counts
     the index lookups themselves; ``per_relation`` breaks the tuple count down
     by base relation.  View scans contribute ``view_tuples_scanned`` but no
-    I/O.  Under sharded snapshot serving, ``shards_touched`` collects the ids
-    of the partitions that index lookups actually probed (global/reference
-    lookups are shard-neutral and record nothing) — the observable side of
-    the router's static shard-set prediction.
+    I/O.
     """
 
     fetch_calls: int = 0
     tuples_fetched: int = 0
     per_relation: dict[str, int] = field(default_factory=dict)
     view_tuples_scanned: int = 0
-    shards_touched: set[int] = field(default_factory=set)
 
     def record_fetch(self, relation: str, count: int) -> None:
         self.fetch_calls += 1
@@ -44,17 +40,8 @@ class IOMeter:
     def record_view_scan(self, count: int) -> None:
         self.view_tuples_scanned += count
 
-    def record_shard(self, shard: int) -> None:
-        self.shards_touched.add(shard)
-
-    def merged_with(self, other: "IOMeter") -> "IOMeter":
-        merged = IOMeter(
-            fetch_calls=self.fetch_calls + other.fetch_calls,
-            tuples_fetched=self.tuples_fetched + other.tuples_fetched,
-            per_relation=dict(self.per_relation),
-            view_tuples_scanned=self.view_tuples_scanned + other.view_tuples_scanned,
-            shards_touched=self.shards_touched | other.shards_touched,
-        )
-        for relation, count in other.per_relation.items():
-            merged.per_relation[relation] = merged.per_relation.get(relation, 0) + count
-        return merged
+    @property
+    def shards_touched(self) -> frozenset[int]:
+        """Always empty: ``bench/staged.py`` still reads it — goes with
+        ROADMAP item 1."""
+        return frozenset()

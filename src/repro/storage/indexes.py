@@ -20,19 +20,14 @@ from typing import Collection, Mapping, Sequence
 
 from ..core.access import AccessConstraint, AccessSchema
 from .instance import Database
-from .snapshots import (
-    ConstraintIndexVersion,
-    DatabaseSnapshot,
-    SnapshotManager,
-    single_shard_layout,
-)
+from .snapshots import ConstraintIndexVersion, DatabaseSnapshot, SnapshotManager
 
 
 class IndexSet:
     """The access-constraint indices of one database, read off its snapshots.
 
-    ``snapshots`` is the manager to read; by default a single-shard one is
-    registered with ``database``.  Reads heal a stale manager first (an
+    ``snapshots`` is the manager to read; by default a new one is registered
+    with ``database``.  Reads heal a stale manager first (an
     out-of-band ``Relation.add``), so the facade always serves live data.
     """
 
@@ -46,7 +41,7 @@ class IndexSet:
         self.database = database
         self.access_schema = access_schema
         if snapshots is None:
-            snapshots = database.enable_snapshots(single_shard_layout(), access_schema)
+            snapshots = database.enable_snapshots(access_schema)
         self._snapshots = snapshots
 
     def _current(self) -> DatabaseSnapshot:

@@ -147,8 +147,8 @@ class Relation:
         # (direct add/discard outside a Database.apply transaction).
         self._mutations = 0
         # Serialises lazy index/statistics builds: concurrent *read-only*
-        # queries (query_many's thread pool) may race to build the same
-        # cache.  Mutations remain single-writer, as before.
+        # queries may race to build the same cache.  Mutations remain
+        # single-writer, as before.
         self._build_lock = threading.Lock()
         self.add_many(tuples)
 
@@ -513,11 +513,10 @@ class Database:
             self._snapshot_managers = [weakref.ref(manager) for manager in alive]
         return alive
 
-    def enable_snapshots(self, layout, access_schema: AccessSchema):
+    def enable_snapshots(self, access_schema: AccessSchema):
         """Register (and return) an MVCC snapshot manager for this database.
 
-        ``layout`` is a :class:`~repro.storage.snapshots.ShardingLayout`;
-        the manager immediately builds and publishes version 0 from the
+        The manager immediately builds and publishes version 0 from the
         current data and is advanced by every committed :meth:`apply`.
         Managers are held weakly, mirroring the observer protocol: a
         service that goes away stops paying the per-transaction advance.
@@ -525,7 +524,7 @@ class Database:
         from .snapshots import SnapshotManager
 
         with self._write_lock:
-            manager = SnapshotManager(self, layout, access_schema)
+            manager = SnapshotManager(self, None, access_schema)
             self._snapshot_managers.append(weakref.ref(manager))
         return manager
 

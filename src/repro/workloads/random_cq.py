@@ -39,7 +39,9 @@ class RandomCQConfig:
 def _constant_pool(database: Database, per_relation: int, generator: random.Random) -> dict[str, list[tuple]]:
     pool: dict[str, list[tuple]] = {}
     for name, relation in database.facts.items():
-        rows = list(relation)
+        # Sorted first: a set's iteration order follows the salted string
+        # hash, so the seeded shuffle alone would depend on PYTHONHASHSEED.
+        rows = sorted(relation, key=repr)
         generator.shuffle(rows)
         pool[name] = rows[:per_relation]
     return pool

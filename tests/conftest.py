@@ -108,18 +108,17 @@ def interpreted(service, query, params=None):
     return service.execute_plan(entry.plan, params=params)
 
 
-@pytest.fixture(params=["index_set", "shards4_snapshot"])
+@pytest.fixture(params=["index_set", "snapshot"])
 def gs_provider(request, gs_instance, gs_access):
     """``(provider, view_cache)`` over ``gs_instance`` for each fetch provider
-    a compiled closure meets: a single-shard service's ``indexes`` (the
-    ``IndexSet`` facade over its snapshots), and the published snapshot of
-    a ``shards=4`` service, which an execution binds to a
-    shard-recording reader (``bound_to``)."""
-    shards = 4 if request.param == "shards4_snapshot" else 1
-    with QueryService(
-        gs_instance.database, gs_access, graph_search.views(), shards=shards
-    ) as service:
-        provider = service._snapshots.reader() if shards > 1 else service.indexes
+    a compiled closure meets: a service's ``indexes`` (the ``IndexSet``
+    facade over its snapshots), and its published snapshot read directly."""
+    with QueryService(gs_instance.database, gs_access, graph_search.views()) as service:
+        provider = (
+            service._snapshots.reader()
+            if request.param == "snapshot"
+            else service.indexes
+        )
         yield provider, service.view_cache
 
 
@@ -133,7 +132,7 @@ def skewed_small():
 @pytest.fixture(scope="session")
 def gs_mix(gs_q0):
     """Q0 and two keyed lookups, four times over: 24 rows for Dξ 288 on
-    ``gs_1000``, each query routable to one partition."""
+    ``gs_1000``."""
     return [
         gs_q0,
         "Q(mid) :- movie(mid, t, 'Universal', '2014'), rating(mid, 5)",

@@ -11,7 +11,7 @@ for the interpreted operator tree:
   without ``bind_plan``, and closures that outlive writes and eviction;
 * the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
   spanning product factors, ``π`` onto one factor — on the ``IndexSet``
-  facade and on a four-shard snapshot, shards touched included;
+  facade and on a snapshot read directly;
 * a differential property test over ~200 random CQs/UCQs on both backends,
   re-run after ``apply()`` write batches.
 """
@@ -53,23 +53,16 @@ def _meters_equal(a, b) -> bool:
         and a.fetch_calls == b.fetch_calls
         and a.per_relation == b.per_relation
         and a.view_tuples_scanned == b.view_tuples_scanned
-        and a.shards_touched == b.shards_touched
     )
 
 
 def _assert_tiers_identical(plan, schema, access, provider, view_cache):
-    """Execute ``plan`` on both tiers and compare rows plus full meters.
-
-    A snapshot provider is bound to each tier's own meter, as the service
-    binds it per execution, so the shards each tier touched are compared
-    too."""
+    """Execute ``plan`` on both tiers and compare rows plus full meters."""
     executor = PlanExecutor(schema, access, provider, view_cache)
     interpreted = executor.execute(plan)
     compiled = compile_plan_closure(plan, access)
     meter = FetchStats()
-    bind = getattr(provider, "bound_to", None)
-    reader = bind(meter) if bind is not None else provider
-    rows = compiled.execute(reader, executor.view_cache, meter)
+    rows = compiled.execute(provider, executor.view_cache, meter)
     assert rows == interpreted.rows
     assert compiled.attributes == plan.attributes
     assert _meters_equal(meter, interpreted.stats), (
@@ -228,10 +221,10 @@ def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
         "compiled", 3, 27,
     )
     assert (reference.rows, reference.stats.tuples_fetched) == (answer.rows, 27)
-    service.query_many(gs_mix, max_workers=1)
+    service.query_many(gs_mix)
     service.stats.reset()
     for _ in range(20):
-        answers = service.query_many(gs_mix, max_workers=1)
+        answers = service.query_many(gs_mix)
     assert sum(len(a.rows) for a in answers) == 24
     snapshot = service.stats.snapshot()
     assert (snapshot.cache_hit_rate, snapshot.bounded_rate) == (1.0, 1.0)
@@ -528,7 +521,7 @@ def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_a
 
 # --------------------------------------------------------------------------- #
 # Set-at-a-time kernels: batched fetch, key-set semi-joins, spanning keys —
-# each on the IndexSet facade and on a shards=4 snapshot (``gs_provider``)
+# each on the IndexSet facade and on a snapshot (``gs_provider``)
 # --------------------------------------------------------------------------- #
 
 NOBODY = "no such studio"
@@ -562,10 +555,8 @@ def test_canonical_plans_identical_tiers_on_every_provider(
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
     entry, _ = service.plan(gs_q0)
     for plan in (graph_search.figure1_plan(), entry.plan):
-        rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+        rows, _ = _check_provider(gs_schema, gs_access, gs_provider, plan)
         assert rows
-        # φ1 (movie) is partitioned at four shards: its probes are recorded.
-        assert bool(meter.shards_touched) == hasattr(gs_provider[0], "bound_to")
 
 
 @pytest.mark.parametrize("shape", ["join", "semi", "project", "residual"])
@@ -697,17 +688,14 @@ def test_parameter_checks_on_a_batched_filtered_fetch(
             gs_schema, gs_access, gs_provider, bind_plan(plan, {"rank": rank})
         )
         stats = FetchStats()
-        bind = getattr(provider, "bound_to", None)
-        reader = bind(stats) if bind is not None else provider
-        assert compiled.execute(reader, view_cache, stats, {"rank": rank}) == expected
+        assert compiled.execute(provider, view_cache, stats, {"rank": rank}) == expected
         assert _meters_equal(stats, meter)
         assert meter.per_relation["rating"] > 1  # a batch of several keys
 
 
 def test_fetch_many_equals_fetch_per_key_on_every_provider(gs_instance, gs_access):
-    """``fetch_many`` is ``[fetch(k) for k in keys]`` on the IndexSet facade,
-    a four-shard snapshot and its bound reader — rows in key order, and the
-    reader records exactly the shards the per-key probes record."""
+    """``fetch_many`` is ``[fetch(k) for k in keys]`` on the IndexSet facade
+    and on a snapshot — rows in key order."""
     movie, rating = sorted(gs_access, key=lambda c: c.relation)
     movies = gs_instance.database.relation("movie").tuples
     batches = {
@@ -715,42 +703,32 @@ def test_fetch_many_equals_fetch_per_key_on_every_provider(gs_instance, gs_acces
         + [(NOBODY, "2014")],
         rating: [(mid,) for mid, _, _, _ in movies][:20] + [("no such movie",)],
     }
-    with QueryService(
-        gs_instance.database, gs_access, graph_search.views(), shards=4
-    ) as service:
-        snapshot = service._snapshots.reader()
+    with QueryService(gs_instance.database, gs_access, graph_search.views()) as service:
         for constraint, keys in batches.items():
             keys = list(dict.fromkeys(keys))
-            for provider in (service.indexes, snapshot):
+            for provider in (service.indexes, service._snapshots.reader()):
                 assert provider.fetch_many(constraint, keys) == [
                     provider.fetch(constraint, key) for key in keys
                 ]
                 assert provider.fetch_many(constraint, ()) == []
-            batched, single = FetchStats(), FetchStats()
-            assert snapshot.bound_to(batched).fetch_many(constraint, keys) == [
-                snapshot.bound_to(single).fetch(constraint, key) for key in keys
-            ]
-            assert batched.shards_touched == single.shards_touched
-            assert bool(batched.shards_touched) == (constraint is movie)
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, shards):
+@pytest.mark.parametrize("provider", ["index_set", "snapshot"])
+def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, provider):
     """The planned feed query joins ``contacted`` on ``(fan, agent)``, a key
     spanning ``π[fan] × π[agent]``, and fetches ``contacted`` for
     ``π[fan]`` of that product: neither product is built, and both tiers
-    agree on rows, ``Dξ`` and shards."""
+    agree on rows and ``Dξ``, on the IndexSet facade and on a snapshot."""
     access = skewed.access_schema()
-    with QueryService(
-        skewed_small.database, access, skewed.views(), shards=shards
-    ) as service:
+    with QueryService(skewed_small.database, access, skewed.views()) as service:
         entry, _ = service.plan(skewed.query_feed())
-        provider = service._snapshots.reader() if shards > 1 else service.indexes
+        reader = (
+            service._snapshots.reader() if provider == "snapshot" else service.indexes
+        )
         rows, meter = _assert_tiers_identical(
-            entry.plan, skewed.schema(), access, provider, service.view_cache
+            entry.plan, skewed.schema(), access, reader, service.view_cache
         )
     assert rows and meter.per_relation["contacted"] > 0
-    assert bool(meter.shards_touched) == (shards > 1)
 
 
 # --------------------------------------------------------------------------- #

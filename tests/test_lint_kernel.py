@@ -208,47 +208,6 @@ def test_cli_exits_one_and_reports_violations(tmp_path, capsys):
 @pytest.mark.parametrize(
     "source",
     [
-        "from repro.storage.instance import Database\n",
-        "from repro.storage.indexes import IndexSet\n",
-        "import repro.storage.instance\n",
-        "from ...storage.instance import Relation\n",
-        "from ...storage import indexes\n",
-    ],
-)
-def test_shard_worker_storage_imports_are_flagged(tmp_path, source):
-    _write(tmp_path, "src/repro/engine/service/sharding.py", source)
-    violations = lint_kernel.lint_tree(tmp_path)
-    assert [v.code for v in violations] == ["kernel.shard-storage-import"]
-    assert "pinned immutable snapshots" in violations[0].message
-
-
-def test_shard_worker_snapshot_imports_are_allowed(tmp_path):
-    _write(
-        tmp_path,
-        "src/repro/engine/service/sharding.py",
-        """
-        from repro.storage.snapshots import DatabaseSnapshot
-        from ...storage.snapshots import SnapshotManager
-        """,
-    )
-    assert lint_kernel.lint_tree(tmp_path) == []
-
-
-def test_analysis_sharding_may_not_import_storage_at_all(tmp_path):
-    _write(
-        tmp_path,
-        "src/repro/analysis/sharding.py",
-        "from ..storage.snapshots import ShardingLayout\n",
-    )
-    violations = lint_kernel.lint_tree(tmp_path)
-    assert [v.code for v in violations] == ["kernel.shard-storage-import"]
-    assert "nothing from repro.storage" in violations[0].message
-    assert violations[0].path == Path("src/repro/analysis/sharding.py")
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
         "from repro.storage.histograms import EquiDepthHistogram\n",
         "from repro.storage import histograms\n",
         "import repro.storage.histograms\n",
@@ -395,7 +354,7 @@ def test_minimal_element_queries_and_the_definition_itself_are_allowed(tmp_path)
             "def slot(k):\n    return Param(f'${k}')\n",
         ),
         (
-            "src/repro/engine/service/sharding.py",
+            "src/repro/engine/service/planners.py",
             "from . import resolve\n"
             "def lifted(name):\n    return name.startswith(resolve.SLOT_PREFIX)\n",
         ),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.schema import schema_from_spec
 from repro.core.access import AccessConstraint, AccessSchema
-from repro.core.plan_eval import FetchStats, PlanExecutor, execute_plan
+from repro.core.plan_eval import PlanExecutor, execute_plan
 from repro.core.plans import (
     AttributeEqualsAttribute,
     AttributeEqualsConstant,
@@ -127,20 +127,6 @@ def test_execute_plan_wrapper(database):
     result = execute_plan(plan, SCHEMA, ACCESS, IndexSet(database, ACCESS))
     assert result.rows == {(3, 30)}
     assert len(result) == 1
-
-
-def test_fetch_stats_merge():
-    stats = FetchStats()
-    stats.record_fetch("R", 3)
-    other = FetchStats()
-    other.record_fetch("R", 1)
-    other.record_fetch("S", 2)
-    other.record_view_scan(5)
-    merged = stats.merged_with(other)
-    assert merged.tuples_fetched == 6
-    assert merged.fetch_calls == 3
-    assert merged.per_relation == {"R": 4, "S": 2}
-    assert merged.view_tuples_scanned == 5
 
 
 def test_dx_is_independent_of_database_size():

@@ -7,7 +7,7 @@ merely wraps ``HeuristicPlanner`` *without* declaring constant-blindness makes
 the same service plan per value, exactly as it did before shapes existed —
 that pair is the differential: same rows, same ``Dξ``, same planner, same
 boundedness verdict, same reason, whatever the values, the input form, the
-backend, the shard count, before and after a write and across a restart.
+backend, before and after a write and across a restart.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class PerValueHeuristic:
         return self._inner.plan(query, head, max_size, context)
 
 
-def service_pair(database, access, views, **kwargs):
+def service_pair(database, access, views):
     """(per-shape, per-value) services over two copies of the same data."""
     return (
-        QueryService(database.copy(), access, views, **kwargs),
+        QueryService(database.copy(), access, views),
         QueryService(
-            database.copy(), access, views, planners=(PerValueHeuristic(), "topped"), **kwargs
+            database.copy(), access, views, planners=(PerValueHeuristic(), "topped")
         ),
     )
 
@@ -171,8 +171,10 @@ def run_differential(pair, workload, seed):
         per_value.close()
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_cdr_workload_and_random_cqs_agree_per_shape_and_per_value(shards):
+# The seed draws the constant variants each query is sent with and the write
+# batches between the rounds.
+@pytest.mark.parametrize("seed", [1, 4])
+def test_cdr_workload_and_random_cqs_agree_per_shape_and_per_value(seed):
     instance = cdr.generate(num_customers=60, num_days=3, seed=1)
     config = RandomCQConfig(min_atoms=1, max_atoms=3, head_size=2, seed=23)
     queries = cdr.workload(instance, count=18) + [
@@ -180,21 +182,17 @@ def test_cdr_workload_and_random_cqs_agree_per_shape_and_per_value(shards):
         for q in random_workload(cdr.schema(), instance.database, 16, config)
         if len(set(q.head)) == len(q.head)  # the builder wants distinct head variables
     ]
-    pair = service_pair(
-        instance.database, cdr.access_schema(), cdr.views(), shards=shards
-    )
-    run_differential(pair, sends(queries, instance.database, seed=shards), seed=shards)
+    pair = service_pair(instance.database, cdr.access_schema(), cdr.views())
+    run_differential(pair, sends(queries, instance.database, seed=seed), seed=seed)
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_graph_search_mix_agrees_per_shape_and_per_value(gs_1000, gs_mix, shards):
+@pytest.mark.parametrize("seed", [1, 4])
+def test_graph_search_mix_agrees_per_shape_and_per_value(gs_1000, gs_mix, seed):
     queries = [q if not isinstance(q, str) else parse_query(q) for q in gs_mix[:3]]
-    workload = sends(queries, gs_1000.database, seed=shards, variants=3)
-    pair = service_pair(
-        gs_1000.database, gs.access_schema(), gs.views(), shards=shards
-    )
+    workload = sends(queries, gs_1000.database, seed=seed, variants=3)
+    pair = service_pair(gs_1000.database, gs.access_schema(), gs.views())
     per_shape = pair[0]
-    run_differential(pair, workload, seed=shards)
+    run_differential(pair, workload, seed=seed)
     # 'NASA' and 'movie' are written in V1/V2 and stay literal; studio, year
     # and rank are lifted, so every variant shares its query's shape unless
     # the random values put a view constant somewhere else.

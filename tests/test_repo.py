@@ -1,9 +1,11 @@
 """The repository around the package: what ``setup.py`` installs, that
 ``bench/`` (declared by ``BENCHMARK.json``) is the only benchmark, and the
-keyword surface of the two serving entry points."""
+keyword surface of the serving entry points."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import inspect
 import json
 import subprocess
@@ -61,10 +63,11 @@ def _keyword_only(cls) -> list[str]:
 
 
 def test_serving_keywords_are_pinned():
-    """A new knob is a decision, not a drift: extending either list means
+    """A new knob is a decision, not a drift: extending any list means
     editing this test.  Plan verification and compilation are not knobs —
     every plan and view delta program is verified and compiled once, when it
-    is admitted."""
+    is admitted — and neither are partitioning or a worker pool: every read
+    pins one snapshot, and ``query_many`` is a loop over ``query``."""
     assert _keyword_only(QueryService) == [
         "planners",
         "backend",
@@ -72,13 +75,43 @@ def test_serving_keywords_are_pinned():
         "check_constraints",
         "budget",
         "inner_size_cutoff",
-        "shards",
         "plan_store",
         "replan_factor",
         "max_replans",
     ]
-    for retired in ("verify_plans", "codegen", "codegen_warmup"):
+    for retired in ("verify_plans", "codegen", "codegen_warmup", "shards"):
         with pytest.raises(TypeError, match=retired):
             QueryService(None, None, **{retired: 0})
+    assert _keyword_only(QueryService.query_many) == [
+        "backend",
+        "planners",
+        "use_cache",
+    ]
     # codegen_warmup is ignored, kept for bench/staged.py (ROADMAP item 1).
     assert _keyword_only(ViewMaintainer) == ["subscribe", "codegen_warmup"]
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.engine.service.sharding", "repro.analysis.sharding"]
+)
+def test_the_partitioning_modules_are_gone(module):
+    """There is one partition: no shard router, no shard-set analysis."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_the_partitioning_names_are_gone():
+    from repro.analysis.explain import Explanation
+    from repro.engine.service.stats import ServiceStats, StatsSnapshot
+    from repro.exec.iometer import IOMeter
+    from repro.storage import snapshots
+
+    for name in ("BoundSnapshotReader", "shard_of", "single_shard_layout"):
+        assert not hasattr(snapshots, name), name
+    assert not hasattr(snapshots.DatabaseSnapshot, "bound_to")
+    assert not hasattr(IOMeter, "record_shard")
+    assert not hasattr(QueryService, "shard_count")
+    assert "shard_set" not in {f.name for f in dataclasses.fields(Explanation)}
+    counters = {"single_shard_queries", "fanout_queries", "shards_touched", "shards_pruned"}
+    assert not counters & {f.name for f in dataclasses.fields(StatsSnapshot)}
+    assert not any(hasattr(ServiceStats(), name) for name in counters)

@@ -3,15 +3,16 @@
 The memo sits in front of the plan cache and decides nothing about plans, so
 the core guarantee is differential: a service that is sent source text (memo
 hits from the second call on) answers call by call exactly like one that is
-sent a freshly parsed object every time (always a miss), across writes,
-backends and shard counts.  The rest pins the contract down: one record per
-input however it is planned, failing inputs never stored, the memo bounded,
-and the counters exact under ``query_many``'s threads.
+sent a freshly parsed object every time (always a miss), across writes and
+backends.  The rest pins the contract down: one record per input however it
+is planned, failing inputs never stored, the memo bounded, and the counters
+exact under concurrent callers.
 """
 
 from __future__ import annotations
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -83,13 +84,17 @@ def _cdr_case():
     return build, texts
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize(
+    "planners", [("heuristic", "topped"), ("cost", "topped")], ids=["heuristic", "cost"]
+)
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("case", [_gs_case, _cdr_case], ids=["graph_search", "cdr"])
-def test_text_and_fresh_objects_answer_identically(case, backend, shards):
+def test_text_and_fresh_objects_answer_identically(case, backend, planners):
+    """Under a constant-blind chain (``heuristic``, plans shared per shape)
+    and a per-value one (``cost``), on either backend."""
     build, texts = case()
-    by_text = build(backend=backend, shards=shards)
-    by_object = build(backend=backend, shards=shards)
+    by_text = build(backend=backend, planners=planners)
+    by_object = build(backend=backend, planners=planners)
 
     def compare_all():
         for text in texts:
@@ -209,7 +214,7 @@ def test_param_validation_is_unchanged_on_cold_and_warm_inputs(service, params, 
         with pytest.raises(QueryError, match=message):
             service.query(CHAIN_PARAM, params=params)
     with pytest.raises(QueryError, match="missing bindings"):
-        service.query_many([CHAIN, CHAIN_PARAM], max_workers=2)
+        service.query_many([CHAIN, CHAIN_PARAM])
     with pytest.raises(QueryError, match="unbound parameters \\['a'\\]"):
         service.baseline(CHAIN_PARAM)
     with pytest.raises(QueryError, match="no parameters named \\['a'\\]"):
@@ -226,7 +231,7 @@ ENTRY_POINTS = {
     "explain": lambda s, text: s.explain(text),
     "lint": lambda s, text: s.lint(text),
     "baseline": lambda s, text: s.baseline(text),
-    "query_many": lambda s, text: s.query_many([CHAIN, text], max_workers=2),
+    "query_many": lambda s, text: s.query_many([CHAIN, text]),
 }
 FAILING = {
     "syntax": ("Q(x :- R(x, y)", QueryError, "expected '\\)'"),
@@ -236,14 +241,14 @@ FAILING = {
 }
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
 @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("failure", sorted(FAILING))
 def test_failing_text_raises_every_time_and_is_not_stored(
-    rs_database, failure, entry_point, shards
+    rs_database, failure, entry_point, backend
 ):
     text, error, message = FAILING[failure]
-    with QueryService(rs_database, ACCESS, shards=shards) as service:
+    with QueryService(rs_database, ACCESS, backend=backend) as service:
         service.query(CHAIN)
         stored = len(service._resolver)
         for _ in range(3):
@@ -283,12 +288,13 @@ def test_memo_is_cleared_at_its_limit_and_hot_text_survives(service):
 
 
 # --------------------------------------------------------------------------- #
-# (e) Concurrent batches: same answers, exact counters
+# (e) Concurrent callers: same answers, exact counters
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_query_many_matches_serial_and_counts_every_resolve(shards):
+def test_concurrent_callers_match_serial_and_count_every_resolve():
+    """Four threads calling ``query`` on one service get the serial answers,
+    and the stats count every call and every resolve exactly."""
     instance = gs.generate(num_persons=80, num_movies=120, seed=17)
     pairs = sorted({(row[2], row[3]) for row in instance.database.relation("movie")})
     templates = (  # three shapes: a different constant alone shares a plan
@@ -302,11 +308,11 @@ def test_query_many_matches_serial_and_counts_every_resolve(shards):
     sys.setswitchinterval(1e-5)
     try:
         with QueryService(
-            instance.database, gs.access_schema(n0=instance.n0), gs.views(), shards=shards
-        ) as service:
-            serial = [service.query(text) for text in texts]
+            instance.database, gs.access_schema(n0=instance.n0), gs.views()
+        ) as service, ThreadPoolExecutor(max_workers=4) as callers:
+            serial = service.query_many(texts)
             service.stats.reset()
-            answers = service.query_many(batch, max_workers=4)
+            answers = list(callers.map(service.query, batch))
             assert [a.rows for a in answers] == [a.rows for a in serial] * 50
             assert [a.tuples_fetched for a in answers] == [
                 a.tuples_fetched for a in serial

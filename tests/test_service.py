@@ -412,7 +412,7 @@ def test_query_many_preserves_order_and_aggregates_stats(service):
     reordered = anchored_chain(2)
     reordered = ConjunctiveQuery(reordered.head, reordered.atoms[::-1], name="reordered")
     queries = [anchored_chain(1), reordered, anchored_chain(1), open_scan()]
-    answers = service.query_many(queries, max_workers=4)
+    answers = service.query_many(queries)
     assert len(answers) == 4
     assert answers[0].rows == answers[2].rows == {("x",), ("y",)}
     assert answers[1].rows == {("z",)}
@@ -427,9 +427,67 @@ def test_query_many_preserves_order_and_aggregates_stats(service):
     assert snapshot.latency_p95 >= snapshot.latency_p50 >= 0.0
 
 
-def test_query_many_single_worker(service):
-    answers = service.query_many([anchored_chain()], max_workers=1)
-    assert len(answers) == 1 and answers[0].used_bounded_plan
+def _observed(answer):
+    return (
+        answer.rows,
+        answer.used_bounded_plan,
+        answer.cache_hit,
+        answer.planner,
+        answer.backend,
+        answer.execution_tier,
+        answer.tuples_fetched,
+        answer.tuples_scanned,
+    )
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_query_many_answers_what_a_loop_over_query_answers(rs_database, backend):
+    """Object, text, union and unbounded inputs, repeated: the batch and
+    the loop agree answer for answer and counter for counter."""
+    queries = [
+        anchored_chain(1),
+        "Q(z) :- R(2, y), S(y, z)",  # anchored_chain(1)'s shape, as text
+        parse_ucq("Q(z) :- R(1, y), S(y, z) ; Q(z) :- R(3, y), S(y, z)"),
+        open_scan(),
+        anchored_chain(3),
+    ] * 2
+    with QueryService(rs_database, ACCESS, backend=backend) as batched:
+        answers = batched.query_many(queries)
+        got = batched.stats.snapshot()
+    with QueryService(rs_database, ACCESS, backend=backend) as looped:
+        expected = [looped.query(query) for query in queries]
+        want = looped.stats.snapshot()
+    assert list(map(_observed, answers)) == list(map(_observed, expected))
+    assert {a.backend for a in answers} == {backend}
+    assert (
+        got.queries,
+        got.cache_hits,
+        got.bounded_answers,
+        got.fallback_answers,
+        got.planner_uses,
+        got.tier_uses,
+        got.tuples_fetched,
+        got.tuples_scanned,
+    ) == (
+        want.queries,
+        want.cache_hits,
+        want.bounded_answers,
+        want.fallback_answers,
+        want.planner_uses,
+        want.tier_uses,
+        want.tuples_fetched,
+        want.tuples_scanned,
+    )
+
+
+def test_query_many_stops_at_the_first_failing_query(service):
+    """In order, one at a time: the query before the failure is answered and
+    counted, the one after it is never planned."""
+    with pytest.raises(QueryError, match="unknown relations"):
+        service.query_many([anchored_chain(1), "Q(x) :- nosuch(x)", open_scan()])
+    assert service.stats.snapshot().queries == 1
+    assert len(service.plan_cache) == 1
+    assert service.query_many([]) == []
 
 
 def test_stats_reset(service):
@@ -476,11 +534,6 @@ def test_memory_executor_is_reused(rs_database):
     assert backend._executor is executor_before  # built once, reused
 
 
-def test_shards_none_is_rejected(rs_database):
-    with pytest.raises(QueryError, match="shards must be an integer >= 1"):
-        QueryService(rs_database, ACCESS, shards=None)
-
-
 def test_deprecated_shims_are_gone():
     import importlib
 
@@ -502,7 +555,7 @@ def test_deprecated_shims_are_gone():
 
 
 # --------------------------------------------------------------------------- #
-# Optimizer v2: estimates in explain, adaptive re-planning, shard identity,
+# Optimizer v2: estimates in explain, adaptive re-planning, tier identity,
 # and warm restart through the persistent plan store
 # --------------------------------------------------------------------------- #
 
@@ -744,31 +797,27 @@ def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
     service.close()
 
 
+@pytest.mark.parametrize("constant", [1, 4], ids=["two-keys", "no-key"])
 @pytest.mark.parametrize(
     "planners", [("heuristic", "topped"), ("cost", "topped")]
 )
-@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
-def test_shard_variants_are_meter_identical(rs_database, planners, tier):
-    """shards=1/2/4 answer with bit-identical rows and Dxi accounting,
-    whichever planner chose the join order and whichever tier executed;
-    shards=1 (one partition, no routing or pruning) is the reference."""
-    query = anchored_chain()
-    baseline = None
-    for shards in (1, 2, 4):
-        service = QueryService(rs_database, ACCESS, planners=planners, shards=shards)
-        if tier == "compiled":
-            answer = service.query(query)
-            assert answer.used_bounded_plan and answer.execution_tier == tier
-            observed = (answer.rows, answer.tuples_fetched, answer.view_tuples_scanned)
-        else:
-            result = interpreted(service, query)
-            stats = result.stats
-            observed = (result.rows, stats.tuples_fetched, stats.view_tuples_scanned)
-        if baseline is None:
-            baseline = observed
-        else:
-            assert observed == baseline, (planners, tier, shards)
-        service.close()
+def test_tiers_are_meter_identical_under_either_chain(rs_database, planners, constant):
+    """The compiled answer and the interpreted run of the same cached plan
+    agree on rows and Dxi accounting, whichever planner chose the join
+    order — also when the anchor matches no ``R`` row and the answer is
+    empty."""
+    query = anchored_chain(constant)
+    with QueryService(rs_database, ACCESS, planners=planners) as service:
+        answer = service.query(query)
+        assert answer.used_bounded_plan and answer.execution_tier == "compiled"
+        assert bool(answer.rows) == (constant == 1)
+        result = interpreted(service, query)
+        stats = result.stats
+        assert (answer.rows, answer.tuples_fetched, answer.view_tuples_scanned) == (
+            result.rows,
+            stats.tuples_fetched,
+            stats.view_tuples_scanned,
+        )
 
 
 def test_plan_store_restart_first_execution_is_compiled(rs_database, tmp_path):

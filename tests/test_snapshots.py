@@ -1,28 +1,37 @@
 """MVCC snapshots: versioned reads, COW maintenance, and torn-read immunity.
 
 The unit tests pin the storage-level contracts of
-:mod:`repro.storage.snapshots` — deterministic shard hashing, layout
-classification, fetch equality with the live indices, copy-on-write
-``advance`` equivalence with a full rebuild, reader immutability and
-out-of-band staleness detection.  The property test at the end is the
-concurrency acceptance check: readers racing a writer thread must only ever
-observe full pre- or post-batch states (rows *and* ``Dξ`` match some
-serially computed version), never a torn mix.
+:mod:`repro.storage.snapshots` — fetch equality with the live indices,
+copy-on-write ``advance`` equivalence with a full rebuild, reader
+immutability, out-of-band staleness detection, and plans that keep serving
+the next version.  The tests at the end are the concurrency acceptance
+checks: readers racing a writer thread must only ever observe full pre- or
+post-batch states (rows *and* ``Dξ`` match some serially computed version),
+never a torn mix.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.algebra.schema import schema_from_spec
+from repro.core.access import AccessConstraint
 from repro.engine.service import QueryService
 from repro.storage.indexes import IndexSet
-from repro.storage.snapshots import ShardingLayout, shard_of, single_shard_layout
+from repro.storage.snapshots import (
+    ConstraintIndexVersion,
+    RelationVersion,
+    ShardingLayout,
+    SnapshotManager,
+)
 from repro.storage.updates import Deletion, Insertion, UpdateBatch, random_update_batch
 from repro.workloads import graph_search as gs
+
+from conftest import interpreted
 
 
 @pytest.fixture(scope="module")
@@ -30,41 +39,8 @@ def instance():
     return gs.generate(num_persons=60, num_movies=80, seed=5)
 
 
-def _service(instance, **kwargs) -> QueryService:
-    return QueryService(
-        instance.database, gs.access_schema(n0=instance.n0), gs.views(), **kwargs
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Shard hashing and layout derivation
-# --------------------------------------------------------------------------- #
-
-
-def test_shard_of_is_deterministic_and_hash_seed_free():
-    key = ("Universal", "2014")
-    expected = zlib.crc32(repr(tuple(key)).encode("utf-8")) % 4
-    assert shard_of(key, 4) == expected
-    assert shard_of(key, 4) == shard_of(list(key), 4)
-    assert shard_of(key, 1) == 0
-    assert all(0 <= shard_of((i,), 8) < 8 for i in range(100))
-
-
-def test_layout_partitions_only_keyed_high_bound_constraints():
-    schema, access = gs.schema(), gs.access_schema(n0=100)
-    layout = ShardingLayout.derive(schema, access, 4)
-    by_relation = {c.relation: c for c in access}
-    assert layout.shard_count == 4
-    # movie(studio,release -> mid, 100): keyed and high-bound => partitioned.
-    assert layout.constraint_is_partitioned(by_relation["movie"])
-    # rating(mid -> rank, 1): reference tier (bound <= 1) => global.
-    assert not layout.constraint_is_partitioned(by_relation["rating"])
-
-    single = ShardingLayout.derive(schema, access, 1)
-    assert not any(single.constraint_is_partitioned(c) for c in access)
-    with pytest.raises(ValueError):
-        ShardingLayout.derive(schema, access, 0)
-    assert single_shard_layout().shard_count == 1
+def _service(instance) -> QueryService:
+    return QueryService(instance.database, gs.access_schema(n0=instance.n0), gs.views())
 
 
 # --------------------------------------------------------------------------- #
@@ -82,8 +58,7 @@ def _probe_keys(instance):
 
 def test_snapshot_fetch_matches_live_indexes(instance):
     access = gs.access_schema(n0=instance.n0)
-    layout = ShardingLayout.derive(instance.database.schema, access, 4)
-    manager = instance.database.enable_snapshots(layout, access)
+    manager = instance.database.enable_snapshots(access)
     live = IndexSet(instance.database, access)
     by_relation = {c.relation: c for c in access}
     keys, mids = _probe_keys(instance)
@@ -102,8 +77,7 @@ def test_snapshot_fetch_matches_live_indexes(instance):
 def test_advance_matches_full_rebuild_and_readers_stay_pinned():
     instance = gs.generate(num_persons=40, num_movies=60, seed=9)
     access = gs.access_schema(n0=instance.n0)
-    layout = ShardingLayout.derive(instance.database.schema, access, 4)
-    manager = instance.database.enable_snapshots(layout, access)
+    manager = instance.database.enable_snapshots(access)
     before = manager.reader()
     facts_before = before.facts
 
@@ -114,7 +88,7 @@ def test_advance_matches_full_rebuild_and_readers_stay_pinned():
     # built from scratch on the post state must agree bucket for bucket.
     after = manager.reader()
     assert after.version > before.version
-    rebuilt = instance.database.enable_snapshots(layout, access).reader()
+    rebuilt = instance.database.enable_snapshots(access).reader()
     assert after.facts == rebuilt.facts == instance.database.facts
     by_relation = {c.relation: c for c in access}
     keys, mids = _probe_keys(instance)
@@ -172,6 +146,157 @@ def test_close_deregisters_the_snapshot_manager(instance):
         database.apply([Deletion("movie", row)])
 
 
+def test_plans_stay_cached_and_compiled_across_a_foreign_write(instance):
+    q0 = gs.query_q0()
+    writer = _service(instance)
+    observer = _service(instance)
+    observer.query(q0)
+
+    row = ("m_retain", "r", "Universal", "2014")
+    rating = ("m_retain", 5)
+    batch = UpdateBatch([Insertion("movie", row), Insertion("rating", rating)])
+    try:
+        # The write goes through `writer`; `observer` sees it on the delta
+        # stream, keeps its entry and closure, and reads the new snapshot.
+        writer.apply(batch)
+        answer = observer.query(q0)
+        assert answer.cache_hit and answer.execution_tier == "compiled"
+        with _service(instance) as fresh:
+            expected = interpreted(fresh, q0)
+        assert answer.rows == expected.rows
+        assert answer.tuples_fetched == expected.stats.tuples_fetched
+    finally:
+        writer.apply(
+            UpdateBatch([Deletion("movie", row), Deletion("rating", rating)])
+        )
+        writer.close()
+        observer.close()
+
+
+# --------------------------------------------------------------------------- #
+# Version objects: one frozenset per relation, one bucket dict per index
+# --------------------------------------------------------------------------- #
+
+_PAIR = frozenset({(1, "a"), (2, "b")})
+RELATION_DELTAS = {
+    # case: (net inserted, net deleted, rows of the next version of _PAIR)
+    "insert-new": ([(3, "c")], [], {(1, "a"), (2, "b"), (3, "c")}),
+    "delete-present": ([], [(1, "a")], {(2, "b")}),
+    "insert-and-delete": ([(3, "c")], [(2, "b")], {(1, "a"), (3, "c")}),
+    "delete-absent": ([], [(9, "z")], {(1, "a"), (2, "b")}),
+    "insert-present": ([(1, "a")], [], {(1, "a"), (2, "b")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_DELTAS))
+def test_relation_version_apply_is_a_difference_then_a_union(case):
+    inserted, deleted, expected = RELATION_DELTAS[case]
+    before = RelationVersion(_PAIR)
+    after = before.apply(inserted, deleted)
+    assert after.rows == expected and isinstance(after.rows, frozenset)
+    assert before.rows is _PAIR  # a pinned version never changes
+
+
+_R_ABC = schema_from_spec({"R": ("a", "b", "c")})
+_R_A_TO_B = AccessConstraint("R", ("a",), ("b",), 5)
+
+
+def _index_version() -> ConstraintIndexVersion:
+    """Key (1,) has one projection with two supporting rows, key (2,) one
+    projection with one."""
+    rows = [(1, 10, "u"), (1, 10, "v"), (2, 20, "w")]
+    return ConstraintIndexVersion.build(_R_A_TO_B, _R_ABC, rows)
+
+
+INDEX_CHANGES = {
+    # case: (staged per-key changes, buckets of the next version)
+    "new-projection": (
+        {(1,): {(1, 11): 1}},
+        {(1,): {(1, 10): 2, (1, 11): 1}, (2,): {(2, 20): 1}},
+    ),
+    "new-key": (
+        {(3,): {(3, 30): 1}},
+        {(1,): {(1, 10): 2}, (2,): {(2, 20): 1}, (3,): {(3, 30): 1}},
+    ),
+    "one-of-two-supporters": (
+        {(1,): {(1, 10): -1}},
+        {(1,): {(1, 10): 1}, (2,): {(2, 20): 1}},
+    ),
+    "last-supporter": ({(2,): {(2, 20): -1}}, {(1,): {(1, 10): 2}}),
+    "netted-away": ({(1,): {}}, {(1,): {(1, 10): 2}, (2,): {(2, 20): 1}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CHANGES))
+def test_index_version_apply_keeps_support_counts(case):
+    changes, expected = INDEX_CHANGES[case]
+    before = _index_version()
+    after = before.apply(changes)
+    assert after.buckets == expected
+    for key in [(1,), (2,), (3,)]:
+        assert after.lookup(key) == frozenset(expected.get(key, ()))
+    assert before.buckets == {(1,): {(1, 10): 2}, (2,): {(2, 20): 1}}
+
+
+def test_index_version_apply_copies_only_the_changed_buckets():
+    before = _index_version()
+    one, two = before.lookup((1,)), before.lookup((2,))  # memoised lookups
+    after = before.apply({(1,): {(1, 11): 1}})
+    assert after.buckets[(2,)] is before.buckets[(2,)]
+    assert after.lookup((2,)) is two  # the untouched key keeps its memo
+    assert after.lookup((1,)) == {(1, 10), (1, 11)}
+    assert before.lookup((1,)) is one and one == {(1, 10)}
+
+
+# --------------------------------------------------------------------------- #
+# The manager the staged benchmark builds: unregistered, fed the stream
+# --------------------------------------------------------------------------- #
+
+
+def test_an_unregistered_manager_advances_from_the_committed_stream():
+    """A manager built directly, not registered with the database, stages
+    each committed stream itself in ``advance`` and publishes what a
+    registered manager published inside the transaction."""
+    instance = gs.generate(num_persons=40, num_movies=60, seed=9)
+    database = instance.database
+    access = gs.access_schema(n0=instance.n0)
+    registered = database.enable_snapshots(access)
+    layout = ShardingLayout.derive(database.schema, access, 1)
+    unregistered = SnapshotManager(database, layout, access)
+    batch = random_update_batch(database, size=40, seed=3, access_schema=access)
+    for step in (batch, batch.inverted()):
+        stream = database.apply(step)
+        assert stream.applied_insertions + stream.applied_deletions > 0
+        published = unregistered.advance(stream)
+        expected = registered.current
+        assert published is unregistered.reader()
+        assert published.version == expected.version
+        assert published.facts == expected.facts == database.facts
+        for constraint in access:
+            assert (
+                published.index_for(constraint).buckets
+                == expected.index_for(constraint).buckets
+            ), constraint
+        assert not unregistered.stale()
+
+
+def test_the_shard_fields_kept_for_the_staged_benchmark_stay_empty(instance):
+    """``ShardingLayout``, ``Answer.shards_touched`` / ``shards_total`` and
+    ``IOMeter.shards_touched`` survive only because the staged benchmark
+    reads them; nothing in the package fills them."""
+    assert isinstance(
+        ShardingLayout.derive(instance.database.schema, gs.access_schema(), 4),
+        ShardingLayout,
+    )
+    with _service(instance) as service:
+        answer = service.query(gs.query_q0())
+        result = interpreted(service, gs.query_q0())
+    assert answer.used_bounded_plan and answer.tuples_fetched > 0
+    assert (answer.shards_touched, answer.shards_total) == ((), 0)
+    assert result.stats.tuples_fetched == answer.tuples_fetched
+    assert result.stats.shards_touched == frozenset()
+
+
 # --------------------------------------------------------------------------- #
 # The torn-read property test
 # --------------------------------------------------------------------------- #
@@ -211,14 +336,17 @@ def _paired_batches(database, count: int) -> list[UpdateBatch]:
     return batches
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_concurrent_readers_never_observe_torn_state(shards):
+@pytest.mark.parametrize("writer", ["service", "database"])
+def test_concurrent_readers_never_observe_torn_state(writer):
+    """The batches go through ``service.apply``, or straight to
+    ``database.apply`` as a foreign write the service only sees on the delta
+    stream."""
     q0 = gs.query_q0()
     generate = dict(num_persons=40, num_movies=60, seed=13)
 
     # Serial oracle: the exact (rows, Dξ, view scans) of every version.
     serial = gs.generate(**generate)
-    oracle = _service(serial, shards=shards)
+    oracle = _service(serial)
     batches = _paired_batches(serial.database, 8)
     answer = oracle.query(q0)
     valid = {(answer.rows, answer.tuples_fetched, answer.view_tuples_scanned)}
@@ -231,7 +359,7 @@ def test_concurrent_readers_never_observe_torn_state(shards):
     # same batches while readers hammer Q0.  Every observation must be one
     # of the serial versions — snapshot publication is all-or-nothing.
     concurrent = gs.generate(**generate)
-    service = _service(concurrent, shards=shards)
+    service = _service(concurrent)
     live_batches = _paired_batches(concurrent.database, 8)
     done = threading.Event()
     torn: list[tuple] = []
@@ -250,8 +378,9 @@ def test_concurrent_readers_never_observe_torn_state(shards):
     for thread in readers:
         thread.start()
     try:
+        apply = service.apply if writer == "service" else concurrent.database.apply
         for batch in live_batches:
-            service.apply(batch)
+            apply(batch)
             time.sleep(0.002)
     finally:
         done.set()
@@ -264,3 +393,80 @@ def test_concurrent_readers_never_observe_torn_state(shards):
     expected = oracle.query(q0)
     assert final.rows == expected.rows
     assert final.tuples_fetched == expected.tuples_fetched
+
+
+# --------------------------------------------------------------------------- #
+# A keyed mix across a write, its inverse, and a concurrent writer
+# --------------------------------------------------------------------------- #
+
+_WRITE = UpdateBatch(
+    [Insertion("movie", (f"m_cc_{i}", "cc", "Universal", "2014")) for i in range(6)]
+    + [Insertion("rating", (f"m_cc_{i}", 5)) for i in range(6)]
+)
+
+
+def _observed(service, queries) -> list:
+    return [(a.rows, a.tuples_fetched) for a in map(service.query, queries)]
+
+
+def test_keyed_mix_is_24_rows_for_dxi_288_and_a_write_and_its_inverse_round_trip(
+    gs_1000, gs_mix
+):
+    """The keyed mix returns 24 rows for Dξ 288; after a write it equals a
+    fresh service on the written data, and the inverse write restores it bit
+    for bit."""
+    service = _service(gs_1000)
+    pristine = _observed(service, gs_mix)
+    assert (sum(len(r) for r, _ in pristine), sum(f for _, f in pristine)) == (24, 288)
+    service.apply(_WRITE)
+    written = _observed(service, gs_mix)
+    assert written != pristine
+    with _service(gs_1000) as fresh:
+        assert written == _observed(fresh, gs_mix)
+    service.apply(_WRITE.inverted())
+    assert _observed(service, gs_mix) == pristine
+    service.close()
+
+
+def test_concurrent_queries_read_one_version_under_a_concurrent_writer(
+    gs_1000, gs_mix
+):
+    """Four threads call ``query`` while a writer thread keeps applying a
+    batch and its inverse: no error, every answer is the pristine or the
+    written version whole (never the movie index of one and the rating index
+    of the other), and the settled state is bit-identical."""
+    service = _service(gs_1000)
+    pristine = _observed(service, gs_mix)
+    service.apply(_WRITE)
+    written = _observed(service, gs_mix)
+    service.apply(_WRITE.inverted())
+    done, errors = threading.Event(), []
+
+    def write() -> None:
+        try:
+            while True:  # whole pairs only: the run ends on the pristine state
+                service.apply(_WRITE)
+                service.apply(_WRITE.inverted())
+                if done.is_set():
+                    return
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    def read(_: int) -> list:
+        return [_observed(service, gs_mix) for _ in range(6)]
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with ThreadPoolExecutor(max_workers=4) as readers:
+            bursts = [burst for run in readers.map(read, range(4)) for burst in run]
+    finally:
+        done.set()
+        writer.join(timeout=120)
+    assert not writer.is_alive()
+    assert not errors, errors
+    for answers in bursts:
+        for answer, old, new in zip(answers, pristine, written):
+            assert answer in (old, new)
+    assert _observed(service, gs_mix) == pristine
+    service.close()

@@ -8,7 +8,6 @@ from repro.errors import AccessConstraintError, SchemaError
 from repro.storage.generators import rng, zipf_index
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database, Relation
-from repro.storage.snapshots import single_shard_layout
 from repro.storage.statistics import (
     constraint_bound,
     discover_access_constraints,
@@ -76,7 +75,7 @@ def test_duplicate_tuples_are_set_semantics(schema):
 
 def _index_version(database, constraint):
     """The constraint's index: its version in a freshly built snapshot."""
-    manager = database.enable_snapshots(single_shard_layout(), AccessSchema([constraint]))
+    manager = database.enable_snapshots(AccessSchema([constraint]))
     return manager.current.index_for(constraint)
 
 
@@ -85,7 +84,7 @@ def test_constraint_index_version_lookup(database):
     index = _index_version(database, constraint)
     assert index.lookup((1,)) == {(1, 10), (1, 11)}
     assert index.lookup((99,)) == frozenset()
-    assert max(len(bucket) for shard in index.shards for bucket in shard.values()) == 2
+    assert max(len(bucket) for bucket in index.buckets.values()) == 2
     assert constraint.output_attributes == ("a", "b")
     # Admission reads the raw bucket: projection -> supporting-row count.
     assert index.bucket((2,)) == {(2, 20): 2}

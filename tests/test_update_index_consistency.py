@@ -24,13 +24,13 @@ from repro.algebra.views import View, ViewSet
 from repro.engine.service.maintenance import ViewMaintainer
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
-from repro.storage.snapshots import SnapshotManager, single_shard_layout
+from repro.storage.snapshots import SnapshotManager
 from repro.storage.statistics import (
     discover_access_constraints,
     relation_statistics,
 )
 from repro.storage.updates import UpdateBatch, random_update_batch
-from repro.workloads import graph_search as gs
+from repro.workloads import cdr, graph_search as gs, skewed
 
 
 def _fresh_copy(database: Database) -> Database:
@@ -40,12 +40,12 @@ def _fresh_copy(database: Database) -> Database:
 def _assert_index_versions_agree(maintained, database, access) -> None:
     """``maintained`` (a published snapshot) equals a fresh build of every
     index: same buckets, same supporting-row counts, same lookups."""
-    fresh = SnapshotManager(database, maintained.layout, access).current
+    fresh = SnapshotManager(database, None, access).current
     for constraint in access:
         left = maintained.index_for(constraint)
         right = fresh.index_for(constraint)
-        assert left.shards == right.shards, constraint
-        for key in {key for shard in left.shards for key in shard}:
+        assert left.buckets == right.buckets, constraint
+        for key in left.buckets:
             assert left.lookup(key) == right.lookup(key), (constraint, key)
 
 
@@ -55,7 +55,7 @@ def test_access_indexes_track_applied_deltas(seed):
     database = instance.database
     access = gs.access_schema(n0=instance.n0, with_like_key=True)
     # Built BEFORE the updates; every apply advances it from its overlay.
-    manager = database.enable_snapshots(single_shard_layout(), access)
+    manager = database.enable_snapshots(access)
 
     batch = random_update_batch(
         database, size=60, seed=seed, access_schema=access, insert_ratio=0.6
@@ -68,6 +68,34 @@ def test_access_indexes_track_applied_deltas(seed):
     # Undo the batch: the maintained indexes must roll back too.
     batch.inverted().apply_to(database)
     _assert_index_versions_agree(manager.current, database, access)
+
+
+WORKLOADS = {
+    # two-attribute keys, three constraints on one relation
+    "cdr": lambda seed: (
+        cdr.generate(num_customers=60, num_days=3, seed=seed).database,
+        cdr.access_schema(),
+    ),
+    # one hot key holding most of the rows next to many cold ones
+    "skewed": lambda seed: (
+        skewed.generate(hot_fans=100, users=600, seed=seed).database,
+        skewed.access_schema(),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_access_indexes_track_applied_deltas_on_other_workloads(workload, seed):
+    database, access = WORKLOADS[workload](seed)
+    manager = database.enable_snapshots(access)
+    batch = random_update_batch(
+        database, size=60, seed=seed, access_schema=access, insert_ratio=0.6
+    )
+    for step in (batch, batch.inverted()):
+        inserted, deleted = step.apply_to(database)
+        assert inserted + deleted > 0
+        _assert_index_versions_agree(manager.current, database, access)
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -169,7 +197,7 @@ def test_discovered_constraints_stay_indexable_under_updates():
         database, max_x_size=1, max_bound=200, relations=("rating", "movie")
     )
     assert len(tuple(mined)) > 0
-    manager = database.enable_snapshots(single_shard_layout(), mined)
+    manager = database.enable_snapshots(mined)
     batch = random_update_batch(database, size=30, seed=9, access_schema=mined)
     batch.apply_to(database)
     _assert_index_versions_agree(manager.current, database, mined)

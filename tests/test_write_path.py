@@ -91,12 +91,11 @@ def test_database_apply_leaves_everything_all_pre_on_a_malformed_update(bad):
     statistics, the snapshot, the views and the subscribers all-pre."""
     from repro.core.access import AccessConstraint
     from repro.errors import SchemaError
-    from repro.storage.snapshots import single_shard_layout
 
     schema = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
     database = Database(schema, {"R": {(1, 2)}, "S": {(2, 3)}})
     access = AccessSchema((AccessConstraint("R", ("a",), ("b",), 2),))
-    manager = database.enable_snapshots(single_shard_layout(), access)
+    manager = database.enable_snapshots(access)
     views = ViewSet((View("V", parse_cq("V(x, z) :- R(x, y), S(y, z)")),))
     maintainer = ViewMaintainer(views, database, subscribe=True)
     statistics = database.relation("R").statistics()
@@ -377,14 +376,14 @@ def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
 
 
 def test_retention_is_not_a_knob(gs_service):
-    """Ten keyword knobs; the one that selected eviction is a TypeError."""
+    """Nine keyword knobs; the one that selected eviction is a TypeError."""
     instance, _service = gs_service
     knobs = [
         parameter.name
         for parameter in inspect.signature(QueryService).parameters.values()
         if parameter.kind is parameter.KEYWORD_ONLY
     ]
-    assert len(knobs) == 10
+    assert len(knobs) == 9
     removed = "retain_plans" + "_on_write"  # in halves: greps for it stay empty
     assert removed not in knobs
     with pytest.raises(TypeError, match=removed):
@@ -424,11 +423,11 @@ def _differential_cases(workload):
     return instance.database, skewed.access_schema(), skewed.views(), queries, prepared
 
 
+@pytest.mark.parametrize("writer", ["service", "database"])
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("workload", ["graph_search", "skewed"])
 def test_retained_plans_agree_with_a_service_built_after_every_write(
-    workload, shards, backend
+    workload, backend, writer
 ):
     """A long-lived service against one constructed fresh after each batch.
 
@@ -437,10 +436,18 @@ def test_retained_plans_agree_with_a_service_built_after_every_write(
     counters alone); the fresh one plans against the post-write state.  Rows,
     Dξ, planner and bounded verdict must agree — for view-scanning plans, a
     negative outcome, and a prepared ``:param`` query held across the writes.
+    The batches go through ``service.apply`` or, as a foreign write the
+    service only sees on the delta stream, straight to ``database.apply``.
     """
     database, access, views, queries, (text, bindings) = _differential_cases(workload)
-    options = {"shards": shards, "backend": backend}
-    service = QueryService(database, access, views, **options)
+    service = QueryService(database, access, views, backend=backend)
+
+    def write(step):
+        if writer == "service":
+            return service.apply(step).applied
+        stream = database.apply(step)
+        return stream.applied_insertions + stream.applied_deletions
+
     prepared = service.prepare(text)
     outcomes = [service.query(query).used_bounded_plan for query in queries]
     for binding in bindings:
@@ -456,9 +463,9 @@ def test_retained_plans_agree_with_a_service_built_after_every_write(
         batch = random_update_batch(database, size=40, seed=seed, access_schema=access)
         for step in (batch, batch.inverted()):
             before = counters()
-            assert service.apply(step).applied > 0
+            assert write(step) > 0
             assert counters() == before
-            with QueryService(database, access, views, **options) as fresh:
+            with QueryService(database, access, views, backend=backend) as fresh:
                 for query in queries:
                     kept = service.query(query)
                     assert kept.cache_hit

@@ -32,16 +32,6 @@ inspection (no imports of the checked code, so it runs on any tree):
     to the relation's one write path (``Relation.apply_delta``), which keeps
     statistics, secondary indexes and the mutation counter in step with it.
 
-``kernel.shard-storage-import``
-    The sharded-serving modules read base data through pinned snapshots
-    only: ``src/repro/engine/service/sharding.py`` may import from
-    ``repro.storage`` nothing but ``repro.storage.snapshots`` (immutable
-    versions), and ``src/repro/analysis/sharding.py`` (the static shard-set
-    derivation) may not import ``repro.storage`` at all.  A shard worker
-    holding ``Relation``/``Database``/live-index handles could read torn
-    state mid-transaction or mutate shared storage behind the write path's
-    back.
-
 ``kernel.histogram-import``
     No module outside ``src/repro/storage`` may import
     ``repro.storage.histograms``: histograms are reached only through the
@@ -121,15 +111,6 @@ METERED_FETCH_FILES = frozenset({OPERATORS_FILE, CODEGEN_FILE, DELTA_COMPILER_FI
 #: data through the metered fetch protocol, never via storage classes.
 CODEGEN_FILES = frozenset({CODEGEN_FILE, DELTA_COMPILER_FILE})
 STORAGE_DIR = Path("src/repro/storage")
-#: Shard workers read via pinned snapshots only: which repro.storage
-#: submodules each sharded-serving module may import (empty = none).
-SHARD_SERVING_FILES: dict[Path, frozenset[str]] = {
-    Path("src/repro/engine/service/sharding.py"): frozenset(
-        {"repro.storage.snapshots"}
-    ),
-    Path("src/repro/analysis/sharding.py"): frozenset(),
-}
-
 #: The persistent plan store holds plain data records; execution-layer
 #: modules it may never import (closures/meters are rebuilt after load).
 PLAN_STORE_FILE = Path("src/repro/engine/service/plan_store.py")
@@ -267,46 +248,6 @@ def check_codegen_storage_imports(path: Path, tree: ast.Module) -> list[Violatio
                 if alias.name == "repro.storage" or alias.name.startswith(
                     "repro.storage."
                 ):
-                    report(node.lineno, alias.name)
-    return violations
-
-
-def check_shard_storage_imports(
-    path: Path, tree: ast.Module, allowed: frozenset[str]
-) -> list[Violation]:
-    """Sharded serving reads base data through pinned snapshots only."""
-    parts = path.parts
-    package_parts: tuple[str, ...] = ()
-    if "src" in parts:
-        start = parts.index("src") + 1
-        package_parts = tuple(parts[start:-1])
-    violations: list[Violation] = []
-
-    def report(line: int, module: str) -> None:
-        permitted = ", ".join(sorted(allowed)) or "nothing from repro.storage"
-        violations.append(
-            Violation(
-                path,
-                line,
-                "kernel.shard-storage-import",
-                f"sharded-serving module imports {module!r}; shard workers "
-                "read through pinned immutable snapshots only (allowed: "
-                f"{permitted}) — live Relation/Database/index handles could "
-                "see torn state or mutate shared storage",
-            )
-        )
-
-    def is_storage(module: str) -> bool:
-        return module == "repro.storage" or module.startswith("repro.storage.")
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = _imported_module(node, package_parts)
-            if is_storage(module) and module not in allowed:
-                report(node.lineno, module)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if is_storage(alias.name) and alias.name not in allowed:
                     report(node.lineno, alias.name)
     return violations
 
@@ -535,10 +476,6 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_metered_fetches(relative, tree)
     if relative in CODEGEN_FILES:
         violations += check_codegen_storage_imports(relative, tree)
-    if relative in SHARD_SERVING_FILES:
-        violations += check_shard_storage_imports(
-            relative, tree, SHARD_SERVING_FILES[relative]
-        )
     if relative == PLAN_STORE_FILE:
         violations += check_plan_store_imports(relative, tree)
     if relative in DECISION_PROCEDURE_FILES or ENGINE_DIR in relative.parents:
