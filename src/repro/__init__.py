@@ -24,9 +24,10 @@ The package is organised as follows:
 * :mod:`repro.engine` — the serving layer built around
   :class:`~repro.engine.service.QueryService`: one entry point for
   CQ/UCQ/FO/string queries, a pluggable planner chain (heuristic builder,
-  exact VBRP, topped-FO), an LRU plan cache with prepared queries, and
-  selectable execution backends (in-memory plan executor or SQLite via SQL
-  translation), plus incremental view/index maintenance;
+  exact VBRP, topped-FO), an LRU plan cache with prepared queries, an
+  in-memory plan executor with exact ``Dξ`` accounting, the SQL translation
+  of Section 5.1 (:func:`~repro.engine.sql.plan_to_sql`), and incremental
+  view/index maintenance;
 * :mod:`repro.workloads` — Example 1.1's Graph Search workload, a synthetic
   CDR workload, random CQ generation and the reduction gadgets used in the
   lower-bound proofs.

@@ -49,8 +49,8 @@ class Explanation:
     certificates: tuple[FetchCertificate, ...] = ()
     counterexample: BoundednessCounterexample | None = None
     lints: tuple[Diagnostic, ...] = ()
-    # The tier the next execution on the default backend takes
-    # (``"compiled"``, or ``"interpreted"`` on SQLite), how often the cached
+    # The tier the next execution takes (``"compiled"`` for a bounded plan,
+    # ``"interpreted"`` for the full-scan fallback), how often the cached
     # entry has run, and how long compiling its plan took at admission.
     execution_tier: str = "interpreted"
     executions: int = 0

@@ -10,11 +10,11 @@ reusable:
 * :mod:`.planners` — planner strategies and the registry behind the
   configurable fallback chain;
 * :mod:`.cache` — canonical query keys and the LRU plan cache;
-* :mod:`.backends` — in-memory and SQLite execution backends;
+* :mod:`.backends` — the in-memory execution backend;
 * :mod:`.stats` — thread-safe serving statistics with latency percentiles.
 """
 
-from .backends import ExecutionBackend, InMemoryBackend, SQLiteBackend, make_backend
+from .backends import InMemoryBackend
 from .cache import CachedPlan, CacheStats, LRUPlanCache, canonical_query_key
 from .maintenance import (
     MaintenanceReport,
@@ -47,7 +47,6 @@ __all__ = [
     "CostBasedPlanner",
     "DEFAULT_PLANNER_CHAIN",
     "ExactVBRPPlanner",
-    "ExecutionBackend",
     "HeuristicPlanner",
     "InMemoryBackend",
     "LRUPlanCache",
@@ -60,7 +59,6 @@ __all__ = [
     "PreparedQuery",
     "StoredEntry",
     "QueryService",
-    "SQLiteBackend",
     "ServiceStats",
     "StatsSnapshot",
     "ToppedFOPlanner",
@@ -68,7 +66,6 @@ __all__ = [
     "ViewMaintainer",
     "available_planners",
     "canonical_query_key",
-    "make_backend",
     "planner_signature",
     "register_planner",
     "resolve_planners",

@@ -6,7 +6,7 @@ input (parse, validation against the schema, canonical form — memoised, see
 :mod:`.resolve`), plans it through a configurable planner chain (see
 :mod:`.planners`), caches the planning outcome in an LRU plan cache keyed by
 the query's canonical form (see :mod:`.cache`), executes
-the plan on a selectable backend (see :mod:`.backends`) and falls back to the
+the plan on the in-memory backend (see :mod:`.backends`) and falls back to the
 full-scan baseline when no bounded plan exists — always reporting which path
 was taken and how much data it touched.
 
@@ -67,7 +67,7 @@ from ...storage.snapshots import SnapshotManager
 from ...storage.statistics import statistics_fingerprint
 from ...storage.updates import Update, UpdateBatch
 from ..optimizer import estimate_plan_fetches
-from .backends import ExecutionBackend, InMemoryBackend, SQLiteBackend, make_backend
+from .backends import InMemoryBackend
 from .cache import CachedPlan, LRUPlanCache
 from .plan_store import PlanStore, StoredEntry
 from .maintenance import (
@@ -113,11 +113,11 @@ class Answer:
     """Answer of :class:`QueryService.query` with full provenance.
 
     ``planner`` names the strategy that produced the plan (``None`` on the
-    fallback path); ``backend`` names where the query ran; ``cache_hit`` is
-    true when planning was skipped — this query's *shape* was planned before
-    (by this text or by one that differs only in liftable constants), or an
-    already-planned :class:`PreparedQuery` ran; ``reason`` explains the
-    outcome in either case — it is never silently empty.
+    fallback path); ``cache_hit`` is true when planning was skipped — this
+    query's *shape* was planned before (by this text or by one that differs
+    only in liftable constants), or an already-planned
+    :class:`PreparedQuery` ran; ``reason`` explains the outcome in either
+    case — it is never silently empty.
     """
 
     rows: frozenset[tuple]
@@ -125,6 +125,8 @@ class Answer:
     #: The literal, self-contained plan that answered (bound on first read).
     plan: _LazyPlan = _LazyPlan()
     planner: str | None
+    #: Always ``"memory"``: ``bench/staged.py`` still sets it — goes with
+    #: ROADMAP item 1 PR B.
     backend: str
     cache_hit: bool
     tuples_fetched: int
@@ -133,9 +135,8 @@ class Answer:
     elapsed_seconds: float
     reason: str = ""
     #: Which execution tier produced the rows: ``"compiled"`` (the plan's
-    #: codegen closure, every bounded answer of the memory backend) or
-    #: ``"interpreted"`` (SQLite, and the full-scan fallback).  Both tiers
-    #: are bit-identical in rows *and* in ``Dξ`` accounting.
+    #: codegen closure, every bounded answer) or ``"interpreted"`` (the
+    #: full-scan fallback).
     execution_tier: str = "interpreted"
     #: Always empty / zero: ``bench/staged.py`` still sets them — goes with
     #: ROADMAP item 1.
@@ -188,7 +189,6 @@ class PreparedQuery:
     record: ResolvedQuery
     head: tuple[Variable, ...] | None
     entry: CachedPlan
-    backend: str | None
     planned_from_cache: bool = False
     _executed: bool = False
 
@@ -219,7 +219,6 @@ class PreparedQuery:
 
     def execute(
         self,
-        backend: str | None = None,
         *,
         params: Mapping[str, object] | None = None,
         **kwargs: object,
@@ -227,9 +226,8 @@ class PreparedQuery:
         """Execute the prepared plan with values bound to its placeholders.
 
         Bindings are given as keyword arguments (``prepared.execute(studio=
-        "Universal")``) or — for parameter names that collide with this
-        method's own keywords, such as ``backend`` — through the explicit
-        ``params`` mapping.  The two may be mixed but not overlap.
+        "Universal")``) or — for a parameter named ``params`` — through the
+        explicit ``params`` mapping.  The two may be mixed but not overlap.
         """
         bindings = dict(params or {})
         overlap = sorted(set(bindings) & set(kwargs))
@@ -247,7 +245,6 @@ class PreparedQuery:
             self.head,
             self._live(),
             cache_hit=cache_hit,
-            backend_name=backend or self.backend,
             started=time.perf_counter(),
             params=bindings or None,
         )
@@ -257,16 +254,16 @@ class QueryService:
     """One entry point for answering queries over a database with views.
 
     Construction materialises the views, builds the access-constraint indices
-    and sets up the planner chain, the plan cache and the execution backends;
+    and sets up the planner chain, the plan cache and the execution backend;
     afterwards :meth:`query`, :meth:`prepare` and :meth:`query_many` serve
     any mix of CQ/UCQ/FO/string queries, and :meth:`apply` is the matching
     write path: the service subscribes to the database's delta stream, so
     every committed transaction incrementally maintains the views (compiled
-    delta plans) and feeds the same delta to the backends.  The plan cache
-    is not part of the write path: whether a query has a bounded plan, and
-    which one, is a function of the query, the access schema and the views —
-    never of the data — and compiled closures late-bind snapshot and view
-    cache per execution, so the read after a write is a compiled cache hit.
+    delta plans) and refreshes the backend.  The plan cache is not part of
+    the write path: whether a query has a bounded plan, and which one, is a
+    function of the query, the access schema and the views — never of the
+    data — and compiled closures late-bind snapshot and view cache per
+    execution, so the read after a write is a compiled cache hit.
     A planning outcome leaves by LRU, by ``plan_cache.clear()`` (assigning
     :attr:`budget`) or by adaptive re-planning, nothing else.
 
@@ -284,10 +281,9 @@ class QueryService:
     fresh, re-planned or restored from the plan store: it is verified
     (schema bookkeeping, access-constraint conformance, boundedness; see
     :func:`repro.analysis.codegen_eligibility`) and compiled into a
-    closure, which serves it from the first execution on every backend
-    that runs closures.  A plan the verifier refuses raises
-    :class:`~repro.errors.PlanVerificationError`, one the compiler refuses
-    :class:`~repro.errors.PlanError`.
+    closure, which serves it from the first execution on.  A plan the
+    verifier refuses raises :class:`~repro.errors.PlanVerificationError`,
+    one the compiler refuses :class:`~repro.errors.PlanError`.
 
     Parameters
     ----------
@@ -297,9 +293,6 @@ class QueryService:
         :func:`~repro.engine.service.planners.register_planner`) and/or
         ready strategy objects, tried in order.  Defaults to
         ``("heuristic", "topped")``.
-    backend:
-        Default execution backend, ``"memory"`` or ``"sqlite"``; overridable
-        per call.
     plan_cache_size:
         Capacity of the LRU plan cache; ``0`` disables plan caching.
     plan_store:
@@ -332,7 +325,6 @@ class QueryService:
         views: ViewSet | Sequence[View] = (),
         *,
         planners: Sequence[str | Planner] | None = None,
-        backend: str = "memory",
         plan_cache_size: int = 128,
         check_constraints: bool = True,
         budget: ElementQueryBudget | None = None,
@@ -371,11 +363,9 @@ class QueryService:
         self._chain_signature: tuple[object, tuple[tuple, bool]] | None = None
         self.plan_cache = LRUPlanCache(plan_cache_size)
         self.stats = ServiceStats()
-        self.default_backend = backend
-        self._backends: dict[str, ExecutionBackend] = {}
-        self._backend_lock = threading.Lock()
-        self._default_backend_obj: ExecutionBackend | None = None
-        self._default_backend_obj = self._backend(backend)  # fail fast on unknown names
+        self._backend = InMemoryBackend(
+            database, access_schema, self._snapshots.reader(), self._view_cache
+        )
         # Maintenance accounting of the most recent delta notification,
         # consumed by apply() to build its report.
         self._last_maintenance: tuple[MaintenanceStats, list[ViewDelta]] | None = None
@@ -395,11 +385,11 @@ class QueryService:
         # The service is a transaction-level delta observer: ANY writer that
         # goes through Database.apply (QueryService.apply, UpdateBatch.apply_to,
         # another service on the same database) keeps this service's views
-        # and backends fresh.
+        # and backend fresh.
         database.subscribe(self)
 
     # ------------------------------------------------------------------ #
-    # State: views, indices, backends
+    # State: views, indices, backend
     # ------------------------------------------------------------------ #
 
     @property
@@ -436,7 +426,7 @@ class QueryService:
     def view_cache(self) -> Mapping[str, frozenset[tuple]]:
         """The materialised view rows, keyed by view name (read-only mapping).
 
-        Execution backends hold their own reference to these rows, so
+        The execution backend holds its own reference to these rows, so
         in-place mutation could silently serve stale results — the returned
         proxy therefore rejects item assignment.  The rows change only
         through writes (:meth:`apply` or any ``Database.apply``).
@@ -464,33 +454,9 @@ class QueryService:
         integer loads per relation on the (overwhelmingly common) clean path.
         """
         if self._snapshots.stale():
-            provider = self._snapshots.refresh()
-            with self._backend_lock:
-                backends = list(self._backends.values())
-            for backend in backends:
-                if isinstance(backend, InMemoryBackend):
-                    backend.refresh(provider=provider, view_cache=self._view_cache)
-
-    def _backend(self, name: str | None) -> ExecutionBackend:
-        name = name or self.default_backend
-        if name == self.default_backend and self._default_backend_obj is not None:
-            # Backends are refreshed in place (refresh/invalidate/apply_delta)
-            # and never replaced, so the cached reference stays valid; this
-            # skips a lock acquisition on every warm query.
-            return self._default_backend_obj
-        with self._backend_lock:
-            backend = self._backends.get(name)
-            if backend is None:
-                backend = make_backend(
-                    name,
-                    self.database,
-                    self.access_schema,
-                    self.views,
-                    self._snapshots.reader(),
-                    self._view_cache,
-                )
-                self._backends[name] = backend
-        return backend
+            self._backend.refresh(
+                provider=self._snapshots.refresh(), view_cache=self._view_cache
+            )
 
     # ------------------------------------------------------------------ #
     # The write path: first-class updates through the delta stream
@@ -516,8 +482,7 @@ class QueryService:
         staged overlay; and, via the committed
         :class:`~repro.storage.deltas.DeltaStream`, the materialised views
         (compiled delta plans — counting where sound, DRed otherwise) and
-        the execution backends (the SQLite backend replays the same delta
-        instead of reloading).  Cached plans and their compiled closures are
+        the execution backend.  Cached plans and their compiled closures are
         data-independent and stay where they are.
         """
         # Admission reads the published version: heal an out-of-band write
@@ -555,16 +520,11 @@ class QueryService:
         self.stats.record_maintenance(stats)
         if deltas:
             self._view_cache = self.maintainer.snapshot()
-        with self._backend_lock:
-            backends = list(self._backends.values())
         # Database.apply advanced the snapshot manager before notifying
         # observers, so reader() is already the post-transaction version.
-        provider = self._snapshots.reader()
-        for backend in backends:
-            if isinstance(backend, InMemoryBackend):
-                backend.refresh(provider=provider, view_cache=self._view_cache)
-            elif isinstance(backend, SQLiteBackend):
-                backend.apply_delta(stream, deltas)
+        self._backend.refresh(
+            provider=self._snapshots.reader(), view_cache=self._view_cache
+        )
         self._last_maintenance = (stats, deltas)
 
     # ------------------------------------------------------------------ #
@@ -1067,8 +1027,6 @@ class QueryService:
             (fe.access, float(fe.fetched), per_relation.get(fe.relation))
             for fe in entry.fetch_estimates
         )
-        # The default backend runs the admitted closure unless it is SQLite.
-        compiled = hasattr(self._backend(None), "execute_compiled")
         report = entry.order_report
         order_strategy = str(getattr(report, "strategy", "")) if report is not None else ""
         join_orders = tuple(
@@ -1090,9 +1048,9 @@ class QueryService:
             fetch_bound=conformance.fetch_bound,
             certificates=tuple(certificates),
             lints=lints,
-            execution_tier="compiled" if compiled else "interpreted",
+            execution_tier="compiled",
             executions=entry.executions,
-            compile_seconds=entry.compiled.compile_seconds if compiled else None,
+            compile_seconds=entry.compiled.compile_seconds,
             estimated_fetches=entry.estimated_fetches,
             actual_fetches=entry.actual_fetches,
             operator_estimates=operator_estimates,
@@ -1150,7 +1108,6 @@ class QueryService:
         *,
         head: Sequence[Variable] | None = None,
         max_size: int | None = None,
-        backend: str | None = None,
         planners: Sequence[str | Planner] | None = None,
         use_cache: bool = True,
         params: Mapping[str, object] | None = None,
@@ -1173,7 +1130,6 @@ class QueryService:
             tuple(head) if head is not None else None,
             entry,
             cache_hit=hit,
-            backend_name=backend,
             started=started,
             params=params or None,
         )
@@ -1184,7 +1140,6 @@ class QueryService:
         *,
         head: Sequence[Variable] | None = None,
         max_size: int | None = None,
-        backend: str | None = None,
         planners: Sequence[str | Planner] | None = None,
     ) -> PreparedQuery:
         """Plan a (possibly parameterised) query once for repeated execution."""
@@ -1195,7 +1150,6 @@ class QueryService:
             record=record,
             head=tuple(head) if head is not None else None,
             entry=entry,
-            backend=backend,
             planned_from_cache=hit,
         )
 
@@ -1203,7 +1157,6 @@ class QueryService:
         self,
         queries: Iterable[QueryInput],
         *,
-        backend: str | None = None,
         planners: Sequence[str | Planner] | None = None,
         use_cache: bool = True,
     ) -> list[Answer]:
@@ -1215,15 +1168,14 @@ class QueryService:
         one snapshot version.
         """
         return [
-            self.query(item, backend=backend, planners=planners, use_cache=use_cache)
+            self.query(item, planners=planners, use_cache=use_cache)
             for item in queries
         ]
 
     def close(self) -> None:
         """Release serving resources; the service stays usable afterwards.
 
-        Closes backends that hold resources (the SQLite connection),
-        unsubscribes from the database's delta stream and deregisters its
+        Unsubscribes from the database's delta stream and deregisters its
         snapshot manager — after ``close()`` the service no longer maintains
         its views on foreign writes (nor charges them a snapshot advance), so
         treat it as retired.
@@ -1233,12 +1185,6 @@ class QueryService:
         same (unchanged) data restarts warm.
         """
         self._save_plan_store()
-        with self._backend_lock:
-            backends = list(self._backends.values())
-        for backend in backends:
-            closer = getattr(backend, "close", None)
-            if callable(closer):
-                closer()
         self.database.unsubscribe(self)
         self.database.disable_snapshots(self._snapshots)
 
@@ -1256,10 +1202,9 @@ class QueryService:
         self,
         plan: PlanNode,
         *,
-        backend: str | None = None,
         params: Mapping[str, object] | None = None,
     ):
-        """Execute a (possibly hand-built) plan directly on a backend.
+        """Execute a (possibly hand-built) plan through the interpreter.
 
         Returns the backend's :class:`~repro.core.plan_eval.ExecutionResult`
         (rows, attributes, fetch statistics).  ``params`` binds any named
@@ -1272,9 +1217,9 @@ class QueryService:
         if unbound:
             raise QueryError(f"plan has unbound parameters {sorted(unbound)}")
         self._sync_serving()
-        return self._backend(backend).execute_plan(plan)
+        return self._backend.execute_plan(plan)
 
-    def baseline(self, query: QueryInput, *, backend: str | None = None):
+    def baseline(self, query: QueryInput):
         """Answer a CQ/UCQ by full scan, bypassing planning entirely.
 
         Returns the backend's :class:`~repro.engine.baseline.BaselineResult`
@@ -1292,7 +1237,7 @@ class QueryService:
                 f"baseline query has unbound parameters {unbound}; bind them "
                 "through prepare()/query(params=...) instead"
             )
-        return self._backend(backend).execute_baseline(resolved)
+        return self._backend.execute_baseline(resolved)
 
     # ------------------------------------------------------------------ #
 
@@ -1303,14 +1248,13 @@ class QueryService:
         entry: CachedPlan,
         *,
         cache_hit: bool,
-        backend_name: str | None,
         started: float,
         params: Mapping[str, object] | None,
     ) -> Answer:
         """Run ``entry`` for one input; ``params`` are the caller's
         (validated) values for its declared parameters."""
         self._sync_serving()
-        backend = self._backend(backend_name)
+        backend = self._backend
         if entry.found:
             plan = entry.plan
             assert plan is not None
@@ -1319,28 +1263,16 @@ class QueryService:
             bindings = record.bindings
             if params:
                 bindings = {**bindings, **params} if bindings else params
-            # The admitted closure runs on every backend exposing
-            # execute_compiled (SQLite executes SQL text, not Python).  It
-            # never calls bind_plan — the closure resolves parameter values
-            # from the bindings once per execution.  The counter is only a
-            # statistic, so a racy += is fine.
+            # The admitted closure never calls bind_plan — it resolves
+            # parameter values from the bindings once per execution.  The
+            # counter is only a statistic, so a racy += is fine.
             entry.executions += 1
-            runner = getattr(backend, "execute_compiled", None)
-            literal: object
-            if runner is not None:
-                result = runner(entry.compiled, bindings)
-                tier = "compiled"
-                # Answer.plan binds on first read (memoised on the record).
-                literal = record.view_of(entry) if record.bindings else plan
-            else:
-                # The bound plan that actually executes.
-                literal = bind_plan(plan, bindings) if params else record.literal_plan(entry)
-                result = backend.execute_plan(literal)
-                tier = "interpreted"
+            result = backend.execute_compiled(entry.compiled, bindings)
             answer = Answer(
                 rows=result.rows,
                 used_bounded_plan=True,
-                plan=literal,
+                # Answer.plan binds on first read (memoised on the record).
+                plan=record.view_of(entry) if record.bindings else plan,
                 planner=entry.planner,
                 backend=backend.name,
                 cache_hit=cache_hit,
@@ -1349,7 +1281,7 @@ class QueryService:
                 view_tuples_scanned=result.stats.view_tuples_scanned,
                 elapsed_seconds=time.perf_counter() - started,
                 reason=entry.reason or f"bounded plan produced by planner {entry.planner!r}",
-                execution_tier=tier,
+                execution_tier="compiled",
             )
             self._observe_execution(record, head, entry, cache_hit, result.stats)
         else:

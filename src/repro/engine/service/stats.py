@@ -5,7 +5,7 @@ every call (thread-safely, so concurrent callers of one service share it).
 It tracks the quantities the paper's experiments revolve around — tuples
 fetched through access constraints versus tuples scanned by the fallback —
 plus the serving-layer metrics: plan-cache hit rates, per-planner and
-per-backend usage, and latency percentiles.
+per-tier usage, and latency percentiles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class StatsSnapshot:
     tuples_scanned: int
     view_tuples_scanned: int
     planner_uses: dict[str, int]
-    backend_uses: dict[str, int]
     tier_uses: dict[str, int]
     replans: int
     plan_store_hits: int
@@ -70,7 +69,6 @@ class ServiceStats:
         self.tuples_scanned = 0
         self.view_tuples_scanned = 0
         self.planner_uses: dict[str, int] = {}
-        self.backend_uses: dict[str, int] = {}
         self.tier_uses: dict[str, int] = {}
         # Optimizer v2: adaptive re-plans triggered by >replan-factor misses
         # of estimated vs. actual Dξ, and plan-cache entries served from the
@@ -101,7 +99,6 @@ class ServiceStats:
                     )
             else:
                 self.fallback_answers += 1
-            self.backend_uses[answer.backend] = self.backend_uses.get(answer.backend, 0) + 1
             tier = answer.execution_tier
             self.tier_uses[tier] = self.tier_uses.get(tier, 0) + 1
             self.tuples_fetched += answer.tuples_fetched
@@ -174,7 +171,6 @@ class ServiceStats:
                 tuples_scanned=self.tuples_scanned,
                 view_tuples_scanned=self.view_tuples_scanned,
                 planner_uses=dict(self.planner_uses),
-                backend_uses=dict(self.backend_uses),
                 tier_uses=dict(self.tier_uses),
                 replans=self.replans,
                 plan_store_hits=self.plan_store_hits,
@@ -209,7 +205,6 @@ class ServiceStats:
             self.tuples_scanned = 0
             self.view_tuples_scanned = 0
             self.planner_uses = {}
-            self.backend_uses = {}
             self.tier_uses = {}
             self.replans = 0
             self.plan_store_hits = 0

@@ -1,18 +1,135 @@
-"""Shared fixtures: small schemas, databases and the Example 1.1 workload."""
+"""Shared fixtures: small schemas, databases and the Example 1.1 workload,
+plus the SQL oracle (Section 5.1's translation run on stdlib ``sqlite3``)."""
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
 from repro.algebra.atoms import RelationAtom
 from repro.algebra.cq import ConjunctiveQuery
+from repro.algebra.fo import FOQuery, to_ucq
 from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Constant, Variable
+from repro.algebra.ucq import as_union
 from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
+from repro.core.plan_eval import bind_plan
 from repro.engine.service import QueryService
+from repro.engine.service.resolve import ResolveStage
+from repro.engine.sql import (
+    create_index_statements,
+    create_table_statements,
+    insert_statements,
+    materialize_view_statements,
+    plan_to_sql,
+    ucq_to_sql,
+)
 from repro.storage.instance import Database
 from repro.workloads import graph_search, skewed
+
+
+# --------------------------------------------------------------------------- #
+# The SQL oracle
+# --------------------------------------------------------------------------- #
+
+
+def load_sqlite(database, access_schema=None, views=None, view_cache=None):
+    """Create an in-memory SQLite database mirroring ``database`` (+ views)."""
+    connection = sqlite3.connect(":memory:")
+    for statement in create_table_statements(database.schema):
+        connection.execute(statement)
+    if access_schema is not None:
+        for statement in create_index_statements(access_schema, database.schema):
+            connection.execute(statement)
+    for statement, rows in insert_statements(database):
+        connection.executemany(statement, rows)
+    if views is not None:
+        for create, insert, rows in materialize_view_statements(views, view_cache or {}):
+            connection.execute(create)
+            if rows:
+                connection.executemany(insert, rows)
+    connection.commit()
+    return connection
+
+
+class SQLOracle:
+    """A service's answers recomputed by SQL, independently of the kernel.
+
+    Loads the service's database, access-constraint indexes and
+    materialised views into stdlib ``sqlite3`` and runs
+    ``plan_to_sql(answer.plan)`` for a bounded answer, ``ucq_to_sql(query)``
+    for a fallback.  The connection is rebuilt once per data version: when
+    a relation's rows or a view's rows are a different set than at the last
+    load, whichever path wrote them.
+    """
+
+    def __init__(self, service: QueryService) -> None:
+        self.service = service
+        self._resolver = ResolveStage(service.database.schema, service.views)
+        self._loaded: tuple = ()
+        self._connection: sqlite3.Connection | None = None
+        self.loads = 0
+
+    def connection(self) -> sqlite3.Connection:
+        service = self.service
+        state = (
+            *service.database.facts.values(),
+            *service.view_cache.values(),
+        )
+        if self._connection is None or len(state) != len(self._loaded) or any(
+            now is not then for now, then in zip(state, self._loaded)
+        ):
+            if self._connection is not None:
+                self._connection.close()
+            self._connection = load_sqlite(
+                service.database, service.access_schema, service.views, service.view_cache
+            )
+            self._loaded = state
+            self.loads += 1
+        return self._connection
+
+    def _run(self, text: str, boolean: bool) -> frozenset[tuple]:
+        fetched = self.connection().execute(text).fetchall()
+        if boolean:
+            return frozenset({()} if fetched else ())
+        return frozenset(tuple(row) for row in fetched)
+
+    def plan_rows(self, plan, params=None) -> frozenset[tuple]:
+        """The rows of ``plan`` (its ``Param`` placeholders bound by
+        ``params``) through :func:`plan_to_sql`."""
+        if params:
+            plan = bind_plan(plan, dict(params))
+        service = self.service
+        translation = plan_to_sql(
+            plan, service.database.schema, service.views, service.access_schema
+        )
+        return self._run(translation.text, translation.marker_column is not None)
+
+    def query_rows(self, query, params=None) -> frozenset[tuple]:
+        """The rows of a CQ/UCQ (object or text, or a positive-existential
+        FO query) through :func:`ucq_to_sql`: the full-scan reading."""
+        record, _ = self._resolver.resolve(query)
+        bound = record.bound_query(params)
+        if isinstance(bound, FOQuery):
+            bound = to_ucq(bound, sorted(bound.free_variables, key=lambda v: v.name))
+        union = as_union(bound)
+        return self._run(
+            ucq_to_sql(union, self.service.database.schema), union.is_boolean
+        )
+
+    def rows(self, answer, query, params=None) -> frozenset[tuple]:
+        """What SQL answers for ``answer``: its plan's rows when it is
+        bounded, the query's when it fell back."""
+        if answer.used_bounded_plan:
+            return self.plan_rows(answer.plan, params)
+        return self.query_rows(query, params)
+
+    def close(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
 
 
 @pytest.fixture

@@ -6,13 +6,14 @@ for the interpreted operator tree:
 * unit tests on the canonical workload plans (Figure 1, Q0, CDR): rows and
   every :class:`~repro.exec.iometer.IOMeter` field identical between tiers;
 * service-level tests of the one tier lifecycle — every plan compiled when
-  admitted and served compiled from its first execution (SQLite
-  interpreted), explain, per-tier stats, prepared/parameterised execution
-  without ``bind_plan``, and closures that outlive writes and eviction;
+  admitted and served compiled from its first execution, explain, per-tier
+  stats, prepared/parameterised execution without ``bind_plan``, and
+  closures that outlive writes and eviction;
 * the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
   spanning product factors, ``π`` onto one factor — on the ``IndexSet``
   facade and on a snapshot read directly;
-* a differential property test over ~200 random CQs/UCQs on both backends,
+* a differential property test over ~200 random CQs/UCQs, each bounded
+  answer also checked against the SQL oracle (``conftest.SQLOracle``),
   re-run after ``apply()`` write batches.
 """
 
@@ -44,7 +45,7 @@ from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
-from conftest import interpreted
+from conftest import SQLOracle, interpreted
 
 
 def _meters_equal(a, b) -> bool:
@@ -231,32 +232,26 @@ def test_tiers_agree_on_the_1000_person_instance_and_a_warm_mix_stays_compiled(
     assert snapshot.tier_uses == {"compiled": 240}
 
 
-def test_sqlite_backend_keeps_interpreting(gs_service, gs_q0):
-    memory = gs_service.query(gs_q0)
-    sqlite = gs_service.query(gs_q0, backend="sqlite")
-    assert memory.execution_tier == "compiled"
-    assert sqlite.execution_tier == "interpreted"
-    assert sqlite.rows == memory.rows
+def test_compiled_q0_rows_are_the_sql_oracles(gs_service, gs_q0):
+    answer = gs_service.query(gs_q0)
+    assert answer.execution_tier == "compiled" and answer.rows
+    oracle = SQLOracle(gs_service)
+    assert oracle.rows(answer, gs_q0) == answer.rows
+    oracle.close()
 
 
-def test_explain_reports_the_compiled_tier_before_any_execution(
-    gs_service, gs_instance, gs_access, gs_q0
-):
+def test_explain_reports_the_compiled_tier_before_any_execution(gs_service, gs_q0):
     explanation = gs_service.explain(gs_q0)
     assert explanation.execution_tier == "compiled"
     assert explanation.compile_seconds is not None and explanation.compile_seconds > 0
     assert "execution tier: compiled (compiled in" in explanation.render()
-    sqlite = QueryService(
-        gs_instance.database, gs_access, graph_search.views(), backend="sqlite"
-    )
-    assert "execution tier: interpreted" in sqlite.explain(gs_q0).render()
-    sqlite.close()
 
 
 def test_stats_count_executions_per_tier(gs_service, gs_q0):
     for _ in range(4):
         gs_service.query(gs_q0)
-    gs_service.query(gs_q0, backend="sqlite")
+    # Not boundable under A0: the full-scan fallback is the interpreted tier.
+    gs_service.query("Q(m) :- movie(m, mn, s, r), rating(m, k)")
     snapshot = gs_service.stats.snapshot()
     assert snapshot.tier_uses == {"compiled": 4, "interpreted": 1}
     gs_service.stats.reset()
@@ -732,7 +727,7 @@ def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, provider):
 
 
 # --------------------------------------------------------------------------- #
-# Differential property test: ~200 random CQs/UCQs, both backends, with writes
+# Differential property test: ~200 random CQs/UCQs, SQL oracle, with writes
 # --------------------------------------------------------------------------- #
 
 
@@ -764,12 +759,13 @@ def _random_mixed_workload(schema, database, count: int, seed: int):
     return queries
 
 
-def _check_differential(service, queries, *, check_sqlite: bool) -> int:
+def _check_differential(service, queries, oracle=None) -> int:
     """Compiled answers vs the interpreted reference; returns #checks.
 
     The reference runs the *same* cached plan object through the operator
     tree, so the comparison isolates the execution tier, not planner
-    nondeterminism.
+    nondeterminism.  With an ``oracle``, the plan's SQL translation must
+    return the same rows too.
     """
     compiled_checks = 0
     for query in queries:
@@ -784,9 +780,8 @@ def _check_differential(service, queries, *, check_sqlite: bool) -> int:
             query.name
         )
         compiled_checks += 1
-        if check_sqlite:
-            sqlite = service.query(query, backend="sqlite")
-            assert sqlite.rows == compiled.rows, query.name
+        if oracle is not None:
+            assert oracle.rows(compiled, query) == compiled.rows, query.name
     return compiled_checks
 
 
@@ -797,7 +792,8 @@ def test_differential_random_workload_with_writes():
     )
     queries = _random_mixed_workload(cdr.schema(), data.database, 160, seed=31)
     assert len(queries) >= 180  # ~200 including the paired UCQs
-    compiled_checks = _check_differential(service, queries, check_sqlite=True)
+    oracle = SQLOracle(service)
+    compiled_checks = _check_differential(service, queries, oracle)
     assert compiled_checks >= 50  # the workload genuinely exercises the tier
 
     # After write batches the retained closures late-bind the new state,
@@ -805,5 +801,5 @@ def test_differential_random_workload_with_writes():
     for seed in (101, 202):
         batch = random_update_batch(data.database, size=60, seed=seed)
         service.apply(batch)
-        again = _check_differential(service, queries[:60], check_sqlite=False)
+        again = _check_differential(service, queries[:60])
         assert again >= 15

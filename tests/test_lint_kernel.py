@@ -494,9 +494,9 @@ def test_plan_cache_invalidate_is_flagged_anywhere_but_other_invalidates_are_not
         tmp_path,
         "src/repro/engine/service/backends.py",
         """
-        class SQLiteBackend:
-            def apply_delta(self, stream):
-                self.invalidate()  # drops the connection, not a plan
+        class InMemoryBackend:
+            def refresh(self, statistics):
+                statistics.invalidate()  # drops a statistics memo, not a plan
         """,
     )
     _write(

@@ -17,6 +17,8 @@ from repro.engine.optimizer import build_bounded_plan, build_bounded_plan_ucq, e
 from repro.errors import UnsupportedQueryError
 from repro.storage.statistics import relation_statistics
 
+from conftest import SQLOracle
+
 SCHEMA = schema_from_spec({"R": ("a", "b"), "S": ("b", "c"), "U": ("u", "v")})
 ACCESS = AccessSchema(
     (
@@ -181,7 +183,8 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
     """E12: both orders conform and answer identically, the gap is pure Dξ; a
     restart over the plan store serves the DP plan compiled, without planning.
 
-    The greedy plan is not run on SQLite: its misordered join takes ~11 s there
+    Only the DP plan goes through the SQL oracle: the greedy plan's
+    misordered join takes ~11 s on SQLite
     (``test_differential_greedy_vs_dp_random_workload`` covers that pairing)."""
     from repro.analysis import verify_plan
     from repro.engine.service import QueryService
@@ -201,7 +204,7 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
         dp = service.query(query)
         assert (greedy.planner, dp.planner) == ("heuristic", "cost")
         assert len(dp.rows) == 292
-        assert greedy.rows == dp.rows == service.query(query, backend="sqlite").rows
+        assert greedy.rows == dp.rows == SQLOracle(service).rows(dp, query)
         assert (greedy.tuples_fetched, dp.tuples_fetched) == (18_715, 4_744)
         explanation = service.explain(query)
         assert explanation.order_strategy == "dp"
@@ -250,8 +253,9 @@ def _random_mixed_workload(schema, database, count: int, seed: int):
 def test_differential_greedy_vs_dp_random_workload():
     """Join ordering is pure optimisation: on ~200 random CQs/UCQs the
     cost-based DP planner must return bit-identical rows to the greedy
-    builder — on both backends — and every DP plan must pass the static
-    verifier.  Answers, not costs, are the contract."""
+    builder — and so must both plans' SQL translations (``SQLOracle``) —
+    and every DP plan must pass the static verifier.  Answers, not costs,
+    are the contract."""
     from repro.analysis import verify_plan
     from repro.engine.service import QueryService
     from repro.workloads import cdr
@@ -271,6 +275,7 @@ def test_differential_greedy_vs_dp_random_workload():
         cdr.views(),
         planners=("cost", "topped"),
     )
+    oracle = SQLOracle(cost)  # the two services share one database
     try:
         bounded = 0
         dp_ordered = 0
@@ -284,9 +289,9 @@ def test_differential_greedy_vs_dp_random_workload():
             if not cost_answer.used_bounded_plan:
                 continue
             bounded += 1
-            sqlite_rows = cost.query(query, backend="sqlite").rows
-            assert sqlite_rows == greedy.query(query, backend="sqlite").rows
-            assert sqlite_rows == cost_answer.rows, query.name
+            sql_rows = oracle.rows(cost_answer, query)
+            assert sql_rows == oracle.rows(greedy_answer, query), query.name
+            assert sql_rows == cost_answer.rows, query.name
             explanation = cost.explain(query)
             if explanation.order_strategy == "dp":
                 dp_ordered += 1
@@ -301,5 +306,6 @@ def test_differential_greedy_vs_dp_random_workload():
         assert bounded >= 100, bounded
         assert dp_ordered >= 20, dp_ordered
     finally:
+        oracle.close()
         greedy.close()
         cost.close()

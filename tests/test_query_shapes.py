@@ -6,8 +6,9 @@ serves every other value of that shape from the shared entry.  A planner that
 merely wraps ``HeuristicPlanner`` *without* declaring constant-blindness makes
 the same service plan per value, exactly as it did before shapes existed —
 that pair is the differential: same rows, same ``Dξ``, same planner, same
-boundedness verdict, same reason, whatever the values, the input form, the
-backend, before and after a write and across a restart.
+boundedness verdict, same reason, whatever the values and the input form,
+before and after a write and across a restart — and on both sides the rows
+are what the SQL oracle (``conftest.SQLOracle``) computes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.errors import QueryError
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search as gs
 from repro.workloads.random_cq import RandomCQConfig, random_workload
+
+from conftest import SQLOracle
 
 
 class PerValueHeuristic:
@@ -143,21 +146,26 @@ def sends(queries, database, seed, variants=2):
     return out
 
 
-def ask(service, send, backend=None):
+def ask(service, send):
     mode, payload, params = send
     if mode == "prepared":
-        prepared = service.prepare(payload, backend=backend)
+        prepared = service.prepare(payload)
         assert prepared.parameters <= {"p"}
         return prepared.execute(params=params) if prepared.parameters else prepared.execute()
-    return service.query(payload, backend=backend)
+    return service.query(payload)
 
 
 def run_differential(pair, workload, seed):
     per_shape, per_value = pair
+    oracles = [SQLOracle(service) for service in pair]
     try:
-        for backend in (None, "sqlite"):
+        for _ in range(2):  # before and after a write
             for send in workload:
-                assert_same(ask(per_shape, send, backend), ask(per_value, send, backend), send)
+                answers = [ask(service, send) for service in pair]
+                assert_same(*answers, send)
+                _mode, payload, params = send
+                for oracle, answer in zip(oracles, answers):
+                    assert oracle.rows(answer, payload, params) == answer.rows, send
             batch = random_update_batch(
                 per_shape.database, 12, seed=seed, access_schema=per_shape.access_schema
             )
@@ -167,6 +175,8 @@ def run_differential(pair, workload, seed):
         assert len(per_shape.plan_cache) < len(per_value.plan_cache)
         assert per_shape.stats.cache_hits > per_value.stats.cache_hits
     finally:
+        for oracle in oracles:
+            oracle.close()
         per_shape.close()
         per_value.close()
 

@@ -3,8 +3,8 @@
 The memo sits in front of the plan cache and decides nothing about plans, so
 the core guarantee is differential: a service that is sent source text (memo
 hits from the second call on) answers call by call exactly like one that is
-sent a freshly parsed object every time (always a miss), across writes and
-backends.  The rest pins the contract down: one record per input however it
+sent a freshly parsed object every time (always a miss), across writes, and
+both match the SQL oracle (``conftest.SQLOracle``).  The rest pins the contract down: one record per input however it
 is planned, failing inputs never stored, the memo bounded, and the counters
 exact under concurrent callers.
 """
@@ -25,6 +25,8 @@ from repro.engine.service.resolve import RESOLVE_MEMO_LIMIT, ResolvedQuery
 from repro.errors import QueryError, SchemaError
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search as gs
+
+from conftest import SQLOracle
 
 ACCESS = AccessSchema(
     (
@@ -87,20 +89,26 @@ def _cdr_case():
 @pytest.mark.parametrize(
     "planners", [("heuristic", "topped"), ("cost", "topped")], ids=["heuristic", "cost"]
 )
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("reference", ["memory", "sqlite"])
 @pytest.mark.parametrize("case", [_gs_case, _cdr_case], ids=["graph_search", "cdr"])
-def test_text_and_fresh_objects_answer_identically(case, backend, planners):
+def test_text_and_fresh_objects_answer_identically(case, reference, planners):
     """Under a constant-blind chain (``heuristic``, plans shared per shape)
-    and a per-value one (``cost``), on either backend."""
+    and a per-value one (``cost``); against the ``sqlite`` reference each
+    side's rows are also the SQL oracle's."""
     build, texts = case()
-    by_text = build(backend=backend, planners=planners)
-    by_object = build(backend=backend, planners=planners)
+    by_text = build(planners=planners)
+    by_object = build(planners=planners)
+    text_oracle, object_oracle = SQLOracle(by_text), SQLOracle(by_object)
 
     def compare_all():
         for text in texts:
             got = by_text.query(text)
-            want = by_object.query(parse_query(text))
+            query = parse_query(text)
+            want = by_object.query(query)
             assert got.rows == want.rows
+            if reference == "sqlite":
+                assert text_oracle.rows(got, text) == got.rows, text
+                assert object_oracle.rows(want, query) == want.rows, text
             assert (
                 got.tuples_fetched,
                 got.tuples_scanned,
@@ -133,6 +141,8 @@ def test_text_and_fresh_objects_answer_identically(case, backend, planners):
         assert by_object.stats.resolve_hits == 0
         assert by_text.stats.cache_hits == by_object.stats.cache_hits
     finally:
+        text_oracle.close()
+        object_oracle.close()
         by_text.close()
         by_object.close()
 
@@ -241,21 +251,32 @@ FAILING = {
 }
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("reference", ["memory", "sqlite"])
 @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("failure", sorted(FAILING))
 def test_failing_text_raises_every_time_and_is_not_stored(
-    rs_database, failure, entry_point, backend
+    rs_database, failure, entry_point, reference
 ):
+    """The service keeps serving afterwards: the same rows as before the
+    failures, or, against the ``sqlite`` reference, the SQL oracle's rows
+    on a data version the failures did not change (one load)."""
     text, error, message = FAILING[failure]
-    with QueryService(rs_database, ACCESS, backend=backend) as service:
-        service.query(CHAIN)
+    with QueryService(rs_database, ACCESS) as service:
+        oracle = SQLOracle(service)
+        before = service.query(CHAIN)
+        if reference == "sqlite":
+            assert oracle.rows(before, CHAIN) == before.rows
         stored = len(service._resolver)
         for _ in range(3):
             with pytest.raises(error, match=message):
                 ENTRY_POINTS[entry_point](service, text)
             assert len(service._resolver) == stored
-        assert service.query(CHAIN).rows  # and the service keeps serving
+        after = service.query(CHAIN)
+        assert after.rows == before.rows and after.rows
+        if reference == "sqlite":
+            assert oracle.rows(after, CHAIN) == after.rows
+            assert oracle.loads == 1
+        oracle.close()
 
 
 def test_failing_object_is_rejected_like_its_text(service):

@@ -21,7 +21,7 @@ from repro.engine.service import (
 )
 from repro.errors import PlanError, QueryError
 
-from conftest import interpreted
+from conftest import SQLOracle, interpreted
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -358,11 +358,17 @@ def test_parser_parses_parameters():
 
 
 def test_prepared_params_mapping_avoids_keyword_collision(service):
-    # A parameter literally named "backend" collides with execute()'s own
-    # keyword; the explicit params= mapping must still reach it.
+    # A parameter named "backend" binds through the params= mapping and as
+    # a plain keyword alike: execute() has no keyword of that name.
     prepared = service.prepare("Q(z) :- R(:backend, y), S(y, z)")
     answer = prepared.execute(params={"backend": 1})
     assert answer.rows == {("x",), ("y",)}
+    by_keyword = prepared.execute(backend=1)
+    assert (by_keyword.rows, by_keyword.tuples_fetched, by_keyword.plan) == (
+        answer.rows,
+        answer.tuples_fetched,
+        answer.plan,
+    )
     other = service.prepare("Q(z) :- R(:key, y), S(y, z)")
     with pytest.raises(QueryError):
         other.execute(params={"key": 1}, key=2)  # bound twice
@@ -398,7 +404,7 @@ def test_bind_plan_validates_and_substitutes(service):
         service.execute_plan(prepared.plan)  # unbound Param
     with pytest.raises(PlanError):
         # the executor itself also refuses a half-bound plan
-        service._backend("memory").execute_plan(prepared.plan)
+        service._backend.execute_plan(prepared.plan)
 
 
 # --------------------------------------------------------------------------- #
@@ -440,10 +446,12 @@ def _observed(answer):
     )
 
 
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_query_many_answers_what_a_loop_over_query_answers(rs_database, backend):
+@pytest.mark.parametrize("reference", ["memory", "sqlite"])
+def test_query_many_answers_what_a_loop_over_query_answers(rs_database, reference):
     """Object, text, union and unbounded inputs, repeated: the batch and
-    the loop agree answer for answer and counter for counter."""
+    the loop agree answer for answer and counter for counter, and, against
+    the ``sqlite`` reference, every answer is what the SQL oracle computes
+    for it."""
     queries = [
         anchored_chain(1),
         "Q(z) :- R(2, y), S(y, z)",  # anchored_chain(1)'s shape, as text
@@ -451,14 +459,19 @@ def test_query_many_answers_what_a_loop_over_query_answers(rs_database, backend)
         open_scan(),
         anchored_chain(3),
     ] * 2
-    with QueryService(rs_database, ACCESS, backend=backend) as batched:
+    with QueryService(rs_database, ACCESS) as batched:
         answers = batched.query_many(queries)
         got = batched.stats.snapshot()
-    with QueryService(rs_database, ACCESS, backend=backend) as looped:
+        if reference == "sqlite":
+            oracle = SQLOracle(batched)
+            for query, answer in zip(queries, answers):
+                assert oracle.rows(answer, query) == answer.rows, query
+            oracle.close()
+    with QueryService(rs_database, ACCESS) as looped:
         expected = [looped.query(query) for query in queries]
         want = looped.stats.snapshot()
     assert list(map(_observed, answers)) == list(map(_observed, expected))
-    assert {a.backend for a in answers} == {backend}
+    assert {a.backend for a in answers} == {"memory"}
     assert (
         got.queries,
         got.cache_hits,
@@ -508,7 +521,7 @@ def test_view_cache_mutation_and_assignment_are_rejected(rs_database):
     view = View("V1", _parse("V1(b) :- R(1, b)"))
     service = QueryService(rs_database, ACCESS, (view,))
 
-    # In-place mutation would silently miss the build-once backends: rejected.
+    # In-place mutation would silently miss the build-once backend: rejected.
     with pytest.raises(TypeError):
         service.view_cache["V1"] = frozenset()
     # View rows change through writes only; the properties are read-only.
@@ -527,7 +540,7 @@ def test_reason_populated_on_bounded_path(rs_database):
 
 def test_memory_executor_is_reused(rs_database):
     service = QueryService(rs_database, ACCESS)
-    backend = service._backend("memory")
+    backend = service._backend
     executor_before = backend._executor
     service.query(anchored_chain())
     service.query(anchored_chain(2))

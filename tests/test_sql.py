@@ -3,12 +3,12 @@
 Every generated statement is executed on an in-memory SQLite database loaded
 from the same :class:`repro.storage.instance.Database`, and the result is
 compared with the library's own plan executor / CQ evaluator — the strongest
-form of validation available without a commercial DBMS.
+form of validation available without a commercial DBMS.  The last section
+checks the SQL oracle (``conftest.SQLOracle``) that other test modules use
+to cross-check the service's answers.
 """
 
 from __future__ import annotations
-
-import sqlite3
 
 import pytest
 
@@ -29,8 +29,6 @@ from repro.engine.service import QueryService
 from repro.engine.sql import (
     cq_to_sql,
     create_index_statements,
-    create_table_statements,
-    insert_statements,
     materialize_view_statements,
     plan_to_sql,
     quote_identifier,
@@ -40,31 +38,14 @@ from repro.engine.sql import (
 )
 from repro.errors import UnsupportedQueryError
 from repro.storage.indexes import IndexSet
-from repro.workloads import example63, graph_search as gs
+from repro.workloads import cdr, example63, graph_search as gs
+
+from conftest import SQLOracle, load_sqlite
 
 
 # --------------------------------------------------------------------------- #
 # Helpers
 # --------------------------------------------------------------------------- #
-
-
-def load_sqlite(database, access_schema=None, views=None, view_cache=None):
-    """Create an in-memory SQLite database mirroring ``database`` (+ views)."""
-    connection = sqlite3.connect(":memory:")
-    for statement in create_table_statements(database.schema):
-        connection.execute(statement)
-    if access_schema is not None:
-        for statement in create_index_statements(access_schema, database.schema):
-            connection.execute(statement)
-    for statement, rows in insert_statements(database):
-        connection.executemany(statement, rows)
-    if views is not None:
-        for create, insert, rows in materialize_view_statements(views, view_cache or {}):
-            connection.execute(create)
-            if rows:
-                connection.executemany(insert, rows)
-    connection.commit()
-    return connection
 
 
 def run_sql(connection, sql_text):
@@ -251,3 +232,73 @@ def test_create_index_statements_skip_empty_x():
     # Only the Ro constraint has a non-empty X.
     assert len(statements) == 1
     assert "Ro" in statements[0]
+
+
+# --------------------------------------------------------------------------- #
+# The SQL oracle against the service, on the paper's workloads
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def gs_oracle():
+    data = gs.generate(num_persons=1_500, num_movies=400, seed=5)
+    with QueryService(data.database, gs.access_schema(n0=data.n0), gs.views()) as service:
+        yield service, SQLOracle(service)
+
+
+@pytest.fixture(scope="module")
+def cdr_oracle():
+    instance = cdr.generate(num_customers=120, num_days=4, seed=9)
+    with QueryService(instance.database, cdr.access_schema(), cdr.views()) as service:
+        yield service, SQLOracle(service), instance
+
+
+@pytest.mark.parametrize(
+    "size", [(1_500, 400, 5), (300, 100, 6)], ids=["1500-persons", "300-persons"]
+)
+def test_oracle_agrees_with_q0(size):
+    persons, movies, seed = size
+    data = gs.generate(num_persons=persons, num_movies=movies, seed=seed)
+    with QueryService(data.database, gs.access_schema(n0=data.n0), gs.views()) as service:
+        answer = service.query(gs.query_q0())
+        assert answer.used_bounded_plan and answer.backend == "memory"
+        assert SQLOracle(service).rows(answer, gs.query_q0()) == answer.rows
+
+
+def test_oracle_agrees_with_the_figure1_plan(gs_oracle):
+    service, oracle = gs_oracle
+    plan = gs.figure1_plan()
+    assert oracle.plan_rows(plan) == service.execute_plan(plan).rows
+
+
+def test_oracle_agrees_with_the_q0_fallback(gs_oracle):
+    service, oracle = gs_oracle
+    answer = service.query(gs.query_q0(), planners=())
+    assert not answer.used_bounded_plan
+    assert oracle.rows(answer, gs.query_q0()) == answer.rows
+
+
+def test_oracle_agrees_on_the_cdr_workload(cdr_oracle):
+    service, oracle, instance = cdr_oracle
+    for query in cdr.workload(instance, count=8, seed=21):
+        answer = service.query(query)
+        assert oracle.rows(answer, query) == answer.rows, query.name
+    assert oracle.loads == 1  # one data version, one load
+
+
+def test_oracle_agrees_on_a_boolean_query(gs_oracle):
+    service, oracle = gs_oracle
+    boolean = "Q() :- movie(mid, t, 'Universal', '2014')"
+    answer = service.query(boolean)
+    assert oracle.rows(answer, boolean) == answer.rows
+    assert oracle.query_rows(boolean) == answer.rows
+
+
+def test_oracle_agrees_with_a_prepared_parameter(gs_oracle):
+    service, oracle = gs_oracle
+    text = "Q(mid) :- movie(mid, t, :studio, '2014'), rating(mid, 5)"
+    answer = service.prepare(text).execute(studio="Universal")
+    binding = {"studio": "Universal"}
+    assert answer.rows
+    assert oracle.rows(answer, text, binding) == answer.rows
+    assert oracle.query_rows(text, binding) == answer.rows

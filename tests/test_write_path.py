@@ -1,5 +1,5 @@
 """Tests for the first-class write path: delta streams, ``QueryService.apply``,
-plans retained across writes and delta-consuming backends."""
+plans retained across writes, and the SQL oracle reading each written state."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.workloads import graph_search as gs
 from repro.workloads import skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
-from conftest import interpreted
+from conftest import SQLOracle, interpreted
 
 
 # --------------------------------------------------------------------------- #
@@ -123,17 +123,18 @@ def test_database_apply_leaves_everything_all_pre_on_a_malformed_update(bad):
     assert len(streams) == 1
 
 
-def test_sqlite_delta_replay_handles_none_values():
-    """Deletes in the SQLite mirror must be null-safe (IS, not =)."""
+def test_a_scan_over_none_values_agrees_with_the_sql_oracle_across_a_delete():
+    """A row holding ``None`` loads into SQL as ``NULL`` and comes back as
+    ``None``; deleting it is a new data version the oracle reloads."""
     schema = schema_from_spec({"R": ("a", "b")})
     database = Database(schema, {"R": {(None, 1), (2, 3)}})
-    service = QueryService(database, AccessSchema(()), backend="sqlite")
-    assert service.baseline("Q(a, b) :- R(a, b)", backend="sqlite").rows == {
-        (None, 1),
-        (2, 3),
-    }
-    service.apply(UpdateBatch([Deletion("R", (None, 1))]))
-    assert service.baseline("Q(a, b) :- R(a, b)", backend="sqlite").rows == {(2, 3)}
+    scan = "Q(a, b) :- R(a, b)"
+    with QueryService(database, AccessSchema(())) as service:
+        oracle = SQLOracle(service)
+        assert service.baseline(scan).rows == oracle.query_rows(scan) == {(None, 1), (2, 3)}
+        service.apply(UpdateBatch([Deletion("R", (None, 1))]))
+        assert service.baseline(scan).rows == oracle.query_rows(scan) == {(2, 3)}
+        assert oracle.loads == 2
 
 
 def test_view_maintenance_tolerates_no_op_updates():
@@ -376,14 +377,14 @@ def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
 
 
 def test_retention_is_not_a_knob(gs_service):
-    """Nine keyword knobs; the one that selected eviction is a TypeError."""
+    """Eight keyword knobs; the one that selected eviction is a TypeError."""
     instance, _service = gs_service
     knobs = [
         parameter.name
         for parameter in inspect.signature(QueryService).parameters.values()
         if parameter.kind is parameter.KEYWORD_ONLY
     ]
-    assert len(knobs) == 9
+    assert len(knobs) == 8
     removed = "retain_plans" + "_on_write"  # in halves: greps for it stay empty
     assert removed not in knobs
     with pytest.raises(TypeError, match=removed):
@@ -424,10 +425,10 @@ def _differential_cases(workload):
 
 
 @pytest.mark.parametrize("writer", ["service", "database"])
-@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("reference", ["memory", "sqlite"])
 @pytest.mark.parametrize("workload", ["graph_search", "skewed"])
 def test_retained_plans_agree_with_a_service_built_after_every_write(
-    workload, backend, writer
+    workload, reference, writer
 ):
     """A long-lived service against one constructed fresh after each batch.
 
@@ -438,9 +439,13 @@ def test_retained_plans_agree_with_a_service_built_after_every_write(
     negative outcome, and a prepared ``:param`` query held across the writes.
     The batches go through ``service.apply`` or, as a foreign write the
     service only sees on the delta stream, straight to ``database.apply``.
+    Against the ``sqlite`` reference every kept answer also equals the SQL
+    oracle on the written state, reloaded once per batch: its plan through
+    ``plan_to_sql``, or its query through ``ucq_to_sql``.
     """
     database, access, views, queries, (text, bindings) = _differential_cases(workload)
-    service = QueryService(database, access, views, backend=backend)
+    service = QueryService(database, access, views)
+    oracle = SQLOracle(service)
 
     def write(step):
         if writer == "service":
@@ -465,34 +470,41 @@ def test_retained_plans_agree_with_a_service_built_after_every_write(
             before = counters()
             assert write(step) > 0
             assert counters() == before
-            with QueryService(database, access, views, backend=backend) as fresh:
+            loads = oracle.loads
+            with QueryService(database, access, views) as fresh:
                 for query in queries:
                     kept = service.query(query)
                     assert kept.cache_hit
                     assert _observed(kept) == _observed(fresh.query(query)), query
+                    if reference == "sqlite":
+                        assert oracle.rows(kept, query) == kept.rows, query
                 for binding in bindings:
                     kept = prepared.execute(params=binding)
                     assert kept.cache_hit
                     assert _observed(kept) == _observed(
                         fresh.query(text, params=binding)
                     ), binding
+                    if reference == "sqlite":
+                        assert oracle.rows(kept, text, binding) == kept.rows, binding
+            if reference == "sqlite":
+                assert oracle.loads == loads + 1  # reloaded once for this batch
     assert counters() == planned  # nothing was planned twice, nothing left
     assert service.maintainer.verify()
+    oracle.close()
     service.close()
 
 
 # --------------------------------------------------------------------------- #
-# Backends consume the delta stream
+# The SQL oracle reads every written state
 # --------------------------------------------------------------------------- #
 
 
-def test_sqlite_backend_consumes_deltas_without_reload(gs_service):
+def test_q0_agrees_with_the_sql_oracle_across_a_write_and_its_inverse(gs_service):
     _instance, service = gs_service
     q0 = gs.query_q0()
-    assert service.query(q0, backend="sqlite").rows == service.query(q0).rows
-    backend = service._backend("sqlite")
-    connection = backend._connection
-    assert connection is not None
+    oracle = SQLOracle(service)
+    answer = service.query(q0)
+    assert oracle.rows(answer, q0) == answer.rows
 
     nasa_pid = next(
         row[0] for row in service.database.relation("person") if row[2] == "NASA"
@@ -500,29 +512,30 @@ def test_sqlite_backend_consumes_deltas_without_reload(gs_service):
     service.apply(
         UpdateBatch(
             [
-                Insertion("movie", ("m_sqlite", "t", "Universal", "2014")),
-                Insertion("rating", ("m_sqlite", 5)),
-                Insertion("like", (nasa_pid, "m_sqlite", "movie")),
+                Insertion("movie", ("m_new", "t", "Universal", "2014")),
+                Insertion("rating", ("m_new", 5)),
+                Insertion("like", (nasa_pid, "m_new", "movie")),
             ]
         )
     )
-    # Same connection object: the delta was applied in place, not reloaded.
-    assert backend._connection is connection
-    rows = service.query(q0, backend="sqlite").rows
-    assert ("m_sqlite",) in rows
-    assert rows == service.query(q0, backend="memory").rows
+    answer = service.query(q0)
+    assert ("m_new",) in answer.rows
+    assert oracle.rows(answer, q0) == answer.rows
 
     service.apply(
         UpdateBatch(
             [
-                Deletion("movie", ("m_sqlite", "t", "Universal", "2014")),
-                Deletion("rating", ("m_sqlite", 5)),
-                Deletion("like", (nasa_pid, "m_sqlite", "movie")),
+                Deletion("movie", ("m_new", "t", "Universal", "2014")),
+                Deletion("rating", ("m_new", 5)),
+                Deletion("like", (nasa_pid, "m_new", "movie")),
             ]
         )
     )
-    assert backend._connection is connection
-    assert ("m_sqlite",) not in service.query(q0, backend="sqlite").rows
+    answer = service.query(q0)
+    assert ("m_new",) not in answer.rows
+    assert oracle.rows(answer, q0) == answer.rows
+    assert oracle.loads == 3  # one load per data version
+    oracle.close()
 
 
 # --------------------------------------------------------------------------- #
