@@ -10,41 +10,39 @@ This module provides the evaluation substrate used everywhere in the library:
   (lives in :mod:`repro.algebra.fo`; exponential in quantifier rank, as
   expected for FO over the active domain).
 
-Since the kernel refactor, the evaluators here are thin *compilers*: a query
-is translated (:mod:`repro.exec.cq_compiler`) into a tree of iterator-based
-physical operators (:mod:`repro.exec.operators`) — the same kernel the
-bounded-plan executor runs on — and the tree is drained into the answer set.
+:func:`evaluate_cq` and :func:`evaluate_ucq` are thin front ends over the
+loop-nest kernel (:func:`repro.exec.cq_compiler.compile_cq`): each
+satisfiable disjunct becomes one generated, ``exec``-compiled nest of
+scans and index probes that adds its head tuples to one set — the same
+kernel the service's full-scan fallback, the baseline engine and view
+materialisation run.  Yannakakis' evaluator keeps the operator kernel
+(:mod:`repro.exec.operators`): semi-join reductions over materialised atoms.
 
 A *fact set* is a mapping ``relation name -> collection of value tuples``;
 :class:`repro.storage.instance.Database` exposes exactly this shape through
-``.facts`` — but the evaluators also accept the :class:`Database` itself, in
-which case joins probe the relations' cached secondary hash indexes and the
-greedy join order consults the maintained cardinality/distinct statistics
-instead of raw relation sizes.
+``.facts`` — but the evaluators also accept the :class:`Database` itself
+(joins probe the relations' cached secondary hash indexes and the greedy
+join order consults the maintained cardinality/distinct statistics) or a
+pinned :class:`~repro.storage.snapshots.DatabaseSnapshot` (joins probe the
+version's own memoised indexes).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
-from ..errors import EvaluationError, QueryError
-from ..exec.cq_compiler import (
-    FactsSource,
-    atom_scan,
-    cq_pipeline,
-    head_projection,
-)
+from ..errors import QueryError
+from ..exec.cq_compiler import FactsSource, atom_scan, compile_cq, head_projection
 from ..exec.operators import HashJoin, Operator, Project, Scan, SemiJoin
 from .acyclicity import join_tree
 from .cq import ConjunctiveQuery
-from .terms import Constant, Term, Variable
+from .terms import Variable
 from .ucq import UnionQuery
 
 FactSet = Mapping[str, Collection[tuple]]
-Binding = dict[Variable, object]
 
-#: Inputs the evaluators accept: a fact mapping or a whole Database.
-FactsLike = FactSet  # plus repro.storage.instance.Database (duck-typed)
+#: Inputs the evaluators accept: a fact mapping, a whole Database or a snapshot.
+FactsLike = FactSet  # plus a Database or a DatabaseSnapshot (duck-typed)
 
 
 # --------------------------------------------------------------------------- #
@@ -52,48 +50,24 @@ FactsLike = FactSet  # plus repro.storage.instance.Database (duck-typed)
 # --------------------------------------------------------------------------- #
 
 
-def _project_head(head: Sequence[Term], bindings: Iterable[Binding]) -> set[tuple]:
-    """Project explicit bindings onto the head (the empty-body code path)."""
-    answers: set[tuple] = set()
-    for binding in bindings:
-        row = []
-        for term in head:
-            if isinstance(term, Constant):
-                row.append(term.value)
-            else:
-                if term not in binding:
-                    raise EvaluationError(f"unsafe head variable {term} has no binding")
-                row.append(binding[term])
-        answers.add(tuple(row))
-    return answers
-
-
 def evaluate_cq(query: ConjunctiveQuery, facts: FactsLike) -> set[tuple]:
-    """Evaluate a conjunctive query over a fact set (or a ``Database``).
+    """Evaluate a conjunctive query over a fact set (a ``Database`` or a
+    ``DatabaseSnapshot``).
 
     Returns the set of answer tuples (set semantics).  An unsatisfiable query
     yields the empty set; a query with an empty body yields its head tuple
     when the head is fully constant (the "constant query" of the paper) and
-    raises otherwise.
+    raises otherwise.  A ``Param`` constant is a plain value here.
     """
-    if not query.is_satisfiable():
-        return set()
-    normalized = query.normalize()
-    if not normalized.atoms:
-        return _project_head(normalized.head, [{}])
     source = FactsSource(facts)
-    operator, schema = cq_pipeline(normalized, source)
-    return set(head_projection(operator, schema, normalized.head).rows())
+    return compile_cq(query, source).run(source)
 
 
 def evaluate_ucq(query: UnionQuery | ConjunctiveQuery, facts: FactsLike) -> set[tuple]:
-    """Evaluate a UCQ (or CQ) over a fact set (or a ``Database``)."""
-    if isinstance(query, ConjunctiveQuery):
-        return evaluate_cq(query, facts)
-    answers: set[tuple] = set()
-    for disjunct in query.disjuncts:
-        answers |= evaluate_cq(disjunct, facts)
-    return answers
+    """Evaluate a UCQ (or CQ) over a fact set (a ``Database`` or a
+    ``DatabaseSnapshot``): the union of the disjuncts' answers."""
+    source = FactsSource(facts)
+    return compile_cq(query, source).run(source)
 
 
 # --------------------------------------------------------------------------- #
@@ -127,7 +101,7 @@ def evaluate_cq_yannakakis(query: ConjunctiveQuery, facts: FactsLike) -> set[tup
     if tree is None:
         raise QueryError(f"query {query.name!r} is not acyclic")
     if not normalized.atoms:
-        return _project_head(normalized.head, [{}])
+        return evaluate_cq(normalized, facts)
 
     source = FactsSource(facts)
     schemas: dict[int, tuple[Variable, ...]] = {}

@@ -49,9 +49,10 @@ class Explanation:
     certificates: tuple[FetchCertificate, ...] = ()
     counterexample: BoundednessCounterexample | None = None
     lints: tuple[Diagnostic, ...] = ()
-    # The tier the next execution takes (``"compiled"`` for a bounded plan,
-    # ``"interpreted"`` for the full-scan fallback), how often the cached
-    # entry has run, and how long compiling its plan took at admission.
+    # The tier the next execution takes (``"compiled"`` for a bounded plan
+    # and for a CQ/UCQ fallback's loop nest, ``"interpreted"`` for an FO
+    # fallback), how often the cached entry has run, and how long compiling
+    # its plan (or loop nest) took at admission.
     execution_tier: str = "interpreted"
     executions: int = 0
     compile_seconds: float | None = None

@@ -5,9 +5,15 @@ executing them directly against in-memory indices, and translating them to
 SQL so a DBMS follows the plan via index joins.  The service serves the
 first one, :class:`InMemoryBackend` — the plan executor of
 :mod:`repro.core.plan_eval` over hash indices and the cached views, with
-exact per-fetch I/O accounting.  Both the plan path and the full-scan
-baseline compile to the shared execution kernel (:mod:`repro.exec`), so
-the backend and the CQ evaluators share one join/fetch semantics.
+exact per-fetch I/O accounting.  Every read runs against the
+:class:`~repro.storage.snapshots.DatabaseSnapshot` the backend pins: a
+bounded plan's compiled closure fetches from it, and the full-scan
+fallback's loop nest (:mod:`repro.exec.cq_compiler`, through
+:class:`~repro.engine.baseline.NaiveEngine`) scans and probes the same
+version — never the live ``Database``, which a concurrent writer may be
+half-way through changing (lint rule ``kernel.live-read``).  Only the join
+order of a per-call :meth:`InMemoryBackend.execute_baseline` reads live
+statistics, which affects estimates, never rows.
 
 The second mode is :func:`repro.engine.sql.plan_to_sql`; it is not a
 serving backend (SQL text cannot meter ``Dξ``), and the test suite runs its
@@ -25,6 +31,7 @@ from ...core.access import AccessSchema
 from ...core.plan_eval import ExecutionResult, FetchProvider, FetchStats, PlanExecutor
 from ...core.plans import PlanNode
 from ...exec.codegen import CompiledPlan
+from ...exec.cq_compiler import CQKernel
 from ...storage.instance import Database
 from ..baseline import BaselineResult, NaiveEngine
 
@@ -34,7 +41,9 @@ class InMemoryBackend:
 
     The executor is built once and reused across calls (it is stateless per
     execution); :meth:`refresh` swaps in new indices or a new view cache when
-    the underlying data changes (the incremental-maintenance path).
+    the underlying data changes (the incremental-maintenance path).  The
+    provider is the pinned :class:`~repro.storage.snapshots.DatabaseSnapshot`:
+    the full-scan paths read their rows from it too.
     """
 
     name = "memory"
@@ -48,7 +57,6 @@ class InMemoryBackend:
     ) -> None:
         self.database = database
         self.access_schema = access_schema
-        self._naive = NaiveEngine(database)
         self._executor = PlanExecutor(
             database.schema, access_schema, provider, view_cache
         )
@@ -104,7 +112,20 @@ class InMemoryBackend:
         return ExecutionResult(attributes=compiled.attributes, rows=rows, stats=stats)
 
     def execute_baseline(self, query: QueryLike) -> BaselineResult:
-        return self._naive.answer(query)
+        """Answer a CQ/UCQ by full scan of the pinned snapshot, compiling its
+        loop nest for this call (a repeated shape reuses the generated
+        function).  The join order reads the live statistics: estimates
+        only."""
+        provider = self._executor.provider
+        return NaiveEngine(provider, self.database.statistics()).answer(query)
+
+    def execute_fallback(
+        self, kernel: CQKernel, params: Mapping[str, object] | None = None
+    ) -> BaselineResult:
+        """Run an admitted fallback kernel on the pinned snapshot — the
+        version a bounded plan of the same read would fetch from."""
+        return NaiveEngine(self._executor.provider).run(kernel, params)
 
     def execute_baseline_fo(self, query: FOQuery, head: Sequence[Variable]) -> BaselineResult:
-        return self._naive.answer_fo(query, head)
+        """Evaluate an FO query over the pinned snapshot's facts."""
+        return NaiveEngine(self._executor.provider).answer_fo(query, head)

@@ -30,6 +30,7 @@ from ...algebra.terms import Constant, Variable
 from ...algebra.ucq import UnionQuery
 from ...core.plans import PlanNode
 from ...exec.codegen import CompiledPlan
+from ...exec.cq_compiler import CQKernel
 
 
 def _canonical_cq(
@@ -106,6 +107,9 @@ class CachedPlan:
     # entry has been executed.
     compiled: CompiledPlan | None = None
     executions: int = 0
+    # A CQ/UCQ without a plan is admitted too: the full-scan fallback's loop
+    # nest, compiled once per shape (``None`` for found plans and FO).
+    kernel: CQKernel | None = None
     # Unused by src/; bench/staged.py still reads it — goes with ROADMAP item 1.
     codegen_state: str = "pending"
     # Optimizer-v2 bookkeeping.  ``estimated_fetches``/``fetch_estimates``

@@ -48,7 +48,7 @@ from ...algebra.terms import Variable
 from ...algebra.views import View, ViewSet
 from ...analysis import delta_codegen_eligibility
 from ...errors import DeltaCompilationError, SchemaError
-from ...exec.cq_compiler import FactsSource, cq_pipeline
+from ...exec.cq_compiler import FactsSource, compile_cq
 from ...exec.delta_compiler import (
     CompiledViewDelta,
     LookupResolver,
@@ -58,7 +58,6 @@ from ...exec.delta_compiler import (
     metered_resolver,
 )
 from ...exec.iometer import IOMeter
-from ...exec.operators import Project
 from ...storage.deltas import DeltaStream
 from ...storage.instance import Database
 
@@ -325,21 +324,10 @@ class ViewMaintainer:
         return compiled
 
     def _count_derivations(self, disjunct) -> dict[tuple, int]:
-        """``head row → number of body valuations`` for one normalised CQ."""
-        operator, schema = cq_pipeline(disjunct, self._source)
-        position_of = {variable: index for index, variable in enumerate(schema)}
-        spec = tuple(
-            (position_of[term], None) if isinstance(term, Variable) else (None, term.value)
-            for term in disjunct.head
-        )
-
-        def mapper(row: tuple, spec=spec) -> tuple:
-            return tuple(row[i] if i is not None else v for i, v in spec)
-
-        counts: dict[tuple, int] = {}
-        for head_row in Project(operator, mapper=mapper).rows():
-            counts[head_row] = counts.get(head_row, 0) + 1
-        return counts
+        """``head row → number of body valuations`` for one normalised CQ:
+        the loop-nest kernel in counting mode."""
+        source = self._source
+        return compile_cq(disjunct, source, counting=True).count(source)
 
     def _evaluate_fo(self, view: View) -> frozenset[tuple]:
         head = [t for t in view.head if isinstance(t, Variable)]

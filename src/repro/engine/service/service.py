@@ -60,6 +60,7 @@ from ...errors import (
     UnsupportedQueryError,
 )
 from ...exec.codegen import compile_plan_closure
+from ...exec.cq_compiler import FactsSource, compile_cq
 from ...storage.deltas import DeltaStream
 from ...storage.indexes import IndexSet
 from ...storage.instance import Database
@@ -100,12 +101,27 @@ class _LazyPlan:
         if answer is None:
             raise AttributeError("plan")
         plan = answer.__dict__["plan"]
-        if isinstance(plan, EntryView):
+        if isinstance(plan, (EntryView, _BindOnRead)):
             plan = answer.__dict__["plan"] = plan.plan
         return plan
 
     def __set__(self, answer: "Answer", plan: object) -> None:
         answer.__dict__["plan"] = plan
+
+
+class _BindOnRead:
+    """``Answer.plan`` of an execution with ``params=``: the executed plan
+    with the caller's values (and any lifted ones) put in on first read."""
+
+    __slots__ = ("_plan", "_bindings")
+
+    def __init__(self, plan: PlanNode, bindings: Mapping[str, object]) -> None:
+        self._plan = plan
+        self._bindings = bindings
+
+    @property
+    def plan(self) -> PlanNode:
+        return bind_plan(self._plan, dict(self._bindings))
 
 
 @dataclass
@@ -134,9 +150,9 @@ class Answer:
     view_tuples_scanned: int
     elapsed_seconds: float
     reason: str = ""
-    #: Which execution tier produced the rows: ``"compiled"`` (the plan's
-    #: codegen closure, every bounded answer) or ``"interpreted"`` (the
-    #: full-scan fallback).
+    #: Which execution tier produced the rows: ``"compiled"`` (a bounded
+    #: plan's codegen closure, or a CQ/UCQ fallback's admitted loop nest) or
+    #: ``"interpreted"`` (the active-domain evaluation of an FO fallback).
     execution_tier: str = "interpreted"
     #: Always empty / zero: ``bench/staged.py`` still sets them — goes with
     #: ROADMAP item 1.
@@ -400,7 +416,10 @@ class QueryService:
         the next planning run (matching the v1.0 engine, which read them per
         call) instead of being frozen at construction.  ``statistics`` reads
         the storage layer's cached per-relation statistics, so cost-based
-        planner decisions track the current data.
+        planner decisions track the current data.  That read is of the live
+        ``Database``, not of a pinned snapshot: a concurrent write can shift
+        an estimate (and so a plan or a join order), never a row — versioned
+        statistics are ROADMAP item 17.
         """
         return PlanningContext(
             schema=self.database.schema,
@@ -620,6 +639,12 @@ class QueryService:
         entry.cache_key = key if use_cache else None
         if entry.plan is not None:
             self._admit(entry, record.query, head)
+        elif isinstance(planned, (ConjunctiveQuery, UnionQuery)):
+            # The fallback is admitted like a plan: its loop nest is compiled
+            # once per shape, with every ``$k`` / ``:name`` slot bound and
+            # read from the bindings on each execution.  The join order reads
+            # the live sizes and statistics — estimates, never rows.
+            entry.kernel = compile_cq(planned, FactsSource(self.database), slots=True)
         if use_cache:
             self.plan_cache.put(key, entry)
         return entry, False
@@ -981,7 +1006,8 @@ class QueryService:
         plan with per-fetch boundedness certificates and the worst-case fetch
         bound when one was found, or the planner chain's reasons plus — when
         derivable — an uncovered-variable counterexample when not.  Query
-        lints ride along either way.  Nothing here touches the data.
+        lints ride along either way.  No rows are read; planning reads the
+        live statistics (see :attr:`context`), which affects estimates only.
 
         The plan shown is the cached one with this input's constants put
         back; ``bindings`` lists them when the outcome is the shape's, shared
@@ -1002,6 +1028,11 @@ class QueryService:
                 resolve_memo_hit=memo_hit,
                 counterexample=self._counterexample(resolved),
                 lints=lints,
+                execution_tier="compiled" if entry.kernel is not None else "interpreted",
+                executions=entry.executions,
+                compile_seconds=(
+                    entry.kernel.compile_seconds if entry.kernel is not None else None
+                ),
             )
         plan = record.literal_plan(entry)
         conformance = conforms_to(
@@ -1224,6 +1255,7 @@ class QueryService:
 
         Returns the backend's :class:`~repro.engine.baseline.BaselineResult`
         — the comparison point for the paper's scale-independence claims.
+        It reads the snapshot a query would pin, never the live ``Database``.
         """
         record, _ = self._resolve(query)
         resolved = record.query
@@ -1237,6 +1269,7 @@ class QueryService:
                 f"baseline query has unbound parameters {unbound}; bind them "
                 "through prepare()/query(params=...) instead"
             )
+        self._sync_serving()
         return self._backend.execute_baseline(resolved)
 
     # ------------------------------------------------------------------ #
@@ -1271,8 +1304,13 @@ class QueryService:
             answer = Answer(
                 rows=result.rows,
                 used_bounded_plan=True,
-                # Answer.plan binds on first read (memoised on the record).
-                plan=record.view_of(entry) if record.bindings else plan,
+                # Answer.plan binds on first read (memoised on the record when
+                # only lifted values go in).
+                plan=(
+                    _BindOnRead(plan, bindings)
+                    if params
+                    else record.view_of(entry) if record.bindings else plan
+                ),
                 planner=entry.planner,
                 backend=backend.name,
                 cache_hit=cache_hit,
@@ -1285,16 +1323,26 @@ class QueryService:
             )
             self._observe_execution(record, head, entry, cache_hit, result.stats)
         else:
-            bound = record.bound_query(params)
-            if isinstance(bound, FOQuery):
+            kernel = entry.kernel
+            if kernel is not None:
+                # The admitted loop nest over the pinned snapshot; slot values
+                # come from the bindings, like a compiled plan's.
+                bindings = record.bindings
+                if params:
+                    bindings = {**bindings, **params} if bindings else params
+                entry.executions += 1
+                base = backend.execute_fallback(kernel, bindings)
+                tier = "compiled"
+            else:
+                bound = record.bound_query(params)
+                assert isinstance(bound, FOQuery)
                 fo_head = (
                     head
                     if head is not None
                     else tuple(sorted(bound.free_variables, key=lambda v: v.name))
                 )
                 base = backend.execute_baseline_fo(bound, fo_head)
-            else:
-                base = backend.execute_baseline(bound)
+                tier = "interpreted"
             answer = Answer(
                 rows=base.rows,
                 used_bounded_plan=False,
@@ -1307,6 +1355,7 @@ class QueryService:
                 view_tuples_scanned=0,
                 elapsed_seconds=time.perf_counter() - started,
                 reason=record.spell(entry.reason) or "no bounded plan found",
+                execution_tier=tier,
             )
         self.stats.record(answer)
         return answer

@@ -1,10 +1,11 @@
 """The execution kernel: iterator-based physical operators with I/O accounting.
 
-Every evaluation path of the library — the bounded-plan executor
-(:mod:`repro.core.plan_eval`), the CQ/UCQ evaluators
-(:mod:`repro.algebra.evaluation`) and the in-memory service backend
-(:mod:`repro.engine.service.backends`) — compiles down to the same small set
-of Volcano-style physical operators defined here.  Operators follow a shared
+The bounded-plan executor (:mod:`repro.core.plan_eval`) and Yannakakis'
+evaluator compile down to a small set of Volcano-style physical operators
+defined here; the compiled tiers fuse the same work into generated
+closures: bounded plans (:mod:`.codegen`), view delta programs
+(:mod:`.delta_compiler`) and every CQ/UCQ evaluation — the full-scan
+baseline included (:mod:`.cq_compiler`).  Operators follow a shared
 ``open()`` / ``next()`` / ``close()`` protocol and report every tuple that
 crosses the storage boundary to a single :class:`IOMeter`, which preserves
 the paper's exact ``Dξ`` accounting (``tuples_fetched`` for index fetches,
@@ -14,11 +15,13 @@ Layout:
 
 * :mod:`.iometer` — the shared I/O accounting object;
 * :mod:`.operators` — the physical operators (IndexLookup, Scan, HashJoin,
-  LookupJoin, SemiJoin, Project, Select, Union, Distinct, Materialize);
+  SemiJoin, Project, Select, Union, Distinct, Materialize);
 * :mod:`.plan_compiler` — bounded :class:`~repro.core.plans.PlanNode` trees
   → operator trees (used by :class:`repro.core.plan_eval.PlanExecutor`);
-* :mod:`.cq_compiler` — conjunctive queries → operator trees (used by
-  :func:`repro.algebra.evaluation.evaluate_cq` and friends).
+* :mod:`.cq_compiler` — conjunctive queries → one fused, ``exec``-compiled
+  loop nest per disjunct (used by :func:`repro.algebra.evaluation.evaluate_cq`
+  and friends, the baseline engine, view maintenance and the service's
+  full-scan fallback).
 
 The compilers are imported directly by their consumers (not re-exported
 here) to keep package initialisation free of import cycles.
@@ -29,7 +32,6 @@ from .operators import (
     Distinct,
     HashJoin,
     IndexLookup,
-    LookupJoin,
     Materialize,
     Operator,
     Project,
@@ -44,7 +46,6 @@ __all__ = [
     "Operator",
     "Scan",
     "IndexLookup",
-    "LookupJoin",
     "HashJoin",
     "SemiJoin",
     "Project",

@@ -1,57 +1,98 @@
-"""Compile conjunctive queries to operator trees over a facts source.
+"""Compile conjunctive queries to fused loop-nest closures over a facts source.
 
-The CQ evaluators of :mod:`repro.algebra.evaluation` are thin front ends
-over this module: a (normalised) conjunctive query becomes a left-deep chain
-of :class:`~repro.exec.operators.LookupJoin` operators whose intermediate
-rows are assignments to the query's variables, in a fixed column order (the
-*variable schema*).
+This is the library's one CQ/UCQ evaluator.
+:func:`repro.algebra.evaluation.evaluate_cq` and ``evaluate_ucq``, view
+materialisation and derivation counting
+(:class:`~repro.engine.service.maintenance.ViewMaintainer`), the full-scan
+baseline (:class:`~repro.engine.baseline.NaiveEngine`) and the service's
+fallback for queries without a bounded plan all run :func:`compile_cq`'s
+output: one generated function per normalised disjunct, in the spirit of
+data-centric code generation (Neumann, "Efficiently Compiling Efficient
+Query Plans for Modern Hardware", VLDB 2011):
 
-The facts source abstracts over the two shapes evaluation accepts:
+* one ``for`` per body atom, in the greedy join order of :func:`order_atoms`,
+  over a scan of the relation or a probe of a secondary hash index keyed on
+  the atom's bound positions (constants, parameter slots and variables bound
+  by earlier atoms);
+* rows are unpacked into locals; a repeated fresh variable is an inlined
+  ``continue`` guard, and the access path hands the nest only rows of the
+  atom's arity;
+* an atom none of whose fresh variables a later atom or the head reads is an
+  existence test (``key in index``, or ``any(...)`` when it carries a
+  repeated-variable check), not a loop;
+* the head tuple is added to one set — or, in counting mode, its derivation
+  count bumped (``counts[row] += 1``; counting never takes the existence
+  shortcut, every valuation counts).
+
+Generated source mentions positions and control flow only.  Constant values
+and parameter slots reach a nest as one value vector per execution, and its
+access paths (row collections, index dicts) are resolved against the facts
+source per execution, so equal shapes generate equal source and share one
+function (a bounded memo, :data:`KERNEL_MEMO_LIMIT`), and a kernel compiled
+once runs against any version of the data.
+
+The facts source abstracts over the three shapes evaluation accepts:
 
 * a plain fact mapping ``relation name -> collection of tuples`` (tableaux,
-  canonical databases, test fixtures) — per-atom hash indexes are built on
-  the fly, exactly like the previous binding-based evaluator did;
-* a :class:`repro.storage.instance.Database` (duck-typed, no storage import)
-  — joins probe the relation's *cached* secondary hash indexes
-  (:meth:`~repro.storage.instance.Relation.index_on`), and the greedy join
-  order consults per-relation cardinality/distinct statistics instead of raw
-  relation sizes.
+  canonical databases, test fixtures) — indexes are built per resolution,
+  and rows of the wrong arity are dropped;
+* a :class:`repro.storage.snapshots.DatabaseSnapshot` — probes read the
+  version's own memoised secondary indexes
+  (:meth:`~repro.storage.snapshots.RelationVersion.index_on`);
+* a live :class:`repro.storage.instance.Database` — probes read the
+  relation's maintained secondary indexes
+  (:meth:`~repro.storage.instance.Relation.index_on`), and the join order
+  consults its cardinality/distinct statistics instead of raw sizes.
+
+All three are duck-typed, so this module never imports :mod:`repro.storage`.
 """
 
 from __future__ import annotations
 
+import time
+from types import MappingProxyType
 from typing import Any, Callable, Collection, Mapping, Sequence, cast
 
 from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
-from ..algebra.terms import Constant, Term, Variable
+from ..algebra.terms import Constant, Param, Term, Variable
 from ..errors import EvaluationError, SchemaError
-from .operators import Distinct, LookupJoin, Operator, Project, Row, Scan, Select
+from .operators import Distinct, Operator, Project, Row, Scan, Select
 
-_EMPTY_LOOKUP: Callable[[Row], Sequence[Row]] = lambda key: ()  # noqa: E731
+_EMPTY_INDEX: Mapping[Row, Sequence[Row]] = MappingProxyType({})
 
 
 class FactsSource:
-    """Uniform rows / index / statistics access over a database or fact map.
+    """Uniform rows / index / statistics access over a database, a snapshot
+    or a fact map.
 
-    The database side is duck-typed (``relation`` + ``schema`` attributes) so
-    this module never imports :mod:`repro.storage`; ``_database`` is
-    deliberately ``Any`` for the same reason.
+    ``statistics`` (relation name -> relation statistics) overrides what the
+    join order reads: a reader of a snapshot, which keeps no statistics,
+    passes the live ones — they only ever steer estimates, never rows.  The
+    storage side is duck-typed (``relation`` + ``schema`` for a database,
+    ``relations`` + ``version`` for a snapshot) so this module never imports
+    :mod:`repro.storage`; the handles are ``Any`` for the same reason.
     """
 
-    def __init__(self, facts: object) -> None:
-        self._database: Any
+    def __init__(
+        self, facts: object, statistics: Mapping[str, Any] | None = None
+    ) -> None:
+        self._database: Any = None
+        self._versions: Mapping[str, Any] | None = None
+        self._mapping: Mapping[str, Collection[Row]] | None = None
         if hasattr(facts, "relation") and hasattr(facts, "schema"):
             self._database = facts
-            self._mapping: Mapping[str, Collection[Row]] | None = None
+        elif hasattr(facts, "relations") and hasattr(facts, "version"):
+            self._versions = cast(Any, facts).relations
         else:
-            self._database = None
             self._mapping = cast(Mapping[str, Collection[Row]], facts)
+        self._statistics = statistics
 
     # ------------------------------------------------------------------ #
 
     def _relation(self, name: str) -> Any:
-        """The stored relation behind ``name``, or ``None`` when absent."""
+        """The stored relation behind ``name``, or ``None`` when absent (or
+        when the source is not a database)."""
         if self._database is None:
             return None
         try:
@@ -59,56 +100,107 @@ class FactsSource:
         except (SchemaError, KeyError):  # unknown relation: same as a missing key
             return None
 
-    def rows(self, name: str) -> Collection[Row]:
+    def size(self, name: str) -> int:
+        """How many rows ``name`` holds (0 when absent)."""
         if self._database is not None:
             relation = self._relation(name)
-            return cast(Collection[Row], relation) if relation is not None else ()
-        mapping = self._mapping
-        assert mapping is not None
-        return mapping.get(name, ())
+            return len(relation) if relation is not None else 0
+        if self._versions is not None:
+            version = self._versions.get(name)
+            return len(version.rows) if version is not None else 0
+        assert self._mapping is not None
+        return len(self._mapping.get(name, ()))
 
-    def size(self, name: str) -> int:
-        return len(self.rows(name))
+    def mapping(self) -> Mapping[str, Collection[Row]]:
+        """The source as a fact mapping (what FO evaluation reads)."""
+        if self._database is not None:
+            return cast(Mapping[str, Collection[Row]], self._database.facts)
+        if self._versions is not None:
+            return {name: version.rows for name, version in self._versions.items()}
+        assert self._mapping is not None
+        return self._mapping
 
     def statistics(self, name: str) -> Any:
-        """Per-relation statistics, when the source maintains them."""
+        """Per-relation statistics, when given or maintained by the source."""
+        if self._statistics is not None:
+            return self._statistics.get(name)
         relation = self._relation(name)
         if relation is None:
             return None
         statistics = getattr(relation, "statistics", None)
         return statistics() if callable(statistics) else None
 
+    def _stored(self, name: str, arity: int) -> Any:
+        """The relation or version behind ``name`` when its rows have
+        ``arity`` columns; ``None`` when absent or of another arity."""
+        if self._database is not None:
+            relation = self._relation(name)
+            if relation is None or relation.schema.arity != arity:
+                return None
+            return relation
+        assert self._versions is not None
+        version = self._versions.get(name)
+        if version is None:
+            return None
+        rows = version.rows
+        # Storage enforces one arity per relation: one row tells it.
+        if rows and len(next(iter(rows))) != arity:
+            return None
+        return version
+
+    def scan(self, name: str, arity: int) -> Collection[Row]:
+        """The rows of ``name`` that have ``arity`` columns."""
+        if self._mapping is None:
+            stored = self._stored(name, arity)
+            if stored is None:
+                return ()
+            return cast(
+                Collection[Row],
+                stored.tuples if self._database is not None else stored.rows,
+            )
+        rows = self._mapping.get(name, ())
+        if all(len(row) == arity for row in rows):
+            return rows
+        return [row for row in rows if len(row) == arity]
+
+    def index(
+        self, name: str, positions: Sequence[int], arity: int
+    ) -> Mapping[Row, Sequence[Row]]:
+        """A hash index of the ``arity``-column rows of ``name`` keyed on the
+        values at ``positions`` (a tuple); keys with no rows are absent.
+
+        A database serves the relation's cached secondary index (built
+        lazily, maintained under updates), a snapshot the version's memoised
+        one (built lazily, once per version); a plain mapping is indexed per
+        call.
+        """
+        key_positions = tuple(positions)
+        if self._mapping is None:
+            stored = self._stored(name, arity)
+            if stored is None:
+                return _EMPTY_INDEX
+            return cast(Mapping[Row, Sequence[Row]], stored.index_on(key_positions))
+        index: dict[Row, list[Row]] = {}
+        for row in self._mapping.get(name, ()):
+            if len(row) != arity:
+                continue
+            index.setdefault(tuple(row[p] for p in key_positions), []).append(row)
+        return index
+
     def lookup(
         self, name: str, positions: Sequence[int], arity: int
     ) -> Callable[[Row], Sequence[Row]]:
-        """A key -> matching-rows probe for ``name`` keyed on ``positions``.
-
-        Database-backed sources serve the relation's cached secondary hash
-        index (built lazily, maintained incrementally under updates); plain
-        mappings build an ephemeral index per call — the same cost the
-        previous evaluator paid per join.  Rows whose arity differs from the
-        atom's are excluded, as before.
-        """
-        relation = self._relation(name)
-        if relation is not None:
-            if relation.schema.arity != arity:
-                return _EMPTY_LOOKUP
-            index = relation.index_on(positions)
-            # The cast is hoisted around the lambda (not inside it): resolved
-            # lookups sit on the maintenance hot path, and a per-call
-            # ``cast(Sequence[Row], ...)`` re-evaluates the subscripted alias
-            # on every probe.
-            return cast(
-                "Callable[[Row], Sequence[Row]]",
-                lambda key, _get=index.get: _get(key, ()),
-            )
-        index_map: dict[Row, list[Row]] = {}
-        key_positions = tuple(positions)
-        for row in self.rows(name):
-            if len(row) != arity:
-                continue
-            index_map.setdefault(tuple(row[p] for p in key_positions), []).append(row)
-        return lambda key: index_map.get(key, ())
+        """A key -> matching-rows probe over :meth:`index` (what the
+        maintenance resolvers and :func:`atom_scan` call)."""
+        index = self.index(name, positions, arity)
+        # The cast is hoisted around the lambda (not inside it): resolved
+        # lookups sit on the maintenance hot path, and a per-call
+        # ``cast(Sequence[Row], ...)`` re-evaluates the subscripted alias on
+        # every probe.
+        return cast(
+            "Callable[[Row], Sequence[Row]]",
+            lambda key, _get=index.get: _get(key, ()),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -126,7 +218,8 @@ def order_atoms(
     break uses the *estimated* number of matching rows instead — cardinality
     scaled by the distinct counts of the bound columns — so a huge relation
     probed on a near-key column sorts before a smaller one probed on a
-    low-selectivity column.
+    low-selectivity column.  A parameter slot is a constant here: bound,
+    whatever value it takes.
     """
     remaining = list(atoms)
     ordered: list[RelationAtom] = []
@@ -155,7 +248,306 @@ def order_atoms(
 
 
 # --------------------------------------------------------------------------- #
-# Atom access paths
+# The fused loop-nest kernel
+# --------------------------------------------------------------------------- #
+
+#: Generated nest functions by source text.  The memo is cleared, not
+#: trimmed, when it reaches this many sources.
+KERNEL_MEMO_LIMIT = 256
+_FUNCTIONS: dict[str, Callable[..., None]] = {}
+
+#: Loops one generated function nests.  CPython refuses more than 20
+#: statically nested blocks per function, so a longer chain continues in a
+#: nested helper ``_n<j>`` that takes the variables bound so far.
+_LOOPS_PER_FUNCTION = 16
+
+
+def _function(source: str) -> Callable[..., None]:
+    """The compiled nest for ``source``, ``exec``'d once per distinct text.
+
+    The text is generated from positions only — no runtime value is ever
+    interpolated into it — so ``exec`` runs nothing but the loop nest.
+    """
+    function = _FUNCTIONS.get(source)
+    if function is None:
+        namespace: dict[str, Any] = {}
+        exec(compile(source, "<repro-cq>", "exec"), namespace)  # noqa: S102
+        function = cast(Callable[..., None], namespace["_nest"])
+        if len(_FUNCTIONS) >= KERNEL_MEMO_LIMIT:
+            _FUNCTIONS.clear()
+        _FUNCTIONS[source] = function
+    return function
+
+
+def _tuple(exprs: Sequence[str]) -> str:
+    if len(exprs) == 1:
+        return f"({exprs[0]},)"
+    return "(" + ", ".join(exprs) + ")"
+
+
+class _Nest:
+    """One normalised disjunct compiled: its function, its access paths
+    (relation, key positions — ``()`` is a scan — and arity, per atom in
+    join order) and its value vector (constants, with ``Param``
+    placeholders at ``slots``)."""
+
+    __slots__ = ("function", "source", "accesses", "values", "slots", "unsafe")
+
+    def __init__(
+        self,
+        source: str,
+        accesses: tuple[tuple[str, tuple[int, ...], int], ...],
+        values: tuple[object, ...],
+        slots: tuple[tuple[int, str], ...],
+        unsafe: Term | None,
+    ) -> None:
+        self.function = _function(source)
+        self.source = source
+        self.accesses = accesses
+        self.values = values
+        self.slots = slots
+        self.unsafe = unsafe
+
+    def run(
+        self,
+        source: FactsSource,
+        bindings: Mapping[str, object],
+        out: object,
+    ) -> None:
+        values: Sequence[object] = self.values
+        if self.slots:
+            filled = list(values)
+            for index, name in self.slots:
+                filled[index] = bindings[name]
+            values = filled
+        paths = [
+            source.index(relation, positions, arity)
+            if positions
+            else source.scan(relation, arity)
+            for relation, positions, arity in self.accesses
+        ]
+        self.function(paths, values, out)
+
+
+def _generate(
+    order: Sequence[RelationAtom],
+    head: Sequence[Term],
+    counting: bool,
+    slots: bool,
+) -> _Nest:
+    """Generate the loop nest of one normalised disjunct, atoms in ``order``."""
+    values: list[object] = []
+    value_names: dict[tuple[type, object], str] = {}
+    slot_list: list[tuple[int, str]] = []
+
+    def constant(term: Constant) -> str:
+        value = term.value
+        name = value_names.get((type(value), value))
+        if name is None:
+            name = value_names[(type(value), value)] = f"_c{len(values)}"
+            if slots and isinstance(value, Param):
+                slot_list.append((len(values), value.name))
+            values.append(value)
+        return name
+
+    guards: list[str] = []  # loop-invariant existence tests, run first
+    helpers: list[str] = []
+    body: list[str] = []
+    accesses: list[tuple[str, tuple[int, ...], int]] = []
+    bound: dict[Variable, str] = {}
+    head_variables = {term for term in head if isinstance(term, Variable)}
+
+    lines, indent, loops = body, 1, 0
+    for j, atom in enumerate(order):
+        later: set[Variable] = set(head_variables)
+        for other in order[j + 1 :]:
+            later.update(other.variables)
+        key_positions: list[int] = []
+        key_exprs: list[str] = []
+        fresh: dict[Variable, str] = {}
+        fresh_at: dict[Variable, int] = {}
+        targets: list[str] = []
+        checks: list[tuple[int, Variable]] = []  # a repeat of a fresh variable
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                key_positions.append(position)
+                key_exprs.append(constant(term))
+                targets.append("_")
+            elif term in bound:
+                key_positions.append(position)
+                key_exprs.append(bound[term])
+                targets.append("_")
+            elif term in fresh:
+                checks.append((position, term))
+                targets.append(f"_r{j}_{position}")
+            else:
+                fresh[term] = f"v{len(bound) + len(fresh)}"
+                fresh_at[term] = position
+                targets.append(fresh[term])
+        accesses.append((atom.relation, tuple(key_positions), len(atom.terms)))
+        key = _tuple(key_exprs) if key_exprs else ""
+        rows = f"_g{j}({key}, ())" if key else f"_p{j}"
+        pad = "    " * indent
+        if not counting and not later.intersection(fresh):
+            # An existence test: nothing downstream reads this atom's rows.
+            if checks:
+                test = " and ".join(
+                    f"_t[{position}] == _t[{fresh_at[variable]}]"
+                    for position, variable in checks
+                )
+                failed = f"not any({test} for _t in {rows})"
+            else:
+                failed = f"{key} not in _p{j}" if key else f"not _p{j}"
+            if not key:
+                guards.append(f"    if {failed}:")
+                continue
+            lines.append(f"{pad}if {failed}:")
+            lines.append(f"{pad}    " + ("continue" if loops else "return"))
+            continue
+        if loops == _LOOPS_PER_FUNCTION:
+            # Continue the nest in a helper closure of the kernel.
+            names = ", ".join(bound.values())
+            lines.append(f"{pad}_n{j}({names})")
+            helpers.append(f"    def _n{j}({names}):")
+            lines, indent, loops = helpers, 2, 0
+            pad = "    " * indent
+        target = _tuple(targets) if targets else "()"
+        lines.append(f"{pad}for {target} in {rows}:")
+        indent += 1
+        loops += 1
+        for position, variable in checks:
+            lines.append(f"{pad}    if _r{j}_{position} != {fresh[variable]}:")
+            lines.append(f"{pad}        continue")
+        bound.update(fresh)
+
+    unsafe: Term | None = None
+    head_exprs: list[str] = []
+    for term in head:
+        if isinstance(term, Constant):
+            head_exprs.append(constant(term))
+        elif term in bound:
+            head_exprs.append(bound[term])
+        else:
+            # Raised only when a row reaches the head: the nest collects the
+            # empty tuple instead, and the kernel raises if it got one.
+            unsafe = term
+            head_exprs = []
+            break
+    row = _tuple(head_exprs) if head_exprs else "()"
+    pad = "    " * indent
+    if counting:
+        lines.append(f"{pad}_h = {row}")
+        lines.append(f"{pad}_out[_h] = _get(_h, 0) + 1")
+    else:
+        lines.append(f"{pad}_add({row})")
+
+    source = ["def _nest(_a, _c, _out):"]
+    source += [f"    _c{i} = _c[{i}]" for i in range(len(values))]
+    for j, (_, positions, _) in enumerate(accesses):
+        source.append(f"    _p{j} = _a[{j}]")
+        if positions:
+            source.append(f"    _g{j} = _p{j}.get")
+    source.append("    _get = _out.get" if counting else "    _add = _out.add")
+    for guard in guards:
+        source += [guard, "        return"]
+    source += helpers
+    source += body
+    return _Nest(
+        "\n".join(source) + "\n",
+        tuple(accesses),
+        tuple(values),
+        tuple(slot_list),
+        unsafe,
+    )
+
+
+class CQKernel:
+    """A CQ or UCQ compiled to one fused loop nest per satisfiable disjunct.
+
+    Data-independent: run it against any facts source — a mapping, a live
+    database or a pinned snapshot — with the caller's values for its
+    ``parameters`` (the ``Param`` slots, compiled with ``slots=True``).
+    ``relations`` lists every body atom's relation, per disjunct as written
+    (what the full-scan cost model charges).
+    """
+
+    __slots__ = ("_nests", "relations", "parameters", "compile_seconds")
+
+    def __init__(
+        self,
+        nests: tuple[_Nest, ...],
+        relations: tuple[str, ...],
+        compile_seconds: float,
+    ) -> None:
+        self._nests = nests
+        self.relations = relations
+        self.parameters = frozenset(name for nest in nests for _, name in nest.slots)
+        self.compile_seconds = compile_seconds
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """The generated source of each nest (for tests and debugging)."""
+        return tuple(nest.source for nest in self._nests)
+
+    def run(
+        self, source: FactsSource, bindings: Mapping[str, object] | None = None
+    ) -> set[Row]:
+        """The answer set over ``source`` (a kernel compiled without
+        ``counting``)."""
+        answers: set[Row] = set()
+        for nest in self._nests:
+            if nest.unsafe is None:
+                nest.run(source, bindings or {}, answers)
+                continue
+            reached: set[Row] = set()
+            nest.run(source, bindings or {}, reached)
+            if reached:
+                raise EvaluationError(
+                    f"unsafe head variable {nest.unsafe} has no binding"
+                )
+        return answers
+
+    def count(self, source: FactsSource) -> dict[Row, int]:
+        """``head row -> number of body valuations`` over ``source`` (a
+        kernel compiled with ``counting``)."""
+        counts: dict[Row, int] = {}
+        for nest in self._nests:
+            nest.run(source, {}, counts)
+        return counts
+
+
+def compile_cq(
+    query: object,
+    source: FactsSource,
+    *,
+    slots: bool = False,
+    counting: bool = False,
+) -> CQKernel:
+    """Compile a :class:`ConjunctiveQuery` or a UCQ (anything with
+    ``disjuncts``) into a :class:`CQKernel`.
+
+    ``source`` only steers the join order (its sizes and statistics); the
+    kernel runs against any source.  With ``slots``, every ``Param``
+    constant is a parameter read from the bindings on each run; without,
+    it is a plain value, as everywhere else in the algebra.  ``counting``
+    builds a derivation counter (single CQs without an unsafe head).
+    """
+    started = time.perf_counter()
+    disjuncts: Sequence[ConjunctiveQuery] = getattr(query, "disjuncts", (query,))
+    nests: list[_Nest] = []
+    relations: list[str] = []
+    for disjunct in disjuncts:
+        relations.extend(atom.relation for atom in disjunct.atoms)
+        if not disjunct.is_satisfiable():
+            continue
+        normalized = disjunct.normalize()
+        order = order_atoms(normalized.atoms, source)
+        nests.append(_generate(order, normalized.head, counting, slots))
+    return CQKernel(tuple(nests), tuple(relations), time.perf_counter() - started)
+
+
+# --------------------------------------------------------------------------- #
+# Operator-tree access paths (Yannakakis)
 # --------------------------------------------------------------------------- #
 
 
@@ -164,9 +556,9 @@ def atom_scan(
 ) -> tuple[Operator, tuple[Variable, ...]]:
     """Scan one atom: matching rows projected onto its (distinct) variables.
 
-    Constant positions are checked (served from a secondary index when the
-    source has one), repeated variables are enforced, and the output columns
-    are the atom's variables in first-occurrence order.
+    Constant positions are served from an index keyed on them, rows of
+    another arity never reach the scan, repeated variables are enforced, and
+    the output columns are the atom's variables in first-occurrence order.
     """
     arity = len(atom.terms)
     constant_positions: list[tuple[int, object]] = []
@@ -181,120 +573,25 @@ def atom_scan(
             first_occurrence[term] = position
     variables = tuple(first_occurrence)
 
-    stored = source._relation(atom.relation)
     base: Operator
-    constants = tuple(constant_positions)
-    need_arity_check = stored is None
-    if stored is not None and stored.schema.arity != arity:
-        base = Scan(())
-        constants = ()
-    elif constants and stored is not None:
-        # Serve the constant selection from the relation's secondary index.
-        lookup = source.lookup(atom.relation, tuple(p for p, _ in constants), arity)
-        base = Scan(lookup(tuple(v for _, v in constants)))
-        constants = ()  # already enforced by the index key
+    if constant_positions:
+        # Serve the constant selection from an index keyed on it.
+        lookup = source.lookup(
+            atom.relation, tuple(p for p, _ in constant_positions), arity
+        )
+        base = Scan(lookup(tuple(v for _, v in constant_positions)))
     else:
-        base = Scan(source.rows(atom.relation))
+        base = Scan(source.scan(atom.relation, arity))
 
-    if constants or duplicate_pairs or need_arity_check:
-
-        def predicate(
-            row: Row,
-            arity: int = arity,
-            constants: tuple[tuple[int, object], ...] = constants,
-            checks: tuple[tuple[int, int], ...] = tuple(duplicate_pairs),
-            check_arity: bool = need_arity_check,
-        ) -> bool:
-            if check_arity and len(row) != arity:
-                return False
-            for position, value in constants:
-                if row[position] != value:
-                    return False
-            for first, later in checks:
-                if row[first] != row[later]:
-                    return False
-            return True
-
-        base = Select(base, predicate)
-    return Project(base, tuple(first_occurrence.values())), variables
-
-
-def join_atom(
-    current: Operator,
-    schema: tuple[Variable, ...],
-    atom: RelationAtom,
-    source: FactsSource,
-) -> tuple[Operator, tuple[Variable, ...]]:
-    """Extend the variable rows of ``current`` with the matches of ``atom``.
-
-    Probes an index keyed on the atom's bound positions (constants and
-    variables already in ``schema``), enforces repeated fresh variables, and
-    appends the fresh variables to the schema.
-    """
-    arity = len(atom.terms)
-    width = len(schema)
-    position_of = {variable: index for index, variable in enumerate(schema)}
-
-    bound_positions: list[int] = []
-    key_spec: list[tuple[int | None, object]] = []  # (schema position, constant)
-    fresh_first: dict[Variable, int] = {}
-    duplicate_pairs: list[tuple[int, int]] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            bound_positions.append(position)
-            key_spec.append((None, term.value))
-        elif term in position_of:
-            bound_positions.append(position)
-            key_spec.append((position_of[term], None))
-        elif term in fresh_first:
-            duplicate_pairs.append((fresh_first[term], position))
-        else:
-            fresh_first[term] = position
-
-    lookup = source.lookup(atom.relation, tuple(bound_positions), arity)
-    spec = tuple(key_spec)
-
-    def key(row: Row, spec: tuple[tuple[int | None, object], ...] = spec) -> Row:
-        return tuple(row[i] if i is not None else v for i, v in spec)
-
-    joined: Operator = LookupJoin(current, lookup, key)
     if duplicate_pairs:
 
         def predicate(
-            row: Row,
-            pairs: tuple[tuple[int, int], ...] = tuple(duplicate_pairs),
-            width: int = width,
+            row: Row, checks: tuple[tuple[int, int], ...] = tuple(duplicate_pairs)
         ) -> bool:
-            return all(row[width + first] == row[width + later] for first, later in pairs)
+            return all(row[first] == row[later] for first, later in checks)
 
-        joined = Select(joined, predicate)
-    kept = tuple(range(width)) + tuple(width + p for p in fresh_first.values())
-    return Project(joined, kept), schema + tuple(fresh_first)
-
-
-# --------------------------------------------------------------------------- #
-# Whole-query pipelines
-# --------------------------------------------------------------------------- #
-
-
-def cq_pipeline(
-    normalized: ConjunctiveQuery, source: FactsSource
-) -> tuple[Operator, tuple[Variable, ...]]:
-    """A left-deep join pipeline for a normalised CQ with at least one atom.
-
-    The output rows assign values to the returned variable schema; head
-    projection (and its set semantics) is layered on by
-    :func:`head_projection`.
-    """
-    operator: Operator | None = None
-    schema: tuple[Variable, ...] = ()
-    for atom in order_atoms(normalized.atoms, source):
-        if operator is None:
-            operator, schema = atom_scan(atom, source)
-        else:
-            operator, schema = join_atom(operator, schema, atom, source)
-    assert operator is not None
-    return operator, schema
+        base = Select(base, predicate)
+    return Project(base, tuple(first_occurrence.values())), variables
 
 
 def head_projection(
@@ -303,8 +600,8 @@ def head_projection(
     """Project variable rows onto the query head (set semantics).
 
     Head constants become literal columns.  A head variable with no column
-    in the schema is *unsafe*; mirroring the historical evaluator, the error
-    is raised only when a row actually reaches the projection — a query with
+    in the schema is *unsafe*; mirroring the loop-nest kernel, the error is
+    raised only when a row actually reaches the projection — a query with
     an empty answer never trips it.
     """
     spec: list[tuple[int | None, object]] = []

@@ -92,7 +92,7 @@ def metered_resolver(resolve: LookupResolver, meter: IOMeter) -> LookupResolver:
 
 
 # --------------------------------------------------------------------------- #
-# Stage compilation (the static half of cq_compiler.join_atom)
+# Stage compilation (static join stages of the delta rules)
 # --------------------------------------------------------------------------- #
 
 

@@ -109,9 +109,9 @@ class Scan(Operator):
 
     With ``meter`` set, the scan is accounted as *view-scan* work at open
     time (cached views are free to read but their size is reported, exactly
-    as the paper's cost model prescribes).  Base-relation scans used by the
-    CQ evaluators pass no meter: the full-scan baseline charges scans through
-    its own cost model, not per row.
+    as the paper's cost model prescribes).  Base-relation scans of
+    Yannakakis' evaluator pass no meter: full-scan evaluation is charged
+    through the baseline's cost model, not per row.
     """
 
     def __init__(
@@ -189,36 +189,6 @@ class IndexLookup(Operator):
             meter.record_fetch(relation, len(fetched))
             for row in fetched:
                 yield project(row)
-
-
-class LookupJoin(Operator):
-    """Index nested-loop join: probe a prebuilt lookup for every left row.
-
-    ``lookup`` maps a key to the matching right-side rows (e.g. a secondary
-    hash index of a stored relation — see
-    :meth:`repro.storage.instance.Relation.index_on`); ``key`` extracts the
-    probe key from a left row.  Emits ``left + right`` concatenations.
-    Unlike :class:`IndexLookup` this never crosses the storage *accounting*
-    boundary: it is the in-memory join primitive of the CQ evaluators, where
-    scan costs are charged by the baseline cost model instead.
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        lookup: Callable[[Row], Sequence[Row]],
-        key: Callable[[Row], Row],
-    ) -> None:
-        self.children = (left,)
-        self._left = left
-        self._lookup = lookup
-        self._key = key
-
-    def _produce(self) -> Iterator[Row]:
-        lookup, key = self._lookup, self._key
-        for left_row in self._input(self._left):
-            for right_row in lookup(key(left_row)):
-                yield left_row + right_row
 
 
 class HashJoin(Operator):

@@ -41,12 +41,8 @@ from ..core.access import AccessSchema
 from ..errors import SchemaError
 from .deltas import DeltaStream
 from .histograms import ColumnStatistics
+from .snapshots import MAX_CACHED_INDEXES
 from .statistics import RelationStatistics
-
-#: Upper bound on cached secondary indexes per relation (FIFO eviction).
-#: Compiled query pipelines resolve their indexes per execution, so evicting
-#: a cold index only costs a rebuild on its next use.
-_MAX_CACHED_INDEXES = 8
 
 
 class _TrackedSet(set):
@@ -264,7 +260,7 @@ class Relation:
     def index_on(self, positions: Sequence[int]) -> Mapping[tuple, Sequence[tuple]]:
         """Secondary hash index keyed on the values at ``positions``.
 
-        Built lazily on first use, cached (at most ``_MAX_CACHED_INDEXES``
+        Built lazily on first use, cached (at most ``MAX_CACHED_INDEXES``
         per relation) and maintained incrementally under mutations — the
         execution kernel's joins probe these instead of re-hashing the
         relation on every query.
@@ -278,7 +274,7 @@ class Relation:
                     index = {}
                     for row in self._tuples:
                         index.setdefault(tuple(row[p] for p in key), []).append(row)
-                    while len(self._indexes) >= _MAX_CACHED_INDEXES:
+                    while len(self._indexes) >= MAX_CACHED_INDEXES:
                         self._indexes.pop(next(iter(self._indexes)), None)
                     self._indexes[key] = index
         return index

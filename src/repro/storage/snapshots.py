@@ -26,8 +26,9 @@ directly.
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.schema import DatabaseSchema
 from ..core.access import AccessConstraint, AccessSchema
@@ -39,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (instance imports us)
 
 _EMPTY: frozenset[tuple] = frozenset()
 _NO_BUCKET: Mapping[tuple, int] = MappingProxyType({})
+
+#: Upper bound on the secondary indexes kept per relation — per live
+#: :class:`~repro.storage.instance.Relation` and per :class:`RelationVersion`
+#: (FIFO eviction: compiled pipelines resolve their indexes per execution, so
+#: an evicted index only costs a rebuild on its next use).
+MAX_CACHED_INDEXES = 8
 
 
 class ShardingLayout:
@@ -53,18 +60,61 @@ class ShardingLayout:
 
 
 class RelationVersion:
-    """One immutable version of a relation's rows."""
+    """One immutable version of a relation's rows, with its own secondary
+    hash indexes (:meth:`index_on`)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_indexes")
 
     def __init__(self, rows: frozenset[tuple]) -> None:
         self.rows = rows
+        # Secondary indexes of this version, built on first probe.  This
+        # memo is the only mutable state of a version; concurrent readers
+        # may race to build the same index from the same rows, which is
+        # benign under the GIL.  A new version starts empty: carrying
+        # indexes across versions is ROADMAP item 17.
+        self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
 
     def apply(
         self, inserted: Iterable[tuple], deleted: Iterable[tuple]
     ) -> "RelationVersion":
         """The next version after a netted delta."""
         return RelationVersion(self.rows.difference(deleted).union(inserted))
+
+    def index_on(self, positions: Sequence[int]) -> Mapping[tuple, Sequence[tuple]]:
+        """This version's rows hashed on the values at ``positions`` (a
+        tuple key; absent keys have no rows).
+
+        Built lazily, once per version, and memoised — at most
+        ``MAX_CACHED_INDEXES`` per version, the cap of
+        :meth:`~repro.storage.instance.Relation.index_on`.
+        """
+        key = tuple(positions)
+        index = self._indexes.get(key)
+        if index is None:
+            index = {}
+            extract: Callable[[tuple], tuple]
+            if len(key) == 1:
+                position = key[0]
+                extract = lambda row: (row[position],)  # noqa: E731
+            elif key:
+                extract = itemgetter(*key)
+            else:
+                extract = lambda row: ()  # noqa: E731
+            for row in self.rows:
+                value = extract(row)
+                bucket = index.get(value)
+                if bucket is None:
+                    index[value] = [row]
+                else:
+                    bucket.append(row)
+            indexes = self._indexes
+            if len(indexes) >= MAX_CACHED_INDEXES:
+                # list() snapshots the keys in one step: a racing reader's
+                # insert cannot break the iteration.
+                for stale in list(indexes)[: len(indexes) - MAX_CACHED_INDEXES + 1]:
+                    indexes.pop(stale, None)
+            indexes[key] = index
+        return index
 
 
 class ConstraintIndexVersion:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algebra.fo import atom as fo_atom
 from repro.algebra.parser import parse_query
-from repro.algebra.terms import Variable
+from repro.algebra.terms import Constant, Variable
 from repro.algebra.ucq import UnionQuery
 from repro.analysis import codegen_eligibility
-from repro.core.plan_eval import FetchStats, PlanExecutor
+from repro.core.plan_eval import FetchStats, PlanExecutor, plan_parameters
 from repro.core.plans import (
     AttributeEqualsAttribute,
     AttributeEqualsConstant,
@@ -250,20 +251,30 @@ def test_explain_reports_the_compiled_tier_before_any_execution(gs_service, gs_q
 def test_stats_count_executions_per_tier(gs_service, gs_q0):
     for _ in range(4):
         gs_service.query(gs_q0)
-    # Not boundable under A0: the full-scan fallback is the interpreted tier.
+    # Not boundable under A0: a CQ fallback runs its admitted loop nest
+    # (compiled), an FO fallback the active-domain evaluator (interpreted).
     gs_service.query("Q(m) :- movie(m, mn, s, r), rating(m, k)")
+    gs_service.query(fo_atom("rating", Variable("m"), Constant(5)), head=(Variable("m"),))
     snapshot = gs_service.stats.snapshot()
-    assert snapshot.tier_uses == {"compiled": 4, "interpreted": 1}
+    assert snapshot.tier_uses == {"compiled": 5, "interpreted": 1}
     gs_service.stats.reset()
     assert gs_service.stats.snapshot().tier_uses == {}
 
 
-def test_fallback_answers_count_as_interpreted(gs_service):
+def test_fallback_tier_is_compiled_for_a_cq_and_interpreted_for_fo(gs_service):
     # Not boundable under A0: no constant anchors the movie fetch.
     unbounded = parse_query("Q(m) :- movie(m, mn, s, r), rating(m, k)")
     answer = gs_service.query(unbounded)
     assert not answer.used_bounded_plan
-    assert answer.execution_tier == "interpreted"
+    assert answer.execution_tier == "compiled"
+    explanation = gs_service.explain(unbounded)
+    assert explanation.plan is None and explanation.execution_tier == "compiled"
+    assert explanation.compile_seconds is not None
+    fo = gs_service.query(
+        fo_atom("rating", Variable("m"), Constant(5)), head=(Variable("m"),)
+    )
+    assert not fo.used_bounded_plan
+    assert fo.execution_tier == "interpreted"
 
 
 # --------------------------------------------------------------------------- #
@@ -283,6 +294,33 @@ def test_prepared_query_compiles_and_matches_interpreted(gs_service, gs_instance
         assert fast.execution_tier == "compiled"
         assert fast.rows == slow.rows
         assert fast.tuples_fetched == slow.stats.tuples_fetched
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'Q(m, k) :- movie(m, mn, :studio, "2014"), rating(m, k)',
+        'Q(m) :- movie(m, mn, :studio, "2014"), rating(m, 5)',  # 5 is lifted too
+    ],
+)
+def test_answer_plan_of_a_params_execution_is_bound(gs_service, text):
+    """``Answer.plan`` is the literal plan that answered: the caller's
+    ``params=`` values go in on first read, as the lifted constants do
+    (at the parent it still rendered ``const :studio``)."""
+    prepared = gs_service.prepare(text)
+    oracle = SQLOracle(gs_service)
+    answers = [
+        prepared.execute(params={"studio": "Universal"}),
+        gs_service.query(text, params={"studio": "Universal"}),
+    ]
+    for answer in answers:
+        assert answer.used_bounded_plan
+        assert plan_parameters(answer.plan) == frozenset()
+        assert ":studio" not in str(answer.plan)
+        assert oracle.plan_rows(answer.plan) == answer.rows
+    assert answers[0].rows == answers[1].rows
+    assert plan_parameters(prepared.plan) == {"studio"}
+    oracle.close()
 
 
 def test_codegen_eligibility_accepts_real_plans(gs_service, gs_instance, gs_access, gs_q0):

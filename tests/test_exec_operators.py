@@ -17,7 +17,6 @@ from repro.exec import (
     Distinct,
     HashJoin,
     IOMeter,
-    LookupJoin,
     Materialize,
     Project,
     Scan,
@@ -63,16 +62,6 @@ def test_semi_join_and_anti_semi_join():
     # Degenerate empty-key case: everything passes iff the right side is empty.
     assert list(SemiJoin(Scan([(1,)]), Scan([]), (), (), anti=True).rows()) == [(1,)]
     assert list(SemiJoin(Scan([(1,)]), Scan([]), (), ()).rows()) == []
-
-
-def test_lookup_join_probes_prebuilt_index():
-    index = {("a",): [(7,)], ("b",): [(8,), (9,)]}
-    joined = LookupJoin(
-        Scan([("a",), ("b",), ("c",)]),
-        lambda key: index.get(key, ()),
-        lambda row: (row[0],),
-    )
-    assert sorted(joined.rows()) == [("a", 7), ("b", 8), ("b", 9)]
 
 
 def test_project_select_union_distinct_materialize():

@@ -512,3 +512,41 @@ def test_plan_cache_invalidate_is_flagged_anywhere_but_other_invalidates_are_not
     assert [(v.code, v.path.name) for v in violations] == [
         ("kernel.write-path-plan-cache", "maintenance.py")
     ]
+
+
+@pytest.mark.parametrize(
+    "relative", ["src/repro/engine/baseline.py", "src/repro/engine/service/backends.py"]
+)
+def test_live_database_row_reads_in_the_full_scan_readers_are_flagged(tmp_path, relative):
+    _write(
+        tmp_path,
+        relative,
+        """
+        class Reader:
+            def rows(self, query):
+                facts = self.database.facts
+                relation = self.database.relation("R")
+                engine = NaiveEngine(self.database)
+                return NaiveEngine(source=database), facts, relation
+
+            def pinned(self, query):
+                # The snapshot's rows and the live statistics are fine.
+                snapshot = self._executor.provider
+                return NaiveEngine(snapshot, self.database.statistics())
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [v.code for v in violations] == ["kernel.live-read"] * 4
+    assert [v.line for v in violations] == [4, 5, 6, 7]
+
+
+def test_live_database_reads_elsewhere_are_not_live_read_violations(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/engine/service/maintenance.py",
+        """
+        def materialise(self, view):
+            return evaluate_ucq(view.as_ucq(), self.database.facts)
+        """,
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []

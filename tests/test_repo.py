@@ -167,3 +167,24 @@ def test_no_module_under_src_imports_sqlite3():
             if any(name.split(".")[0] == "sqlite3" for name in names):
                 importers.append(str(path.relative_to(ROOT)))
     assert not importers
+
+
+def test_the_operator_chain_cq_evaluator_is_gone():
+    """One CQ evaluator: the fused loop nest of ``exec/cq_compiler.py``.
+    The ``LookupJoin`` chain it replaced stays deleted, export included."""
+    from repro import exec as kernel
+    from repro.exec import cq_compiler, operators
+
+    assert not hasattr(operators, "LookupJoin")
+    assert not hasattr(kernel, "LookupJoin") and "LookupJoin" not in kernel.__all__
+    for name in ("cq_pipeline", "join_atom"):
+        assert not hasattr(cq_compiler, name), name
+    mentions = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if any(
+            name in path.read_text(encoding="utf-8")
+            for name in ("LookupJoin", "cq_pipeline", "join_atom")
+        )
+    ]
+    assert not mentions

@@ -12,6 +12,8 @@ never a torn mix.
 
 from __future__ import annotations
 
+import itertools
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +25,7 @@ from repro.core.access import AccessConstraint
 from repro.engine.service import QueryService
 from repro.storage.indexes import IndexSet
 from repro.storage.snapshots import (
+    MAX_CACHED_INDEXES,
     ConstraintIndexVersion,
     RelationVersion,
     ShardingLayout,
@@ -195,6 +198,32 @@ def test_relation_version_apply_is_a_difference_then_a_union(case):
     after = before.apply(inserted, deleted)
     assert after.rows == expected and isinstance(after.rows, frozenset)
     assert before.rows is _PAIR  # a pinned version never changes
+
+
+def test_relation_version_index_on_is_built_once_per_version_and_capped():
+    version = RelationVersion(frozenset({(1, "a", 0), (1, "b", 0), (2, "a", 1)}))
+    index = version.index_on((0,))
+    assert {key: sorted(rows) for key, rows in index.items()} == {
+        (1,): [(1, "a", 0), (1, "b", 0)],
+        (2,): [(2, "a", 1)],
+    }
+    assert version.index_on([0]) is index  # memoised per version
+    assert version.index_on((1, 2)) == {
+        ("a", 0): [(1, "a", 0)],
+        ("b", 0): [(1, "b", 0)],
+        ("a", 1): [(2, "a", 1)],
+    }
+    assert version.index_on(()) == {(): list(version.rows)}
+    nxt = version.apply([(3, "c", 2)], [])
+    assert nxt.index_on((0,)) is not index and (3,) in nxt.index_on((0,))
+    assert (3,) not in index  # the pinned version's index never changes
+    for width in (2, 3):
+        for positions in itertools.permutations(range(3), width):
+            version.index_on(positions)
+    # 14 distinct keys: the 6 oldest went first in, first out.
+    assert len(version._indexes) == MAX_CACHED_INDEXES
+    assert (0,) not in version._indexes and (1, 0) not in version._indexes
+    assert (2, 0) in version._indexes and (2, 1, 0) in version._indexes
 
 
 _R_ABC = schema_from_spec({"R": ("a", "b", "c")})
@@ -393,6 +422,76 @@ def test_concurrent_readers_never_observe_torn_state(writer):
     expected = oracle.query(q0)
     assert final.rows == expected.rows
     assert final.tuples_fetched == expected.tuples_fetched
+
+
+#: No constraint reaches ``like`` without a movie: the full-scan fallback.
+UNBOUNDED_LIKES = "Q(p, m) :- like(p, m, t), rating(m, 5)"
+
+
+def _like_move(database) -> tuple[UpdateBatch, UpdateBatch]:
+    """One ``like`` row moved from one rated-5 movie to another, and back.
+
+    Both batches touch one relation only, so a reader of the live instance
+    can observe the gap between ``Relation.apply_delta``'s two set
+    operations (neither row) — a state that was never committed."""
+    rated = sorted(row[0] for row in database.relation("rating") if row[1] == 5)
+    likes = set(database.relation("like"))
+    pid, old, kind = min(row for row in likes if row[1] in rated)
+    new = next(mid for mid in rated if (pid, mid, kind) not in likes)
+    forward = UpdateBatch(
+        [Deletion("like", (pid, old, kind)), Insertion("like", (pid, new, kind))]
+    )
+    return forward, forward.inverted()
+
+
+@pytest.mark.parametrize("writer", ["service", "database"])
+def test_concurrent_full_scans_never_observe_torn_state(writer):
+    """128 fallback answers while a writer moves one ``like`` row back and
+    forth (through ``service.apply``, or as a foreign ``database.apply``),
+    with a 1 µs switch interval: each answer is the pre- or the post-state,
+    because the fallback's loop nest reads the snapshot its read pinned."""
+    instance = gs.generate(num_persons=300, seed=11)
+    service = _service(instance)
+    forward, backward = _like_move(instance.database)
+    pre = service.query(UNBOUNDED_LIKES)
+    assert not pre.used_bounded_plan and pre.execution_tier == "compiled"
+    service.apply(forward)
+    post = service.query(UNBOUNDED_LIKES).rows
+    service.apply(backward)
+    assert post != pre.rows
+    valid = {pre.rows, post}
+
+    apply = service.apply if writer == "service" else instance.database.apply
+    done, errors = threading.Event(), []
+
+    def write() -> None:
+        try:
+            while not done.is_set():  # whole pairs only: ends on the pre-state
+                apply(forward)
+                apply(backward)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    observed: list[object] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=write)
+    thread.start()
+    try:
+        for _ in range(128):
+            try:
+                observed.append(service.query(UNBOUNDED_LIKES).rows)
+            except RuntimeError as exc:  # a set mutated under a live scan
+                observed.append(exc)
+    finally:
+        done.set()
+        thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive() and not errors, errors
+    torn = [rows for rows in observed if rows not in valid]
+    assert not torn, f"{len(torn)} of {len(observed)} answers were torn"
+    assert service.query(UNBOUNDED_LIKES).rows == pre.rows
+    service.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -87,6 +87,15 @@ inspection (no imports of the checked code, so it runs on any tree):
     access-constraint index; a hook fired per row would grow a second,
     row-at-a-time index back beside it, paying per row on every transaction.
 
+``kernel.live-read``
+    ``src/repro/engine/baseline.py`` and ``src/repro/engine/service/backends.py``
+    may not read rows of a live ``Database``: no ``.facts`` attribute, no
+    ``.relation(...)`` call and no ``NaiveEngine(database)``.  Every read
+    pins one snapshot version; a full scan of the live instance racing a
+    writer can observe a state that was never committed (the gap between
+    the two set operations of ``Relation.apply_delta``).  Statistics reads
+    are not row reads: they steer estimates only.
+
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -137,6 +146,11 @@ RESOLVE_STAGE_NAMES = frozenset({"SLOT_PREFIX"})
 SERVICE_FILE = SERVICE_DIR / "service.py"
 WRITE_PATH_METHODS = frozenset({"on_delta", "apply"})
 
+
+#: The full-scan readers: rows come from the pinned snapshot, never live.
+LIVE_READ_FILES = frozenset(
+    {Path("src/repro/engine/baseline.py"), SERVICE_DIR / "backends.py"}
+)
 
 #: Per-row change hooks: the write path is set-at-a-time, with no observers.
 ROW_OBSERVER_NAMES = frozenset({"register_observer", "on_insert", "on_delete"})
@@ -458,6 +472,42 @@ def check_row_observers(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_live_reads(path: Path, tree: ast.Module) -> list[Violation]:
+    """The full-scan readers read a pinned snapshot, never a live Database."""
+    violations: list[Violation] = []
+
+    def report(line: int, what: str) -> None:
+        violations.append(
+            Violation(
+                path,
+                line,
+                "kernel.live-read",
+                f"{what} reads rows of the live Database; a full scan must "
+                "read the snapshot its read pinned (the backend's provider), "
+                "or a concurrent write shows through half-applied",
+            )
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "facts":
+            report(node.lineno, "'.facts'")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "relation":
+                report(node.lineno, "'.relation(...)'")
+            elif getattr(func, "id", None) == "NaiveEngine" or getattr(
+                func, "attr", None
+            ) == "NaiveEngine":
+                given = [*node.args[:1], *(k.value for k in node.keywords)]
+                for argument in given:
+                    name = getattr(argument, "id", None) or getattr(
+                        argument, "attr", None
+                    )
+                    if name == "database":
+                        report(node.lineno, "'NaiveEngine(database)'")
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -482,6 +532,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_exhaustive_sweep(relative, tree)
     if SERVICE_DIR in relative.parents and relative != RESOLVE_STAGE_FILE:
         violations += check_service_resolve(relative, tree)
+    if relative in LIVE_READ_FILES:
+        violations += check_live_reads(relative, tree)
     violations += check_write_path_plan_cache(relative, tree)
     violations += check_row_observers(relative, tree)
     if STORAGE_DIR not in relative.parents:
