@@ -22,7 +22,7 @@ output on stdlib ``sqlite3`` as an independent oracle for the rows.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ...algebra.fo import FOQuery
 from ...algebra.terms import Variable
@@ -37,13 +37,16 @@ from ..baseline import BaselineResult, NaiveEngine
 
 
 class InMemoryBackend:
-    """The serving backend: :class:`PlanExecutor` over hash indices.
+    """The serving backend: compiled closures and :class:`PlanExecutor` over
+    hash indices.
 
-    The executor is built once and reused across calls (it is stateless per
-    execution); :meth:`refresh` swaps in new indices or a new view cache when
-    the underlying data changes (the incremental-maintenance path).  The
-    provider is the pinned :class:`~repro.storage.snapshots.DatabaseSnapshot`:
-    the full-scan paths read their rows from it too.
+    The backend publishes one immutable ``(provider, view_cache)`` pair;
+    :meth:`refresh` swaps in the next pair with a single reference
+    assignment when the underlying data changes (the incremental-maintenance
+    path), so a write costs O(1) here.  The provider is the pinned
+    :class:`~repro.storage.snapshots.DatabaseSnapshot`: the full-scan paths
+    read their rows from it too.  The interpreter's :class:`PlanExecutor` is
+    built only when :meth:`execute_plan` runs, once per published pair.
     """
 
     name = "memory"
@@ -53,41 +56,55 @@ class InMemoryBackend:
         database: Database,
         access_schema: AccessSchema,
         provider: FetchProvider,
-        view_cache: Mapping[str, Collection[tuple]],
+        view_cache: Mapping[str, frozenset[tuple]],
     ) -> None:
         self.database = database
         self.access_schema = access_schema
-        self._executor = PlanExecutor(
-            database.schema, access_schema, provider, view_cache
+        self._state: tuple[FetchProvider, Mapping[str, frozenset[tuple]]] = (
+            provider,
+            view_cache,
         )
+        # (published pair, its executor): rebuilt by the first execute_plan
+        # after a refresh.  Racing readers may both build one; either serves.
+        self._interpreter: tuple[tuple, PlanExecutor] | None = None
 
     # ------------------------------------------------------------------ #
 
     @property
-    def view_cache(self) -> dict[str, frozenset[tuple]]:
-        return self._executor.view_cache
+    def view_cache(self) -> Mapping[str, frozenset[tuple]]:
+        return self._state[1]
 
     @property
     def provider(self) -> FetchProvider:
-        return self._executor.provider
+        return self._state[0]
 
     def refresh(
         self,
         provider: FetchProvider | None = None,
-        view_cache: Mapping[str, Collection[tuple]] | None = None,
+        view_cache: Mapping[str, frozenset[tuple]] | None = None,
     ) -> None:
-        """Swap the fetch provider and/or view cache (after data changes)."""
-        self._executor = PlanExecutor(
-            self.database.schema,
-            self.access_schema,
-            provider if provider is not None else self._executor.provider,
-            view_cache if view_cache is not None else self._executor.view_cache,
+        """Publish a new fetch provider and/or view cache (after data
+        changes).  View rows are frozen sets, as the maintainer's snapshot
+        holds them."""
+        current_provider, current_views = self._state
+        self._state = (
+            provider if provider is not None else current_provider,
+            view_cache if view_cache is not None else current_views,
         )
 
     # ------------------------------------------------------------------ #
 
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
-        return self._executor.execute(plan)
+        state = self._state
+        interpreter = self._interpreter
+        if interpreter is None or interpreter[0] is not state:
+            provider, view_cache = state
+            executor = PlanExecutor(
+                self.database.schema, self.access_schema, provider, view_cache
+            )
+            interpreter = (state, executor)
+            self._interpreter = interpreter
+        return interpreter[1].execute(plan)
 
     def execute_compiled(
         self,
@@ -101,14 +118,13 @@ class InMemoryBackend:
         reading the refreshed state afterwards.  Accounting is a fresh
         :class:`FetchStats` per call, exactly like :meth:`execute_plan`.
         """
-        # One read of the executor reference: refresh() swaps the whole
-        # executor atomically, and reading provider and view_cache through
-        # two separate self._executor reads could pair a pre-refresh provider
-        # with a post-refresh view cache (a torn runtime under concurrent
-        # writes).
-        executor = self._executor
+        # One read of the published pair: refresh() swaps it atomically, and
+        # reading provider and view_cache through two separate attribute
+        # reads could pair a pre-refresh provider with a post-refresh view
+        # cache (a torn runtime under concurrent writes).
+        provider, view_cache = self._state
         stats = FetchStats()
-        rows = compiled.execute(executor.provider, executor.view_cache, stats, params)
+        rows = compiled.execute(provider, view_cache, stats, params)
         return ExecutionResult(attributes=compiled.attributes, rows=rows, stats=stats)
 
     def execute_baseline(self, query: QueryLike) -> BaselineResult:
@@ -116,16 +132,15 @@ class InMemoryBackend:
         loop nest for this call (a repeated shape reuses the generated
         function).  The join order reads the live statistics: estimates
         only."""
-        provider = self._executor.provider
-        return NaiveEngine(provider, self.database.statistics()).answer(query)
+        return NaiveEngine(self.provider, self.database.statistics()).answer(query)
 
     def execute_fallback(
         self, kernel: CQKernel, params: Mapping[str, object] | None = None
     ) -> BaselineResult:
         """Run an admitted fallback kernel on the pinned snapshot — the
         version a bounded plan of the same read would fetch from."""
-        return NaiveEngine(self._executor.provider).run(kernel, params)
+        return NaiveEngine(self.provider).run(kernel, params)
 
     def execute_baseline_fo(self, query: FOQuery, head: Sequence[Variable]) -> BaselineResult:
         """Evaluate an FO query over the pinned snapshot's facts."""
-        return NaiveEngine(self._executor.provider).answer_fo(query, head)
+        return NaiveEngine(self.provider).answer_fo(query, head)

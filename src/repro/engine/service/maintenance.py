@@ -170,6 +170,27 @@ class _StateResolvers:
         self._stream = stream
         self._changed = stream.touched
         self._meter = meter
+        # The rewind sets, built once per stream: every delta rule of every
+        # view resolves against the same few (relation, positions) pairs.
+        self._inserted: dict[str, set[tuple]] = {}
+        self._deleted: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
+
+    def _inserted_rows(self, relation: str) -> set[tuple]:
+        rows = self._inserted.get(relation)
+        if rows is None:
+            rows = self._inserted[relation] = set(self._stream.inserted(relation))
+        return rows
+
+    def _deleted_by_key(
+        self, relation: str, positions: tuple[int, ...]
+    ) -> dict[tuple, list[tuple]]:
+        memo = (relation, positions)
+        index = self._deleted.get(memo)
+        if index is None:
+            index = self._deleted[memo] = _index_rows_by_key(
+                self._stream.deleted(relation), positions
+            )
+        return index
 
     def _metered(self, resolve: LookupResolver) -> LookupResolver:
         if self._meter is None:
@@ -181,7 +202,7 @@ class _StateResolvers:
 
     def pre_transaction(self, unprocessed: frozenset[str]) -> LookupResolver:
         """Changed relations in ``unprocessed`` are served pre-state."""
-        source, stream = self._source, self._stream
+        source = self._source
         rewind = self._changed & unprocessed
         if not rewind:
             return self._metered(source.lookup)
@@ -190,8 +211,8 @@ class _StateResolvers:
             live = source.lookup(relation, positions, arity)
             if relation not in rewind:
                 return live
-            inserted = set(stream.inserted(relation))
-            deleted = _index_rows_by_key(stream.deleted(relation), positions)
+            inserted = self._inserted_rows(relation)
+            deleted = self._deleted_by_key(relation, positions)
 
             def lookup(key: tuple) -> list[tuple]:
                 rows = [row for row in live(key) if row not in inserted]
@@ -215,7 +236,7 @@ class _StateResolvers:
             live = source.lookup(relation, positions, arity)
             if relation not in with_deletions:
                 return live
-            deleted = _index_rows_by_key(stream.deleted(relation), positions)
+            deleted = self._deleted_by_key(relation, positions)
 
             def lookup(key: tuple) -> list[tuple]:
                 rows = list(live(key))

@@ -496,9 +496,10 @@ class QueryService:
         staged changes, keeping ``D |= A`` with bounded work.  A malformed
         update (unknown relation, wrong arity) raises before anything is
         written.  The netted transaction then maintains, in order: each
-        touched relation's rows, statistics and secondary indexes (one
-        set-at-a-time delta per relation); the snapshot, advanced from the
-        staged overlay; and, via the committed
+        touched relation's rows and secondary indexes (one set-at-a-time
+        delta per relation; column statistics fold it in on their next
+        read); the snapshot, advanced from the staged overlay; and, via the
+        committed
         :class:`~repro.storage.deltas.DeltaStream`, the materialised views
         (compiled delta plans — counting where sound, DRed otherwise) and
         the execution backend.  Cached plans and their compiled closures are

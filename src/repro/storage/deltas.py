@@ -17,18 +17,20 @@ database.  This module defines that channel:
   reached the new state.
 
 The stream is also the write path's working set.  Phase 1 of
-:meth:`~repro.storage.instance.Database.apply` decides each update's set
-membership against the live rows plus the stream's net sets
-(:meth:`DeltaStream.holds`), so netting happens before storage is touched;
-phase 2 then hands each relation its netted ``(inserted, deleted)`` once.
-Storage, statistics and secondary indexes are maintained set-at-a-time from
-the same netted batch that view maintenance and the execution backends
-consume.
+:meth:`~repro.storage.instance.Database.apply` nets each relation's batch
+into it set-at-a-time (:meth:`DeltaStream.record_net`: rows the batch names
+once, against the live rows); only the updates that must run in order — a
+row named more than once, a key within reach of its access bound, a foreign
+admission predicate — are replayed one at a time through
+:meth:`DeltaStream.holds` and ``record_insert`` / ``record_delete``.  Phase
+2 then hands each relation its netted ``(inserted, deleted)`` once, and
+storage, secondary indexes, snapshots, materialised views and the execution
+backend all consume that same netted batch.
 """
 
 from __future__ import annotations
 
-from typing import Container, Protocol, runtime_checkable
+from typing import Collection, Container, Protocol, runtime_checkable
 
 #: A data row (kept structural: storage does not import the exec kernel).
 Row = tuple[object, ...]
@@ -39,10 +41,13 @@ _EMPTY: tuple[Row, ...] = ()
 class DeltaStream:
     """Net per-relation changes of one committed transaction.
 
-    Built by :meth:`repro.storage.instance.Database.apply` while a batch is
-    applied; consumers should treat it as read-only.  ``relations`` preserves
-    first-touch order, which observers use as the processing order of the
-    telescoped delta rules.
+    Built by phase 1 of :meth:`repro.storage.instance.Database.apply`, one
+    relation's batch at a time: :meth:`record_net` for the rows the batch
+    names once, ``record_insert`` / ``record_delete`` for the updates
+    replayed in order.  Consumers should treat it as read-only.
+    ``relations`` is in first-touch order — by the batch position of each
+    relation's first effective update — which observers use as the
+    processing order of the telescoped delta rules.
     """
 
     __slots__ = (
@@ -66,8 +71,9 @@ class DeltaStream:
         # the relation, because netting mutates the opposite set.
         self._inserted_rows: dict[str, tuple[Row, ...]] = {}
         self._deleted_rows: dict[str, tuple[Row, ...]] = {}
-        # First-touch order of relations (dict used as an ordered set).
-        self._order: dict[str, None] = {}
+        # Per relation, the batch position of its first effective update:
+        # ``relations`` lists relations in that (first-touch) order.
+        self._order: dict[str, int] = {}
         #: Effective (non-no-op) insertions/deletions applied, before netting.
         self.applied_insertions: int = 0
         self.applied_deletions: int = 0
@@ -78,33 +84,65 @@ class DeltaStream:
     # Recording (storage layer only)
     # ------------------------------------------------------------------ #
 
-    def record_insert(self, relation: str, row: Row) -> None:
-        """Record one applied insertion (the row was absent before)."""
-        self._order.setdefault(relation, None)
-        self.applied_insertions += 1
+    def _touch(self, relation: str, position: int | None) -> None:
+        """Note an effective update of ``relation`` at batch ``position``
+        (by default after every update recorded so far), and drop the
+        relation's cached row tuples."""
+        if position is None:
+            position = self.applied
+        if position < self._order.get(relation, position + 1):
+            self._order[relation] = position
         self._inserted_rows.pop(relation, None)
         self._deleted_rows.pop(relation, None)
+
+    def record_insert(
+        self, relation: str, row: Row, position: int | None = None
+    ) -> None:
+        """Record one applied insertion (the row was absent before)."""
+        self._touch(relation, position)
+        self.applied_insertions += 1
         deleted = self._deleted.get(relation)
         if deleted is not None and row in deleted:
             deleted.discard(row)  # was present pre-transaction: net zero
         else:
             self._inserted.setdefault(relation, set()).add(row)
 
-    def record_delete(self, relation: str, row: Row) -> bool:
+    def record_delete(
+        self, relation: str, row: Row, position: int | None = None
+    ) -> bool:
         """Record one applied deletion (the row was present before).
 
         Returns whether it cancels an insertion of the same transaction.
         """
-        self._order.setdefault(relation, None)
+        self._touch(relation, position)
         self.applied_deletions += 1
-        self._inserted_rows.pop(relation, None)
-        self._deleted_rows.pop(relation, None)
         inserted = self._inserted.get(relation)
         if inserted is not None and row in inserted:
             inserted.discard(row)  # added by this transaction: net zero
             return True
         self._deleted.setdefault(relation, set()).add(row)
         return False
+
+    def record_net(
+        self,
+        relation: str,
+        inserted: Collection[Row],
+        deleted: Collection[Row],
+        position: int,
+    ) -> None:
+        """Record a batch of applied updates on rows the transaction names
+        once: ``inserted`` were absent before, ``deleted`` present, and
+        ``position`` is the batch position of the first of them.  No row
+        here may be recorded by another call of the same transaction."""
+        if not inserted and not deleted:
+            return
+        self._touch(relation, position)
+        self.applied_insertions += len(inserted)
+        self.applied_deletions += len(deleted)
+        if inserted:
+            self._inserted.setdefault(relation, set()).update(inserted)
+        if deleted:
+            self._deleted.setdefault(relation, set()).update(deleted)
 
     def holds(self, relation: str, row: Row, live: Container[Row]) -> bool:
         """Is ``row`` in ``relation`` once the net changes recorded so far
@@ -122,9 +160,10 @@ class DeltaStream:
     @property
     def relations(self) -> tuple[str, ...]:
         """Relations with a non-empty net change, in first-touch order."""
+        order = self._order
         return tuple(
             name
-            for name in self._order
+            for name in sorted(order, key=order.__getitem__)
             if self._inserted.get(name) or self._deleted.get(name)
         )
 

@@ -14,11 +14,13 @@ A heavy hitter occupies whole buckets by itself, so
 — this is what lets the DP join orderer tell a 2000-row probe key from a
 5-row one.  Exact distinct counts come from the relation's value counts.
 
-Histograms are maintained *incrementally* by the relation's set-at-a-time
-write path (``Relation.apply_delta``): a committed delta folds in one net
-change per distinct value it touched — one bucket lookup per value, not per
-row.  Writes never trigger a rebuild; drifted histograms are rebuilt
-*lazily* on the next read, from the relation's exact value counts.
+Histograms are maintained *incrementally*, and on read: a write
+(``Relation.apply_delta``) only accumulates each column's net value changes,
+and the next ``Relation.statistics()`` read folds in one net change per
+distinct value touched since the previous read — one bucket lookup per
+value, not per row, and not per transaction.  Writes never trigger a
+rebuild; drifted histograms are rebuilt *lazily* on read, from the
+relation's exact value counts.
 """
 
 from __future__ import annotations
@@ -205,7 +207,10 @@ class EquiDepthHistogram:
         ``distincts`` is ``+1`` when the value appeared, ``-1`` when its last
         row left, else ``0``.  Locating the value widens an edge bucket
         exactly as one row-at-a-time insert would, so a value whose rows
-        netted away (``rows == 0``) still moves the same edges.
+        netted away (``rows == 0``) still moves the same edges.  Shifts of
+        different values commute, and two shifts of one value equal one
+        shift of their sums, so the changes of many transactions fold in
+        as one shift per value.
         """
         index = self._locate(value)
         if index is None:
@@ -246,8 +251,8 @@ class ColumnStatistics:
     Bundles the exact distinct count (read off the relation's value counts)
     and the :class:`EquiDepthHistogram`, and owns the lazy-rebuild policy:
     reads go through :meth:`fresh`, which rebuilds a drifted histogram from
-    the exact counts; writes (``Relation.apply_delta``) only ever shift one
-    bucket per changed value.
+    the exact counts; the relation's statistics read folds in the writes
+    since the previous read first, one bucket shift per changed value.
 
     Deliberately excluded from dataclass comparisons of its owner
     (:class:`repro.storage.statistics.RelationStatistics`): two statistics

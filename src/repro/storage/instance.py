@@ -12,20 +12,23 @@ per-column histograms (:meth:`Relation.statistics` — consumed by the join
 orderers and the service planners).
 
 There is one write path, and it is set-at-a-time.  :meth:`Database.apply`
-runs a transaction in two phases: phase 1 walks the updates once — schema
-checks, set membership against the live rows plus the transaction's net
-changes so far, and the admission predicate — and nets them into a
-:class:`~repro.storage.deltas.DeltaStream`; phase 2 hands each touched
-relation its netted ``(added, removed)`` once (:meth:`Relation.apply_delta`),
-which maintains the row set, the value counts, the histograms (one bucket
-lookup per changed value) and the secondary indexes per batch.  An
-out-of-band ``Relation.add`` / ``discard`` is a one-row batch through the
-same method.  Access-constraint indexes are not kept here at all: the MVCC
-snapshot version (:mod:`repro.storage.snapshots`) is the only one, advanced
-from the overlay its manager staged during phase 1.  Transaction-level
-observers (materialised views, execution backends) subscribe to the
-database (:meth:`Database.subscribe`) and receive the netted stream once per
-committed :meth:`Database.apply`.
+runs a transaction in two phases.  Phase 1 (:meth:`Database._net`) checks
+every update's schema, groups the updates per relation, and nets each
+relation's batch at once into a :class:`~repro.storage.deltas.DeltaStream`:
+rows the batch names once by set operations against the live rows, and only
+the updates that must run in order — a row named more than once, a key
+within reach of its access bound, a foreign admission predicate — one at a
+time.  Phase 2 hands each touched relation its netted ``(added, removed)``
+once (:meth:`Relation.apply_delta`), which maintains the row set and the
+secondary indexes per batch and accumulates each column's net value changes;
+column statistics fold those in on read (:meth:`Relation.statistics`), not
+on every write.  An out-of-band ``Relation.add`` / ``discard`` is a one-row
+batch through the same method.  Access-constraint indexes are not kept here
+at all: the MVCC snapshot version (:mod:`repro.storage.snapshots`) is the
+only one, advanced from the overlay its manager staged during phase 1.
+Transaction-level observers (materialised views, execution backends)
+subscribe to the database (:meth:`Database.subscribe`) and receive the
+netted stream once per committed :meth:`Database.apply`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from ..core.access import AccessSchema
 from ..errors import SchemaError
 from .deltas import DeltaStream
 from .histograms import ColumnStatistics
-from .snapshots import MAX_CACHED_INDEXES
+from .snapshots import MAX_CACHED_INDEXES, row_getter
 from .statistics import RelationStatistics
 
 
@@ -127,23 +130,22 @@ class Relation:
         self._frozen: frozenset[tuple] | None = None
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
         self._statistics: RelationStatistics | None = None
-        # Per-position value -> count multiset backing statistics(); built
-        # lazily, then maintained in place so statistics stay O(arity) to
-        # refresh after a delta instead of O(|relation|).
+        # Per-position value -> count multisets and equi-depth histograms
+        # backing statistics(): built together on the first read, then
+        # brought up to date by later reads (_fold_statistics), never by a
+        # write.  Writes only add to _pending: per position, the net count
+        # change of every value touched since the last read (0 for a value
+        # whose rows netted away, so the fold still moves histogram edges).
         self._value_counts: list[dict[object, int]] | None = None
-        # Per-position equi-depth histograms, built lazily alongside the
-        # value counts on the first statistics() read, then maintained by
-        # apply_delta — one bucket per changed value, never a rebuild;
-        # drifted histograms rebuild lazily on the next read.  apply_delta
-        # runs before snapshots publish and observers fire, so planner reads
-        # are consistent with the MVCC version they pin.
         self._column_summaries: list[ColumnStatistics] | None = None
+        self._pending: list[Counter] | None = None
         # Monotone delta counter: snapshot managers compare it against the
         # value recorded at their last build to detect out-of-band mutations
         # (direct add/discard outside a Database.apply transaction).
         self._mutations = 0
-        # Serialises lazy index/statistics builds: concurrent *read-only*
-        # queries may race to build the same cache.  Mutations remain
+        # Serialises lazy index/statistics builds (concurrent *read-only*
+        # queries may race to build the same cache) and the statistics
+        # fold against a write's accumulation.  Mutations remain
         # single-writer, as before.
         self._build_lock = threading.Lock()
         self.add_many(tuples)
@@ -193,54 +195,46 @@ class Relation:
         ``added`` rows must be absent, ``removed`` rows present, and the two
         disjoint — :meth:`Database.apply` hands over each relation's netted
         transaction, :meth:`add` / :meth:`discard` a one-row batch.  The row
-        set changes by two set operations; value counts and histograms by
-        one net count per distinct value (one histogram bucket lookup per
-        value, not per row); secondary indexes per batch.  ``transient``
-        rows were inserted and deleted again inside the transaction: they
-        leave every count alone but are located in the histograms all the
-        same, so the buckets end exactly where a row-at-a-time replay of the
-        transaction would leave them.
+        set changes by two set operations and the secondary indexes per
+        batch.  Column statistics are not touched: once they have been read,
+        each column's net value changes accumulate for the next
+        :meth:`statistics` read to fold in.  ``transient`` rows were inserted
+        and deleted again inside the transaction: they change no count, but
+        their values are noted all the same, so the fold leaves the
+        histogram buckets exactly where a row-at-a-time replay of the
+        transaction would.
         """
-        if added or removed:
-            tuples = self._tuples
-            set.difference_update(tuples, removed)
-            set.update(tuples, added)
-            self._mutations += 1
-            self._frozen = None
-            self._statistics = None
-        counts = self._value_counts
-        if counts is not None:
-            summaries = self._column_summaries
-            for position, per_value in enumerate(counts):
-                value_of = itemgetter(position)
-                net = Counter(map(value_of, added))
-                net.subtract(Counter(map(value_of, removed)))
-                histogram = summaries[position].histogram if summaries else None
-                if histogram is not None:
+        with self._build_lock:
+            if added or removed:
+                tuples = self._tuples
+                set.difference_update(tuples, removed)
+                set.update(tuples, added)
+                self._mutations += 1
+                self._frozen = None
+                self._statistics = None
+            pending = self._pending
+            if pending is not None and (added or removed or transient):
+                self._statistics = None
+                for position, net in enumerate(pending):
+                    value_of = itemgetter(position)
+                    net.update(map(value_of, added))
+                    net.subtract(Counter(map(value_of, removed)))
                     for value in map(value_of, transient):
                         net.setdefault(value, 0)
-                for value, change in net.items():
-                    before = per_value.get(value, 0)
-                    after = before + change
-                    if after > 0:
-                        per_value[value] = after
-                    elif before:
-                        del per_value[value]
-                    if histogram is not None:
-                        histogram.shift(value, change, (after > 0) - (before > 0))
-        for positions, index in list(self._indexes.items()):
-            if removed:
-                gone: dict[tuple, set[tuple]] = {}
-                for row in removed:
-                    gone.setdefault(tuple(row[p] for p in positions), set()).add(row)
-                for key, rows in gone.items():
-                    kept = [row for row in index.get(key, ()) if row not in rows]
-                    if kept:
-                        index[key] = kept
-                    else:
-                        index.pop(key, None)
-            for row in added:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
+            for positions, index in list(self._indexes.items()):
+                key_of = row_getter(positions)
+                if removed:
+                    gone: dict[tuple, set[tuple]] = {}
+                    for key, row in zip(map(key_of, removed), removed):
+                        gone.setdefault(key, set()).add(row)
+                    for key, rows in gone.items():
+                        kept = [row for row in index.get(key, ()) if row not in rows]
+                        if kept:
+                            index[key] = kept
+                        else:
+                            index.pop(key, None)
+                for key, row in zip(map(key_of, added), added):
+                    index.setdefault(key, []).append(row)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -272,47 +266,76 @@ class Relation:
                 index = self._indexes.get(key)
                 if index is None:
                     index = {}
+                    key_of = row_getter(key)
                     for row in self._tuples:
-                        index.setdefault(tuple(row[p] for p in key), []).append(row)
+                        index.setdefault(key_of(row), []).append(row)
                     while len(self._indexes) >= MAX_CACHED_INDEXES:
                         self._indexes.pop(next(iter(self._indexes)), None)
                     self._indexes[key] = index
         return index
 
     def statistics(self) -> RelationStatistics:
-        """Cardinality and per-attribute distinct counts (cached).
+        """Cardinality, per-attribute distinct counts and column histograms
+        (cached until the next write).
 
-        The backing per-position value counts are built once and maintained
-        under mutations, so refreshing the statistics after a delta costs
-        O(arity), not a relation scan.
+        The first read builds per-position value counts and histograms in
+        one scan; every later read first folds in the value changes written
+        since the previous one (:meth:`_fold_statistics`), so a read after
+        any number of writes costs O(arity + values touched), not a scan.
         """
         statistics = self._statistics
         if statistics is None:
-            counts = self._value_counts
-            if counts is None:
-                with self._build_lock:
-                    counts = self._value_counts
-                    if counts is None:
+            with self._build_lock:
+                statistics = self._statistics
+                if statistics is None:
+                    if self._value_counts is None:
                         counts = [{} for _ in range(self.schema.arity)]
                         for row in self._tuples:
                             for position, per_value in enumerate(counts):
                                 value = row[position]
                                 per_value[value] = per_value.get(value, 0) + 1
                         self._value_counts = counts
-            summaries = self._column_summaries
-            if summaries is None:
-                with self._build_lock:
-                    summaries = self._column_summaries
-                    if summaries is None:
-                        summaries = [ColumnStatistics(per_value) for per_value in counts]
-                        self._column_summaries = summaries
-            statistics = RelationStatistics(
-                cardinality=len(self._tuples),
-                distinct=tuple(len(per_value) for per_value in counts),
-                columns=tuple(summary.fresh() for summary in summaries),
-            )
-            self._statistics = statistics
+                        self._column_summaries = [
+                            ColumnStatistics(per_value) for per_value in counts
+                        ]
+                        self._pending = [Counter() for _ in counts]
+                    else:
+                        self._fold_statistics()
+                    statistics = RelationStatistics(
+                        cardinality=len(self._tuples),
+                        distinct=tuple(map(len, self._value_counts)),
+                        columns=tuple(
+                            summary.fresh() for summary in self._column_summaries
+                        ),
+                    )
+                    self._statistics = statistics
         return statistics
+
+    def _fold_statistics(self) -> None:
+        """Fold the value changes written since the last read into the value
+        counts and histograms: one histogram ``shift`` per distinct value.
+
+        Folding many transactions at once ends where folding each in turn
+        would: a value's bucket depends only on the bucket highs, of which
+        only the last ever grows; bucket lows only widen; counts add.  The
+        caller holds ``_build_lock``.
+        """
+        pending = self._pending
+        if pending is None:
+            return
+        for per_value, summary, net in zip(
+            self._value_counts, self._column_summaries, pending
+        ):
+            histogram = summary.histogram
+            for value, change in net.items():
+                before = per_value.get(value, 0)
+                after = before + change
+                if after > 0:
+                    per_value[value] = after
+                elif before:
+                    del per_value[value]
+                histogram.shift(value, change, (after > 0) - (before > 0))
+            net.clear()
 
     @property
     def mutation_count(self) -> int:
@@ -424,20 +447,24 @@ class Database:
         ``relation`` / ``row`` / ``is_insertion``), applied in order with set
         semantics — inserting a present tuple or deleting an absent one is a
         no-op.  ``admit`` is an optional per-update predicate evaluated
-        against the *running* state right before each update (the service's
-        bounded admissibility check,
-        :meth:`~repro.storage.snapshots.SnapshotManager.admits`); rejected
-        updates are skipped and counted on the returned stream.
+        against the *running* state right before each update; rejected
+        updates are skipped and counted on the returned stream.  The
+        service's bounded admissibility check is a registered snapshot
+        manager's :meth:`~repro.storage.snapshots.SnapshotManager.admits`:
+        that manager decides per ``(constraint, key)`` and only the keys
+        within reach of their bound are checked update by update.  Any other
+        predicate is called once per update, in order.
 
-        Two phases.  Phase 1 (:meth:`_net`) walks the updates once and nets
-        them into the stream, staging each effective update into every
-        snapshot manager's overlay; it raises :class:`SchemaError` on an
-        unknown relation or a wrong arity before anything is written, so a
-        malformed batch leaves storage, snapshots and subscribers all-pre.
-        Phase 2 hands each touched relation its netted delta once
-        (:meth:`Relation.apply_delta`), advances the snapshot managers from
-        their overlays, and notifies the subscribed transaction-level
-        observers with the netted :class:`DeltaStream` exactly once.
+        Two phases.  Phase 1 (:meth:`_net`) nets the updates into the stream,
+        one relation's batch at a time, and stages each relation's netted
+        batch into every snapshot manager's overlay; it raises
+        :class:`SchemaError` on an unknown relation or a wrong arity before
+        anything is staged, so a malformed batch leaves storage, snapshots
+        and subscribers all-pre.  Phase 2 hands each touched relation its
+        netted delta once (:meth:`Relation.apply_delta`), advances the
+        snapshot managers from their overlays, and notifies the subscribed
+        transaction-level observers with the netted :class:`DeltaStream`
+        exactly once.
         """
         with self._write_lock:
             managers = self._managers()
@@ -476,30 +503,103 @@ class Database:
     ) -> tuple[DeltaStream, dict[str, list[tuple]]]:
         """Phase 1 of :meth:`apply`: the netted stream, and per relation the
         rows inserted and deleted again inside the transaction.  Reads
-        storage, writes nothing but the stream and the managers' overlays."""
+        storage, writes nothing but the stream and the managers' overlays.
+
+        Every update is schema-checked first.  Relations are independent —
+        each access constraint and each net set belongs to one relation — so
+        the updates are then netted one relation's batch at a time.  Rows
+        the batch names once, on keys no order of the batch can push past
+        their bound, net by set operations against the live rows and are
+        staged at once; the rest replay in order (:meth:`_replay`).
+        """
+        # One step per update, in batch order:
+        # (position, relation, row, is_insertion, update).
+        steps: list[tuple] = []
+        batches: dict[str, list[tuple]] = {}
+        arities: dict[str, int] = {}
+        for position, update in enumerate(updates):
+            name = update.relation
+            row = tuple(update.row)
+            batch = batches.get(name)
+            if batch is None:
+                batch = batches[name] = []
+                arities[name] = self._relation(name).schema.arity
+            if len(row) != arities[name]:
+                self._relations[name]._checked(row)  # raises SchemaError
+            step = (position, name, row, update.is_insertion, update)
+            steps.append(step)
+            batch.append(step)
         stream = DeltaStream()
         transient: dict[str, list[tuple]] = {}
-        for update in updates:
-            name = update.relation
-            relation = self._relation(name)
-            row = relation._checked(update.row)
+        admitting = next((m for m in managers if admit == m.admits), None)
+        if admit is not None and admitting is None:
+            self._replay(stream, transient, steps, admit, managers)
+            return stream, transient
+        for name, batch in batches.items():
+            reach = None
+            if admitting is not None:
+                reach = admitting.in_reach(name, [step[2] for step in batch if step[3]])
+            rows = [step[2] for step in batch]
+            repeated = set()
+            if len(set(rows)) < len(rows):
+                repeated = {row for row, count in Counter(rows).items() if count > 1}
+            if reach is None and not repeated:
+                once, ordered = batch, ()
+            else:
+                once, ordered = [], []
+                for step in batch:
+                    row = step[2]
+                    if row in repeated or (reach is not None and reach(row)):
+                        ordered.append(step)
+                    else:
+                        once.append(step)
+            if once:
+                live = self._relations[name]._tuples
+                added = {step[2] for step in once if step[3]}
+                added.difference_update(live)
+                removed = {step[2] for step in once if not step[3]}
+                removed.intersection_update(live)
+                if added or removed:
+                    first = next(s[0] for s in once if (s[2] in live) != s[3])
+                    stream.record_net(name, added, removed, first)
+                    for manager in managers:
+                        manager.stage_batch(name, added, removed)
+            if ordered:
+                self._replay(stream, transient, ordered, admit, managers)
+        return stream, transient
+
+    def _replay(
+        self,
+        stream: DeltaStream,
+        transient: dict[str, list[tuple]],
+        steps: Iterable[tuple],
+        admit: Callable[[object], bool] | None,
+        managers: Sequence[object],
+    ) -> None:
+        """The ordered write path, one update at a time: ``admit`` against
+        the running state, set membership against the live rows plus the
+        stream's net sets, and each effective update recorded on the stream
+        and staged into every manager's overlay (which the next update's
+        :meth:`~repro.storage.snapshots.SnapshotManager.admits` reads)."""
+        relations = self._relations
+        for position, name, row, is_insertion, update in steps:
             if admit is not None and not admit(update):
                 stream.skipped_inadmissible += 1
                 continue
-            if update.is_insertion:
-                if stream.holds(name, row, relation._tuples):
+            live = relations[name]._tuples
+            if is_insertion:
+                if stream.holds(name, row, live):
                     continue
-                stream.record_insert(name, row)
-                sign = 1
+                stream.record_insert(name, row, position)
+                change = ((row,), ())
             else:
-                if not stream.holds(name, row, relation._tuples):
+                if not stream.holds(name, row, live):
                     continue
-                if stream.record_delete(name, row):
+                if stream.record_delete(name, row, position):
                     transient.setdefault(name, []).append(row)
-                sign = -1
+                change = ((), (row,))
             for manager in managers:
-                manager.stage(name, row, sign)
-        return stream, transient
+                manager.stage_batch(name, *change)
 
     def _managers(self) -> list:
         """The live snapshot managers (dead weak references pruned)."""

@@ -10,13 +10,18 @@ for readers.
 
 The snapshot version is the *only* access-constraint index.  Every fetch is
 served from a :class:`ConstraintIndexVersion`, and so is the write path's
-bounded admissibility check: while a transaction runs, its manager stages
-each effective update into an overlay keyed by ``(constraint, key)``, and
-:meth:`SnapshotManager.admits` reads the current version's bucket plus that
-overlay — a bounded number of index entries.  :meth:`SnapshotManager.advance`
-then applies the same overlay copy-on-write: only the relations and indexes
-the transaction touched get a new version, and inside an index only the
-touched keys' buckets are copied.
+bounded admissibility check.  While a transaction runs, its manager stages
+the transaction's effective changes into an overlay keyed by
+``(constraint, key)`` — each relation's netted batch at once
+(:meth:`SnapshotManager.stage_batch`), and only the updates replayed in order
+one at a time.  Admission is decided per ``(constraint, key)``: a key whose
+bucket plus the projections the batch inserts on it stays within the bound
+admits the batch in any order (:meth:`SnapshotManager.in_reach`); on the
+other keys :meth:`SnapshotManager.admits` reads the current version's bucket
+plus that overlay — a bounded number of index entries.
+:meth:`SnapshotManager.advance` then applies the same overlay copy-on-write:
+only the relations and indexes the transaction touched get a new version,
+and inside an index only the touched keys' buckets are copied.
 
 A snapshot satisfies the executor's fetch-provider protocol, so both the
 interpreted kernel and the compiled closures read a pinned snapshot
@@ -26,6 +31,7 @@ directly.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
@@ -40,12 +46,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (instance imports us)
 
 _EMPTY: frozenset[tuple] = frozenset()
 _NO_BUCKET: Mapping[tuple, int] = MappingProxyType({})
+_NO_KEYS: Mapping[tuple, Mapping[tuple, int]] = MappingProxyType({})
+_first = itemgetter(0)
+
+
+def _every_row(row: tuple) -> bool:
+    return True
+
 
 #: Upper bound on the secondary indexes kept per relation — per live
 #: :class:`~repro.storage.instance.Relation` and per :class:`RelationVersion`
 #: (FIFO eviction: compiled pipelines resolve their indexes per execution, so
 #: an evicted index only costs a rebuild on its next use).
 MAX_CACHED_INDEXES = 8
+
+
+def row_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``lambda row: tuple(row[p] for p in positions)``, an ``itemgetter``
+    wherever that returns a tuple."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return lambda row: ()
 
 
 class ShardingLayout:
@@ -92,14 +117,7 @@ class RelationVersion:
         index = self._indexes.get(key)
         if index is None:
             index = {}
-            extract: Callable[[tuple], tuple]
-            if len(key) == 1:
-                position = key[0]
-                extract = lambda row: (row[position],)  # noqa: E731
-            elif key:
-                extract = itemgetter(*key)
-            else:
-                extract = lambda row: ()  # noqa: E731
+            extract = row_getter(key)
             for row in self.rows:
                 value = extract(row)
                 bucket = index.get(value)
@@ -259,16 +277,19 @@ class SnapshotManager:
     """Builds, advances and publishes the snapshot chain of one database.
 
     Inside a :meth:`Database.apply` transaction (under its write lock) the
-    manager is the write path's constraint index: phase 1 folds every
-    effective update into an overlay (:meth:`stage`) and asks
-    :meth:`admits`, and phase 2 calls :meth:`advance` once storage
-    reached the post-transaction state — it applies the overlay
-    copy-on-write and publishes the next version with a single reference
-    assignment, the only synchronisation point readers ever see.  ``stale``/``refresh`` cover
-    out-of-band mutations (direct ``Relation.add`` outside a transaction):
-    per-relation mutation counters are compared against the counters recorded
-    at the last build, and drifted relations are rebuilt wholesale from live
-    storage — never while a transaction is mid-batch.
+    manager is the write path's constraint index: phase 1 asks it which of a
+    relation's rows need the ordered admission check (:meth:`in_reach`),
+    replays those one at a time through :meth:`admits` and
+    :meth:`stage_batch`, and folds the rest of each relation's netted batch
+    in at once;
+    phase 2 calls :meth:`advance` once storage reached the post-transaction
+    state — it applies the overlay copy-on-write and publishes the next
+    version with a single reference assignment, the only synchronisation
+    point readers ever see.  ``stale``/``refresh`` cover out-of-band
+    mutations (direct ``Relation.add`` outside a transaction): per-relation
+    mutation counters are compared against the counters recorded at the last
+    build, and drifted relations are rebuilt wholesale from live storage —
+    never while a transaction is mid-batch.
     """
 
     def __init__(
@@ -281,9 +302,8 @@ class SnapshotManager:
         # ShardingLayout — goes with ROADMAP item 1.
         self.database = database
         self._constraints = tuple(constraints)
-        # Per relation: (constraint, X positions, XY positions, positions of
-        # Y inside XY) — what staging and admission compute a row's key,
-        # projection and Y-value from.
+        # Per relation: (constraint, key of a row, XY-projection of a row,
+        # Y-value of a projection) — what staging and admission read a row by.
         self._staging: dict[str, list[tuple]] = {}
         for constraint in self._constraints:
             relation = database.schema.relation(constraint.relation)
@@ -291,9 +311,9 @@ class SnapshotManager:
             self._staging.setdefault(constraint.relation, []).append(
                 (
                     constraint,
-                    relation.positions(constraint.x),
-                    relation.positions(output),
-                    tuple(output.index(a) for a in constraint.y),
+                    row_getter(relation.positions(constraint.x)),
+                    row_getter(relation.positions(output)),
+                    row_getter(tuple(output.index(a) for a in constraint.y)),
                 )
             )
         # The running transaction's overlay, constraint -> key ->
@@ -341,38 +361,79 @@ class SnapshotManager:
         """Drop the overlay (a no-op once :meth:`advance` consumed it)."""
         self._overlay = None
 
-    def stage(self, relation: str, row: tuple, sign: int) -> None:
-        """Fold one effective insertion (``sign=1``) or deletion (``-1``)
-        of ``row`` into the overlay of every constraint on ``relation``."""
+    def stage_batch(
+        self, relation: str, inserted: Collection[tuple], deleted: Collection[tuple]
+    ) -> None:
+        """Fold effective insertions ``inserted`` and deletions ``deleted``
+        of ``relation`` into the overlay of every constraint on it: a
+        relation's netted batch at once, or one update replayed in order
+        (so that the next update's :meth:`admits` sees it)."""
         overlay = self._overlay
         if overlay is None:
             overlay = self._overlay = {}
-        for constraint, x_positions, out_positions, _ in self._staging.get(
-            relation, ()
-        ):
+        for constraint, key_of, projection_of, _ in self._staging.get(relation, ()):
             per_key = overlay.get(constraint)
             if per_key is None:
                 per_key = overlay[constraint] = {}
-            key = tuple(row[p] for p in x_positions)
-            changes = per_key.get(key)
-            if changes is None:
-                changes = per_key[key] = {}
-            value = tuple(row[p] for p in out_positions)
-            net = changes.get(value, 0) + sign
-            if net:
-                changes[value] = net
-            else:
-                del changes[value]
+            for sign, rows in ((1, inserted), (-1, deleted)):
+                for key, value in zip(map(key_of, rows), map(projection_of, rows)):
+                    changes = per_key.get(key)
+                    if changes is None:
+                        changes = per_key[key] = {}
+                    net = changes.get(value, 0) + sign
+                    if net:
+                        changes[value] = net
+                    else:
+                        del changes[value]
+
+    def in_reach(
+        self, relation: str, inserted: Sequence[tuple]
+    ) -> Callable[[tuple], bool] | None:
+        """Which rows of ``relation`` must be admitted one update at a time?
+
+        ``inserted`` are the rows the batch inserts into ``relation``.  Per
+        ``(constraint, key)``: the key's projections in the current version,
+        plus its staged entries, plus the distinct projections ``inserted``
+        adds on it.  While that total stays within the bound, no order of the
+        batch can give the key more Y-values than the bound, so every
+        insertion on it is admissible.  Returns ``None`` when that holds for
+        every key, else a predicate selecting the rows on keys within reach
+        of their bound — all rows, when the relation has two or more
+        constraints, because a skipped insertion couples its keys across
+        constraints.
+        """
+        staging = self._staging.get(relation)
+        if not staging or not inserted:
+            return None
+        overlay = self._overlay or {}
+        indexes = self._current.indexes
+        for constraint, key_of, projection_of, _ in staging:
+            bucket = indexes[constraint].bucket
+            staged = overlay.get(constraint, _NO_KEYS)
+            pairs = set(zip(map(key_of, inserted), map(projection_of, inserted)))
+            touched = Counter(map(_first, pairs))
+            bound = constraint.bound
+            hot = {
+                key
+                for key, count in touched.items()
+                if len(bucket(key)) + len(staged.get(key, _NO_BUCKET)) + count > bound
+            }
+            if hot:
+                if len(staging) > 1:
+                    return _every_row
+                return lambda row: key_of(row) in hot
+        return None
 
     def admits(self, update: object) -> bool:
         """Would applying ``update`` keep every constraint satisfied?
 
-        The bounded-admissibility check of the write path: per constraint on
+        The ordered admissibility check of the write path: per constraint on
         the update's relation, it reads the row's ``X``-value bucket in the
-        current version, plus the transaction's overlay for
-        that key — at most ``N`` distinct projections plus what this
-        transaction staged, never the relation.  Re-inserting an existing
-        ``Y``-value never violates the bound; deletions are always
+        current version plus the transaction's overlay for that key — at
+        most ``N`` distinct projections plus what this transaction staged,
+        never the relation.  When those are fewer than the bound, the row
+        cannot add a Y-value too many and no set is built.  Re-inserting an
+        existing ``Y``-value never violates the bound; deletions are always
         admissible.
         """
         if not update.is_insertion:  # type: ignore[attr-defined]
@@ -380,19 +441,22 @@ class SnapshotManager:
         row = tuple(update.row)  # type: ignore[attr-defined]
         overlay = self._overlay or {}
         indexes = self._current.indexes
-        for constraint, x_positions, out_positions, y_in_out in self._staging.get(
+        for constraint, key_of, projection_of, value_of in self._staging.get(
             update.relation, ()  # type: ignore[attr-defined]
         ):
-            key = tuple(row[p] for p in x_positions)
+            key = key_of(row)
             bucket = indexes[constraint].bucket(key)
+            staged = overlay.get(constraint, _NO_KEYS).get(key, _NO_BUCKET)
+            if len(bucket) + len(staged) < constraint.bound:
+                continue
             projections = set(bucket)
-            for value, delta in overlay.get(constraint, {}).get(key, {}).items():
+            for value, delta in staged.items():
                 if bucket.get(value, 0) + delta > 0:
                     projections.add(value)
                 else:
                     projections.discard(value)
-            values = {tuple(value[i] for i in y_in_out) for value in projections}
-            values.add(tuple(row[out_positions[i]] for i in y_in_out))
+            values = set(map(value_of, projections))
+            values.add(value_of(projection_of(row)))
             if len(values) > constraint.bound:
                 return False
         return True
@@ -407,10 +471,7 @@ class SnapshotManager:
         with self._lock:
             if self._overlay is None:
                 for name in stream.relations:
-                    for row in stream.inserted(name):
-                        self.stage(name, row, 1)
-                    for row in stream.deleted(name):
-                        self.stage(name, row, -1)
+                    self.stage_batch(name, stream.inserted(name), stream.deleted(name))
             overlay = self._overlay or {}
             self._overlay = None
             current = self._current

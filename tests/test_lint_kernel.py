@@ -550,3 +550,54 @@ def test_live_database_reads_elsewhere_are_not_live_read_violations(tmp_path):
         """,
     )
     assert lint_kernel.lint_tree(tmp_path) == []
+
+
+def test_statistics_maintained_on_the_write_path_are_flagged(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/storage/instance.py",
+        """
+        class Relation:
+            def apply_delta(self, added, removed, transient=()):
+                for per_value in self._value_counts:
+                    self._column_summaries[0].histogram.shift(1, 1, 1)
+
+        class Database:
+            def _net(self, updates, admit, managers):
+                return helper(self.relation("R")._value_counts)
+
+            def apply(self, updates, *, admit=None):
+                return [h.shift(v, 1, 0) for h, v in updates]
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [v.code for v in violations] == ["kernel.write-path-statistics"] * 4
+    assert [v.line for v in violations] == [4, 5, 9, 12]
+
+
+def test_statistics_folded_on_read_are_not_write_path_violations(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/storage/instance.py",
+        """
+        class Relation:
+            def apply_delta(self, added, removed, transient=()):
+                for net in self._pending:
+                    net.update(added)
+
+            def _fold_statistics(self):
+                for per_value in self._value_counts:
+                    self._column_summaries[0].histogram.shift(1, 1, 1)
+        """,
+    )
+    # The same names outside the storage write path are not checked either.
+    _write(
+        tmp_path,
+        "src/repro/storage/histograms.py",
+        """
+        class Database:
+            def apply(self, histogram):
+                histogram.shift(1, 1, 1)
+        """,
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []

@@ -226,3 +226,30 @@ def test_maintained_caches_always_match_recomputation(seed):
     for update in batch:
         cache.apply_stream(database.apply([update]))
     assert cache.verify()
+
+
+def test_rewind_sets_are_built_once_per_stream(monkeypatch):
+    """Every delta rule resolves the pre-state of a changed relation through
+    the same few (relation, positions) rewinds: each is built once per
+    committed stream, and the views still equal recomputation."""
+    import repro.engine.service.maintenance as maintenance
+
+    builds = []
+    index_rows_by_key = maintenance._index_rows_by_key
+
+    def counted(rows, positions):
+        builds.append((rows, positions))
+        return index_rows_by_key(rows, positions)
+
+    monkeypatch.setattr(maintenance, "_index_rows_by_key", counted)
+    instance = gs.generate(num_persons=200, num_movies=100, seed=3)
+    database = instance.database
+    maintainer = ViewMaintainer(gs.views(), database, subscribe=True)
+    batch = random_update_batch(
+        database, size=120, seed=3, access_schema=gs.access_schema(), insert_ratio=0.4
+    )
+    for step in (batch, batch.inverted()):
+        builds.clear()
+        step.apply_to(database)
+        assert builds and len(set(builds)) == len(builds)
+        assert maintainer.verify()

@@ -541,10 +541,18 @@ def test_reason_populated_on_bounded_path(rs_database):
 def test_memory_executor_is_reused(rs_database):
     service = QueryService(rs_database, ACCESS)
     backend = service._backend
-    executor_before = backend._executor
-    service.query(anchored_chain())
+    state_before = backend._state
+    plan = service.query(anchored_chain()).plan
     service.query(anchored_chain(2))
-    assert backend._executor is executor_before  # built once, reused
+    assert backend._state is state_before  # published once, reused by reads
+    assert backend._interpreter is None  # compiled closures need no executor
+    first = backend.execute_plan(plan)
+    executor = backend._interpreter[1]
+    assert backend.execute_plan(plan).rows == first.rows
+    assert backend._interpreter[1] is executor  # built once per published pair
+    backend.refresh(view_cache=dict(backend.view_cache))
+    assert backend.execute_plan(plan).rows == first.rows
+    assert backend._interpreter[1] is not executor
 
 
 def test_deprecated_shims_are_gone():

@@ -131,8 +131,11 @@ def test_secondary_indexes_and_statistics_survive_deltas(seed):
 
 
 def _statistics_state(relation):
-    """Value counts and every column's raw histogram, before any lazy rebuild
-    (private fields on purpose: this exact state is what is compared)."""
+    """Value counts and every column's raw histogram once the writes since the
+    last read are folded in, before any lazy rebuild (private fields on
+    purpose: this exact state is what is compared)."""
+    with relation._build_lock:
+        relation._fold_statistics()
     histograms = [
         (h._lows, h._highs, h._counts, h._distincts, h._total, h._distinct_total)
         for h in (column.histogram for column in relation._column_summaries)
@@ -160,34 +163,84 @@ _ROW = st.tuples(st.integers(0, 30), st.integers(0, 5))
 # An empty relation: the first insertion opens the first bucket.
 @example(initial=set(), updates=[(True, 3, 3), (True, 4, 4), (False, 3, 3)])
 def test_set_at_a_time_statistics_equal_the_per_row_replay(initial, updates):
-    """One netted batch leaves value counts and histograms exactly where
-    applying the same updates one transaction at a time does, so every
+    """One netted batch, or one transaction per update with no read between
+    them, leaves value counts and histograms exactly where applying the
+    updates one transaction at a time and reading after each does, so every
     estimate the planners read is identical."""
     from repro.algebra.schema import schema_from_spec
     from repro.storage.updates import Deletion, Insertion
 
     schema = schema_from_spec({"R": ("a", "b")})
-    batched, replayed = Database(schema, {"R": initial}), Database(schema, {"R": initial})
-    for database in (batched, replayed):
+    batched, deferred, replayed = (Database(schema, {"R": initial}) for _ in range(3))
+    for database in (batched, deferred, replayed):
         database.relation("R").statistics()  # histograms live before the writes
     batch = [
         (Insertion if insert else Deletion)("R", (a, b)) for insert, a, b in updates
     ]
     batched.apply(batch)
     for update in batch:
+        deferred.apply([update])
         replayed.apply([update])
+        _statistics_state(replayed.relation("R"))  # a read after every write
 
-    left, right = batched.relation("R"), replayed.relation("R")
-    assert left.tuples == right.tuples
-    assert _statistics_state(left) == _statistics_state(right)
+    left, middle, right = (db.relation("R") for db in (batched, deferred, replayed))
+    assert left.tuples == middle.tuples == right.tuples
+    states = [_statistics_state(relation) for relation in (left, middle, right)]
+    assert states[0] == states[1] == states[2]
     left_stats, right_stats = left.statistics(), right.statistics()
-    assert left_stats == right_stats == relation_statistics(left)
+    assert left_stats == middle.statistics() == right_stats == relation_statistics(left)
     for position in (0, 1):
         for value in range(-1, 205):
             probe = ((position,), {position: value})
             assert left_stats.estimated_matches_with(
                 *probe
             ) == right_stats.estimated_matches_with(*probe)
+
+
+def test_statistics_reads_racing_a_writer_lose_no_update():
+    """A reader folding statistics in a loop while a writer applies batches:
+    every write is folded exactly once."""
+    import sys
+    import threading
+
+    from repro.algebra.schema import schema_from_spec
+    from repro.storage.updates import Deletion, Insertion
+
+    schema = schema_from_spec({"R": ("a", "b")})
+    database = Database(schema, {"R": {(i, i % 7) for i in range(50)}})
+    relation = database.relation("R")
+    relation.statistics()
+    done = threading.Event()
+
+    def read() -> None:
+        while not done.is_set():
+            relation.statistics()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    try:
+        for reader in readers:
+            reader.start()
+        for step in range(1, 300):
+            database.apply(
+                [
+                    Insertion("R", (1000 + step, step % 11)),
+                    Deletion("R", (999 + step, (step - 1) % 11)),
+                    Insertion("R", (-step, step)),  # netted away: a transient
+                    Deletion("R", (-step, step)),
+                ]
+            )
+    finally:
+        done.set()
+        for reader in readers:
+            reader.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert relation.statistics() == relation_statistics(relation)
+    fresh = _fresh_copy(database).relation("R")
+    fresh.statistics()
+    assert _statistics_state(relation)[0] == _statistics_state(fresh)[0]
 
 
 def test_discovered_constraints_stay_indexable_under_updates():

@@ -96,6 +96,15 @@ inspection (no imports of the checked code, so it runs on any tree):
     the two set operations of ``Relation.apply_delta``).  Statistics reads
     are not row reads: they steer estimates only.
 
+``kernel.write-path-statistics``
+    In ``src/repro/storage/instance.py``, ``Relation.apply_delta``,
+    ``Database._net`` and ``Database.apply`` may not call ``.shift(...)``
+    nor mention ``_value_counts``: column statistics fold in on read
+    (``Relation.statistics``).  A write only accumulates each column's net
+    value changes; moving histogram buckets or value counts per write
+    charges every transaction for estimates that may not be read before the
+    next one.
+
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -151,6 +160,13 @@ WRITE_PATH_METHODS = frozenset({"on_delta", "apply"})
 LIVE_READ_FILES = frozenset(
     {Path("src/repro/engine/baseline.py"), SERVICE_DIR / "backends.py"}
 )
+
+#: The write path's storage methods, per class: statistics fold on read.
+INSTANCE_FILE = STORAGE_DIR / "instance.py"
+WRITE_PATH_STATISTICS_METHODS = {
+    "Relation": frozenset({"apply_delta"}),
+    "Database": frozenset({"_net", "apply"}),
+}
 
 #: Per-row change hooks: the write path is set-at-a-time, with no observers.
 ROW_OBSERVER_NAMES = frozenset({"register_observer", "on_insert", "on_delete"})
@@ -508,6 +524,40 @@ def check_live_reads(path: Path, tree: ast.Module) -> list[Violation]:
     return violations
 
 
+def check_write_path_statistics(path: Path, tree: ast.Module) -> list[Violation]:
+    """The write path accumulates value changes; statistics fold on read."""
+    violations: list[Violation] = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = WRITE_PATH_STATISTICS_METHODS.get(cls.name, frozenset())
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name in methods):
+                continue
+            for node in ast.walk(method):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "shift"
+                ):
+                    what = "calls '.shift(...)'"
+                elif isinstance(node, ast.Attribute) and node.attr == "_value_counts":
+                    what = "mentions '_value_counts'"
+                else:
+                    continue
+                violations.append(
+                    Violation(
+                        path,
+                        node.lineno,
+                        "kernel.write-path-statistics",
+                        f"{cls.name}.{method.name} {what}: column statistics "
+                        "fold in on read (Relation.statistics); a write only "
+                        "accumulates each column's net value changes",
+                    )
+                )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -534,6 +584,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_service_resolve(relative, tree)
     if relative in LIVE_READ_FILES:
         violations += check_live_reads(relative, tree)
+    if relative == INSTANCE_FILE:
+        violations += check_write_path_statistics(relative, tree)
     violations += check_write_path_plan_cache(relative, tree)
     violations += check_row_observers(relative, tree)
     if STORAGE_DIR not in relative.parents:
