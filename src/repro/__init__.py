@@ -100,7 +100,6 @@ from .core import (
     decide_vbrp,
     decide_vbrp_plus,
     diversified_answer,
-    execute_plan,
     has_bounded_output,
     is_bounded_rewriting,
     is_boundedly_evaluable,
@@ -225,7 +224,6 @@ __all__ = [
     "decide_vbrp_plus",
     "discover_access_constraints",
     "diversified_answer",
-    "execute_plan",
     "has_bounded_output",
     "is_bounded_rewriting",
     "is_boundedly_evaluable",

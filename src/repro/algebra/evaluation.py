@@ -15,8 +15,8 @@ loop-nest kernel (:func:`repro.exec.cq_compiler.compile_cq`): each
 satisfiable disjunct becomes one generated, ``exec``-compiled nest of
 scans and index probes that adds its head tuples to one set — the same
 kernel the service's full-scan fallback, the baseline engine and view
-materialisation run.  Yannakakis' evaluator keeps the operator kernel
-(:mod:`repro.exec.operators`): semi-join reductions over materialised atoms.
+materialisation run.  Yannakakis' evaluator works on plain sets, lists and
+dicts: semi-join reductions over materialised atoms, then hash joins.
 
 A *fact set* is a mapping ``relation name -> collection of value tuples``;
 :class:`repro.storage.instance.Database` exposes exactly this shape through
@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Mapping
 
-from ..errors import QueryError
-from ..exec.cq_compiler import FactsSource, atom_scan, compile_cq, head_projection
-from ..exec.operators import HashJoin, Operator, Project, Scan, SemiJoin
+from ..errors import EvaluationError, QueryError
+from ..exec.cq_compiler import FactsSource, Row, compile_cq
 from .acyclicity import join_tree
+from .atoms import RelationAtom
 from .cq import ConjunctiveQuery
-from .terms import Variable
+from .terms import Constant, Variable
 from .ucq import UnionQuery
 
 FactSet = Mapping[str, Collection[tuple]]
@@ -85,14 +85,50 @@ def _shared_positions(
     )
 
 
+def _atom_relation(
+    atom: RelationAtom, source: FactsSource
+) -> tuple[tuple[Variable, ...], list[Row]]:
+    """One atom as a relation over its distinct variables.
+
+    Constant positions are served from an index keyed on them, rows of
+    another arity never reach it, repeated variables are enforced, and the
+    columns are the atom's variables in first-occurrence order.
+    """
+    arity = len(atom.terms)
+    constants: list[tuple[int, object]] = []
+    first: dict[Variable, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            constants.append((position, term.value))
+        elif term in first:
+            repeats.append((first[term], position))
+        else:
+            first[term] = position
+    if constants:
+        probe = source.lookup(atom.relation, tuple(p for p, _ in constants), arity)
+        rows: Iterable[Row] = probe(tuple(v for _, v in constants))
+    else:
+        rows = source.scan(atom.relation, arity)
+    kept = tuple(first.values())
+    projected = {
+        tuple(row[p] for p in kept)
+        for row in rows
+        if all(row[i] == row[j] for i, j in repeats)
+    }
+    return tuple(first), list(projected)
+
+
 def evaluate_cq_yannakakis(query: ConjunctiveQuery, facts: FactsLike) -> set[tuple]:
     """Evaluate an acyclic CQ with Yannakakis' semi-join programme.
 
     Each atom is materialised (projected onto its variables), parents are
-    reduced by their children and children by their reduced parents with
-    :class:`~repro.exec.operators.SemiJoin` along the join tree, and the
-    fully reduced relations are hash-joined.  Raises :class:`QueryError`
-    when the query is not acyclic.
+    reduced by their children and children by their reduced parents along
+    the join tree, and the fully reduced relations are hash-joined, each
+    after its parent: the reducer leaves no dangling rows, so no
+    intermediate result is larger than the full join, and the evaluation
+    stays polynomial (Lemma 4.3(b) relies on it).  Raises
+    :class:`QueryError` when the query is not acyclic.
     """
     if not query.is_satisfiable():
         return set()
@@ -105,18 +141,16 @@ def evaluate_cq_yannakakis(query: ConjunctiveQuery, facts: FactsLike) -> set[tup
 
     source = FactsSource(facts)
     schemas: dict[int, tuple[Variable, ...]] = {}
-    relations: dict[int, list[tuple]] = {}
+    relations: dict[int, list[Row]] = {}
     for index, atom in enumerate(normalized.atoms):
-        operator, schemas[index] = atom_scan(atom, source)
-        relations[index] = list(operator.rows())
+        schemas[index], relations[index] = _atom_relation(atom, source)
 
     def reduce(target: int, by: int) -> None:
         left_key, right_key = _shared_positions(schemas[target], schemas[by])
-        relations[target] = list(
-            SemiJoin(
-                Scan(relations[target]), Scan(relations[by]), left_key, right_key
-            ).rows()
-        )
+        keys = {tuple(row[p] for p in right_key) for row in relations[by]}
+        relations[target] = [
+            row for row in relations[target] if tuple(row[p] for p in left_key) in keys
+        ]
 
     # Upward pass: reduce each parent by its children (post-order).
     order = tree.post_order()
@@ -130,22 +164,39 @@ def evaluate_cq_yannakakis(query: ConjunctiveQuery, facts: FactsLike) -> set[tup
         if parent is not None:
             reduce(node, parent)
 
-    # Final join over the fully reduced relations (now safe to join directly).
-    current: Operator = Scan(relations[order[0]])
-    schema = schemas[order[0]]
-    for index in order[1:]:
+    # Final join over the fully reduced relations, each node after its parent.
+    first, *rest = reversed(order)
+    schema, rows = schemas[first], relations[first]
+    for index in rest:
         right_schema = schemas[index]
         left_key, right_key = _shared_positions(schema, right_schema)
-        joined: Operator = HashJoin(current, Scan(relations[index]), left_key, right_key)
-        fresh = [
-            position
-            for position, variable in enumerate(right_schema)
-            if variable not in schema
+        fresh = [p for p, variable in enumerate(right_schema) if variable not in schema]
+        table: dict[Row, list[Row]] = {}
+        for row in relations[index]:
+            table.setdefault(tuple(row[p] for p in right_key), []).append(
+                tuple(row[p] for p in fresh)
+            )
+        rows = [
+            left + extra
+            for left in rows
+            for extra in table.get(tuple(left[p] for p in left_key), ())
         ]
-        kept = tuple(range(len(schema))) + tuple(len(schema) + p for p in fresh)
-        current = Project(joined, kept)
         schema = schema + tuple(right_schema[p] for p in fresh)
-    return set(head_projection(current, schema, normalized.head).rows())
+
+    # Head constants become literal columns; an unsafe head variable raises
+    # only when a row reaches the head, as in the loop-nest kernel.
+    position_of = {variable: index for index, variable in enumerate(schema)}
+    spec: list[tuple[int | None, object]] = []
+    for term in normalized.head:
+        if isinstance(term, Constant):
+            spec.append((None, term.value))
+        elif term in position_of:
+            spec.append((position_of[term], None))
+        elif rows:
+            raise EvaluationError(f"unsafe head variable {term} has no binding")
+        else:
+            return set()
+    return {tuple(row[i] if i is not None else v for i, v in spec) for row in rows}
 
 
 # --------------------------------------------------------------------------- #

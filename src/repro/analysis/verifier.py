@@ -110,10 +110,12 @@ def codegen_eligibility(
 ) -> VerificationReport:
     """Decide whether a plan may be compiled to a specialized closure.
 
-    The codegen tier bypasses the interpreted operator constructors, so the
-    gate is the full :func:`verify_plan` discipline: a plan is only
-    codegen-eligible once it verifies (schema bookkeeping, access-constraint
-    conformance, boundedness).  The typed errors the verifier can raise
+    The closure compiler checks only that each fetch is covered and that
+    every attribute a node reads exists, so the gate is the full
+    :func:`verify_plan` discipline: a plan is only codegen-eligible once it
+    verifies (schema bookkeeping, access-constraint conformance,
+    boundedness).  Every plan that runs passes it — a cached plan when the
+    service admits it, a hand-built one in ``QueryService.execute_plan``.  The typed errors the verifier can raise
     (budget exhausted, malformed plan) are folded into a failing report, so
     the service admitting a plan has one verdict to turn into its
     :class:`~repro.errors.PlanVerificationError`.

@@ -1,24 +1,22 @@
-"""Execution of query plans with I/O accounting.
+"""Plan execution contracts: fetch providers, ``Dξ`` accounting, results
+and parameter binding.
 
-The executor realises the operational semantics of Section 2: ``fetch`` nodes
-retrieve data from the underlying database *only* through the index of a
-covering access constraint, and the execution records the bag ``Dξ`` of
-tuples so fetched.  Scanning cached views is free — that is precisely the
-point of bounded rewriting using views.
-
-Since the kernel refactor, :class:`PlanExecutor` is a thin *compiler*: a plan
-tree is translated (:mod:`repro.exec.plan_compiler`) into a tree of
-iterator-based physical operators (:mod:`repro.exec.operators`) — the same
-kernel the CQ evaluators and the in-memory service backend run on — and the
-operator tree is drained into the result set.  The ``Dξ`` accounting is
-bit-identical to the historical bottom-up evaluator's: index lookups are
+A plan runs one way: compiled to a closure tree
+(:func:`repro.exec.codegen.compile_plan_closure`) and run on a fetch
+provider and a cache of view results.  That realises the operational
+semantics of Section 2: ``fetch`` nodes retrieve data from the underlying
+database *only* through the index of a covering access constraint, and the
+execution records the bag ``Dξ`` of tuples so fetched — index lookups are
 keyed on distinct ``X``-values and charged per returned tuple, view scans
-are counted once per plan occurrence.
+are counted once per plan occurrence.  Scanning cached views is free — that
+is precisely the point of bounded rewriting using views.
 
-The executor is deliberately decoupled from the storage layer: any *fetch
-provider* (:class:`FetchProvider`: ``fetch`` per key, ``fetch_many`` per
-key batch) works — the MVCC snapshots
+This module holds the contracts around that execution.  It is decoupled
+from the storage layer: any *fetch provider* (:class:`FetchProvider`:
+``fetch`` per key, ``fetch_many`` per key batch) works — the MVCC snapshots
 (:class:`repro.storage.snapshots.DatabaseSnapshot`) are the standard one.
+:class:`ExecutionResult` is what a run returns, and :func:`plan_parameters`
+/ :func:`bind_plan` handle plans with named parameters.
 """
 
 from __future__ import annotations
@@ -26,13 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping, Protocol, Sequence
 
-from ..algebra.schema import DatabaseSchema
 from ..algebra.terms import Param
 from ..errors import PlanError
 from ..exec.iometer import IOMeter
-from ..exec.operators import Operator
-from ..exec.plan_compiler import compile_plan
-from .access import AccessConstraint, AccessSchema
+from .access import AccessConstraint
 from .plans import (
     AttributeEqualsConstant,
     ConstantScan,
@@ -51,11 +46,10 @@ from .plans import (
 class FetchProvider(Protocol):
     """Anything able to serve index lookups for access constraints.
 
-    The interpreted tier probes one key at a time (``fetch``); a compiled
-    closure hands over a fetch step's whole deduplicated key batch
-    (``fetch_many``), which must equal ``[fetch(constraint, k) for k in
-    keys]`` — same rows — while resolving the constraint's index once per
-    call.
+    A compiled closure hands over a fetch step's whole deduplicated key
+    batch (``fetch_many``), which must equal ``[fetch(constraint, k) for k
+    in keys]`` — same rows — while resolving the constraint's index once per
+    call.  ``fetch`` probes one key.
     """
 
     def fetch(self, constraint: AccessConstraint, key: Sequence[object]) -> frozenset[tuple]:
@@ -69,7 +63,7 @@ class FetchProvider(Protocol):
         ...
 
 
-#: The plan executor's historical accounting class is the kernel's meter.
+#: A plan execution's accounting class is the kernel's meter.
 FetchStats = IOMeter
 
 
@@ -83,66 +77,6 @@ class ExecutionResult:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-class PlanExecutor:
-    """Executes plans against a fetch provider and a cache of view results."""
-
-    def __init__(
-        self,
-        schema: DatabaseSchema,
-        access_schema: AccessSchema,
-        provider: FetchProvider,
-        view_cache: Mapping[str, Collection[tuple]] | None = None,
-    ) -> None:
-        self.schema = schema
-        self.access_schema = access_schema
-        self.provider = provider
-        self.view_cache = {
-            name: rows if isinstance(rows, frozenset) else frozenset(map(tuple, rows))
-            for name, rows in (view_cache or {}).items()
-        }
-
-    # ------------------------------------------------------------------ #
-
-    def compile(self, plan: PlanNode, meter: FetchStats | None = None) -> Operator:
-        """Compile ``plan`` into a physical operator tree charging ``meter``.
-
-        Exposed for tooling and tests; :meth:`execute` is compile-and-drain.
-        """
-        meter = meter if meter is not None else FetchStats()
-        return compile_plan(
-            plan,
-            self.access_schema,
-            self.provider,
-            self.view_cache,
-            meter,
-        )
-
-    def execute(self, plan: PlanNode) -> ExecutionResult:
-        """Compile ``plan`` to operators and drain them, recording ``Dξ``.
-
-        Plans containing unbound :class:`~repro.algebra.terms.Param`
-        placeholders are rejected at compile time, before any data is
-        touched; bind them with :func:`bind_plan` or execute through a
-        ``PreparedQuery``.
-        """
-        stats = FetchStats()
-        operator = self.compile(plan, stats)
-        rows = frozenset(operator.rows())
-        return ExecutionResult(attributes=plan.attributes, rows=rows, stats=stats)
-
-
-def execute_plan(
-    plan: PlanNode,
-    schema: DatabaseSchema,
-    access_schema: AccessSchema,
-    provider: FetchProvider,
-    view_cache: Mapping[str, Collection[tuple]] | None = None,
-) -> ExecutionResult:
-    """One-shot convenience wrapper around :class:`PlanExecutor`."""
-    executor = PlanExecutor(schema, access_schema, provider, view_cache)
-    return executor.execute(plan)
 
 
 # --------------------------------------------------------------------------- #

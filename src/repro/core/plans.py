@@ -16,7 +16,8 @@ allowed for L (CQ: fetch/π/σ/×/ρ; UCQ additionally allows ∪ at the top lev
 This module defines the plan node classes, structural validation, size and
 language classification, and pretty printing.  Converting plans to queries
 (the ``Q_ξ`` expressed by a plan) lives in :mod:`repro.core.rewriting`;
-executing plans lives in :mod:`repro.core.plan_eval`.
+plans run compiled (:mod:`repro.exec.codegen`), against the contracts of
+:mod:`repro.core.plan_eval`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Section 5.1 of the paper gives two deployment modes for bounded plans:
 executing them directly against in-memory indices, and translating them to
 SQL so a DBMS follows the plan via index joins.  The service serves the
-first one, :class:`InMemoryBackend` — the plan executor of
-:mod:`repro.core.plan_eval` over hash indices and the cached views, with
+first one, :class:`InMemoryBackend` — a plan's compiled closure
+(:mod:`repro.exec.codegen`) over hash indices and the cached views, with
 exact per-fetch I/O accounting.  Every read runs against the
 :class:`~repro.storage.snapshots.DatabaseSnapshot` the backend pins: a
 bounded plan's compiled closure fetches from it, and the full-scan
@@ -28,25 +28,24 @@ from ...algebra.fo import FOQuery
 from ...algebra.terms import Variable
 from ...algebra.ucq import QueryLike
 from ...core.access import AccessSchema
-from ...core.plan_eval import ExecutionResult, FetchProvider, FetchStats, PlanExecutor
+from ...core.plan_eval import ExecutionResult, FetchProvider, FetchStats
 from ...core.plans import PlanNode
-from ...exec.codegen import CompiledPlan
+from ...exec.codegen import CompiledPlan, compile_plan_closure
 from ...exec.cq_compiler import CQKernel
 from ...storage.instance import Database
 from ..baseline import BaselineResult, NaiveEngine
 
 
 class InMemoryBackend:
-    """The serving backend: compiled closures and :class:`PlanExecutor` over
-    hash indices.
+    """The serving backend: compiled closures and loop nests over hash
+    indices.
 
     The backend publishes one immutable ``(provider, view_cache)`` pair;
     :meth:`refresh` swaps in the next pair with a single reference
     assignment when the underlying data changes (the incremental-maintenance
     path), so a write costs O(1) here.  The provider is the pinned
     :class:`~repro.storage.snapshots.DatabaseSnapshot`: the full-scan paths
-    read their rows from it too.  The interpreter's :class:`PlanExecutor` is
-    built only when :meth:`execute_plan` runs, once per published pair.
+    read their rows from it too.
     """
 
     name = "memory"
@@ -64,9 +63,6 @@ class InMemoryBackend:
             provider,
             view_cache,
         )
-        # (published pair, its executor): rebuilt by the first execute_plan
-        # after a refresh.  Racing readers may both build one; either serves.
-        self._interpreter: tuple[tuple, PlanExecutor] | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -95,16 +91,10 @@ class InMemoryBackend:
     # ------------------------------------------------------------------ #
 
     def execute_plan(self, plan: PlanNode) -> ExecutionResult:
-        state = self._state
-        interpreter = self._interpreter
-        if interpreter is None or interpreter[0] is not state:
-            provider, view_cache = state
-            executor = PlanExecutor(
-                self.database.schema, self.access_schema, provider, view_cache
-            )
-            interpreter = (state, executor)
-            self._interpreter = interpreter
-        return interpreter[1].execute(plan)
+        """Compile ``plan`` for this call and run it like
+        :meth:`execute_compiled`.  The plan is not verified here: the
+        service admits a plan before it reaches the backend."""
+        return self.execute_compiled(compile_plan_closure(plan, self.access_schema))
 
     def execute_compiled(
         self,
@@ -116,7 +106,7 @@ class InMemoryBackend:
         The closure is data-independent: the provider and view cache are
         late-bound per execution, so a closure compiled before a write keeps
         reading the refreshed state afterwards.  Accounting is a fresh
-        :class:`FetchStats` per call, exactly like :meth:`execute_plan`.
+        :class:`FetchStats` per call.
         """
         # One read of the published pair: refresh() swaps it atomically, and
         # reading provider and view_cache through two separate attribute

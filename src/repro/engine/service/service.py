@@ -150,9 +150,10 @@ class Answer:
     view_tuples_scanned: int
     elapsed_seconds: float
     reason: str = ""
-    #: Which execution tier produced the rows: ``"compiled"`` (a bounded
-    #: plan's codegen closure, or a CQ/UCQ fallback's admitted loop nest) or
-    #: ``"interpreted"`` (the active-domain evaluation of an FO fallback).
+    #: Which execution tier produced the rows: ``"compiled"`` for every
+    #: answer (a bounded plan's codegen closure, or a CQ/UCQ fallback's
+    #: admitted loop nest) except an FO fallback, which is
+    #: ``"interpreted"`` (the active-domain evaluation).
     execution_tier: str = "interpreted"
     #: Always empty / zero: ``bench/staged.py`` still sets them — goes with
     #: ROADMAP item 1.
@@ -736,11 +737,8 @@ class QueryService:
         made (fresh, re-planned or restored; ``resolved`` is ``None`` for a
         restored plan, whose query is not kept).
 
-        The verifier is :func:`repro.analysis.codegen_eligibility`, the full
-        :func:`~repro.analysis.verify_plan` discipline the closure compiler
-        relies on, as it bypasses the interpreted operator constructors.  A
-        refusal raises :class:`PlanVerificationError`; a plan the compiler
-        rejects raises :class:`PlanError`.
+        A refusal of :meth:`_verify` raises :class:`PlanVerificationError`;
+        a plan the compiler rejects raises :class:`PlanError`.
         """
         plan = entry.plan
         assert plan is not None
@@ -748,6 +746,20 @@ class QueryService:
             subject, arity = f"stored plan {plan.label()}", len(plan.attributes)
         else:
             subject, arity = self._query_name(resolved), self._head_arity(resolved, head)
+        self._verify(plan, arity, subject)
+        entry.compiled = compile_plan_closure(plan, self.access_schema)
+
+    def _verify(self, plan: PlanNode, arity: int | None, subject: str) -> None:
+        """The admission gate every plan passes before it is compiled.
+
+        The verifier is :func:`repro.analysis.codegen_eligibility`, the full
+        :func:`~repro.analysis.verify_plan` discipline (views, access schema,
+        boundedness within the service's budget, and the head arity when
+        ``arity`` is given).  The closure compiler checks nothing more than
+        that a fetch is covered and its attributes exist, so this is the one
+        guard against a plan that does not conform; a refusal raises
+        :class:`PlanVerificationError`.
+        """
         report = codegen_eligibility(
             plan,
             self.database.schema,
@@ -764,7 +776,6 @@ class QueryService:
                 diagnostics=tuple(report.errors),
                 query_name=subject,
             )
-        entry.compiled = compile_plan_closure(plan, self.access_schema)
 
     # ------------------------------------------------------------------ #
     # Adaptive re-planning (optimizer v2)
@@ -1236,18 +1247,25 @@ class QueryService:
         *,
         params: Mapping[str, object] | None = None,
     ):
-        """Execute a (possibly hand-built) plan through the interpreter.
+        """Execute a (possibly hand-built) plan the way the service runs its
+        own: admitted, compiled, and run on the pinned snapshot.
 
         Returns the backend's :class:`~repro.core.plan_eval.ExecutionResult`
         (rows, attributes, fetch statistics).  ``params`` binds any named
         :class:`Param` placeholders the plan contains; a plan with unbound
         parameters is rejected (it could only return wrong, empty results).
+        The bound plan then passes the same gate as a cached plan
+        (:meth:`_verify`, with no expected arity): a plan that does not
+        conform to the access schema or the views raises
+        :class:`PlanVerificationError` before any data is touched.  The
+        closure is compiled per call; nothing is memoised.
         """
         if params:
             plan = bind_plan(plan, dict(params))
         unbound = plan_parameters(plan)
         if unbound:
             raise QueryError(f"plan has unbound parameters {sorted(unbound)}")
+        self._verify(plan, None, f"hand-built plan {plan.label()}")
         self._sync_serving()
         return self._backend.execute_plan(plan)
 

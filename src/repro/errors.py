@@ -28,9 +28,10 @@ class PlanError(ReproError):
 class PlanVerificationError(PlanError):
     """A plan failed static verification (:mod:`repro.analysis`).
 
-    Raised by :class:`~repro.engine.service.QueryService` when a planner
-    emits a plan the :func:`repro.analysis.verify_plan` checker rejects —
-    every plan is checked before it enters the plan cache.  ``diagnostics``
+    Raised by :class:`~repro.engine.service.QueryService` when a plan fails
+    the :func:`repro.analysis.verify_plan` checker — every plan is checked
+    before it enters the plan cache, and a hand-built plan before
+    ``execute_plan`` runs it.  ``diagnostics``
     carries the individual findings; ``query_name`` names the offending query
     when known.
     """

@@ -1,28 +1,25 @@
-"""Codegen execution tier: compile physical plans to specialized closures.
+"""Codegen: compile physical plans to specialized closures.
 
-The interpreted kernel (:mod:`repro.exec.operators`) is the reference
-implementation: every row pays ``open``/``next``/``close`` dispatch,
-generator resumption, and per-operator reshaping.  This module compiles the
-*same* physical plans — through the *same* lowering pass
-(:mod:`repro.exec.lowering`) — into a tree of fused closures in the spirit
-of data-centric codegen, working set-at-a-time: selections and residual
-join filters run inside the producing loop, projections are precomputed
-``itemgetter``s, a fetch step deduplicates its whole key batch and hands it
-to the provider in one ``fetch_many`` call, semi-joins build a key set, and
-a join over a product chain never materialises the product it only filters.
+This is the one way a plan runs — the service's admitted plans and the
+hand-built plans of ``QueryService.execute_plan`` alike.  A plan is lowered
+(:mod:`repro.exec.lowering`) and compiled into a tree of fused closures in
+the spirit of data-centric code generation (Neumann, VLDB 2011), working
+set-at-a-time: selections and residual join filters run inside the
+producing loop, projections are precomputed ``itemgetter``s, a fetch step
+deduplicates its whole key batch and hands it to the provider in one
+``fetch_many`` call, semi-joins build a key set, and a join over a product
+chain never materialises the product it only filters.
 
-Two invariants make the tier safe to swap in for the interpreter:
+Two invariants make the closures a faithful reading of the plan:
 
-*Bit-identical ``Dξ``.*  The paper's cost metric is the bag of tuples pulled
-through access-constraint indexes.  The interpreted driver fully drains its
-operator tree, ``IndexLookup`` charges once per *distinct* key (``S_j`` has
-set semantics, so charging is order-independent over the key set), and a
-cached-view scan charges once per plan occurrence per execution.  The
-compiled closures preserve exactly those charging points — same constraint,
-same distinct-key set (one ``record_fetch`` per key of the batch), same
-per-occurrence view-scan, every subtree evaluated exactly once — so
-:class:`~repro.exec.iometer.IOMeter` counters match the interpreted tree
-field for field, not just approximately.
+*Exact ``Dξ``.*  The paper's cost metric is the bag of tuples pulled
+through access-constraint indexes.  A fetch charges once per *distinct* key
+(``S_j`` has set semantics, so charging is order-independent over the key
+set), and a cached-view scan charges once per plan occurrence per
+execution — every subtree is evaluated exactly once, with no common
+subexpression shared.  The test suite's recursive reference evaluator
+(``tests/conftest.py::reference``) charges the same points, and the
+:class:`~repro.exec.iometer.IOMeter` counters must match it field for field.
 
 *Data-independent artifacts.*  Closures close over positions, constraints
 and extractors — never over data.  Provider, view cache, meter and parameter
@@ -31,10 +28,8 @@ closure compiled once stays valid across write transactions (the backend
 hands in the current storage state each time) and a prepared query can run
 it with fresh parameter bindings without re-binding the plan tree.
 
-Set semantics follows the interpreter's ``Distinct`` discipline: every step
-returns distinct rows (non-injective steps — fetch, projection, union —
-dedup inline; the rest preserve distinctness), so result cardinalities match
-the operator tree's.
+Set semantics: every step returns distinct rows (non-injective steps —
+fetch, projection, union — dedup inline; the rest preserve distinctness).
 """
 
 from __future__ import annotations
@@ -178,9 +173,11 @@ def compile_plan_closure(plan: PlanNode, access_schema: AccessSchema) -> Compile
 
     Fetches without a covering access constraint and attribute references the
     input does not produce are rejected here as
-    :class:`~repro.errors.PlanError`, before any data is touched — the same
-    guards the interpreted compiler applies.  Unbound parameters are *not*
-    errors: they become the compiled plan's ``parameters`` contract.
+    :class:`~repro.errors.PlanError`, before any data is touched.  Nothing
+    else is checked: callers admit a plan through
+    :func:`repro.analysis.codegen_eligibility` first.  Unbound parameters
+    are *not* errors: they become the compiled plan's ``parameters``
+    contract.
     """
     started = time.perf_counter()
     parameters: _Slots = {}
@@ -580,7 +577,7 @@ def _compile_factor_projection(
 
     ``π(A × B)`` onto columns of ``A`` is ``π(A)`` when ``B`` is non-empty and
     empty otherwise, so the product is never built.  Every factor is still
-    evaluated once per execution, for charging parity with the interpreter.
+    evaluated once per execution, so every subtree charges as the plan says.
     """
     factors = _product_factors(node)
     starts = _factor_starts(factors)
@@ -623,8 +620,8 @@ def _compile_probe(
     combinations behind a surviving key are concatenated, crossed with the
     factors that hold no key column.  Every factor is still evaluated
     exactly once per execution — even when another is empty — so every
-    fetch and view-scan charging point fires exactly as the interpreted
-    ``HashJoin`` over the materialised product.
+    fetch and view-scan charging point fires exactly as a join over the
+    materialised product would fire it.
     """
     if not left_key or not isinstance(node, ProductNode):
         step = _compile_step(node, access_schema, parameters)
@@ -699,11 +696,11 @@ def _compile_join(
 
     The build side (right input) is evaluated once per execution; the probe
     side (:func:`_compile_probe`) returns only the left rows whose key it
-    holds.  Empty keys degrade to a cross product through a single bucket,
-    mirroring the interpreter's ``HashJoin``.  When every projected column
-    comes from the probe side and there is no residual, the join is a
-    semi-join and the build side is a key set, not buckets: every right
-    match projects to the same row, which the set would dedup anyway.
+    holds.  Empty keys degrade to a cross product through a single bucket.
+    When every projected column comes from the probe side and there is no
+    residual, the join is a semi-join and the build side is a key set, not
+    buckets: every right match projects to the same row, which the set
+    would dedup anyway.
     """
     right = _compile_step(node.right, access_schema, parameters)
     right_key = key_extractor(lowered.right_key)

@@ -57,8 +57,9 @@ from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.terms import Constant, Param, Term, Variable
 from ..errors import EvaluationError, SchemaError
-from .operators import Distinct, Operator, Project, Row, Scan, Select
 
+#: A data row.
+Row = tuple[object, ...]
 _EMPTY_INDEX: Mapping[Row, Sequence[Row]] = MappingProxyType({})
 
 
@@ -191,7 +192,7 @@ class FactsSource:
         self, name: str, positions: Sequence[int], arity: int
     ) -> Callable[[Row], Sequence[Row]]:
         """A key -> matching-rows probe over :meth:`index` (what the
-        maintenance resolvers and :func:`atom_scan` call)."""
+        maintenance resolvers and Yannakakis' atom relations call)."""
         index = self.index(name, positions, arity)
         # The cast is hoisted around the lambda (not inside it): resolved
         # lookups sit on the maintenance hot path, and a per-call
@@ -544,89 +545,3 @@ def compile_cq(
         order = order_atoms(normalized.atoms, source)
         nests.append(_generate(order, normalized.head, counting, slots))
     return CQKernel(tuple(nests), tuple(relations), time.perf_counter() - started)
-
-
-# --------------------------------------------------------------------------- #
-# Operator-tree access paths (Yannakakis)
-# --------------------------------------------------------------------------- #
-
-
-def atom_scan(
-    atom: RelationAtom, source: FactsSource
-) -> tuple[Operator, tuple[Variable, ...]]:
-    """Scan one atom: matching rows projected onto its (distinct) variables.
-
-    Constant positions are served from an index keyed on them, rows of
-    another arity never reach the scan, repeated variables are enforced, and
-    the output columns are the atom's variables in first-occurrence order.
-    """
-    arity = len(atom.terms)
-    constant_positions: list[tuple[int, object]] = []
-    first_occurrence: dict[Variable, int] = {}
-    duplicate_pairs: list[tuple[int, int]] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            constant_positions.append((position, term.value))
-        elif term in first_occurrence:
-            duplicate_pairs.append((first_occurrence[term], position))
-        else:
-            first_occurrence[term] = position
-    variables = tuple(first_occurrence)
-
-    base: Operator
-    if constant_positions:
-        # Serve the constant selection from an index keyed on it.
-        lookup = source.lookup(
-            atom.relation, tuple(p for p, _ in constant_positions), arity
-        )
-        base = Scan(lookup(tuple(v for _, v in constant_positions)))
-    else:
-        base = Scan(source.scan(atom.relation, arity))
-
-    if duplicate_pairs:
-
-        def predicate(
-            row: Row, checks: tuple[tuple[int, int], ...] = tuple(duplicate_pairs)
-        ) -> bool:
-            return all(row[first] == row[later] for first, later in checks)
-
-        base = Select(base, predicate)
-    return Project(base, tuple(first_occurrence.values())), variables
-
-
-def head_projection(
-    operator: Operator, schema: tuple[Variable, ...], head: Sequence[Term]
-) -> Operator:
-    """Project variable rows onto the query head (set semantics).
-
-    Head constants become literal columns.  A head variable with no column
-    in the schema is *unsafe*; mirroring the loop-nest kernel, the error is
-    raised only when a row actually reaches the projection — a query with
-    an empty answer never trips it.
-    """
-    spec: list[tuple[int | None, object]] = []
-    unsafe: Term | None = None
-    position_of = {variable: index for index, variable in enumerate(schema)}
-    for term in head:
-        if isinstance(term, Constant):
-            spec.append((None, term.value))
-        elif term in position_of:
-            spec.append((position_of[term], None))
-        else:
-            unsafe = term
-            break
-
-    if unsafe is not None:
-        term = unsafe
-
-        def fail(row: Row) -> Row:
-            raise EvaluationError(f"unsafe head variable {term} has no binding")
-
-        return Project(operator, mapper=fail)
-
-    frozen = tuple(spec)
-
-    def mapper(row: Row, spec: tuple[tuple[int | None, object], ...] = frozen) -> Row:
-        return tuple(row[i] if i is not None else v for i, v in spec)
-
-    return Distinct(Project(operator, mapper=mapper))

@@ -49,7 +49,7 @@ from ..algebra.terms import Constant, Variable
 from ..errors import DeltaCompilationError
 from .codegen import compile_closure_source
 from .iometer import IOMeter
-from .operators import Row
+from .lowering import Row
 
 #: ``resolver(relation, key_positions, arity) -> (key -> matching rows)``.
 #: Implementations decide *which state* of the relation the probe sees.

@@ -1,14 +1,14 @@
-"""I/O accounting shared by every operator of the execution kernel.
+"""I/O accounting shared by every compiled kernel.
 
 The paper charges a bounded plan only for the tuples it retrieves from the
 underlying database through access-constraint indices — the bag ``Dξ`` of
 Section 2.  :class:`IOMeter` is the single place where that accounting
-happens: :class:`~repro.exec.operators.IndexLookup` records every tuple an
-index lookup returns, :class:`~repro.exec.operators.Scan` over a cached view
-records free view-scan work, and everything else is pure CPU.
+happens: a compiled plan's fetch step (:mod:`repro.exec.codegen`) and a
+metered maintenance probe (:mod:`repro.exec.delta_compiler`) record every
+tuple an index lookup returns, a cached-view scan records free view-scan
+work, and everything else is pure CPU.
 
-``repro.core.plan_eval.FetchStats`` is an alias of this class, so existing
-callers of the plan executor keep working unchanged.
+``repro.core.plan_eval.FetchStats`` is an alias of this class.
 """
 
 from __future__ import annotations

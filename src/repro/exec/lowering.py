@@ -1,24 +1,24 @@
-"""Shared lowering pass: plan nodes → positional execution specs.
+"""Lowering pass: plan nodes → positional execution specs.
 
-Both consumers of a physical plan — the interpreted operator compiler
-(:mod:`repro.exec.plan_compiler`) and the codegen closure compiler
-(:mod:`repro.exec.codegen`) — must agree *exactly* on how a plan node maps to
-positional work: which attribute sits at which column, which predicates of a
-``σ(×)`` become hash-join keys and which stay residual, and which access
-constraint covers a fetch.  Divergence between the two tiers would not show
-up as a crash but as silently different rows or a skewed ``Dξ`` count, so
-those decisions live here, once, as plain data ("lowered" specs) that either
-tier turns into operators or closures.
+The codegen closure compiler (:mod:`repro.exec.codegen`), the one way a plan
+runs, turns these specs into closures.  They fix how a plan node maps to
+positional work: which attribute sits at which column, which predicates of
+a ``σ(×)`` become hash-join keys and which stay residual, and which access
+constraint covers a fetch.  A wrong decision here would not show up as a
+crash but as silently different rows or a skewed ``Dξ`` count, so the
+decisions are kept apart from the closure building, as plain data.
 
 Nothing in this module touches data or builds callables that close over
-state; everything is resolved from the plan tree and the access schema alone,
-which is also what makes the specs safe to cache alongside a plan.
+state (the extractors close over positions only); everything is resolved
+from the plan tree and the access schema alone, which is also what makes the
+specs safe to cache alongside a plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence, cast
 
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.plans import (
@@ -30,7 +30,6 @@ from ..core.plans import (
     SelectNode,
 )
 from ..errors import PlanError
-from .operators import Row, key_extractor, tuple_extractor
 
 __all__ = [
     "AttributeCheck",
@@ -46,6 +45,27 @@ __all__ = [
     "lower_predicates",
     "tuple_extractor",
 ]
+
+
+#: A data row.  Layouts are positional and fixed by the compiler.
+Row = tuple[object, ...]
+
+
+def tuple_extractor(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[p] for p in positions)`` at C speed where possible."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return cast(Callable[[Row], Row], itemgetter(*positions))
+
+
+def key_extractor(positions: Sequence[int]) -> Callable[[Row], object]:
+    """Join-key extractor; single positions yield scalars (both sides agree)."""
+    if not positions:
+        return lambda row: ()
+    return cast(Callable[[Row], object], itemgetter(*positions))
 
 
 def attribute_position(attributes: tuple[str, ...], attribute: str, where: str) -> int:
@@ -69,9 +89,8 @@ class ConstantCheck:
     """Lowered ``attribute = value``: a position test against a constant.
 
     ``value`` may still be a :class:`~repro.algebra.terms.Param` placeholder;
-    the interpreted tier rejects those at compile time (plans are bound
-    first), while the codegen tier resolves them from the runtime bindings
-    once per execution.
+    the compiled closure resolves it from the runtime bindings once per
+    execution.
     """
 
     position: int
@@ -130,8 +149,7 @@ class LoweredJoin:
     ``left_key``/``right_key`` are the equated column positions in the left
     and right input layouts; ``residual`` holds the lowered remaining
     predicates over the *product* layout (left columns then right columns).
-    Empty keys degrade to a cross product (single hash bucket), which is how
-    both tiers realise a bare ``×``.
+    Empty keys degrade to a cross product (single hash bucket).
     """
 
     left_key: tuple[int, ...]

@@ -23,9 +23,9 @@ plus that overlay — a bounded number of index entries.
 only the relations and indexes the transaction touched get a new version,
 and inside an index only the touched keys' buckets are copied.
 
-A snapshot satisfies the executor's fetch-provider protocol, so both the
-interpreted kernel and the compiled closures read a pinned snapshot
-directly.
+A snapshot satisfies the fetch-provider protocol
+(:class:`~repro.core.plan_eval.FetchProvider`), so a compiled plan reads a
+pinned snapshot directly.
 """
 
 from __future__ import annotations

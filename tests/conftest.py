@@ -1,5 +1,7 @@
 """Shared fixtures: small schemas, databases and the Example 1.1 workload,
-plus the SQL oracle (Section 5.1's translation run on stdlib ``sqlite3``)."""
+plus two references the engine is checked against: the SQL oracle
+(Section 5.1's translation run on stdlib ``sqlite3``) and the ``Dξ``
+reference (Section 2's plan semantics, evaluated node by node)."""
 
 from __future__ import annotations
 
@@ -15,7 +17,19 @@ from repro.algebra.terms import Constant, Variable
 from repro.algebra.ucq import as_union
 from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
-from repro.core.plan_eval import bind_plan
+from repro.core.plan_eval import ExecutionResult, bind_plan, plan_parameters
+from repro.core.plans import (
+    AttributeEqualsConstant,
+    ConstantScan,
+    DifferenceNode,
+    FetchNode,
+    ProductNode,
+    ProjectNode,
+    RenameNode,
+    SelectNode,
+    UnionNode,
+    ViewScan,
+)
 from repro.engine.service import QueryService
 from repro.engine.service.resolve import ResolveStage
 from repro.engine.sql import (
@@ -26,6 +40,8 @@ from repro.engine.sql import (
     plan_to_sql,
     ucq_to_sql,
 )
+from repro.errors import PlanError
+from repro.exec.iometer import IOMeter
 from repro.storage.instance import Database
 from repro.workloads import graph_search, skewed
 
@@ -132,6 +148,98 @@ class SQLOracle:
             self._connection = None
 
 
+# --------------------------------------------------------------------------- #
+# The Dξ reference
+# --------------------------------------------------------------------------- #
+
+
+def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
+    """Evaluate ``plan`` bottom-up by the letter of Section 2.
+
+    Set semantics throughout, and every node occurrence is evaluated on its
+    own (no shared subexpressions).  A fetch probes ``provider.fetch`` once
+    per distinct key of its input, or once with ``()`` when it has no
+    input, and charges each probe to the meter; a view scan charges ``|V|``
+    per occurrence.  Written for clarity, not speed: the compiled closures'
+    rows and every meter field must equal what this returns.
+    """
+    unbound = plan_parameters(plan)
+    if unbound:
+        raise PlanError(f"plan has unbound parameters {sorted(unbound)}")
+    meter = IOMeter()
+
+    def column(attributes, attribute):
+        if attribute not in attributes:
+            raise PlanError(f"attribute {attribute!r} is not in {attributes}")
+        return attributes.index(attribute)
+
+    def holds(predicate, attributes, row):
+        if isinstance(predicate, AttributeEqualsConstant):
+            equal = row[column(attributes, predicate.attribute)] == predicate.value
+        else:
+            equal = (
+                row[column(attributes, predicate.left)]
+                == row[column(attributes, predicate.right)]
+            )
+        return equal != predicate.negated
+
+    def run(node) -> set[tuple]:
+        if isinstance(node, ConstantScan):
+            return {(node.value,)}
+        if isinstance(node, ViewScan):
+            if node.view_name not in view_cache:
+                raise PlanError(f"view {node.view_name!r} is not materialised")
+            rows = view_cache[node.view_name]
+            meter.record_view_scan(len(rows))
+            return set(rows)
+        if isinstance(node, FetchNode):
+            constraint = node.covering_constraint(access_schema)
+            if constraint is None:
+                raise PlanError(f"fetch on {node.relation!r} has no covering constraint")
+            keys = {()}
+            if node.child is not None:
+                inputs = node.child.attributes
+                keys = {
+                    tuple(row[column(inputs, a)] for a in constraint.x)
+                    for row in run(node.child)
+                }
+            outputs = constraint.output_attributes
+            rows = set()
+            for key in keys:
+                fetched = provider.fetch(constraint, key)
+                meter.record_fetch(node.relation, len(fetched))
+                rows |= {
+                    tuple(row[column(outputs, a)] for a in node.attributes)
+                    for row in fetched
+                }
+            return rows
+        if isinstance(node, ProjectNode):
+            inputs = node.child.attributes
+            return {
+                tuple(row[column(inputs, a)] for a in node.kept) for row in run(node.child)
+            }
+        if isinstance(node, SelectNode):
+            inputs = node.child.attributes
+            return {
+                row
+                for row in run(node.child)
+                if all(holds(p, inputs, row) for p in node.predicates)
+            }
+        if isinstance(node, RenameNode):
+            return run(node.child)
+        if isinstance(node, ProductNode):
+            left, right = run(node.left), run(node.right)
+            return {a + b for a in left for b in right}
+        if isinstance(node, UnionNode):
+            return run(node.left) | run(node.right)
+        if isinstance(node, DifferenceNode):
+            return run(node.left) - run(node.right)
+        raise PlanError(f"unknown plan node type {type(node).__name__}")
+
+    rows = frozenset(run(plan))
+    return ExecutionResult(attributes=plan.attributes, rows=rows, stats=meter)
+
+
 @pytest.fixture
 def rs_schema():
     """A tiny two-relation schema R(a, b), S(b, c) used across unit tests."""
@@ -218,16 +326,17 @@ def gs_1000():
 
 
 def interpreted(service, query, params=None):
-    """The interpreted reference for ``query`` on ``service``: its cached
-    plan run through the operator tree (``execute_plan``) instead of the
-    compiled closure that serves it."""
+    """The reference answer for ``query`` on ``service``: its cached plan
+    (bound by ``params``) run through :func:`reference` over the service's
+    indexes and views, instead of the compiled closure that serves it."""
     entry, _ = service.plan(query)
-    return service.execute_plan(entry.plan, params=params)
+    plan = bind_plan(entry.plan, dict(params)) if params else entry.plan
+    return reference(plan, service.access_schema, service.indexes, service.view_cache)
 
 
 @pytest.fixture(params=["index_set", "snapshot"])
 def gs_provider(request, gs_instance, gs_access):
-    """``(provider, view_cache)`` over ``gs_instance`` for each fetch provider
+    """``(provider, service)`` over ``gs_instance`` for each fetch provider
     a compiled closure meets: a service's ``indexes`` (the ``IndexSet``
     facade over its snapshots), and its published snapshot read directly."""
     with QueryService(gs_instance.database, gs_access, graph_search.views()) as service:
@@ -236,7 +345,7 @@ def gs_provider(request, gs_instance, gs_access):
             if request.param == "snapshot"
             else service.indexes
         )
-        yield provider, service.view_cache
+        yield provider, service
 
 
 @pytest.fixture(scope="session")

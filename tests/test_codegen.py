@@ -1,10 +1,12 @@
 """The codegen execution tier: bit-identical rows *and* ``Dξ`` accounting.
 
-Three layers of evidence that a compiled closure is a drop-in replacement
-for the interpreted operator tree:
+Layers of evidence that a compiled closure realises Section 2's semantics,
+checked against the ``Dξ`` reference (``conftest.reference``) and the SQL
+oracle:
 
 * unit tests on the canonical workload plans (Figure 1, Q0, CDR): rows and
-  every :class:`~repro.exec.iometer.IOMeter` field identical between tiers;
+  every :class:`~repro.exec.iometer.IOMeter` field identical to the
+  reference's;
 * service-level tests of the one tier lifecycle — every plan compiled when
   admitted and served compiled from its first execution, explain, per-tier
   stats, prepared/parameterised execution without ``bind_plan``, and
@@ -26,7 +28,7 @@ from repro.algebra.parser import parse_query
 from repro.algebra.terms import Constant, Variable
 from repro.algebra.ucq import UnionQuery
 from repro.analysis import codegen_eligibility
-from repro.core.plan_eval import FetchStats, PlanExecutor, plan_parameters
+from repro.core.plan_eval import FetchStats, plan_parameters
 from repro.core.plans import (
     AttributeEqualsAttribute,
     AttributeEqualsConstant,
@@ -46,7 +48,7 @@ from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
-from conftest import SQLOracle, interpreted
+from conftest import SQLOracle, interpreted, reference
 
 
 def _meters_equal(a, b) -> bool:
@@ -58,18 +60,23 @@ def _meters_equal(a, b) -> bool:
     )
 
 
-def _assert_tiers_identical(plan, schema, access, provider, view_cache):
-    """Execute ``plan`` on both tiers and compare rows plus full meters."""
-    executor = PlanExecutor(schema, access, provider, view_cache)
-    interpreted = executor.execute(plan)
+def _assert_tiers_identical(plan, service, provider=None):
+    """Run ``plan``'s compiled closure over ``service``'s views and
+    ``provider`` (its indexes by default): its rows and every meter field
+    must equal the ``Dξ`` reference's (``conftest.reference``), and its rows
+    the SQL oracle's."""
+    provider = provider if provider is not None else service.indexes
+    access, view_cache = service.access_schema, service.view_cache
+    expected = reference(plan, access, provider, view_cache)
     compiled = compile_plan_closure(plan, access)
     meter = FetchStats()
-    rows = compiled.execute(provider, executor.view_cache, meter)
-    assert rows == interpreted.rows
+    rows = compiled.execute(provider, view_cache, meter)
+    assert rows == expected.rows
     assert compiled.attributes == plan.attributes
-    assert _meters_equal(meter, interpreted.stats), (
-        f"Dξ accounting diverged: compiled={meter} interpreted={interpreted.stats}"
+    assert _meters_equal(meter, expected.stats), (
+        f"Dξ accounting diverged: compiled={meter} reference={expected.stats}"
     )
+    assert SQLOracle(service).plan_rows(plan) == rows
     return rows, meter
 
 
@@ -78,26 +85,18 @@ def _assert_tiers_identical(plan, schema, access, provider, view_cache):
 # --------------------------------------------------------------------------- #
 
 
-def test_figure1_plan_identical_tiers(gs_instance, gs_schema, gs_access):
+def test_figure1_plan_identical_tiers(gs_instance, gs_access):
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
-    rows, meter = _assert_tiers_identical(
-        graph_search.figure1_plan(),
-        gs_schema,
-        gs_access,
-        service.indexes,
-        service.view_cache,
-    )
+    rows, meter = _assert_tiers_identical(graph_search.figure1_plan(), service)
     assert rows  # the instance is seeded so Q0 is non-empty
     assert meter.tuples_fetched > 0
 
 
-def test_planner_q0_identical_tiers(gs_instance, gs_access, gs_q0, gs_schema):
+def test_planner_q0_identical_tiers(gs_instance, gs_access, gs_q0):
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
     entry, _ = service.plan(gs_q0)
     assert entry.plan is not None
-    _assert_tiers_identical(
-        entry.plan, gs_schema, gs_access, service.indexes, service.view_cache
-    )
+    _assert_tiers_identical(entry.plan, service)
 
 
 def test_cdr_plans_identical_tiers():
@@ -109,13 +108,7 @@ def test_cdr_plans_identical_tiers():
         entry, _ = service.plan(query, use_cache=False)
         if entry.plan is None:
             continue
-        _assert_tiers_identical(
-            entry.plan,
-            data.database.schema,
-            cdr.access_schema(),
-            service.indexes,
-            service.view_cache,
-        )
+        _assert_tiers_identical(entry.plan, service)
         checked += 1
     assert checked >= 10
 
@@ -134,7 +127,7 @@ def test_compiled_plan_rejects_missing_bindings(gs_instance, gs_access):
 @pytest.mark.parametrize("negated", [False, True])
 @pytest.mark.parametrize("with_static", [False, True])
 def test_parameter_checks_read_their_slot_like_bound_constants(
-    gs_instance, gs_schema, gs_access, with_static, negated
+    gs_instance, gs_access, with_static, negated
 ):
     """A ``Param`` in a scan or a selection resolves to one slot of the
     execution's value tuple: whatever mix of plain, parameterised and negated
@@ -165,9 +158,7 @@ def test_parameter_checks_read_their_slot_like_bound_constants(
     assert compiled.parameters == frozenset(compiled.slots) == {"studio", "year"}
     for studio, year in (("Universal", "2014"), ("Paramount", "2010"), ("nobody", "1900")):
         bindings = {"year": year, "studio": studio, "unused": 1}
-        expected, meter = _assert_tiers_identical(
-            bind_plan(plan, bindings), gs_schema, gs_access, service.indexes, service.view_cache
-        )
+        expected, meter = _assert_tiers_identical(bind_plan(plan, bindings), service)
         stats = FetchStats()
         assert compiled.execute(service.indexes, service.view_cache, stats, bindings) == expected
         assert _meters_equal(stats, meter)
@@ -196,7 +187,7 @@ def gs_service(gs_instance, gs_access):
 
 def test_compiled_from_the_first_execution(gs_service, gs_q0):
     """The plan is verified and compiled when its entry is admitted, before
-    any execution; every answer is the closure's, equal to the interpreted
+    any execution; every answer is the closure's, equal to the ``Dξ``
     reference of the same cached plan in rows and every meter field."""
     entry, _ = gs_service.plan(gs_q0)
     assert entry.compiled is not None and entry.executions == 0
@@ -354,7 +345,8 @@ def test_codegen_eligibility_rejects_corrupt_plans(gs_instance, gs_access):
 
 
 def _fresh_interpreted(gs_instance, gs_access, query):
-    """The reference after a write: a new service's interpreted plan run."""
+    """The reference after a write: a new service's plan, run by the ``Dξ``
+    reference."""
     with QueryService(gs_instance.database, gs_access, graph_search.views()) as fresh:
         return interpreted(fresh, query)
 
@@ -478,19 +470,13 @@ def _chain_select_plan(keyed: str):
 
 
 @pytest.mark.parametrize("keyed", ["first", "middle", "last"])
-def test_three_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access, keyed):
+def test_three_factor_chain_identical_tiers(gs_instance, gs_access, keyed):
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
-    rows, meter = _assert_tiers_identical(
-        _chain_select_plan(keyed),
-        gs_schema,
-        gs_access,
-        service.indexes,
-        service.view_cache,
-    )
+    rows, meter = _assert_tiers_identical(_chain_select_plan(keyed), service)
     assert rows  # the planted answers keep every variant non-empty
 
 
-def test_four_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access):
+def test_four_factor_chain_identical_tiers(gs_instance, gs_access):
     from repro.core.plans import (
         AttributeEqualsAttribute,
         ConstantScan,
@@ -510,13 +496,11 @@ def test_four_factor_chain_identical_tiers(gs_instance, gs_schema, gs_access):
         (AttributeEqualsAttribute("mid_a", "mid_d"),),
     )
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
-    rows, _ = _assert_tiers_identical(
-        plan, gs_schema, gs_access, service.indexes, service.view_cache
-    )
+    rows, _ = _assert_tiers_identical(plan, service)
     assert rows
 
 
-def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_access):
+def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_access):
     """The key ``(mid_a, pid_b)`` spans factors F0 and F2 of the chain, with
     F1 holding no key column: the probe groups F0 and F2 by their parts of
     the key and enumerates only the build keys whose parts both match,
@@ -546,9 +530,7 @@ def test_chain_key_spanning_factors_identical_tiers(gs_instance, gs_schema, gs_a
         ),
     )
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
-    rows, _ = _assert_tiers_identical(
-        plan, gs_schema, gs_access, service.indexes, service.view_cache
-    )
+    rows, _ = _assert_tiers_identical(plan, service)
     assert rows
 
 
@@ -577,25 +559,25 @@ def _nasa(attribute: str):
     return RenameNode(ViewScan("V2", ("pid",)), {"pid": attribute})
 
 
-def _check_provider(gs_schema, gs_access, gs_provider, plan):
-    provider, view_cache = gs_provider
-    return _assert_tiers_identical(plan, gs_schema, gs_access, provider, view_cache)
+def _check_provider(gs_provider, plan):
+    provider, service = gs_provider
+    return _assert_tiers_identical(plan, service, provider)
 
 
 def test_canonical_plans_identical_tiers_on_every_provider(
-    gs_schema, gs_access, gs_provider, gs_instance, gs_q0
+    gs_access, gs_provider, gs_instance, gs_q0
 ):
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
     entry, _ = service.plan(gs_q0)
     for plan in (graph_search.figure1_plan(), entry.plan):
-        rows, _ = _check_provider(gs_schema, gs_access, gs_provider, plan)
+        rows, _ = _check_provider(gs_provider, plan)
         assert rows
 
 
 @pytest.mark.parametrize("shape", ["join", "semi", "project", "residual"])
 @pytest.mark.parametrize("span", [2, 3])
 def test_key_spanning_factors_with_a_free_factor_identical_tiers(
-    gs_schema, gs_access, gs_provider, span, shape
+    gs_access, gs_provider, span, shape
 ):
     """``σ[k = k'](chain × build)`` over the chain ``mid_a × pid_b × rank_c ×
     tag`` whose key spans two (``mid_a``, ``rank_c``) or three factors
@@ -624,7 +606,7 @@ def test_key_spanning_factors_with_a_free_factor_identical_tiers(
         plan = ProjectNode(plan, ("tag", "mid_a", "pid_b"))
     elif shape == "project":
         plan = ProjectNode(plan, ("pid_b", "rank_d"))
-    rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    rows, meter = _check_provider(gs_provider, plan)
     assert rows  # the planted rank-5 movies keep every variant non-empty
     assert meter.per_relation["rating"] > 0
 
@@ -632,11 +614,11 @@ def test_key_spanning_factors_with_a_free_factor_identical_tiers(
 @pytest.mark.parametrize("semi", [False, True])
 @pytest.mark.parametrize("empty", ["keyed_factor", "free_factor", "build_side"])
 def test_empty_inputs_still_charge_every_subtree(
-    gs_schema, gs_access, gs_provider, empty, semi
+    gs_access, gs_provider, empty, semi
 ):
     """An empty keyed factor, free factor or build side empties the join,
     yet every other subtree still runs once — its view scans and fetches
-    charged as by the interpreter — and an empty key batch charges nothing."""
+    charged as by the reference — and an empty key batch charges nothing."""
     mid_a = _movie_ids(NOBODY if empty == "keyed_factor" else "Universal", "mid_a")
     free = (
         _movie_ids(NOBODY, "tag") if empty == "free_factor" else _nasa("tag")
@@ -652,7 +634,7 @@ def test_empty_inputs_still_charge_every_subtree(
     )
     if semi:
         plan = ProjectNode(plan, ("mid_a",))
-    rows, meter = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    rows, meter = _check_provider(gs_provider, plan)
     assert rows == frozenset()
     assert meter.fetch_calls > 0
     assert meter.view_tuples_scanned > 0 or empty == "free_factor"
@@ -662,7 +644,7 @@ def test_empty_inputs_still_charge_every_subtree(
 
 @pytest.mark.parametrize("chained", [False, True])
 def test_semi_join_with_duplicate_build_keys_identical_tiers(
-    gs_schema, gs_access, gs_provider, chained
+    gs_access, gs_provider, chained
 ):
     """Every rating is crossed with every NASA person, so each build key
     repeats once per person: the key set holds it once and each matching
@@ -675,13 +657,13 @@ def test_semi_join_with_duplicate_build_keys_identical_tiers(
         SelectNode(ProductNode(left, build), (AttributeEqualsAttribute("mid_a", "mid_d"),)),
         ("mid_a",),
     )
-    rows, _ = _check_provider(gs_schema, gs_access, gs_provider, plan)
+    rows, _ = _check_provider(gs_provider, plan)
     assert rows
 
 
 @pytest.mark.parametrize("other_empty", [False, True])
 def test_projection_onto_one_factor_of_a_product_identical_tiers(
-    gs_schema, gs_access, gs_provider, other_empty
+    gs_access, gs_provider, other_empty
 ):
     """``π`` keeping only ``pid_b`` of ``pid_b × mid_a × rank_c`` is the V2
     scan when the other factors are non-empty and empty otherwise; the
@@ -693,7 +675,7 @@ def test_projection_onto_one_factor_of_a_product_identical_tiers(
         ConstantScan(5, attribute="rank_c"),
     )
     rows, meter = _check_provider(
-        gs_schema, gs_access, gs_provider, ProjectNode(product, ("pid_b",))
+        gs_provider, ProjectNode(product, ("pid_b",))
     )
     assert bool(rows) == (not other_empty)
     assert meter.fetch_calls == 1 and meter.view_tuples_scanned > 0
@@ -701,7 +683,7 @@ def test_projection_onto_one_factor_of_a_product_identical_tiers(
 
 @pytest.mark.parametrize("negated", [False, True])
 def test_parameter_checks_on_a_batched_filtered_fetch(
-    gs_schema, gs_access, gs_provider, negated
+    gs_access, gs_provider, negated
 ):
     """``σ[rank = :rank]`` fused into a rating fetch whose key batch holds
     every Universal/2014 movie: the closure run with bindings equals both
@@ -714,14 +696,17 @@ def test_parameter_checks_on_a_batched_filtered_fetch(
         SelectNode(ratings, (AttributeEqualsConstant("rank", Param("rank"), negated),)),
         ("mid",),
     )
-    provider, view_cache = gs_provider
+    provider, service = gs_provider
     compiled = compile_plan_closure(plan, gs_access)
     for rank in (5, 1, 99):
         expected, meter = _check_provider(
-            gs_schema, gs_access, gs_provider, bind_plan(plan, {"rank": rank})
+            gs_provider, bind_plan(plan, {"rank": rank})
         )
         stats = FetchStats()
-        assert compiled.execute(provider, view_cache, stats, {"rank": rank}) == expected
+        assert (
+            compiled.execute(provider, service.view_cache, stats, {"rank": rank})
+            == expected
+        )
         assert _meters_equal(stats, meter)
         assert meter.per_relation["rating"] > 1  # a batch of several keys
 
@@ -758,9 +743,7 @@ def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, provider):
         reader = (
             service._snapshots.reader() if provider == "snapshot" else service.indexes
         )
-        rows, meter = _assert_tiers_identical(
-            entry.plan, skewed.schema(), access, reader, service.view_cache
-        )
+        rows, meter = _assert_tiers_identical(entry.plan, service, reader)
     assert rows and meter.per_relation["contacted"] > 0
 
 
@@ -798,11 +781,10 @@ def _random_mixed_workload(schema, database, count: int, seed: int):
 
 
 def _check_differential(service, queries, oracle=None) -> int:
-    """Compiled answers vs the interpreted reference; returns #checks.
+    """Compiled answers vs the ``Dξ`` reference; returns #checks.
 
-    The reference runs the *same* cached plan object through the operator
-    tree, so the comparison isolates the execution tier, not planner
-    nondeterminism.  With an ``oracle``, the plan's SQL translation must
+    The reference runs the *same* cached plan object, so the comparison
+    isolates execution, not planner nondeterminism.  With an ``oracle``, the plan's SQL translation must
     return the same rows too.
     """
     compiled_checks = 0

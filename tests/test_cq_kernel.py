@@ -151,6 +151,33 @@ def test_an_unsafe_head_variable_raises_only_when_a_row_reaches_the_head():
         evaluate_cq(query, {"R": {(1, 2)}, "S": {(2, 4)}})
 
 
+def _small_db() -> Database:
+    schema = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
+    return Database(
+        schema, {"R": [(1, 10), (2, 20), (2, 21)], "S": [(10, "x"), (21, "y")]}
+    )
+
+
+def test_evaluate_cq_identical_over_database_and_plain_facts():
+    small_db = _small_db()
+    query = parse_query("Q(a, c) :- R(a, b), S(b, c)")
+    via_database = evaluate_cq(query, small_db)
+    via_mapping = evaluate_cq(query, small_db.facts)
+    assert via_database == via_mapping == {(1, "x"), (2, "y")}
+
+
+def test_evaluate_cq_uses_cached_secondary_indexes():
+    small_db = _small_db()
+    query = parse_query("Q(b) :- R(2, b)")
+    assert evaluate_cq(query, small_db) == {(20,), (21,)}
+    # The constant probe built (and cached) a secondary index on column 0.
+    relation = small_db.relation("R")
+    assert (0,) in relation._indexes  # noqa: SLF001 - asserting the cache
+    # The cached index is maintained: new tuples are visible immediately.
+    small_db.add("R", (2, 22))
+    assert evaluate_cq(query, small_db) == {(20,), (21,), (22,)}
+
+
 def test_rows_of_the_wrong_arity_are_ignored_on_scans_and_probes():
     facts = {"R": {(1, 2), (3,), (1, 5, 6), (4, 4)}, "S": [(2, "a"), (2,), (4, "b", "c")]}
     scan = ConjunctiveQuery(head=(X, Y), atoms=(RelationAtom("R", (X, Y)),))

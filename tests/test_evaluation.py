@@ -124,6 +124,28 @@ def test_yannakakis_star_query_with_dangling_tuples():
     assert evaluate_cq(q, facts) == {(1,)}
 
 
+def test_yannakakis_path_with_dangling_ends_and_head_constant():
+    """On a three-atom path, rows dangling at either end are reduced away,
+    and a head constant becomes a literal column of every answer."""
+    w = Variable("w")
+    facts = {
+        "R": {(1, 10), (2, 20), (3, 99)},
+        "S": {(10, 100), (20, 200), (50, 500)},
+        "T": {(100, "a"), (100, "b"), (300, "c")},
+    }
+    q = ConjunctiveQuery(
+        head=(X, Constant("k"), w),
+        atoms=(
+            RelationAtom("R", (X, Y)),
+            RelationAtom("S", (Y, Z)),
+            RelationAtom("T", (Z, w)),
+        ),
+    )
+    expected = {(1, "k", "a"), (1, "k", "b")}
+    assert evaluate_cq_yannakakis(q, facts) == expected
+    assert evaluate_cq(q, facts) == expected
+
+
 def test_missing_relation_treated_as_empty():
     q = ConjunctiveQuery(head=(X,), atoms=(RelationAtom("Missing", (X,)),))
     assert evaluate_cq(q, FACTS) == set()

@@ -13,11 +13,12 @@ FO plan exactly.  The construction lives in :mod:`repro.workloads.example63`.
 import pytest
 
 from repro.algebra.evaluation import evaluate_cq, evaluate_ucq
-from repro.core.plan_eval import PlanExecutor
 from repro.core.vbrp_plus import verify_cross_language_rewriting
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
 from repro.workloads import example63 as ex
+
+from conftest import reference
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +72,7 @@ def test_fo_rewriting_agrees_with_q_on_witness_instances(setting):
         view_cache = {
             view.name: frozenset(evaluate_ucq(view.as_ucq(), db.facts)) for view in views
         }
-        executor = PlanExecutor(schema, access, IndexSet(db, access), view_cache)
-        plan_answer = executor.execute(plan).rows
+        plan_answer = reference(plan, access, IndexSet(db, access), view_cache).rows
         direct_answer = evaluate_cq(q, db.facts)
         assert plan_answer == frozenset(direct_answer)
 

@@ -9,11 +9,9 @@ from repro.algebra.views import ViewSet
 from repro.core.bounded_output import has_bounded_output
 from repro.core.conformance import conforms_to
 from repro.core.equivalence import a_equivalent
-from repro.core.plan_eval import PlanExecutor
 from repro.core.rewriting import plan_to_ucq, unfold_view_atoms
 from repro.engine.service import QueryService
 from repro.errors import AccessConstraintError
-from repro.storage.indexes import IndexSet
 from repro.workloads import graph_search as gs
 
 

@@ -35,7 +35,7 @@ def test_cli_exits_zero_on_clean_tree(capsys):
 def test_unmetered_fetch_is_flagged(tmp_path):
     _write(
         tmp_path,
-        "src/repro/exec/operators.py",
+        "src/repro/exec/codegen.py",
         """
         class Rogue:
             def _produce(self):

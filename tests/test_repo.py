@@ -169,22 +169,35 @@ def test_no_module_under_src_imports_sqlite3():
     assert not importers
 
 
-def test_the_operator_chain_cq_evaluator_is_gone():
-    """One CQ evaluator: the fused loop nest of ``exec/cq_compiler.py``.
-    The ``LookupJoin`` chain it replaced stays deleted, export included."""
-    from repro import exec as kernel
-    from repro.exec import cq_compiler, operators
+def test_the_plan_interpreter_is_gone():
+    """One plan evaluator: the compiled closure of ``exec/codegen.py``.  The
+    Volcano interpreter — ``PlanExecutor``, ``core.plan_eval.execute_plan``,
+    ``exec/plan_compiler.py`` and ``exec/operators.py`` — stays deleted,
+    exports included, and nothing under ``src/`` mentions it."""
+    from repro import core
+    from repro.core import plan_eval
+    from repro.exec import cq_compiler
 
-    assert not hasattr(operators, "LookupJoin")
-    assert not hasattr(kernel, "LookupJoin") and "LookupJoin" not in kernel.__all__
-    for name in ("cq_pipeline", "join_atom"):
-        assert not hasattr(cq_compiler, name), name
+    for module in ("repro.exec.operators", "repro.exec.plan_compiler"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    for package in (repro, core):
+        for name in ("PlanExecutor", "execute_plan"):
+            assert not hasattr(package, name) and name not in package.__all__, name
+    for module, name in (
+        (plan_eval, "PlanExecutor"),
+        (plan_eval, "execute_plan"),
+        (cq_compiler, "atom_scan"),
+        (cq_compiler, "head_projection"),
+    ):
+        assert not hasattr(module, name), name
+    names = (
+        "PlanExecutor", "plan_compiler", "exec.operators", "LookupJoin",
+        "cq_pipeline", "join_atom",
+    )
     mentions = [
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / "src").rglob("*.py"))
-        if any(
-            name in path.read_text(encoding="utf-8")
-            for name in ("LookupJoin", "cq_pipeline", "join_atom")
-        )
+        if any(name in path.read_text(encoding="utf-8") for name in names)
     ]
     assert not mentions

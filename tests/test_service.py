@@ -12,6 +12,7 @@ from repro.algebra.terms import Constant, Param, Variable
 from repro.algebra.ucq import UnionQuery
 from repro.core.access import AccessConstraint, AccessSchema
 from repro.core.plan_eval import bind_plan, plan_parameters
+from repro.core.plans import FetchNode, ViewScan
 from repro.engine.service import (
     PlanningResult,
     QueryService,
@@ -19,9 +20,13 @@ from repro.engine.service import (
     register_planner,
     resolve_planners,
 )
-from repro.errors import PlanError, QueryError
+from repro.errors import PlanError, PlanVerificationError, QueryError
+from repro.exec.codegen import compile_plan_closure
+from repro.exec.iometer import IOMeter
+from repro.storage.indexes import IndexSet
+from repro.storage.instance import Database
 
-from conftest import SQLOracle, interpreted
+from conftest import SQLOracle, interpreted, reference
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -388,8 +393,17 @@ def test_unbound_param_in_select_predicate_is_rejected(service):
     plan = SelectNode(fetch, (AttributeEqualsConstant("c", Param("wanted")),))
     with pytest.raises(QueryError):
         service.execute_plan(plan)
+    # The compiled closure refuses the unbound placeholder on its own too.
+    with pytest.raises(PlanError, match="missing parameter bindings: wanted"):
+        compile_plan_closure(plan, ACCESS).execute(
+            service.indexes, service.view_cache, IOMeter()
+        )
     bound = service.execute_plan(plan, params={"wanted": "x"})
     assert bound.rows == {(10, "x")}
+    expected = reference(
+        bind_plan(plan, {"wanted": "x"}), ACCESS, service.indexes, service.view_cache
+    )
+    assert (bound.rows, bound.stats) == (expected.rows, expected.stats)
     assert service.execute_plan(plan, params={"wanted": "nope"}).rows == frozenset()
 
 
@@ -402,9 +416,24 @@ def test_bind_plan_validates_and_substitutes(service):
         bind_plan(prepared.plan, {})
     with pytest.raises(QueryError):
         service.execute_plan(prepared.plan)  # unbound Param
-    with pytest.raises(PlanError):
-        # the executor itself also refuses a half-bound plan
+    with pytest.raises(PlanError, match="missing parameter bindings: key"):
+        # the backend's compiled closure also refuses a half-bound plan
         service._backend.execute_plan(prepared.plan)
+
+
+def test_a_hand_built_plan_the_verifier_refuses_is_not_run(
+    gs_instance, gs_access, gs_views
+):
+    """``execute_plan`` admits a plan through the gate a cached plan passes:
+    fetching the rating of every movie in V1, a view without bounded
+    output, is refused before it touches data — although it has rows."""
+    plan = FetchNode(ViewScan("V1", ("mid",)), "rating", ("mid",), ("rank",))
+    with QueryService(gs_instance.database, gs_access, gs_views) as service:
+        assert reference(plan, gs_access, service.indexes, service.view_cache).rows
+        with pytest.raises(PlanVerificationError) as refused:
+            service.execute_plan(plan)
+    codes = {diagnostic.code for diagnostic in refused.value.diagnostics}
+    assert "plan.fetch.unbounded-input" in codes
 
 
 # --------------------------------------------------------------------------- #
@@ -538,21 +567,21 @@ def test_reason_populated_on_bounded_path(rs_database):
     assert "heuristic" in answer.reason
 
 
-def test_memory_executor_is_reused(rs_database):
+def test_execute_plan_reads_the_published_pair(rs_database):
+    """A hand-built plan runs on the backend's published ``(provider,
+    view_cache)`` pair, read per call: reads never republish it, and the
+    next call after a ``refresh`` sees the new pair."""
     service = QueryService(rs_database, ACCESS)
     backend = service._backend
     state_before = backend._state
     plan = service.query(anchored_chain()).plan
     service.query(anchored_chain(2))
+    assert service.execute_plan(plan).rows == {("x",), ("y",)}
     assert backend._state is state_before  # published once, reused by reads
-    assert backend._interpreter is None  # compiled closures need no executor
-    first = backend.execute_plan(plan)
-    executor = backend._interpreter[1]
-    assert backend.execute_plan(plan).rows == first.rows
-    assert backend._interpreter[1] is executor  # built once per published pair
-    backend.refresh(view_cache=dict(backend.view_cache))
-    assert backend.execute_plan(plan).rows == first.rows
-    assert backend._interpreter[1] is not executor
+    other = Database(SCHEMA, {"R": [(1, 10)], "S": [(10, "new")]})
+    backend.refresh(provider=IndexSet(other, ACCESS))
+    assert backend.execute_plan(plan).rows == {("new",)}
+    assert service.execute_plan(plan).rows == {("new",)}
 
 
 def test_deprecated_shims_are_gone():

@@ -2,10 +2,10 @@
 
 Every generated statement is executed on an in-memory SQLite database loaded
 from the same :class:`repro.storage.instance.Database`, and the result is
-compared with the library's own plan executor / CQ evaluator — the strongest
-form of validation available without a commercial DBMS.  The last section
-checks the SQL oracle (``conftest.SQLOracle``) that other test modules use
-to cross-check the service's answers.
+compared with the ``Dξ`` reference (``conftest.reference``) or the CQ
+evaluator — the strongest form of validation available without a commercial
+DBMS.  The last section checks the SQL oracle (``conftest.SQLOracle``) that
+other test modules use to cross-check the service's answers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.algebra.evaluation import evaluate_cq, evaluate_ucq
 from repro.algebra.parser import parse_cq, parse_ucq
-from repro.core.plan_eval import execute_plan
 from repro.core.plans import (
     AttributeEqualsConstant,
     ConstantScan,
@@ -40,7 +39,7 @@ from repro.errors import UnsupportedQueryError
 from repro.storage.indexes import IndexSet
 from repro.workloads import cdr, example63, graph_search as gs
 
-from conftest import SQLOracle, load_sqlite
+from conftest import SQLOracle, load_sqlite, reference
 
 
 # --------------------------------------------------------------------------- #
@@ -139,9 +138,7 @@ def test_figure1_plan_to_sql_matches_executor(gs_instance, gs_service):
     sql_rows = run_sql(connection, translation.text)
 
     indexes = IndexSet(gs_instance.database, gs.access_schema())
-    executed = execute_plan(
-        plan, gs.schema(), gs.access_schema(), indexes, gs_service.view_cache
-    )
+    executed = reference(plan, gs.access_schema(), indexes, gs_service.view_cache)
     assert sql_rows == set(executed.rows)
     # And both agree with the original query.
     assert sql_rows == evaluate_cq(gs.query_q0(), gs_instance.database.facts)
@@ -162,7 +159,7 @@ def test_constant_and_select_plan_sql(gs_instance):
     connection = load_sqlite(gs_instance.database)
     sql_rows = run_sql(connection, translation.text)
     indexes = IndexSet(gs_instance.database, gs.access_schema())
-    executed = execute_plan(plan, gs.schema(), gs.access_schema(), indexes, {})
+    executed = reference(plan, gs.access_schema(), indexes, {})
     assert sql_rows == set(executed.rows)
 
 
@@ -176,7 +173,7 @@ def test_union_and_difference_plan_sql(gs_instance, gs_service):
         connection = load_sqlite(gs_instance.database)
         sql_rows = run_sql(connection, translation.text)
         indexes = IndexSet(gs_instance.database, gs.access_schema())
-        executed = execute_plan(plan, gs.schema(), gs.access_schema(), indexes, {})
+        executed = reference(plan, gs.access_schema(), indexes, {})
         assert sql_rows == set(executed.rows)
 
 

@@ -9,13 +9,14 @@ from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Constant, Variable
 from repro.algebra.views import View, ViewSet
 from repro.core.access import AccessConstraint, AccessSchema
-from repro.core.plan_eval import PlanExecutor
 from repro.core.topped import analyze_topped, is_topped, topped_plan
 from repro.engine.service import QueryService
 from repro.errors import QueryError
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
 from repro.storage.updates import Insertion
+
+from conftest import reference
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -47,8 +48,7 @@ def check_plan_matches_fo(query, head, views=NO_VIEWS, schema=SCHEMA, access=ACC
         from repro.algebra.evaluation import evaluate_ucq
 
         view_cache[view.name] = evaluate_ucq(view.as_ucq(), database.facts)
-    executor = PlanExecutor(schema, access, IndexSet(database, access), view_cache)
-    result = executor.execute(plan)
+    result = reference(plan, access, IndexSet(database, access), view_cache)
     # Evaluate the query directly; view atoms read from the materialised cache.
     facts = dict(database.facts)
     facts.update(view_cache)
@@ -121,8 +121,7 @@ def test_negation_with_value_propagation_case_6b():
     plan = topped_plan(query, (Y,), SCHEMA, NO_VIEWS, ACCESS, inner_size_cutoff=2)
     assert plan is not None
     database = make_database()
-    executor = PlanExecutor(SCHEMA, ACCESS, IndexSet(database, ACCESS), {})
-    rows = executor.execute(plan).rows
+    rows = reference(plan, ACCESS, IndexSet(database, ACCESS), {}).rows
     assert rows == evaluate_fo(query, database.facts, head=(Y,))
 
 
@@ -165,8 +164,7 @@ def test_plan_fetches_constant_amount():
     assert big.satisfies(ACCESS)
 
     def fetched(db):
-        executor = PlanExecutor(SCHEMA, ACCESS, IndexSet(db, ACCESS), {})
-        return executor.execute(plan).stats.tuples_fetched
+        return reference(plan, ACCESS, IndexSet(db, ACCESS), {}).stats.tuples_fetched
 
     assert fetched(small) == fetched(big)
 
@@ -209,8 +207,7 @@ def test_example_53_query_q3_is_topped():
     from repro.algebra.evaluation import evaluate_ucq
 
     view_cache = {"V3": evaluate_ucq(v3.as_ucq(), db.facts)}
-    executor = PlanExecutor(schema, access, IndexSet(db, access), view_cache)
-    rows = executor.execute(plan).rows
+    rows = reference(plan, access, IndexSet(db, access), view_cache).rows
     facts = dict(db.facts)
     facts.update(view_cache)
     expected = evaluate_fo(q3, facts, head=(Z,))

@@ -9,13 +9,12 @@ maintenance kernel depends on.  This linter enforces these rules by AST
 inspection (no imports of the checked code, so it runs on any tree):
 
 ``kernel.unmetered-fetch``
-    In ``src/repro/exec/operators.py``, ``src/repro/exec/codegen.py`` and
-    ``src/repro/exec/delta_compiler.py``, every function that touches a
-    storage-boundary probe — ``.fetch`` or any ``.fetch_*`` variant such as
-    the batched ``.fetch_many``, or a call of a local alias of one — must
-    also reference ``record_fetch``:
-    tuples crossing the boundary are charged to the meter in the same
-    function that pulls them.  For the codegen tiers this covers
+    In ``src/repro/exec/codegen.py`` and ``src/repro/exec/delta_compiler.py``
+    (the modules that fetch), every function that touches a storage-boundary
+    probe — ``.fetch`` or any ``.fetch_*`` variant such as the batched
+    ``.fetch_many``, or a call of a local alias of one — must also reference
+    ``record_fetch``: tuples crossing the boundary are charged to the meter
+    in the same function that pulls them.  For the codegen tiers this covers
     the *generated* closures too: they are nested functions of the compiling
     function, and ``ast.walk`` descends into them.
 
@@ -121,10 +120,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-OPERATORS_FILE = Path("src/repro/exec/operators.py")
 CODEGEN_FILE = Path("src/repro/exec/codegen.py")
 DELTA_COMPILER_FILE = Path("src/repro/exec/delta_compiler.py")
-METERED_FETCH_FILES = frozenset({OPERATORS_FILE, CODEGEN_FILE, DELTA_COMPILER_FILE})
+METERED_FETCH_FILES = frozenset({CODEGEN_FILE, DELTA_COMPILER_FILE})
 #: Modules that emit (or are) generated closures: they may only reach base
 #: data through the metered fetch protocol, never via storage classes.
 CODEGEN_FILES = frozenset({CODEGEN_FILE, DELTA_COMPILER_FILE})
