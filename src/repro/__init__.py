@@ -117,7 +117,6 @@ from .core import (
 )
 from .engine import (
     Answer,
-    CostBasedPlanner,
     ExactVBRPPlanner,
     HeuristicPlanner,
     PlanStore,
@@ -166,7 +165,6 @@ __all__ = [
     "BudgetExceededError",
     "ConjunctiveQuery",
     "Constant",
-    "CostBasedPlanner",
     "Database",
     "DatabaseSchema",
     "Deletion",

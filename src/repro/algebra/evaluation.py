@@ -21,8 +21,8 @@ dicts: semi-join reductions over materialised atoms, then hash joins.
 A *fact set* is a mapping ``relation name -> collection of value tuples``;
 :class:`repro.storage.instance.Database` exposes exactly this shape through
 ``.facts`` — but the evaluators also accept the :class:`Database` itself
-(joins probe the relations' cached secondary hash indexes and the greedy
-join order consults the maintained cardinality/distinct statistics) or a
+(joins probe the relations' cached secondary hash indexes and the join
+order consults the maintained cardinality/distinct statistics) or a
 pinned :class:`~repro.storage.snapshots.DatabaseSnapshot` (joins probe the
 version's own memoised indexes).
 """

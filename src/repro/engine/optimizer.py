@@ -1,4 +1,4 @@
-"""Heuristic bounded-plan generation for CQ/UCQ queries (the practical path).
+"""Constructive bounded-plan generation for CQ/UCQ queries (the practical path).
 
 The exact VBRP procedures (:mod:`repro.core.vbrp`) enumerate all candidate
 plans and are exponential by necessity.  Real systems instead *construct*
@@ -9,38 +9,37 @@ developed along the same lines as the bounded plan generation algorithm of
 
 1. cached views whose bodies map homomorphically into the query are added as
    free *filter/binder* fragments (scanning ``V(D)`` costs no I/O);
-2. uncovered query atoms are then fetched greedily through access constraints
-   whose key attributes are already bound by constants, views or earlier
-   fetches;
+2. uncovered query atoms are then fetched through access constraints whose
+   key attributes are already bound by constants, views or earlier fetches,
+   in the order a Selinger-style subset search
+   (:func:`repro.algebra.join_order.search_order`) finds cheapest in
+   expected ``Dξ``, costed with the per-column equi-depth histograms of the
+   storage statistics;
 3. the resulting plan is validated with the exact conformance checker, so
    every plan returned is sound — the builder is simply not complete.
 
-Since optimizer v2, a second constructive builder lives here as well:
-:func:`build_bounded_plan_cost` replaces the greedy fetch order with a
-Selinger-style subset dynamic program over (atom, access-constraint) steps,
-costed with the per-column equi-depth histograms of
-:mod:`repro.storage.histograms` — the greedy orderer ranks access paths by
-the whole-column *average* bucket, which a single hot key can be off from by
-orders of magnitude.  The DP explores bushy orders up to ``max_dp_atoms``
-atoms and falls back to the greedy loop above that (or whenever the winning
-abstract order fails materialisation); the winning order is materialised
-through the *same* ``_atom_fetch`` / ``join_on_shared_attributes`` machinery
-as the greedy builder, so DP-emitted plans have the exact fragment shape the
-PR 6 verifier certifies.  :func:`estimate_plan_fetches` is the shared
-cardinality model: it walks any constructed plan and predicts its Dξ, which
-the service records against the IOMeter's actuals to drive adaptive
-re-planning.
+Every conforming order answers the same rows, so the order changes only the
+plan's ``Dξ``.  The cost model never reads a constant's value — a constant
+key is priced at the column's second-moment bucket — so one plan serves
+every value of a query shape.  Above ``max_dp_atoms`` uncovered atoms (or
+when no abstract order is feasible, or the chosen one fails
+materialisation) a greedy loop fetches the cheapest-average access path
+first instead.  :func:`estimate_plan_fetches` is the shared cardinality
+model: it walks any constructed plan and predicts its Dξ — pricing bound
+constants by their value — which the service records against the IOMeter's
+actuals to drive adaptive re-planning.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.containment import equivalent
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.homomorphism import iter_homomorphisms
+from ..algebra.join_order import MAX_EXACT_ITEMS, SearchResult, search_order
 from ..algebra.schema import DatabaseSchema
 from ..algebra.terms import Constant, FreshVariableFactory, Param, Term, Variable
 from ..algebra.ucq import QueryLike, UnionQuery, as_union
@@ -100,10 +99,9 @@ class JoinOrderReport:
     ``strategy`` is ``"dp"`` when the subset DP chose the order, or a
     ``"greedy-fallback: <why>"`` string when the builder fell back to the
     greedy loop.  ``considered`` lists the chosen order first, then the best
-    rejected completions (including the simulated greedy order, for
-    comparison), each with its abstract cost (expected probe calls + tuples
-    fetched).  Plain strings and floats only — the report rides along in the
-    plan cache and the persistent plan store.
+    rejected completions, each with its abstract cost (expected probe calls
+    + tuples fetched).  Plain strings and floats only — the report rides
+    along in the plan cache and the persistent plan store.
     """
 
     strategy: str
@@ -298,6 +296,46 @@ def _full_expansion(
     )
 
 
+def _fetch_feasible(
+    query: ConjunctiveQuery,
+    atom_index: int,
+    constraint: AccessConstraint,
+    schema: DatabaseSchema,
+    bound: Collection[Variable],
+    have_plan: bool,
+    needed: set[int],
+) -> bool:
+    """Whether ``constraint`` can fetch ``query.atoms[atom_index]`` once the
+    ``bound`` variables are bound (:func:`_atom_fetch` builds the fragment;
+    the DP explores abstract orders with this predicate alone).
+
+    Every X term must be a constant or an already-bound variable, and no
+    variable may occupy two key positions (duplicating a column is not
+    expressible with a single rename); the constraint must expose every
+    ``needed`` position — constants, head variables, variables shared with
+    other atoms, repeated variables within the atom.
+    """
+    atom = query.atoms[atom_index]
+    if atom.relation != constraint.relation:
+        return False
+    relation = schema.relation(atom.relation)
+    x_positions = relation.positions(constraint.x)
+    y_positions = relation.positions(constraint.y)
+    seen_key_variables: set[Variable] = set()
+    for position in x_positions:
+        term = atom.terms[position]
+        if isinstance(term, Constant):
+            continue
+        if isinstance(term, Variable) and term in bound and term not in seen_key_variables:
+            seen_key_variables.add(term)
+            continue
+        return False
+    if not needed <= set(x_positions) | set(y_positions):
+        return False
+    # Without a plan to key by, only an all-constant key can be fetched.
+    return have_plan or all(isinstance(atom.terms[p], Constant) for p in x_positions)
+
+
 def _atom_fetch(
     atom_index: int,
     query: ConjunctiveQuery,
@@ -308,32 +346,13 @@ def _atom_fetch(
 ) -> _Fragment | None:
     """Fetch fragment covering ``query.atoms[atom_index]`` via ``constraint``."""
     atom = query.atoms[atom_index]
-    if atom.relation != constraint.relation:
+    needed = _needed_positions(query, atom_index)
+    if not _fetch_feasible(
+        query, atom_index, constraint, schema, bound, current is not None, needed
+    ):
         return None
     relation = schema.relation(atom.relation)
     x_positions = relation.positions(constraint.x)
-    y_positions = relation.positions(constraint.y)
-
-    # Every X term must be a constant or an already-bound variable, and no
-    # variable may occupy two key positions (duplicating a column is not
-    # expressible with a single rename).
-    seen_key_variables: set[Variable] = set()
-    for position in x_positions:
-        term = atom.terms[position]
-        if isinstance(term, Constant):
-            continue
-        if isinstance(term, Variable) and term in bound and term not in seen_key_variables:
-            seen_key_variables.add(term)
-            continue
-        return None
-
-    # Positions the plan must observe: constants, head variables, variables
-    # shared with other atoms, repeated variables within this atom.
-    needed = _needed_positions(query, atom_index)
-    if not needed <= set(x_positions) | set(y_positions):
-        return None
-    if set(x_positions) and current is None and not _x_is_constant(atom, x_positions):
-        return None
 
     # Build the key plan over the constraint's X attribute names.
     key_plan: PlanNode | None = None
@@ -388,10 +407,6 @@ def _atom_fetch(
     if rename:
         fetch = RenameNode(fetch, rename)
     return _Fragment(plan=fetch, bound=frozenset(v for _, v in primary))
-
-
-def _x_is_constant(atom, x_positions: Sequence[int]) -> bool:
-    return all(isinstance(atom.terms[p], Constant) for p in x_positions)
 
 
 def _ordered_constraints(
@@ -644,139 +659,15 @@ def _finish_plan(
     return PlanSearchOutcome(plan=plan, fragments_used=fragments_used)
 
 
-def build_bounded_plan(
-    query: ConjunctiveQuery,
-    views: ViewSet,
-    access_schema: AccessSchema,
-    schema: DatabaseSchema,
-    max_size: int | None = None,
-    budget: ElementQueryBudget | None = None,
-    verify_conformance: bool = True,
-    statistics: "Mapping[str, RelationStatistics] | None" = None,
-) -> PlanSearchOutcome:
-    """Construct a bounded plan for a CQ, or report why none was found.
-
-    The returned plan (when found) is equivalent to the query by construction
-    — every atom is enforced by a fetch, views only add implied filters — and
-    is checked for conformance to the access schema unless
-    ``verify_conformance`` is disabled.  ``statistics`` (per-relation
-    cardinality/distinct counts from the storage layer) lets the greedy
-    fetch step try the cheapest covering access path first.
-    """
-    normalized = query.normalize()
-    head_variables = [t for t in normalized.head if isinstance(t, Variable)]
-    if len(set(head_variables)) != len(head_variables):
-        raise UnsupportedQueryError(
-            "the heuristic plan builder requires distinct head variables"
-        )
-    fragments, covered_by_views = _view_cover(normalized, views)
-    current, bound = _join_fragments(fragments)
-    uncovered = set(range(len(normalized.atoms))) - covered_by_views
-    run = _PlanningRun()
-    current, bound, uncovered = _greedy_fetch_loop(
-        normalized, uncovered, current, bound, views, access_schema, schema,
-        budget, verify_conformance, statistics, run,
-    )
-    return _finish_plan(
-        normalized, head_variables, current, len(fragments), uncovered,
-        max_size, verify_conformance, access_schema, schema, views, budget, run,
-    )
-
-
-def _union_aligned(sub_plans: Sequence[PlanNode]) -> PlanNode:
-    """Union the per-disjunct plans, renaming attributes to the first's."""
-    plan = sub_plans[0]
-    target_attrs = plan.attributes
-    for sub_plan in sub_plans[1:]:
-        aligned = sub_plan
-        if aligned.attributes != target_attrs:
-            rename = {
-                old: new
-                for old, new in zip(aligned.attributes, target_attrs)
-                if old != new
-            }
-            aligned = RenameNode(aligned, rename) if rename else aligned
-        plan = UnionNode(plan, aligned)
-    return plan
-
-
-def build_bounded_plan_ucq(
-    query: QueryLike,
-    views: ViewSet,
-    access_schema: AccessSchema,
-    schema: DatabaseSchema,
-    max_size: int | None = None,
-    budget: ElementQueryBudget | None = None,
-    statistics: "Mapping[str, RelationStatistics] | None" = None,
-) -> PlanSearchOutcome:
-    """Construct a bounded plan for a UCQ (one sub-plan per disjunct, unioned)."""
-    union = as_union(query)
-    sub_plans: list[PlanNode] = []
-    for disjunct in union.disjuncts:
-        outcome = build_bounded_plan(
-            disjunct, views, access_schema, schema, max_size, budget,
-            statistics=statistics,
-        )
-        if not outcome.found:
-            return PlanSearchOutcome(
-                plan=None,
-                reason=f"disjunct {disjunct.name!r}: {outcome.reason}",
-                rejected=outcome.rejected,
-            )
-        sub_plans.append(outcome.plan)  # type: ignore[arg-type]
-    plan = _union_aligned(sub_plans)
-    if max_size is not None and plan.size() > max_size:
-        return PlanSearchOutcome(
-            plan=None, reason=f"constructed plan has {plan.size()} nodes > M={max_size}"
-        )
-    return PlanSearchOutcome(plan=plan)
-
-
 # --------------------------------------------------------------------------- #
-# Cost-based join ordering (optimizer v2)
+# Cost-based join ordering
 # --------------------------------------------------------------------------- #
 
 #: Distinct-count stand-in for variables with no statistics at all.
 _UNKNOWN_DISTINCT = 1.0e12
 
-#: Atom count above which the subset DP falls back to the greedy orderer.
-DEFAULT_MAX_DP_ATOMS = 10
-
-
-def _fetch_feasible(
-    query: ConjunctiveQuery,
-    atom_index: int,
-    constraint: AccessConstraint,
-    schema: DatabaseSchema,
-    bound: frozenset[Variable] | set[Variable],
-    have_plan: bool,
-    needed: set[int],
-) -> bool:
-    """Cheap mirror of :func:`_atom_fetch`'s rejection conditions.
-
-    The DP explores abstract orders with this predicate; materialisation
-    re-runs ``_atom_fetch`` itself, which stays authoritative.
-    """
-    atom = query.atoms[atom_index]
-    if atom.relation != constraint.relation:
-        return False
-    relation = schema.relation(atom.relation)
-    x_positions = relation.positions(constraint.x)
-    y_positions = relation.positions(constraint.y)
-    seen_key_variables: set[Variable] = set()
-    for position in x_positions:
-        term = atom.terms[position]
-        if isinstance(term, Constant):
-            continue
-        if isinstance(term, Variable) and term in bound and term not in seen_key_variables:
-            seen_key_variables.add(term)
-            continue
-        return False
-    if not needed <= set(x_positions) | set(y_positions):
-        return False
-    if set(x_positions) and not have_plan and not _x_is_constant(atom, x_positions):
-        return False
-    return True
+#: Uncovered-atom count above which the builder fetches with the greedy loop.
+DEFAULT_MAX_DP_ATOMS = MAX_EXACT_ITEMS
 
 
 def _global_distincts(
@@ -815,33 +706,38 @@ def _apply_step(
     Returns ``(step_cost, new_rows, new_var_dist)`` or ``None`` when the
     step is infeasible in the current state.  The cost charges what the
     IOMeter will charge: one probe call per distinct key plus the tuples
-    those probes return.  Histograms make ``per_key`` skew-aware — a
-    constant key is priced by ``estimate_eq`` (the hot-key signal the
-    whole-column average hides), a variable key by the average bucket —
-    and ``corrections`` scales per-relation estimates by the observed
+    those probes return.  Histograms make ``per_key`` skew-aware without
+    reading any value: a key position holding a constant — literal or a
+    lifted :class:`Param` slot — is priced at the column's second moment
+    (``skewed_bucket``, the hot-key signal the whole-column average hides),
+    a variable key at the average bucket.  One order is then right for
+    every value of a query shape, so plans are shared per shape.
+    ``corrections`` scales per-relation estimates by the observed
     actual/estimated ratio during adaptive re-planning.
     """
     if not _fetch_feasible(
-        query, atom_index, constraint, schema, set(var_dist), have_plan, needed
+        query, atom_index, constraint, schema, var_dist, have_plan, needed
     ):
         return None
     atom = query.atoms[atom_index]
     relation = schema.relation(atom.relation)
     stats = statistics.get(atom.relation) if statistics is not None else None
     x_positions = relation.positions(constraint.x)
-    constants: dict[int, object] = {}
+    constant_positions: set[int] = set()
     key_variables: set[Variable] = set()
     for position in x_positions:
         term = atom.terms[position]
         if isinstance(term, Constant):
-            constants[position] = term.value
+            constant_positions.add(position)
         else:
             key_variables.add(term)
 
     if stats is None:
         per_key = float(constraint.bound)
     else:
-        per_key = max(0.0, stats.estimated_matches_with(x_positions, constants))
+        per_key = max(
+            0.0, stats.estimated_matches_with(x_positions, unread=constant_positions)
+        )
         if x_positions:
             per_key = min(per_key, float(constraint.bound))
     if corrections:
@@ -876,90 +772,6 @@ def _apply_step(
     return step_cost, new_rows, new_var_dist
 
 
-def _cost_of_order(
-    query: ConjunctiveQuery,
-    order: Sequence[tuple[int, AccessConstraint]],
-    schema: DatabaseSchema,
-    statistics: "Mapping[str, RelationStatistics] | None",
-    corrections: Mapping[str, float] | None,
-    bound0: frozenset[Variable],
-    have_plan0: bool,
-    needed_positions: Mapping[int, set[int]],
-    gdist: Mapping[Variable, float],
-) -> float:
-    """Replay one abstract order through the cost model (inf if infeasible)."""
-    var_dist: dict[Variable, float] = {
-        v: gdist.get(v, _UNKNOWN_DISTINCT) for v in bound0
-    }
-    rows = 1.0 if have_plan0 else 0.0
-    have_plan = have_plan0
-    total = 0.0
-    for atom_index, constraint in order:
-        step = _apply_step(
-            query, atom_index, constraint, schema, statistics, corrections,
-            rows, var_dist, have_plan, needed_positions[atom_index], gdist,
-        )
-        if step is None:
-            return float("inf")
-        step_cost, rows, var_dist = step
-        total += step_cost
-        have_plan = True
-    return total
-
-
-def _greedy_order_simulation(
-    query: ConjunctiveQuery,
-    uncovered: Iterable[int],
-    schema: DatabaseSchema,
-    access_schema: AccessSchema,
-    statistics: "Mapping[str, RelationStatistics] | None",
-    bound0: frozenset[Variable],
-    have_plan0: bool,
-    needed_positions: Mapping[int, set[int]],
-) -> tuple[tuple[int, AccessConstraint], ...] | None:
-    """The order the greedy loop would pick, without building any plans.
-
-    Conformance filtering is skipped (the simulation only feeds the
-    chosen-vs-rejected comparison in the order report), so this can differ
-    from the real greedy plan in the rare case a fragment fails conformance.
-    """
-    order: list[tuple[int, AccessConstraint]] = []
-    bound = set(bound0)
-    have_plan = have_plan0
-    remaining = set(uncovered)
-    progress = True
-    while remaining and progress:
-        progress = False
-        for atom_index in sorted(remaining):
-            relation_name = query.atoms[atom_index].relation
-            for constraint in _ordered_constraints(
-                access_schema.for_relation(relation_name),
-                relation_name,
-                schema,
-                statistics,
-            ):
-                if not _fetch_feasible(
-                    query, atom_index, constraint, schema, bound, have_plan,
-                    needed_positions[atom_index],
-                ):
-                    continue
-                order.append((atom_index, constraint))
-                relation = schema.relation(relation_name)
-                positions = set(relation.positions(constraint.x))
-                positions |= needed_positions[atom_index]
-                for position in positions:
-                    term = query.atoms[atom_index].terms[position]
-                    if isinstance(term, Variable):
-                        bound.add(term)
-                have_plan = True
-                remaining.discard(atom_index)
-                progress = True
-                break
-            if progress:
-                break
-    return tuple(order) if not remaining else None
-
-
 def _order_description(
     query: ConjunctiveQuery, order: Sequence[tuple[int, AccessConstraint]]
 ) -> str:
@@ -981,74 +793,34 @@ def _dp_order(
     have_plan0: bool,
     needed_positions: Mapping[int, set[int]],
     gdist: Mapping[Variable, float],
-) -> tuple[
-    tuple[tuple[int, AccessConstraint], ...],
-    float,
-    list[tuple[float, tuple[tuple[int, AccessConstraint], ...]]],
-] | None:
-    """Selinger-style subset DP over (atom, access-constraint) fetch steps.
+) -> SearchResult | None:
+    """The subset search of :mod:`repro.algebra.join_order` over (atom,
+    access-constraint) fetch steps priced by :func:`_apply_step`; the
+    search state is (estimated rows, per-variable distinct estimates)."""
 
-    One state per covered-atom subset keeps the cheapest way of reaching it
-    (cost, estimated rows, per-variable distinct estimates, order); ties
-    break on the lexicographically smallest step sequence so the chosen
-    order is deterministic.  Returns the winning order, its cost and every
-    completion that reached the full set (for the chosen-vs-rejected
-    report), or ``None`` when no feasible complete order exists.
-    """
-    atom_indices = tuple(sorted(set(uncovered)))
-    full = frozenset(atom_indices)
-    if not atom_indices:
-        return (), 0.0, []
-    initial_var_dist = {v: gdist.get(v, _UNKNOWN_DISTINCT) for v in bound0}
-    # state: covered-subset -> (cost, tiebreak, rows, var_dist, order)
-    states: dict[frozenset[int], tuple] = {
-        frozenset(): (0.0, (), 1.0 if have_plan0 else 0.0, initial_var_dist, ())
-    }
-    completions: list[tuple[float, tuple[tuple[int, AccessConstraint], ...]]] = []
-    by_size: list[list[frozenset[int]]] = [[] for _ in range(len(atom_indices) + 1)]
-    by_size[0].append(frozenset())
-    for size in range(len(atom_indices)):
-        for covered in by_size[size]:
-            cost, tiebreak, rows, var_dist, order = states[covered]
-            have_plan = have_plan0 or bool(covered)
-            for atom_index in atom_indices:
-                if atom_index in covered:
-                    continue
-                relation_name = query.atoms[atom_index].relation
-                for c_index, constraint in enumerate(
-                    access_schema.for_relation(relation_name)
-                ):
-                    step = _apply_step(
-                        query, atom_index, constraint, schema, statistics,
-                        corrections, rows, var_dist, have_plan,
-                        needed_positions[atom_index], gdist,
-                    )
-                    if step is None:
-                        continue
-                    step_cost, new_rows, new_var_dist = step
-                    new_covered = covered | {atom_index}
-                    new_cost = cost + step_cost
-                    new_tiebreak = tiebreak + ((atom_index, c_index),)
-                    new_order = order + ((atom_index, constraint),)
-                    existing = states.get(new_covered)
-                    if existing is None:
-                        by_size[len(new_covered)].append(new_covered)
-                    if existing is None or (new_cost, new_tiebreak) < (
-                        existing[0],
-                        existing[1],
-                    ):
-                        states[new_covered] = (
-                            new_cost, new_tiebreak, new_rows, new_var_dist, new_order
-                        )
-                    if new_covered == full:
-                        completions.append((new_cost, new_order))
-    winner = states.get(full)
-    if winner is None:
-        return None
-    return winner[4], winner[0], completions
+    def extend(state, covered, atom_index):
+        rows, var_dist = state
+        have_plan = have_plan0 or bool(covered)
+        for constraint in access_schema.for_relation(query.atoms[atom_index].relation):
+            step = _apply_step(
+                query, atom_index, constraint, schema, statistics, corrections,
+                rows, var_dist, have_plan, needed_positions[atom_index], gdist,
+            )
+            if step is not None:
+                step_cost, new_rows, new_var_dist = step
+                yield constraint, step_cost, (new_rows, new_var_dist)
+
+    start = (
+        1.0 if have_plan0 else 0.0,
+        {v: gdist.get(v, _UNKNOWN_DISTINCT) for v in bound0},
+    )
+    # Exact throughout: the builder sends sets above its DP limit to the
+    # greedy loop, which also checks conformance as it goes.
+    uncovered = tuple(uncovered)
+    return search_order(uncovered, start, extend, max_exact=len(uncovered))
 
 
-def build_bounded_plan_cost(
+def build_bounded_plan(
     query: ConjunctiveQuery,
     views: ViewSet,
     access_schema: AccessSchema,
@@ -1061,16 +833,19 @@ def build_bounded_plan_cost(
     max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS,
     report_candidates: int = 4,
 ) -> PlanSearchOutcome:
-    """Cost-based variant of :func:`build_bounded_plan` (DP join ordering).
+    """Construct a bounded plan for a CQ, or report why none was found.
 
-    View coverage, fragment construction and the finishing conformance check
-    are shared with the greedy builder — only the *order* in which uncovered
-    atoms are fetched differs, chosen by :func:`_dp_order` over the
-    histogram-backed cost model.  Plans therefore stay equivalent to the
-    query by construction and pass the same verifier; only their Dξ differs.
-    Falls back to the greedy loop above ``max_dp_atoms`` atoms or when the
-    winning abstract order fails materialisation, recording why in the
-    outcome's :class:`JoinOrderReport`.
+    The returned plan (when found) is equivalent to the query by construction
+    — every atom is enforced by a fetch, views only add implied filters — and
+    is checked for conformance to the access schema unless
+    ``verify_conformance`` is disabled.  Views cover what they can first;
+    the uncovered atoms are then fetched in the order the subset search
+    (:func:`_dp_order`) finds cheapest under ``statistics`` and
+    ``corrections``, materialised fragment by fragment through
+    :func:`_atom_fetch`.  Above ``max_dp_atoms`` atoms, or when no abstract
+    order is feasible or the chosen one fails materialisation, the greedy
+    loop fetches them instead; the outcome's :class:`JoinOrderReport` says
+    which ran and why.
     """
     normalized = query.normalize()
     head_variables = [t for t in normalized.head if isinstance(t, Variable)]
@@ -1083,15 +858,18 @@ def build_bounded_plan_cost(
     uncovered = set(range(len(normalized.atoms))) - covered_by_views
     run = _PlanningRun()
 
+    def finish(plan: PlanNode | None, left: set[int]) -> PlanSearchOutcome:
+        return _finish_plan(
+            normalized, head_variables, plan, len(fragments), left,
+            max_size, verify_conformance, access_schema, schema, views, budget, run,
+        )
+
     def greedy_fallback(why: str) -> PlanSearchOutcome:
-        g_current, g_bound, g_left = _greedy_fetch_loop(
+        g_current, _, g_left = _greedy_fetch_loop(
             normalized, uncovered, current, bound, views, access_schema,
             schema, budget, verify_conformance, statistics, run,
         )
-        outcome = _finish_plan(
-            normalized, head_variables, g_current, len(fragments), g_left,
-            max_size, verify_conformance, access_schema, schema, views, budget, run,
-        )
+        outcome = finish(g_current, g_left)
         outcome.order_report = JoinOrderReport(strategy=f"greedy-fallback: {why}")
         return outcome
 
@@ -1105,20 +883,15 @@ def build_bounded_plan_cost(
         for atom_index in uncovered
     }
     gdist = _global_distincts(normalized, schema, statistics)
-    have_plan0 = current is not None
     dp = _dp_order(
         normalized, uncovered, schema, access_schema, statistics, corrections,
-        bound, have_plan0, needed_positions, gdist,
+        bound, current is not None, needed_positions, gdist,
     )
     if dp is None:
         return greedy_fallback("no feasible complete DP order")
-    order, chosen_cost, completions = dp
 
-    # Materialise the winning order through the greedy builder's own
-    # fragment machinery (single-sourced plan shape => verifier-identical).
     m_current, m_bound = current, bound
-    materialized = True
-    for atom_index, constraint in order:
+    for atom_index, constraint in dp.order:
         fragment = _atom_fetch(
             atom_index, normalized, constraint, schema, m_bound, m_current
         )
@@ -1128,33 +901,29 @@ def build_bounded_plan_cost(
                 fragment, constraint, access_schema, schema, views, budget, run
             )
         ):
-            materialized = False
-            break
+            return greedy_fallback("chosen DP order failed materialisation")
         m_current = (
             fragment.plan
             if m_current is None
             else join_on_shared_attributes(m_current, fragment.plan)
         )
         m_bound |= fragment.bound
-    if not materialized:
-        return greedy_fallback("chosen DP order failed materialisation")
 
-    outcome = _finish_plan(
-        normalized, head_variables, m_current, len(fragments), set(),
-        max_size, verify_conformance, access_schema, schema, views, budget, run,
-    )
+    outcome = finish(m_current, set())
     if not outcome.found:
         return greedy_fallback(f"DP plan rejected: {outcome.reason}")
 
-    # Chosen-vs-rejected report: the winner, the best distinct runner-up
-    # completions, and the simulated greedy order for comparison.
+    # Chosen-vs-rejected report: the winner, then the best distinct
+    # runner-up completions.
     considered = [
-        OrderCandidate(_order_description(normalized, order), chosen_cost, chosen=True)
+        OrderCandidate(_order_description(normalized, dp.order), dp.cost, chosen=True)
     ]
-    seen_orders = {order}
+    seen_orders = {dp.order}
     for candidate_cost, candidate_order in sorted(
-        completions, key=lambda item: item[0]
+        dp.completions, key=lambda item: item[0]
     ):
+        if len(considered) > report_candidates:
+            break
         if candidate_order in seen_orders:
             continue
         seen_orders.add(candidate_order)
@@ -1163,29 +932,30 @@ def build_bounded_plan_cost(
                 _order_description(normalized, candidate_order), candidate_cost
             )
         )
-        if len(considered) > report_candidates:
-            break
-    greedy_order = _greedy_order_simulation(
-        normalized, uncovered, schema, access_schema, statistics, bound,
-        have_plan0, needed_positions,
-    )
-    if greedy_order is not None and greedy_order != order:
-        greedy_cost = _cost_of_order(
-            normalized, greedy_order, schema, statistics, corrections, bound,
-            have_plan0, needed_positions, gdist,
-        )
-        considered.append(
-            OrderCandidate(
-                "greedy: " + _order_description(normalized, greedy_order), greedy_cost
-            )
-        )
     outcome.order_report = JoinOrderReport(
         strategy="dp", considered=tuple(considered)
     )
     return outcome
 
 
-def build_bounded_plan_cost_ucq(
+def _union_aligned(sub_plans: Sequence[PlanNode]) -> PlanNode:
+    """Union the per-disjunct plans, renaming attributes to the first's."""
+    plan = sub_plans[0]
+    target_attrs = plan.attributes
+    for sub_plan in sub_plans[1:]:
+        aligned = sub_plan
+        if aligned.attributes != target_attrs:
+            rename = {
+                old: new
+                for old, new in zip(aligned.attributes, target_attrs)
+                if old != new
+            }
+            aligned = RenameNode(aligned, rename) if rename else aligned
+        plan = UnionNode(plan, aligned)
+    return plan
+
+
+def build_bounded_plan_ucq(
     query: QueryLike,
     views: ViewSet,
     access_schema: AccessSchema,
@@ -1196,13 +966,13 @@ def build_bounded_plan_cost_ucq(
     corrections: Mapping[str, float] | None = None,
     max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS,
 ) -> PlanSearchOutcome:
-    """Cost-based UCQ builder: one DP-ordered sub-plan per disjunct, unioned."""
+    """Construct a bounded plan for a UCQ (one sub-plan per disjunct, unioned)."""
     union = as_union(query)
     sub_plans: list[PlanNode] = []
     strategies: list[str] = []
     considered: list[OrderCandidate] = []
     for disjunct in union.disjuncts:
-        outcome = build_bounded_plan_cost(
+        outcome = build_bounded_plan(
             disjunct, views, access_schema, schema, max_size, budget,
             statistics=statistics, corrections=corrections,
             max_dp_atoms=max_dp_atoms,
@@ -1251,10 +1021,11 @@ def estimate_plan_fetches(
     """Predict the Dξ of a constructed plan, fetch by fetch.
 
     Walks the plan bottom-up carrying (rows, per-attribute distinct counts)
-    and prices every :class:`FetchNode` with the same histogram-backed model
-    the DP orderer uses: keys = the child's (already deduplicated) rows,
-    per-key from ``estimate_eq`` for constant key columns and the average
-    bucket for variable ones.  The service records this estimate on the
+    and prices every :class:`FetchNode` with the histograms the join
+    orderer reads: keys = the child's (already deduplicated) rows, per-key
+    from ``estimate_eq`` for constant key columns — unlike the orderer, the
+    estimate reads the value, so a hot key shows — and the average bucket
+    for variable ones.  The service records this estimate on the
     cached plan and compares it against the IOMeter's actual Dξ on warm
     executions — a >10x miss triggers adaptive re-planning with
     ``corrections`` set to the observed per-relation ratios.  A key that is

@@ -25,7 +25,6 @@ from .maintenance import (
 from .plan_store import PlanStore, StoredEntry
 from .planners import (
     DEFAULT_PLANNER_CHAIN,
-    CostBasedPlanner,
     ExactVBRPPlanner,
     HeuristicPlanner,
     Planner,
@@ -44,7 +43,6 @@ __all__ = [
     "Answer",
     "CachedPlan",
     "CacheStats",
-    "CostBasedPlanner",
     "DEFAULT_PLANNER_CHAIN",
     "ExactVBRPPlanner",
     "HeuristicPlanner",

@@ -7,16 +7,13 @@ chain*: the first planner that accepts the query's language and finds a plan
 wins; when none does, the service falls back to the full-scan baseline
 carrying every planner's refusal reason.
 
-Four planners ship by default:
+Three planners ship by default:
 
 * ``"heuristic"`` — the constructive builder of
-  :func:`repro.engine.optimizer.build_bounded_plan_ucq` (CQ/UCQ; sound, not
-  complete, fast);
-* ``"cost"`` — the cost-based variant
-  :func:`repro.engine.optimizer.build_bounded_plan_cost_ucq`: same fragment
-  machinery, but fetch order chosen by a histogram-costed subset DP, with
-  per-relation ``corrections`` applied during adaptive re-planning (CQ/UCQ;
-  opt-in, same soundness as heuristic);
+  :func:`repro.engine.optimizer.build_bounded_plan_ucq`: views as filters,
+  then fetches in the order a histogram-costed subset search prices
+  cheapest, with per-relation ``corrections`` applied during adaptive
+  re-planning (CQ/UCQ; sound, not complete, fast);
 * ``"exact"`` — the enumerative VBRP decision procedure
   :func:`repro.core.vbrp.decide_vbrp` (CQ/UCQ; complete relative to its
   candidate vocabulary, exponential — off the default chain);
@@ -47,7 +44,6 @@ from ...errors import BudgetExceededError, QueryError
 from ..optimizer import (
     DEFAULT_MAX_DP_ATOMS,
     JoinOrderReport,
-    build_bounded_plan_cost_ucq,
     build_bounded_plan_ucq,
 )
 
@@ -88,7 +84,7 @@ class PlanningContext:
 class PlanningResult:
     """Outcome of one planner invocation.
 
-    ``order_report`` is populated by cost-based planners only: the
+    ``order_report`` is populated by the heuristic builder: the
     chosen-vs-rejected join orders with their model costs, surfaced through
     ``explain()`` and persisted alongside the plan.
     """
@@ -116,6 +112,10 @@ class Planner(Protocol):
     A planner whose choice never reads the *value* of a query constant — only
     which positions hold constants and which of them equal each other or a
     constant of a view definition — may declare ``constant_blind = True``.
+    Statistics may still steer it, as long as they are read per column and
+    never per value: the heuristic builder prices a constant key at the
+    column's second-moment bucket, which a hot key raises for every value
+    alike.
     When every planner of a chain does, the service plans each query *shape*
     once (see :mod:`.resolve`) and shares the outcome across values; one
     planner without the declaration — the default for a custom planner —
@@ -153,16 +153,25 @@ def planner_signature(planner: "Planner") -> tuple:
 
 
 class HeuristicPlanner:
-    """The constructive CQ/UCQ plan builder (views as filters + greedy fetches).
-    Constant-blind: access paths are priced by ``estimated_matches(positions)``
-    — cardinality over distinct counts — whatever value sits there."""
+    """The constructive CQ/UCQ plan builder: views as filters, then fetches
+    in the order the subset search prices cheapest in ``Dξ``.
+
+    Above ``max_dp_atoms`` uncovered atoms per disjunct the builder fetches
+    greedily instead (recorded in the order report); ``max_dp_atoms=0``
+    is the greedy builder throughout.  ``context.corrections`` scale the
+    cost model during adaptive re-planning.  Constant-blind: a constant key
+    is priced at its column's second-moment bucket, whatever value sits
+    there, so one plan serves every value of a shape."""
 
     name = "heuristic"
     constant_blind = True
 
+    def __init__(self, max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS) -> None:
+        self.max_dp_atoms = max_dp_atoms
+
     @property
     def signature(self) -> tuple:
-        return (self.name,)
+        return (self.name, "dp", self.max_dp_atoms)
 
     def can_plan(self, query: Query) -> bool:
         return isinstance(query, (ConjunctiveQuery, UnionQuery))
@@ -175,50 +184,6 @@ class HeuristicPlanner:
         context: PlanningContext,
     ) -> PlanningResult:
         outcome = build_bounded_plan_ucq(
-            query,
-            context.views,
-            context.access_schema,
-            context.schema,
-            max_size,
-            context.budget,
-            statistics=context.statistics,
-        )
-        return PlanningResult(plan=outcome.plan, planner=self.name, reason=outcome.reason)
-
-
-class CostBasedPlanner:
-    """DP join ordering over histogram statistics (optimizer v2).
-
-    Shares every soundness mechanism with :class:`HeuristicPlanner` — view
-    coverage, fragment construction, conformance checking — and differs only
-    in the order uncovered atoms are fetched, chosen by a Selinger-style
-    subset DP costed with the per-column equi-depth histograms riding on
-    ``context.statistics``.  Above ``max_dp_atoms`` atoms per disjunct the
-    builder falls back to the greedy order (recorded in the order report).
-    Not constant-blind: a constant key is priced through ``estimate_eq``, so
-    a hot key and a cold one get different orders — one plan per value.
-    """
-
-    name = "cost"
-
-    def __init__(self, max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS) -> None:
-        self.max_dp_atoms = max_dp_atoms
-
-    @property
-    def signature(self) -> tuple:
-        return (self.name, self.max_dp_atoms)
-
-    def can_plan(self, query: Query) -> bool:
-        return isinstance(query, (ConjunctiveQuery, UnionQuery))
-
-    def plan(
-        self,
-        query: Query,
-        head: Sequence[Variable] | None,
-        max_size: int | None,
-        context: PlanningContext,
-    ) -> PlanningResult:
-        outcome = build_bounded_plan_cost_ucq(
             query,
             context.views,
             context.access_schema,
@@ -336,7 +301,6 @@ class ToppedFOPlanner:
 
 _PLANNER_FACTORIES: dict[str, Callable[[], Planner]] = {
     HeuristicPlanner.name: HeuristicPlanner,
-    CostBasedPlanner.name: CostBasedPlanner,
     ExactVBRPPlanner.name: ExactVBRPPlanner,
     ToppedFOPlanner.name: ToppedFOPlanner,
 }

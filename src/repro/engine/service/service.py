@@ -884,8 +884,8 @@ class QueryService:
             if fresh.plan is None:
                 return  # the corrected model found nothing better to swap in
             if fresh.plan == entry.plan:
-                # The plan it was meant to replace (the greedy builder
-                # ignores corrections): the attempt is charged to the budget
+                # The plan it was meant to replace (the corrected model
+                # still prefers it): the attempt is charged to the budget
                 # and the re-priced estimate adopted; entry and closure stay.
                 entry.estimated_fetches = fresh.estimated_fetches
                 entry.fetch_estimates = fresh.fetch_estimates

@@ -10,10 +10,11 @@ output: one generated function per normalised disjunct, in the spirit of
 data-centric code generation (Neumann, "Efficiently Compiling Efficient
 Query Plans for Modern Hardware", VLDB 2011):
 
-* one ``for`` per body atom, in the greedy join order of :func:`order_atoms`,
-  over a scan of the relation or a probe of a secondary hash index keyed on
-  the atom's bound positions (constants, parameter slots and variables bound
-  by earlier atoms);
+* one ``for`` per body atom, in the join order :func:`order_atoms` finds
+  with the subset search the plan builder also uses, over a scan of the
+  relation or a probe of a secondary hash index keyed on the atom's bound
+  positions (constants, parameter slots and variables bound by earlier
+  atoms);
 * rows are unpacked into locals; a repeated fresh variable is an inlined
   ``continue`` guard, and the access path hands the nest only rows of the
   atom's arity;
@@ -51,10 +52,11 @@ from __future__ import annotations
 
 import time
 from types import MappingProxyType
-from typing import Any, Callable, Collection, Mapping, Sequence, cast
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, cast
 
 from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
+from ..algebra.join_order import MAX_EXACT_ITEMS, search_order
 from ..algebra.terms import Constant, Param, Term, Variable
 from ..errors import EvaluationError, SchemaError
 
@@ -205,47 +207,63 @@ class FactsSource:
 
 
 # --------------------------------------------------------------------------- #
-# Greedy join ordering (statistics-aware)
+# Join ordering (the shared subset search, priced per loop)
 # --------------------------------------------------------------------------- #
 
 
 def order_atoms(
     atoms: Sequence[RelationAtom], source: FactsSource
 ) -> list[RelationAtom]:
-    """Greedy join order: selective atoms first, then stay connected.
+    """The nest's join order: :func:`~repro.algebra.join_order.search_order`
+    over the atoms, each step a loop over a scan or a secondary-index probe.
 
-    The historical score preferred atoms with many bound terms, breaking
-    ties by raw relation size.  Over a statistics-maintaining source the tie
-    break uses the *estimated* number of matching rows instead — cardinality
-    scaled by the distinct counts of the bound columns — so a huge relation
-    probed on a near-key column sorts before a smaller one probed on a
-    low-selectivity column.  A parameter slot is a constant here: bound,
-    whatever value it takes.
+    An atom whose bound positions (constants, parameter slots and variables
+    of earlier atoms) form key ``K`` costs one probe plus its expected
+    matches per prefix row, or a full scan per prefix row when ``K`` is
+    empty; the prefix then grows by the matches.  Expected matches come from
+    the source's statistics, a constant key priced at the column's
+    second-moment bucket (never by its value, so one order serves every
+    value of a shape) and a variable key at the average bucket; without
+    statistics, a relation of ``n`` rows probed on ``k`` of ``a`` columns
+    is taken to match ``n ** (1 - k / a)`` rows.  Nests above
+    :data:`~repro.algebra.join_order.MAX_EXACT_ITEMS` atoms are ordered by
+    the search's width-1 beam.
     """
-    remaining = list(atoms)
-    ordered: list[RelationAtom] = []
-    bound: set[Variable] = set()
+    sizes = [float(source.size(atom.relation)) for atom in atoms]
+    statistics = [source.statistics(atom.relation) for atom in atoms]
+    matches: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    def score(atom: RelationAtom) -> tuple[int, float, int]:
-        size = source.size(atom.relation)
-        bound_positions = [
+    def per_key(index: int, key: tuple[int, ...]) -> float:
+        estimate = matches.get((index, key))
+        if estimate is None:
+            atom, stats = atoms[index], statistics[index]
+            if stats is None:
+                estimate = float(sizes[index] ** (1.0 - len(key) / len(atom.terms)))
+            else:
+                constants = [p for p in key if isinstance(atom.terms[p], Constant)]
+                estimate = float(stats.estimated_matches_with(key, unread=constants))
+            matches[(index, key)] = estimate
+        return estimate
+
+    def extend(
+        state: tuple[float, frozenset[Variable]], covered: frozenset[int], index: int
+    ) -> Iterator[tuple[None, float, tuple[float, frozenset[Variable]]]]:
+        rows, bound = state
+        atom = atoms[index]
+        key = tuple(
             position
             for position, term in enumerate(atom.terms)
             if isinstance(term, Constant) or term in bound
-        ]
-        statistics = source.statistics(atom.relation)
-        if statistics is None:
-            estimate = float(size)
-        else:
-            estimate = float(statistics.estimated_matches(bound_positions))
-        return (-len(bound_positions), estimate, size)
+        )
+        found = per_key(index, key) if key else sizes[index]
+        cost = rows * (1.0 + found) if key else rows * found
+        yield None, cost, (max(rows * found, 1e-3), bound.union(atom.variables))
 
-    while remaining:
-        best = min(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(best.variables)
-    return ordered
+    result = search_order(
+        range(len(atoms)), (1.0, frozenset()), extend, MAX_EXACT_ITEMS
+    )
+    assert result is not None  # every atom can always be scanned
+    return [atoms[index] for index, _ in result.order]
 
 
 # --------------------------------------------------------------------------- #

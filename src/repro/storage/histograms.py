@@ -5,14 +5,16 @@ the system reaches these summaries only through the statistics API
 (:mod:`repro.storage.statistics` re-exports :class:`ColumnStatistics`), the
 same way secondary indexes are reachable only through ``Relation.index_on``.
 
-The greedy orderer of PR 2 costs an access path by the *average* bucket size
-(cardinality over distinct count), which a single hot key can be off from by
-orders of magnitude.  :class:`EquiDepthHistogram` closes that gap per column:
-buckets of (approximately) equal row count over the column's sorted values.
-A heavy hitter occupies whole buckets by itself, so
-:meth:`~EquiDepthHistogram.estimate_eq` sees the skew that the average hides
-— this is what lets the DP join orderer tell a 2000-row probe key from a
-5-row one.  Exact distinct counts come from the relation's value counts.
+The *average* bucket size (cardinality over distinct count) can be off from
+a hot key by orders of magnitude.  :class:`EquiDepthHistogram` closes that
+gap per column: buckets of (approximately) equal row count over the column's
+sorted values.  A heavy hitter occupies whole buckets by itself, so
+:meth:`~EquiDepthHistogram.estimate_eq` sees the skew that the average hides,
+and :meth:`~EquiDepthHistogram.skewed_bucket` — the bucket a key drawn from
+the data lands in, on average — weighs it without naming any value.  The
+join orderer prices constant keys by the latter, so a column whose mass sits
+on one hot key reads as expensive to probe whatever constant a query holds.
+Exact distinct counts come from the relation's value counts.
 
 Histograms are maintained *incrementally*, and on read: a write
 (``Relation.apply_delta``) only accumulates each column's net value changes,
@@ -282,6 +284,11 @@ class ColumnStatistics:
 
     def average_bucket(self) -> float:
         return self.fresh().histogram.average_bucket()
+
+    def skewed_bucket(self) -> float:
+        """Expected rows matching a key drawn from the column's own data
+        (the second moment: heavy hitters weigh quadratically)."""
+        return self.fresh().histogram.skewed_bucket()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -4,8 +4,9 @@ Two kinds of statistics live here:
 
 * :class:`RelationStatistics` — per-relation cardinality and per-attribute
   distinct counts, cached on :class:`repro.storage.instance.Relation` and
-  consumed by the greedy join orderers (:mod:`repro.exec.cq_compiler`) and
-  the service planners to estimate how selective a probe is;
+  consumed by the join orderer (:mod:`repro.algebra.join_order`, through
+  the plan builder and the loop-nest compiler) to estimate how selective a
+  probe is;
 * access-constraint *mining*: the paper assumes constraints are "discovered
   from sample instances of R" (Section 4) — e.g. Facebook's 5000-friend cap,
   or "each person dines at most once per day".  For candidate attribute
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
@@ -86,16 +87,22 @@ class RelationStatistics:
         self,
         positions: Iterable[int],
         constants: Mapping[int, object] | None = None,
+        unread: Collection[int] = (),
     ) -> float:
         """Skew-aware variant of :meth:`estimated_matches`.
 
         Positions probed with a *known constant* are estimated from that
         column's equi-depth histogram (``estimate_eq`` sees heavy hitters
-        that the whole-column average hides); positions probed with a bound
-        variable — or with a :class:`~repro.algebra.terms.Param`, a constant
-        whose value is not known yet — fall back to the average bucket, the
-        generic-plan estimate.  Without attached column summaries this
-        degrades to the classical estimate exactly.
+        that the whole-column average hides).  Positions in ``unread`` hold
+        a constant whose value the caller will not read — a planner that
+        shares one plan across values — and are priced at the column's
+        second moment, ``skewed_bucket``: the expected bucket of a key drawn
+        from the data, which a hot key raises without being named.
+        Positions probed with a bound variable — or with a
+        :class:`~repro.algebra.terms.Param`, a constant whose value is not
+        known yet — fall back to the average bucket, the generic-plan
+        estimate.  Without attached column summaries this degrades to the
+        classical estimate exactly.
         """
         if self.columns is None:
             return self.estimated_matches(positions)
@@ -107,6 +114,8 @@ class RelationStatistics:
             column = self.columns[position] if position < len(self.columns) else None
             if column is None:
                 estimate /= max(1, self.distinct[position])
+            elif position in unread:
+                estimate *= column.skewed_bucket() / cardinality
             elif (
                 constants is not None
                 and position in constants

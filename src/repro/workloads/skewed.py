@@ -1,4 +1,4 @@
-"""A skewed social-feed workload where greedy join ordering goes wrong.
+"""A skewed social-feed workload where average-priced join ordering goes wrong.
 
 Schema:
 
@@ -20,12 +20,14 @@ of ``contacted`` yield a conforming bounded plan, but their costs diverge by
 orders of magnitude on skewed data: probing ``contacted[user -> agent]``
 once per follower of the hot celebrity fetches every contact of thousands
 of fans, while probing ``contacted[agent -> user]`` once per agent of the
-one small team fetches a few hundred tuples.  The greedy builder orders
-fetches by the *average* bucket size of each constraint and walks into the
-expensive direction; the histogram-costed DP orderer (optimizer v2) sees
-the hot key's skew through ``estimate_eq`` and picks the cheap one.  That
-makes this the reference workload for the cost-based-vs-greedy benchmark
-and the adaptive re-planning tests.
+one small team fetches a few hundred tuples.  The greedy fetch loop
+(``HeuristicPlanner(max_dp_atoms=0)``) orders fetches by the *average*
+bucket size of each constraint and walks into the expensive direction; the
+default subset-DP orderer prices the ``follows.celeb`` key at the column's
+second-moment bucket — a key drawn from this data is most likely the hot
+one — and picks the cheap direction without reading which celebrity the
+query names.  That makes this the reference workload for the DP-vs-greedy
+figures and the adaptive re-planning tests.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def generate(
     One hot celebrity (:data:`HOT_CELEB`) has ``hot_fans`` followers —
     the histogram's hot-key singleton bucket — while ``cold_celebs`` others
     have a handful each, so the *average* follows bucket is tiny and the
-    greedy builder's averaged estimates misprice the hot key.  Users
+    greedy loop's averaged estimates misprice the hot key.  Users
     ``fan0 .. fan{users-1}`` (a superset of the hot fans) each contact
     ``contacts_per_user`` agents chosen round-robin with jitter, keeping
     every ``contacted`` bucket within its bound in both directions.

@@ -30,7 +30,7 @@ from repro.core.plans import (
     UnionNode,
     ViewScan,
 )
-from repro.engine.service import QueryService
+from repro.engine.service import HeuristicPlanner, QueryService
 from repro.engine.service.resolve import ResolveStage
 from repro.engine.sql import (
     create_index_statements,
@@ -49,6 +49,23 @@ from repro.workloads import graph_search, skewed
 # --------------------------------------------------------------------------- #
 # The SQL oracle
 # --------------------------------------------------------------------------- #
+
+
+class PerValueHeuristic:
+    """``HeuristicPlanner`` minus the ``constant_blind`` declaration: a chain
+    holding it plans every query as written, once per value."""
+
+    name = HeuristicPlanner.name
+    signature = ("per-value", HeuristicPlanner.name)
+
+    def __init__(self) -> None:
+        self._inner = HeuristicPlanner()
+
+    def can_plan(self, query):
+        return self._inner.can_plan(query)
+
+    def plan(self, query, head, max_size, context):
+        return self._inner.plan(query, head, max_size, context)
 
 
 def load_sqlite(database, access_schema=None, views=None, view_cache=None):

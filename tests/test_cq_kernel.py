@@ -25,7 +25,7 @@ from repro.algebra.terms import Constant, Param, Variable
 from repro.algebra.ucq import UnionQuery
 from repro.engine.service import QueryService
 from repro.errors import EvaluationError
-from repro.exec.cq_compiler import FactsSource, compile_cq
+from repro.exec.cq_compiler import FactsSource, compile_cq, order_atoms
 from repro.storage.instance import Database
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
@@ -307,6 +307,24 @@ def test_skewed_unbounded_equals_the_sql_oracle():
         assert answer.tuples_scanned == sum(
             len(instance.database.relation(name)) for name in ("follows", "contacted", "staff")
         )
+        oracle.close()
+
+
+def test_skewed_unbounded_nest_is_cost_ordered_and_equals_the_sql_oracle():
+    """The fallback nest is ordered by the subset search the plan builder
+    uses: it no longer starts at ``staff`` (fewest rows), which probes
+    ``contacted`` once per agent of every team, but scans ``follows`` and
+    probes ``contacted`` per fan, ``staff`` last — and answers what SQL
+    answers."""
+    instance = skewed.generate(hot_fans=100, users=1000, seed=5)
+    atoms = parse_query(SKEWED_UNBOUNDED).normalize().atoms
+    order = order_atoms(atoms, FactsSource(instance.database))
+    assert [atom.relation for atom in order] == ["follows", "contacted", "staff"]
+    with QueryService(instance.database, skewed.access_schema(), skewed.views()) as service:
+        answer = service.query(SKEWED_UNBOUNDED)
+        assert not answer.used_bounded_plan and answer.execution_tier == "compiled"
+        oracle = SQLOracle(service)
+        assert answer.rows and answer.rows == oracle.rows(answer, SKEWED_UNBOUNDED)
         oracle.close()
 
 

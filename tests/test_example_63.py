@@ -90,3 +90,29 @@ def test_boolean_views_cannot_feed_fetches(setting):
     schema, access, q, views = setting
     for view in views:
         assert view.arity == 0
+
+
+def test_the_28_atom_view_is_ordered_by_the_beam_compiles_and_maintains(setting):
+    """V2's body has 28 atoms, past the subset search's exact limit: its
+    loop nest is ordered by the width-1 beam — a permutation of the body —
+    and the service materialises it and maintains it through writes that
+    empty it and fill it again, equal to recomputation after each."""
+    from repro.algebra.join_order import MAX_EXACT_ITEMS
+    from repro.engine.service import QueryService
+    from repro.exec.cq_compiler import FactsSource, order_atoms
+    from repro.storage.updates import Deletion, UpdateBatch
+
+    schema, access, q, views = setting
+    database = ex.witness_instances()[-1]
+    body = views.view("V2").as_ucq().disjuncts[0].normalize()
+    assert len(body.atoms) == 28 > MAX_EXACT_ITEMS
+    order = order_atoms(body.atoms, FactsSource(database))
+    assert sorted(order, key=repr) == sorted(body.atoms, key=repr)
+    with QueryService(database, access, views) as service:
+        assert service.view_cache["V2"] == frozenset({()})
+        k1 = sorted(database.relation("K1"))
+        removal = UpdateBatch([Deletion("K1", row) for row in k1])
+        for batch, expected in ((removal, frozenset()), (removal.inverted(), {()})):
+            service.apply(batch)
+            assert service.view_cache["V2"] == expected
+            assert service.maintainer.verify()

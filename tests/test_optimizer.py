@@ -182,27 +182,30 @@ def test_a_parameter_key_is_priced_as_an_unknown_value():
 def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_path):
     """E12: both orders conform and answer identically, the gap is pure Dξ; a
     restart over the plan store serves the DP plan compiled, without planning.
+    The default chain orders by the DP; ``max_dp_atoms=0`` is the greedy
+    builder.
 
     Only the DP plan goes through the SQL oracle: the greedy plan's
     misordered join takes ~11 s on SQLite
     (``test_differential_greedy_vs_dp_random_workload`` covers that pairing)."""
     from repro.analysis import verify_plan
-    from repro.engine.service import QueryService
+    from repro.engine.service import HeuristicPlanner, QueryService
     from repro.workloads import skewed
 
     feed = skewed.generate()  # the defaults the 18 715 / 4 744 figures are defined on
     access, views, query = skewed.access_schema(), skewed.views(), skewed.query_feed()
 
-    def cost_service():
+    def default_service():
         return QueryService(
-            feed.database, access, views, planners=("cost", "topped"),
-            plan_store=str(tmp_path / "plans.bin"),
+            feed.database, access, views, plan_store=str(tmp_path / "plans.bin"),
         )
 
-    with cost_service() as service:
-        greedy = service.query(query, planners=("heuristic", "topped"))
+    with default_service() as service:
+        greedy = service.query(
+            query, planners=(HeuristicPlanner(max_dp_atoms=0), "topped")
+        )
         dp = service.query(query)
-        assert (greedy.planner, dp.planner) == ("heuristic", "cost")
+        assert (greedy.planner, dp.planner) == ("heuristic", "heuristic")
         assert len(dp.rows) == 292
         assert greedy.rows == dp.rows == SQLOracle(service).rows(dp, query)
         assert (greedy.tuples_fetched, dp.tuples_fetched) == (18_715, 4_744)
@@ -212,7 +215,7 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
             explanation.plan, feed.database.schema, views=views, access_schema=access
         )
         assert report.ok, report.errors
-    with cost_service() as restarted:
+    with default_service() as restarted:
         answer = restarted.query(query)
         assert answer.cache_hit and answer.execution_tier == "compiled"
         assert (answer.rows, answer.tuples_fetched) == (dp.rows, 4_744)
@@ -252,12 +255,12 @@ def _random_mixed_workload(schema, database, count: int, seed: int):
 
 def test_differential_greedy_vs_dp_random_workload():
     """Join ordering is pure optimisation: on ~200 random CQs/UCQs the
-    cost-based DP planner must return bit-identical rows to the greedy
-    builder — and so must both plans' SQL translations (``SQLOracle``) —
-    and every DP plan must pass the static verifier.  Answers, not costs,
-    are the contract."""
+    default DP-ordered builder must return bit-identical rows to the greedy
+    one (``max_dp_atoms=0``) — and so must both plans' SQL translations
+    (``SQLOracle``) — and every DP plan must pass the static verifier.
+    Answers, not costs, are the contract."""
     from repro.analysis import verify_plan
-    from repro.engine.service import QueryService
+    from repro.engine.service import HeuristicPlanner, QueryService
     from repro.workloads import cdr
 
     data = cdr.generate(num_customers=60, num_days=3, seed=1)
@@ -267,14 +270,9 @@ def test_differential_greedy_vs_dp_random_workload():
         data.database,
         cdr.access_schema(),
         cdr.views(),
-        planners=("heuristic", "topped"),
+        planners=(HeuristicPlanner(max_dp_atoms=0), "topped"),
     )
-    cost = QueryService(
-        data.database,
-        cdr.access_schema(),
-        cdr.views(),
-        planners=("cost", "topped"),
-    )
+    cost = QueryService(data.database, cdr.access_schema(), cdr.views())
     oracle = SQLOracle(cost)  # the two services share one database
     try:
         bounded = 0

@@ -297,3 +297,35 @@ def test_restored_plan_failing_verification_is_dropped_and_replanned(tmp_path):
     )
     assert service.stats.snapshot().plan_store_hits == 0
     service.close()
+
+
+def test_store_written_under_the_greedy_orderer_is_never_served(tmp_path):
+    """The heuristic builder's signature names its orderer: a store saved
+    by a service whose heuristic planner was the greedy one — signature
+    ``("heuristic",)`` — loads zero entries, and the query is planned afresh
+    by the subset search."""
+    path = tmp_path / "plans.bin"
+    database = _database()
+    query = _chain_query()
+    first = QueryService(database, ACCESS, plan_store=str(path))
+    first.query(query)
+    first.close()
+    greedy_chain = (("heuristic",), ("topped",))
+    payload = pickle.loads(path.read_bytes()[len(_MAGIC):])
+    assert payload["chain_signature"][0] == ("heuristic", "dp", 10)
+    payload["chain_signature"] = greedy_chain
+    for stored in payload["entries"]:
+        stored["cache_key"] = (stored["cache_key"][0], greedy_chain) + tuple(
+            stored["cache_key"][2:]
+        )
+    _write_payload(path, payload)
+    assert len(PlanStore(str(path)).load(payload["fingerprint"], greedy_chain)) == 1
+
+    service = QueryService(database, ACCESS, plan_store=str(path))
+    assert service.plan_store.loaded == 0
+    assert service.plan_cache.entries() == []
+    answer = service.query(query)
+    assert not answer.cache_hit
+    assert service.stats.snapshot().plan_store_hits == 0
+    assert service.explain(query).order_strategy == "dp"
+    service.close()

@@ -21,29 +21,13 @@ from repro.algebra.cq import ConjunctiveQuery
 from repro.algebra.parser import parse_query
 from repro.algebra.terms import Constant, Param, Variable
 from repro.algebra.ucq import UnionQuery
-from repro.engine.service import HeuristicPlanner, QueryService
+from repro.engine.service import QueryService
 from repro.errors import QueryError
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search as gs
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
-from conftest import SQLOracle
-
-
-class PerValueHeuristic:
-    """``HeuristicPlanner`` minus the ``constant_blind`` declaration."""
-
-    name = HeuristicPlanner.name
-    signature = ("per-value", HeuristicPlanner.name)
-
-    def __init__(self) -> None:
-        self._inner = HeuristicPlanner()
-
-    def can_plan(self, query):
-        return self._inner.can_plan(query)
-
-    def plan(self, query, head, max_size, context):
-        return self._inner.plan(query, head, max_size, context)
+from conftest import PerValueHeuristic, SQLOracle
 
 
 def service_pair(database, access, views):

@@ -201,3 +201,31 @@ def test_the_plan_interpreter_is_gone():
         if any(name in path.read_text(encoding="utf-8") for name in names)
     ]
     assert not mentions
+
+
+def test_one_join_orderer_the_cost_planner_fork_is_gone():
+    """The subset search of ``algebra/join_order.py`` orders both bounded
+    plans and loop nests.  The opt-in ``"cost"`` planner, its builders and
+    the greedy order simulation stay deleted, exports included, and nothing
+    under ``src/`` mentions them."""
+    from repro import engine
+    from repro.engine import optimizer, service
+    from repro.engine.service import planners
+
+    assert "cost" not in planners.available_planners()
+    with pytest.raises(repro.QueryError, match="unknown planner 'cost'"):
+        planners.resolve_planners(("cost",))
+    names = (
+        "CostBasedPlanner", "build_bounded_plan_cost", "build_bounded_plan_cost_ucq",
+        "_greedy_order_simulation",
+    )
+    for module in (repro, engine, service, planners, optimizer):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+    mentions = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in names)
+    ]
+    assert not mentions

@@ -26,7 +26,7 @@ from repro.errors import QueryError, SchemaError
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search as gs
 
-from conftest import SQLOracle
+from conftest import PerValueHeuristic, SQLOracle
 
 ACCESS = AccessSchema(
     (
@@ -87,14 +87,16 @@ def _cdr_case():
 
 
 @pytest.mark.parametrize(
-    "planners", [("heuristic", "topped"), ("cost", "topped")], ids=["heuristic", "cost"]
+    "planners",
+    [("heuristic", "topped"), (PerValueHeuristic(), "topped")],
+    ids=["heuristic", "per-value"],
 )
 @pytest.mark.parametrize("reference", ["memory", "sqlite"])
 @pytest.mark.parametrize("case", [_gs_case, _cdr_case], ids=["graph_search", "cdr"])
 def test_text_and_fresh_objects_answer_identically(case, reference, planners):
     """Under a constant-blind chain (``heuristic``, plans shared per shape)
-    and a per-value one (``cost``); against the ``sqlite`` reference each
-    side's rows are also the SQL oracle's."""
+    and a per-value one (the same builder without the declaration); against
+    the ``sqlite`` reference each side's rows are also the SQL oracle's."""
     build, texts = case()
     by_text = build(planners=planners)
     by_object = build(planners=planners)

@@ -636,11 +636,7 @@ def _growing_service():
     database = Database(schema)
     database.add_many("r", [("k", f"b{i}") for i in range(10)])
     database.add_many("s", [(f"b{i}", f"c{i}") for i in range(10)])
-    return QueryService(
-        database,
-        access,
-        planners=("cost", "topped"),
-    )
+    return QueryService(database, access)
 
 
 def test_adaptive_replan_fires_once_and_never_changes_answers():
@@ -673,37 +669,42 @@ def test_adaptive_replan_fires_once_and_never_changes_answers():
     service.close()
 
 
+def _arriving_fans():
+    """A skewed feed whose hot celebrity has 10 fans, and the batch in which
+    990 more arrive.  The plan chosen for 10 fans probes ``contacted`` once
+    per fan; after the arrival it fetches ~90x its estimate, and the
+    re-plan, pricing the grown column, probes per agent of the team."""
+    from repro.storage.updates import Insertion, UpdateBatch
+    from repro.workloads import skewed
+
+    database = skewed.generate(hot_fans=10, users=1000, seed=5).database
+    arrival = UpdateBatch(
+        [Insertion("follows", (skewed.HOT_CELEB, f"fan{i}")) for i in range(10, 1000)]
+    )
+    return database, arrival
+
+
 def test_prepared_query_follows_the_entry_a_replan_swapped_in(monkeypatch):
     """A re-plan retires the entry a prepared hot-key query holds: the
     prepared query moves on to the replacement -- its plan, compiled, with no
     further planner run -- instead of re-planning on every mis-estimated
     execution of the retired entry, a swap that could never win."""
-    from repro.engine.service.planners import CostBasedPlanner
-    from repro.storage.updates import Deletion, Insertion, UpdateBatch
+    from repro.engine.service.planners import HeuristicPlanner
     from repro.workloads import skewed
 
     calls = []
-    plan = CostBasedPlanner.plan
+    plan = HeuristicPlanner.plan
     monkeypatch.setattr(
-        CostBasedPlanner, "plan", lambda self, *args: calls.append(1) or plan(self, *args)
+        HeuristicPlanner, "plan", lambda self, *args: calls.append(1) or plan(self, *args)
     )
-    database = skewed.generate(hot_fans=400, users=1000, seed=5).database
-    service = QueryService(
-        database, skewed.access_schema(), skewed.views(),
-        planners=("cost", "topped"), replan_factor=2.0,
-    )
+    database, arrival = _arriving_fans()
+    service = QueryService(database, skewed.access_schema(), skewed.views())
     query = skewed.query_feed()
     prepared = service.prepare(query)
     prepared.execute()
     held = prepared.entry
-    # The hot celebrity's fans leave: the held plan's estimate is now >2x off.
-    fans = sorted(row for row in database.relation("follows") if row[0] == skewed.HOT_CELEB)
-    service.apply(
-        UpdateBatch(
-            [Deletion("follows", row) for row in fans[5:]]
-            + [Insertion("follows", ("c_away", row[1])) for row in fans[5:]]
-        )
-    )
+    # The hot celebrity's fans arrive: the held plan's estimate is now >10x off.
+    service.apply(arrival)
     prepared.execute()  # observes the miss; the re-plan swaps in a new entry
     ((_, successor),) = service.plan_cache.entries()
     assert successor is not held and successor.plan != held.plan
@@ -729,13 +730,12 @@ def test_replanned_plan_failing_verification_is_refused_and_never_swapped_in(
     re-plan raises the typed refusal, and the held entry stays cached, keeps
     its closure and gains no successor."""
     from repro.analysis import plan_mutations
-    from repro.engine.service.planners import CostBasedPlanner
+    from repro.engine.service.planners import HeuristicPlanner
     from repro.errors import PlanVerificationError
-    from repro.storage.updates import Deletion, Insertion, UpdateBatch
     from repro.workloads import skewed
 
     corrupt = []
-    plan = CostBasedPlanner.plan
+    plan = HeuristicPlanner.plan
 
     def planning(self, *args):
         result = plan(self, *args)
@@ -743,23 +743,14 @@ def test_replanned_plan_failing_verification_is_refused_and_never_swapped_in(
             result.plan = plan_mutations(result.plan, seed=3)[0].plan
         return result
 
-    monkeypatch.setattr(CostBasedPlanner, "plan", planning)
-    database = skewed.generate(hot_fans=400, users=1000, seed=5).database
-    service = QueryService(
-        database, skewed.access_schema(), skewed.views(),
-        planners=("cost", "topped"), replan_factor=2.0,
-    )
+    monkeypatch.setattr(HeuristicPlanner, "plan", planning)
+    database, arrival = _arriving_fans()
+    service = QueryService(database, skewed.access_schema(), skewed.views())
     prepared = service.prepare(skewed.query_feed())
     prepared.execute()
     held = prepared.entry
     closure = held.compiled
-    fans = sorted(row for row in database.relation("follows") if row[0] == skewed.HOT_CELEB)
-    service.apply(
-        UpdateBatch(
-            [Deletion("follows", row) for row in fans[5:]]
-            + [Insertion("follows", ("c_away", row[1])) for row in fans[5:]]
-        )
-    )
+    service.apply(arrival)
     corrupt.append(True)
     with pytest.raises(PlanVerificationError):
         prepared.execute()  # the miss re-plans; admission refuses the result
@@ -774,35 +765,26 @@ def test_replan_budget_refills_per_write_epoch_not_per_entry_lifetime():
     """Entries live for ever now, so ``max_replans`` counts re-plans between
     writes: a miss after a write is new evidence, a miss without one is
     oscillation."""
-    from repro.storage.updates import Deletion, Insertion, UpdateBatch
     from repro.workloads import skewed
 
-    instance = skewed.generate(hot_fans=400, users=1000, seed=5)
-    database = instance.database
+    database, arrival = _arriving_fans()
+    departure = arrival.inverted()
     service = QueryService(database, skewed.access_schema(), skewed.views())
     query = skewed.query_feed()
     for _ in range(2):
         service.query(query)
 
-    def move_fans(source: str, target: str) -> None:
-        fans = sorted(row for row in database.relation("follows") if row[0] == source)
-        service.apply(
-            UpdateBatch(
-                [Deletion("follows", row) for row in fans[5:]]
-                + [Insertion("follows", (target, row[1])) for row in fans[5:]]
-            )
-        )
-
-    # The hot celebrity's fans leave and come back, twice: every move puts the
+    # The hot celebrity's fans arrive and leave, twice: every move puts the
     # cached plan's estimate off by more than 10x, and every one is re-planned
     # -- four swaps of one entry, past max_replans = 3.
     assert service.max_replans == 3
-    stops = [skewed.HOT_CELEB, "c_away", skewed.HOT_CELEB, "c_gone", skewed.HOT_CELEB]
-    for moves, (source, target) in enumerate(zip(stops, stops[1:]), start=1):
-        move_fans(source, target)
+    for moves, batch in enumerate((arrival, departure, arrival, departure), start=1):
+        held, _ = service.plan(query)
+        service.apply(batch)
         assert service.query(query).cache_hit  # observes the miss, swaps
         settled = service.query(query)
         assert settled.rows == service.baseline(query).rows
+        assert held.successor is not None and held.successor.plan != held.plan
         assert service.stats.snapshot().replans == moves
         assert service.explain(query).replans == 1  # one in this write epoch
     service.close()
@@ -820,10 +802,10 @@ def test_replan_budget_refills_per_write_epoch_not_per_entry_lifetime():
 
 
 def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
-    """The greedy builder ignores corrections, so under the default chain a
-    re-plan finds the plan it was meant to replace: the attempt is charged to
-    the budget and reported, the entry, its counters and its compiled closure
-    stay."""
+    """On data that has not moved, the corrected model still prefers the
+    plan it was meant to replace: a re-plan that finds the same plan is
+    charged to the budget and reported, and the entry, its counters and its
+    compiled closure stay."""
     from repro.workloads import skewed
 
     instance = skewed.generate(hot_fans=100, users=300, seed=5)
@@ -848,14 +830,15 @@ def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
 
 
 @pytest.mark.parametrize("constant", [1, 4], ids=["two-keys", "no-key"])
-@pytest.mark.parametrize(
-    "planners", [("heuristic", "topped"), ("cost", "topped")]
-)
-def test_tiers_are_meter_identical_under_either_chain(rs_database, planners, constant):
+@pytest.mark.parametrize("max_dp_atoms", [10, 0], ids=["dp", "greedy"])
+def test_tiers_are_meter_identical_under_either_order(rs_database, max_dp_atoms, constant):
     """The compiled answer and the interpreted run of the same cached plan
-    agree on rows and Dxi accounting, whichever planner chose the join
+    agree on rows and Dxi accounting, whichever orderer chose the join
     order — also when the anchor matches no ``R`` row and the answer is
     empty."""
+    from repro.engine.service.planners import HeuristicPlanner
+
+    planners = (HeuristicPlanner(max_dp_atoms=max_dp_atoms), "topped")
     query = anchored_chain(constant)
     with QueryService(rs_database, ACCESS, planners=planners) as service:
         answer = service.query(query)
@@ -873,22 +856,12 @@ def test_tiers_are_meter_identical_under_either_chain(rs_database, planners, con
 def test_plan_store_restart_first_execution_is_compiled(rs_database, tmp_path):
     path = str(tmp_path / "plans.bin")
     query = anchored_chain()
-    first = QueryService(
-        rs_database,
-        ACCESS,
-        planners=("cost", "topped"),
-        plan_store=path,
-    )
+    first = QueryService(rs_database, ACCESS, plan_store=path)
     expected = first.query(query)
     assert expected.execution_tier == "compiled"
     first.close()
 
-    second = QueryService(
-        rs_database,
-        ACCESS,
-        planners=("cost", "topped"),
-        plan_store=path,
-    )
+    second = QueryService(rs_database, ACCESS, plan_store=path)
     answer = second.query(query)
     assert answer.rows == expected.rows
     assert answer.cache_hit  # no re-planning after the restart
