@@ -106,8 +106,8 @@ def _atom_relation(
         else:
             first[term] = position
     if constants:
-        probe = source.lookup(atom.relation, tuple(p for p, _ in constants), arity)
-        rows: Iterable[Row] = probe(tuple(v for _, v in constants))
+        index = source.index(atom.relation, [p for p, _ in constants], arity)
+        rows: Iterable[Row] = index.get(tuple(v for _, v in constants), ())
     else:
         rows = source.scan(atom.relation, arity)
     kept = tuple(first.values())

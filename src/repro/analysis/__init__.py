@@ -6,8 +6,8 @@ The subsystem has four checkers, all purely static (no data access):
   bookkeeping, access-constraint conformance and boundedness, producing a
   :class:`VerificationReport` with located diagnostics and per-fetch
   :class:`FetchCertificate` evidence;
-* :func:`verify_delta_program` — the same discipline for the maintenance
-  kernel's compiled delta rules;
+* :func:`verify_delta_program` — the same discipline for a view's delta
+  program: the delta rules and support checks it is rewritten into;
 * :func:`lint_query` — advisory lints for legal-but-suspicious queries
   (cartesian products, unused atoms, contradictions, unsafe negation);
 * :func:`analyze_view_dependencies` — stratification and cycle detection

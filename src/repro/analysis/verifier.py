@@ -24,16 +24,17 @@ trusting constructor invariants, so corrupted plans (the seeded mutations of
 are caught even though the constructors would have rejected them.
 
 :func:`verify_delta_program` applies the same discipline to the maintenance
-kernel's compiled delta rules (:mod:`repro.exec.delta_compiler`): every body
-atom has its rule, every join stage's positional bookkeeping is arithmetic-
-checked against the relation arities, and the head projection only reads
-columns the pipeline actually produces.
+kernel's delta program — the delta rules and support checks
+:mod:`repro.exec.delta_compiler` rewrites a view into, plain CQs: one rule
+per body atom, every relation in the schema at its declared arity, a safe
+head.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
+from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.schema import DatabaseSchema
 from ..algebra.terms import Constant, Variable
@@ -62,7 +63,12 @@ from ..errors import (
     SchemaError,
     UnsupportedQueryError,
 )
-from ..exec.delta_compiler import CompiledViewDelta
+from ..exec.delta_compiler import (
+    SEED_RELATION,
+    CompiledViewDelta,
+    counting_eligible,
+    delta_relation,
+)
 from .diagnostics import (
     BoundednessCounterexample,
     CoverageStep,
@@ -148,14 +154,15 @@ def delta_codegen_eligibility(
     compiled: CompiledViewDelta,
     schema: DatabaseSchema,
 ) -> VerificationReport:
-    """Decide whether a view's delta program may be compiled to kernels.
+    """Decide whether a view's delta program may be compiled to loop nests.
 
-    The maintenance kernels (:func:`repro.exec.delta_compiler.
-    compile_maintenance`) are fused loop nests generated from the rules'
-    static structure, so the gate is the full :func:`verify_delta_program`
-    discipline.  Like :func:`codegen_eligibility`, typed verifier errors are
-    folded into a failing report; the maintainer turns a failing report
-    into a :class:`~repro.errors.DeltaCompilationError` naming the view.
+    The maintainer compiles every rule and support check with
+    :func:`repro.exec.cq_compiler.compile_cq`, which trusts the relations,
+    arities and head it is given, so the gate is the full
+    :func:`verify_delta_program` discipline.  Like
+    :func:`codegen_eligibility`, typed verifier errors are folded into a
+    failing report; the maintainer turns a failing report into a
+    :class:`~repro.errors.DeltaCompilationError` naming the view.
     """
     subject = f"delta-codegen({compiled.name})"
     try:
@@ -681,136 +688,100 @@ def verify_delta_program(
     compiled: CompiledViewDelta,
     schema: DatabaseSchema,
 ) -> VerificationReport:
-    """Statically verify a view's compiled delta program.
+    """Statically verify a view's delta program: the rewritten CQs.
 
-    Checks, per disjunct: every body atom has exactly one delta rule; every
-    rule's seed and join stages are arithmetically consistent (positions
-    within the relation arities declared by ``schema``, widths telescoping
-    correctly through the pipeline); the head projection reads only columns
-    the pipeline produces; and the chosen maintenance mode matches the
-    counting-eligibility rule (single CQ, no self-joins).
+    Checks, per disjunct: there is one delta rule per body atom, and rule
+    ``i`` reads atom ``i`` through its Δ relation; the support check's first
+    atom is the seed over the head; every other atom names a relation of
+    ``schema`` at its declared arity (a Δ atom the arity of the relation it
+    renames); every head variable of a rule is bound by its body; and the
+    chosen maintenance mode matches the counting-eligibility rule (single
+    CQ, no self-joins).
     """
-    report = VerificationReport(subject=f"delta program of view {compiled.name!r}")
+    name = compiled.name
+    report = VerificationReport(subject=f"delta program of view {name!r}")
     for disjunct_index, compiled_disjunct in enumerate(compiled.disjuncts):
-        disjunct = compiled_disjunct.disjunct
-        rules = [
-            rule
-            for per_relation in compiled_disjunct.rules.values()
-            for rule in per_relation
-        ]
-        indices = sorted(rule.atom_index for rule in rules)
-        if indices != list(range(len(disjunct.atoms))):
+        atoms = compiled_disjunct.disjunct.atoms
+        where = f"disjunct {disjunct_index} of view {name!r}"
+        rules = compiled_disjunct.rules
+        if len(rules) != len(atoms) or any(
+            len(rule.atoms) != len(atoms)
+            or rule.atoms[index]
+            != RelationAtom(delta_relation(atoms[index].relation), atoms[index].terms)
+            for index, rule in enumerate(rules)
+        ):
             report.add(
                 "delta.rule.missing",
-                f"disjunct {disjunct_index} of view {compiled.name!r} has "
-                f"{len(disjunct.atoms)} body atoms but rules for atom indices "
-                f"{indices}",
-                subject=compiled.name,
+                f"{where} has {len(atoms)} body atoms but {len(rules)} rules, "
+                "not each reading its own atom's delta",
+                subject=name,
             )
             continue
-        for rule in rules:
-            _check_delta_rule(rule, compiled.name, disjunct_index, schema, report)
-    from ..exec.delta_compiler import counting_eligible
-
+        for index, rule in enumerate(rules):
+            label = f"rule for atom {index} ({atoms[index].relation!r}) of {where}"
+            _check_delta_query(
+                rule, index, atoms[index].relation, label, name, schema, report
+            )
+        support = compiled_disjunct.support
+        if support.atoms[:1] != (RelationAtom(SEED_RELATION, support.head),):
+            report.add(
+                "delta.support.seed",
+                f"support check of {where} does not seed its head rows first",
+                subject=name,
+            )
+        else:
+            _check_delta_query(
+                support, 0, None, f"support check of {where}", name, schema, report
+            )
     eligible = counting_eligible([d.disjunct for d in compiled.disjuncts])
     if compiled.counting and not eligible:
         report.add(
             "delta.mode",
-            f"view {compiled.name!r} uses counting maintenance but is not "
+            f"view {name!r} uses counting maintenance but is not "
             "counting-eligible (self-join or multiple disjuncts)",
-            subject=compiled.name,
+            subject=name,
         )
     return report
 
 
-def _check_delta_rule(
-    rule: Any,
+def _check_delta_query(
+    query: ConjunctiveQuery,
+    served: int,
+    renames: str | None,
+    label: str,
     view_name: str,
-    disjunct_index: int,
     schema: DatabaseSchema,
     report: VerificationReport,
 ) -> None:
-    where = (
-        f"rule for atom {rule.atom_index} ({rule.relation!r}) of disjunct "
-        f"{disjunct_index} of view {view_name!r}"
-    )
-    try:
-        declared_arity = schema.relation(rule.relation).arity
-    except SchemaError:
-        report.add(
-            "delta.rule.unknown-relation",
-            f"{where}: relation {rule.relation!r} is not in the schema",
-            subject=view_name,
-        )
-        return
-    if rule.arity != declared_arity:
-        report.add(
-            "delta.rule.arity",
-            f"{where}: compiled against arity {rule.arity}, schema declares "
-            f"{declared_arity}",
-            subject=view_name,
-        )
-    if any(p >= rule.arity for p in rule.seed_positions):
-        report.add(
-            "delta.rule.stage",
-            f"{where}: seed positions {rule.seed_positions} exceed the atom "
-            f"arity {rule.arity}",
-            subject=view_name,
-        )
-    width = len(rule.seed_positions)
-    for stage_index, stage in enumerate(rule.stages):
-        stage_where = f"{where}, stage {stage_index} ({stage.relation!r})"
+    """Relations, arities and head safety of one rewritten CQ.  Atom
+    ``served`` reads rows in hand: the delta of relation ``renames``, or the
+    candidate head rows (``renames`` is ``None``; nothing to check)."""
+    for position, atom in enumerate(query.atoms):
+        relation = renames if position == served else atom.relation
+        if relation is None:
+            continue
         try:
-            stage_arity = schema.relation(stage.relation).arity
+            declared = schema.relation(relation).arity
         except SchemaError:
             report.add(
                 "delta.rule.unknown-relation",
-                f"{stage_where}: relation {stage.relation!r} is not in the schema",
+                f"{label}: relation {relation!r} is not in the schema",
                 subject=view_name,
             )
-            return
-        if stage.arity != stage_arity:
+            continue
+        if atom.arity != declared:
             report.add(
                 "delta.rule.arity",
-                f"{stage_where}: compiled against arity {stage.arity}, schema "
-                f"declares {stage_arity}",
+                f"{label}: atom {atom} has arity {atom.arity}, schema declares "
+                f"{declared}",
                 subject=view_name,
             )
-        if any(p >= stage.arity for p in stage.bound_positions):
-            report.add(
-                "delta.rule.stage",
-                f"{stage_where}: bound positions {stage.bound_positions} exceed "
-                f"the atom arity {stage.arity}",
-                subject=view_name,
-            )
-        joined_width = width + stage.arity
-        if any(k >= joined_width for k in stage.kept):
-            report.add(
-                "delta.rule.stage",
-                f"{stage_where}: kept positions {stage.kept} exceed the joined "
-                f"width {joined_width}",
-                subject=view_name,
-            )
-        if stage.kept[:width] != tuple(range(width)):
-            report.add(
-                "delta.rule.stage",
-                f"{stage_where}: stage does not preserve the {width} pipeline "
-                f"columns (kept={stage.kept})",
-                subject=view_name,
-            )
-        if len(stage.fresh_variables) != len(stage.kept) - width:
-            report.add(
-                "delta.rule.stage",
-                f"{stage_where}: {len(stage.fresh_variables)} fresh variables "
-                f"but {len(stage.kept) - width} fresh columns",
-                subject=view_name,
-            )
-        width = len(stage.kept)
-    for position, _constant in rule.head_spec:
-        if position is not None and position >= width:
+    bound = {variable for atom in query.atoms for variable in atom.variables}
+    for term in query.head:
+        if isinstance(term, Variable) and term not in bound:
             report.add(
                 "delta.rule.head",
-                f"{where}: head projection reads column {position} but the "
-                f"pipeline produces only {width}",
+                f"{label}: head variable {term} is not bound by the body; "
+                "unsafe views cannot be incrementally maintained",
                 subject=view_name,
             )

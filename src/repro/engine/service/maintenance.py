@@ -3,19 +3,22 @@
 :class:`ViewMaintainer` owns the materialised rows of a
 :class:`~repro.algebra.views.ViewSet` and updates them from the netted
 :class:`~repro.storage.deltas.DeltaStream` of each committed transaction.
-Every CQ/UCQ view is compiled **once**, when it is materialised
-(:mod:`repro.exec.delta_compiler`): into per-relation delta rules, which
-are statically verified and then generated into nested-loop kernels; at
-maintenance time only the lookups are resolved, against one of three
-relation states:
+Every CQ/UCQ view is compiled **once**, when it is materialised:
+:mod:`repro.exec.delta_compiler` rewrites each disjunct into one delta rule
+per body atom and one support check — plain conjunctive queries — which are
+statically verified and compiled by :func:`repro.exec.cq_compiler.compile_cq`
+like any query, the Δ or seed atom pinned as the outermost loop.  At
+maintenance time a nest runs against one of three relation states, each a
+:class:`~repro.exec.cq_compiler.FactsSource` over the database and the
+stream:
 
 * *live* — the post-transaction database (its maintained secondary indexes);
 * *pre-transaction* — live minus the net insertions plus the net deletions
-  of a changed relation.  Counting maintenance processes the changed
-  relations in first-touch order and evaluates not-yet-processed relations
-  in their pre-transaction state (the classic telescoping sum
-  ``ΔQ = Σ_k Q(R₁ⁿᵉʷ … ΔR_k … R_nᵒˡᵈ)``), which makes multi-relation batches
-  exact — no derivation is counted twice or missed;
+  of a changed relation, rewound per probed key.  Counting maintenance
+  processes the changed relations in first-touch order and evaluates
+  not-yet-processed relations in their pre-transaction state (the classic
+  telescoping sum ``ΔQ = Σ_k Q(R₁ⁿᵉʷ … ΔR_k … R_nᵒˡᵈ)``), which makes
+  multi-relation batches exact — no derivation is counted twice or missed;
 * *augmented* — live plus the net deletions, the superset DRed uses to
   enumerate every derivation that may have died.
 
@@ -27,8 +30,8 @@ Strategies per view (see :func:`repro.exec.delta_compiler.counting_eligible`):
   at all on the common path.
 * ``dred`` — self-joins and UCQ views: insertions add the rows derivable
   through the inserted tuples, deletions over-delete candidates
-  (semi-joined against the cached rows) and re-derive survivors through the
-  generated support probe.
+  (intersected with the cached rows) and re-derive survivors through the
+  support check, one run over all candidates per disjunct.
 * ``recompute`` — FO views (negation, universal quantification) are
   re-evaluated when a relation they mention changes; deltas of FO views are
   not bounded in general.
@@ -40,7 +43,8 @@ are the accounting surface :meth:`QueryService.apply` reports through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, cast
 
 from ...algebra.evaluation import evaluate_ucq
 from ...algebra.fo import evaluate_fo
@@ -48,14 +52,12 @@ from ...algebra.terms import Variable
 from ...algebra.views import View, ViewSet
 from ...analysis import delta_codegen_eligibility
 from ...errors import DeltaCompilationError, SchemaError
-from ...exec.cq_compiler import FactsSource, compile_cq
+from ...exec.cq_compiler import CQKernel, FactsSource, compile_cq
 from ...exec.delta_compiler import (
+    SEED_RELATION,
     CompiledViewDelta,
-    LookupResolver,
-    MaintenanceKernels,
-    compile_maintenance,
     compile_view_delta,
-    metered_resolver,
+    delta_relation,
 )
 from ...exec.iometer import IOMeter
 from ...storage.deltas import DeltaStream
@@ -79,8 +81,8 @@ class ViewDelta:
 class MaintenanceStats:
     """Work accounting of one maintenance run (or a merged sequence of runs).
 
-    ``delta_queries`` counts delta-kernel executions, ``support_checks`` the
-    per-row re-derivation probes of the DRed fallback; both stay small when
+    ``delta_queries`` counts delta-rule runs, ``support_checks`` the
+    candidate rows the DRed fallback re-derives; both stay small when
     the views are selective — the quantity bounded view maintenance is
     about.  Counting-mode deletions never re-derive, so a counting view
     contributes zero support checks.
@@ -92,7 +94,7 @@ class MaintenanceStats:
     rows_added: int = 0
     rows_removed: int = 0
     #: Maintenance-tier tally per *touched* view per run: ``"compiled"``
-    #: (generated kernels) or ``"recompute"`` (FO views).  Untouched views
+    #: (compiled loop nests) or ``"recompute"`` (FO views).  Untouched views
     #: count nowhere.
     tier_runs: dict[str, int] = field(default_factory=dict)
 
@@ -127,7 +129,7 @@ class MaintenanceExplanation:
     """How one view is maintained (the write-side ``explain``).
 
     ``mode`` is ``"counting"``, ``"dred"`` or ``"recompute"``; ``tier`` is
-    ``"compiled"`` (generated kernels) for CQ/UCQ views and ``"recompute"``
+    ``"compiled"`` (compiled loop nests) for CQ/UCQ views and ``"recompute"``
     for FO views.
     """
 
@@ -137,8 +139,12 @@ class MaintenanceExplanation:
 
 
 # --------------------------------------------------------------------------- #
-# Lookup resolvers over the three relation states
+# The three relation states, as facts sources for the maintenance nests
 # --------------------------------------------------------------------------- #
+
+
+#: Charges a read of a stored relation to the meter: the rows it returned.
+_Charge = Callable[[int], None]
 
 
 def _index_rows_by_key(
@@ -150,102 +156,213 @@ def _index_rows_by_key(
     return index
 
 
-class _StateResolvers:
-    """Lookup resolvers for one delta stream over one facts source.
+class _RewoundIndex(Mapping[tuple, Sequence[tuple]]):
+    """One secondary index of a relation state, rewound per probed key: the
+    live rows minus ``hidden`` (net insertions) plus ``extra`` (net
+    deletions, by key) — never a copy of the relation.  With ``charge``,
+    every ``get`` and membership test charges the key's rows as a fetch."""
 
-    With a ``meter``, every resolver is wrapped by
-    :func:`~repro.exec.delta_compiler.metered_resolver`, the single charging
-    boundary of the delta kernels.  Without one (the default on the write
-    hot path), the resolvers are returned unwrapped and metering costs
-    nothing.
+    __slots__ = ("_live", "_hidden", "_extra", "_charge")
+
+    def __init__(
+        self,
+        live: Mapping[tuple, Sequence[tuple]],
+        hidden: Collection[tuple],
+        extra: Mapping[tuple, Sequence[tuple]],
+        charge: _Charge | None,
+    ) -> None:
+        self._live = live
+        self._hidden = hidden
+        self._extra = extra
+        self._charge = charge
+
+    def get(self, key: tuple, default: Any = None) -> Any:
+        rows = self._live.get(key, ())
+        if self._hidden:
+            rows = [row for row in rows if row not in self._hidden]
+        extra = self._extra.get(key)
+        if extra:
+            rows = [*rows, *extra]
+        if self._charge is not None:
+            self._charge(len(rows))
+        return rows if rows else default
+
+    def __contains__(self, key: object) -> bool:
+        return bool(self.get(cast(tuple, key)))
+
+    def __getitem__(self, key: tuple) -> Sequence[tuple]:
+        rows = self.get(key)
+        if rows is None:
+            raise KeyError(key)
+        return cast(Sequence[tuple], rows)
+
+    def __iter__(self) -> Iterator[tuple]:
+        hidden, extra = self._hidden, self._extra
+        for key, rows in self._live.items():
+            if key in extra or any(row not in hidden for row in rows):
+                yield key
+        yield from (key for key in extra if key not in self._live)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class _RewoundRows(Collection[tuple]):
+    """A scanned relation state: live rows minus ``hidden`` plus ``extra``.
+    With ``charge``, each scan and each emptiness test charges every row."""
+
+    __slots__ = ("_live", "_hidden", "_extra", "_charge")
+
+    def __init__(
+        self,
+        live: Collection[tuple],
+        hidden: Collection[tuple],
+        extra: Collection[tuple],
+        charge: _Charge | None,
+    ) -> None:
+        self._live = live
+        self._hidden = hidden
+        self._extra = extra
+        self._charge = charge
+
+    def __len__(self) -> int:
+        # Net insertions are live rows, net deletions are not.
+        return len(self._live) - len(self._hidden) + len(self._extra)
+
+    def __bool__(self) -> bool:
+        size = len(self)
+        if self._charge is not None:
+            self._charge(size)
+        return size > 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        if self._charge is not None:
+            self._charge(len(self))
+        hidden = self._hidden
+        yield from (row for row in self._live if row not in hidden)
+        yield from self._extra
+
+    def __contains__(self, row: object) -> bool:
+        return row in self._extra or (row in self._live and row not in self._hidden)
+
+
+class _States:
+    """The relation states of one committed transaction.
+
+    Each state is a :class:`_State` facts source over the database and the
+    stream; the rewind sets are built once per stream and shared, since
+    every nest of every view probes the same few (relation, positions)
+    pairs.  With a ``meter``, every state charges what its nests read of the
+    stored relations (see :class:`_State`); without one — the write hot
+    path — live reads go straight to the relations' indexes.
+    """
+
+    def __init__(
+        self, database: Database, stream: DeltaStream, meter: IOMeter | None
+    ) -> None:
+        self.database = database
+        self.stream = stream
+        self.touched = stream.touched
+        self.meter = meter
+        self._inserted: dict[str, frozenset[tuple]] = {}
+        self._deleted: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
+
+    def inserted(self, relation: str) -> frozenset[tuple]:
+        rows = self._inserted.get(relation)
+        if rows is None:
+            rows = self._inserted[relation] = frozenset(self.stream.inserted(relation))
+        return rows
+
+    def deleted(
+        self, relation: str, positions: tuple[int, ...]
+    ) -> dict[tuple, list[tuple]]:
+        index = self._deleted.get((relation, positions))
+        if index is None:
+            index = self._deleted[(relation, positions)] = _index_rows_by_key(
+                self.stream.deleted(relation), positions
+            )
+        return index
+
+    def live(self) -> "_State":
+        return _State(self, frozenset(), hide_inserted=False)
+
+    def pre_transaction(self, unprocessed: frozenset[str]) -> "_State":
+        """Changed relations in ``unprocessed`` are served pre-state."""
+        return _State(self, self.touched & unprocessed, hide_inserted=True)
+
+    def augmented(self) -> "_State":
+        """Every changed relation serves live rows plus its net deletions."""
+        return _State(self, self.touched, hide_inserted=False)
+
+
+class _State(FactsSource):
+    """One relation state as a facts source: live rows, except that each
+    relation in ``rewound`` also serves its net deletions and, with
+    ``hide_inserted``, hides its net insertions.
+
+    The rows in hand — a delta rule's net delta rows, a support check's
+    candidate head rows — are served under their Δ name (:meth:`serve`)
+    and charged nothing.  With the stream's meter, every probe, membership
+    test and scan of a stored relation charges the rows it returns as a
+    ``Dξ`` fetch.
     """
 
     def __init__(
         self,
-        source: FactsSource,
-        stream: DeltaStream,
-        meter: IOMeter | None = None,
+        states: _States,
+        rewound: frozenset[str],
+        *,
+        hide_inserted: bool,
     ) -> None:
-        self._source = source
-        self._stream = stream
-        self._changed = stream.touched
-        self._meter = meter
-        # The rewind sets, built once per stream: every delta rule of every
-        # view resolves against the same few (relation, positions) pairs.
-        self._inserted: dict[str, set[tuple]] = {}
-        self._deleted: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
+        super().__init__(states.database)
+        self._states = states
+        self._rewound = rewound
+        self._hide_inserted = hide_inserted
+        self._given_name: str | None = None
+        self._given: Collection[tuple] = ()
 
-    def _inserted_rows(self, relation: str) -> set[tuple]:
-        rows = self._inserted.get(relation)
-        if rows is None:
-            rows = self._inserted[relation] = set(self._stream.inserted(relation))
-        return rows
+    def serve(self, name: str, rows: Collection[tuple]) -> "_State":
+        """Serve ``rows`` as relation ``name`` — in place of the rows served
+        before — and return this state (the nests of one view run one after
+        another, so a state is reused rather than copied per run).  Only a
+        nest's pinned outermost atom reads them, and ``compile_cq`` scans
+        that atom."""
+        self._given_name = name
+        self._given = rows
+        return self
 
-    def _deleted_by_key(
-        self, relation: str, positions: tuple[int, ...]
-    ) -> dict[tuple, list[tuple]]:
-        memo = (relation, positions)
-        index = self._deleted.get(memo)
-        if index is None:
-            index = self._deleted[memo] = _index_rows_by_key(
-                self._stream.deleted(relation), positions
-            )
-        return index
+    def _rewind(
+        self, name: str, positions: tuple[int, ...]
+    ) -> tuple[Collection[tuple], Mapping[tuple, list[tuple]], _Charge | None]:
+        """What ``name`` hides and adds in this state, probed on
+        ``positions``, and what charges its reads (``None``: unmetered)."""
+        meter = self._states.meter
+        charge = partial(meter.record_fetch, name) if meter is not None else None
+        if name not in self._rewound:
+            return (), {}, charge
+        hidden = self._states.inserted(name) if self._hide_inserted else ()
+        return hidden, self._states.deleted(name, positions), charge
 
-    def _metered(self, resolve: LookupResolver) -> LookupResolver:
-        if self._meter is None:
-            return resolve
-        return metered_resolver(resolve, self._meter)
+    def index(
+        self, name: str, positions: Sequence[int], arity: int
+    ) -> Mapping[tuple, Sequence[tuple]]:
+        live = super().index(name, positions, arity)
+        if name not in self._rewound and self._states.meter is None:
+            return live
+        hidden, extra, charge = self._rewind(name, tuple(positions))
+        if not extra and not hidden and charge is None:
+            return live
+        return _RewoundIndex(live, hidden, extra, charge)
 
-    def live(self) -> LookupResolver:
-        return self._metered(self._source.lookup)
-
-    def pre_transaction(self, unprocessed: frozenset[str]) -> LookupResolver:
-        """Changed relations in ``unprocessed`` are served pre-state."""
-        source = self._source
-        rewind = self._changed & unprocessed
-        if not rewind:
-            return self._metered(source.lookup)
-
-        def resolve(relation: str, positions: tuple[int, ...], arity: int):
-            live = source.lookup(relation, positions, arity)
-            if relation not in rewind:
-                return live
-            inserted = self._inserted_rows(relation)
-            deleted = self._deleted_by_key(relation, positions)
-
-            def lookup(key: tuple) -> list[tuple]:
-                rows = [row for row in live(key) if row not in inserted]
-                rows.extend(deleted.get(key, ()))
-                return rows
-
-            return lookup
-
-        return self._metered(resolve)
-
-    def augmented(self) -> LookupResolver:
-        """Every changed relation serves live rows plus its net deletions."""
-        source, stream = self._source, self._stream
-        with_deletions = frozenset(
-            name for name in self._changed if stream.deleted(name)
-        )
-        if not with_deletions:
-            return self._metered(source.lookup)
-
-        def resolve(relation: str, positions: tuple[int, ...], arity: int):
-            live = source.lookup(relation, positions, arity)
-            if relation not in with_deletions:
-                return live
-            deleted = self._deleted_by_key(relation, positions)
-
-            def lookup(key: tuple) -> list[tuple]:
-                rows = list(live(key))
-                rows.extend(deleted.get(key, ()))
-                return rows
-
-            return lookup
-
-        return self._metered(resolve)
+    def scan(self, name: str, arity: int) -> Collection[tuple]:
+        if name == self._given_name:
+            return self._given
+        # The relation's maintained key-less index, not a frozen copy.
+        live = super().index(name, (), arity).get((), ())
+        hidden, extra, charge = self._rewind(name, ())
+        if not extra and not hidden and charge is None:
+            return live
+        return _RewoundRows(live, hidden, extra.get((), ()), charge)
 
 
 # --------------------------------------------------------------------------- #
@@ -281,12 +398,11 @@ class ViewMaintainer:
         :meth:`Database.apply`; do not hand-build streams claiming changes
         that did not happen.
 
-        Each CQ/UCQ view's delta program is compiled here, statically
+        Each CQ/UCQ view's delta program is rewritten here, statically
         verified (:func:`repro.analysis.delta_codegen_eligibility`) and
-        generated into nested-loop kernels
-        (:func:`repro.exec.delta_compiler.compile_maintenance`) that every
-        touching stream runs on.  A view failing any of these steps raises
-        :class:`~repro.errors.DeltaCompilationError` naming it.
+        compiled into loop nests (:func:`repro.exec.cq_compiler.compile_cq`)
+        that every touching stream runs.  A view failing any of these steps
+        raises :class:`~repro.errors.DeltaCompilationError` naming it.
         """
         self.views = views if isinstance(views, ViewSet) else ViewSet(views)
         self.database = database
@@ -296,7 +412,10 @@ class ViewMaintainer:
         self._counts: dict[str, dict[tuple, int]] = {}
         self._frozen: dict[str, frozenset[tuple] | None] = {}
         self._compiled: dict[str, CompiledViewDelta] = {}
-        self._kernels: dict[str, MaintenanceKernels] = {}
+        #: Per view: the delta-rule nests per changed relation, and (DRed
+        #: views) one support-check nest per disjunct.
+        self._rules: dict[str, dict[str, list[CQKernel]]] = {}
+        self._support: dict[str, tuple[CQKernel, ...]] = {}
         self._fo_relations: dict[str, frozenset[str]] = {}
         for view in self.views:
             self._materialise(view)
@@ -330,7 +449,9 @@ class ViewMaintainer:
         self._frozen[name] = None
 
     def _compile(self, name: str, disjuncts: tuple) -> CompiledViewDelta:
-        """Compile, verify and generate one view's delta program."""
+        """Rewrite, verify and compile one view's delta program: every delta
+        rule and support check is a loop nest of :func:`compile_cq`, its Δ
+        or seed atom the outermost loop."""
         compiled = compile_view_delta(name, disjuncts)
         report = delta_codegen_eligibility(compiled, self.database.schema)
         if not report.ok:
@@ -340,8 +461,26 @@ class ViewMaintainer:
                 f"{first.code}: {first.message}",
                 view_name=name,
             )
+        source, counting = self._source, compiled.counting
+        rules: dict[str, list[CQKernel]] = {}
+        try:
+            for disjunct in compiled.disjuncts:
+                for index, rule in enumerate(disjunct.rules):
+                    rules.setdefault(disjunct.disjunct.atoms[index].relation, []).append(
+                        compile_cq(rule, source, counting=counting, first=index)
+                    )
+            support = () if counting else tuple(
+                compile_cq(disjunct.support, source, first=0)
+                for disjunct in compiled.disjuncts
+            )
+        except (SyntaxError, ValueError) as exc:
+            raise DeltaCompilationError(
+                f"view {name!r}: compiling the maintenance nests failed: {exc}",
+                view_name=name,
+            ) from exc
         self._compiled[name] = compiled
-        self._kernels[name] = compile_maintenance(compiled)
+        self._rules[name] = rules
+        self._support[name] = support
         return compiled
 
     def _count_derivations(self, disjunct) -> dict[tuple, int]:
@@ -442,15 +581,15 @@ class ViewMaintainer:
         requires it).  Returns the per-view row changes, skipping views the
         transaction does not affect.
 
-        With a ``meter``, every delta-kernel and support probe charges its
-        returned rows as ``Dξ`` fetches (see
-        :func:`repro.exec.delta_compiler.metered_resolver`).
+        With a ``meter``, every probe, membership test and scan a delta rule
+        or support check makes of a stored relation charges its rows as
+        ``Dξ`` fetches; the delta and candidate rows in hand are free.
         """
         stats = stats if stats is not None else MaintenanceStats()
         stats.updates += stream.applied
         if stream.is_empty:
             return []
-        resolvers = _StateResolvers(self._source, stream, meter)
+        states = _States(self.database, stream, meter)
         touched = stream.touched
         tier_runs = stats.tier_runs
         deltas: list[ViewDelta] = []
@@ -465,12 +604,11 @@ class ViewMaintainer:
             elif not (touched & self._compiled[view.name].relations):
                 delta = ViewDelta(view=view.name)
             else:
-                kernels = self._kernels[view.name]
                 tier_runs["compiled"] = tier_runs.get("compiled", 0) + 1
                 if mode == "counting":
-                    delta = self._apply_counting(view.name, kernels, stream, resolvers, stats)
+                    delta = self._apply_counting(view.name, states, stats)
                 else:
-                    delta = self._apply_dred(view.name, kernels, stream, resolvers, stats)
+                    delta = self._apply_dred(view.name, states, stats)
             if not delta.is_empty:
                 self._frozen[view.name] = None
                 deltas.append(delta)
@@ -479,32 +617,27 @@ class ViewMaintainer:
         return deltas
 
     def _apply_counting(
-        self,
-        name: str,
-        kernels: MaintenanceKernels,
-        stream: DeltaStream,
-        resolvers: _StateResolvers,
-        stats: MaintenanceStats,
+        self, name: str, states: _States, stats: MaintenanceStats
     ) -> ViewDelta:
-        (disjunct,) = kernels.disjuncts
+        stream = states.stream
         relations = stream.relations
         delta_counts: dict[tuple, int] = {}
         for index, relation in enumerate(relations):
-            rules = disjunct.rules.get(relation)
+            rules = self._rules[name].get(relation)
             if not rules:
                 continue
             # Telescoping: changed relations after this one are evaluated in
             # their pre-transaction state, everything else live (post-state).
-            resolve = resolvers.pre_transaction(frozenset(relations[index + 1 :]))
-            inserted = stream.inserted(relation)
-            deleted = stream.deleted(relation)
-            for rule in rules:
-                if inserted:
+            state = states.pre_transaction(frozenset(relations[index + 1 :]))
+            changes = ((1, stream.inserted(relation)), (-1, stream.deleted(relation)))
+            for sign, rows in changes:
+                if not rows:
+                    continue
+                served = state.serve(delta_relation(relation), rows)
+                for rule in rules:
                     stats.delta_queries += 1
-                    rule.count(inserted, resolve, delta_counts, 1)
-                if deleted:
-                    stats.delta_queries += 1
-                    rule.count(deleted, resolve, delta_counts, -1)
+                    for row, count in rule.count(served).items():
+                        delta_counts[row] = delta_counts.get(row, 0) + sign * count
         if not delta_counts:
             return ViewDelta(view=name)
         counts = self._counts[name]
@@ -530,16 +663,12 @@ class ViewMaintainer:
         return ViewDelta(view=name, added=frozenset(added), removed=frozenset(removed))
 
     def _apply_dred(
-        self,
-        name: str,
-        kernels: MaintenanceKernels,
-        stream: DeltaStream,
-        resolvers: _StateResolvers,
-        stats: MaintenanceStats,
+        self, name: str, states: _States, stats: MaintenanceStats
     ) -> ViewDelta:
+        stream = states.stream
         current = self._rows[name]
-        live = resolvers.live()
-        augmented = resolvers.augmented()
+        live = states.live()
+        augmented = states.augmented()
 
         # Insertion rules run against the post-state: every valuation they
         # produce is a real derivation, and set insertion is idempotent.
@@ -548,27 +677,30 @@ class ViewMaintainer:
         # derivation that may have died yields its head row as a candidate.
         affected: set[tuple] = set()
         for relation in stream.relations:
+            rules = self._rules[name].get(relation, ())
+            delta = delta_relation(relation)
             inserted = stream.inserted(relation)
             deleted = stream.deleted(relation)
-            for disjunct in kernels.disjuncts:
-                for rule in disjunct.rules.get(relation, ()):
-                    if inserted:
-                        stats.delta_queries += 1
-                        rule.insert(inserted, live, current, added)
-                    if deleted:
-                        stats.delta_queries += 1
-                        # An empty view has no candidates: probe nothing.
-                        if current:
-                            rule.affected(deleted, augmented, current, affected)
+            for rule in rules:
+                if inserted:
+                    stats.delta_queries += 1
+                    added |= rule.run(live.serve(delta, inserted)) - current
+                if deleted:
+                    stats.delta_queries += 1
+                    # An empty view has no candidates: probe nothing.
+                    if current:
+                        affected |= rule.run(augmented.serve(delta, deleted)) & current
         current.update(added)
 
-        removed: set[tuple] = set()
-        for row in affected:
-            if row in added:
-                continue  # freshly derived from the post-state: supported
-            stats.support_checks += 1
-            if not any(disjunct.supported(row, live) for disjunct in kernels.disjuncts):
-                removed.add(row)
+        # Rows freshly derived from the post-state are supported; every
+        # other candidate is re-derived by one support-check run per
+        # disjunct over the candidates still unsupported.
+        removed = affected - added
+        stats.support_checks += len(removed)
+        for support in self._support[name]:
+            if not removed:
+                break
+            removed -= support.run(live.serve(SEED_RELATION, removed))
         current.difference_update(removed)
         return ViewDelta(view=name, added=frozenset(added), removed=frozenset(removed))
 
@@ -581,7 +713,7 @@ class ViewMaintainer:
         return ViewDelta(view=view.name, added=added, removed=removed)
 
     # ------------------------------------------------------------------ #
-    # Verification: the reference the delta kernels are checked against
+    # Verification: the reference the maintenance nests are checked against
     # ------------------------------------------------------------------ #
 
     def recompute(self) -> dict[str, frozenset[tuple]]:

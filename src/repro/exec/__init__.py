@@ -1,11 +1,12 @@
 """The execution kernel: compiled closures with I/O accounting.
 
 Every evaluation is compiled: bounded plans to closure trees
-(:mod:`.codegen`), view delta programs to maintenance kernels
-(:mod:`.delta_compiler`), and every CQ/UCQ evaluation — the full-scan
-baseline included — to one fused, ``exec``-compiled loop nest per disjunct
-(:mod:`.cq_compiler`).  Every tuple that crosses the storage boundary is
-reported to a single :class:`IOMeter`, which preserves the paper's exact
+(:mod:`.codegen`), and every CQ/UCQ evaluation — the full-scan baseline
+and view maintenance included — to one fused, ``exec``-compiled loop nest
+per disjunct (:mod:`.cq_compiler`); a view's delta rules and support checks
+are CQs (:mod:`.delta_compiler`) compiled the same way.  Every tuple that
+crosses the storage boundary is reported to a single :class:`IOMeter`,
+which preserves the paper's exact
 ``Dξ`` accounting (``tuples_fetched`` for index fetches,
 ``view_tuples_scanned`` for free scans of cached views).
 
@@ -18,8 +19,10 @@ Layout:
   closure trees (the service's plans and ``QueryService.execute_plan``);
 * :mod:`.cq_compiler` — conjunctive queries → loop nests (used by
   :func:`repro.algebra.evaluation.evaluate_cq` and friends, the baseline
-  engine, view maintenance and the service's full-scan fallback);
-* :mod:`.delta_compiler` — view delta rules → maintenance kernels.
+  engine, view materialisation and maintenance, and the service's
+  full-scan fallback);
+* :mod:`.delta_compiler` — view definitions → delta rules and support
+  checks (plain CQs; it generates no code).
 
 The compilers are imported directly by their consumers (not re-exported
 here) to keep package initialisation free of import cycles.

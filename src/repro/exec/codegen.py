@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, product
 from operator import itemgetter
-from typing import Any, Callable, Collection, Mapping, Sequence, cast
+from typing import Callable, Collection, Mapping, Sequence, cast
 
 from ..algebra.terms import Param
 from ..core.access import AccessSchema
@@ -103,28 +103,6 @@ class Runtime:
 
 #: One compiled plan node: runtime in, distinct rows out.
 Step = Callable[[Runtime], Collection[Row]]
-
-
-def compile_closure_source(
-    source: str,
-    namespace: dict[str, Any],
-    entry: str,
-    *,
-    filename: str = "<repro-codegen>",
-) -> Callable[..., Any]:
-    """``exec`` generated function source and return its entry callable.
-
-    The shared closure-building substrate of the codegen tier: both the plan
-    compiler and the delta compiler (:mod:`repro.exec.delta_compiler`) build
-    fused loop nests as Python source whose free names — relation names, key
-    positions, pinned constants — live in ``namespace``, never in the source
-    text itself.  That keeps generated artifacts data-independent (the source
-    mentions positions and constraint shapes only) and safe: no runtime value
-    is ever interpolated into code.
-    """
-    code = compile(source, filename, "exec")
-    exec(code, namespace)  # noqa: S102 - the source is generated, not user input
-    return cast("Callable[..., Any]", namespace[entry])
 
 _RowPredicate = Callable[[Row], bool]
 _PredicateFactory = Callable[[Runtime], _RowPredicate]
@@ -752,6 +730,5 @@ __all__ = [
     "CompiledPlan",
     "Runtime",
     "Step",
-    "compile_closure_source",
     "compile_plan_closure",
 ]

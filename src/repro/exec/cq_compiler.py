@@ -2,8 +2,9 @@
 
 This is the library's one CQ/UCQ evaluator.
 :func:`repro.algebra.evaluation.evaluate_cq` and ``evaluate_ucq``, view
-materialisation and derivation counting
-(:class:`~repro.engine.service.maintenance.ViewMaintainer`), the full-scan
+materialisation, derivation counting and every maintenance nest — the delta
+rules and support checks :mod:`repro.exec.delta_compiler` rewrites a view
+into (:class:`~repro.engine.service.maintenance.ViewMaintainer`) — the full-scan
 baseline (:class:`~repro.engine.baseline.NaiveEngine`) and the service's
 fallback for queries without a bounded plan all run :func:`compile_cq`'s
 output: one generated function per normalised disjunct, in the spirit of
@@ -16,8 +17,9 @@ Query Plans for Modern Hardware", VLDB 2011):
   positions (constants, parameter slots and variables bound by earlier
   atoms);
 * rows are unpacked into locals; a repeated fresh variable is an inlined
-  ``continue`` guard, and the access path hands the nest only rows of the
-  atom's arity;
+  ``continue`` guard (so is a constant of a pinned outermost atom, whose
+  rows are scanned, not indexed), and the access path hands the nest only
+  rows of the atom's arity;
 * an atom none of whose fresh variables a later atom or the head reads is an
   existence test (``key in index``, or ``any(...)`` when it carries a
   repeated-variable check), not a loop;
@@ -88,7 +90,7 @@ class FactsSource:
         elif hasattr(facts, "relations") and hasattr(facts, "version"):
             self._versions = cast(Any, facts).relations
         else:
-            self._mapping = cast(Mapping[str, Collection[Row]], facts)
+            self._mapping = cast("Mapping[str, Collection[Row]]", facts)
         self._statistics = statistics
 
     # ------------------------------------------------------------------ #
@@ -158,7 +160,7 @@ class FactsSource:
             if stored is None:
                 return ()
             return cast(
-                Collection[Row],
+                "Collection[Row]",
                 stored.tuples if self._database is not None else stored.rows,
             )
         rows = self._mapping.get(name, ())
@@ -182,28 +184,13 @@ class FactsSource:
             stored = self._stored(name, arity)
             if stored is None:
                 return _EMPTY_INDEX
-            return cast(Mapping[Row, Sequence[Row]], stored.index_on(key_positions))
+            return cast("Mapping[Row, Sequence[Row]]", stored.index_on(key_positions))
         index: dict[Row, list[Row]] = {}
         for row in self._mapping.get(name, ()):
             if len(row) != arity:
                 continue
             index.setdefault(tuple(row[p] for p in key_positions), []).append(row)
         return index
-
-    def lookup(
-        self, name: str, positions: Sequence[int], arity: int
-    ) -> Callable[[Row], Sequence[Row]]:
-        """A key -> matching-rows probe over :meth:`index` (what the
-        maintenance resolvers and Yannakakis' atom relations call)."""
-        index = self.index(name, positions, arity)
-        # The cast is hoisted around the lambda (not inside it): resolved
-        # lookups sit on the maintenance hot path, and a per-call
-        # ``cast(Sequence[Row], ...)`` re-evaluates the subscripted alias on
-        # every probe.
-        return cast(
-            "Callable[[Row], Sequence[Row]]",
-            lambda key, _get=index.get: _get(key, ()),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -212,7 +199,7 @@ class FactsSource:
 
 
 def order_atoms(
-    atoms: Sequence[RelationAtom], source: FactsSource
+    atoms: Sequence[RelationAtom], source: FactsSource, first: int | None = None
 ) -> list[RelationAtom]:
     """The nest's join order: :func:`~repro.algebra.join_order.search_order`
     over the atoms, each step a loop over a scan or a secondary-index probe.
@@ -228,6 +215,11 @@ def order_atoms(
     is taken to match ``n ** (1 - k / a)`` rows.  Nests above
     :data:`~repro.algebra.join_order.MAX_EXACT_ITEMS` atoms are ordered by
     the search's width-1 beam.
+
+    ``first`` keeps ``atoms[first]`` as the outermost loop and orders the
+    rest per row of it: a maintenance nest's delta or seed atom reads rows
+    in hand, not the relation the order is priced against, so the order
+    must not depend on what the statistics say about it.
     """
     sizes = [float(source.size(atom.relation)) for atom in atoms]
     statistics = [source.statistics(atom.relation) for atom in atoms]
@@ -259,11 +251,14 @@ def order_atoms(
         cost = rows * (1.0 + found) if key else rows * found
         yield None, cost, (max(rows * found, 1e-3), bound.union(atom.variables))
 
-    result = search_order(
-        range(len(atoms)), (1.0, frozenset()), extend, MAX_EXACT_ITEMS
-    )
+    items = [index for index in range(len(atoms)) if index != first]
+    start: tuple[float, frozenset[Variable]] = (1.0, frozenset())
+    if first is not None:
+        start = (1.0, frozenset(atoms[first].variables))
+    result = search_order(items, start, extend, MAX_EXACT_ITEMS)
     assert result is not None  # every atom can always be scanned
-    return [atoms[index] for index, _ in result.order]
+    ordered = [atoms[index] for index, _ in result.order]
+    return ordered if first is None else [atoms[first], *ordered]
 
 
 # --------------------------------------------------------------------------- #
@@ -353,8 +348,13 @@ def _generate(
     head: Sequence[Term],
     counting: bool,
     slots: bool,
+    scan_first: bool,
 ) -> _Nest:
-    """Generate the loop nest of one normalised disjunct, atoms in ``order``."""
+    """Generate the loop nest of one normalised disjunct, atoms in ``order``.
+
+    With ``scan_first`` the first atom's constants filter one scan instead
+    of keying an index: its rows are in hand and read once per run, so
+    indexing them would cost more than the one pass."""
     values: list[object] = []
     value_names: dict[tuple[type, object], str] = {}
     slot_list: list[tuple[int, str]] = []
@@ -386,9 +386,15 @@ def _generate(
         fresh: dict[Variable, str] = {}
         fresh_at: dict[Variable, int] = {}
         targets: list[str] = []
-        checks: list[tuple[int, Variable]] = []  # a repeat of a fresh variable
+        # (position, value in the loop, value in an existence test): a
+        # repeat of a fresh variable, or a filtered constant.
+        checks: list[tuple[int, str, str]] = []
         for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
+            if isinstance(term, Constant) and scan_first and j == 0:
+                name = constant(term)
+                checks.append((position, name, name))
+                targets.append(f"_r{j}_{position}")
+            elif isinstance(term, Constant):
                 key_positions.append(position)
                 key_exprs.append(constant(term))
                 targets.append("_")
@@ -397,7 +403,7 @@ def _generate(
                 key_exprs.append(bound[term])
                 targets.append("_")
             elif term in fresh:
-                checks.append((position, term))
+                checks.append((position, fresh[term], f"_t[{fresh_at[term]}]"))
                 targets.append(f"_r{j}_{position}")
             else:
                 fresh[term] = f"v{len(bound) + len(fresh)}"
@@ -411,8 +417,7 @@ def _generate(
             # An existence test: nothing downstream reads this atom's rows.
             if checks:
                 test = " and ".join(
-                    f"_t[{position}] == _t[{fresh_at[variable]}]"
-                    for position, variable in checks
+                    f"_t[{position}] == {value}" for position, _, value in checks
                 )
                 failed = f"not any({test} for _t in {rows})"
             else:
@@ -434,8 +439,8 @@ def _generate(
         lines.append(f"{pad}for {target} in {rows}:")
         indent += 1
         loops += 1
-        for position, variable in checks:
-            lines.append(f"{pad}    if _r{j}_{position} != {fresh[variable]}:")
+        for position, value, _ in checks:
+            lines.append(f"{pad}    if _r{j}_{position} != {value}:")
             lines.append(f"{pad}        continue")
         bound.update(fresh)
 
@@ -541,6 +546,7 @@ def compile_cq(
     *,
     slots: bool = False,
     counting: bool = False,
+    first: int | None = None,
 ) -> CQKernel:
     """Compile a :class:`ConjunctiveQuery` or a UCQ (anything with
     ``disjuncts``) into a :class:`CQKernel`.
@@ -550,6 +556,10 @@ def compile_cq(
     constant is a parameter read from the bindings on each run; without,
     it is a plain value, as everywhere else in the algebra.  ``counting``
     builds a derivation counter (single CQs without an unsafe head).
+    ``first`` is the index of a body atom kept as the outermost loop (see
+    :func:`order_atoms`; the maintenance nests pin their delta or seed
+    atom), whose constants filter a scan of its rows rather than key an
+    index.
     """
     started = time.perf_counter()
     disjuncts: Sequence[ConjunctiveQuery] = getattr(query, "disjuncts", (query,))
@@ -560,6 +570,8 @@ def compile_cq(
         if not disjunct.is_satisfiable():
             continue
         normalized = disjunct.normalize()
-        order = order_atoms(normalized.atoms, source)
-        nests.append(_generate(order, normalized.head, counting, slots))
+        order = order_atoms(normalized.atoms, source, first)
+        nests.append(
+            _generate(order, normalized.head, counting, slots, first is not None)
+        )
     return CQKernel(tuple(nests), tuple(relations), time.perf_counter() - started)

@@ -4,9 +4,10 @@ The paper charges a bounded plan only for the tuples it retrieves from the
 underlying database through access-constraint indices — the bag ``Dξ`` of
 Section 2.  :class:`IOMeter` is the single place where that accounting
 happens: a compiled plan's fetch step (:mod:`repro.exec.codegen`) and a
-metered maintenance probe (:mod:`repro.exec.delta_compiler`) record every
-tuple an index lookup returns, a cached-view scan records free view-scan
-work, and everything else is pure CPU.
+metered maintenance state (the relation states of
+:mod:`repro.engine.service.maintenance`) record every tuple an index lookup
+returns, a cached-view scan records free view-scan work, and everything
+else is pure CPU.
 
 ``repro.core.plan_eval.FetchStats`` is an alias of this class.
 """

@@ -10,7 +10,8 @@ database.  This module defines that channel:
   first-touch order.  "Net" means a tuple inserted and later deleted inside
   the same transaction cancels out: the stream is exactly
   ``D_after − D_before`` per relation, which is the precondition for the
-  counting/telescoping delta rules of :mod:`repro.exec.delta_compiler`.
+  counting/telescoping delta rules of :mod:`repro.exec.delta_compiler`,
+  which the maintainer compiles as ordinary loop nests.
 * :class:`DeltaObserver` — the subscriber protocol.  Observers register with
   :meth:`repro.storage.instance.Database.subscribe` and receive one
   ``on_delta(stream)`` call per committed transaction, *after* the database

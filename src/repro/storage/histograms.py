@@ -115,7 +115,12 @@ class EquiDepthHistogram:
         bucket_distinct = 0
         for value, count in ordered:
             value_key = key(value)
-            if not lows or (bucket_count >= depth and len(lows) < buckets):
+            # A value at least ``depth`` deep opens a bucket of its own
+            # instead of joining a partly filled one: a heavy hitter then
+            # occupies whole buckets by itself.
+            if not lows or (
+                (bucket_count >= depth or count >= depth) and len(lows) < buckets
+            ):
                 lows.append(value_key)
                 highs.append(value_key)
                 counts.append(0)

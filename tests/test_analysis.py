@@ -260,6 +260,44 @@ def test_compiled_delta_programs_verify(service):
         assert report.ok, report.render()
 
 
+@pytest.mark.parametrize(
+    "definition, code",
+    [
+        ("V(x) :- customer(x, n, p, r), nope(x)", "delta.rule.unknown-relation"),
+        ("V(x) :- customer(x, n, p), call(x, e, d, u, l)", "delta.rule.arity"),
+        ("V(x, w) :- customer(x, n, p, r)", "delta.rule.head"),
+    ],
+)
+def test_delta_program_verifier_refuses_a_bad_rewrite(definition, code):
+    """Every rewritten rule is checked against the schema: an unknown
+    relation, a wrong arity or an unsafe head fails verification (and the
+    maintainer refuses the view, naming it)."""
+    from repro.engine.service import ViewMaintainer
+    from repro.errors import DeltaCompilationError
+    from repro.exec.delta_compiler import compile_view_delta
+
+    query = parse_cq(definition)
+    report = verify_delta_program(compile_view_delta("V", (query,)), cdr.schema())
+    assert not report.ok
+    assert code in {finding.code for finding in report.errors}
+    data = cdr.generate(num_customers=10, num_days=1, seed=1)
+    with pytest.raises(DeltaCompilationError, match=code) as excinfo:
+        ViewMaintainer(ViewSet((View("V", query),)), data.database)
+    assert excinfo.value.view_name == "V"
+
+
+def test_delta_program_verifier_refuses_a_rule_not_reading_its_own_delta():
+    from repro.exec.delta_compiler import compile_view_delta
+
+    compiled = compile_view_delta(
+        "V", (parse_cq("V(x) :- customer(x, n, p, r), call(x, e, d, u, l)"),)
+    )
+    (disjunct,) = compiled.disjuncts
+    disjunct.rules = (disjunct.rules[0], disjunct.rules[0])
+    report = verify_delta_program(compiled, cdr.schema())
+    assert [finding.code for finding in report.errors] == ["delta.rule.missing"]
+
+
 def test_view_dependency_analysis_stratifies(service):
     report = analyze_view_dependencies(service.views)
     assert report.ok

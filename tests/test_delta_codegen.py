@@ -1,5 +1,5 @@
-"""Compiled view maintenance: the generated delta kernels keep every view
-equal to recomputation.
+"""Compiled view maintenance: the delta rules and support checks, compiled
+as loop nests by ``compile_cq``, keep every view equal to recomputation.
 
 Mirror of ``test_codegen.py`` for the write path.  Three layers of evidence:
 
@@ -11,7 +11,7 @@ Mirror of ``test_codegen.py`` for the write path.  Three layers of evidence:
   refusals for a failing kernel compile or delta-program verification —
   and the service surface (``explain_maintenance``, ``maintenance-*`` tier
   stats, the SQL oracle over the maintained state);
-* introspection of the generated kernel sources (data independence).
+* introspection of the generated nest sources (data independence).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from repro.analysis import VerificationReport
 from repro.engine.service import QueryService, ViewMaintainer
 from repro.engine.service.maintenance import MaintenanceStats
 from repro.errors import DeltaCompilationError
-from repro.exec.delta_compiler import compile_maintenance, compile_view_delta
+from repro.exec.cq_compiler import FactsSource, compile_cq
+from repro.exec.delta_compiler import compile_view_delta
 from repro.exec.iometer import IOMeter
 from repro.storage.instance import Database
 from repro.storage.updates import Deletion, Insertion, random_update_batch
@@ -175,6 +176,83 @@ def test_differential_sql_oracle_after_updates():
     assert "maintenance-interpreted" not in tiers
 
 
+@pytest.mark.parametrize(
+    "view, relations, size, fetched",
+    [
+        # Counting: customer deletions and call inserts/deletes in one
+        # stream, so the telescoped rules read a rewound pre-state.
+        (
+            View(
+                "V_calls",
+                parse_cq("V(p, d) :- customer(p, n, pl, r), call(p, e, d, u, l)"),
+            ),
+            ("customer", "call"),
+            60,
+            (142, 49),
+        ),
+        # DRed: over-deletion through the augmented state, then the support
+        # checks over the live one.
+        (_self_join_views()[0], ("customer",), 16, (762, 403)),
+    ],
+    ids=["counting", "dred"],
+)
+def test_maintenance_dxi_is_pinned(view, relations, size, fetched):
+    """The ``Dξ`` a metered stream charges: every probe, membership test
+    and scan of a stored relation, never the delta or candidate rows in
+    hand.  Each nest here has a forced order — the delta or seed atom
+    first, one way to join the rest — so the figures are those of the
+    former dedicated delta-kernel generator."""
+    data = cdr.generate(num_customers=40, num_days=2, seed=7)
+    maintainer = ViewMaintainer(ViewSet((view,)), data.database)
+    charged = []
+    for seed in (11, 12):
+        batch = random_update_batch(
+            data.database, size=size, relations=relations, seed=seed,
+            access_schema=cdr.access_schema(),
+        )
+        meter = _assert_matches_recomputation(maintainer, data.database.apply(batch))
+        charged.append(meter.tuples_fetched)
+    assert tuple(charged) == fetched
+
+
+@pytest.mark.parametrize(
+    "definition, mode, fetched",
+    [
+        # Every rule scans the other relation in its pre-transaction state
+        # (forced orders: the figures are the former generator's).
+        ("VC(x, y) :- R(x), S(y)", "counting", [16, 24, 7]),
+        # The S atoms read nothing downstream: existence tests on a scan of
+        # the augmented or live state, where the former generator looped
+        # over every S row (197, 246 and 20 fetched).
+        ("VD(x) :- R(x), S(y), S(z)", "dred", [63, 20, 12]),
+    ],
+)
+def test_cross_products_scan_the_rewound_states(definition, mode, fetched):
+    """An atom sharing no variable with the rows in hand is a scan of the
+    relation state — live minus net insertions plus net deletions where the
+    state is rewound — charged in full by every scan or emptiness test."""
+    schema = schema_from_spec({"R": ("a",), "S": ("b",)})
+    database = Database(
+        schema, {"R": {(i,) for i in range(5)}, "S": {(i,) for i in range(4)}}
+    )
+    query = parse_cq(definition)
+    views = ViewSet((View(query.name, query),))
+    # The same streams, metered and not (unmetered states skip the charge).
+    maintainer, unmetered = ViewMaintainer(views, database), ViewMaintainer(views, database)
+    assert maintainer.mode(query.name) == mode
+    charged = []
+    for updates in (
+        [Insertion("R", (7,)), Deletion("S", (0,)), Insertion("S", (9,))],
+        [Deletion("S", (b,)) for b in (1, 2, 3, 9)],
+        [Insertion("S", (5,)), Deletion("R", (1,))],
+    ):
+        stream = database.apply(updates)
+        charged.append(_assert_matches_recomputation(maintainer, stream).tuples_fetched)
+        unmetered.apply_stream(stream)
+        assert unmetered.verify()
+    assert charged == fetched
+
+
 # --------------------------------------------------------------------------- #
 # Lifecycle: compiled when materialised; typed refusals; explain
 # --------------------------------------------------------------------------- #
@@ -198,15 +276,16 @@ def test_views_are_compiled_when_materialised():
 
 
 def test_failed_kernel_compilation_raises_a_typed_error_naming_the_view(monkeypatch):
-    """Bad generated source (what ``compile()`` raises for it) is a typed
-    refusal naming the view; any other exception is a bug and propagates."""
+    """Bad generated source (what ``compile()`` raises for it, injected at
+    the one ``exec`` site of generated code) is a typed refusal naming the
+    view; any other exception is a bug and propagates."""
     data = cdr.generate(num_customers=20, num_days=2, seed=3)
 
     def inject(error: type[Exception]) -> None:
         def broken(*args, **kwargs):
             raise error("injected failure")
 
-        monkeypatch.setattr("repro.exec.delta_compiler.compile_closure_source", broken)
+        monkeypatch.setattr("repro.exec.cq_compiler._function", broken)
 
     inject(SyntaxError)
     with pytest.raises(DeltaCompilationError, match="injected failure") as excinfo:
@@ -245,25 +324,37 @@ def test_explain_maintenance_service_surface():
 # --------------------------------------------------------------------------- #
 
 
+def _nests(compiled, database):
+    """The loop nests the maintainer compiles for a delta program: every
+    rule, its Δ atom outermost, and every support check, its seed first."""
+    source = FactsSource(database)
+    kernels = []
+    for disjunct in compiled.disjuncts:
+        for index, rule in enumerate(disjunct.rules):
+            kernels.append(
+                compile_cq(rule, source, counting=compiled.counting, first=index)
+            )
+        kernels.append(compile_cq(disjunct.support, source, first=0))
+    return kernels
+
+
 def test_generated_kernel_sources_are_data_independent():
+    data = cdr.generate(num_customers=20, num_days=2, seed=3)
     views = cdr.views()
     disjuncts = tuple(
         d.normalize() for d in views.view("V_premium").as_ucq().disjuncts
     )
-    kernels = compile_maintenance(compile_view_delta("V_premium", disjuncts))
-    assert kernels.counting
-    assert kernels.compile_seconds > 0
-    (disjunct_kernels,) = kernels.disjuncts
-    for per_atom in disjunct_kernels.rules.values():
-        for rule_kernels in per_atom:
-            assert set(rule_kernels.sources) == {"count", "insert", "affected"}
-            for source in rule_kernels.sources.values():
-                assert "def _kernel" in source
-                # Data independence: the "premium" seed constant is bound via
-                # an exec-namespace name, never interpolated into the source.
-                assert "premium" not in source
-    assert "def _kernel" in disjunct_kernels.support_source
-    assert "premium" not in disjunct_kernels.support_source
+    compiled = compile_view_delta("V_premium", disjuncts)
+    assert compiled.counting
+    for kernel in _nests(compiled, data.database):
+        assert kernel.compile_seconds > 0
+        (source,) = kernel.sources
+        assert "def _nest" in source
+        # Data independence: the "premium" constant reaches the nest in its
+        # value vector and the relations through its access paths; neither
+        # is interpolated into the source.
+        assert "premium" not in source
+        assert "customer" not in source
 
 
 def test_join_chains_longer_than_one_function_may_nest():
@@ -282,8 +373,10 @@ def test_join_chains_longer_than_one_function_may_nest():
     views = ViewSet((View("Vchain", chain), View("Vpath", path)))
     maintainer = ViewMaintainer(views, database)
     assert maintainer.modes == {"Vchain": "counting", "Vpath": "dred"}
-    kernels = compile_maintenance(maintainer.compiled_delta("Vpath"))
-    assert "def _n16(" in kernels.disjuncts[0].support_source
+    for name in ("Vchain", "Vpath"):
+        for kernel in _nests(maintainer.compiled_delta(name), database):
+            (source,) = kernel.sources
+            assert "def _n" in source
     for updates in (
         [Insertion("R5", (1, 2)), Insertion("E", (1, 2))],
         [Deletion("R3", (0, 1)), Deletion("E", (0, 1))],

@@ -150,13 +150,15 @@ def test_codegen_storage_imports_are_flagged(tmp_path, source):
     assert [v.code for v in violations] == ["kernel.codegen-storage-import"]
 
 
-def test_unmetered_fetch_in_delta_compiler_is_flagged(tmp_path):
-    # The delta-maintenance kernels live in delta_compiler.py and obey the
-    # same discipline as the read-side codegen: any function (generated
-    # closures included) touching `.fetch` must charge the meter.
+@pytest.mark.parametrize("module", ["cq_compiler", "delta_compiler"])
+def test_unmetered_fetch_in_the_loop_nest_compiler_is_flagged(tmp_path, module):
+    # The loop-nest compiler generates the read path's nests and the
+    # maintenance nests, and the delta rewrite feeds it: both obey the same
+    # discipline as the plan codegen — any function (generated closures
+    # included) touching `.fetch` must charge the meter.
     _write(
         tmp_path,
-        "src/repro/exec/delta_compiler.py",
+        f"src/repro/exec/{module}.py",
         """
         def compile_delta(constraint):
             def kernel(runtime):
@@ -178,8 +180,9 @@ def test_unmetered_fetch_in_delta_compiler_is_flagged(tmp_path):
         "import repro.storage.indexes\n",
     ],
 )
-def test_delta_compiler_storage_imports_are_flagged(tmp_path, source):
-    _write(tmp_path, "src/repro/exec/delta_compiler.py", source)
+@pytest.mark.parametrize("module", ["cq_compiler", "delta_compiler"])
+def test_loop_nest_compiler_storage_imports_are_flagged(tmp_path, source, module):
+    _write(tmp_path, f"src/repro/exec/{module}.py", source)
     violations = lint_kernel.lint_tree(tmp_path)
     assert [v.code for v in violations] == ["kernel.codegen-storage-import"]
 

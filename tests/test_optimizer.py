@@ -222,6 +222,26 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
         assert restarted.stats.snapshot().plan_store_hits == 1
 
 
+def test_a_heavy_hitter_gets_a_bucket_of_its_own_and_is_estimated_exactly():
+    """A value at least one bucket deep opens its own bucket instead of
+    joining a partly filled one: on the skewed feed, ``c_hot``'s 2 000
+    follows are estimated as 2 000 (not averaged with the cold celebrities
+    sharing its bucket), and ``explain`` estimates the feed query's ``Dξ``
+    at the 4 744 it fetches."""
+    from repro.engine.service import QueryService
+    from repro.workloads import skewed
+
+    feed = skewed.generate()
+    celeb = feed.database.relation("follows").statistics().columns[0]
+    assert celeb.histogram.bucket_count == 4
+    assert celeb.estimate_eq("c_hot") == 2_000.0
+    assert celeb.skewed_bucket() == pytest.approx(1_818.5, abs=0.1)
+    service = QueryService(feed.database, skewed.access_schema(), skewed.views())
+    explanation = service.explain(skewed.query_feed())
+    assert explanation.estimated_fetches == pytest.approx(4_744.84)
+    assert service.query(skewed.query_feed()).tuples_fetched == 4_744
+
+
 # --------------------------------------------------------------------------- #
 # Differential property test: greedy vs DP ordering on ~200 random CQs/UCQs
 # --------------------------------------------------------------------------- #

@@ -229,3 +229,35 @@ def test_one_join_orderer_the_cost_planner_fork_is_gone():
         if any(name in path.read_text(encoding="utf-8") for name in names)
     ]
     assert not mentions
+
+
+def test_one_loop_nest_generator_the_delta_code_generator_is_gone():
+    """Delta rules and support checks are CQs compiled by ``compile_cq``:
+    the delta rewrite generates no code, ``cq_compiler`` is the one place
+    generated source is ``exec``'d, and the second generator's orderer,
+    stages, exec site and resolver metering are gone from ``src/``."""
+    from repro.exec import codegen, cq_compiler, delta_compiler
+
+    names = (
+        "_order_remaining", "_JoinStage", "compile_closure_source", "metered_resolver",
+        "LookupResolver", "compile_maintenance", "MaintenanceKernels", "_StateResolvers",
+        "DeltaRule", "SupportCheck", "RuleKernels", "DisjunctKernels", "_KernelSource",
+        "_emit_stage_", "_rule_kernel", "_support_kernel",
+    )
+    for module in (codegen, cq_compiler, delta_compiler):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+    mentions = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in names)
+    ]
+    assert not mentions
+    rewrite = (ROOT / "src/repro/exec/delta_compiler.py").read_text(encoding="utf-8")
+    assert "exec(" not in rewrite and "compile(" not in rewrite
+    exec_sites = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if "exec(" in path.read_text(encoding="utf-8")
+    ]
+    assert exec_sites == ["src/repro/exec/cq_compiler.py"]

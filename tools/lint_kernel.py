@@ -9,8 +9,10 @@ maintenance kernel depends on.  This linter enforces these rules by AST
 inspection (no imports of the checked code, so it runs on any tree):
 
 ``kernel.unmetered-fetch``
-    In ``src/repro/exec/codegen.py`` and ``src/repro/exec/delta_compiler.py``
-    (the modules that fetch), every function that touches a storage-boundary
+    In ``src/repro/exec/codegen.py``, ``src/repro/exec/cq_compiler.py``
+    and ``src/repro/exec/delta_compiler.py`` (the modules that generate
+    kernels, for reads and maintenance), every function that touches a
+    storage-boundary
     probe — ``.fetch`` or any ``.fetch_*`` variant such as the batched
     ``.fetch_many``, or a call of a local alias of one — must also reference
     ``record_fetch``: tuples crossing the boundary are charged to the meter
@@ -19,11 +21,11 @@ inspection (no imports of the checked code, so it runs on any tree):
     function, and ``ast.walk`` descends into them.
 
 ``kernel.codegen-storage-import``
-    ``src/repro/exec/codegen.py`` and ``src/repro/exec/delta_compiler.py``
-    may not import ``repro.storage``: compiled closures only reach base data
-    through the metered fetch protocol (``FetchProvider``) and late-bound
-    lookup resolvers, never through storage classes whose internals would let
-    a closure bypass the accounting boundary.
+    The same three modules may not import ``repro.storage``: compiled
+    closures only reach base data through the metered fetch protocol
+    (``FetchProvider``) and loop nests through a late-bound ``FactsSource``,
+    never through storage classes whose internals would let a kernel bypass
+    the accounting boundary.
 
 ``kernel.storage-internals``
     No module outside ``src/repro/storage`` may access ``._tuples`` (the
@@ -121,11 +123,13 @@ from pathlib import Path
 from typing import Iterator
 
 CODEGEN_FILE = Path("src/repro/exec/codegen.py")
+CQ_COMPILER_FILE = Path("src/repro/exec/cq_compiler.py")
 DELTA_COMPILER_FILE = Path("src/repro/exec/delta_compiler.py")
-METERED_FETCH_FILES = frozenset({CODEGEN_FILE, DELTA_COMPILER_FILE})
-#: Modules that emit (or are) generated closures: they may only reach base
-#: data through the metered fetch protocol, never via storage classes.
-CODEGEN_FILES = frozenset({CODEGEN_FILE, DELTA_COMPILER_FILE})
+#: Modules that emit (or are) generated kernels, for reads and maintenance:
+#: they may only reach base data through the metered fetch protocol or a
+#: facts source, never via storage classes.
+CODEGEN_FILES = frozenset({CODEGEN_FILE, CQ_COMPILER_FILE, DELTA_COMPILER_FILE})
+METERED_FETCH_FILES = CODEGEN_FILES
 STORAGE_DIR = Path("src/repro/storage")
 #: The persistent plan store holds plain data records; execution-layer
 #: modules it may never import (closures/meters are rebuilt after load).
