@@ -71,6 +71,10 @@ class Explanation:
     join_orders: tuple[tuple[str, float, bool], ...] = ()
     replans: int = 0
     replan_reason: str = ""
+    # What the compiled kernel does instead of the plan's letter, by node
+    # path (child indices from the root): a dropped implied check, a
+    # semi-join filter, an emptiness guard; shown on the plan tree.
+    kernel_notes: Mapping[tuple[int, ...], str] = field(default_factory=dict)
 
     @property
     def bounded(self) -> bool:
@@ -119,7 +123,7 @@ class Explanation:
                 for description, cost, chosen in self.join_orders:
                     marker = "chosen" if chosen else "rejected"
                     lines.append(f"    [{marker}] {description}  cost {cost:.1f}")
-            for line in self.plan.pretty().splitlines():
+            for line in self.plan.pretty(notes=self.kernel_notes).splitlines():
                 lines.append(f"  {line}")
             for certificate in self.certificates:
                 for line in certificate.render().splitlines():

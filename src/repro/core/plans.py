@@ -124,12 +124,24 @@ class PlanNode:
     def uses_views(self) -> bool:
         return bool(self.view_names())
 
-    def pretty(self, indent: int = 0) -> str:
-        """Indented textual rendering of the plan tree (like Figure 1)."""
+    def pretty(
+        self,
+        indent: int = 0,
+        notes: Mapping[tuple[int, ...], str] | None = None,
+        path: tuple[int, ...] = (),
+    ) -> str:
+        """Indented textual rendering of the plan tree (like Figure 1).
+
+        ``notes`` annotates nodes by path (child indices from this node),
+        as ``QueryService.explain`` marks what the compiled kernel does.
+        """
         pad = "  " * indent
-        lines = [f"{pad}{self.label()}  -> ({', '.join(self.attributes)})"]
-        for child in self.children:
-            lines.append(child.pretty(indent + 1))
+        line = f"{pad}{self.label()}  -> ({', '.join(self.attributes)})"
+        if notes and path in notes:
+            line += f"  [{notes[path]}]"
+        lines = [line]
+        for index, child in enumerate(self.children):
+            lines.append(child.pretty(indent + 1, notes, path + (index,)))
         return "\n".join(lines)
 
     def __str__(self) -> str:

@@ -262,7 +262,6 @@ class _States:
     ) -> None:
         self.database = database
         self.stream = stream
-        self.touched = stream.touched
         self.meter = meter
         self._inserted: dict[str, frozenset[tuple]] = {}
         self._deleted: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
@@ -288,11 +287,11 @@ class _States:
 
     def pre_transaction(self, unprocessed: frozenset[str]) -> "_State":
         """Changed relations in ``unprocessed`` are served pre-state."""
-        return _State(self, self.touched & unprocessed, hide_inserted=True)
+        return _State(self, self.stream.touched & unprocessed, hide_inserted=True)
 
     def augmented(self) -> "_State":
         """Every changed relation serves live rows plus its net deletions."""
-        return _State(self, self.touched, hide_inserted=False)
+        return _State(self, self.stream.touched, hide_inserted=False)
 
 
 class _State(FactsSource):

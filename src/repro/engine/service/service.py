@@ -1101,6 +1101,7 @@ class QueryService:
             join_orders=join_orders,
             replans=entry.replans,
             replan_reason=entry.replan_reason,
+            kernel_notes=entry.compiled.notes,
         )
 
     def _counterexample(self, resolved: Query) -> BoundednessCounterexample | None:

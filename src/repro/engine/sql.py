@@ -34,6 +34,7 @@ they are rendered with a single marker column whose name is reported in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -77,6 +78,9 @@ def quote_literal(value: object) -> str:
         return "NULL"
     if isinstance(value, bool):
         return "1" if value else "0"
+    if isinstance(value, float) and not math.isfinite(value):
+        # SQLite has no NaN (it stores one as NULL) and reads 9e999 as ∞.
+        return "NULL" if math.isnan(value) else ("9e999" if value > 0 else "-9e999")
     if isinstance(value, (int, float)):
         return repr(value)
     return "'" + str(value).replace("'", "''") + "'"

@@ -5,10 +5,22 @@ hand-built plans of ``QueryService.execute_plan`` alike.  A plan is lowered
 (:mod:`repro.exec.lowering`) and compiled into a tree of fused closures in
 the spirit of data-centric code generation (Neumann, VLDB 2011), working
 set-at-a-time: selections and residual join filters run inside the
-producing loop, projections are precomputed ``itemgetter``s, a fetch step
-deduplicates its whole key batch and hands it to the provider in one
-``fetch_many`` call, semi-joins build a key set, and a join over a product
-chain never materialises the product it only filters.
+producing loop, projections are built inline (``itemgetter``, never a
+Python call per row), and a fetch step deduplicates its whole key batch
+and hands it to the provider in one ``fetch_many`` call.
+
+No step builds or tests a row the plan's output cannot depend on.  The
+compiler pushes the columns each consumer reads down the plan, and three
+rules follow, all decided at compile time:
+
+* a non-negated ``σ[a = v]`` on a fetch key attribute whose value comes
+  from constant scans giving ``a`` the same constant or ``Param`` is
+  *implied* and dropped (a ``Param`` keeps one ``v == v`` test per
+  execution, so a value unequal to itself still returns nothing);
+* in a join, a probe-side factor with no read column outside the join key
+  is a *semi-join filter* (Yannakakis, VLDB 1981): only its key parts are
+  tested, and its part of the output comes from the surviving build key;
+* a factor with no read column at all is an *emptiness guard*.
 
 Two invariants make the closures a faithful reading of the plan:
 
@@ -35,11 +47,11 @@ fetch, projection, union — dedup inline; the rest preserve distinctness).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, compress, product
 from operator import itemgetter
-from typing import Callable, Collection, Mapping, Sequence, cast
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessSchema
@@ -62,10 +74,10 @@ from .lowering import (
     AttributeCheck,
     Check,
     ConstantCheck,
-    LoweredJoin,
     Row,
     attribute_position,
-    key_extractor,
+    constant_row,
+    implied_checks,
     lower_fetch,
     lower_join,
     lower_predicates,
@@ -118,7 +130,10 @@ class CompiledPlan:
     closure resolves at execution time — callers pass bindings instead of
     rewriting the plan; ``slots`` lists them in ``Runtime.params`` order.
     ``compile_seconds`` is the wall-clock cost of building the closure tree
-    (surfaced by ``QueryService.explain``).
+    and ``notes`` what the kernel does instead of the plan's letter, by the
+    path of the node (child indices from the root): a dropped implied
+    check, a semi-join filter, an emptiness guard — both surfaced by
+    ``QueryService.explain``.
     """
 
     attributes: tuple[str, ...]
@@ -126,6 +141,7 @@ class CompiledPlan:
     compile_seconds: float
     step: Step
     slots: tuple[str, ...] = ()
+    notes: Mapping[tuple[int, ...], str] = field(default_factory=dict)
 
     def execute(
         self,
@@ -158,14 +174,15 @@ def compile_plan_closure(plan: PlanNode, access_schema: AccessSchema) -> Compile
     contract.
     """
     started = time.perf_counter()
-    parameters: _Slots = {}
-    step = _compile_step(plan, access_schema, parameters)
+    compiler = _Compiler(access_schema)
+    step = compiler.step(plan, ())
     return CompiledPlan(
         attributes=plan.attributes,
-        parameters=frozenset(parameters),
+        parameters=frozenset(compiler.parameters),
         compile_seconds=time.perf_counter() - started,
         step=step,
-        slots=tuple(parameters),
+        slots=tuple(compiler.parameters),
+        notes=compiler.notes,
     )
 
 
@@ -197,6 +214,13 @@ def _conjunction(predicates: Sequence[_RowPredicate]) -> _RowPredicate:
         return all(closure(row) for closure in closures)
 
     return check
+
+
+def _remap_check(check: Check, positions: Mapping[int, int] | Sequence[int]) -> Check:
+    """Rebase a lowered check onto another row layout."""
+    if isinstance(check, ConstantCheck):
+        return ConstantCheck(positions[check.position], check.value, check.negated)
+    return AttributeCheck(positions[check.left], positions[check.right], check.negated)
 
 
 def _predicate_factory(checks: Sequence[Check], parameters: _Slots) -> _PredicateFactory:
@@ -251,31 +275,221 @@ def _predicate_factory(checks: Sequence[Check], parameters: _Slots) -> _Predicat
 # Plan nodes → steps
 # --------------------------------------------------------------------------- #
 
+#: A node's place in its plan: the child indices from the root down.
+_NodePath = tuple[int, ...]
 
-def _compile_step(
-    node: PlanNode, access_schema: AccessSchema, parameters: _Slots
-) -> Step:
-    def recurse(child: PlanNode) -> Step:
-        return _compile_step(child, access_schema, parameters)
+_UNIT: tuple[Row, ...] = ((),)
+_GUARD = "emptiness guard"
+_SEMI_JOIN = "semi-join filter"
 
-    if isinstance(node, ConstantScan):
-        value = node.value
-        if isinstance(value, Param):
-            slot = parameters.setdefault(value.name, len(parameters))
 
-            def step_param(runtime: Runtime) -> Collection[Row]:
-                return ((runtime.params[slot],),)
+def _unit_step(runtime: Runtime) -> Collection[Row]:
+    """The one empty row: the input of ``fetch(∅, R, Y)``."""
+    return _UNIT
 
-            return step_param
-        rows: tuple[Row, ...] = ((value,),)
+
+def _projector(columns: tuple[int, ...]) -> Callable[[Iterable[Row]], Collection[Row]]:
+    """Rows → their distinct projections onto ``columns``, built inline.
+
+    No columns is an emptiness test: the one empty row if any row exists.
+    """
+    if not columns:
+        return lambda rows: _UNIT if next(iter(rows), None) is not None else ()
+    get = itemgetter(*columns)
+    if len(columns) == 1:
+        return lambda rows: set(zip(map(get, rows)))  # 1-tuples, built in C
+    return lambda rows: set(map(get, rows))
+
+
+def _narrowing(columns: tuple[int, ...] | None, node: PlanNode) -> tuple[int, ...] | None:
+    """``columns``, or ``None`` when they read all of ``node`` as laid out."""
+    if columns is not None and columns == tuple(range(len(node.attributes))):
+        return None
+    return columns
+
+
+def _product_factors(
+    node: PlanNode, path: _NodePath
+) -> list[tuple[PlanNode, _NodePath]]:
+    """The leaves of a left-deep product chain and their paths, in
+    concatenation order.
+
+    ``×(×(×(A,B),C),D)`` flattens to ``[A, B, C, D]``; a product appearing as
+    a *right* child stays one factor — planners build their chains
+    left-deep.  Any other node is a chain of one.
+    """
+    factors: list[tuple[PlanNode, _NodePath]] = []
+    while isinstance(node, ProductNode):
+        factors.append((node.right, path + (1,)))
+        node, path = node.left, path + (0,)
+    factors.append((node, path))
+    factors.reverse()
+    return factors
+
+
+def _factor_starts(factors: Sequence[tuple[PlanNode, _NodePath]]) -> list[int]:
+    """Column offsets of the factors: factor ``i`` spans ``[s[i], s[i+1])``."""
+    return [0, *accumulate(len(factor.attributes) for factor, _ in factors)]
+
+
+def _concat(parts: Sequence[Row]) -> Row:
+    """One crossed row from its parts, in order: the one place rows are
+    concatenated."""
+    return tuple(chain.from_iterable(parts))
+
+
+#: ``(keys, members) ->`` the build keys whose part is a member.
+_KeyFilter = Callable[[Collection[Row], Collection[object]], list[Row]]
+
+
+def _key_filter(slots: Sequence[int], key_width: int) -> _KeyFilter:
+    """The key filter of a factor holding the key parts at ``slots``; its
+    members are the factor's rows (or groups) keyed by that part."""
+    parts: Callable[[Collection[Row]], Iterable[Row]]
+    if list(slots) == list(range(key_width)):
+        parts = iter
+    elif len(slots) == 1:
+        get = itemgetter(*slots)
+        parts = lambda keys: zip(map(get, keys))
+    else:
+        part = tuple_extractor(slots)
+        parts = lambda keys: map(part, keys)
+    return lambda keys, members: list(
+        compress(keys, map(members.__contains__, parts(keys)))
+    )
+
+
+def _fetch_collector(
+    output: tuple[int, ...], width: int, factory: _PredicateFactory | None
+) -> Callable[[Runtime, list[frozenset[Row]]], Collection[Row]]:
+    """How a fetch step turns its batch of provider results into rows:
+    filtered by the kept checks, projected onto ``output`` inline."""
+    whole = output == tuple(range(width))
+    if factory is not None:
+        project: Callable[[Iterable[Row]], Collection[Row]] = (
+            set if whole else _projector(output)
+        )
+        return lambda runtime, batches: project(
+            filter(factory(runtime), chain.from_iterable(batches))
+        )
+    if whole:
+        return lambda runtime, batches: (
+            batches[0] if len(batches) == 1 else set().union(*batches)
+        )
+    project = _projector(output)
+    return lambda runtime, batches: project(chain.from_iterable(batches))
+
+
+class _Compiler:
+    """One plan's compilation: the parameter slots and the kernel notes
+    (path → what the kernel does there instead of the plan's letter),
+    filled in as the steps are built.
+
+    Every step takes the *columns* its consumer reads — positions of the
+    node's attributes, ``None`` for all of them — and returns the distinct
+    rows projected onto them, so a column nobody reads is never built.
+    Every subtree is still evaluated once per occurrence, whatever is read
+    of it, so the charging points are the plan's.
+    """
+
+    def __init__(self, access_schema: AccessSchema) -> None:
+        self.access_schema = access_schema
+        self.parameters: _Slots = {}
+        self.notes: dict[_NodePath, str] = {}
+
+    def slot(self, name: str) -> int:
+        return self.parameters.setdefault(name, len(self.parameters))
+
+    def step(
+        self, node: PlanNode, path: _NodePath, columns: tuple[int, ...] | None = None
+    ) -> Step:
+        if isinstance(node, (ConstantScan, ProductNode)):
+            row = constant_row(node)
+            if row is not None:
+                return self._constant(row, columns)
+
+        if isinstance(node, ViewScan):
+            return self._view(node.view_name, _narrowing(columns, node))
+
+        if isinstance(node, FetchNode):
+            return self._fetch(node, path, columns)
+
+        if isinstance(node, (ProjectNode, RenameNode)):
+            # π ∘ π composes positionally and ρ keeps positions, so a chain
+            # of them is one projection of the node below — read only where
+            # the consumer reads it.
+            if columns is None and isinstance(node, RenameNode):
+                return self.step(node.child, path + (0,))
+            positions = list(range(len(node.kept)) if columns is None else columns)
+            while isinstance(node, (ProjectNode, RenameNode)):
+                if isinstance(node, ProjectNode):
+                    inner = [
+                        attribute_position(node.child.attributes, a, "projection")
+                        for a in node.kept
+                    ]
+                    positions = [inner[p] for p in positions]
+                node, path = node.child, path + (0,)
+            return self.step(node, path, tuple(positions))
+
+        if isinstance(node, SelectNode):
+            if isinstance(node.child, ProductNode):
+                return self._join(node, path, columns)
+            if isinstance(node.child, FetchNode):
+                return self._fetch(node.child, path + (0,), columns, node, path)
+            return self._select(node, path, _narrowing(columns, node))
+
+        if isinstance(node, ProductNode):
+            return self._product(node, path, columns)
+
+        if isinstance(node, UnionNode):
+            # π distributes over ∪.
+            left = self.step(node.left, path + (0,), columns)
+            right = self.step(node.right, path + (1,), columns)
+
+            def step_union(runtime: Runtime) -> Collection[Row]:
+                out = set(left(runtime))
+                out.update(right(runtime))
+                return out
+
+            return step_union
+
+        if isinstance(node, DifferenceNode):
+            left = self.step(node.left, path + (0,))
+            right = self.step(node.right, path + (1,))
+            columns = _narrowing(columns, node)
+            project = None if columns is None else _projector(columns)
+
+            def step_difference(runtime: Runtime) -> Collection[Row]:
+                exclude = set(right(runtime))
+                rows = [row for row in left(runtime) if row not in exclude]
+                return rows if project is None else project(rows)
+
+            return step_difference
+
+        raise PlanError(f"unknown plan node type {type(node).__name__}")
+
+    def _constant(self, row: Row, columns: tuple[int, ...] | None) -> Step:
+        """A subtree of constant scans: its one row, parameters read per
+        execution."""
+        slots = [self.slot(v.name) if isinstance(v, Param) else None for v in row]
+        if columns is not None:
+            row, slots = tuple(row[p] for p in columns), [slots[p] for p in columns]
+        if all(slot is None for slot in slots):
+            rows = (row,)
+            return lambda runtime: rows
+        if len(row) == 1:
+            (slot,) = slots
+            return lambda runtime: ((runtime.params[slot],),)
+        spec = tuple(zip(row, slots))
 
         def step_constant(runtime: Runtime) -> Collection[Row]:
-            return rows
+            values = runtime.params
+            return (tuple([v if s is None else values[s] for v, s in spec]),)
 
         return step_constant
 
-    if isinstance(node, ViewScan):
-        view_name = node.view_name
+    def _view(self, view_name: str, columns: tuple[int, ...] | None) -> Step:
+        project = None if columns is None else _projector(columns)
 
         def step_view(runtime: Runtime) -> Collection[Row]:
             try:
@@ -285,445 +499,268 @@ def _compile_step(
                     f"view {view_name!r} is not materialised in the view cache"
                 ) from None
             runtime.meter.record_view_scan(len(cached))
-            return cached
+            return cached if project is None else project(cached)
 
         return step_view
 
-    if isinstance(node, FetchNode):
-        return _compile_fetch(node, access_schema, parameters)
-
-    if isinstance(node, ProjectNode):
-        # π ∘ π composes positionally; collapsing the chain drops one
-        # intermediate set per level without changing the final set.
-        positions = [
-            attribute_position(node.child.attributes, a, "projection")
-            for a in node.kept
-        ]
-        child_node: PlanNode = node.child
-        while isinstance(child_node, (ProjectNode, RenameNode)):
-            if isinstance(child_node, ProjectNode):
-                inner = [
-                    attribute_position(child_node.child.attributes, a, "projection")
-                    for a in child_node.kept
-                ]
-                positions = [inner[p] for p in positions]
-            # renames change names, not positions — skip through them
-            child_node = child_node.child
-
-        if isinstance(child_node, SelectNode) and isinstance(
-            child_node.child, ProductNode
-        ):
-            return _compile_join(
-                child_node.child,
-                lower_join(child_node),
-                access_schema,
-                parameters,
-                project=tuple(positions),
-            )
-        fused = (
-            _compile_factor_projection(
-                child_node, tuple(positions), access_schema, parameters
-            )
-            if isinstance(child_node, ProductNode)
-            else _fuse_fetch(child_node, access_schema, parameters, tuple(positions))
-        )
-        if fused is not None:
-            return fused
-
-        child = recurse(child_node)
-        if positions == list(range(len(child_node.attributes))):
-            return child  # an identity π: every step's rows are distinct
-        project = tuple_extractor(tuple(positions))
-
-        def step_project(runtime: Runtime) -> Collection[Row]:
-            return set(map(project, child(runtime)))
-
-        return step_project
-
-    if isinstance(node, SelectNode):
-        if isinstance(node.child, ProductNode):
-            return _compile_join(
-                node.child, lower_join(node), access_schema, parameters
-            )
-        if isinstance(node.child, FetchNode):
-            fused = _fuse_fetch(node, access_schema, parameters, None)
-            assert fused is not None
-            return fused
+    def _select(
+        self, node: SelectNode, path: _NodePath, columns: tuple[int, ...] | None
+    ) -> Step:
         checks = lower_predicates(node.predicates, node.child.attributes, "selection")
-        factory = _predicate_factory(checks, parameters)
-        child = recurse(node.child)
+        factory = _predicate_factory(checks, self.parameters)
+        child = self.step(node.child, path + (0,))
+        project = None if columns is None else _projector(columns)
 
         def step_select(runtime: Runtime) -> Collection[Row]:
-            return list(filter(factory(runtime), child(runtime)))
+            rows = filter(factory(runtime), child(runtime))
+            return list(rows) if project is None else project(rows)
 
         return step_select
 
-    if isinstance(node, RenameNode):
-        return recurse(node.child)
+    def _fetch(
+        self,
+        node: FetchNode,
+        path: _NodePath,
+        columns: tuple[int, ...] | None,
+        select: SelectNode | None = None,
+        select_path: _NodePath = (),
+    ) -> Step:
+        """Batched ``fetch``, with a selection over it fused into its loop.
 
-    if isinstance(node, ProductNode):
-        # A bare product: every factor of the chain once, crossed in order.
-        first, *rest = [recurse(factor) for factor in _product_factors(node)]
-
-        def step_product(runtime: Runtime) -> Collection[Row]:
-            rows = first(runtime)
-            for step in rest:
-                right = step(runtime)
-                rows = [left + row for left in rows for row in right]
-            return rows
-
-        return step_product
-
-    if isinstance(node, UnionNode):
-        left = recurse(node.left)
-        right = recurse(node.right)
-
-        def step_union(runtime: Runtime) -> Collection[Row]:
-            out = set(left(runtime))
-            out.update(right(runtime))
-            return out
-
-        return step_union
-
-    if isinstance(node, DifferenceNode):
-        left = recurse(node.left)
-        right = recurse(node.right)
-
-        def step_difference(runtime: Runtime) -> Collection[Row]:
-            exclude = set(right(runtime))
-            return [row for row in left(runtime) if row not in exclude]
-
-        return step_difference
-
-    raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-
-def _fuse_fetch(
-    node: PlanNode,
-    access_schema: AccessSchema,
-    parameters: _Slots,
-    project_positions: tuple[int, ...] | None,
-) -> Step | None:
-    """Try to fuse a ``[π](σ)(fetch)`` chain into one fetch loop.
-
-    Selection predicates and projections over a fetch node's output read
-    columns the provider row already carries, so both remap through the
-    fetch's output positions and run directly on provider rows — no
-    intermediate collections, and the filter commutes with the final dedup.
-    The fetch charging point is untouched.
-    """
-    checks: tuple[Check, ...] = ()
-    fetch_node: FetchNode
-    if isinstance(node, FetchNode):
-        fetch_node = node
-    elif isinstance(node, SelectNode) and isinstance(node.child, FetchNode):
-        fetch_node = node.child
-        checks = lower_predicates(node.predicates, fetch_node.attributes, "selection")
-    else:
-        return None
-    return _compile_fetch(
-        fetch_node,
-        access_schema,
-        parameters,
-        checks=checks,
-        project_positions=project_positions,
-    )
-
-
-def _remap_check(check: Check, positions: tuple[int, ...]) -> Check:
-    """Rebase a lowered check from fetch-output layout to provider layout."""
-    if isinstance(check, ConstantCheck):
-        return ConstantCheck(positions[check.position], check.value, check.negated)
-    return AttributeCheck(positions[check.left], positions[check.right], check.negated)
-
-
-def _compile_fetch(
-    node: FetchNode,
-    access_schema: AccessSchema,
-    parameters: _Slots,
-    checks: tuple[Check, ...] = (),
-    project_positions: tuple[int, ...] | None = None,
-) -> Step:
-    """Batched ``fetch``: one deduplicated key batch, one provider call.
-
-    The child's keys are deduplicated by one ``set`` (distinct keys only —
-    the paper's ``S_j`` has set semantics; ``fetch(∅, R, Y)`` is the batch
-    of the one empty key) and handed to ``provider.fetch_many``, which
-    resolves the constraint's index once per call.  Each key's result is
-    still charged as one logical fetch, in the same loop that collects it —
-    the contract the kernel linter enforces on this module.  Fused selection
-    ``checks`` and ``project_positions`` (both over the fetch node's output
-    layout) are remapped onto the provider's row layout; an unfiltered fetch
-    whose result layout is the provider's own merges the provider's sets as
-    they are.
-    """
-    lowered = lower_fetch(node, access_schema)
-    constraint, relation = lowered.constraint, node.relation
-    output = lowered.output_positions
-    if project_positions is not None:
-        output = tuple(output[p] for p in project_positions)
-    whole_row = output == tuple(range(len(constraint.output_attributes)))
-    project = tuple_extractor(output)
-    child = (
-        _compile_step(node.child, access_schema, parameters)
-        if node.child is not None
-        else _unit_step
-    )
-    extract_key = tuple_extractor(lowered.key_positions)
-
-    if not checks:
+        The child is read as the fetch's key columns, so its rows are the
+        distinct keys (the paper's ``S_j`` has set semantics; ``fetch(∅, R,
+        Y)`` is the batch of the one empty key), handed to
+        ``provider.fetch_many`` in one call.  Each key's result is still
+        charged as one logical fetch — the contract the kernel linter
+        enforces on this module.  A check the fetch key implies
+        (:func:`~repro.exec.lowering.implied_checks`) is dropped; one on a
+        ``Param`` leaves a reflexivity test of its value per execution.  The
+        kept checks and the consumer's ``columns`` are remapped onto the
+        provider's row layout and run inline.
+        """
+        lowered = lower_fetch(node, self.access_schema)
+        constraint, relation = lowered.constraint, node.relation
+        predicates = () if select is None else select.predicates
+        implied = implied_checks(predicates, node)
+        if implied:
+            self.notes[select_path] = "implied check dropped: " + ", ".join(
+                p.attribute for p in implied
+            )
+        reflexive = tuple(
+            self.slot(p.value.name) for p in implied if isinstance(p.value, Param)
+        )
+        checks = lower_predicates(
+            [p for p in predicates if p not in implied], node.attributes, "selection"
+        )
+        factory = (
+            _predicate_factory(
+                [_remap_check(c, lowered.output_positions) for c in checks],
+                self.parameters,
+            )
+            if checks
+            else None
+        )
+        output = lowered.output_positions
+        if columns is not None:
+            output = tuple(output[p] for p in columns)
+        collect = _fetch_collector(output, len(constraint.output_attributes), factory)
+        child = (
+            self.step(node.child, path + (0,), lowered.key_positions)
+            if node.child is not None
+            else _unit_step
+        )
 
         def step_fetch(runtime: Runtime) -> Collection[Row]:
-            keys = set(map(extract_key, child(runtime)))
+            keys = child(runtime)
             if not keys:
-                return keys  # an empty batch is no fetch at all
+                return ()  # an empty batch is no fetch at all
+            batches = runtime.provider.fetch_many(constraint, keys)
             record_fetch = runtime.meter.record_fetch
-            out: set[Row] = set()
-            for fetched in runtime.provider.fetch_many(constraint, keys):
+            for fetched in batches:
                 record_fetch(relation, len(fetched))
-                out.update(fetched if whole_row else map(project, fetched))
-            return out
+            for slot in reflexive:
+                value = runtime.params[slot]
+                if not value == value:
+                    return ()  # the dropped check fails on every row
+            return collect(runtime, batches)
 
         return step_fetch
 
-    factory = _predicate_factory(
-        tuple(_remap_check(c, lowered.output_positions) for c in checks), parameters
-    )
+    def _product(
+        self, node: ProductNode, path: _NodePath, columns: tuple[int, ...] | None
+    ) -> Step:
+        """A bare product: every factor evaluated once, the factors the
+        consumer reads crossed, the others only tested for emptiness."""
+        factors = _product_factors(node, path)
+        starts = _factor_starts(factors)
+        read = tuple(range(starts[-1])) if columns is None else columns
+        steps: list[Step] = []
+        crossed: list[int] = []
+        wide: list[int] = []
+        for index, (factor, factor_path) in enumerate(factors):
+            low, high = starts[index], starts[index + 1]
+            live = sorted({p for p in read if low <= p < high})
+            if live:
+                crossed.append(index)
+                wide.extend(live)
+            else:
+                self.notes[factor_path] = _GUARD
+            steps.append(self.step(factor, factor_path, tuple(p - low for p in live)))
+        project = None if list(read) == wide else _projector(tuple(map(wide.index, read)))
 
-    def step_fetch_filtered(runtime: Runtime) -> Collection[Row]:
-        keys = set(map(extract_key, child(runtime)))
-        if not keys:
-            return keys  # an empty batch is no fetch at all
-        record_fetch = runtime.meter.record_fetch
-        keep = factory(runtime)
-        out: set[Row] = set()
-        add = out.add
-        for fetched in runtime.provider.fetch_many(constraint, keys):
-            record_fetch(relation, len(fetched))
-            for row in fetched:
-                if keep(row):
-                    add(project(row))
-        return out
+        def step_product(runtime: Runtime) -> Collection[Row]:
+            results = [step(runtime) for step in steps]
+            if not all(results):
+                return ()
+            if len(crossed) == 1:
+                rows = results[crossed[0]]
+            else:
+                rows = list(map(_concat, product(*[results[i] for i in crossed])))
+            return rows if project is None else project(rows)
 
-    return step_fetch_filtered
+        return step_product
 
+    def _join(
+        self, node: SelectNode, path: _NodePath, columns: tuple[int, ...] | None
+    ) -> Step:
+        """``σ[k = k'](chain × build)`` as one hash join that builds only the
+        rows its consumer reads.
 
-_UNIT: tuple[Row, ...] = ((),)
+        The build side (right input) is read as its join key plus the live
+        columns no key holds: a set of keys, or buckets when such columns
+        exist.  Live columns are the consumer's ``columns`` plus the
+        residual's.  Each factor of the probe side's left-deep product chain
+        (any other input is a chain of one) is evaluated once and plays one
+        role, fixed here:
 
+        * **semi-join filter** — keyed, no live column outside the key: its
+          key parts form a set the build keys are tested against, and its
+          part of the output row comes from the surviving build key
+          (Yannakakis' rule: a factor whose columns only filter is never a
+          product factor);
+        * **crossed** — live columns outside the key: grouped by its key
+          part (one group when it holds none), and the group behind each
+          surviving key crossed;
+        * **emptiness guard** — no live column: only tested for emptiness.
 
-def _unit_step(runtime: Runtime) -> Collection[Row]:
-    """The one empty row: the input of ``fetch(∅, R, Y)``."""
-    return _UNIT
+        Filters run smallest first.  Rows are concatenated (``_concat``)
+        only where something is crossed; otherwise the surviving build keys
+        are the output.  Every factor is evaluated even when another is
+        empty, so every charging point fires as over the materialised
+        product.
+        """
+        product_node = node.child
+        assert isinstance(product_node, ProductNode)
+        lowered = lower_join(node)
+        left_key, right_key = lowered.left_key, lowered.right_key
+        key_width = len(left_key)
+        split = len(product_node.left.attributes)
+        width = split + len(product_node.right.attributes)
+        out = tuple(range(width)) if columns is None else columns
+        live = set(out)
+        for check in lowered.residual:
+            if isinstance(check, ConstantCheck):
+                live.add(check.position)
+            else:
+                live.update((check.left, check.right))
 
+        # Each live column's place in the assembled ("wide") row: the build
+        # key, then every crossed factor's columns, then the build side's.
+        wide: dict[int, int] = {}
+        for slot, position in enumerate(left_key):
+            wide.setdefault(position, slot)
+        for slot, position in enumerate(right_key):
+            wide.setdefault(split + position, slot)
+        width = key_width  # of the wide row, from here on
 
-#: ``(runtime, table) ->`` the probe-side rows whose join key is in
-#: ``table`` (the build side's key set or bucket dict).
-_Probe = Callable[[Runtime, Collection[object]], Collection[Row]]
-
-
-def _product_factors(node: PlanNode) -> list[PlanNode]:
-    """The leaves of a left-deep product chain, in concatenation order.
-
-    ``×(×(×(A,B),C),D)`` flattens to ``[A, B, C, D]``; a product appearing as
-    a *right* child stays one (materialised) factor — planners build their
-    chains left-deep.
-    """
-    factors: list[PlanNode] = []
-    while isinstance(node, ProductNode):
-        factors.insert(0, node.right)
-        node = node.left
-    factors.insert(0, node)
-    return factors
-
-
-def _factor_starts(factors: Sequence[PlanNode]) -> list[int]:
-    """Column offsets of the factors: factor ``i`` spans ``[s[i], s[i+1])``."""
-    return [0, *accumulate(len(factor.attributes) for factor in factors)]
-
-
-def _concat(parts: tuple[Row, ...]) -> Row:
-    return sum(parts, ())
-
-
-def _compile_factor_projection(
-    node: ProductNode,
-    positions: tuple[int, ...],
-    access_schema: AccessSchema,
-    parameters: _Slots,
-) -> Step | None:
-    """``π`` over a product whose kept columns all come from one factor.
-
-    ``π(A × B)`` onto columns of ``A`` is ``π(A)`` when ``B`` is non-empty and
-    empty otherwise, so the product is never built.  Every factor is still
-    evaluated once per execution, so every subtree charges as the plan says.
-    """
-    factors = _product_factors(node)
-    starts = _factor_starts(factors)
-    kept = next(
-        (
-            index
-            for index in range(len(factors))
-            if all(starts[index] <= p < starts[index + 1] for p in positions)
-        ),
-        None,
-    )
-    if kept is None:
-        return None
-    steps = [_compile_step(factor, access_schema, parameters) for factor in factors]
-    project = tuple_extractor(tuple(p - starts[kept] for p in positions))
-
-    def step_project_factor(runtime: Runtime) -> Collection[Row]:
-        results = [step(runtime) for step in steps]
-        return set(map(project, results[kept])) if all(results) else ()
-
-    return step_project_factor
-
-
-def _compile_probe(
-    node: PlanNode,
-    left_key: tuple[int, ...],
-    access_schema: AccessSchema,
-    parameters: _Slots,
-) -> _Probe:
-    """The probe side of a hash join: only the rows whose key matches.
-
-    A plain input is evaluated and filtered by key membership.  A left-deep
-    product chain ``×(×(A, B), C)`` — planners emit ``σ[k = k'](chain ×
-    build)`` for multi-atom joins — is never materialised to be filtered.
-    When one factor holds the whole key, that factor is filtered and the
-    survivors are crossed with the other factors.  When the key spans
-    several factors, each keyed factor is grouped by its part of the key,
-    the build side's keys are filtered factor by factor (smallest group
-    first, so the most selective factor prunes first), and only the
-    combinations behind a surviving key are concatenated, crossed with the
-    factors that hold no key column.  Every factor is still evaluated
-    exactly once per execution — even when another is empty — so every
-    fetch and view-scan charging point fires exactly as a join over the
-    materialised product would fire it.
-    """
-    if not left_key or not isinstance(node, ProductNode):
-        step = _compile_step(node, access_schema, parameters)
-        key = key_extractor(left_key)
-
-        def probe_rows(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
-            return [row for row in step(runtime) if key(row) in table]
-
-        return probe_rows
-
-    factors = _product_factors(node)
-    starts = _factor_starts(factors)
-    steps = [_compile_step(factor, access_schema, parameters) for factor in factors]
-    # Per keyed factor: its index, the key part of its rows, and the same
-    # part of a build-side key.
-    keyed: list[tuple[int, Callable[[Row], object], Callable[[object], object]]] = []
-    for index in range(len(factors)):
-        slots = [
-            j
-            for j, p in enumerate(left_key)
-            if starts[index] <= p < starts[index + 1]
-        ]
-        if slots:
-            row_part = key_extractor([left_key[j] - starts[index] for j in slots])
-            key_part = cast("Callable[[object], object]", itemgetter(*slots))
-            keyed.append((index, row_part, key_part))
-
-    if len(keyed) == 1:
-        # One factor holds the whole key: filter it, cross the rest once.
-        ((keyed_index, keyed_part, _),) = keyed
-
-        def probe_factor(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
-            lists = [step(runtime) for step in steps]
-            lists[keyed_index] = [
-                row for row in lists[keyed_index] if keyed_part(row) in table
-            ]
-            return list(map(_concat, product(*lists)))
-
-        return probe_factor
-
-    def probe_chain(runtime: Runtime, table: Collection[object]) -> Collection[Row]:
-        rows = [step(runtime) for step in steps]
-        groups: list[tuple[dict[object, list[Row]], Callable[[object], object], int]] = []
-        for index, row_part, key_part in keyed:
-            grouped: dict[object, list[Row]] = {}
-            for row in rows[index]:
-                grouped.setdefault(row_part(row), []).append(row)
-            groups.append((grouped, key_part, index))
-        groups.sort(key=lambda group: len(group[0]))
-        keys: Collection[object] = table
-        for grouped, key_part, _ in groups:
-            keys = [key for key in keys if key_part(key) in grouped]
-        lists: list[Collection[Row]] = list(rows)
-        out: list[Row] = []
-        for key in keys:
-            for grouped, key_part, index in groups:
-                lists[index] = grouped[key_part(key)]
-            out.extend(map(_concat, product(*lists)))
-        return out
-
-    return probe_chain
-
-
-def _compile_join(
-    node: ProductNode,
-    lowered: LoweredJoin,
-    access_schema: AccessSchema,
-    parameters: _Slots,
-    project: tuple[int, ...] | None = None,
-) -> Step:
-    """Hash join with residual filter and projection fused into its loop.
-
-    The build side (right input) is evaluated once per execution; the probe
-    side (:func:`_compile_probe`) returns only the left rows whose key it
-    holds.  Empty keys degrade to a cross product through a single bucket.
-    When every projected column comes from the probe side and there is no
-    residual, the join is a semi-join and the build side is a key set, not
-    buckets: every right match projects to the same row, which the set
-    would dedup anyway.
-    """
-    right = _compile_step(node.right, access_schema, parameters)
-    right_key = key_extractor(lowered.right_key)
-    probe = _compile_probe(node.left, lowered.left_key, access_schema, parameters)
-    left_width = len(node.left.attributes)
-
-    if (
-        project is not None
-        and not lowered.residual
-        and all(p < left_width for p in project)
-    ):
-        extract = tuple_extractor(project)
-        # A multi-column key spanning the whole build row is the row itself.
-        whole_row = len(lowered.right_key) > 1 and lowered.right_key == tuple(
-            range(len(node.right.attributes))
+        factors = _product_factors(product_node.left, path + (0, 0))
+        starts = _factor_starts(factors)
+        steps: list[Step] = []
+        filters: list[tuple[int, _KeyFilter]] = []
+        crossed: list[tuple[int, int, _KeyFilter, Callable[[Row], Row] | None]] = []
+        guards: list[int] = []
+        for index, (factor, factor_path) in enumerate(factors):
+            low, high = starts[index], starts[index + 1]
+            slots = [s for s, p in enumerate(left_key) if low <= p < high]
+            rest = sorted(p for p in live if low <= p < high and p not in wide)
+            for position in rest:
+                wide[position] = width
+                width += 1
+            keyed = tuple(left_key[s] - low for s in slots)
+            steps.append(
+                self.step(factor, factor_path, keyed + tuple(p - low for p in rest))
+            )
+            if rest:
+                whole = slots == list(range(key_width))
+                part = None if whole else tuple_extractor(slots)
+                crossed.append((index, len(slots), _key_filter(slots, key_width), part))
+            elif slots:
+                filters.append((index, _key_filter(slots, key_width)))
+                self.notes[factor_path] = _SEMI_JOIN
+            else:
+                guards.append(index)
+                self.notes[factor_path] = _GUARD
+        right_rest = sorted(p for p in live if p >= split and p not in wide)
+        for position in right_rest:
+            wide[position] = width
+            width += 1
+        bucketed = bool(right_rest)
+        build = self.step(
+            product_node.right,
+            path + (0, 1),
+            right_key + tuple(p - split for p in right_rest),
         )
+        factory = (
+            _predicate_factory(
+                [_remap_check(c, wide) for c in lowered.residual], self.parameters
+            )
+            if lowered.residual
+            else None
+        )
+        final = tuple(wide[p] for p in out)
+        project = None if final == tuple(range(width)) else _projector(final)
 
-        def step_join_semi(runtime: Runtime) -> Collection[Row]:
-            rows = right(runtime)
-            keys = set(rows) if whole_row else set(map(right_key, rows))
-            return set(map(extract, probe(runtime, keys)))
+        def step_join(runtime: Runtime) -> Collection[Row]:
+            rows = build(runtime)
+            results = [step(runtime) for step in steps]
+            if not rows or (guards and not all([results[i] for i in guards])):
+                return ()
+            keys: Collection[Row] = rows
+            table: dict[Row, list[Row]] = {}
+            if bucketed:
+                for row in rows:
+                    table.setdefault(row[:key_width], []).append(row[key_width:])
+                keys = table
+            order = filters
+            if len(filters) > 1:  # smallest first
+                order = sorted(filters, key=lambda f: len(results[f[0]]))
+            for index, keep in order:
+                members = results[index]
+                if not isinstance(members, (set, frozenset)):
+                    members = set(members)
+                keys = keep(keys, members)
+            groups: list[dict[Row, list[Row]]] = []
+            for index, size, keep, _ in crossed:
+                group: dict[Row, list[Row]] = {}
+                for row in results[index]:
+                    group.setdefault(row[:size], []).append(row[size:])
+                groups.append(group)
+                keys = keep(keys, group)
+            joined: Collection[Row] = keys
+            if crossed or bucketed:
+                joined = []
+                for key in keys:
+                    parts: list[Collection[Row]] = [(key,)]
+                    for group, (_, _, _, part) in zip(groups, crossed):
+                        parts.append(group[key if part is None else part(key)])
+                    if bucketed:
+                        parts.append(table[key])
+                    joined.extend(map(_concat, product(*parts)))
+            if factory is not None:
+                joined = list(filter(factory(runtime), joined))
+            return joined if project is None else project(joined)
 
-        return step_join_semi
-
-    left_key = key_extractor(lowered.left_key)
-    factory = (
-        _predicate_factory(lowered.residual, parameters) if lowered.residual else None
-    )
-    projector = tuple_extractor(project) if project is not None else None
-
-    def step_join(runtime: Runtime) -> Collection[Row]:
-        table: dict[object, list[Row]] = {}
-        bucket_for = table.setdefault
-        for row in right(runtime):
-            bucket_for(right_key(row), []).append(row)
-        joined = [
-            left_row + right_row
-            for left_row in probe(runtime, table)
-            for right_row in table[left_key(left_row)]
-        ]
-        if factory is not None:
-            joined = list(filter(factory(runtime), joined))
-        return joined if projector is None else set(map(projector, joined))
-
-    return step_join
+        return step_join
 
 
 __all__ = [

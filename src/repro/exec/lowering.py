@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, cast
 
+from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
 from ..core.plans import (
     AttributeEqualsAttribute,
     AttributeEqualsConstant,
+    ConstantScan,
     FetchNode,
+    PlanNode,
     Predicate,
     ProductNode,
     SelectNode,
@@ -39,7 +42,8 @@ __all__ = [
     "LoweredJoin",
     "Row",
     "attribute_position",
-    "key_extractor",
+    "constant_row",
+    "implied_checks",
     "lower_fetch",
     "lower_join",
     "lower_predicates",
@@ -59,13 +63,6 @@ def tuple_extractor(positions: Sequence[int]) -> Callable[[Row], Row]:
         position = positions[0]
         return lambda row: (row[position],)
     return cast(Callable[[Row], Row], itemgetter(*positions))
-
-
-def key_extractor(positions: Sequence[int]) -> Callable[[Row], object]:
-    """Join-key extractor; single positions yield scalars (both sides agree)."""
-    if not positions:
-        return lambda row: ()
-    return cast(Callable[[Row], object], itemgetter(*positions))
 
 
 def attribute_position(attributes: tuple[str, ...], attribute: str, where: str) -> int:
@@ -239,4 +236,56 @@ def lower_fetch(node: FetchNode, access_schema: AccessSchema) -> LoweredFetch:
         constraint=constraint,
         key_positions=key_positions,
         output_positions=output_positions,
+    )
+
+
+def constant_row(node: PlanNode) -> tuple[object, ...] | None:
+    """The one row of a product of constant scans, else ``None``.
+
+    Values follow ``node.attributes`` and may be :class:`Param` placeholders.
+    """
+    if isinstance(node, ConstantScan):
+        return (node.value,)
+    if isinstance(node, ProductNode):
+        left = constant_row(node.left)
+        right = constant_row(node.right) if left is not None else None
+        return None if left is None or right is None else left + right
+    return None
+
+
+def _same_constant(check: object, key: object) -> bool:
+    """Does every row the index returns for ``key`` pass ``= check``?
+
+    The same :class:`Param` does, given one reflexivity test of its value
+    per execution.  A plain constant does when it equals the key's value,
+    which ``float('nan')`` never does, so its check stays.
+    """
+    if isinstance(check, Param) or isinstance(key, Param):
+        return isinstance(check, Param) and isinstance(key, Param) and check == key
+    return type(check) is type(key) and bool(check == key)
+
+
+def implied_checks(
+    predicates: Sequence[Predicate], node: FetchNode
+) -> tuple[AttributeEqualsConstant, ...]:
+    """The checks of ``σ[predicates](node)`` that the fetch key implies.
+
+    A non-negated ``a = v`` on a key attribute ``a`` (the child's columns
+    are the key) holds for every fetched row when the child is built only
+    from constant scans that give ``a`` the same constant or ``Param`` — the
+    heuristic planner's ``σ[c](fetch(const c))`` shape.
+    """
+    if node.child is None:
+        return ()
+    row = constant_row(node.child)
+    if row is None:
+        return ()
+    keys = dict(zip(node.child.attributes, row))
+    return tuple(
+        predicate
+        for predicate in predicates
+        if isinstance(predicate, AttributeEqualsConstant)
+        and not predicate.negated
+        and predicate.attribute in keys
+        and _same_constant(predicate.value, keys[predicate.attribute])
     )

@@ -57,6 +57,8 @@ class DeltaStream:
         "_inserted_rows",
         "_deleted_rows",
         "_order",
+        "_relations",
+        "_touched",
         "applied_insertions",
         "applied_deletions",
         "skipped_inadmissible",
@@ -75,6 +77,9 @@ class DeltaStream:
         # Per relation, the batch position of its first effective update:
         # ``relations`` lists relations in that (first-touch) order.
         self._order: dict[str, int] = {}
+        # ``relations`` / ``touched`` as last read; every recording drops them.
+        self._relations: tuple[str, ...] | None = None
+        self._touched: frozenset[str] | None = None
         #: Effective (non-no-op) insertions/deletions applied, before netting.
         self.applied_insertions: int = 0
         self.applied_deletions: int = 0
@@ -88,13 +93,14 @@ class DeltaStream:
     def _touch(self, relation: str, position: int | None) -> None:
         """Note an effective update of ``relation`` at batch ``position``
         (by default after every update recorded so far), and drop the
-        relation's cached row tuples."""
+        relation's cached row tuples and the memoised relation names."""
         if position is None:
             position = self.applied
         if position < self._order.get(relation, position + 1):
             self._order[relation] = position
         self._inserted_rows.pop(relation, None)
         self._deleted_rows.pop(relation, None)
+        self._relations = self._touched = None
 
     def record_insert(
         self, relation: str, row: Row, position: int | None = None
@@ -161,17 +167,21 @@ class DeltaStream:
     @property
     def relations(self) -> tuple[str, ...]:
         """Relations with a non-empty net change, in first-touch order."""
-        order = self._order
-        return tuple(
-            name
-            for name in sorted(order, key=order.__getitem__)
-            if self._inserted.get(name) or self._deleted.get(name)
-        )
+        if self._relations is None:
+            order = self._order
+            self._relations = tuple(
+                name
+                for name in sorted(order, key=order.__getitem__)
+                if self._inserted.get(name) or self._deleted.get(name)
+            )
+        return self._relations
 
     @property
     def touched(self) -> frozenset[str]:
         """Relation names with a non-empty net change."""
-        return frozenset(self.relations)
+        if self._touched is None:
+            self._touched = frozenset(self.relations)
+        return self._touched
 
     def inserted(self, relation: str) -> tuple[Row, ...]:
         """Net-inserted rows: absent before the transaction, present after."""

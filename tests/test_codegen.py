@@ -14,6 +14,10 @@ oracle:
 * the set-at-a-time kernels — batched fetch, key-set semi-joins, join keys
   spanning product factors, ``π`` onto one factor — on the ``IndexSet``
   facade and on a snapshot read directly;
+* the rows-only-where-read rules — dropped implied checks (``NaN`` kept),
+  semi-join filters, emptiness guards — their ``explain()`` marks, and
+  pins on Q0's and the feed query's kernels (no crossed row, no row
+  predicate);
 * a differential property test over ~200 random CQs/UCQs, each bounded
   answer also checked against the SQL oracle (``conftest.SQLOracle``),
   re-run after ``apply()`` write batches.
@@ -21,14 +25,19 @@ oracle:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.algebra.fo import atom as fo_atom
 from repro.algebra.parser import parse_query
-from repro.algebra.terms import Constant, Variable
+from repro.algebra.schema import schema_from_spec
+from repro.algebra.terms import Constant, Param, Variable
+from repro.algebra.views import ViewSet
 from repro.algebra.ucq import UnionQuery
 from repro.analysis import codegen_eligibility
-from repro.core.plan_eval import FetchStats, plan_parameters
+from repro.core.access import AccessConstraint, AccessSchema
+from repro.core.plan_eval import FetchStats, bind_plan, plan_parameters
 from repro.core.plans import (
     AttributeEqualsAttribute,
     AttributeEqualsConstant,
@@ -42,8 +51,10 @@ from repro.core.plans import (
 )
 from repro.engine.service import QueryService
 from repro.errors import PlanError
+from repro.exec import codegen
 from repro.exec.codegen import compile_plan_closure
 from repro.storage.indexes import IndexSet
+from repro.storage.instance import Database
 from repro.storage.updates import random_update_batch
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
@@ -60,23 +71,25 @@ def _meters_equal(a, b) -> bool:
     )
 
 
-def _assert_tiers_identical(plan, service, provider=None):
+def _assert_tiers_identical(plan, service, provider=None, params=None):
     """Run ``plan``'s compiled closure over ``service``'s views and
-    ``provider`` (its indexes by default): its rows and every meter field
-    must equal the ``Dξ`` reference's (``conftest.reference``), and its rows
-    the SQL oracle's."""
+    ``provider`` (its indexes by default), with ``params`` bound: its rows
+    and every meter field must equal the ``Dξ`` reference's
+    (``conftest.reference``) on the bound plan, and its rows the SQL
+    oracle's."""
     provider = provider if provider is not None else service.indexes
     access, view_cache = service.access_schema, service.view_cache
-    expected = reference(plan, access, provider, view_cache)
+    bound = bind_plan(plan, params) if params else plan
+    expected = reference(bound, access, provider, view_cache)
     compiled = compile_plan_closure(plan, access)
     meter = FetchStats()
-    rows = compiled.execute(provider, view_cache, meter)
+    rows = compiled.execute(provider, view_cache, meter, params)
     assert rows == expected.rows
     assert compiled.attributes == plan.attributes
     assert _meters_equal(meter, expected.stats), (
         f"Dξ accounting diverged: compiled={meter} reference={expected.stats}"
     )
-    assert SQLOracle(service).plan_rows(plan) == rows
+    assert SQLOracle(service).plan_rows(bound) == rows
     return rows, meter
 
 
@@ -436,8 +449,8 @@ def _chain_select_plan(keyed: str):
     ``keyed`` picks which factor carries the key: ``"first"`` joins the V1
     scan of F0 against fetched movies, ``"middle"`` the constant rank of F1
     against fetched ratings, ``"last"`` the V2 scan of F2 against another V2
-    scan.  All three are shapes the generalized ``_factored_matches`` must
-    probe-first without materialising the three-factor chain.
+    scan.  In all three the join filters by the keyed factor without
+    materialising the three-factor chain.
     """
     from repro.core.plans import (
         AttributeEqualsAttribute,
@@ -745,6 +758,225 @@ def test_feed_key_spanning_two_factors_identical_tiers(skewed_small, provider):
         )
         rows, meter = _assert_tiers_identical(entry.plan, service, reader)
     assert rows and meter.per_relation["contacted"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Rows only where someone reads them: implied checks, semi-join filters and
+# emptiness guards
+# --------------------------------------------------------------------------- #
+
+NAN = float("nan")
+DROPPED = "implied check dropped"
+
+
+@pytest.fixture
+def predicate_calls(monkeypatch):
+    """Counts every row predicate call of the closures compiled from here
+    on (each goes through ``codegen._predicate_factory``)."""
+    calls = Counter()
+    factory_of = codegen._predicate_factory
+
+    def counting_factory(checks, parameters):
+        factory = factory_of(checks, parameters)
+
+        def per_execution(runtime):
+            predicate = factory(runtime)
+
+            def counted(row):
+                calls["row"] += 1
+                return predicate(row)
+
+            return counted
+
+        return per_execution
+
+    monkeypatch.setattr(codegen, "_predicate_factory", counting_factory)
+    return calls
+
+
+def _nan_service():
+    """``R(a, b)`` under ``R(a → b, 2)``, one of its rows keyed by the very
+    object ``NAN``, so an index probe with ``NAN`` finds it by identity."""
+    database = Database(schema_from_spec({"R": ("a", "b")}), {"R": {(NAN, 1), (2, 3)}})
+    access = AccessSchema((AccessConstraint("R", ("a",), ("b",), 2),))
+    return QueryService(database, access, ViewSet(()))
+
+
+def _nan_fetch(value):
+    return FetchNode(ConstantScan(value, attribute="a"), "R", ("a",), ("b",))
+
+
+def _universal_mid(gs_instance):
+    return min(
+        mid
+        for mid, _, studio, year in gs_instance.database.relation("movie").tuples
+        if (studio, year) == ("Universal", "2014")
+    )
+
+
+def _implied_case(case, gs_instance):
+    """``(plan, params, dropped)`` for one ``σ[a = v](fetch(…))`` shape."""
+    studio = AttributeEqualsConstant("studio", "Universal")
+    if case == "same-constant":
+        return SelectNode(_movies_fetch(), (studio,)), None, True
+    if case == "same-param":
+        check = AttributeEqualsConstant("studio", Param("s"))
+        return SelectNode(_movies_fetch(studio=Param("s")), (check,)), {"s": "Universal"}, True
+    if case == "negated":
+        check = AttributeEqualsConstant("studio", "Universal", negated=True)
+        return SelectNode(_movies_fetch(), (check,)), None, False
+    if case == "other-value":
+        check = AttributeEqualsConstant("studio", "Paramount")
+        return SelectNode(_movies_fetch(), (check,)), None, False
+    if case == "other-param":
+        check = AttributeEqualsConstant("studio", Param("t"))
+        plan = SelectNode(_movies_fetch(studio=Param("s")), (check,))
+        return plan, {"s": "Universal", "t": "Universal"}, False
+    if case == "non-constant-child":
+        ratings = FetchNode(_movie_ids(), "rating", ("mid",), ("rank",))
+        check = AttributeEqualsConstant("mid", _universal_mid(gs_instance))
+        return SelectNode(ratings, (check,)), None, False
+    if case == "nan-constant":
+        plan = SelectNode(_nan_fetch(NAN), (AttributeEqualsConstant("a", NAN),))
+        return plan, None, False
+    assert case == "nan-param"
+    plan = SelectNode(_nan_fetch(Param("p")), (AttributeEqualsConstant("a", Param("p")),))
+    return plan, {"p": NAN}, True
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "same-constant",
+        "same-param",
+        "negated",
+        "other-value",
+        "other-param",
+        "non-constant-child",
+        "nan-constant",
+        "nan-param",
+    ],
+)
+def test_a_check_the_fetch_key_implies_is_dropped(
+    gs_instance, gs_access, predicate_calls, case
+):
+    """``σ[a = v](fetch(const v))`` on a key attribute ``a``: the check is
+    dropped for the same constant or ``Param`` and kept for a negated
+    check, another value or parameter, a child that is not all constants,
+    and a constant not equal to itself.  A dropped ``Param`` check leaves
+    one reflexivity test per execution, so ``NaN`` still returns nothing
+    for the row the index finds by identity.  Rows and every meter field
+    equal the reference's either way."""
+    plan, params, dropped = _implied_case(case, gs_instance)
+    nan = case.startswith("nan")
+    service = (
+        _nan_service()
+        if nan
+        else QueryService(gs_instance.database, gs_access, graph_search.views())
+    )
+    rows, meter = _assert_tiers_identical(plan, service, params=params)
+    compiled = compile_plan_closure(plan, service.access_schema)
+    assert (DROPPED in compiled.notes.get((), "")) == dropped
+    predicate_calls.clear()
+    compiled.execute(service.indexes, service.view_cache, FetchStats(), params)
+    assert (predicate_calls["row"] == 0) == dropped
+    assert meter.tuples_fetched > 0  # the check had rows to run on
+    assert bool(rows) == (case in ("same-constant", "same-param", "other-param", "non-constant-child"))
+
+
+@pytest.mark.parametrize("crossed", [False, True])
+def test_an_all_key_factor_is_a_semi_join_filter(gs_access, gs_provider, crossed):
+    """``σ[mid_a = mid_d](chain × ratings)``: ``mid_a`` holds only the join
+    key, so it only filters the build keys and its column is read off the
+    surviving key — alone, and next to a free factor whose column is
+    crossed with each key's ratings."""
+    left = _movie_ids(attribute="mid_a")
+    if crossed:
+        left = ProductNode(left, _nasa("pid_b"))
+    plan = SelectNode(
+        ProductNode(left, _ratings()), (AttributeEqualsAttribute("mid_a", "mid_d"),)
+    )
+    rows, _ = _check_provider(gs_provider, plan)
+    assert rows and all(row[0] == row[-2] for row in rows)
+    notes = compile_plan_closure(plan, gs_access).notes
+    assert notes == {((0, 0, 0) if crossed else (0, 0)): "semi-join filter"}
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_a_dead_factor_is_an_emptiness_guard(gs_access, gs_provider, empty):
+    """``π[mid_a, rank_d]`` over ``σ[mid_a = mid_d]((mid_a × dead) ×
+    ratings)`` reads no column of ``dead``: it is evaluated and charged,
+    then only tested for emptiness — empty, it empties the join."""
+    dead = _movie_ids(NOBODY if empty else "Universal", "dead")
+    chain = ProductNode(_movie_ids(attribute="mid_a"), dead)
+    plan = ProjectNode(
+        SelectNode(
+            ProductNode(chain, _ratings()), (AttributeEqualsAttribute("mid_a", "mid_d"),)
+        ),
+        ("mid_a", "rank_d"),
+    )
+    rows, meter = _check_provider(gs_provider, plan)
+    assert bool(rows) == (not empty)
+    assert meter.fetch_calls > 3  # three movie fetches, one rating batch
+    notes = compile_plan_closure(plan, gs_access).notes
+    assert notes[(0, 0, 0, 0)] == "semi-join filter"
+    assert notes[(0, 0, 0, 1)] == "emptiness guard"
+
+
+def test_q0_kernel_concatenates_no_rows(gs_1000, gs_q0, monkeypatch):
+    """Q0's plan carries ``π[mid] V1 × ρ[pid→xp] π[pid] V2`` in both copies
+    of its duplicated subtree, and nothing reads ``xp``: V1 is a semi-join
+    filter, V2 an emptiness guard, and the kernel crosses nothing (it
+    concatenated 108 rows per execution before liveness)."""
+    calls = Counter()
+    concat = codegen._concat
+
+    def counting(parts):
+        calls["concat"] += 1
+        return concat(parts)
+
+    monkeypatch.setattr(codegen, "_concat", counting)
+    access = graph_search.access_schema(n0=gs_1000.n0)
+    with QueryService(gs_1000.database, access, graph_search.views()) as service:
+        answer = service.query(gs_q0)
+        assert answer.rows == SQLOracle(service).rows(answer, gs_q0)
+    assert len(answer.rows) == 3 and answer.tuples_fetched == 27
+    assert calls["concat"] == 0
+
+
+def test_feed_kernel_runs_no_row_predicate(skewed_small, predicate_calls):
+    """Every check of the planned feed query is a ``σ[celeb = $0]`` or
+    ``σ[team = $1]`` on rows the index returned for exactly that key: the
+    closure runs no row predicate (210 calls per execution here before)."""
+    query = skewed.query_feed()
+    with QueryService(skewed_small.database, skewed.access_schema(), skewed.views()) as service:
+        answer = service.query(query)
+        assert answer.rows and answer.rows == SQLOracle(service).rows(answer, query)
+    assert predicate_calls["row"] == 0
+
+
+def test_explain_marks_what_the_kernel_does_instead(skewed_small, gs_1000, gs_q0):
+    """``explain()`` marks each dropped implied check, semi-join filter and
+    emptiness guard on the plan tree, by the compiled plan's notes."""
+    with QueryService(skewed_small.database, skewed.access_schema(), skewed.views()) as service:
+        explanation = service.explain(skewed.query_feed())
+        entry, _ = service.plan(skewed.query_feed())
+        assert explanation.kernel_notes == entry.compiled.notes
+        feed = [line.strip() for line in explanation.render().splitlines()]
+    assert feed.count("σ[celeb = 'c_hot']  -> (celeb, fan)  [implied check dropped: celeb]") == 2
+    assert feed.count("σ[team = 't0']  -> (team, agent)  [implied check dropped: team]") == 2
+    assert feed.count("π[fan]  -> (fan)  [semi-join filter]") == 1
+    assert feed.count("π[agent]  -> (agent)  [semi-join filter]") == 1
+    assert feed.count("π[fan]  -> (fan)  [emptiness guard]") == 1
+
+    access = graph_search.access_schema(n0=gs_1000.n0)
+    with QueryService(gs_1000.database, access, graph_search.views()) as service:
+        q0 = [line.strip() for line in service.explain(gs_q0).render().splitlines()]
+    assert q0.count("ρ[pid→xp]  -> (xp)  [emptiness guard]") == 2
+    assert q0.count("π[mid]  -> (mid)  [semi-join filter]") == 2
+    dropped = "[implied check dropped: studio, release]"
+    assert sum(line.endswith(dropped) for line in q0) == 2
+    assert not any(line.startswith("σ[rank = 5]") and "[" in line[12:] for line in q0)
 
 
 # --------------------------------------------------------------------------- #

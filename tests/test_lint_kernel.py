@@ -135,6 +135,29 @@ def test_unmetered_batched_fetch_is_flagged(tmp_path):
     assert any("'step_batch' probes '.fetch_many'" in v.message for v in violations)
 
 
+def test_unmetered_fetch_read_only_inside_a_comprehension_is_flagged(tmp_path):
+    # A kernel that projects the batch inline never names the batch in a
+    # loop of its own: the probe inside the comprehension still counts.
+    _write(
+        tmp_path,
+        "src/repro/exec/codegen.py",
+        """
+        def compile_fetch(constraint, position):
+            def step_inline(runtime, keys):
+                return {
+                    (row[position],)
+                    for fetched in runtime.provider.fetch_many(constraint, keys)
+                    for row in fetched
+                }
+
+            return step_inline
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert {v.code for v in violations} == {"kernel.unmetered-fetch"}
+    assert any("'step_inline' probes '.fetch_many'" in v.message for v in violations)
+
+
 @pytest.mark.parametrize(
     "source",
     [

@@ -261,3 +261,29 @@ def test_one_loop_nest_generator_the_delta_code_generator_is_gone():
         if "exec(" in path.read_text(encoding="utf-8")
     ]
     assert exec_sites == ["src/repro/exec/cq_compiler.py"]
+
+
+def test_one_probe_routine_the_factor_special_cases_are_gone():
+    """The plan kernel's join and product steps classify every factor from
+    the columns its consumer reads: the one-keyed-factor probe, the
+    factor projection and the per-shape compile functions they hung off
+    are gone from ``src/``, and the quadratic ``sum(parts, ())`` with
+    them."""
+    from repro.exec import codegen, lowering
+
+    names = (
+        "probe_factor", "probe_chain", "_compile_factor_projection", "_compile_probe",
+        "_compile_join", "_compile_fetch", "_fuse_fetch", "step_join_semi",
+        "key_extractor",
+    )
+    for module in (codegen, lowering):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+    mentions = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if any(name in path.read_text(encoding="utf-8") for name in names)
+    ]
+    assert not mentions
+    kernel = (ROOT / "src/repro/exec/codegen.py").read_text(encoding="utf-8")
+    assert "sum(parts" not in kernel

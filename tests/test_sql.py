@@ -10,6 +10,8 @@ other test modules use to cross-check the service's answers.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.algebra.evaluation import evaluate_cq, evaluate_ucq
@@ -76,6 +78,16 @@ def test_quote_literal_kinds():
     assert quote_literal(2.5) == "2.5"
     assert quote_literal(None) == "NULL"
     assert quote_literal(True) == "1"
+
+
+def test_quote_literal_non_finite_floats_are_valid_sqlite():
+    """``repr`` gives ``nan`` / ``inf``, which SQLite reads as column names:
+    NaN renders as NULL (SQLite stores a NaN as NULL), ±∞ as ±9e999."""
+    connection = sqlite3.connect(":memory:")
+    assert quote_literal(float("nan")) == "NULL"
+    for value in (float("inf"), float("-inf")):
+        (read,) = connection.execute(f"SELECT {quote_literal(value)}").fetchone()
+        assert read == value
 
 
 # --------------------------------------------------------------------------- #

@@ -48,6 +48,26 @@ def test_delta_stream_orders_relations_by_first_touch():
     assert stream.deleted("R") == ((2, 2),)
 
 
+def test_delta_stream_names_are_memoised_and_dropped_by_every_recording():
+    """``relations`` and ``touched`` are computed once per stream state: a
+    read between recordings returns the memo, and each recording drops it —
+    a cancelling pair removes the relation, a later ``record_net`` at an
+    earlier batch position moves its relation first."""
+    stream = DeltaStream()
+    stream.record_insert("S", (1,), position=1)
+    stream.record_insert("R", (2, 2), position=2)
+    assert stream.relations == ("S", "R") and stream.touched == {"S", "R"}
+    assert stream.relations is stream.relations
+    assert stream.touched is stream.touched
+    stream.record_delete("R", (2, 2))  # cancels the insertion
+    assert stream.relations == ("S",) and stream.touched == {"S"}
+    stream.record_net("T", [(5,)], [], position=0)
+    assert stream.relations == ("T", "S") and stream.touched == {"T", "S"}
+    stream.record_delete("S", (1,), position=3)  # cancels; S's first touch stays 1
+    stream.record_insert("S", (7,), position=4)
+    assert stream.relations == ("T", "S")
+
+
 def test_database_apply_notifies_subscribers_once_per_transaction():
     schema = schema_from_spec({"R": ("a", "b")})
     database = Database(schema, {"R": {(1, 10)}})
