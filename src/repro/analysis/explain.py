@@ -58,8 +58,10 @@ class Explanation:
     compile_seconds: float | None = None
     # Cost-model estimates of the cached plan (optimizer v2), as plain
     # tuples so this module stays free of engine-layer imports.
-    # ``operator_estimates`` rows are ``(access, estimated Dξ, last actual
-    # Dξ or None)`` per fetch operator; ``join_orders`` rows are
+    # ``operator_estimates`` rows are ``(accesses, estimated Dξ, last actual
+    # Dξ or None)`` per fetched relation — its fetch operators' accesses
+    # (``×n`` for ``n`` operators through one), their summed estimate and
+    # the relation's actual; ``join_orders`` rows are
     # ``(description, model cost, chosen)`` — the chosen order first, then
     # the best rejected completions.  ``replans`` counts how often adaptive
     # re-planning replaced this entry since the last write it saw;
@@ -73,7 +75,8 @@ class Explanation:
     replan_reason: str = ""
     # What the compiled kernel does instead of the plan's letter, by node
     # path (child indices from the root): a dropped implied check, a
-    # semi-join filter, an emptiness guard; shown on the plan tree.
+    # semi-join filter, an emptiness guard, a view probe; shown on the plan
+    # tree.
     kernel_notes: Mapping[tuple[int, ...], str] = field(default_factory=dict)
 
     @property

@@ -7,14 +7,17 @@ provider and a cache of view results.  That realises the operational
 semantics of Section 2: ``fetch`` nodes retrieve data from the underlying
 database *only* through the index of a covering access constraint, and the
 execution records the bag ``Dξ`` of tuples so fetched — index lookups are
-keyed on distinct ``X``-values and charged per returned tuple, view scans
-are counted once per plan occurrence.  Scanning cached views is free — that
-is precisely the point of bounded rewriting using views.
+keyed on distinct ``X``-values and charged per returned tuple, view reads
+are counted once per plan occurrence (the rows a keyed probe returns, or
+the whole view).  Reading cached views is free — that is precisely the
+point of bounded rewriting using views.
 
 This module holds the contracts around that execution.  It is decoupled
 from the storage layer: any *fetch provider* (:class:`FetchProvider`:
 ``fetch`` per key, ``fetch_many`` per key batch) works — the MVCC snapshots
-(:class:`repro.storage.snapshots.DatabaseSnapshot`) are the standard one.
+(:class:`repro.storage.snapshots.DatabaseSnapshot`) are the standard one;
+cached views are read as :class:`ViewVersion` objects (rows plus memoised
+hash indexes).
 :class:`ExecutionResult` is what a run returns, and :func:`plan_parameters`
 / :func:`bind_plan` handle plans with named parameters.
 """
@@ -60,6 +63,24 @@ class FetchProvider(Protocol):
         self, constraint: AccessConstraint, keys: Collection[tuple]
     ) -> list[frozenset[tuple]]:
         """``fetch`` for each key of ``keys``, in iteration order."""
+        ...
+
+
+class ViewVersion(Protocol):
+    """One published version of a cached view's rows.
+
+    ``rows`` is the view's extension; ``index_on(positions)`` hashes those
+    rows on the values at ``positions`` (a tuple key, absent keys have no
+    rows) and is memoised by the version, so a compiled closure probes it
+    instead of testing every row per execution.  A version never changes:
+    a write that changes the view publishes a new one.
+    :class:`repro.storage.snapshots.RelationVersion` is the standard one.
+    """
+
+    rows: frozenset[tuple]
+
+    def index_on(self, positions: Sequence[int]) -> Mapping[tuple, Sequence[tuple]]:
+        """This version's rows hashed on the values at ``positions``."""
         ...
 
 

@@ -22,7 +22,7 @@ output on stdlib ``sqlite3`` as an independent oracle for the rows.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from ...algebra.fo import FOQuery
 from ...algebra.terms import Variable
@@ -33,6 +33,7 @@ from ...core.plans import PlanNode
 from ...exec.codegen import CompiledPlan, compile_plan_closure
 from ...exec.cq_compiler import CQKernel
 from ...storage.instance import Database
+from ...storage.snapshots import RelationVersion
 from ..baseline import BaselineResult, NaiveEngine
 
 
@@ -40,12 +41,17 @@ class InMemoryBackend:
     """The serving backend: compiled closures and loop nests over hash
     indices.
 
-    The backend publishes one immutable ``(provider, view_cache)`` pair;
+    The backend publishes one immutable ``(provider, views)`` pair;
     :meth:`refresh` swaps in the next pair with a single reference
     assignment when the underlying data changes (the incremental-maintenance
-    path), so a write costs O(1) here.  The provider is the pinned
+    path).  The provider is the pinned
     :class:`~repro.storage.snapshots.DatabaseSnapshot`: the full-scan paths
-    read their rows from it too.
+    read their rows from it too.  Each cached view is published as one
+    :class:`~repro.storage.snapshots.RelationVersion` of its rows, whose
+    hash indexes compiled closures probe (built lazily, once per version):
+    a refresh keeps the version of every view whose row set it already
+    holds — the maintainer re-freezes only the views a transaction changed
+    — so only a changed view starts a new version with no indexes.
     """
 
     name = "memory"
@@ -55,19 +61,20 @@ class InMemoryBackend:
         database: Database,
         access_schema: AccessSchema,
         provider: FetchProvider,
-        view_cache: Mapping[str, frozenset[tuple]],
+        view_cache: Mapping[str, Collection[tuple]],
     ) -> None:
         self.database = database
         self.access_schema = access_schema
-        self._state: tuple[FetchProvider, Mapping[str, frozenset[tuple]]] = (
+        self._state: tuple[FetchProvider, Mapping[str, RelationVersion]] = (
             provider,
-            view_cache,
+            _versions(view_cache, {}),
         )
 
     # ------------------------------------------------------------------ #
 
     @property
-    def view_cache(self) -> Mapping[str, frozenset[tuple]]:
+    def views(self) -> Mapping[str, RelationVersion]:
+        """The published version of each cached view."""
         return self._state[1]
 
     @property
@@ -77,15 +84,14 @@ class InMemoryBackend:
     def refresh(
         self,
         provider: FetchProvider | None = None,
-        view_cache: Mapping[str, frozenset[tuple]] | None = None,
+        view_cache: Mapping[str, Collection[tuple]] | None = None,
     ) -> None:
-        """Publish a new fetch provider and/or view cache (after data
-        changes).  View rows are frozen sets, as the maintainer's snapshot
-        holds them."""
+        """Publish a new fetch provider and/or view rows (after data
+        changes), as the maintainer's snapshot holds them."""
         current_provider, current_views = self._state
         self._state = (
             provider if provider is not None else current_provider,
-            view_cache if view_cache is not None else current_views,
+            current_views if view_cache is None else _versions(view_cache, current_views),
         )
 
     # ------------------------------------------------------------------ #
@@ -101,20 +107,20 @@ class InMemoryBackend:
         compiled: CompiledPlan,
         params: Mapping[str, object] | None = None,
     ) -> ExecutionResult:
-        """Run a codegen closure against the current provider and view cache.
+        """Run a codegen closure against the current provider and views.
 
-        The closure is data-independent: the provider and view cache are
+        The closure is data-independent: the provider and views are
         late-bound per execution, so a closure compiled before a write keeps
         reading the refreshed state afterwards.  Accounting is a fresh
         :class:`FetchStats` per call.
         """
         # One read of the published pair: refresh() swaps it atomically, and
-        # reading provider and view_cache through two separate attribute
-        # reads could pair a pre-refresh provider with a post-refresh view
-        # cache (a torn runtime under concurrent writes).
-        provider, view_cache = self._state
+        # reading provider and views through two separate attribute reads
+        # could pair a pre-refresh provider with post-refresh views (a torn
+        # runtime under concurrent writes).
+        provider, views = self._state
         stats = FetchStats()
-        rows = compiled.execute(provider, view_cache, stats, params)
+        rows = compiled.execute(provider, views, stats, params)
         return ExecutionResult(attributes=compiled.attributes, rows=rows, stats=stats)
 
     def execute_baseline(self, query: QueryLike) -> BaselineResult:
@@ -134,3 +140,17 @@ class InMemoryBackend:
     def execute_baseline_fo(self, query: FOQuery, head: Sequence[Variable]) -> BaselineResult:
         """Evaluate an FO query over the pinned snapshot's facts."""
         return NaiveEngine(self.provider).answer_fo(query, head)
+
+
+def _versions(
+    view_cache: Mapping[str, Collection[tuple]], current: Mapping[str, RelationVersion]
+) -> dict[str, RelationVersion]:
+    """One version per view: the current one while it holds these very
+    rows, else a new version of them."""
+    versions: dict[str, RelationVersion] = {}
+    for name, rows in view_cache.items():
+        version = current.get(name)
+        if version is None or version.rows is not rows:
+            version = RelationVersion(frozenset(rows))
+        versions[name] = version
+    return versions

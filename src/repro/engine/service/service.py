@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, replace as dataclass_replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -1062,13 +1063,27 @@ class QueryService:
             access_schema=self.access_schema,
             budget=self._budget,
         )
-        # Cost-model provenance, flattened to plain tuples: per-fetch
-        # estimates with the IOMeter's last per-relation actuals, and the
-        # cost-based orderer's chosen-vs-rejected join orders.
+        # Cost-model provenance, flattened to plain tuples: per relation,
+        # its fetch operators' summed estimates beside the IOMeter's last
+        # actual for the relation (the meter does not split a relation's
+        # tuples by operator), and the cost-based orderer's
+        # chosen-vs-rejected join orders.
         per_relation = entry.actual_per_relation or {}
+        operators: dict[str, Counter[str]] = {}
+        estimated: dict[str, float] = {}
+        for fe in entry.fetch_estimates:
+            operators.setdefault(fe.relation, Counter())[fe.access] += 1
+            estimated[fe.relation] = estimated.get(fe.relation, 0.0) + fe.fetched
         operator_estimates = tuple(
-            (fe.access, float(fe.fetched), per_relation.get(fe.relation))
-            for fe in entry.fetch_estimates
+            (
+                " + ".join(
+                    access if count == 1 else f"{access} ×{count}"
+                    for access, count in accesses.items()
+                ),
+                estimated[relation],
+                per_relation.get(relation),
+            )
+            for relation, accesses in operators.items()
         )
         report = entry.order_report
         order_strategy = str(getattr(report, "strategy", "")) if report is not None else ""

@@ -22,16 +22,30 @@ rules follow, all decided at compile time:
   tested, and its part of the output comes from the surviving build key;
 * a factor with no read column at all is an *emptiness guard*.
 
+Cached views are read from their published version
+(:class:`~repro.core.plan_eval.ViewVersion`: rows plus hash indexes the
+version memoises), reached by duck typing — this module imports no storage:
+
+* a ``σ`` whose non-negated checks include ``attribute = constant`` or
+  ``attribute = Param`` over a view leaf (through a ``π``/``ρ`` chain) is a
+  *view probe*: one lookup of the version's index on those positions,
+  the other checks filtering the bucket (a key value unequal to itself,
+  such as ``NaN``, finds nothing);
+* a view read onto some of its columns is the key set of the version's
+  index on them, not a projection rebuilt per execution.
+
 Two invariants make the closures a faithful reading of the plan:
 
 *Exact ``Dξ``.*  The paper's cost metric is the bag of tuples pulled
 through access-constraint indexes.  A fetch charges once per *distinct* key
 (``S_j`` has set semantics, so charging is order-independent over the key
-set), and a cached-view scan charges once per plan occurrence per
-execution — every subtree is evaluated exactly once, with no common
-subexpression shared.  The test suite's recursive reference evaluator
-(``tests/conftest.py::reference``) charges the same points, and the
-:class:`~repro.exec.iometer.IOMeter` counters must match it field for field.
+set), and a cached-view read charges once per plan occurrence per
+execution — the whole view, or for a view probe the rows its bucket holds
+(``view_tuples_scanned``; views are not part of ``Dξ``) — every subtree
+is evaluated exactly once, with no common subexpression shared.  The test
+suite's recursive reference evaluator (``tests/conftest.py::reference``)
+charges the same points, and the :class:`~repro.exec.iometer.IOMeter`
+counters must match it field for field.
 
 *Data-independent artifacts.*  Closures close over positions, constraints
 and extractors — never over data.  Provider, view cache, meter and parameter
@@ -47,6 +61,7 @@ fetch, projection, union — dedup inline; the rest preserve distinctness).
 from __future__ import annotations
 
 import time
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, product
@@ -55,7 +70,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessSchema
-from ..core.plan_eval import FetchProvider
+from ..core.plan_eval import FetchProvider, ViewVersion
 from ..core.plans import (
     ConstantScan,
     DifferenceNode,
@@ -92,10 +107,12 @@ class Runtime:
     data-independent: the closure tree never sees storage or bindings at
     compile time, so cache-held closures survive writes and rebinds.
     ``provider`` is the only storage surface a closure may touch (the
-    metered fetch protocol, :class:`~repro.core.plan_eval.FetchProvider`).
-    ``params`` holds the execution's parameter values by slot — resolved
-    from the caller's bindings once, in :meth:`CompiledPlan.execute`; steps
-    and predicates index into it.
+    metered fetch protocol, :class:`~repro.core.plan_eval.FetchProvider`);
+    ``views`` maps each cached view to its published
+    :class:`~repro.core.plan_eval.ViewVersion`, read only by steps that
+    charge ``record_view_scan``.  ``params`` holds the execution's
+    parameter values by slot — resolved from the caller's bindings once, in
+    :meth:`CompiledPlan.execute`; steps and predicates index into it.
     """
 
     __slots__ = ("provider", "views", "meter", "params")
@@ -103,7 +120,7 @@ class Runtime:
     def __init__(
         self,
         provider: FetchProvider,
-        views: Mapping[str, Collection[Row]],
+        views: Mapping[str, ViewVersion],
         meter: IOMeter,
         params: tuple[object, ...],
     ) -> None:
@@ -132,8 +149,8 @@ class CompiledPlan:
     ``compile_seconds`` is the wall-clock cost of building the closure tree
     and ``notes`` what the kernel does instead of the plan's letter, by the
     path of the node (child indices from the root): a dropped implied
-    check, a semi-join filter, an emptiness guard — both surfaced by
-    ``QueryService.explain``.
+    check, a semi-join filter, an emptiness guard, a view probe — both
+    surfaced by ``QueryService.explain``.
     """
 
     attributes: tuple[str, ...]
@@ -146,7 +163,7 @@ class CompiledPlan:
     def execute(
         self,
         provider: FetchProvider,
-        views: Mapping[str, Collection[Row]],
+        views: Mapping[str, ViewVersion],
         meter: IOMeter,
         params: Mapping[str, object] | None = None,
     ) -> frozenset[Row]:
@@ -301,6 +318,27 @@ def _projector(columns: tuple[int, ...]) -> Callable[[Iterable[Row]], Collection
     return lambda rows: set(map(get, rows))
 
 
+def _unchain(
+    node: PlanNode, path: _NodePath, positions: list[int]
+) -> tuple[PlanNode, _NodePath, list[int]]:
+    """The node below a ``π``/``ρ`` chain, its path, and where ``positions``
+    of ``node`` sit in it: ``π ∘ π`` composes positionally and ``ρ`` keeps
+    positions."""
+    while isinstance(node, (ProjectNode, RenameNode)):
+        if isinstance(node, ProjectNode):
+            inner = [
+                attribute_position(node.child.attributes, a, "projection")
+                for a in node.kept
+            ]
+            positions = [inner[p] for p in positions]
+        node, path = node.child, path + (0,)
+    return node, path, positions
+
+
+def _missing_view(view_name: str) -> PlanError:
+    return PlanError(f"view {view_name!r} is not materialised in the view cache")
+
+
 def _narrowing(columns: tuple[int, ...] | None, node: PlanNode) -> tuple[int, ...] | None:
     """``columns``, or ``None`` when they read all of ``node`` as laid out."""
     if columns is not None and columns == tuple(range(len(node.attributes))):
@@ -415,20 +453,12 @@ class _Compiler:
             return self._fetch(node, path, columns)
 
         if isinstance(node, (ProjectNode, RenameNode)):
-            # π ∘ π composes positionally and ρ keeps positions, so a chain
-            # of them is one projection of the node below — read only where
-            # the consumer reads it.
+            # A chain of them is one projection of the node below — read
+            # only where the consumer reads it.
             if columns is None and isinstance(node, RenameNode):
                 return self.step(node.child, path + (0,))
             positions = list(range(len(node.kept)) if columns is None else columns)
-            while isinstance(node, (ProjectNode, RenameNode)):
-                if isinstance(node, ProjectNode):
-                    inner = [
-                        attribute_position(node.child.attributes, a, "projection")
-                        for a in node.kept
-                    ]
-                    positions = [inner[p] for p in positions]
-                node, path = node.child, path + (0,)
+            node, path, positions = _unchain(node, path, positions)
             return self.step(node, path, tuple(positions))
 
         if isinstance(node, SelectNode):
@@ -489,17 +519,15 @@ class _Compiler:
         return step_constant
 
     def _view(self, view_name: str, columns: tuple[int, ...] | None) -> Step:
-        project = None if columns is None else _projector(columns)
+        """A whole view read, charged ``|V|``: its rows, or read onto
+        ``columns`` the key set of the version's index on them."""
 
         def step_view(runtime: Runtime) -> Collection[Row]:
-            try:
-                cached = runtime.views[view_name]
-            except KeyError:
-                raise PlanError(
-                    f"view {view_name!r} is not materialised in the view cache"
-                ) from None
-            runtime.meter.record_view_scan(len(cached))
-            return cached if project is None else project(cached)
+            view = runtime.views.get(view_name)
+            if view is None:
+                raise _missing_view(view_name)
+            runtime.meter.record_view_scan(len(view.rows))
+            return view.rows if columns is None else view.index_on(columns).keys()
 
         return step_view
 
@@ -507,6 +535,13 @@ class _Compiler:
         self, node: SelectNode, path: _NodePath, columns: tuple[int, ...] | None
     ) -> Step:
         checks = lower_predicates(node.predicates, node.child.attributes, "selection")
+        leaf = node.child
+        while isinstance(leaf, (ProjectNode, RenameNode)):
+            leaf = leaf.child
+        if isinstance(leaf, ViewScan) and any(
+            isinstance(c, ConstantCheck) and not c.negated for c in checks
+        ):
+            return self._probe(node, path, checks, columns)
         factory = _predicate_factory(checks, self.parameters)
         child = self.step(node.child, path + (0,))
         project = None if columns is None else _projector(columns)
@@ -516,6 +551,55 @@ class _Compiler:
             return list(rows) if project is None else project(rows)
 
         return step_select
+
+    def _probe(
+        self,
+        node: SelectNode,
+        path: _NodePath,
+        checks: Sequence[Check],
+        columns: tuple[int, ...] | None,
+    ) -> Step:
+        """``σ`` over a view leaf, keyed: one probe of the view version's
+        index on the positions of the non-negated constant and ``Param``
+        checks, the other checks filtering the bucket.  It charges the rows
+        the bucket holds; a key value unequal to itself (``NaN``) finds
+        nothing, as ``==`` would."""
+        attributes = node.child.attributes
+        leaf, _, positions = _unchain(node.child, path, list(range(len(attributes))))
+        assert isinstance(leaf, ViewScan)
+        keyed = [c for c in checks if isinstance(c, ConstantCheck) and not c.negated]
+        residual = [
+            _remap_check(c, positions)
+            for c in checks
+            if not (isinstance(c, ConstantCheck) and not c.negated)
+        ]
+        self.notes[path] = "view probe: " + ", ".join(attributes[c.position] for c in keyed)
+        on = tuple(positions[c.position] for c in keyed)
+        spec = tuple(
+            (c.value, self.slot(c.value.name) if isinstance(c.value, Param) else None)
+            for c in keyed
+        )
+        factory = _predicate_factory(residual, self.parameters) if residual else None
+        output = tuple(positions if columns is None else [positions[c] for c in columns])
+        project = None if output == tuple(range(len(leaf.attributes))) else _projector(output)
+        view_name = leaf.view_name
+
+        def step_probe(runtime: Runtime) -> Collection[Row]:
+            view = runtime.views.get(view_name)
+            if view is None:
+                raise _missing_view(view_name)
+            values = runtime.params
+            key = tuple([v if s is None else values[s] for v, s in spec])
+            # Element-wise: a tuple equals itself even holding a NaN.
+            found = all(v == v for v in key)
+            bucket = view.index_on(on).get(key, ()) if found else ()
+            runtime.meter.record_view_scan(len(bucket))
+            if factory is not None:
+                rows = filter(factory(runtime), bucket)
+                return list(rows) if project is None else project(rows)
+            return bucket if project is None else project(bucket)
+
+        return step_probe
 
     def _fetch(
         self,
@@ -736,7 +820,7 @@ class _Compiler:
                 order = sorted(filters, key=lambda f: len(results[f[0]]))
             for index, keep in order:
                 members = results[index]
-                if not isinstance(members, (set, frozenset)):
+                if not isinstance(members, AbstractSet):
                     members = set(members)
                 keys = keep(keys, members)
             groups: list[dict[Row, list[Row]]] = []

@@ -6,8 +6,8 @@ Section 2.  :class:`IOMeter` is the single place where that accounting
 happens: a compiled plan's fetch step (:mod:`repro.exec.codegen`) and a
 metered maintenance state (the relation states of
 :mod:`repro.engine.service.maintenance`) record every tuple an index lookup
-returns, a cached-view scan records free view-scan work, and everything
-else is pure CPU.
+returns, a cached-view read records the view rows it reads — free, not
+``Dξ`` — and everything else is pure CPU.
 
 ``repro.core.plan_eval.FetchStats`` is an alias of this class.
 """
@@ -24,8 +24,9 @@ class IOMeter:
     ``tuples_fetched`` counts every tuple returned by every index lookup (bag
     semantics, as in the paper's definition of ``Dξ``); ``fetch_calls`` counts
     the index lookups themselves; ``per_relation`` breaks the tuple count down
-    by base relation.  View scans contribute ``view_tuples_scanned`` but no
-    I/O.
+    by base relation.  View reads contribute ``view_tuples_scanned`` but no
+    I/O: a whole read counts the view's rows, a keyed view probe the rows
+    its bucket returns.
     """
 
     fetch_calls: int = 0

@@ -43,6 +43,7 @@ from repro.engine.sql import (
 from repro.errors import PlanError
 from repro.exec.iometer import IOMeter
 from repro.storage.instance import Database
+from repro.storage.snapshots import RelationVersion
 from repro.workloads import graph_search, skewed
 
 
@@ -177,8 +178,11 @@ def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
     own (no shared subexpressions).  A fetch probes ``provider.fetch`` once
     per distinct key of its input, or once with ``()`` when it has no
     input, and charges each probe to the meter; a view scan charges ``|V|``
-    per occurrence.  Written for clarity, not speed: the compiled closures'
-    rows and every meter field must equal what this returns.
+    per occurrence, except below a ``σ`` with non-negated constant checks
+    (through a ``π``/``ρ`` chain): that ``σ`` charges the view rows meeting
+    those checks, and nothing else.  Written for clarity, not speed: the
+    compiled closures' rows and every meter field must equal what this
+    returns.
     """
     unbound = plan_parameters(plan)
     if unbound:
@@ -200,13 +204,33 @@ def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
             )
         return equal != predicate.negated
 
+    def view_rows(node) -> frozenset[tuple]:
+        if node.view_name not in view_cache:
+            raise PlanError(f"view {node.view_name!r} is not materialised")
+        return view_cache[node.view_name]
+
+    def chain_leaf(node):
+        while isinstance(node, (ProjectNode, RenameNode)):
+            node = node.child
+        return node
+
+    def through(node, rows) -> set[tuple]:
+        """View rows carried up the ``π``/``ρ`` chain ``node``."""
+        if isinstance(node, ProjectNode):
+            inputs = node.child.attributes
+            return {
+                tuple(row[column(inputs, a)] for a in node.kept)
+                for row in through(node.child, rows)
+            }
+        if isinstance(node, RenameNode):
+            return through(node.child, rows)
+        return set(rows)
+
     def run(node) -> set[tuple]:
         if isinstance(node, ConstantScan):
             return {(node.value,)}
         if isinstance(node, ViewScan):
-            if node.view_name not in view_cache:
-                raise PlanError(f"view {node.view_name!r} is not materialised")
-            rows = view_cache[node.view_name]
+            rows = view_rows(node)
             meter.record_view_scan(len(rows))
             return set(rows)
         if isinstance(node, FetchNode):
@@ -237,10 +261,26 @@ def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
             }
         if isinstance(node, SelectNode):
             inputs = node.child.attributes
+            keyed = [
+                p
+                for p in node.predicates
+                if isinstance(p, AttributeEqualsConstant) and not p.negated
+            ]
+            leaf = chain_leaf(node.child)
+            if keyed and isinstance(leaf, ViewScan):
+                rows = view_rows(leaf)
+                meter.record_view_scan(
+                    sum(
+                        all(holds(p, inputs, row) for p in keyed)
+                        for view_row in rows
+                        for row in through(node.child, {view_row})
+                    )
+                )
+                child = through(node.child, rows)
+            else:
+                child = run(node.child)
             return {
-                row
-                for row in run(node.child)
-                if all(holds(p, inputs, row) for p in node.predicates)
+                row for row in child if all(holds(p, inputs, row) for p in node.predicates)
             }
         if isinstance(node, RenameNode):
             return run(node.child)
@@ -255,6 +295,11 @@ def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
 
     rows = frozenset(run(plan))
     return ExecutionResult(attributes=plan.attributes, rows=rows, stats=meter)
+
+
+def view_versions(view_cache):
+    """View rows → the published versions a compiled closure reads."""
+    return {name: RelationVersion(frozenset(rows)) for name, rows in view_cache.items()}
 
 
 @pytest.fixture

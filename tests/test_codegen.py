@@ -18,6 +18,11 @@ oracle:
   semi-join filters, emptiness guards — their ``explain()`` marks, and
   pins on Q0's and the feed query's kernels (no crossed row, no row
   predicate);
+* keyed view reads — a ``σ`` with constant or ``Param`` keys over a view
+  leaf probes the view version's index and charges its bucket (``NaN``
+  finds nothing, ``1``/``1.0``/``True`` find what ``==`` finds), a write
+  publishes a new version of the view it changes, and the CDR
+  ``premium_callers`` kernel tests no ``V_daily`` row;
 * a differential property test over ~200 random CQs/UCQs, each bounded
   answer also checked against the SQL oracle (``conftest.SQLOracle``),
   re-run after ``apply()`` write batches.
@@ -30,10 +35,10 @@ from collections import Counter
 import pytest
 
 from repro.algebra.fo import atom as fo_atom
-from repro.algebra.parser import parse_query
+from repro.algebra.parser import parse_cq, parse_query
 from repro.algebra.schema import schema_from_spec
 from repro.algebra.terms import Constant, Param, Variable
-from repro.algebra.views import ViewSet
+from repro.algebra.views import View, ViewSet
 from repro.algebra.ucq import UnionQuery
 from repro.analysis import codegen_eligibility
 from repro.core.access import AccessConstraint, AccessSchema
@@ -55,11 +60,11 @@ from repro.exec import codegen
 from repro.exec.codegen import compile_plan_closure
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
-from repro.storage.updates import random_update_batch
+from repro.storage.updates import Insertion, UpdateBatch, random_update_batch
 from repro.workloads import cdr, graph_search, skewed
 from repro.workloads.random_cq import RandomCQConfig, random_workload
 
-from conftest import SQLOracle, interpreted, reference
+from conftest import SQLOracle, interpreted, reference, view_versions
 
 
 def _meters_equal(a, b) -> bool:
@@ -83,7 +88,7 @@ def _assert_tiers_identical(plan, service, provider=None, params=None):
     expected = reference(bound, access, provider, view_cache)
     compiled = compile_plan_closure(plan, access)
     meter = FetchStats()
-    rows = compiled.execute(provider, view_cache, meter, params)
+    rows = compiled.execute(provider, view_versions(view_cache), meter, params)
     assert rows == expected.rows
     assert compiled.attributes == plan.attributes
     assert _meters_equal(meter, expected.stats), (
@@ -134,7 +139,7 @@ def test_compiled_plan_rejects_missing_bindings(gs_instance, gs_access):
     compiled = compile_plan_closure(entry.plan, gs_access)
     assert compiled.parameters == frozenset({"studio"})
     with pytest.raises(PlanError, match="studio"):
-        compiled.execute(service.indexes, service.view_cache, FetchStats())
+        compiled.execute(service.indexes, view_versions(service.view_cache), FetchStats())
 
 
 @pytest.mark.parametrize("negated", [False, True])
@@ -167,17 +172,18 @@ def test_parameter_checks_read_their_slot_like_bound_constants(
         predicates.append(AttributeEqualsConstant("mid", "no such movie", True))
     plan = SelectNode(movies, tuple(predicates))
     service = QueryService(gs_instance.database, gs_access, graph_search.views())
+    views = view_versions(service.view_cache)
     compiled = compile_plan_closure(plan, gs_access)
     assert compiled.parameters == frozenset(compiled.slots) == {"studio", "year"}
     for studio, year in (("Universal", "2014"), ("Paramount", "2010"), ("nobody", "1900")):
         bindings = {"year": year, "studio": studio, "unused": 1}
         expected, meter = _assert_tiers_identical(bind_plan(plan, bindings), service)
         stats = FetchStats()
-        assert compiled.execute(service.indexes, service.view_cache, stats, bindings) == expected
+        assert compiled.execute(service.indexes, views, stats, bindings) == expected
         assert _meters_equal(stats, meter)
         assert bool(expected) == (not negated and studio != "nobody")
     with pytest.raises(PlanError, match="missing parameter bindings: studio, year"):
-        compiled.execute(service.indexes, service.view_cache, FetchStats(), {"unused": 1})
+        compiled.execute(service.indexes, views, FetchStats(), {"unused": 1})
 
 
 def test_compiled_fetch_without_constraint_rejected(gs_access):
@@ -716,10 +722,8 @@ def test_parameter_checks_on_a_batched_filtered_fetch(
             gs_provider, bind_plan(plan, {"rank": rank})
         )
         stats = FetchStats()
-        assert (
-            compiled.execute(provider, service.view_cache, stats, {"rank": rank})
-            == expected
-        )
+        views = view_versions(service.view_cache)
+        assert compiled.execute(provider, views, stats, {"rank": rank}) == expected
         assert _meters_equal(stats, meter)
         assert meter.per_relation["rating"] > 1  # a batch of several keys
 
@@ -878,7 +882,8 @@ def test_a_check_the_fetch_key_implies_is_dropped(
     compiled = compile_plan_closure(plan, service.access_schema)
     assert (DROPPED in compiled.notes.get((), "")) == dropped
     predicate_calls.clear()
-    compiled.execute(service.indexes, service.view_cache, FetchStats(), params)
+    views = view_versions(service.view_cache)
+    compiled.execute(service.indexes, views, FetchStats(), params)
     assert (predicate_calls["row"] == 0) == dropped
     assert meter.tuples_fetched > 0  # the check had rows to run on
     assert bool(rows) == (case in ("same-constant", "same-param", "other-param", "non-constant-child"))
@@ -927,7 +932,8 @@ def test_q0_kernel_concatenates_no_rows(gs_1000, gs_q0, monkeypatch):
     """Q0's plan carries ``π[mid] V1 × ρ[pid→xp] π[pid] V2`` in both copies
     of its duplicated subtree, and nothing reads ``xp``: V1 is a semi-join
     filter, V2 an emptiness guard, and the kernel crosses nothing (it
-    concatenated 108 rows per execution before liveness)."""
+    concatenated 108 rows per execution before liveness).  Neither view is
+    probed — both are read whole and charged ``|V|``."""
     calls = Counter()
     concat = codegen._concat
 
@@ -941,6 +947,7 @@ def test_q0_kernel_concatenates_no_rows(gs_1000, gs_q0, monkeypatch):
         answer = service.query(gs_q0)
         assert answer.rows == SQLOracle(service).rows(answer, gs_q0)
     assert len(answer.rows) == 3 and answer.tuples_fetched == 27
+    assert answer.view_tuples_scanned == 112
     assert calls["concat"] == 0
 
 
@@ -977,6 +984,207 @@ def test_explain_marks_what_the_kernel_does_instead(skewed_small, gs_1000, gs_q0
     dropped = "[implied check dropped: studio, release]"
     assert sum(line.endswith(dropped) for line in q0) == 2
     assert not any(line.startswith("σ[rank = 5]") and "[" in line[12:] for line in q0)
+
+
+# --------------------------------------------------------------------------- #
+# Keyed view reads: a σ over a view leaf probes the view version's index
+# --------------------------------------------------------------------------- #
+
+#: ``V(a, b, c) :- R(a, b, c)``; ``a`` holds ``1``, ``1.0`` and ``True`` on
+#: three rows, which ``==`` (and SQL) equate, and the one object ``NAN``.
+_VIEW_ROWS = {
+    (1, "p", 1),
+    (1.0, "q", 2),
+    (True, "r", 3),
+    (2, "p", 2),
+    (2, "q", 9),
+    (3, "s", 3),
+    (NAN, "n", 4),
+}
+_V = ViewScan("V", ("a", "b", "c"))
+PROBE = "view probe"
+
+
+def _view_service():
+    """``R(a, b, c)`` with its copy ``V`` and ``U(a) :- R(a, 'zzz', c)``,
+    which stays empty."""
+    schema = schema_from_spec({"R": ("a", "b", "c")})
+    access = AccessSchema((AccessConstraint("R", ("a",), ("b", "c"), 10),))
+    views = ViewSet(
+        (
+            View("V", parse_cq("V(a, b, c) :- R(a, b, c)")),
+            View("U", parse_cq("U(a) :- R(a, 'zzz', c)")),
+        )
+    )
+    return QueryService(Database(schema, {"R": _VIEW_ROWS}), access, views)
+
+
+def _eq(attribute, value, negated=False):
+    return AttributeEqualsConstant(attribute, value, negated)
+
+
+def _probe_case(case):
+    """``(plan, params, view rows the probe charges)`` for one keyed read."""
+    if case == "constant":
+        return SelectNode(_V, (_eq("b", "p"),)), None, 2
+    if case == "param":
+        return SelectNode(_V, (_eq("b", Param("x")),)), {"x": "q"}, 2
+    if case == "chain":
+        chain = RenameNode(ProjectNode(_V, ("b", "c")), {"b": "x"})
+        return ProjectNode(SelectNode(chain, (_eq("x", "p"),)), ("c",)), None, 2
+    if case == "two-keys":
+        checks = (_eq("a", 2), _eq("b", Param("x")))
+        return SelectNode(_V, checks), {"x": "q"}, 1
+    if case == "nan-constant":
+        return SelectNode(_V, (_eq("a", NAN),)), None, 0
+    if case == "nan-param":
+        return SelectNode(_V, (_eq("a", Param("x")),)), {"x": NAN}, 0
+    if case == "empty-bucket":
+        return SelectNode(_V, (_eq("b", "none"),)), None, 0
+    if case.startswith("key-"):
+        key = {"key-1": 1, "key-1.0": 1.0, "key-True": True}[case]
+        return SelectNode(_V, (_eq("a", key),)), None, 3
+    assert case == "residual"
+    checks = (
+        _eq("a", 2),
+        _eq("b", "q", negated=True),
+        AttributeEqualsAttribute("c", "a"),
+    )
+    return SelectNode(_V, checks), None, 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "constant",
+        "param",
+        "chain",
+        "two-keys",
+        "nan-constant",
+        "nan-param",
+        "empty-bucket",
+        "key-1",
+        "key-1.0",
+        "key-True",
+        "residual",
+    ],
+)
+def test_a_keyed_selection_on_a_view_probes_its_index(predicate_calls, case):
+    """``σ[a = v](V)``, directly or through a ``π``/``ρ`` chain, is one probe
+    of the view version's index: it charges the rows of its bucket (``NaN``
+    finds none, though the view holds that very object), ``1``, ``1.0`` and
+    ``True`` find the same rows as ``==``, and a negated or attribute check
+    filters the bucket.  Rows and every meter field equal the reference's,
+    rows the SQL oracle's."""
+    plan, params, charged = _probe_case(case)
+    service = _view_service()
+    rows, meter = _assert_tiers_identical(plan, service, params=params)
+    assert meter.view_tuples_scanned == charged < len(_VIEW_ROWS)
+    assert meter.tuples_fetched == 0
+    assert bool(rows) == (case not in ("nan-constant", "nan-param", "empty-bucket"))
+    if case.startswith("key-"):
+        assert {row[1] for row in rows} == {"p", "q", "r"}
+    compiled = compile_plan_closure(plan, service.access_schema)
+    path = (0,) if case == "chain" else ()
+    assert compiled.notes[path].startswith(PROBE)
+    predicate_calls.clear()
+    compiled.execute(service.indexes, view_versions(service.view_cache), FetchStats(), params)
+    assert predicate_calls["row"] == (2 if case == "residual" else 0)
+
+
+def test_a_selection_without_a_key_on_a_view_scans_it(predicate_calls):
+    """Only non-negated constant checks key a probe: a negated or attribute
+    check alone filters the whole view, charged ``|V|``."""
+    service = _view_service()
+    plan = SelectNode(_V, (_eq("b", "p", negated=True), AttributeEqualsAttribute("a", "c")))
+    rows, meter = _assert_tiers_identical(plan, service)
+    assert rows == {(3, "s", 3)}
+    assert meter.view_tuples_scanned == len(_VIEW_ROWS)
+    assert PROBE not in str(compile_plan_closure(plan, service.access_schema).notes)
+
+
+def test_a_probe_of_a_missing_view_raises_plan_error():
+    service = _view_service()
+    plan = SelectNode(ViewScan("W", ("a",)), (_eq("a", 1),))
+    compiled = compile_plan_closure(plan, service.access_schema)
+    with pytest.raises(PlanError, match="'W' is not materialised"):
+        compiled.execute(service.indexes, view_versions(service.view_cache), FetchStats())
+    with pytest.raises(PlanError, match="'W' is not materialised"):
+        reference(plan, service.access_schema, service.indexes, service.view_cache)
+
+
+def test_a_write_publishes_a_new_version_of_the_view_it_changes():
+    """The backend publishes one version per view: a write that changes
+    ``V`` starts a new version (and the next probe reads it), the unchanged
+    ``U`` keeps its version and indexes, and an execution pinned to the
+    older version still reads that version's rows."""
+    service = _view_service()
+    plan = SelectNode(_V, (_eq("b", "p"),))
+    compiled = compile_plan_closure(plan, service.access_schema)
+    before = service._backend.views
+    first = service.execute_plan(plan)
+    assert first.rows == {(1, "p", 1), (2, "p", 2)}
+    service.apply(UpdateBatch([Insertion("R", (4, "p", 4))]))
+    after = service._backend.views
+    assert after["V"] is not before["V"] and after["U"] is before["U"]
+    second = service.execute_plan(plan)
+    assert second.rows == first.rows | {(4, "p", 4)}
+    assert second.stats.view_tuples_scanned == 3
+    _assert_tiers_identical(plan, service)
+    pinned = FetchStats()
+    assert compiled.execute(service.indexes, before, pinned) == first.rows
+    assert pinned.view_tuples_scanned == 2
+
+
+def test_premium_callers_kernel_probes_v_daily(predicate_calls):
+    """``premium_callers`` reads ``σ[day = $1](V_daily)``: the kernel probes
+    the view's index instead of testing each of its rows (a row predicate
+    per ``V_daily`` row before) and charges the day's rows only."""
+    data = cdr.generate(num_customers=100, num_days=7, seed=5)
+    premium = {row[0] for row in data.database.relation("customer") if row[2] == "premium"}
+    caller, callee, day = min(
+        row[:3] for row in data.database.relation("call") if row[0] in premium
+    )
+    query = (
+        f"Q(caller) :- call(caller, '{callee}', {day}, d, c), "
+        "customer(caller, name, 'premium', region)"
+    )
+    with QueryService(data.database, cdr.access_schema(), cdr.views()) as service:
+        answer = service.query(query)
+        assert (caller,) in answer.rows
+        assert answer.rows == SQLOracle(service).rows(answer, query)
+        expected = interpreted(service, query).stats
+        assert answer.view_tuples_scanned == expected.view_tuples_scanned
+        views = service.view_cache
+        text = service.explain(query).render()
+    assert predicate_calls["row"] == 0
+    daily = sum(1 for row in views["V_daily"] if row[1] == day)
+    assert answer.view_tuples_scanned == len(views["V_premium"]) + daily
+    assert daily < len(views["V_daily"])
+    assert "σ[day = " in text and "[view probe: day]" in text
+
+
+def test_explain_renders_one_line_per_fetched_relation(skewed_small):
+    """The feed query fetches ``follows`` and ``staff`` through two
+    operators each: each relation gets one line, its operators' summed
+    estimate beside the relation's actual."""
+    query = skewed.query_feed()
+    with QueryService(skewed_small.database, skewed.access_schema(), skewed.views()) as service:
+        service.query(query)
+        explanation = service.explain(query)
+        entry, _ = service.plan(query)
+        actual = interpreted(service, query).stats.per_relation
+    rows = {access: (est, got) for access, est, got in explanation.operator_estimates}
+    assert set(rows) == {
+        "follows(celeb→fan) ×2",
+        "staff(team→agent) ×2",
+        "contacted(agent→user)",
+    }
+    follows = sum(fe.fetched for fe in entry.fetch_estimates if fe.relation == "follows")
+    assert rows["follows(celeb→fan) ×2"] == (follows, actual["follows"])
+    text = explanation.render()
+    assert text.count("follows(celeb→fan)") == 1
+    assert f"follows(celeb→fan) ×2: est {follows:.1f}, actual " in text
 
 
 # --------------------------------------------------------------------------- #

@@ -158,6 +158,39 @@ def test_unmetered_fetch_read_only_inside_a_comprehension_is_flagged(tmp_path):
     assert any("'step_inline' probes '.fetch_many'" in v.message for v in violations)
 
 
+def test_unmetered_view_read_is_flagged(tmp_path):
+    # A keyed probe of a view version reads '.views' like a whole read: a
+    # closure returning the bucket without charging it is the defect; the
+    # metered one and a plain store of the attribute are not.
+    _write(
+        tmp_path,
+        "src/repro/exec/codegen.py",
+        """
+        class Runtime:
+            def __init__(self, views):
+                self.views = views
+
+        def compile_probe(name, on, key):
+            def step_probe(runtime):
+                return runtime.views[name].index_on(on).get(key, ())
+
+            return step_probe
+
+        def compile_probe_metered(name, on, key):
+            def step_probe(runtime):
+                bucket = runtime.views[name].index_on(on).get(key, ())
+                runtime.meter.record_view_scan(len(bucket))
+                return bucket
+
+            return step_probe
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert {v.code for v in violations} == {"kernel.unmetered-view-read"}
+    assert {v.line for v in violations} == {8}
+    assert any("'step_probe' reads '.views'" in v.message for v in violations)
+
+
 @pytest.mark.parametrize(
     "source",
     [

@@ -28,7 +28,7 @@ from repro.exec.iometer import IOMeter
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
 
-from conftest import reference
+from conftest import reference, view_versions
 
 SCHEMA = schema_from_spec({"R": ("a", "b"), "S": ("b", "c")})
 ACCESS = AccessSchema(
@@ -51,7 +51,8 @@ def database():
 
 def compiled(plan, provider, views=VIEWS):
     meter = IOMeter()
-    return compile_plan_closure(plan, ACCESS).execute(provider, views, meter), meter
+    closure = compile_plan_closure(plan, ACCESS)
+    return closure.execute(provider, view_versions(views), meter), meter
 
 
 def run(plan, provider, views=VIEWS):
@@ -240,11 +241,12 @@ def test_a_compiled_closure_can_run_again(provider):
     )
     closure = compile_plan_closure(plan, ACCESS)
     first, second, shared = IOMeter(), IOMeter(), IOMeter()
-    rows = closure.execute(provider, VIEWS, first)
-    assert closure.execute(provider, VIEWS, second) == rows == {(10, "p"), (11, "q")}
+    views = view_versions(VIEWS)
+    rows = closure.execute(provider, views, first)
+    assert closure.execute(provider, views, second) == rows == {(10, "p"), (11, "q")}
     assert first == second == reference(plan, ACCESS, provider, VIEWS).stats
-    closure.execute(provider, VIEWS, shared)
-    closure.execute(provider, VIEWS, shared)
+    closure.execute(provider, views, shared)
+    closure.execute(provider, views, shared)
     assert shared.fetch_calls == 2 * first.fetch_calls
     assert shared.tuples_fetched == 2 * first.tuples_fetched
     assert shared.per_relation == {r: 2 * n for r, n in first.per_relation.items()}

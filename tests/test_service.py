@@ -26,7 +26,7 @@ from repro.exec.iometer import IOMeter
 from repro.storage.indexes import IndexSet
 from repro.storage.instance import Database
 
-from conftest import SQLOracle, interpreted, reference
+from conftest import SQLOracle, interpreted, reference, view_versions
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -396,7 +396,7 @@ def test_unbound_param_in_select_predicate_is_rejected(service):
     # The compiled closure refuses the unbound placeholder on its own too.
     with pytest.raises(PlanError, match="missing parameter bindings: wanted"):
         compile_plan_closure(plan, ACCESS).execute(
-            service.indexes, service.view_cache, IOMeter()
+            service.indexes, view_versions(service.view_cache), IOMeter()
         )
     bound = service.execute_plan(plan, params={"wanted": "x"})
     assert bound.rows == {(10, "x")}

@@ -22,6 +22,17 @@ import pytest
 
 from repro.algebra.schema import schema_from_spec
 from repro.core.access import AccessConstraint
+from repro.core.plans import (
+    AttributeEqualsAttribute,
+    AttributeEqualsConstant,
+    ConstantScan,
+    FetchNode,
+    ProductNode,
+    ProjectNode,
+    RenameNode,
+    SelectNode,
+    ViewScan,
+)
 from repro.engine.service import QueryService
 from repro.storage.indexes import IndexSet
 from repro.storage.snapshots import (
@@ -365,27 +376,63 @@ def _paired_batches(database, count: int) -> list[UpdateBatch]:
     return batches
 
 
+def _probed_view_plan():
+    """Figure 1 with ``V1`` read by a keyed probe for the first torn movie:
+    a torn pairing of view version and snapshot shifts the probe's charge
+    away from the movie fetch it is joined with."""
+    keys = ProductNode(
+        ConstantScan("Universal", attribute="studio"),
+        ConstantScan("2014", attribute="release"),
+    )
+    movie_ids = ProjectNode(FetchNode(keys, "movie", ("studio", "release"), ("mid",)), ("mid",))
+    probed = SelectNode(ViewScan("V1", ("mid",)), (AttributeEqualsConstant("mid", "m_torn_0"),))
+    liked = RenameNode(probed, {"mid": "mid_v"})
+    matched = SelectNode(
+        ProductNode(movie_ids, liked), (AttributeEqualsAttribute("mid", "mid_v"),)
+    )
+    return FetchNode(ProjectNode(matched, ("mid",)), "rating", ("mid",), ("rank",))
+
+
+def _observe(service, read):
+    """(rows, Dξ, view rows scanned) of one read: Q0, or the probed plan."""
+    if read == "q0":
+        answer = service.query(gs.query_q0())
+        return answer.rows, answer.tuples_fetched, answer.view_tuples_scanned
+    result = service.execute_plan(_probed_view_plan())
+    return result.rows, result.stats.tuples_fetched, result.stats.view_tuples_scanned
+
+
 @pytest.mark.parametrize("writer", ["service", "database"])
 def test_concurrent_readers_never_observe_torn_state(writer):
     """The batches go through ``service.apply``, or straight to
     ``database.apply`` as a foreign write the service only sees on the delta
     stream."""
-    q0 = gs.query_q0()
+    _race_readers_against_a_writer(writer, "q0")
+
+
+@pytest.mark.parametrize("writer", ["service", "database"])
+def test_concurrent_view_probes_never_observe_torn_state(writer):
+    """The same race with readers probing ``V1``'s index: every probe reads
+    the view version published with the snapshot it fetches from."""
+    _race_readers_against_a_writer(writer, "probed-view")
+
+
+def _race_readers_against_a_writer(writer, read):
     generate = dict(num_persons=40, num_movies=60, seed=13)
 
     # Serial oracle: the exact (rows, Dξ, view scans) of every version.
     serial = gs.generate(**generate)
     oracle = _service(serial)
     batches = _paired_batches(serial.database, 8)
-    answer = oracle.query(q0)
-    valid = {(answer.rows, answer.tuples_fetched, answer.view_tuples_scanned)}
+    valid = {_observe(oracle, read)}
     for batch in batches:
         oracle.apply(batch)
-        answer = oracle.query(q0)
-        valid.add((answer.rows, answer.tuples_fetched, answer.view_tuples_scanned))
+        valid.add(_observe(oracle, read))
+    if read == "probed-view":
+        assert {scanned for _, _, scanned in valid} == {0, 1}
 
     # Concurrent run on an identical instance: a writer thread applies the
-    # same batches while readers hammer Q0.  Every observation must be one
+    # same batches while readers hammer the read.  Every observation must be one
     # of the serial versions — snapshot publication is all-or-nothing.
     concurrent = gs.generate(**generate)
     service = _service(concurrent)
@@ -394,16 +441,15 @@ def test_concurrent_readers_never_observe_torn_state(writer):
     torn: list[tuple] = []
     observed = 0
 
-    def read() -> None:
+    def reader() -> None:
         nonlocal observed
         while not done.is_set():
-            a = service.query(q0)
-            seen = (a.rows, a.tuples_fetched, a.view_tuples_scanned)
+            seen = _observe(service, read)
             observed += 1
             if seen not in valid:
                 torn.append(seen)
 
-    readers = [threading.Thread(target=read) for _ in range(3)]
+    readers = [threading.Thread(target=reader) for _ in range(3)]
     for thread in readers:
         thread.start()
     try:
@@ -418,10 +464,7 @@ def test_concurrent_readers_never_observe_torn_state(writer):
     assert not torn, f"torn observations: {torn[:3]}"
     assert observed > 0
 
-    final = service.query(q0)
-    expected = oracle.query(q0)
-    assert final.rows == expected.rows
-    assert final.tuples_fetched == expected.tuples_fetched
+    assert _observe(service, read) == _observe(oracle, read)
 
 
 #: No constraint reaches ``like`` without a movie: the full-scan fallback.

@@ -20,6 +20,14 @@ inspection (no imports of the checked code, so it runs on any tree):
     the *generated* closures too: they are nested functions of the compiling
     function, and ``ast.walk`` descends into them.
 
+``kernel.unmetered-view-read``
+    In ``src/repro/exec/codegen.py``, every function that reads a cached
+    view — loads a ``.views`` attribute, the runtime's view versions — must
+    also reference ``record_view_scan``: a whole read charges ``|V|``, a
+    keyed probe the rows its bucket holds, and either is charged in the
+    function that reads it (``view_tuples_scanned`` is what the reference
+    evaluator checks every view read against).
+
 ``kernel.codegen-storage-import``
     The same three modules may not import ``repro.storage``: compiled
     closures only reach base data through the metered fetch protocol
@@ -226,6 +234,36 @@ def check_metered_fetches(path: Path, tree: ast.Module) -> list[Violation]:
                     f"function {node.name!r} probes '.{name}' without charging "
                     "the IOMeter ('record_fetch'); every tuple crossing the "
                     "storage boundary must be metered in the same function",
+                )
+            )
+    return violations
+
+
+def check_metered_view_reads(path: Path, tree: ast.Module) -> list[Violation]:
+    """Every function loading ``.views`` must also charge ``record_view_scan``."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = next(
+            (
+                sub
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and sub.attr == "views"
+                and isinstance(sub.ctx, ast.Load)
+            ),
+            None,
+        )
+        if read is not None and "record_view_scan" not in dict(_attribute_names(node)):
+            violations.append(
+                Violation(
+                    path,
+                    read.lineno,
+                    "kernel.unmetered-view-read",
+                    f"function {node.name!r} reads '.views' without charging "
+                    "the IOMeter ('record_view_scan'); every view read must be "
+                    "metered in the same function",
                 )
             )
     return violations
@@ -576,6 +614,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
     violations: list[Violation] = []
     if relative in METERED_FETCH_FILES:
         violations += check_metered_fetches(relative, tree)
+    if relative == CODEGEN_FILE:
+        violations += check_metered_view_reads(relative, tree)
     if relative in CODEGEN_FILES:
         violations += check_codegen_storage_imports(relative, tree)
     if relative == PLAN_STORE_FILE:
