@@ -56,23 +56,19 @@ class Explanation:
     execution_tier: str = "interpreted"
     executions: int = 0
     compile_seconds: float | None = None
-    # Cost-model estimates of the cached plan (optimizer v2), as plain
-    # tuples so this module stays free of engine-layer imports.
+    # Cost-model estimates of the cached plan, as plain tuples so this
+    # module stays free of engine-layer imports.
     # ``operator_estimates`` rows are ``(accesses, estimated Dξ, last actual
     # Dξ or None)`` per fetched relation — its fetch operators' accesses
     # (``×n`` for ``n`` operators through one), their summed estimate and
     # the relation's actual; ``join_orders`` rows are
     # ``(description, model cost, chosen)`` — the chosen order first, then
-    # the best rejected completions.  ``replans`` counts how often adaptive
-    # re-planning replaced this entry since the last write it saw;
-    # ``replan_reason`` is the latest trigger.
+    # the best rejected completions.
     estimated_fetches: float | None = None
     actual_fetches: int | None = None
     operator_estimates: tuple[tuple[str, float, int | None], ...] = ()
     order_strategy: str = ""
     join_orders: tuple[tuple[str, float, bool], ...] = ()
-    replans: int = 0
-    replan_reason: str = ""
     # What the compiled kernel does instead of the plan's letter, by node
     # path (child indices from the root): a dropped implied check, a
     # semi-join filter, an emptiness guard, a view probe; shown on the plan
@@ -109,8 +105,6 @@ class Explanation:
             lines.append(detail)
             if self.fetch_bound is not None:
                 lines.append(f"  worst-case tuples fetched: {self.fetch_bound}")
-            if self.replans:
-                lines.append(f"  replanned: {self.replan_reason} (x{self.replans})")
             if self.estimated_fetches is not None:
                 summary = f"  estimated Dξ: {self.estimated_fetches:.1f}"
                 if self.actual_fetches is not None:

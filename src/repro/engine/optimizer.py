@@ -13,7 +13,7 @@ developed along the same lines as the bounded plan generation algorithm of
    key attributes are already bound by constants, views or earlier fetches,
    in the order a Selinger-style subset search
    (:func:`repro.algebra.join_order.search_order`) finds cheapest in
-   expected ``Dξ``, costed with the per-column equi-depth histograms of the
+   expected ``Dξ``, costed with the exact per-column value counts of the
    storage statistics;
 3. the resulting plan is validated with the exact conformance checker, so
    every plan returned is sound — the builder is simply not complete.
@@ -26,8 +26,8 @@ when no abstract order is feasible, or the chosen one fails
 materialisation) a greedy loop fetches the cheapest-average access path
 first instead.  :func:`estimate_plan_fetches` is the shared cardinality
 model: it walks any constructed plan and predicts its Dξ — pricing bound
-constants by their value — which the service records against the IOMeter's
-actuals to drive adaptive re-planning.
+constants by their value — which the service records next to the plan and
+``explain()`` shows beside the IOMeter's actuals.
 """
 
 from __future__ import annotations
@@ -694,7 +694,6 @@ def _apply_step(
     constraint: AccessConstraint,
     schema: DatabaseSchema,
     statistics: "Mapping[str, RelationStatistics] | None",
-    corrections: Mapping[str, float] | None,
     rows: float,
     var_dist: dict[Variable, float],
     have_plan: bool,
@@ -706,14 +705,13 @@ def _apply_step(
     Returns ``(step_cost, new_rows, new_var_dist)`` or ``None`` when the
     step is infeasible in the current state.  The cost charges what the
     IOMeter will charge: one probe call per distinct key plus the tuples
-    those probes return.  Histograms make ``per_key`` skew-aware without
-    reading any value: a key position holding a constant — literal or a
-    lifted :class:`Param` slot — is priced at the column's second moment
-    (``skewed_bucket``, the hot-key signal the whole-column average hides),
-    a variable key at the average bucket.  One order is then right for
-    every value of a query shape, so plans are shared per shape.
-    ``corrections`` scales per-relation estimates by the observed
-    actual/estimated ratio during adaptive re-planning.
+    those probes return.  The column statistics make ``per_key``
+    skew-aware without reading any value: a key position holding a
+    constant — literal or a lifted :class:`Param` slot — is priced at the
+    column's second moment (``skewed_bucket``, the hot-key signal the
+    whole-column average hides), a variable key at the average bucket.  One
+    order is then right for every value of a query shape, so plans are
+    shared per shape.
     """
     if not _fetch_feasible(
         query, atom_index, constraint, schema, var_dist, have_plan, needed
@@ -740,8 +738,6 @@ def _apply_step(
         )
         if x_positions:
             per_key = min(per_key, float(constraint.bound))
-    if corrections:
-        per_key *= corrections.get(atom.relation, 1.0)
 
     if key_variables:
         keys = 1.0
@@ -788,7 +784,6 @@ def _dp_order(
     schema: DatabaseSchema,
     access_schema: AccessSchema,
     statistics: "Mapping[str, RelationStatistics] | None",
-    corrections: Mapping[str, float] | None,
     bound0: frozenset[Variable],
     have_plan0: bool,
     needed_positions: Mapping[int, set[int]],
@@ -803,7 +798,7 @@ def _dp_order(
         have_plan = have_plan0 or bool(covered)
         for constraint in access_schema.for_relation(query.atoms[atom_index].relation):
             step = _apply_step(
-                query, atom_index, constraint, schema, statistics, corrections,
+                query, atom_index, constraint, schema, statistics,
                 rows, var_dist, have_plan, needed_positions[atom_index], gdist,
             )
             if step is not None:
@@ -829,7 +824,6 @@ def build_bounded_plan(
     budget: ElementQueryBudget | None = None,
     verify_conformance: bool = True,
     statistics: "Mapping[str, RelationStatistics] | None" = None,
-    corrections: Mapping[str, float] | None = None,
     max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS,
     report_candidates: int = 4,
 ) -> PlanSearchOutcome:
@@ -840,8 +834,8 @@ def build_bounded_plan(
     is checked for conformance to the access schema unless
     ``verify_conformance`` is disabled.  Views cover what they can first;
     the uncovered atoms are then fetched in the order the subset search
-    (:func:`_dp_order`) finds cheapest under ``statistics`` and
-    ``corrections``, materialised fragment by fragment through
+    (:func:`_dp_order`) finds cheapest under ``statistics``, materialised
+    fragment by fragment through
     :func:`_atom_fetch`.  Above ``max_dp_atoms`` atoms, or when no abstract
     order is feasible or the chosen one fails materialisation, the greedy
     loop fetches them instead; the outcome's :class:`JoinOrderReport` says
@@ -884,7 +878,7 @@ def build_bounded_plan(
     }
     gdist = _global_distincts(normalized, schema, statistics)
     dp = _dp_order(
-        normalized, uncovered, schema, access_schema, statistics, corrections,
+        normalized, uncovered, schema, access_schema, statistics,
         bound, current is not None, needed_positions, gdist,
     )
     if dp is None:
@@ -963,7 +957,6 @@ def build_bounded_plan_ucq(
     max_size: int | None = None,
     budget: ElementQueryBudget | None = None,
     statistics: "Mapping[str, RelationStatistics] | None" = None,
-    corrections: Mapping[str, float] | None = None,
     max_dp_atoms: int = DEFAULT_MAX_DP_ATOMS,
 ) -> PlanSearchOutcome:
     """Construct a bounded plan for a UCQ (one sub-plan per disjunct, unioned)."""
@@ -974,8 +967,7 @@ def build_bounded_plan_ucq(
     for disjunct in union.disjuncts:
         outcome = build_bounded_plan(
             disjunct, views, access_schema, schema, max_size, budget,
-            statistics=statistics, corrections=corrections,
-            max_dp_atoms=max_dp_atoms,
+            statistics=statistics, max_dp_atoms=max_dp_atoms,
         )
         if not outcome.found:
             return PlanSearchOutcome(
@@ -1015,22 +1007,20 @@ def estimate_plan_fetches(
     statistics: "Mapping[str, RelationStatistics] | None",
     schema: DatabaseSchema,
     view_sizes: Mapping[str, int] | None = None,
-    corrections: Mapping[str, float] | None = None,
     bindings: Mapping[str, object] | None = None,
 ) -> PlanEstimate:
     """Predict the Dξ of a constructed plan, fetch by fetch.
 
     Walks the plan bottom-up carrying (rows, per-attribute distinct counts)
-    and prices every :class:`FetchNode` with the histograms the join
+    and prices every :class:`FetchNode` with the column statistics the join
     orderer reads: keys = the child's (already deduplicated) rows, per-key
     from ``estimate_eq`` for constant key columns — unlike the orderer, the
-    estimate reads the value, so a hot key shows — and the average bucket
-    for variable ones.  The service records this estimate on the
-    cached plan and compares it against the IOMeter's actual Dξ on warm
-    executions — a >10x miss triggers adaptive re-planning with
-    ``corrections`` set to the observed per-relation ratios.  A key that is
-    a :class:`Param` is priced with its value in ``bindings`` when named
-    there, and as an unknown value (the average bucket) otherwise.
+    estimate reads the value, so a hot key shows at its exact count — and
+    the average bucket for variable ones.  The service records this
+    estimate on the cached plan at planning time, and ``explain()`` shows
+    it beside the IOMeter's last actual Dξ.  A key that is a :class:`Param`
+    is priced with its value in ``bindings`` when named there, and as an
+    unknown value (the average bucket) otherwise.
     """
     fetches: list[FetchEstimate] = []
     known = bindings or {}
@@ -1076,8 +1066,6 @@ def estimate_plan_fetches(
                 per_key = 1.0
             else:
                 per_key = max(0.0, stats.estimated_matches_with(x_positions, constants))
-            if corrections:
-                per_key *= corrections.get(node.relation, 1.0)
             fetched = keys * per_key
             access = (
                 f"{node.relation}({','.join(node.x_attrs) or '∅'}"

@@ -91,9 +91,8 @@ class CachedPlan:
     never of the data, and its compiled closure late-binds snapshot and view
     cache per execution — so a write leaves the entry alone, and an entry
     that left the cache keeps serving whoever still holds it.  It goes by
-    LRU eviction, by :meth:`LRUPlanCache.clear` (planning budget changed)
-    or by adaptive re-planning (:meth:`LRUPlanCache.replace`, which names
-    the replacement in ``successor``), nothing else.
+    LRU eviction or by :meth:`LRUPlanCache.clear` (planning budget
+    changed), nothing else.
     """
 
     plan: PlanNode | None
@@ -112,33 +111,21 @@ class CachedPlan:
     kernel: CQKernel | None = None
     # Unused by src/; bench/staged.py still reads it — goes with ROADMAP item 1.
     codegen_state: str = "pending"
-    # Optimizer-v2 bookkeeping.  ``estimated_fetches``/``fetch_estimates``
-    # are the cardinality model's prediction recorded at planning time
-    # (``fetch_estimates`` is a tuple of FetchEstimate objects);
-    # ``actual_fetches``/``actual_per_relation`` the IOMeter's latest
-    # actuals; a warm execution whose actual Dxi misses the estimate by more
-    # than the service's replan factor triggers adaptive re-planning, which
-    # swaps in a replacement entry carrying ``replans``/``replan_reason``.
-    # ``replans`` counts the re-plans since the last write the entry saw —
-    # the oscillation guard's spent budget — and ``replan_version`` is the
-    # snapshot version of the latest one: a miss at a later version is new
-    # evidence and starts the count again, a miss at the same version is
-    # oscillation.
-    # ``order_report`` is the cost-based planner's chosen-vs-rejected join
-    # orders; ``cache_key`` lets the service atomically replace this entry
-    # in place, and ``successor`` is the entry that replaced it; ``restored``
-    # marks entries loaded from the persistent plan store (counted as a
-    # store hit on their first cache hit, then cleared).
+    # Cost-model provenance for explain().  ``estimated_fetches`` /
+    # ``fetch_estimates`` are the cardinality model's prediction recorded at
+    # planning time (``fetch_estimates`` is a tuple of FetchEstimate
+    # objects); ``actual_fetches`` / ``actual_per_relation`` the IOMeter's
+    # latest actuals; ``order_report`` is the cost-based planner's
+    # chosen-vs-rejected join orders.  ``restored`` marks entries loaded
+    # from the persistent plan store (counted as a store hit on their first
+    # cache hit, then cleared).
     estimated_fetches: float | None = None
     fetch_estimates: tuple = ()
     actual_fetches: int | None = None
     actual_per_relation: dict | None = None
-    replans: int = 0
-    replan_version: int = 0
-    replan_reason: str = ""
     order_report: object | None = None
+    # Unused by src/; bench/staged.py still sets it — goes with ROADMAP item 1.
     cache_key: tuple | None = None
-    successor: "CachedPlan | None" = None
     restored: bool = False
     # The latest ``(plan, values, plan bound to them)`` of a plan shared
     # across constants, see ``ResolvedQuery.literal_plan``.
@@ -210,20 +197,6 @@ class LRUPlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def replace(self, key: tuple, old: CachedPlan, new: CachedPlan) -> bool:
-        """Atomically swap a re-planned outcome in for ``old`` under ``key``.
-
-        Succeeds only while ``old`` is still the cached entry (two racing
-        re-planners cannot both win).
-        """
-        with self._lock:
-            current = self._entries.get(key)
-            if current is not old:
-                return False
-            self._entries[key] = new
-            self._entries.move_to_end(key)
-            return True
 
     def entries(self) -> list[tuple[tuple, CachedPlan]]:
         """A point-in-time snapshot of (key, entry) pairs, LRU-oldest first.

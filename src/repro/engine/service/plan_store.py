@@ -49,12 +49,10 @@ _MAGIC = b"RPLS"
 
 
 def _migrate_v1(payload: dict) -> dict:
-    """v1 → v2: entries predate the optimizer-v2 bookkeeping fields."""
+    """v1 → v2: entries predate the cost-model provenance fields."""
     for entry in payload.get("entries", []):
         entry.setdefault("estimated_fetches", None)
         entry.setdefault("fetch_estimates", ())
-        entry.setdefault("replans", 0)
-        entry.setdefault("replan_reason", "")
         entry.setdefault("order_report", None)
     payload["format_version"] = 2
     return payload
@@ -90,8 +88,6 @@ class StoredEntry:
     executions: int = 0
     estimated_fetches: float | None = None
     fetch_estimates: tuple = ()
-    replans: int = 0
-    replan_reason: str = ""
     order_report: Any = None
 
     def to_dict(self) -> dict:
@@ -104,8 +100,6 @@ class StoredEntry:
             "executions": self.executions,
             "estimated_fetches": self.estimated_fetches,
             "fetch_estimates": self.fetch_estimates,
-            "replans": self.replans,
-            "replan_reason": self.replan_reason,
             "order_report": self.order_report,
         }
 
@@ -120,8 +114,6 @@ class StoredEntry:
             executions=int(raw.get("executions", 0)),
             estimated_fetches=raw.get("estimated_fetches"),
             fetch_estimates=tuple(raw.get("fetch_estimates", ())),
-            replans=int(raw.get("replans", 0)),
-            replan_reason=str(raw.get("replan_reason", "")),
             order_report=raw.get("order_report"),
         )
 

@@ -11,9 +11,8 @@ Three planners ship by default:
 
 * ``"heuristic"`` — the constructive builder of
   :func:`repro.engine.optimizer.build_bounded_plan_ucq`: views as filters,
-  then fetches in the order a histogram-costed subset search prices
-  cheapest, with per-relation ``corrections`` applied during adaptive
-  re-planning (CQ/UCQ; sound, not complete, fast);
+  then fetches in the order a subset search, costed from the exact column
+  statistics, prices cheapest (CQ/UCQ; sound, not complete, fast);
 * ``"exact"`` — the enumerative VBRP decision procedure
   :func:`repro.core.vbrp.decide_vbrp` (CQ/UCQ; complete relative to its
   candidate vocabulary, exponential — off the default chain);
@@ -61,14 +60,9 @@ class PlanningContext:
     distinct counts (:meth:`repro.storage.instance.Database.statistics`);
     cost-based planners use them to order otherwise equivalent access paths.
     Statistics pick among plans that are all correct on any data, so a
-    cached plan survives writes; when drift makes its order bad, the
-    service's estimated-vs-actual check re-plans it.
-
-    ``corrections`` is set only during adaptive re-planning: per-relation
-    multipliers (observed Dξ over estimated Dξ from the mis-estimated
-    execution) that the cost model folds into its per-key estimates, so the
-    replacement plan is chosen under the cardinalities the runtime actually
-    saw (Leis et al., VLDB 2015).
+    cached plan survives writes: a bounded plan's ``Dξ`` is capped by its
+    certificate, which depends on the query, the access schema and the
+    views, never on ``|D|``.
     """
 
     schema: DatabaseSchema
@@ -77,7 +71,6 @@ class PlanningContext:
     budget: ElementQueryBudget | None = None
     inner_size_cutoff: int = 2
     statistics: Mapping[str, "RelationStatistics"] | None = None
-    corrections: Mapping[str, float] | None = None
 
 
 @dataclass
@@ -158,8 +151,7 @@ class HeuristicPlanner:
 
     Above ``max_dp_atoms`` uncovered atoms per disjunct the builder fetches
     greedily instead (recorded in the order report); ``max_dp_atoms=0``
-    is the greedy builder throughout.  ``context.corrections`` scale the
-    cost model during adaptive re-planning.  Constant-blind: a constant key
+    is the greedy builder throughout.  Constant-blind: a constant key
     is priced at its column's second-moment bucket, whatever value sits
     there, so one plan serves every value of a shape."""
 
@@ -191,7 +183,6 @@ class HeuristicPlanner:
             max_size,
             context.budget,
             statistics=context.statistics,
-            corrections=context.corrections,
             max_dp_atoms=self.max_dp_atoms,
         )
         return PlanningResult(

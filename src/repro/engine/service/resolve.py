@@ -117,10 +117,9 @@ class ResolvedQuery:
 
         ``bind_plan`` costs more than a compiled execution, so nothing on the
         compiled serving path calls this (:attr:`Answer.plan` does, on first
-        read) and the result is memoised per plan object — a re-plan swaps
-        the entry's plan and thereby drops it.  The entry remembers its
-        latest binding too, so an equal query held as another object gets
-        the very same plan back.
+        read) and the result is memoised per plan object.  The entry
+        remembers its latest binding too, so an equal query held as another
+        object gets the very same plan back.
         """
         plan = entry.plan
         assert plan is not None

@@ -25,10 +25,9 @@ re-executed with different constant bindings without ever re-planning.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -198,9 +197,7 @@ class PreparedQuery:
     named placeholders that must be bound on every :meth:`execute` call; a
     query without parameters simply re-executes its cached plan.  Literal
     constants are bound by the service itself (the cached plan is the
-    shape's, see :mod:`.resolve`) and never show up here.  When adaptive
-    re-planning retires the held entry, the prepared query moves on to the
-    entry that replaced it.
+    shape's, see :mod:`.resolve`) and never show up here.
     """
 
     service: "QueryService"
@@ -218,22 +215,14 @@ class PreparedQuery:
     def parameters(self) -> frozenset[str]:
         return self.record.parameters
 
-    def _live(self) -> CachedPlan:
-        """The held entry, or the one a re-plan swapped in for it."""
-        entry = self.entry
-        while entry.successor is not None:
-            entry = entry.successor
-        self.entry = entry
-        return entry
-
     @property
     def plan(self) -> PlanNode | None:
-        entry = self._live()
+        entry = self.entry
         return self.record.literal_plan(entry) if entry.found else None
 
     @property
     def is_bounded(self) -> bool:
-        return self._live().found
+        return self.entry.found
 
     def execute(
         self,
@@ -261,7 +250,7 @@ class PreparedQuery:
         return self.service._execute(
             self.record,
             self.head,
-            self._live(),
+            self.entry,
             cache_hit=cache_hit,
             started=time.perf_counter(),
             params=bindings or None,
@@ -282,8 +271,10 @@ class QueryService:
     function of the query, the access schema and the views — never of the
     data — and compiled closures late-bind snapshot and view cache per
     execution, so the read after a write is a compiled cache hit.
-    A planning outcome leaves by LRU, by ``plan_cache.clear()`` (assigning
-    :attr:`budget`) or by adaptive re-planning, nothing else.
+    A planning outcome leaves by LRU or by ``plan_cache.clear()`` (assigning
+    :attr:`budget`), nothing else.  Plans are chosen once, from the exact
+    column statistics at planning time, and never corrected afterwards: a
+    bounded plan's ``Dξ`` is capped by its certificate, whatever ``|D|``.
 
     Every entry point (:meth:`query`, :meth:`prepare`, :meth:`explain`,
     :meth:`lint`, :meth:`baseline`, :meth:`plan`, :meth:`query_many`) takes
@@ -296,7 +287,7 @@ class QueryService:
     head) instead of silently answering empty.
 
     Every found plan is admitted once, when its cache entry is made —
-    fresh, re-planned or restored from the plan store: it is verified
+    fresh or restored from the plan store: it is verified
     (schema bookkeeping, access-constraint conformance, boundedness; see
     :func:`repro.analysis.codegen_eligibility`) and compiled into a
     closure, which serves it from the first execution on.  A plan the
@@ -323,14 +314,6 @@ class QueryService:
         recorded on ``plan_store_error``) and the service plans from
         scratch; a stored plan that fails admission is dropped, named on
         ``plan_store_error``, and planned afresh on first use.
-    replan_factor:
-        Adaptive re-planning threshold: a warm execution whose actual Dξ
-        misses the cost model's estimate by more than this factor (either
-        direction) triggers re-planning with per-relation corrections and
-        an atomic cache-entry swap.  ``max_replans`` bounds how often one
-        entry may be replaced without a write in between (runaway
-        oscillation guard; a miss after a write is new evidence and gets the
-        full budget again).
     """
 
     # Unused by src/; bench/staged.py still reads it — goes with ROADMAP item 1.
@@ -348,8 +331,6 @@ class QueryService:
         budget: ElementQueryBudget | None = None,
         inner_size_cutoff: int = 2,
         plan_store: PlanStore | str | None = None,
-        replan_factor: float = 10.0,
-        max_replans: int = 3,
     ) -> None:
         self.database = database
         self.access_schema = access_schema
@@ -387,12 +368,6 @@ class QueryService:
         # Maintenance accounting of the most recent delta notification,
         # consumed by apply() to build its report.
         self._last_maintenance: tuple[MaintenanceStats, list[ViewDelta]] | None = None
-        # Adaptive re-planning (optimizer v2): threshold, per-entry cap and
-        # a lock serialising the replace itself (the cache's replace() is
-        # already atomic; the lock keeps two threads from both planning).
-        self.replan_factor = replan_factor
-        self.max_replans = max_replans
-        self._replan_lock = threading.Lock()
         # Persistent plan store: load surviving entries before serving
         # starts, write the cache back on close().
         self.plan_store: PlanStore | None = (
@@ -630,7 +605,7 @@ class QueryService:
                     cached.restored = False
                     self.stats.record_plan_store_hit()
                 return cached, True
-        entry = self._run_chain(planned, head, max_size, chain, None, record.bindings)
+        entry = self._run_chain(planned, head, max_size, chain, record.bindings)
         if entry.plan is None and any(
             name in self.views for name in planned.relation_names
         ):
@@ -639,7 +614,6 @@ class QueryService:
                 "views, and the full-scan baseline cannot read views: "
                 + entry.reason
             )
-        entry.cache_key = key if use_cache else None
         if entry.plan is not None:
             self._admit(entry, record.query, head)
         elif isinstance(planned, (ConjunctiveQuery, UnionQuery)):
@@ -669,7 +643,6 @@ class QueryService:
         head: Sequence[Variable] | None,
         max_size: int | None,
         chain: Sequence[Planner],
-        corrections: Mapping[str, float] | None,
         bindings: Mapping[str, object],
     ) -> CachedPlan:
         """Run the planner chain once and build the cache entry.
@@ -677,13 +650,10 @@ class QueryService:
         The planning context — including the snapshot-consistent statistics
         read — is built once for the whole chain, so every planner (and the
         post-planning cardinality estimate below) prices the same data.
-        ``corrections`` is non-None only on the adaptive re-planning path.
         ``bindings`` are the asking input's lifted values: the plan may be
         shared across constants, its *estimate* is priced for them.
         """
         context = self.context
-        if corrections:
-            context = dataclass_replace(context, corrections=dict(corrections))
         reasons: list[str] = []
         entry: CachedPlan | None = None
         applicable = False
@@ -711,9 +681,8 @@ class QueryService:
                 )
             entry = CachedPlan(plan=None, planner=None, reason="; ".join(reasons))
         if entry.plan is not None and context.statistics is not None:
-            # Record the cost model's prediction next to the plan: the warm
-            # path compares it against the IOMeter's actual Dξ and triggers
-            # adaptive re-planning on a >replan_factor miss.
+            # Record the cost model's prediction next to the plan, for
+            # explain() to show beside the IOMeter's actual Dξ.
             estimate = estimate_plan_fetches(
                 entry.plan,
                 context.statistics,
@@ -721,7 +690,6 @@ class QueryService:
                 view_sizes={
                     name: len(rows) for name, rows in self._view_cache.items()
                 },
-                corrections=corrections,
                 bindings=bindings,
             )
             entry.estimated_fetches = estimate.total_fetched
@@ -735,8 +703,8 @@ class QueryService:
         head: Sequence[Variable] | None,
     ) -> None:
         """Verify an entry's plan, then compile it — once, when the entry is
-        made (fresh, re-planned or restored; ``resolved`` is ``None`` for a
-        restored plan, whose query is not kept).
+        made (fresh or restored; ``resolved`` is ``None`` for a restored
+        plan, whose query is not kept).
 
         A refusal of :meth:`_verify` raises :class:`PlanVerificationError`;
         a plan the compiler rejects raises :class:`PlanError`.
@@ -779,132 +747,6 @@ class QueryService:
             )
 
     # ------------------------------------------------------------------ #
-    # Adaptive re-planning (optimizer v2)
-    # ------------------------------------------------------------------ #
-
-    def _observe_execution(
-        self,
-        record: ResolvedQuery,
-        head: tuple[Variable, ...] | None,
-        entry: CachedPlan,
-        cache_hit: bool,
-        stats: object,
-    ) -> None:
-        """Fold one execution's actual Dξ into the entry; re-plan on a miss.
-
-        Only *warm* executions can trigger re-planning — a cold one just ran
-        the planner against the same statistics the estimate came from, so a
-        miss there is a model error re-planning cannot fix.  Both directions
-        count: an actual more than ``replan_factor`` times the estimate
-        means the plan is fetching far more than the model priced (the
-        classic misordered-join signature), an actual that far *below* a
-        non-trivial estimate means the model walked the plan into the
-        pessimistic corner and a cheaper order likely exists.  The observed
-        per-relation actuals become multiplicative corrections for the
-        re-planning run (Leis et al., VLDB 2015), and the replacement entry
-        swaps in atomically — racing readers keep the retired plan for the
-        execution they already started, which stays correct (both plans
-        answer the same query).
-        """
-        actual = int(getattr(stats, "tuples_fetched", 0))
-        per_relation = dict(getattr(stats, "per_relation", {}) or {})
-        entry.actual_fetches = actual
-        entry.actual_per_relation = per_relation
-        if not cache_hit or entry.estimated_fetches is None or entry.cache_key is None:
-            return
-        estimated = max(float(entry.estimated_fetches), 1.0)
-        observed = float(actual)
-        overshoot = observed > estimated * self.replan_factor
-        undershoot = (
-            estimated >= 100.0
-            and observed >= 1.0
-            and observed * self.replan_factor < estimated
-        )
-        if not overshoot and not undershoot:
-            return
-        direction = "over" if overshoot else "under"
-        reason = (
-            f"actual Dξ {actual} vs estimated {entry.estimated_fetches:.1f} "
-            f"({direction}shot the {self.replan_factor:g}x re-plan threshold)"
-        )
-        self._replan(record, head, entry, reason, per_relation)
-
-    def _replan(
-        self,
-        record: ResolvedQuery,
-        head: tuple[Variable, ...] | None,
-        entry: CachedPlan,
-        reason: str,
-        per_relation: Mapping[str, int],
-    ) -> None:
-        """Re-run the default chain with observed corrections, swap the entry."""
-        key = entry.cache_key
-        assert key is not None and entry.plan is not None
-        if len(key) < 4 or key[1] != self._default_chain()[0]:
-            # Planned under an explicit per-call chain whose planner objects
-            # are gone; re-planning would change which strategies answer.
-            return
-        # The oscillation guard's budget is per write epoch: a mis-estimate
-        # seen at a later snapshot version than the entry's last re-plan is
-        # new evidence and starts from zero; one at the same version means
-        # the corrected model is chasing its own tail.
-        version = self._snapshots.current.version
-        spent = entry.replans if entry.replan_version == version else 0
-        if spent >= self.max_replans:
-            return
-        # Corrections are pure model-error multipliers: actual Dξ over what
-        # the model predicts for the *executed* plan under the *current*
-        # statistics.  Re-pricing the old plan here (rather than reusing the
-        # plan-time estimate) keeps data growth out of the multiplier — the
-        # fresh statistics already carry it, and folding it in twice would
-        # overshoot the corrected model into oscillation.
-        current = estimate_plan_fetches(
-            entry.plan,
-            self.database.statistics(),
-            self.database.schema,
-            view_sizes={name: len(rows) for name, rows in self._view_cache.items()},
-            bindings=record.bindings,
-        )
-        estimated_by_relation: dict[str, float] = {}
-        for fetch in current.fetches:
-            estimated_by_relation[fetch.relation] = (
-                estimated_by_relation.get(fetch.relation, 0.0) + fetch.fetched
-            )
-        corrections = {
-            relation: max(float(count), 1.0)
-            / max(estimated_by_relation.get(relation, 0.0), 1.0)
-            for relation, count in per_relation.items()
-        }
-        # What the entry was planned from: the shape under a shape key.
-        planned = record.shape if key[0] == record.shape_key else record.query
-        with self._replan_lock:
-            max_size = key[3] if len(key) > 3 else None
-            fresh = self._run_chain(
-                planned, head, max_size, self.planners, corrections, record.bindings
-            )
-            if fresh.plan is None:
-                return  # the corrected model found nothing better to swap in
-            if fresh.plan == entry.plan:
-                # The plan it was meant to replace (the corrected model
-                # still prefers it): the attempt is charged to the budget
-                # and the re-priced estimate adopted; entry and closure stay.
-                entry.estimated_fetches = fresh.estimated_fetches
-                entry.fetch_estimates = fresh.fetch_estimates
-                fresh = entry
-            else:
-                self._admit(fresh, record.query, head)
-            fresh.cache_key = key
-            fresh.replans = spent + 1
-            fresh.replan_version = version
-            fresh.replan_reason = reason
-            if fresh is not entry:
-                if not self.plan_cache.replace(key, entry, fresh):
-                    return
-                # A PreparedQuery still holding the retired entry follows.
-                entry.successor = fresh
-            self.stats.record_replan()
-
-    # ------------------------------------------------------------------ #
     # Persistent plan store
     # ------------------------------------------------------------------ #
 
@@ -939,10 +781,7 @@ class QueryService:
                 executions=record.executions,
                 estimated_fetches=record.estimated_fetches,
                 fetch_estimates=tuple(record.fetch_estimates),
-                replans=record.replans,
-                replan_reason=record.replan_reason,
                 order_report=record.order_report,
-                cache_key=tuple(record.cache_key),
                 restored=True,
             )
             try:
@@ -952,7 +791,7 @@ class QueryService:
             except PlanError as error:
                 dropped.append(str(error))
                 continue
-            self.plan_cache.put(entry.cache_key, entry)
+            self.plan_cache.put(tuple(record.cache_key), entry)
         if dropped:
             self.plan_store_error = (
                 f"dropped {len(dropped)} stored plan(s): " + "; ".join(dropped)
@@ -980,8 +819,6 @@ class QueryService:
                     executions=entry.executions,
                     estimated_fetches=entry.estimated_fetches,
                     fetch_estimates=tuple(entry.fetch_estimates),
-                    replans=entry.replans,
-                    replan_reason=entry.replan_reason,
                     order_report=entry.order_report,
                 )
             )
@@ -1114,8 +951,6 @@ class QueryService:
             operator_estimates=operator_estimates,
             order_strategy=order_strategy,
             join_orders=join_orders,
-            replans=entry.replans,
-            replan_reason=entry.replan_reason,
             kernel_notes=entry.compiled.notes,
         )
 
@@ -1356,7 +1191,10 @@ class QueryService:
                 reason=entry.reason or f"bounded plan produced by planner {entry.planner!r}",
                 execution_tier="compiled",
             )
-            self._observe_execution(record, head, entry, cache_hit, result.stats)
+            # The IOMeter's actuals, for explain() to show beside the
+            # plan-time estimate.
+            entry.actual_fetches = result.stats.tuples_fetched
+            entry.actual_per_relation = result.stats.per_relation
         else:
             kernel = entry.kernel
             if kernel is not None:

@@ -29,7 +29,6 @@ class StatsSnapshot:
     view_tuples_scanned: int
     planner_uses: dict[str, int]
     tier_uses: dict[str, int]
-    replans: int
     plan_store_hits: int
     resolve_hits: int
     resolve_misses: int
@@ -70,10 +69,8 @@ class ServiceStats:
         self.view_tuples_scanned = 0
         self.planner_uses: dict[str, int] = {}
         self.tier_uses: dict[str, int] = {}
-        # Optimizer v2: adaptive re-plans triggered by >replan-factor misses
-        # of estimated vs. actual Dξ, and plan-cache entries served from the
-        # persistent plan store (counted on their first post-restore hit).
-        self.replans = 0
+        # Plan-cache entries served from the persistent plan store (counted
+        # on their first post-restore hit).
         self.plan_store_hits = 0
         # The resolve stage: inputs served from its memo (no parse, no
         # validation, no canonicalisation) versus resolved from scratch.
@@ -121,11 +118,6 @@ class ServiceStats:
                 key = "maintenance-" + tier
                 self.tier_uses[key] = self.tier_uses.get(key, 0) + count
 
-    def record_replan(self) -> None:
-        """Count one adaptive re-planning event (estimate missed by >10x)."""
-        with self._lock:
-            self.replans += 1
-
     def record_resolve(self, memo_hit: bool) -> None:
         """Count one pass through the resolve stage."""
         with self._lock:
@@ -172,7 +164,6 @@ class ServiceStats:
                 view_tuples_scanned=self.view_tuples_scanned,
                 planner_uses=dict(self.planner_uses),
                 tier_uses=dict(self.tier_uses),
-                replans=self.replans,
                 plan_store_hits=self.plan_store_hits,
                 resolve_hits=self.resolve_hits,
                 resolve_misses=self.resolve_misses,
@@ -206,7 +197,6 @@ class ServiceStats:
             self.view_tuples_scanned = 0
             self.planner_uses = {}
             self.tier_uses = {}
-            self.replans = 0
             self.plan_store_hits = 0
             self.resolve_hits = 0
             self.resolve_misses = 0

@@ -114,21 +114,15 @@ class DeltaStream:
         else:
             self._inserted.setdefault(relation, set()).add(row)
 
-    def record_delete(
-        self, relation: str, row: Row, position: int | None = None
-    ) -> bool:
-        """Record one applied deletion (the row was present before).
-
-        Returns whether it cancels an insertion of the same transaction.
-        """
+    def record_delete(self, relation: str, row: Row, position: int | None = None) -> None:
+        """Record one applied deletion (the row was present before)."""
         self._touch(relation, position)
         self.applied_deletions += 1
         inserted = self._inserted.get(relation)
         if inserted is not None and row in inserted:
             inserted.discard(row)  # added by this transaction: net zero
-            return True
-        self._deleted.setdefault(relation, set()).add(row)
-        return False
+        else:
+            self._deleted.setdefault(relation, set()).add(row)
 
     def record_net(
         self,

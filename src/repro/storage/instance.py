@@ -7,8 +7,8 @@ and implements ``D |= A`` satisfaction of access schemas.
 
 Relations are more than plain tuple sets: each one lazily builds secondary
 hash indexes (:meth:`Relation.index_on` — the probe side of the execution
-kernel's joins) and per-relation cardinality/distinct statistics with
-per-column histograms (:meth:`Relation.statistics` — consumed by the join
+kernel's joins) and per-relation cardinality/distinct statistics with exact
+per-column value counts (:meth:`Relation.statistics` — consumed by the join
 orderers and the service planners).
 
 There is one write path, and it is set-at-a-time.  :meth:`Database.apply`
@@ -43,9 +43,8 @@ from ..algebra.schema import DatabaseSchema, RelationSchema
 from ..core.access import AccessSchema
 from ..errors import SchemaError
 from .deltas import DeltaStream
-from .histograms import ColumnStatistics
 from .snapshots import MAX_CACHED_INDEXES, row_getter
-from .statistics import RelationStatistics
+from .statistics import ColumnStatistics, RelationStatistics
 
 
 class _TrackedSet(set):
@@ -130,14 +129,14 @@ class Relation:
         self._frozen: frozenset[tuple] | None = None
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
         self._statistics: RelationStatistics | None = None
-        # Per-position value -> count multisets and equi-depth histograms
-        # backing statistics(): built together on the first read, then
-        # brought up to date by later reads (_fold_statistics), never by a
-        # write.  Writes only add to _pending: per position, the net count
-        # change of every value touched since the last read (0 for a value
-        # whose rows netted away, so the fold still moves histogram edges).
+        # Per-position value -> count multisets and their running second
+        # moments (the sum of the squared counts) backing statistics():
+        # built on the first read, then brought up to date by later reads
+        # (_fold_statistics), never by a write.  Writes only add to
+        # _pending: per position, the net count change of every value
+        # touched since the last read.
         self._value_counts: list[dict[object, int]] | None = None
-        self._column_summaries: list[ColumnStatistics] | None = None
+        self._square_sums: list[int] | None = None
         self._pending: list[Counter] | None = None
         # Monotone delta counter: snapshot managers compare it against the
         # value recorded at their last build to detect out-of-band mutations
@@ -184,12 +183,7 @@ class Relation:
         self.apply_delta((), (row,))
         return True
 
-    def apply_delta(
-        self,
-        added: Collection[tuple],
-        removed: Collection[tuple],
-        transient: Iterable[tuple] = (),
-    ) -> None:
+    def apply_delta(self, added: Collection[tuple], removed: Collection[tuple]) -> None:
         """Apply one netted delta: the relation's only write path.
 
         ``added`` rows must be absent, ``removed`` rows present, and the two
@@ -198,29 +192,23 @@ class Relation:
         set changes by two set operations and the secondary indexes per
         batch.  Column statistics are not touched: once they have been read,
         each column's net value changes accumulate for the next
-        :meth:`statistics` read to fold in.  ``transient`` rows were inserted
-        and deleted again inside the transaction: they change no count, but
-        their values are noted all the same, so the fold leaves the
-        histogram buckets exactly where a row-at-a-time replay of the
-        transaction would.
+        :meth:`statistics` read to fold in.
         """
+        if not (added or removed):
+            return
         with self._build_lock:
-            if added or removed:
-                tuples = self._tuples
-                set.difference_update(tuples, removed)
-                set.update(tuples, added)
-                self._mutations += 1
-                self._frozen = None
-                self._statistics = None
+            tuples = self._tuples
+            set.difference_update(tuples, removed)
+            set.update(tuples, added)
+            self._mutations += 1
+            self._frozen = None
+            self._statistics = None
             pending = self._pending
-            if pending is not None and (added or removed or transient):
-                self._statistics = None
+            if pending is not None:
                 for position, net in enumerate(pending):
                     value_of = itemgetter(position)
                     net.update(map(value_of, added))
-                    net.subtract(Counter(map(value_of, removed)))
-                    for value in map(value_of, transient):
-                        net.setdefault(value, 0)
+                    net.subtract(map(value_of, removed))
             for positions, index in list(self._indexes.items()):
                 key_of = row_getter(positions)
                 if removed:
@@ -275,13 +263,14 @@ class Relation:
         return index
 
     def statistics(self) -> RelationStatistics:
-        """Cardinality, per-attribute distinct counts and column histograms
-        (cached until the next write).
+        """Cardinality, per-attribute distinct counts and exact column value
+        counts (cached until the next write).
 
-        The first read builds per-position value counts and histograms in
-        one scan; every later read first folds in the value changes written
-        since the previous one (:meth:`_fold_statistics`), so a read after
-        any number of writes costs O(arity + values touched), not a scan.
+        The first read builds per-position value counts and their second
+        moments in one scan; every later read first folds in the value
+        changes written since the previous one (:meth:`_fold_statistics`),
+        so a read after any number of writes costs O(arity + values
+        touched), not a scan.
         """
         statistics = self._statistics
         if statistics is None:
@@ -295,17 +284,22 @@ class Relation:
                                 value = row[position]
                                 per_value[value] = per_value.get(value, 0) + 1
                         self._value_counts = counts
-                        self._column_summaries = [
-                            ColumnStatistics(per_value) for per_value in counts
+                        self._square_sums = [
+                            sum(count * count for count in per_value.values())
+                            for per_value in counts
                         ]
                         self._pending = [Counter() for _ in counts]
                     else:
                         self._fold_statistics()
+                    cardinality = len(self._tuples)
                     statistics = RelationStatistics(
-                        cardinality=len(self._tuples),
+                        cardinality=cardinality,
                         distinct=tuple(map(len, self._value_counts)),
                         columns=tuple(
-                            summary.fresh() for summary in self._column_summaries
+                            ColumnStatistics(per_value, cardinality, square_sum)
+                            for per_value, square_sum in zip(
+                                self._value_counts, self._square_sums
+                            )
                         ),
                     )
                     self._statistics = statistics
@@ -313,28 +307,28 @@ class Relation:
 
     def _fold_statistics(self) -> None:
         """Fold the value changes written since the last read into the value
-        counts and histograms: one histogram ``shift`` per distinct value.
+        counts and their second moments, O(1) per changed value.
 
-        Folding many transactions at once ends where folding each in turn
-        would: a value's bucket depends only on the bucket highs, of which
-        only the last ever grows; bucket lows only widen; counts add.  The
-        caller holds ``_build_lock``.
+        Counts add, so folding many transactions at once ends where folding
+        each in turn would.  The caller holds ``_build_lock``.
         """
         pending = self._pending
-        if pending is None:
+        square_sums = self._square_sums
+        if pending is None or square_sums is None:
             return
-        for per_value, summary, net in zip(
-            self._value_counts, self._column_summaries, pending
-        ):
-            histogram = summary.histogram
+        for position, (per_value, net) in enumerate(zip(self._value_counts, pending)):
+            square_sum = square_sums[position]
             for value, change in net.items():
+                if not change:
+                    continue
                 before = per_value.get(value, 0)
                 after = before + change
                 if after > 0:
                     per_value[value] = after
-                elif before:
+                else:
                     del per_value[value]
-                histogram.shift(value, change, (after > 0) - (before > 0))
+                square_sum += after * after - before * before
+            square_sums[position] = square_sum
             net.clear()
 
     @property
@@ -469,7 +463,7 @@ class Database:
         with self._write_lock:
             managers = self._managers()
             try:
-                stream, transient = self._net(updates, admit, managers)
+                stream = self._net(updates, admit, managers)
                 # Snapshots advance while _applying suppresses staleness
                 # rebuilds; then the flag drops and observers run — they can
                 # pin the already-published post-batch snapshot.
@@ -477,12 +471,8 @@ class Database:
                 try:
                     for name in stream.relations:
                         self._relations[name].apply_delta(
-                            stream.inserted(name),
-                            stream.deleted(name),
-                            transient.pop(name, ()),
+                            stream.inserted(name), stream.deleted(name)
                         )
-                    for name, rows in transient.items():  # netted away entirely
-                        self._relations[name].apply_delta((), (), rows)
                     if not stream.is_empty:
                         for manager in managers:
                             manager.advance(stream)
@@ -500,10 +490,9 @@ class Database:
         updates: Iterable[object],
         admit: Callable[[object], bool] | None,
         managers: Sequence[object],
-    ) -> tuple[DeltaStream, dict[str, list[tuple]]]:
-        """Phase 1 of :meth:`apply`: the netted stream, and per relation the
-        rows inserted and deleted again inside the transaction.  Reads
-        storage, writes nothing but the stream and the managers' overlays.
+    ) -> DeltaStream:
+        """Phase 1 of :meth:`apply`: the netted stream.  Reads storage,
+        writes nothing but the stream and the managers' overlays.
 
         Every update is schema-checked first.  Relations are independent —
         each access constraint and each net set belongs to one relation — so
@@ -530,11 +519,10 @@ class Database:
             steps.append(step)
             batch.append(step)
         stream = DeltaStream()
-        transient: dict[str, list[tuple]] = {}
         admitting = next((m for m in managers if admit == m.admits), None)
         if admit is not None and admitting is None:
-            self._replay(stream, transient, steps, admit, managers)
-            return stream, transient
+            self._replay(stream, steps, admit, managers)
+            return stream
         for name, batch in batches.items():
             reach = None
             if admitting is not None:
@@ -565,13 +553,12 @@ class Database:
                     for manager in managers:
                         manager.stage_batch(name, added, removed)
             if ordered:
-                self._replay(stream, transient, ordered, admit, managers)
-        return stream, transient
+                self._replay(stream, ordered, admit, managers)
+        return stream
 
     def _replay(
         self,
         stream: DeltaStream,
-        transient: dict[str, list[tuple]],
         steps: Iterable[tuple],
         admit: Callable[[object], bool] | None,
         managers: Sequence[object],
@@ -595,8 +582,7 @@ class Database:
             else:
                 if not stream.holds(name, row, live):
                     continue
-                if stream.record_delete(name, row, position):
-                    transient.setdefault(name, []).append(row)
+                stream.record_delete(name, row, position)
                 change = ((), (row,))
             for manager in managers:
                 manager.stage_batch(name, *change)

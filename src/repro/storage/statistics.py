@@ -3,10 +3,10 @@
 Two kinds of statistics live here:
 
 * :class:`RelationStatistics` — per-relation cardinality and per-attribute
-  distinct counts, cached on :class:`repro.storage.instance.Relation` and
-  consumed by the join orderer (:mod:`repro.algebra.join_order`, through
-  the plan builder and the loop-nest compiler) to estimate how selective a
-  probe is;
+  distinct counts, with one exact :class:`ColumnStatistics` per column,
+  cached on :class:`repro.storage.instance.Relation` and consumed by the
+  join orderer (:mod:`repro.algebra.join_order`, through the plan builder
+  and the loop-nest compiler) to estimate how selective a probe is;
 * access-constraint *mining*: the paper assumes constraints are "discovered
   from sample instances of R" (Section 4) — e.g. Facebook's 5000-friend cap,
   or "each person dines at most once per day".  For candidate attribute
@@ -27,8 +27,6 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
-from .histograms import ColumnStatistics
-
 __all__ = [
     "ColumnStatistics",
     "RelationStatistics",
@@ -49,17 +47,54 @@ if TYPE_CHECKING:  # imported lazily to avoid a cycle with .instance
 # --------------------------------------------------------------------------- #
 
 
+class ColumnStatistics:
+    """The exact distribution of one column of one relation.
+
+    Reads the relation's per-value row counts (``Relation._value_counts``)
+    and the running second moment ``square_sum`` = Σc² over those counts,
+    which the relation folds in O(1) per changed value.  A value absent
+    from the counts is charged the average bucket.
+    """
+
+    __slots__ = ("_counts", "total", "square_sum")
+
+    def __init__(
+        self, value_counts: Mapping[object, int], total: int, square_sum: int
+    ) -> None:
+        self._counts = value_counts
+        self.total = total
+        self.square_sum = square_sum
+
+    @property
+    def distinct(self) -> int:
+        return len(self._counts)
+
+    def estimate_eq(self, value: object) -> float:
+        """Rows whose column equals ``value``: its exact count."""
+        count = self._counts.get(value)
+        return self.average_bucket() if count is None else float(count)
+
+    def average_bucket(self) -> float:
+        """Average rows per distinct value (the classical estimate)."""
+        return self.total / max(1, len(self._counts))
+
+    def skewed_bucket(self) -> float:
+        """Expected rows matching a key drawn from the column's own data:
+        the second moment Σc²/Σc, in which heavy hitters weigh
+        quadratically."""
+        return self.square_sum / self.total if self.total > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class RelationStatistics:
     """Cardinality and per-attribute-position distinct counts of a relation.
 
-    ``columns`` optionally carries the live per-column distribution
-    summaries (equi-depth histograms, see
-    :mod:`repro.storage.histograms`).  It is excluded from equality on
-    purpose: two statistics snapshots over the same data are equal whether
-    or not histograms happen to be attached, and regardless of how their
-    buckets fell — the invariants tests compare incrementally maintained
-    statistics against freshly recomputed ones by ``==``.
+    ``columns`` optionally carries the per-column value distributions
+    (:class:`ColumnStatistics`).  It is excluded from equality on purpose:
+    two statistics snapshots over the same data are equal whether or not
+    columns happen to be attached — the invariants tests compare
+    incrementally maintained statistics against freshly recomputed ones by
+    ``==``.
     """
 
     cardinality: int
@@ -92,8 +127,8 @@ class RelationStatistics:
         """Skew-aware variant of :meth:`estimated_matches`.
 
         Positions probed with a *known constant* are estimated from that
-        column's equi-depth histogram (``estimate_eq`` sees heavy hitters
-        that the whole-column average hides).  Positions in ``unread`` hold
+        column's exact value count (``estimate_eq`` sees heavy hitters that
+        the whole-column average hides).  Positions in ``unread`` hold
         a constant whose value the caller will not read — a planner that
         shares one plan across values — and are priced at the column's
         second moment, ``skewed_bucket``: the expected bucket of a key drawn
@@ -146,9 +181,8 @@ def statistics_fingerprint(statistics: Mapping[str, RelationStatistics]) -> str:
 
     The persistent plan store keys its payload on this fingerprint: a plan
     chosen for one data distribution is only reused while the relations'
-    cardinalities and distinct counts still match.  Only the exact, coarse
-    statistics participate — histogram bucketing is an implementation detail
-    that may legitimately differ between two loads of the same data.
+    cardinalities and distinct counts still match.  Only the coarse
+    statistics participate, not the per-value counts.
     """
     # Imported here, not at module level: hashlib maps OpenSSL (~3.5 MB of
     # resident memory), and only services with a plan store ever get here.

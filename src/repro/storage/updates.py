@@ -20,6 +20,7 @@ The incremental maintenance machinery itself lives in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -171,10 +172,14 @@ def random_update_batch(
     if not names:
         raise SchemaError("random_update_batch needs at least one relation with >= 2 tuples")
 
-    # Working copy of the fact sets so the batch is internally consistent.
+    # Working copy of the fact sets so the batch is internally consistent,
+    # and per drawn relation its rows in repr order (the order draws pick
+    # from), kept sorted under the batch's own updates with their reprs
+    # alongside.
     state: dict[str, set[tuple]] = {
         name: set(database.relation(name).tuples) for name in database.schema.names
     }
+    ordered: dict[str, tuple[list[str], list[tuple]]] = {}
     updates: list[Update] = []
     attempts = 0
     while len(updates) < size and attempts < 50 * size:
@@ -183,10 +188,15 @@ def random_update_batch(
         rows = state[relation_name]
         if not rows:
             continue
+        drawn = ordered.get(relation_name)
+        if drawn is None:
+            by_repr = sorted(rows, key=repr)
+            drawn = ordered[relation_name] = ([repr(row) for row in by_repr], by_repr)
+        reprs, by_repr = drawn
         if generator.random() < insert_ratio:
-            first, second = generator.sample(sorted(rows, key=repr), 2) if len(rows) >= 2 else (None, None)
-            if first is None:
+            if len(rows) < 2:
                 continue
+            first, second = generator.sample(by_repr, 2)
             candidate = tuple(
                 first[i] if generator.random() < 0.5 else second[i] for i in range(len(first))
             )
@@ -197,10 +207,16 @@ def random_update_batch(
             ):
                 continue
             rows.add(candidate)
+            key = repr(candidate)
+            index = bisect_left(reprs, key)
+            reprs.insert(index, key)
+            by_repr.insert(index, candidate)
             updates.append(Insertion(relation_name, candidate))
         else:
-            victim = generator.choice(sorted(rows, key=repr))
+            victim = generator.choice(by_repr)
             rows.discard(victim)
+            index = bisect_left(reprs, repr(victim))
+            del reprs[index], by_repr[index]
             updates.append(Deletion(relation_name, victim))
     return UpdateBatch(updates)
 

@@ -27,7 +27,7 @@ default subset-DP orderer prices the ``follows.celeb`` key at the column's
 second-moment bucket — a key drawn from this data is most likely the hot
 one — and picks the cheap direction without reading which celebrity the
 query names.  That makes this the reference workload for the DP-vs-greedy
-figures and the adaptive re-planning tests.
+figures and the cost-model estimate tests.
 """
 
 from __future__ import annotations
@@ -123,9 +123,10 @@ def generate(
     """Generate a skewed dataset satisfying the default access schema.
 
     One hot celebrity (:data:`HOT_CELEB`) has ``hot_fans`` followers —
-    the histogram's hot-key singleton bucket — while ``cold_celebs`` others
-    have a handful each, so the *average* follows bucket is tiny and the
-    greedy loop's averaged estimates misprice the hot key.  Users
+    the hot key that dominates the column's second moment — while
+    ``cold_celebs`` others have a handful each, so the *average* follows
+    bucket is tiny and the greedy loop's averaged estimates misprice the
+    hot key.  Users
     ``fan0 .. fan{users-1}`` (a superset of the hot fans) each contact
     ``contacts_per_user`` agents chosen round-robin with jitter, keeping
     every ``contacted`` bucket within its bound in both directions.

@@ -6,6 +6,7 @@ reference (Section 2's plan semantics, evaluated node by node)."""
 from __future__ import annotations
 
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -300,6 +301,29 @@ def reference(plan, access_schema, provider, view_cache) -> ExecutionResult:
 def view_versions(view_cache):
     """View rows → the published versions a compiled closure reads."""
     return {name: RelationVersion(frozenset(rows)) for name, rows in view_cache.items()}
+
+
+def folded_statistics(relation):
+    """A relation's exact column statistics once the writes since the last
+    read are folded in: per column its value counts, the cardinality, and
+    per column the running sum of squared counts (private fields on
+    purpose: this maintained state is what is compared)."""
+    with relation._build_lock:
+        relation._fold_statistics()
+    return relation._value_counts, len(relation), relation._square_sums
+
+
+def scanned_statistics(relation):
+    """:func:`folded_statistics` recomputed from a fresh scan of the rows."""
+    counts = [
+        Counter(row[position] for row in relation)
+        for position in range(relation.schema.arity)
+    ]
+    return (
+        [dict(per_value) for per_value in counts],
+        len(relation),
+        [sum(count * count for count in per_value.values()) for per_value in counts],
+    )
 
 
 @pytest.fixture

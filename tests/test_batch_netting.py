@@ -29,6 +29,8 @@ from repro.storage.snapshots import SnapshotManager
 from repro.storage.statistics import relation_statistics
 from repro.storage.updates import Deletion, Insertion, UpdateBatch
 
+from conftest import folded_statistics, scanned_statistics
+
 SCHEMA = schema_from_spec(
     {
         "rating": ("mid", "rank"),
@@ -95,7 +97,6 @@ def _reference(initial, batch, bounded: bool):
     pre = {name: frozenset(initial.get(name, ())) for name in SCHEMA.names}
     state = {name: set(rows) for name, rows in pre.items()}
     first: dict[str, int] = {}
-    transient: dict[str, list[tuple]] = {}
     counts = Counter(inserted=0, deleted=0, skipped=0)
     for position, update in enumerate(batch):
         name, row = update.relation, update.row
@@ -110,27 +111,15 @@ def _reference(initial, batch, bounded: bool):
         else:
             state[name].discard(row)
             counts["deleted"] += 1
-            if row not in pre[name]:
-                transient.setdefault(name, []).append(row)
         first.setdefault(name, position)
     net = {name: (state[name] - pre[name], pre[name] - state[name]) for name in state}
     order = tuple(n for n in sorted(first, key=first.get) if any(net[n]))
-    return state, net, order, transient, counts
-
-
-def _statistics_state(relation):
-    histograms = [
-        (h._lows, h._highs, h._counts, h._distincts, h._total, h._distinct_total)
-        for h in (column.histogram for column in relation._column_summaries)
-    ]
-    return relation._value_counts, histograms
+    return state, net, order, counts
 
 
 def _fold(database: Database) -> None:
     for name in SCHEMA.names:
-        relation = database.relation(name)
-        with relation._build_lock:
-            relation._fold_statistics()
+        folded_statistics(database.relation(name))
 
 
 def _database(initial) -> tuple[Database, SnapshotManager]:
@@ -141,7 +130,7 @@ def _database(initial) -> tuple[Database, SnapshotManager]:
 
 
 def _assert_matches_reference(database, manager, stream, reference) -> None:
-    state, net, order, _, counts = reference
+    state, net, order, counts = reference
     for name in SCHEMA.names:
         assert set(stream.inserted(name)) == net[name][0], name
         assert set(stream.deleted(name)) == net[name][1], name
@@ -195,32 +184,27 @@ _EMPTY = {name: set() for name in _ROWS}
     bounded=False,
 )
 def test_set_path_equals_the_ordered_replay(initial, updates, bounded):
-    """Net sets, transients, first-touch order, counts, rows, snapshot
-    indexes and folded statistics all equal the per-update reference."""
+    """Net sets, first-touch order, counts, rows, snapshot indexes and
+    folded statistics all equal the per-update reference."""
     batch = _batch(updates)
     reference = _reference(initial, batch, bounded)
 
     database, manager = _database(initial)
     admit = manager.admits if bounded else None
-    stream, transient = database._net(batch, admit, [manager])
-    manager.abandon()
-    assert {n: sorted(rows) for n, rows in transient.items()} == {
-        n: sorted(rows) for n, rows in reference[3].items()
-    }
-
     stream = database.apply(batch, admit=admit)
     _assert_matches_reference(database, manager, stream, reference)
 
     # Statistics: one fold after the batch equals folding after each update
-    # applied as its own transaction.
+    # applied as its own transaction, and a fresh scan — rows the batch
+    # inserted and deleted again change no count.
     replayed, replayed_manager = _database(initial)
     for update in batch:
         replayed.apply([update], admit=replayed_manager.admits if bounded else None)
         _fold(replayed)
-    _fold(database)
     for name in SCHEMA.names:
         left, right = database.relation(name), replayed.relation(name)
-        assert _statistics_state(left) == _statistics_state(right), name
+        state = folded_statistics(left)
+        assert state == folded_statistics(right) == scanned_statistics(left), name
         assert left.statistics() == right.statistics() == relation_statistics(left)
 
 
@@ -289,7 +273,7 @@ def _satisfying(initial) -> dict[str, set[tuple]]:
 def test_views_equal_recomputation_after_a_service_apply(initial, updates):
     initial = _satisfying(initial)
     batch = _batch(updates)
-    _, _, _, _, counts = _reference(initial, batch, True)
+    _, _, _, counts = _reference(initial, batch, True)
     database = Database(SCHEMA, initial)
     service = QueryService(database, ACCESS, VIEWS)
     report = service.apply(UpdateBatch(batch))

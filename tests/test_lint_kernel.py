@@ -267,40 +267,6 @@ def test_cli_exits_one_and_reports_violations(tmp_path, capsys):
 @pytest.mark.parametrize(
     "source",
     [
-        "from repro.storage.histograms import EquiDepthHistogram\n",
-        "from repro.storage import histograms\n",
-        "import repro.storage.histograms\n",
-        "from ..storage.histograms import ColumnStatistics\n",
-    ],
-)
-def test_histogram_imports_outside_storage_are_flagged(tmp_path, source):
-    _write(tmp_path, "src/repro/engine/optimizer.py", source)
-    violations = lint_kernel.lint_tree(tmp_path)
-    assert [v.code for v in violations] == ["kernel.histogram-import"]
-    assert "statistics API" in violations[0].message
-
-
-def test_histogram_imports_inside_storage_are_allowed(tmp_path):
-    # statistics.py *is* the sanctioned consumer: it wraps histograms
-    # behind the TableStatistics API.
-    _write(
-        tmp_path,
-        "src/repro/storage/statistics.py",
-        "from .histograms import ColumnStatistics\n",
-    )
-    # Importing the statistics facade from outside storage is the intended
-    # access path and must stay clean.
-    _write(
-        tmp_path,
-        "src/repro/engine/optimizer.py",
-        "from ..storage.statistics import estimate_eq\n",
-    )
-    assert lint_kernel.lint_tree(tmp_path) == []
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
         "from repro.exec.iometer import IOMeter\n",
         "from repro.exec import codegen\n",
         "import repro.exec.codegen\n",
@@ -617,21 +583,22 @@ def test_statistics_maintained_on_the_write_path_are_flagged(tmp_path):
         "src/repro/storage/instance.py",
         """
         class Relation:
-            def apply_delta(self, added, removed, transient=()):
+            def apply_delta(self, added, removed):
                 for per_value in self._value_counts:
-                    self._column_summaries[0].histogram.shift(1, 1, 1)
+                    self._square_sums[0] += 1
 
         class Database:
             def _net(self, updates, admit, managers):
                 return helper(self.relation("R")._value_counts)
 
             def apply(self, updates, *, admit=None):
-                return [h.shift(v, 1, 0) for h, v in updates]
+                return [r._square_sums for r in updates]
         """,
     )
     violations = lint_kernel.lint_tree(tmp_path)
     assert [v.code for v in violations] == ["kernel.write-path-statistics"] * 4
     assert [v.line for v in violations] == [4, 5, 9, 12]
+    assert "'_square_sums'" in violations[1].message
 
 
 def test_statistics_folded_on_read_are_not_write_path_violations(tmp_path):
@@ -640,23 +607,23 @@ def test_statistics_folded_on_read_are_not_write_path_violations(tmp_path):
         "src/repro/storage/instance.py",
         """
         class Relation:
-            def apply_delta(self, added, removed, transient=()):
+            def apply_delta(self, added, removed):
                 for net in self._pending:
                     net.update(added)
 
             def _fold_statistics(self):
                 for per_value in self._value_counts:
-                    self._column_summaries[0].histogram.shift(1, 1, 1)
+                    self._square_sums[0] += 1
         """,
     )
     # The same names outside the storage write path are not checked either.
     _write(
         tmp_path,
-        "src/repro/storage/histograms.py",
+        "src/repro/storage/statistics.py",
         """
         class Database:
-            def apply(self, histogram):
-                histogram.shift(1, 1, 1)
+            def apply(self, relation):
+                return relation._value_counts, relation._square_sums
         """,
     )
     assert lint_kernel.lint_tree(tmp_path) == []

@@ -141,9 +141,9 @@ def test_estimate_survives_a_fetch_output_the_relation_does_not_name(rs_database
 
 def test_a_parameter_key_is_priced_as_an_unknown_value():
     """A ``Param`` key is a value nobody knows yet: the estimate is the
-    classical cardinality / distinct one — never the share of whichever
-    histogram bucket ``("Param", …)`` happens to sort into (on the mixed
-    column below: between ``None`` and the integers, inside the first)."""
+    classical cardinality / distinct one — never the count of a stored value
+    the placeholder is looked up as (the mixed column below holds ``None``,
+    integers and strings)."""
     from repro.algebra.terms import Param
     from repro.storage.instance import Database
 
@@ -162,7 +162,7 @@ def test_a_parameter_key_is_priced_as_an_unknown_value():
     )
     statistics = database.statistics()
     table = statistics["T"]
-    assert table.columns is not None  # histograms attached: the skew-aware path
+    assert table.columns is not None  # columns attached: the skew-aware path
     for position, attribute in enumerate(("skewed", "mixed")):
         fetch = FetchNode(
             ConstantScan(Param("key"), attribute=attribute), "T", (attribute,), ("v",)
@@ -222,24 +222,47 @@ def test_dp_order_fetches_a_quarter_of_the_greedy_order_on_the_skewed_feed(tmp_p
         assert restarted.stats.snapshot().plan_store_hits == 1
 
 
-def test_a_heavy_hitter_gets_a_bucket_of_its_own_and_is_estimated_exactly():
-    """A value at least one bucket deep opens its own bucket instead of
-    joining a partly filled one: on the skewed feed, ``c_hot``'s 2 000
-    follows are estimated as 2 000 (not averaged with the cold celebrities
-    sharing its bucket), and ``explain`` estimates the feed query's ``Dξ``
-    at the 4 744 it fetches."""
+def test_a_heavy_hitter_is_estimated_from_its_exact_count():
+    """Column statistics are the exact value counts: on the skewed feed,
+    ``c_hot``'s 2 000 follows are estimated as 2 000, a value with no rows
+    at the average bucket, and the second moment is the exact
+    ``Σc² / Σc`` over the 51 celebrities (``c_hot`` and 50 with 4 fans);
+    ``explain`` estimates the feed query's ``Dξ`` at the 4 744 it fetches."""
     from repro.engine.service import QueryService
     from repro.workloads import skewed
 
     feed = skewed.generate()
     celeb = feed.database.relation("follows").statistics().columns[0]
-    assert celeb.histogram.bucket_count == 4
+    assert (celeb.distinct, celeb.total) == (51, 2_200)
     assert celeb.estimate_eq("c_hot") == 2_000.0
-    assert celeb.skewed_bucket() == pytest.approx(1_818.5, abs=0.1)
+    assert celeb.estimate_eq("c0") == 4.0
+    assert celeb.estimate_eq("nobody") == celeb.average_bucket() == 2_200 / 51
+    assert celeb.square_sum == 2_000**2 + 50 * 4**2
+    assert celeb.skewed_bucket() == celeb.square_sum / 2_200
     service = QueryService(feed.database, skewed.access_schema(), skewed.views())
     explanation = service.explain(skewed.query_feed())
     assert explanation.estimated_fetches == pytest.approx(4_744.84)
     assert service.query(skewed.query_feed()).tuples_fetched == 4_744
+
+
+@pytest.mark.parametrize(("celeb", "fans"), [("c_hot", 2_000), ("c0", 4)])
+def test_explain_estimates_a_constant_key_fetch_at_its_actual_dxi(celeb, fans):
+    """One fetch keyed by a constant: the plan-time estimate is the key's
+    exact count, so ``explain`` shows it equal to the ``Dξ`` the execution
+    then fetches — for the hot key and for a cold one alike."""
+    from repro.engine.service import QueryService
+    from repro.workloads import skewed
+
+    feed = skewed.generate()
+    service = QueryService(feed.database, skewed.access_schema(), skewed.views())
+    query = f"Q(f) :- follows('{celeb}', f)"
+    answer = service.query(query)
+    assert (len(answer.rows), answer.tuples_fetched) == (fans, fans)
+    explanation = service.explain(query)
+    assert explanation.estimated_fetches == fans
+    assert explanation.actual_fetches == fans
+    assert explanation.operator_estimates == (("follows(celeb→fan)", fans, fans),)
+    assert f"estimated Dξ: {fans}.0 (last actual: {fans})" in explanation.render()
 
 
 # --------------------------------------------------------------------------- #

@@ -34,8 +34,6 @@ def _entry(key=("q", CHAIN, None, None, None), plan="PLAN", **overrides):
         parameters=frozenset(),
         executions=3,
         estimated_fetches=12.5,
-        replans=1,
-        replan_reason="why",
     )
     fields.update(overrides)
     return StoredEntry(**fields)
@@ -99,8 +97,8 @@ def test_v1_payload_is_migrated_with_defaults(tmp_path):
         "planner": "heuristic",
         "executions": 7,
         "codegen_state": "compiled",  # persisted by old writers, never read
-        # no estimated_fetches / fetch_estimates / replans / order_report:
-        # those fields arrived with optimizer v2 (format_version 2).
+        # no estimated_fetches / fetch_estimates / order_report: those
+        # fields arrived with format_version 2.
     }
     _write_payload(
         path,
@@ -115,8 +113,26 @@ def test_v1_payload_is_migrated_with_defaults(tmp_path):
     assert loaded.executions == 7
     assert loaded.estimated_fetches is None
     assert loaded.fetch_estimates == ()
-    assert loaded.replans == 0
     assert loaded.order_report is None
+
+
+def test_v2_payload_with_the_retired_replan_keys_still_loads(tmp_path):
+    """Stores written while the service re-planned carry ``replans`` and
+    ``replan_reason`` on every entry; they load, and the keys are dropped."""
+    path = tmp_path / "plans.bin"
+    old_entry = {**_entry().to_dict(), "replans": 1, "replan_reason": "why"}
+    _write_payload(
+        path,
+        {
+            "format_version": 2,
+            "fingerprint": FP,
+            "chain_signature": CHAIN,
+            "entries": [old_entry],
+        },
+    )
+    (loaded,) = PlanStore(str(path)).load(FP, CHAIN)
+    assert loaded == _entry()
+    assert "replans" not in loaded.to_dict()
 
 
 def test_future_version_is_discarded_not_an_error(tmp_path):

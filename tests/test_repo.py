@@ -69,7 +69,8 @@ def test_serving_keywords_are_pinned():
     every plan and view delta program is verified and compiled once, when it
     is admitted — and neither are partitioning, a worker pool or a backend:
     every read pins one snapshot, ``query_many`` is a loop over ``query``,
-    and every answer runs on the one metered in-memory backend."""
+    and every answer runs on the one metered in-memory backend.  Nor is
+    re-planning: a plan is chosen once, from the exact column statistics."""
     assert _keyword_only(QueryService) == [
         "planners",
         "plan_cache_size",
@@ -77,10 +78,17 @@ def test_serving_keywords_are_pinned():
         "budget",
         "inner_size_cutoff",
         "plan_store",
+    ]
+    retired_knobs = (
+        "verify_plans",
+        "codegen",
+        "codegen_warmup",
+        "shards",
+        "backend",
         "replan_factor",
         "max_replans",
-    ]
-    for retired in ("verify_plans", "codegen", "codegen_warmup", "shards", "backend"):
+    )
+    for retired in retired_knobs:
         with pytest.raises(TypeError, match=retired):
             QueryService(None, None, **{retired: 0})
     assert _keyword_only(QueryService.query_many) == ["planners", "use_cache"]
@@ -95,6 +103,13 @@ def test_the_partitioning_modules_are_gone(module):
     """There is one partition: no shard router, no shard-set analysis."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+def test_the_histogram_module_is_gone():
+    """Column statistics are the exact value counts: no equi-depth
+    histograms to build, shift or rebuild."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.storage.histograms")
 
 
 def test_the_partitioning_names_are_gone():

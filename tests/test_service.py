@@ -605,8 +605,8 @@ def test_deprecated_shims_are_gone():
 
 
 # --------------------------------------------------------------------------- #
-# Optimizer v2: estimates in explain, adaptive re-planning, tier identity,
-# and warm restart through the persistent plan store
+# Cost model: estimates in explain, plans chosen once, tier identity, and
+# warm restart through the persistent plan store
 # --------------------------------------------------------------------------- #
 
 
@@ -622,74 +622,17 @@ def test_explain_reports_estimates_and_actuals(service):
     assert "last actual" in text
 
 
-def _growing_service():
-    """Tiny r/s join whose statistics the data then outgrows 200x."""
-    from repro.storage.instance import Database
-
-    schema = schema_from_spec({"r": ("a", "b"), "s": ("b", "c")})
-    access = AccessSchema(
-        (
-            AccessConstraint("r", ("a",), ("b",), 5000),
-            AccessConstraint("s", ("b",), ("c",), 5000),
-        )
-    )
-    database = Database(schema)
-    database.add_many("r", [("k", f"b{i}") for i in range(10)])
-    database.add_many("s", [(f"b{i}", f"c{i}") for i in range(10)])
-    return QueryService(database, access)
-
-
-def test_adaptive_replan_fires_once_and_never_changes_answers():
-    from repro.storage.updates import Insertion, UpdateBatch
-
-    service = _growing_service()
-    query = "Q(b, c) :- r('k', b), s(b, c)"
-    before = service.query(query)
-    assert service.stats.snapshot().replans == 0
-
-    # Grow the data 200x while the (now mis-estimated) plan stays cached.
-    service.apply(UpdateBatch([Insertion("r", ("k", f"B{i}")) for i in range(2000)]))
-    service.apply(
-        UpdateBatch([Insertion("s", (f"B{i}", f"C{i}")) for i in range(2000)])
-    )
-
-    # The next warm execution observes the >10x Dxi overshoot and swaps in
-    # a re-costed plan -- without changing any answer.
-    replanned = service.query(query)
-    settled = service.query(query)
-    assert before.rows <= replanned.rows  # inserts only add rows
-    assert replanned.rows == settled.rows
-    snapshot = service.stats.snapshot()
-    assert snapshot.replans == 1  # the corrected model converges in one swap
-
-    explanation = service.explain(query)
-    assert explanation.replans == 1
-    assert "re-plan threshold" in explanation.replan_reason
-    assert "replanned:" in explanation.render()
-    service.close()
-
-
-def _arriving_fans():
-    """A skewed feed whose hot celebrity has 10 fans, and the batch in which
-    990 more arrive.  The plan chosen for 10 fans probes ``contacted`` once
-    per fan; after the arrival it fetches ~90x its estimate, and the
-    re-plan, pricing the grown column, probes per agent of the team."""
-    from repro.storage.updates import Insertion, UpdateBatch
-    from repro.workloads import skewed
-
-    database = skewed.generate(hot_fans=10, users=1000, seed=5).database
-    arrival = UpdateBatch(
-        [Insertion("follows", (skewed.HOT_CELEB, f"fan{i}")) for i in range(10, 1000)]
-    )
-    return database, arrival
-
-
-def test_prepared_query_follows_the_entry_a_replan_swapped_in(monkeypatch):
-    """A re-plan retires the entry a prepared hot-key query holds: the
-    prepared query moves on to the replacement -- its plan, compiled, with no
-    further planner run -- instead of re-planning on every mis-estimated
-    execution of the retired entry, a swap that could never win."""
+def test_a_plan_is_chosen_once_and_outlives_the_counts_it_was_priced_on(
+    monkeypatch,
+):
+    """The feed query is planned while its hot celebrity has 10 fans; then
+    990 more arrive, and the plan fetches far more than its estimate.  The
+    cached entry, its closure and its plan-time estimate stay, no planner
+    runs again, and every answer — prepared or not — has the full-scan
+    baseline's rows and one same ``Dξ``: a bounded plan's ``Dξ`` is capped
+    by its certificate, whatever ``|D|`` grows to."""
     from repro.engine.service.planners import HeuristicPlanner
+    from repro.storage.updates import Insertion, UpdateBatch
     from repro.workloads import skewed
 
     calls = []
@@ -697,135 +640,31 @@ def test_prepared_query_follows_the_entry_a_replan_swapped_in(monkeypatch):
     monkeypatch.setattr(
         HeuristicPlanner, "plan", lambda self, *args: calls.append(1) or plan(self, *args)
     )
-    database, arrival = _arriving_fans()
+    database = skewed.generate(hot_fans=10, users=1000, seed=5).database
     service = QueryService(database, skewed.access_schema(), skewed.views())
     query = skewed.query_feed()
     prepared = service.prepare(query)
     prepared.execute()
     held = prepared.entry
-    # The hot celebrity's fans arrive: the held plan's estimate is now >10x off.
-    service.apply(arrival)
-    prepared.execute()  # observes the miss; the re-plan swaps in a new entry
-    ((_, successor),) = service.plan_cache.entries()
-    assert successor is not held and successor.plan != held.plan
-    planned = len(calls)
-    answers = [prepared.execute() for _ in range(3)]
-    assert len(calls) == planned
-    assert prepared.entry is successor and successor.executions == 3
-    reference = interpreted(service, query)
+    closure, estimate = held.compiled, held.estimated_fetches
+    service.apply(
+        UpdateBatch(
+            [Insertion("follows", (skewed.HOT_CELEB, f"fan{i}")) for i in range(10, 1000)]
+        )
+    )
+    answers = [prepared.execute(), prepared.execute(), service.query(query)]
+    assert len(calls) == 1
+    ((_, cached),) = service.plan_cache.entries()
+    assert cached is held and prepared.entry is held and held.compiled is closure
+    assert held.executions == 4 and held.estimated_fetches == estimate
+    rows, fetched = service.baseline(query).rows, answers[0].tuples_fetched
+    assert fetched > 10 * estimate
     for answer in answers:
         assert answer.execution_tier == "compiled"
-        assert (answer.rows, answer.tuples_fetched) == (
-            reference.rows, reference.stats.tuples_fetched,
-        )
-    assert service.stats.snapshot().replans == 1
-    service.close()
-
-
-def test_replanned_plan_failing_verification_is_refused_and_never_swapped_in(
-    monkeypatch,
-):
-    """A re-planned entry is admitted like a fresh one: when the corrected
-    chain emits a plan the verifier rejects, the execution that triggered the
-    re-plan raises the typed refusal, and the held entry stays cached, keeps
-    its closure and gains no successor."""
-    from repro.analysis import plan_mutations
-    from repro.engine.service.planners import HeuristicPlanner
-    from repro.errors import PlanVerificationError
-    from repro.workloads import skewed
-
-    corrupt = []
-    plan = HeuristicPlanner.plan
-
-    def planning(self, *args):
-        result = plan(self, *args)
-        if corrupt and result.found:
-            result.plan = plan_mutations(result.plan, seed=3)[0].plan
-        return result
-
-    monkeypatch.setattr(HeuristicPlanner, "plan", planning)
-    database, arrival = _arriving_fans()
-    service = QueryService(database, skewed.access_schema(), skewed.views())
-    prepared = service.prepare(skewed.query_feed())
-    prepared.execute()
-    held = prepared.entry
-    closure = held.compiled
-    service.apply(arrival)
-    corrupt.append(True)
-    with pytest.raises(PlanVerificationError):
-        prepared.execute()  # the miss re-plans; admission refuses the result
-    ((_, cached),) = service.plan_cache.entries()
-    assert cached is held and held.compiled is closure
-    assert held.successor is None and prepared.entry is held
-    assert service.stats.snapshot().replans == 0
-    service.close()
-
-
-def test_replan_budget_refills_per_write_epoch_not_per_entry_lifetime():
-    """Entries live for ever now, so ``max_replans`` counts re-plans between
-    writes: a miss after a write is new evidence, a miss without one is
-    oscillation."""
-    from repro.workloads import skewed
-
-    database, arrival = _arriving_fans()
-    departure = arrival.inverted()
-    service = QueryService(database, skewed.access_schema(), skewed.views())
-    query = skewed.query_feed()
-    for _ in range(2):
-        service.query(query)
-
-    # The hot celebrity's fans arrive and leave, twice: every move puts the
-    # cached plan's estimate off by more than 10x, and every one is re-planned
-    # -- four swaps of one entry, past max_replans = 3.
-    assert service.max_replans == 3
-    for moves, batch in enumerate((arrival, departure, arrival, departure), start=1):
-        held, _ = service.plan(query)
-        service.apply(batch)
-        assert service.query(query).cache_hit  # observes the miss, swaps
-        settled = service.query(query)
-        assert settled.rows == service.baseline(query).rows
-        assert held.successor is not None and held.successor.plan != held.plan
-        assert service.stats.snapshot().replans == moves
-        assert service.explain(query).replans == 1  # one in this write epoch
-    service.close()
-
-    # Without a write the same entry stops at max_replans.  A factor below 1
-    # calls every accurate estimate a miss, so only the guard ends the loop.
-    restless = QueryService(
-        database, skewed.access_schema(), skewed.views(), replan_factor=0.5
-    )
-    for _ in range(8):
-        restless.query(query)
-    assert restless.stats.snapshot().replans == restless.max_replans
-    assert restless.explain(query).replans == restless.max_replans
-    restless.close()
-
-
-def test_replan_that_finds_the_same_plan_keeps_the_entry_and_its_closure():
-    """On data that has not moved, the corrected model still prefers the
-    plan it was meant to replace: a re-plan that finds the same plan is
-    charged to the budget and reported, and the entry, its counters and its
-    compiled closure stay."""
-    from repro.workloads import skewed
-
-    instance = skewed.generate(hot_fans=100, users=300, seed=5)
-    service = QueryService(
-        instance.database, skewed.access_schema(), skewed.views(),
-        replan_factor=0.5,
-    )
-    query = skewed.query_feed()
-    first = service.query(query)
-    assert first.execution_tier == "compiled"
-    entry, _ = service.plan(query)
-    closure, plan = entry.compiled, first.plan
-    answers = [service.query(query) for _ in range(5)]  # every one "misses" at 0.5x
-    assert service.stats.snapshot().replans == service.max_replans == 3
-    kept, _ = service.plan(query)
-    assert kept is entry and kept.compiled is closure
-    assert kept.executions == 6 and kept.replans == 3
-    assert "re-plan threshold" in service.explain(query).replan_reason
-    assert {a.execution_tier for a in answers} == {"compiled"}
-    assert all(a.plan is plan and a.rows == first.rows for a in answers)
+        assert (answer.rows, answer.tuples_fetched) == (rows, fetched)
+    explanation = service.explain(query)
+    assert explanation.estimated_fetches == estimate
+    assert explanation.actual_fetches == fetched
     service.close()
 
 

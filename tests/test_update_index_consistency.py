@@ -32,6 +32,8 @@ from repro.storage.statistics import (
 from repro.storage.updates import UpdateBatch, random_update_batch
 from repro.workloads import cdr, graph_search as gs, skewed
 
+from conftest import folded_statistics, scanned_statistics
+
 
 def _fresh_copy(database: Database) -> Database:
     return Database.from_facts(database.schema, database.facts)
@@ -130,19 +132,6 @@ def test_secondary_indexes_and_statistics_survive_deltas(seed):
         )
 
 
-def _statistics_state(relation):
-    """Value counts and every column's raw histogram once the writes since the
-    last read are folded in, before any lazy rebuild (private fields on
-    purpose: this exact state is what is compared)."""
-    with relation._build_lock:
-        relation._fold_statistics()
-    histograms = [
-        (h._lows, h._highs, h._counts, h._distincts, h._total, h._distinct_total)
-        for h in (column.histogram for column in relation._column_summaries)
-    ]
-    return relation._value_counts, histograms
-
-
 _ROW = st.tuples(st.integers(0, 30), st.integers(0, 5))
 
 
@@ -153,19 +142,20 @@ _ROW = st.tuples(st.integers(0, 30), st.integers(0, 5))
         st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 7)), max_size=40
     ),
 )
-# A row inserted and deleted inside one transaction, above the top bucket:
-# netted away, yet a row-at-a-time replay widens the top edge.
+# A row inserted and deleted inside one transaction: netted away, it
+# changes no count.
 @example(initial={(1, 1), (2, 2)}, updates=[(True, 99, 9), (False, 99, 9)])
 # A value that leaves (its last row goes) and re-enters in the same batch.
 @example(initial={(5, 1), (6, 1)}, updates=[(False, 5, 1), (True, 5, 2)])
-# A value above the top bucket that stays.
+# A new value that stays.
 @example(initial={(1, 1), (2, 2)}, updates=[(True, 200, 0)])
-# An empty relation: the first insertion opens the first bucket.
+# An empty relation: the first insertion makes the first counts.
 @example(initial=set(), updates=[(True, 3, 3), (True, 4, 4), (False, 3, 3)])
 def test_set_at_a_time_statistics_equal_the_per_row_replay(initial, updates):
     """One netted batch, or one transaction per update with no read between
-    them, leaves value counts and histograms exactly where applying the
-    updates one transaction at a time and reading after each does, so every
+    them, leaves value counts, cardinality and sums of squared counts
+    exactly where applying the updates one transaction at a time and
+    reading after each does — and where a fresh scan puts them — so every
     estimate the planners read is identical."""
     from repro.algebra.schema import schema_from_spec
     from repro.storage.updates import Deletion, Insertion
@@ -173,7 +163,7 @@ def test_set_at_a_time_statistics_equal_the_per_row_replay(initial, updates):
     schema = schema_from_spec({"R": ("a", "b")})
     batched, deferred, replayed = (Database(schema, {"R": initial}) for _ in range(3))
     for database in (batched, deferred, replayed):
-        database.relation("R").statistics()  # histograms live before the writes
+        database.relation("R").statistics()  # statistics live before the writes
     batch = [
         (Insertion if insert else Deletion)("R", (a, b)) for insert, a, b in updates
     ]
@@ -181,12 +171,12 @@ def test_set_at_a_time_statistics_equal_the_per_row_replay(initial, updates):
     for update in batch:
         deferred.apply([update])
         replayed.apply([update])
-        _statistics_state(replayed.relation("R"))  # a read after every write
+        folded_statistics(replayed.relation("R"))  # a read after every write
 
     left, middle, right = (db.relation("R") for db in (batched, deferred, replayed))
     assert left.tuples == middle.tuples == right.tuples
-    states = [_statistics_state(relation) for relation in (left, middle, right)]
-    assert states[0] == states[1] == states[2]
+    states = [folded_statistics(relation) for relation in (left, middle, right)]
+    assert states[0] == states[1] == states[2] == scanned_statistics(left)
     left_stats, right_stats = left.statistics(), right.statistics()
     assert left_stats == middle.statistics() == right_stats == relation_statistics(left)
     for position in (0, 1):
@@ -227,7 +217,7 @@ def test_statistics_reads_racing_a_writer_lose_no_update():
                 [
                     Insertion("R", (1000 + step, step % 11)),
                     Deletion("R", (999 + step, (step - 1) % 11)),
-                    Insertion("R", (-step, step)),  # netted away: a transient
+                    Insertion("R", (-step, step)),  # netted away in the batch
                     Deletion("R", (-step, step)),
                 ]
             )
@@ -238,9 +228,7 @@ def test_statistics_reads_racing_a_writer_lose_no_update():
         sys.setswitchinterval(interval)
     assert not any(reader.is_alive() for reader in readers)
     assert relation.statistics() == relation_statistics(relation)
-    fresh = _fresh_copy(database).relation("R")
-    fresh.statistics()
-    assert _statistics_state(relation)[0] == _statistics_state(fresh)[0]
+    assert folded_statistics(relation) == scanned_statistics(relation)
 
 
 def test_discovered_constraints_stay_indexable_under_updates():

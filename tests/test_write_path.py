@@ -397,14 +397,14 @@ def test_view_scanning_plans_survive_changes_to_the_view(gs_service):
 
 
 def test_retention_is_not_a_knob(gs_service):
-    """Eight keyword knobs; the one that selected eviction is a TypeError."""
+    """Six keyword knobs; the one that selected eviction is a TypeError."""
     instance, _service = gs_service
     knobs = [
         parameter.name
         for parameter in inspect.signature(QueryService).parameters.values()
         if parameter.kind is parameter.KEYWORD_ONLY
     ]
-    assert len(knobs) == 8
+    assert len(knobs) == 6
     removed = "retain_plans" + "_on_write"  # in halves: greps for it stay empty
     assert removed not in knobs
     with pytest.raises(TypeError, match=removed):

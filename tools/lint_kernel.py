@@ -41,14 +41,6 @@ inspection (no imports of the checked code, so it runs on any tree):
     to the relation's one write path (``Relation.apply_delta``), which keeps
     statistics, secondary indexes and the mutation counter in step with it.
 
-``kernel.histogram-import``
-    No module outside ``src/repro/storage`` may import
-    ``repro.storage.histograms``: histograms are reached only through the
-    statistics API (``Database.statistics()`` / ``TableStatistics``), which
-    owns their delta maintenance and staleness-triggered rebuilds.  A consumer holding
-    histogram objects directly could read half-rebuilt buckets or cost
-    plans against summaries the write path no longer maintains.
-
 ``kernel.plan-store-exec-import``
     ``src/repro/engine/service/plan_store.py`` may not import ``repro.exec``
     (nor the in-memory plan cache): the persistent store holds plain data
@@ -107,12 +99,12 @@ inspection (no imports of the checked code, so it runs on any tree):
 
 ``kernel.write-path-statistics``
     In ``src/repro/storage/instance.py``, ``Relation.apply_delta``,
-    ``Database._net`` and ``Database.apply`` may not call ``.shift(...)``
-    nor mention ``_value_counts``: column statistics fold in on read
+    ``Database._net`` and ``Database.apply`` may not mention
+    ``_value_counts`` nor ``_square_sums``: column statistics — the exact
+    value counts and their running second moments — fold in on read
     (``Relation.statistics``).  A write only accumulates each column's net
-    value changes; moving histogram buckets or value counts per write
-    charges every transaction for estimates that may not be read before the
-    next one.
+    value changes; moving value counts per write charges every transaction
+    for estimates that may not be read before the next one.
 
 Usage::
 
@@ -171,12 +163,14 @@ LIVE_READ_FILES = frozenset(
     {Path("src/repro/engine/baseline.py"), SERVICE_DIR / "backends.py"}
 )
 
-#: The write path's storage methods, per class: statistics fold on read.
+#: The write path's storage methods, per class, and the folded statistics
+#: fields they may not touch: statistics fold on read.
 INSTANCE_FILE = STORAGE_DIR / "instance.py"
 WRITE_PATH_STATISTICS_METHODS = {
     "Relation": frozenset({"apply_delta"}),
     "Database": frozenset({"_net", "apply"}),
 }
+FOLDED_STATISTICS_FIELDS = frozenset({"_value_counts", "_square_sums"})
 
 #: Per-row change hooks: the write path is set-at-a-time, with no observers.
 ROW_OBSERVER_NAMES = frozenset({"register_observer", "on_insert", "on_delete"})
@@ -318,47 +312,6 @@ def check_codegen_storage_imports(path: Path, tree: ast.Module) -> list[Violatio
                 if alias.name == "repro.storage" or alias.name.startswith(
                     "repro.storage."
                 ):
-                    report(node.lineno, alias.name)
-    return violations
-
-
-def check_histogram_imports(path: Path, tree: ast.Module) -> list[Violation]:
-    """Histograms are reached only through the statistics API."""
-    parts = path.parts
-    package_parts: tuple[str, ...] = ()
-    if "src" in parts:
-        start = parts.index("src") + 1
-        package_parts = tuple(parts[start:-1])
-    violations: list[Violation] = []
-
-    def report(line: int, module: str) -> None:
-        violations.append(
-            Violation(
-                path,
-                line,
-                "kernel.histogram-import",
-                f"module imports {module!r}; histograms are "
-                "storage-internal — read them through the statistics API "
-                "(Database.statistics() / TableStatistics), which owns "
-                "their delta maintenance and rebuild scheduling",
-            )
-        )
-
-    target = "repro.storage.histograms"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = _imported_module(node, package_parts)
-            if module == target or module.startswith(target + "."):
-                report(node.lineno, module)
-            elif module == "repro.storage":
-                # ``from repro.storage import histograms`` binds the
-                # submodule just the same.
-                for alias in node.names:
-                    if alias.name == "histograms":
-                        report(node.lineno, f"{module}.{alias.name}")
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == target or alias.name.startswith(target + "."):
                     report(node.lineno, alias.name)
     return violations
 
@@ -575,24 +528,20 @@ def check_write_path_statistics(path: Path, tree: ast.Module) -> list[Violation]
             if not (isinstance(method, ast.FunctionDef) and method.name in methods):
                 continue
             for node in ast.walk(method):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "shift"
+                if not (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in FOLDED_STATISTICS_FIELDS
                 ):
-                    what = "calls '.shift(...)'"
-                elif isinstance(node, ast.Attribute) and node.attr == "_value_counts":
-                    what = "mentions '_value_counts'"
-                else:
                     continue
                 violations.append(
                     Violation(
                         path,
                         node.lineno,
                         "kernel.write-path-statistics",
-                        f"{cls.name}.{method.name} {what}: column statistics "
-                        "fold in on read (Relation.statistics); a write only "
-                        "accumulates each column's net value changes",
+                        f"{cls.name}.{method.name} mentions {node.attr!r}: "
+                        "column statistics fold in on read "
+                        "(Relation.statistics); a write only accumulates "
+                        "each column's net value changes",
                     )
                 )
     return violations
@@ -632,7 +581,6 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
     violations += check_row_observers(relative, tree)
     if STORAGE_DIR not in relative.parents:
         violations += check_storage_internals(relative, tree)
-        violations += check_histogram_imports(relative, tree)
     return violations
 
 
