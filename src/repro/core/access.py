@@ -17,14 +17,17 @@ relation names to collections of value tuples) so it applies uniformly to
 materialised databases (:class:`repro.storage.instance.Database`) and to
 query tableaux (where the remaining variables act as distinct labelled
 nulls) — the latter is exactly what the element-query machinery of
-Section 3.1 needs.
+Section 3.1 needs.  The rule itself judges per-``X``-value buckets
+(:meth:`AccessConstraint.violations_in`), so a query service applies it to
+the access-constraint indexes it builds at start-up instead of regrouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Sized
 
+from ..algebra.rows import count_projections
 from ..algebra.schema import DatabaseSchema, RelationSchema
 from ..errors import AccessConstraintError
 
@@ -108,18 +111,33 @@ class AccessConstraint:
         return not any(True for _ in self.violations(facts, schema))
 
     def violations(self, facts: FactSet, schema: DatabaseSchema) -> Iterator[str]:
-        """Yield human-readable descriptions of the violated groups."""
-        x_positions, y_positions = self.positions(schema)
-        groups: dict[tuple, set[tuple]] = {}
-        for row in facts.get(self.relation, ()):
-            key = tuple(row[p] for p in x_positions)
-            value = tuple(row[p] for p in y_positions)
-            groups.setdefault(key, set()).add(value)
-        for key, values in groups.items():
-            if len(values) > self.bound:
+        """Yield human-readable descriptions of the violated groups: the
+        fact set grouped by ``X`` (:func:`~repro.algebra.rows.count_projections`),
+        judged by :meth:`violations_in`."""
+        relation = schema.relation(self.relation)
+        buckets = count_projections(
+            facts.get(self.relation, ()),
+            relation.positions(self.x),
+            relation.positions(self.output_attributes),
+        )
+        return self.violations_in(buckets)
+
+    def violations_in(self, buckets: Mapping[tuple, Sized]) -> Iterator[str]:
+        """The violated groups among per-``X``-value buckets of distinct
+        ``X ∪ Y``-projections (an access-constraint index), in bucket order.
+
+        Within one bucket ``X`` is fixed, so its distinct ``X ∪ Y``
+        projections are exactly the distinct ``Y``-values: the constraint
+        holds iff no bucket holds more than ``N`` of them.
+        """
+        bound = self.bound
+        if max(map(len, buckets.values()), default=0) <= bound:
+            return
+        for key, values in buckets.items():
+            if len(values) > bound:
                 yield (
                     f"{self.relation}: X={key} has {len(values)} distinct Y-values, "
-                    f"bound is {self.bound}"
+                    f"bound is {bound}"
                 )
 
     def __str__(self) -> str:

@@ -48,6 +48,7 @@ from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, cast
 
 from ...algebra.evaluation import evaluate_ucq
 from ...algebra.fo import evaluate_fo
+from ...algebra.rows import group_rows
 from ...algebra.terms import Variable
 from ...algebra.views import View, ViewSet
 from ...analysis import delta_codegen_eligibility
@@ -150,10 +151,9 @@ _Charge = Callable[[int], None]
 def _index_rows_by_key(
     rows: Sequence[tuple], positions: tuple[int, ...]
 ) -> dict[tuple, list[tuple]]:
-    index: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        index.setdefault(tuple(row[p] for p in positions), []).append(row)
-    return index
+    """A transaction's deleted rows of one relation, hashed on
+    ``positions`` — built once per committed stream and key positions."""
+    return group_rows(rows, positions)
 
 
 class _RewoundIndex(Mapping[tuple, Sequence[tuple]]):

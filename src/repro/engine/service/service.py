@@ -304,6 +304,15 @@ class QueryService:
         ``("heuristic", "topped")``.
     plan_cache_size:
         Capacity of the LRU plan cache; ``0`` disables plan caching.
+    check_constraints:
+        Refuse a database that violates the access schema (``D |= A`` is
+        the paper's standing assumption).  The check reads the version-0
+        snapshot indexes the service builds anyway — a key whose bucket
+        holds more than ``N`` projections violates its constraint — so it
+        costs one pass over the buckets, not over the data.  A refused
+        database raises :class:`~repro.errors.EvaluationError` naming the
+        first five violated groups, and keeps no snapshot manager of this
+        service registered.  ``False`` skips only the check.
     plan_store:
         A :class:`~repro.engine.service.plan_store.PlanStore` (or a path
         string) persisting planning outcomes across restarts: loaded here —
@@ -338,17 +347,26 @@ class QueryService:
         self._budget = budget
         self.inner_size_cutoff = inner_size_cutoff
         access_schema.validate(database.schema)
-        if check_constraints and not database.satisfies(access_schema):
-            violations = database.violations(access_schema)
-            raise EvaluationError(
-                "database does not satisfy the access schema: " + "; ".join(violations[:5])
-            )
         # Every read is pinned to an immutable MVCC snapshot version
         # (repro.storage.snapshots), advanced by Database.apply and published
         # atomically, so a concurrent reader never observes a half-applied
         # transaction; the same versions are the write path's admissibility
         # surface (the only access-constraint index).
         self._snapshots: SnapshotManager = database.enable_snapshots(access_schema)
+        if check_constraints:
+            # D |= A, read off the version-0 index buckets just built.
+            indexes = self._snapshots.current.indexes
+            violations = [
+                message
+                for constraint in access_schema
+                for message in constraint.violations_in(indexes[constraint].buckets)
+            ]
+            if violations:
+                database.disable_snapshots(self._snapshots)
+                raise EvaluationError(
+                    "database does not satisfy the access schema: "
+                    + "; ".join(violations[:5])
+                )
         self._indexes = IndexSet(database, access_schema, self._snapshots)
         # The write path's delta programs are verified and compiled here,
         # when the views are materialised.

@@ -68,6 +68,7 @@ from itertools import accumulate, chain, compress, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
+from ..algebra.rows import row_getter
 from ..algebra.terms import Param
 from ..core.access import AccessSchema
 from ..core.plan_eval import FetchProvider, ViewVersion
@@ -96,7 +97,6 @@ from .lowering import (
     lower_fetch,
     lower_join,
     lower_predicates,
-    tuple_extractor,
 )
 
 
@@ -390,7 +390,7 @@ def _key_filter(slots: Sequence[int], key_width: int) -> _KeyFilter:
         get = itemgetter(*slots)
         parts = lambda keys: zip(map(get, keys))
     else:
-        part = tuple_extractor(slots)
+        part = row_getter(slots)
         parts = lambda keys: map(part, keys)
     return lambda keys, members: list(
         compress(keys, map(members.__contains__, parts(keys)))
@@ -776,7 +776,7 @@ class _Compiler:
             )
             if rest:
                 whole = slots == list(range(key_width))
-                part = None if whole else tuple_extractor(slots)
+                part = None if whole else row_getter(slots)
                 crossed.append((index, len(slots), _key_filter(slots, key_width), part))
             elif slots:
                 filters.append((index, _key_filter(slots, key_width)))

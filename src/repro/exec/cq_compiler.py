@@ -59,6 +59,7 @@ from typing import Any, Callable, Collection, Iterator, Mapping, Sequence, cast
 from ..algebra.atoms import RelationAtom
 from ..algebra.cq import ConjunctiveQuery
 from ..algebra.join_order import MAX_EXACT_ITEMS, search_order
+from ..algebra.rows import group_rows
 from ..algebra.terms import Constant, Param, Term, Variable
 from ..errors import EvaluationError, SchemaError
 
@@ -185,12 +186,7 @@ class FactsSource:
             if stored is None:
                 return _EMPTY_INDEX
             return cast("Mapping[Row, Sequence[Row]]", stored.index_on(key_positions))
-        index: dict[Row, list[Row]] = {}
-        for row in self._mapping.get(name, ()):
-            if len(row) != arity:
-                continue
-            index.setdefault(tuple(row[p] for p in key_positions), []).append(row)
-        return index
+        return group_rows(self.scan(name, arity), key_positions)
 
 
 # --------------------------------------------------------------------------- #

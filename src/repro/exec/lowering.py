@@ -17,8 +17,7 @@ specs safe to cache alongside a plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Sequence, cast
+from typing import Sequence
 
 from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
@@ -47,22 +46,11 @@ __all__ = [
     "lower_fetch",
     "lower_join",
     "lower_predicates",
-    "tuple_extractor",
 ]
 
 
 #: A data row.  Layouts are positional and fixed by the compiler.
 Row = tuple[object, ...]
-
-
-def tuple_extractor(positions: Sequence[int]) -> Callable[[Row], Row]:
-    """``row -> tuple(row[p] for p in positions)`` at C speed where possible."""
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return cast(Callable[[Row], Row], itemgetter(*positions))
 
 
 def attribute_position(attributes: tuple[str, ...], attribute: str, where: str) -> int:

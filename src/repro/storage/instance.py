@@ -39,11 +39,12 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
+from ..algebra.rows import group_rows, projections
 from ..algebra.schema import DatabaseSchema, RelationSchema
 from ..core.access import AccessSchema
 from ..errors import SchemaError
 from .deltas import DeltaStream
-from .snapshots import MAX_CACHED_INDEXES, row_getter
+from .snapshots import MAX_CACHED_INDEXES
 from .statistics import ColumnStatistics, RelationStatistics
 
 
@@ -210,10 +211,9 @@ class Relation:
                     net.update(map(value_of, added))
                     net.subtract(map(value_of, removed))
             for positions, index in list(self._indexes.items()):
-                key_of = row_getter(positions)
                 if removed:
                     gone: dict[tuple, set[tuple]] = {}
-                    for key, row in zip(map(key_of, removed), removed):
+                    for key, row in zip(projections(removed, positions), removed):
                         gone.setdefault(key, set()).add(row)
                     for key, rows in gone.items():
                         kept = [row for row in index.get(key, ()) if row not in rows]
@@ -221,7 +221,7 @@ class Relation:
                             index[key] = kept
                         else:
                             index.pop(key, None)
-                for key, row in zip(map(key_of, added), added):
+                for key, row in zip(projections(added, positions), added):
                     index.setdefault(key, []).append(row)
 
     # ------------------------------------------------------------------ #
@@ -237,7 +237,7 @@ class Relation:
 
     def project(self, attributes: Iterable[str]) -> set[tuple]:
         positions = self.schema.positions(attributes)
-        return {tuple(row[p] for p in positions) for row in self._tuples}
+        return set(projections(self._tuples, positions))
 
     def index_on(self, positions: Sequence[int]) -> Mapping[tuple, Sequence[tuple]]:
         """Secondary hash index keyed on the values at ``positions``.
@@ -253,10 +253,7 @@ class Relation:
             with self._build_lock:
                 index = self._indexes.get(key)
                 if index is None:
-                    index = {}
-                    key_of = row_getter(key)
-                    for row in self._tuples:
-                        index.setdefault(key_of(row), []).append(row)
+                    index = group_rows(self._tuples, key)
                     while len(self._indexes) >= MAX_CACHED_INDEXES:
                         self._indexes.pop(next(iter(self._indexes)), None)
                     self._indexes[key] = index
@@ -269,8 +266,10 @@ class Relation:
         The first read builds per-position value counts and their second
         moments in one scan; every later read first folds in the value
         changes written since the previous one (:meth:`_fold_statistics`),
-        so a read after any number of writes costs O(arity + values
-        touched), not a scan.
+        so a read after any number of writes copies the counts of the
+        columns that changed and costs O(values touched) beyond that, not a
+        scan.  A statistics object once handed out never changes: a held
+        one keeps describing the data it was read from.
         """
         statistics = self._statistics
         if statistics is None:
@@ -278,11 +277,10 @@ class Relation:
                 statistics = self._statistics
                 if statistics is None:
                     if self._value_counts is None:
-                        counts = [{} for _ in range(self.schema.arity)]
-                        for row in self._tuples:
-                            for position, per_value in enumerate(counts):
-                                value = row[position]
-                                per_value[value] = per_value.get(value, 0) + 1
+                        counts: list[dict[object, int]] = [
+                            Counter(map(itemgetter(position), self._tuples))
+                            for position in range(self.schema.arity)
+                        ]
                         self._value_counts = counts
                         self._square_sums = [
                             sum(count * count for count in per_value.values())
@@ -309,14 +307,22 @@ class Relation:
         """Fold the value changes written since the last read into the value
         counts and their second moments, O(1) per changed value.
 
-        Counts add, so folding many transactions at once ends where folding
-        each in turn would.  The caller holds ``_build_lock``.
+        A changed column's counts are folded into a copy: the statistics
+        handed out by the previous read hold the old dict, which therefore
+        never changes under its holder.  Counts add, so folding many
+        transactions at once ends where folding each in turn would.  The
+        caller holds ``_build_lock``.
         """
         pending = self._pending
         square_sums = self._square_sums
-        if pending is None or square_sums is None:
+        value_counts = self._value_counts
+        if pending is None or square_sums is None or value_counts is None:
             return
-        for position, (per_value, net) in enumerate(zip(self._value_counts, pending)):
+        for position, net in enumerate(pending):
+            if not any(net.values()):
+                net.clear()
+                continue
+            per_value = value_counts[position] = dict(value_counts[position])
             square_sum = square_sums[position]
             for value, change in net.items():
                 if not change:
@@ -673,7 +679,15 @@ class Database:
     # ------------------------------------------------------------------ #
 
     def satisfies(self, access_schema: AccessSchema) -> bool:
-        """``D |= A``: the instance satisfies every access constraint."""
+        """``D |= A``: the instance satisfies every access constraint.
+
+        Each constraint groups its relation by ``X`` in one C-keyed pass and
+        judges the buckets by
+        :meth:`~repro.core.access.AccessConstraint.violations_in`.  A
+        :class:`~repro.engine.service.QueryService` applies the same rule to
+        the version-0 snapshot indexes it builds anyway, instead of calling
+        this and grouping the data twice.
+        """
         return access_schema.satisfied_by(self.facts, self.schema)
 
     def violations(self, access_schema: AccessSchema) -> list[str]:

@@ -23,6 +23,14 @@ plus that overlay — a bounded number of index entries.
 only the relations and indexes the transaction touched get a new version,
 and inside an index only the touched keys' buckets are copied.
 
+Version 0 is built from live storage when the manager is made: one pass
+per constraint over its relation's rows, keyed in C
+(:meth:`ConstraintIndexVersion.build`).  That is the one ``O(|D|)`` cost a
+bounded engine pays, and it is paid once: a
+:class:`~repro.engine.service.QueryService` checks ``D |= A`` on these
+version-0 buckets (at most ``N`` projections per key) rather than grouping
+the data a second time.
+
 A snapshot satisfies the fetch-provider protocol
 (:class:`~repro.core.plan_eval.FetchProvider`), so a compiled plan reads a
 pinned snapshot directly.
@@ -36,6 +44,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Mapping, Sequence
 
+from ..algebra.rows import count_projections, group_rows, row_getter
 from ..algebra.schema import DatabaseSchema
 from ..core.access import AccessConstraint, AccessSchema
 from ..errors import AccessConstraintError
@@ -59,18 +68,6 @@ def _every_row(row: tuple) -> bool:
 #: (FIFO eviction: compiled pipelines resolve their indexes per execution, so
 #: an evicted index only costs a rebuild on its next use).
 MAX_CACHED_INDEXES = 8
-
-
-def row_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """``lambda row: tuple(row[p] for p in positions)``, an ``itemgetter``
-    wherever that returns a tuple."""
-    positions = tuple(positions)
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return lambda row: ()
 
 
 class ShardingLayout:
@@ -116,15 +113,7 @@ class RelationVersion:
         key = tuple(positions)
         index = self._indexes.get(key)
         if index is None:
-            index = {}
-            extract = row_getter(key)
-            for row in self.rows:
-                value = extract(row)
-                bucket = index.get(value)
-                if bucket is None:
-                    index[value] = [row]
-                else:
-                    bucket.append(row)
+            index = group_rows(self.rows, key)
             indexes = self._indexes
             if len(indexes) >= MAX_CACHED_INDEXES:
                 # list() snapshots the keys in one step: a racing reader's
@@ -163,17 +152,22 @@ class ConstraintIndexVersion:
         cls,
         constraint: AccessConstraint,
         schema: DatabaseSchema,
-        rows: Iterable[tuple],
+        rows: Collection[tuple],
     ) -> "ConstraintIndexVersion":
+        """The index of ``rows``, in one C-keyed pass
+        (:func:`~repro.algebra.rows.count_projections`): per ``X``-value, each
+        ``X ∪ Y``-projection with the number of rows behind it, buckets and
+        projections in row iteration order.  Version 0 of a service's
+        snapshots is built here, and :meth:`SnapshotManager.refresh`
+        rebuilds drifted relations here; the service reads ``D |= A`` off
+        the buckets (:meth:`~repro.core.access.AccessConstraint.violations_in`).
+        """
         relation = schema.relation(constraint.relation)
-        x_positions = relation.positions(constraint.x)
-        out_positions = relation.positions(constraint.output_attributes)
-        buckets: dict[tuple, dict[tuple, int]] = {}
-        for row in rows:
-            key = tuple(row[p] for p in x_positions)
-            value = tuple(row[p] for p in out_positions)
-            counts = buckets.setdefault(key, {})
-            counts[value] = counts.get(value, 0) + 1
+        buckets = count_projections(
+            rows,
+            relation.positions(constraint.x),
+            relation.positions(constraint.output_attributes),
+        )
         return cls(constraint, buckets)
 
     def lookup(self, key: tuple) -> frozenset[tuple]:

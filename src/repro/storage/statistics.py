@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
+from ..algebra.rows import count_projections, group_rows
 from ..algebra.terms import Param
 from ..core.access import AccessConstraint, AccessSchema
 __all__ = [
@@ -52,8 +54,9 @@ class ColumnStatistics:
 
     Reads the relation's per-value row counts (``Relation._value_counts``)
     and the running second moment ``square_sum`` = Σc² over those counts,
-    which the relation folds in O(1) per changed value.  A value absent
-    from the counts is charged the average bucket.
+    which the relation folds in O(1) per changed value — into a copy of the
+    counts, so the dict this object reads never changes after it is handed
+    out.  A value absent from the counts is charged the average bucket.
     """
 
     __slots__ = ("_counts", "total", "square_sum")
@@ -210,13 +213,10 @@ def constraint_bound(
     Returns 0 for an empty relation.
     """
     rel = database.relation(relation)
-    x_positions = rel.schema.positions(x)
-    y_positions = rel.schema.positions(y)
-    groups: dict[tuple, set[tuple]] = {}
-    for row in rel:
-        key = tuple(row[p] for p in x_positions)
-        groups.setdefault(key, set()).add(tuple(row[p] for p in y_positions))
-    return max((len(values) for values in groups.values()), default=0)
+    groups = count_projections(
+        rel.tuples, rel.schema.positions(x), rel.schema.positions(y)
+    )
+    return max(map(len, groups.values()), default=0)
 
 
 def constraint_bounds(
@@ -230,20 +230,12 @@ def constraint_bounds(
     multiplied the work by the arity.
     """
     rel = database.relation(relation)
-    x_positions = rel.schema.positions(x)
-    y_positions = rel.schema.positions(ys)
-    groups: dict[tuple, list[set]] = {}
-    for row in rel:
-        key = tuple(row[p] for p in x_positions)
-        per_y = groups.get(key)
-        if per_y is None:
-            per_y = [set() for _ in y_positions]
-            groups[key] = per_y
-        for index, position in enumerate(y_positions):
-            per_y[index].add(row[position])
+    groups = group_rows(rel.tuples, rel.schema.positions(x)).values()
     return {
-        y: max((len(per_y[index]) for per_y in groups.values()), default=0)
-        for index, y in enumerate(ys)
+        y: max(
+            (len(set(map(itemgetter(position), rows))) for rows in groups), default=0
+        )
+        for y, position in zip(ys, rel.schema.positions(ys))
     }
 
 

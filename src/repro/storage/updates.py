@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from ..core.access import AccessSchema
+from ..algebra.rows import count_projections, row_getter
+from ..algebra.schema import RelationSchema
+from ..core.access import AccessConstraint, AccessSchema
 from ..errors import SchemaError
 from .generators import rng
 from .instance import Database
@@ -175,11 +177,12 @@ def random_update_batch(
     # Working copy of the fact sets so the batch is internally consistent,
     # and per drawn relation its rows in repr order (the order draws pick
     # from), kept sorted under the batch's own updates with their reprs
-    # alongside.
+    # alongside, and the running buckets of its access constraints.
     state: dict[str, set[tuple]] = {
         name: set(database.relation(name).tuples) for name in database.schema.names
     }
     ordered: dict[str, tuple[list[str], list[tuple]]] = {}
+    running: dict[str, list[_RunningBuckets]] = {}
     updates: list[Update] = []
     attempts = 0
     while len(updates) < size and attempts < 50 * size:
@@ -192,7 +195,15 @@ def random_update_batch(
         if drawn is None:
             by_repr = sorted(rows, key=repr)
             drawn = ordered[relation_name] = ([repr(row) for row in by_repr], by_repr)
+            relation = database.schema.relation(relation_name)
+            running[relation_name] = [
+                _RunningBuckets(constraint, relation, rows)
+                for constraint in (
+                    access_schema.for_relation(relation_name) if access_schema else ()
+                )
+            ]
         reprs, by_repr = drawn
+        constrained = running[relation_name]
         if generator.random() < insert_ratio:
             if len(rows) < 2:
                 continue
@@ -202,11 +213,11 @@ def random_update_batch(
             )
             if candidate in rows:
                 continue
-            if access_schema is not None and _violates(
-                candidate, relation_name, state, database, access_schema
-            ):
+            if not all(buckets.admits(candidate) for buckets in constrained):
                 continue
             rows.add(candidate)
+            for buckets in constrained:
+                buckets.move(candidate, 1)
             key = repr(candidate)
             index = bisect_left(reprs, key)
             reprs.insert(index, key)
@@ -215,31 +226,45 @@ def random_update_batch(
         else:
             victim = generator.choice(by_repr)
             rows.discard(victim)
+            for buckets in constrained:
+                buckets.move(victim, -1)
             index = bisect_left(reprs, repr(victim))
             del reprs[index], by_repr[index]
             updates.append(Deletion(relation_name, victim))
     return UpdateBatch(updates)
 
 
-def _violates(
-    candidate: tuple,
-    relation_name: str,
-    state: dict[str, set[tuple]],
-    database: Database,
-    access_schema: AccessSchema,
-) -> bool:
-    """Would adding ``candidate`` break a constraint on its relation?"""
-    schema = database.schema.relation(relation_name)
-    for constraint in access_schema.for_relation(relation_name):
-        x_positions = schema.positions(constraint.x)
-        y_positions = schema.positions(constraint.y)
-        key = tuple(candidate[p] for p in x_positions)
-        values = {
-            tuple(row[p] for p in y_positions)
-            for row in state[relation_name]
-            if tuple(row[p] for p in x_positions) == key
-        }
-        values.add(tuple(candidate[p] for p in y_positions))
-        if len(values) > constraint.bound:
-            return True
-    return False
+class _RunningBuckets:
+    """One access constraint's buckets over a relation's running state:
+    per ``X``-value, each ``Y``-value with the number of rows behind it —
+    seeded in one pass, then moved row by row with the batch's updates."""
+
+    __slots__ = ("bound", "key_of", "value_of", "buckets")
+
+    def __init__(
+        self, constraint: AccessConstraint, relation: RelationSchema, rows: Collection[tuple]
+    ) -> None:
+        x_positions = relation.positions(constraint.x)
+        y_positions = relation.positions(constraint.y)
+        self.bound = constraint.bound
+        self.key_of = row_getter(x_positions)
+        self.value_of = row_getter(y_positions)
+        self.buckets = count_projections(rows, x_positions, y_positions)
+
+    def admits(self, candidate: tuple) -> bool:
+        """Would adding ``candidate`` keep its key within the bound?"""
+        values = self.buckets.get(self.key_of(candidate), {})
+        return len(values) + (self.value_of(candidate) not in values) <= self.bound
+
+    def move(self, row: tuple, sign: int) -> None:
+        """Count ``row`` in (``sign`` 1) or out (``sign`` -1)."""
+        key = self.key_of(row)
+        values = self.buckets.setdefault(key, {})
+        value = self.value_of(row)
+        count = values.get(value, 0) + sign
+        if count:
+            values[value] = count
+        else:
+            del values[value]
+            if not values:
+                del self.buckets[key]

@@ -627,3 +627,69 @@ def test_statistics_folded_on_read_are_not_write_path_violations(tmp_path):
         """,
     )
     assert lint_kernel.lint_tree(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "relative",
+    [
+        "src/repro/storage/snapshots.py",
+        "src/repro/core/access.py",
+        "src/repro/engine/service/maintenance.py",
+        "src/repro/exec/cq_compiler.py",
+    ],
+)
+def test_per_row_key_generators_are_flagged(tmp_path, relative):
+    _write(
+        tmp_path,
+        relative,
+        """
+        def build(rows, x_positions, y_positions, candidate):
+            index = {}
+            for row in rows:
+                key = tuple(row[p] for p in x_positions)
+                index.setdefault(key, set()).add(tuple(row[q] for q in y_positions))
+            return index, tuple(candidate[i] for i in x_positions)
+        """,
+    )
+    violations = lint_kernel.lint_tree(tmp_path)
+    assert [v.code for v in violations] == ["kernel.per-row-key"] * 3
+    assert sorted(v.line for v in violations) == [5, 6, 7]
+    assert "'tuple(candidate[i] for i in …)'" in {
+        v.message.split(" keys")[0] for v in violations
+    }
+
+
+def test_c_keyed_rows_and_the_reference_evaluator_are_not_per_row_keys(tmp_path):
+    _write(
+        tmp_path,
+        "src/repro/storage/snapshots.py",
+        """
+        from repro.algebra.rows import count_projections, group_rows, row_getter
+
+        def build(rows, x_positions, out_positions, row):
+            key_of = row_getter(x_positions)
+            # Not a row key: one fixed position per row, a call per
+            # position, a list.
+            firsts = tuple(each[0] for each in rows)
+            names = tuple(str(p) for p in x_positions)
+            listed = [row[p] for p in x_positions]
+            return (
+                count_projections(rows, x_positions, out_positions),
+                group_rows(rows, x_positions),
+                key_of(row),
+                firsts,
+                names,
+                listed,
+            )
+        """,
+    )
+    # The reference evaluator keys rows per row on purpose: out of scope.
+    _write(
+        tmp_path,
+        "src/repro/algebra/evaluation.py",
+        """
+        def project(rows, kept):
+            return {tuple(row[p] for p in kept) for row in rows}
+        """,
+    )
+    assert lint_kernel.lint_tree(tmp_path) == []

@@ -106,6 +106,19 @@ inspection (no imports of the checked code, so it runs on any tree):
     value changes; moving value counts per write charges every transaction
     for estimates that may not be read before the next one.
 
+``kernel.per-row-key``
+    Under ``src/repro/storage/`` and in ``src/repro/core/access.py``,
+    ``src/repro/engine/service/maintenance.py`` and
+    ``src/repro/exec/cq_compiler.py``, no ``tuple(<row>[<p>] for <p> in …)``
+    generator: a row's key or projection comes from
+    :mod:`repro.algebra.rows` — ``projections`` / ``group_rows`` /
+    ``count_projections`` for a row set, ``row_getter`` for one row at a
+    time — which key in C.  A generator runs a Python frame per row and
+    per position, and an index built that way over a whole relation is
+    what made building a service's constraint indexes cost more than
+    anything else it does at start-up.  ``src/repro/algebra/evaluation.py``
+    is the independent reference evaluator and is left alone.
+
 Usage::
 
     python tools/lint_kernel.py [--root PATH]
@@ -171,6 +184,16 @@ WRITE_PATH_STATISTICS_METHODS = {
     "Database": frozenset({"_net", "apply"}),
 }
 FOLDED_STATISTICS_FIELDS = frozenset({"_value_counts", "_square_sums"})
+
+#: Modules that key rows through repro.algebra.rows, never a per-row
+#: ``tuple(row[p] for p in …)`` generator (plus everything under storage/).
+PER_ROW_KEY_FILES = frozenset(
+    {
+        Path("src/repro/core/access.py"),
+        SERVICE_DIR / "maintenance.py",
+        CQ_COMPILER_FILE,
+    }
+)
 
 #: Per-row change hooks: the write path is set-at-a-time, with no observers.
 ROW_OBSERVER_NAMES = frozenset({"register_observer", "on_insert", "on_delete"})
@@ -547,6 +570,43 @@ def check_write_path_statistics(path: Path, tree: ast.Module) -> list[Violation]
     return violations
 
 
+def check_per_row_keys(path: Path, tree: ast.Module) -> list[Violation]:
+    """Row keys come from the C-keyed helpers, not a per-row generator."""
+    violations: list[Violation] = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "tuple"
+            and len(node.args) == 1
+            and not node.keywords
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ):
+            continue
+        generator = node.args[0]
+        element = generator.elt
+        target = generator.generators[0].target
+        if (
+            len(generator.generators) == 1
+            and isinstance(target, ast.Name)
+            and isinstance(element, ast.Subscript)
+            and isinstance(element.value, ast.Name)
+            and isinstance(element.slice, ast.Name)
+            and element.slice.id == target.id
+        ):
+            violations.append(
+                Violation(
+                    path,
+                    node.lineno,
+                    "kernel.per-row-key",
+                    f"'tuple({element.value.id}[{target.id}] for {target.id} in …)' "
+                    "keys a row with a Python frame per position; use "
+                    "repro.algebra.rows (projections / group_rows / "
+                    "count_projections over a row set, row_getter for one row)",
+                )
+            )
+    return violations
+
+
 def _imported_module(node: ast.ImportFrom, package_parts: tuple[str, ...]) -> str:
     """Absolute dotted module an ``ImportFrom`` resolves to (best effort)."""
     module = node.module or ""
@@ -577,6 +637,8 @@ def lint_file(path: Path, root: Path) -> list[Violation]:
         violations += check_live_reads(relative, tree)
     if relative == INSTANCE_FILE:
         violations += check_write_path_statistics(relative, tree)
+    if relative in PER_ROW_KEY_FILES or STORAGE_DIR in relative.parents:
+        violations += check_per_row_keys(relative, tree)
     violations += check_write_path_plan_cache(relative, tree)
     violations += check_row_observers(relative, tree)
     if STORAGE_DIR not in relative.parents:
